@@ -29,19 +29,32 @@ const (
 
 // line is one cache line's metadata.
 type line struct {
-	tag      uint64
-	valid    bool
-	reserved bool // fill in flight
-	class    Class
-	lastUse  int64
-	fillAt   int64 // cycle the line became valid
-	touched  bool  // demanded at least once since fill (for useful-prefetch accounting)
+	tag     uint64
+	lastUse int64
+	// prev/next link a valid line into its set's victim list (see
+	// Cache.lists) as positions in Cache.lines; -1 ends the list. They are
+	// meaningless while the line is invalid or reserved.
+	prev, next int32
+	valid      bool
+	reserved   bool // fill in flight
+	class      Class
+	touched    bool // demanded at least once since fill (for useful-prefetch accounting)
+}
+
+// group is the line's victim-list index, class<<1 | touched: the two inputs
+// of a VictimFilter.
+func (ln *line) group() int {
+	g := int(ln.class) << 1
+	if ln.touched {
+		g |= 1
+	}
+	return g
 }
 
 // Cache is a set-associative cache with per-line class flags. Lines are
-// stored in one contiguous array (set s occupies lines[s*ways:(s+1)*ways])
-// so set scans — the simulator's hottest loop — walk sequential memory with
-// a single bounds check instead of chasing per-set slice headers.
+// stored in one contiguous array (set s occupies lines[s*ways:(s+1)*ways]);
+// lookup, free-way search and LRU victim selection are all O(1) in the
+// associativity, which matters because the unified L1 is 256-way.
 type Cache struct {
 	geom     config.CacheGeom
 	lines    []line
@@ -62,13 +75,20 @@ type Cache struct {
 	occ    []uint64
 	occWPS int
 
-	// vkeys/vgroups shadow each line's victim-selection state so Reserve's
-	// full-set LRU scan reads 9 bytes per way instead of the line struct:
-	// vkeys[i] is lines[i].lastUse and vgroups[i] is a one-hot group bit
-	// (class<<1|touched), zero while the line is invalid or reserved and
-	// therefore never an LRU victim.
-	vkeys   []int64
-	vgroups []uint8
+	// lists holds each set's four victim lists, one per line group
+	// (class<<1 | touched), at lists[set<<2|group]. A list links exactly the
+	// set's valid, unreserved lines of its group in ascending (lastUse, way)
+	// order, so the LRU line among any combination of groups is the smallest
+	// of at most four heads.
+	lists []victimList
+
+	// classBits[class] is a bitmap over lines (bit pos&63 of word pos>>6)
+	// of the valid lines of that class, so EvictLRUOfClass collects its
+	// candidates in line order without reading every line.
+	classBits [2][]uint64
+
+	// bulk is EvictLRUOfClass's reusable scratch.
+	bulk bulkScratch
 
 	// Occupancy counters for the decoupling policy.
 	nData     int
@@ -104,12 +124,85 @@ func New(geom config.CacheGeom) *Cache {
 		setMask:  uint64(nsets - 1),
 		occ:      make([]uint64, nsets*wps),
 		occWPS:   wps,
-		vkeys:    make([]int64, nsets*geom.Ways),
-		vgroups:  make([]uint8, nsets*geom.Ways),
+		lists:    make([]victimList, nsets*4),
 	}
+	words := (len(c.lines) + 63) / 64
+	c.classBits = [2][]uint64{make([]uint64, words), make([]uint64, words)}
 	c.idx.init(len(c.lines))
 	c.resetOcc()
+	c.resetLists()
 	return c
+}
+
+// victimList is one (set, group) victim list: the positions in
+// Cache.lines of its least and most recently used lines, -1 when empty.
+type victimList struct{ head, tail int32 }
+
+func (c *Cache) resetLists() {
+	for i := range c.lists {
+		c.lists[i] = victimList{-1, -1}
+	}
+}
+
+// before reports whether the line at position a sorts before the line at b
+// in their set's victim order: older lastUse first, lower way on ties.
+func (c *Cache) before(a, b int32) bool {
+	ka, kb := c.lines[a].lastUse, c.lines[b].lastUse
+	return ka < kb || ka == kb && a < b
+}
+
+// link inserts the valid line at pos into its set's victim list for its
+// group. The search walks back from the most recently used end: cycles
+// only move forward within a run, so it stops at the first compare except
+// behind lines last used in the same cycle at a higher way.
+func (c *Cache) link(pos int32, set int) {
+	ln := &c.lines[pos]
+	vl := &c.lists[set<<2|ln.group()]
+	prev := vl.tail
+	for prev >= 0 && c.before(pos, prev) {
+		prev = c.lines[prev].prev
+	}
+	var next int32
+	if prev < 0 {
+		next = vl.head
+		vl.head = pos
+	} else {
+		next = c.lines[prev].next
+		c.lines[prev].next = pos
+	}
+	if next < 0 {
+		vl.tail = pos
+	} else {
+		c.lines[next].prev = pos
+	}
+	ln.prev, ln.next = prev, next
+}
+
+// unlink removes the valid line at pos from its group's victim list; the
+// line's group must not have changed since it was linked.
+func (c *Cache) unlink(pos int32, set int) {
+	ln := &c.lines[pos]
+	vl := &c.lists[set<<2|ln.group()]
+	if ln.prev < 0 {
+		vl.head = ln.next
+	} else {
+		c.lines[ln.prev].next = ln.next
+	}
+	if ln.next < 0 {
+		vl.tail = ln.prev
+	} else {
+		c.lines[ln.next].prev = ln.prev
+	}
+}
+
+// markClass sets or clears the line at pos in class's bitmap.
+func (c *Cache) markClass(pos int32, class Class, valid bool) {
+	bit := uint64(1) << (uint(pos) & 63)
+	if valid {
+		c.classBits[class][pos>>6] |= bit
+	} else {
+		c.classBits[class][pos>>6] &^= bit
+	}
 }
 
 // resetOcc clears the occupancy bitmap, re-marking the padding bits past the
@@ -146,11 +239,6 @@ func (c *Cache) firstFree(s int) int {
 		}
 	}
 	return -1
-}
-
-// set returns the ways of set s as a slice of the contiguous line array.
-func (c *Cache) set(s int) []line {
-	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 
 // LineAddr returns addr truncated to its cache-line base address.
@@ -303,19 +391,34 @@ func (c *Cache) Probe(addr uint64) ProbeResult {
 	return ProbeResult{Present: ln.valid, Reserved: ln.reserved, Class: ln.class, Touched: ln.touched}
 }
 
-// touchLine applies Touch's demand-hit update to the valid line at pos.
-func (c *Cache) touchLine(pos int32, cycle int64) (transferred bool) {
+// touchLine applies Touch's demand-hit update to the valid line at pos in
+// set.
+func (c *Cache) touchLine(pos int32, set int, cycle int64) (transferred bool) {
 	ln := &c.lines[pos]
+	wentBack := cycle < ln.lastUse
 	ln.lastUse = cycle
-	ln.touched = true
-	if ln.class == ClassPrefetch {
-		ln.class = ClassData
-		c.nPrefetch--
-		c.nData++
-		transferred = true
+	if ln.touched && ln.class == ClassData {
+		// A re-touched data line stays in its group. Unless the cycle went
+		// back it still sorts after its predecessor, so it keeps its place
+		// when it also sorts before its successor — always when it is
+		// already the most recently used line.
+		if !wentBack && (ln.next < 0 || c.before(pos, ln.next)) {
+			return false
+		}
+		c.unlink(pos, set)
+	} else {
+		c.unlink(pos, set)
+		ln.touched = true
+		if ln.class == ClassPrefetch {
+			ln.class = ClassData
+			c.nPrefetch--
+			c.nData++
+			c.markClass(pos, ClassPrefetch, false)
+			c.markClass(pos, ClassData, true)
+			transferred = true
+		}
 	}
-	c.vkeys[pos] = cycle
-	c.vgroups[pos] = 1 << (uint8(ln.class)<<1 | 1)
+	c.link(pos, set)
 	return transferred
 }
 
@@ -328,7 +431,8 @@ func (c *Cache) Touch(addr uint64, cycle int64) (transferred, wasPrefetch, ok bo
 	if pos < 0 || !c.lines[pos].valid {
 		return false, false, false
 	}
-	transferred = c.touchLine(pos, cycle)
+	s, _ := c.index(addr)
+	transferred = c.touchLine(pos, s, cycle)
 	return transferred, transferred, true
 }
 
@@ -344,7 +448,8 @@ func (c *Cache) Hit(addr uint64, cycle int64) ProbeResult {
 	ln := &c.lines[pos]
 	p := ProbeResult{Present: ln.valid, Reserved: ln.reserved, Class: ln.class, Touched: ln.touched}
 	if ln.valid {
-		c.touchLine(pos, cycle)
+		s, _ := c.index(addr)
+		c.touchLine(pos, s, cycle)
 	}
 	return p
 }
@@ -355,16 +460,24 @@ func (c *Cache) Occupancy() (data, prefetch, reserved, free int) {
 	return c.nData, c.nPrefetch, c.nReserved, total - c.nData - c.nPrefetch - c.nReserved
 }
 
-// Reserve claims a line for an in-flight fill of addr with the given class.
-// A victim is chosen inside addr's set:
+// Reserve claims a line for an in-flight fill of addr with the given class
+// and reports what it displaced. The way is chosen inside addr's set:
 //
-//  1. an invalid, unreserved way if one exists;
-//  2. otherwise the LRU valid way permitted by the victim filter;
-//  3. if every way is reserved (or the filter rejects all), reservation
-//     fails and ok=false is returned.
+//  1. the lowest free (invalid, unreserved) way, if any: evicted is the zero
+//     EvictInfo;
+//  2. otherwise the least recently used valid line the victim filter admits
+//     — smallest lastUse, lowest way on ties — which is evicted and
+//     described by evicted (Valid set, with its class, touched flag and
+//     line address, for prefetch-accuracy accounting);
+//  3. otherwise ok=false and nothing changes: addr is already present or
+//     reserved, every way has a fill in flight, or the filter admits no
+//     valid line of the set.
 //
-// evictedPrefetchUnused reports that the victim was an untouched prefetch
-// line (early eviction, for accuracy accounting).
+// The filter depends only on (class, touched), so it is folded into a mask
+// of admitted groups and the victim is the oldest head among the admitted
+// groups' victim lists (see Cache.lists); a filter that admits no group,
+// such as neverEvict, fails right after the free-way check without looking
+// at any line. Reserved lines are in no list and are never victims.
 func (c *Cache) Reserve(addr uint64, class Class, cycle int64, filter VictimFilter) (evicted EvictInfo, ok bool) {
 	s, tag := c.index(addr)
 	// Already present or reserved? Caller should have probed; treat as
@@ -372,50 +485,33 @@ func (c *Cache) Reserve(addr uint64, class Class, cycle int64, filter VictimFilt
 	if c.idx.get(addr>>c.setShift) >= 0 {
 		return EvictInfo{}, false
 	}
+	base := s * c.ways
 	// Invalid ways win over any victim; the bitmap gives the lowest one
 	// without touching line metadata.
 	if w := c.firstFree(s); w >= 0 {
-		c.install(s, w, tag, class)
+		c.install(int32(base+w), s, tag, class)
 		return EvictInfo{}, true
 	}
-	// Set is full: LRU scan over the filter-permitted valid ways via the
-	// shadow victim arrays. The filter is a pure function of (class,
-	// touched), so its four possible answers collapse to a group bitmask
-	// computed up front; reserved lines carry group 0 and are never matched.
-	// The ascending scan with strict less-than keeps the lowest way index on
-	// lastUse ties, as the line-struct scan did.
-	allowed := uint8(0xF)
+	allowed := 0xF
 	if filter != nil {
 		allowed = 0
-		for g := uint8(0); g < 4; g++ {
+		for g := 0; g < 4; g++ {
 			if filter(Class(g>>1), g&1 == 1) {
 				allowed |= 1 << g
 			}
 		}
 	}
-	base := s * c.ways
-	vk := c.vkeys[base : base+c.ways]
-	vg := c.vgroups[base : base+c.ways][:len(vk)] // same-length hint for bounds-check elimination
-	victim := -1
-	oldest := int64(math.MaxInt64)
-	for i := range vk {
-		// Branchless eligibility: g|-g has the sign bit set iff g != 0, so m
-		// is all-ones for an allowed way and key falls back to MaxInt64
-		// otherwise. The only branch left (a new minimum) is rarely taken.
-		g := int64(vg[i] & allowed)
-		m := (g | -g) >> 63
-		key := vk[i]&m | math.MaxInt64&^m
-		if key < oldest {
-			victim = i
-			oldest = key
+	victim := int32(-1)
+	for g, vl := range c.lists[s<<2 : s<<2+4] {
+		if allowed&(1<<g) != 0 && vl.head >= 0 && (victim < 0 || c.before(vl.head, victim)) {
+			victim = vl.head
 		}
 	}
 	if victim < 0 {
 		return EvictInfo{}, false
 	}
-	w := victim
-	ev := c.evictAt(s, w)
-	c.install(s, w, tag, class)
+	ev := c.evictAt(victim, s)
+	c.install(victim, s, tag, class)
 	return ev, true
 }
 
@@ -427,8 +523,8 @@ type EvictInfo struct {
 	LineAddr uint64 // base address of the evicted line
 }
 
-func (c *Cache) install(set, way int, tag uint64, class Class) {
-	pos := set*c.ways + way
+// install reserves the free line at pos in set for tag.
+func (c *Cache) install(pos int32, set int, tag uint64, class Class) {
 	ln := &c.lines[pos]
 	ln.tag = tag
 	ln.valid = false
@@ -436,23 +532,24 @@ func (c *Cache) install(set, way int, tag uint64, class Class) {
 	ln.class = class
 	ln.touched = false
 	c.nReserved++
-	c.occMark(set, way, true)
-	c.vgroups[pos] = 0 // in flight: not an LRU victim
-	c.idx.put(tag<<c.setBits|uint64(set), int32(pos))
+	c.occMark(set, int(pos)-set*c.ways, true)
+	c.idx.put(tag<<c.setBits|uint64(set), pos)
 }
 
-func (c *Cache) evictAt(set, way int) EvictInfo {
-	ln := &c.lines[set*c.ways+way]
+// evictAt invalidates the valid line at pos in set.
+func (c *Cache) evictAt(pos int32, set int) EvictInfo {
+	ln := &c.lines[pos]
 	ev := EvictInfo{Valid: true, Class: ln.class, Touched: ln.touched, LineAddr: c.addrOf(set, ln.tag)}
 	if ln.class == ClassPrefetch {
 		c.nPrefetch--
 	} else {
 		c.nData--
 	}
+	c.unlink(pos, set)
+	c.markClass(pos, ln.class, false)
 	ln.valid = false
 	ln.reserved = false
-	c.occMark(set, way, false)
-	c.vgroups[set*c.ways+way] = 0
+	c.occMark(set, int(pos)-set*c.ways, false)
 	c.idx.del(ln.tag<<c.setBits | uint64(set))
 	return ev
 }
@@ -471,15 +568,15 @@ func (c *Cache) Fill(addr uint64, cycle int64) bool {
 	ln.reserved = false
 	ln.valid = true
 	ln.lastUse = cycle
-	ln.fillAt = cycle
 	c.nReserved--
 	if ln.class == ClassPrefetch {
 		c.nPrefetch++
 	} else {
 		c.nData++
 	}
-	c.vkeys[pos] = cycle
-	c.vgroups[pos] = 1 << (uint8(ln.class) << 1) // untouched since fill
+	s, _ := c.index(addr)
+	c.link(pos, s)
+	c.markClass(pos, ln.class, true)
 	return true
 }
 
@@ -487,42 +584,97 @@ func (c *Cache) Fill(addr uint64, cycle int64) bool {
 // class and whether it has been demand-touched.
 type VictimFilter func(class Class, touched bool) bool
 
+// bulkScratch holds EvictLRUOfClass's buffers, reused across calls.
+type bulkScratch struct {
+	cands []int32 // candidate positions in Cache.lines
+	keys  []int64 // lastUse of the candidate now in each slot; MaxInt64 once taken
+	tree  []int32 // min segment tree over keys: node k holds its leftmost minimal slot
+	out   []EvictInfo
+}
+
+// minSlot returns whichever of slots x < y holds the smaller key, x on ties.
+func (b *bulkScratch) minSlot(x, y int32) int32 {
+	if b.keys[y] < b.keys[x] {
+		return y
+	}
+	return x
+}
+
+// setKey stores key in slot p and repairs the tree above it.
+func (b *bulkScratch) setKey(p int32, key int64) {
+	b.keys[p] = key
+	for k := (len(b.tree)/2 + int(p)) >> 1; k >= 1; k >>= 1 {
+		b.tree[k] = b.minSlot(b.tree[2*k], b.tree[2*k+1])
+	}
+}
+
 // EvictLRUOfClass evicts up to n valid lines of the given class, choosing
-// globally least-recently-used first. It returns per-line info for accounting
-// (used by the §3.2 "free up 25% of the unified cache" bulk eviction).
+// globally least-recently-used first, and returns per-line info for
+// accounting (used by the §3.2 "free up 25% of the unified cache" bulk
+// eviction). The returned slice is scratch owned by the cache, valid until
+// the next call.
+//
+// The choice among lines tied on lastUse is that of a swap-based partial
+// selection sort over the candidates in line order: each step takes the
+// first minimal candidate at or after position i and swaps it with the one
+// at i, which moves that one behind equal candidates. That order is
+// deliberate — it is the simulator's recorded behaviour — and is replayed
+// exactly with a min segment tree over (lastUse, position), in
+// O(lines/64 + candidates + n log candidates) instead of
+// O(n × candidates).
 func (c *Cache) EvictLRUOfClass(class Class, n int) []EvictInfo {
+	b := &c.bulk
+	b.out = b.out[:0]
 	if n <= 0 {
-		return nil
+		return b.out
 	}
-	type cand struct {
-		s, w    int
-		lastUse int64
-	}
-	var cands []cand
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.valid && !ln.reserved && ln.class == class {
-			cands = append(cands, cand{i / c.ways, i % c.ways, ln.lastUse})
+	b.cands = b.cands[:0]
+	for wi, word := range c.classBits[class] {
+		for ; word != 0; word &= word - 1 {
+			b.cands = append(b.cands, int32(wi<<6+bits.TrailingZeros64(word)))
 		}
 	}
-	// Partial selection sort for the n oldest (n is small relative to size).
-	if n > len(cands) {
-		n = len(cands)
+	m := len(b.cands)
+	if n > m {
+		n = m
 	}
-	for i := 0; i < n; i++ {
-		min := i
-		for j := i + 1; j < len(cands); j++ {
-			if cands[j].lastUse < cands[min].lastUse {
-				min = j
-			}
+	if n == 0 {
+		return b.out
+	}
+	size := 1
+	for size < m {
+		size <<= 1
+	}
+	if cap(b.keys) < size {
+		b.keys, b.tree = make([]int64, size), make([]int32, 2*size)
+	}
+	b.keys, b.tree = b.keys[:size], b.tree[:2*size]
+	for p := range b.keys {
+		if p < m {
+			b.keys[p] = c.lines[b.cands[p]].lastUse
+		} else {
+			b.keys[p] = math.MaxInt64
 		}
-		cands[i], cands[min] = cands[min], cands[i]
 	}
-	out := make([]EvictInfo, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, c.evictAt(cands[i].s, cands[i].w))
+	for p := 0; p < size; p++ {
+		b.tree[size+p] = int32(p)
 	}
-	return out
+	for k := size - 1; k >= 1; k-- {
+		b.tree[k] = b.minSlot(b.tree[2*k], b.tree[2*k+1])
+	}
+	for i := int32(0); i < int32(n); i++ {
+		// Taken slots hold MaxInt64, so the root is the first minimal
+		// candidate at or after i.
+		j := b.tree[1]
+		pos := b.cands[j]
+		if j != i {
+			b.cands[j] = b.cands[i]
+			b.setKey(j, b.keys[i])
+		}
+		b.setKey(i, math.MaxInt64)
+		b.out = append(b.out, c.evictAt(pos, int(pos)/c.ways))
+	}
+	return b.out
 }
 
 // InvalidateAll clears the cache (used between kernels).
@@ -531,9 +683,9 @@ func (c *Cache) InvalidateAll() {
 		c.lines[i] = line{}
 	}
 	c.nData, c.nPrefetch, c.nReserved = 0, 0, 0
-	for i := range c.vgroups {
-		c.vgroups[i] = 0
-	}
 	c.resetOcc()
+	c.resetLists()
+	clear(c.classBits[ClassData])
+	clear(c.classBits[ClassPrefetch])
 	c.idx.reset()
 }

@@ -195,7 +195,7 @@ func (l *L1) Predict(addr uint64) {
 }
 
 func (l *L1) access(warp int, line uint64, cycle int64) stats.L1Outcome {
-	// Isolated prefetch buffer hit? (Hit probes and touches in one scan.)
+	// Isolated prefetch buffer hit? (Hit probes and touches in one lookup.)
 	if l.iso != nil {
 		if p := l.iso.Hit(line, cycle); p.Present {
 			if l.consumePending(line) {
@@ -408,15 +408,18 @@ func (l *L1) FreeQuarter() {
 		preferred = ClassData
 	}
 	evs := l.cache.EvictLRUOfClass(preferred, n)
-	if len(evs) < n {
+	for _, ev := range evs {
+		l.noteEviction(ev)
+	}
+	if short := n - len(evs); short > 0 {
 		other := ClassData
 		if preferred == ClassData {
 			other = ClassPrefetch
 		}
-		evs = append(evs, l.cache.EvictLRUOfClass(other, n-len(evs))...)
-	}
-	for _, ev := range evs {
-		l.noteEviction(ev)
+		// evs is the cache's scratch: the second call reuses it.
+		for _, ev := range l.cache.EvictLRUOfClass(other, short) {
+			l.noteEviction(ev)
+		}
 	}
 }
 

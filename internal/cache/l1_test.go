@@ -219,6 +219,24 @@ func TestFreeQuarterPrefersClassByTransferRatio(t *testing.T) {
 	}
 }
 
+// TestFreeQuarterAllocs pins the bulk free of a full Table 1 L1 at zero
+// allocations: EvictLRUOfClass's candidate, tree and result buffers are
+// scratch reused across calls.
+func TestFreeQuarterAllocs(t *testing.T) {
+	l := NewL1(table1L1, L1Options{Decoupled: true, MSHREntries: 32, MergeCap: 4, MissQueueSize: 16}, &stats.Sim{})
+	var tag uint64
+	allocs := testing.AllocsPerRun(20, func() {
+		refill(l.cache, &tag)
+		l.FreeQuarter()
+		if _, _, _, free := l.Occupancy(); free != l.cache.Lines()/4 {
+			t.Fatalf("FreeQuarter left %d free lines, want %d", free, l.cache.Lines()/4)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refill + FreeQuarter allocates %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestL1Reset(t *testing.T) {
 	l, _ := newTestL1(true, false)
 	l.Access(0, 0x1000, 1)
