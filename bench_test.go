@@ -154,25 +154,12 @@ func BenchmarkAblationHeadColumns(b *testing.B) {
 }
 
 // Raw simulator throughput: simulated cycles per wall-clock second, under
-// the Snake prefetcher. The noskip variant disables event-driven
-// fast-forwarding (Options.DisableSkip) to expose the per-cycle cost alone;
-// the ratio of lps to lps-noskip is the fast-forward speedup recorded in
-// BENCH_sim.json.
+// the Snake prefetcher.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	cases := []struct {
-		name        string
-		bench       string
-		disableSkip bool
-	}{
-		{"lps", "lps", false},
-		{"mum", "mum", false},
-		{"nw", "nw", false},
-		{"lps-noskip", "lps", true},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			k, err := workloads.Build(c.bench, workloads.Scale{CTAs: 12, WarpsPerCTA: 8, Iters: 8})
+	for _, bench := range []string{"lps", "mum", "nw"} {
+		bench := bench
+		b.Run(bench, func(b *testing.B) {
+			k, err := workloads.Build(bench, workloads.Scale{CTAs: 12, WarpsPerCTA: 8, Iters: 8})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -184,7 +171,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 				res, err := sim.Run(k, sim.Options{
 					Config:        cfg,
 					NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
-					DisableSkip:   c.disableSkip,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -19,12 +19,10 @@ import (
 )
 
 // simBenchEntry is one row of BENCH_sim.json: the measured throughput of
-// sim.Run on one workload, with or without event-driven cycle skipping and
-// at a given shard parallelism.
+// sim.Run on one workload at a given shard parallelism.
 type simBenchEntry struct {
 	Name        string `json:"name"`
 	Bench       string `json:"bench"`
-	DisableSkip bool   `json:"disable_skip"`
 	Parallelism int    `json:"parallelism,omitempty"`
 	// App marks launch-layer cases: Bench names an application from the
 	// workloads app registry and the op under timing is sim.RunApp (the
@@ -54,9 +52,8 @@ type simBenchFile struct {
 	// MaxProcs records the measuring machine's GOMAXPROCS: parallel entries
 	// are only meaningful relative to it (a 1-core machine cannot show
 	// parallel speedup, however correct the executor).
-	MaxProcs    int                `json:"max_procs"`
-	Entries     []simBenchEntry    `json:"entries"`
-	SkipSpeedup map[string]float64 `json:"skip_speedup"`
+	MaxProcs int             `json:"max_procs"`
+	Entries  []simBenchEntry `json:"entries"`
 	// ParallelSpeedup is serial ns/op ÷ parallel ns/op per parallel case.
 	ParallelSpeedup map[string]float64 `json:"parallel_speedup,omitempty"`
 	// PhaseNs breaks one profiled run of each parallel case into the
@@ -88,7 +85,7 @@ type simBenchFile struct {
 	BarriersPerKcycle map[string]float64 `json:"barriers_per_kcycle,omitempty"`
 }
 
-// simBenchCase is one measured configuration. Skip cases run the standard
+// simBenchCase is one measured configuration. Serial cases run the standard
 // 4×64 experiment machine; parallel cases run a medium-scale 8-SM machine
 // (more CTAs, wider GPU) where per-cycle shard work is large enough for the
 // barrier overhead to amortize — the configuration the -parallel flag
@@ -103,7 +100,6 @@ type simBenchFile struct {
 type simBenchCase struct {
 	name        string
 	bench       string
-	disableSkip bool
 	parallelism int // 0: serial engine (Parallelism 1)
 	midScale    bool
 	reuse       bool
@@ -115,9 +111,6 @@ var simBenchCases = []simBenchCase{
 	{name: "lps", bench: "lps"},
 	{name: "mum", bench: "mum"},
 	{name: "nw", bench: "nw"},
-	{name: "lps-noskip", bench: "lps", disableSkip: true},
-	{name: "mum-noskip", bench: "mum", disableSkip: true},
-	{name: "nw-noskip", bench: "nw", disableSkip: true},
 	{name: "lps-par1", bench: "lps", midScale: true, parallelism: 1},
 	{name: "lps-par4", bench: "lps", midScale: true, parallelism: 4},
 	{name: "mum-par1", bench: "mum", midScale: true, parallelism: 1},
@@ -160,7 +153,6 @@ func writeSimBench(path, baselinePath string) error {
 		GeneratedAt:       time.Now().UTC().Format(time.RFC3339),
 		GoVersion:         runtime.Version(),
 		MaxProcs:          runtime.GOMAXPROCS(0),
-		SkipSpeedup:       make(map[string]float64),
 		ParallelSpeedup:   make(map[string]float64),
 		PhaseNs:           make(map[string]map[string]int64),
 		SerialShare:       make(map[string]float64),
@@ -188,7 +180,6 @@ func writeSimBench(path, baselinePath string) error {
 		opt := sim.Options{
 			Config:        cfg,
 			NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
-			DisableSkip:   c.disableSkip,
 			Parallelism:   c.parallelism,
 			// Parallel rows must measure the real multi-worker machinery even
 			// when GOMAXPROCS would clamp it away; on a 1-core machine the row
@@ -231,7 +222,6 @@ func writeSimBench(path, baselinePath string) error {
 		e := simBenchEntry{
 			Name:                c.name,
 			Bench:               c.bench,
-			DisableSkip:         c.disableSkip,
 			Parallelism:         c.parallelism,
 			Reuse:               c.reuse,
 			BarrierOverheadOnly: c.parallelism > 1 && out.MaxProcs == 1,
@@ -264,14 +254,6 @@ func writeSimBench(path, baselinePath string) error {
 				return fmt.Errorf("snakebench: %s route+merge share %.3f (route %.3f, merge %.3f) exceeds %.2f: the per-epoch route/merge passes must stay noise-level",
 					c.name, rm, out.RouteShare[c.name], out.MergeShare[c.name], routeMergeShareMax)
 			}
-		}
-	}
-	for _, c := range simBenchCases {
-		if c.disableSkip || c.parallelism != 0 {
-			continue
-		}
-		if slow, ok := nsPerOp[c.name+"-noskip"]; ok && nsPerOp[c.name] > 0 {
-			out.SkipSpeedup[c.name] = float64(slow) / float64(nsPerOp[c.name])
 		}
 	}
 	for _, c := range simBenchCases {
@@ -412,8 +394,7 @@ func measurePhases(k *trace.Kernel, cfg config.GPU, parallelism, slack int) (*pr
 // and merge% broken out so each serial phase's trajectory is visible on its
 // own (their sum must stay noise-level; see routeMergeShareMax). The barriers and
 // cyc/barrier columns show how well bounded-slack ticking amortizes the wave
-// barrier (honors -slack; cyc/barrier counts only ticked cycles, so skipped
-// spans do not inflate it).
+// barrier (honors -slack).
 func reportPhases(parallel, slack int) error {
 	if parallel <= 1 {
 		parallel = 4

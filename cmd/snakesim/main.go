@@ -35,7 +35,6 @@ func main() {
 		wpc        = flag.Int("wpc", 0, "warps per CTA (0: default scale)")
 		iters      = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
 		list       = flag.Bool("list", false, "list benchmarks and mechanisms")
-		noskip     = flag.Bool("noskip", false, "disable event-driven cycle skipping (same stats, slower)")
 		parallel   = flag.Int("parallel", 1, "SM-shard workers per simulated cycle (same stats at any value)")
 		slack      = flag.Int("slack", 0, "bounded-slack epoch length in cycles (0: auto from config; same stats at any value)")
 		slackaudit = flag.Bool("slackaudit", false, "print the config's slack-bound derivation and exit")
@@ -70,7 +69,6 @@ func main() {
 	opt := sim.Options{
 		Config:        config.Scaled(*sms, *warps),
 		NewPrefetcher: factory,
-		DisableSkip:   *noskip,
 		Parallelism:   *parallel,
 		SlackWindow:   *slack,
 	}

@@ -11,15 +11,14 @@ import (
 	"snake/internal/workloads"
 )
 
-// TestGoldenEquivalence is the tentpole invariant of the engine's two
-// execution strategies: event-driven fast-forwarding (Options.DisableSkip)
-// and sharded parallel execution (Options.Parallelism) must each produce
-// statistics bit-identical to plain serial per-cycle simulation — and so
-// must their combination. It runs the full Table 2 benchmark suite under
-// both the baseline and the Snake prefetcher, simulates every (skip ×
-// parallelism) variant, and compares Result.Stats and every per-SM counter
-// block with reflect.DeepEqual — any divergence, down to a single stall
-// cycle on one SM, fails the test.
+// TestGoldenEquivalence is the tentpole invariant of the engine's execution
+// strategies: sharded parallel execution (Options.Parallelism) and recycled
+// pooled engines must each produce statistics bit-identical to plain serial
+// simulation on a fresh engine — and so must their combination. It runs the
+// full Table 2 benchmark suite under both the baseline and the Snake
+// prefetcher, simulates every (parallelism × reuse) variant, and compares
+// Result.Stats and every per-SM counter block with reflect.DeepEqual — any
+// divergence, down to a single stall cycle on one SM, fails the test.
 func TestGoldenEquivalence(t *testing.T) {
 	cfg := config.Scaled(4, 8) // 4 SMs: Parallelism=4 genuinely shards
 	sc := workloads.Tiny()
@@ -60,20 +59,19 @@ func TestGoldenEquivalenceMediumScale(t *testing.T) {
 	}
 }
 
-// TestSkipEquivalenceGTOGreedyReset pins a regression: fast-forwarding must
-// replay the fruitless scheduler pass of every elided cycle (GTO forgets its
-// greedy warp), or after a skipped wait GTO resumes its greedy warp where
-// per-cycle execution picks the oldest ready one. This configuration —
-// default workload scale on 2 SMs x 16 warps — is one where the two choices
-// demonstrably diverge.
+// TestSkipEquivalenceGTOGreedyReset pins default workload scale on 2 SMs x
+// 16 warps, a configuration where GTO's greedy-warp state after a long memory
+// wait decides which warp issues next (every fruitless no-ready cycle must
+// make GTO forget its greedy warp). Parallel and pooled runs must reproduce
+// that state exactly.
 func TestSkipEquivalenceGTOGreedyReset(t *testing.T) {
 	assertEngineEquivalent(t, "lps", workloads.Scale{}, config.Scaled(2, 16), "snake")
 }
 
-// assertEngineEquivalent runs bench/mech under every engine strategy — per
-// cycle vs fast-forwarded, serial vs parallel shards, freshly constructed vs
-// a recycled engine — and demands bit-identical results. The reference is
-// the plainest configuration: serial, no skipping, fresh construction.
+// assertEngineEquivalent runs bench/mech under every engine strategy —
+// serial vs parallel work units, freshly constructed vs a recycled engine —
+// and demands bit-identical results. The reference is the plainest
+// configuration: serial, fresh construction.
 func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg config.GPU, mech string) {
 	t.Helper()
 	k, err := workloads.Build(bench, sc)
@@ -99,11 +97,10 @@ func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg 
 	if _, err := pooled.RunTagged(dk, sim.Options{Config: cfg, NewPrefetcher: factory}, mech); err != nil {
 		t.Fatal(err)
 	}
-	run := func(disableSkip bool, parallelism int, reuse bool) *sim.Result {
+	run := func(parallelism int, reuse bool) *sim.Result {
 		opt := sim.Options{
 			Config:        cfg,
 			NewPrefetcher: factory,
-			DisableSkip:   disableSkip,
 			Parallelism:   parallelism,
 		}
 		var res *sim.Result
@@ -113,28 +110,25 @@ func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg 
 			res, err = sim.Run(k, opt)
 		}
 		if err != nil {
-			t.Fatalf("disableSkip=%v parallelism=%d reuse=%v: %v", disableSkip, parallelism, reuse, err)
+			t.Fatalf("parallelism=%d reuse=%v: %v", parallelism, reuse, err)
 		}
 		return res
 	}
-	ref := run(true, 1, false)
+	ref := run(1, false)
 	for _, v := range []struct {
-		disableSkip bool
 		parallelism int
 		reuse       bool
 	}{
-		{false, 1, false}, // fast-forwarding
-		{true, 4, false},  // parallel work units (shards + memory partitions)
-		{false, 4, false}, // both composed
-		{true, 12, false}, // one worker per work unit (4 SMs + 8 L2 partitions)
-		{true, 1, true},   // recycled engine, plain serial
-		{false, 4, true},  // recycled engine with both strategies composed
-		{false, 12, true}, // recycled engine, maximally wide, fast-forwarding
+		{4, false},  // parallel work units (shards + memory partitions)
+		{12, false}, // one worker per work unit (4 SMs + 8 L2 partitions)
+		{1, true},   // recycled engine, plain serial
+		{4, true},   // recycled engine, parallel
+		{12, true},  // recycled engine, maximally wide
 	} {
-		got := run(v.disableSkip, v.parallelism, v.reuse)
-		label := fmt.Sprintf("skip=%v parallelism=%d reuse=%v", !v.disableSkip, v.parallelism, v.reuse)
+		got := run(v.parallelism, v.reuse)
+		label := fmt.Sprintf("parallelism=%d reuse=%v", v.parallelism, v.reuse)
 		if !reflect.DeepEqual(got.Stats, ref.Stats) {
-			t.Errorf("%s: aggregate stats diverge from serial per-cycle run:\n got: %+v\n ref: %+v",
+			t.Errorf("%s: aggregate stats diverge from serial fresh run:\n got: %+v\n ref: %+v",
 				label, got.Stats, ref.Stats)
 		}
 		if !reflect.DeepEqual(got.PerSM, ref.PerSM) {

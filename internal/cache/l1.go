@@ -501,23 +501,6 @@ func (l *L1) MissQueueLen() int { return l.mq.Len() + l.pfq.Len() }
 // misses plus already-drained prefetches).
 func (l *L1) DemandQueueLen() int { return l.mq.Len() }
 
-// DemandQueueFull reports whether the shared outgoing miss queue is full.
-func (l *L1) DemandQueueFull() bool { return l.mq.Full() }
-
-// DemandQueueFullAt reports fullness as of a future cycle without advancing
-// the queue's clock: residency aging can free slots with no engine action.
-func (l *L1) DemandQueueFullAt(cycle int64) bool { return l.mq.FullAt(cycle) }
-
-// DemandQueueRelief returns the cycle at which residency aging alone brings
-// the shared miss queue below capacity (-1: not over capacity). The engine's
-// fast-forward must not skip past it while staged prefetches wait to drain.
-func (l *L1) DemandQueueRelief() int64 { return l.mq.ReliefCycle() }
-
-// PrefetchQueueLen returns the staged (not yet drained) prefetch-queue
-// occupancy. The engine's fast-forward must not skip cycles while staged
-// prefetches could trickle into a non-full miss queue.
-func (l *L1) PrefetchQueueLen() int { return l.pfq.Len() }
-
 // Fill completes the fill for lineAddr and returns the warps waiting on it.
 func (l *L1) Fill(lineAddr uint64, cycle int64) (waiters []int) {
 	waiters, prefetchOnly, origPrefetch, ok := l.mshr.Complete(lineAddr)

@@ -220,26 +220,6 @@ func (q *MissQueue) SetCredit(n int) { q.credit = n }
 // phantom credit reach capacity.
 func (q *MissQueue) Full() bool { return len(q.queue)-q.aged+q.credit >= q.cap }
 
-// FullAt reports Full as of a future clock value without advancing it.
-func (q *MissQueue) FullAt(now int64) bool {
-	a := q.aged
-	for a < len(q.queue) && q.queue[a].VInj <= now {
-		a++
-	}
-	return len(q.queue)-a+q.credit >= q.cap
-}
-
-// ReliefCycle returns the cycle at which virtual injections alone (no
-// pushes, pops, or credit) bring occupancy below capacity: the injection
-// cycle of the (len-cap+1)-th oldest entry. -1 when virtual occupancy is
-// off or the physical queue is already below capacity.
-func (q *MissQueue) ReliefCycle() int64 {
-	if q.turn <= 0 || len(q.queue) < q.cap {
-		return -1
-	}
-	return q.queue[len(q.queue)-q.cap].VInj
-}
-
 // Len returns the physical queue occupancy (entries awaiting the engine's
 // pull, aged or not).
 func (q *MissQueue) Len() int { return len(q.queue) }

@@ -221,25 +221,6 @@ func (s *Snake) halted(cycle int64) bool {
 	return !s.cfg.DisableThrottle && (s.bwHalted || cycle < s.haltedUntil)
 }
 
-// CanSkipCycles implements prefetch.CycleSkipper: OnCycle may only be elided
-// while the throttle is inactive. While halted, every cycle is a
-// throttle-interval boundary — the halted-cycle counter advances and the
-// bandwidth hysteresis may resume — so the engine must keep calling OnCycle
-// cycle by cycle until the interval ends. Unhalted, an idle span cannot trip
-// either §3.3 condition: utilization only decays while no traffic moves (the
-// 70% halt threshold is unreachable) and the space condition is
-// access-driven; lastFree/lastUtil are resampled by the OnCycle that
-// precedes any later issue, so eliding the intermediate samples is exact.
-func (s *Snake) CanSkipCycles(cycle int64) bool {
-	if s.ctaPart != nil && !prefetch.CanSkipCycles(s.ctaPart, cycle) {
-		return false
-	}
-	if s.cfg.DisableThrottle {
-		return true
-	}
-	return !s.bwHalted && cycle >= s.haltedUntil
-}
-
 // OnAccess implements prefetch.Prefetcher: detection always runs; prefetch
 // generation is suppressed while throttled.
 func (s *Snake) OnAccess(ev prefetch.AccessEvent) []prefetch.Request {

@@ -47,24 +47,8 @@ func New(cfg Config) *Network {
 }
 
 // Tick advances the network to the given cycle, rolling the utilization
-// window forward. Jumps of a full window or more (the engine's event-driven
-// fast-forward lands here) clear the window in one pass instead of rolling
-// cycle by cycle; the resulting state is identical to per-cycle ticking.
+// window forward one cycle at a time.
 func (n *Network) Tick(cycle int64) {
-	span := cycle - n.cycle
-	if span <= 0 {
-		return
-	}
-	if span >= int64(len(n.window)) {
-		for i := range n.window {
-			n.window[i] = 0
-		}
-		n.windowSum = 0
-		n.windowPos = int((int64(n.windowPos) + span) % int64(len(n.window)))
-		n.usedThis = 0
-		n.cycle = cycle
-		return
-	}
 	for n.cycle < cycle {
 		n.cycle++
 		n.windowPos = (n.windowPos + 1) % len(n.window)
@@ -136,23 +120,6 @@ func (n *Network) PeakBytes(cycles int64) int64 {
 
 // Latency returns the configured base one-way latency.
 func (n *Network) Latency() int { return n.cfg.Latency }
-
-// NextAcceptCycle returns the earliest cycle strictly after from at which
-// TrySend can succeed, assuming no further traffic is injected before then.
-// TrySend refuses while the booked byte-slots exceed the backlog bound; the
-// bound is independent of packet size and the backlog drains linearly with
-// time, so the first accepting cycle is computable in O(1). The engine's
-// fast-forward uses this to jump over refused-send spans.
-func (n *Network) NextAcceptCycle(from int64) int64 {
-	bpc := int64(n.cfg.BytesPerCycle)
-	bound := int64(n.cfg.MaxBacklogCycles) * bpc
-	// Accept at cycle c iff nextFree - c*bpc <= bound.
-	c := (n.nextFree - bound + bpc - 1) / bpc
-	if c < from+1 {
-		return from + 1
-	}
-	return c
-}
 
 // Backlog returns the currently booked cycles of link time.
 func (n *Network) Backlog() int64 {

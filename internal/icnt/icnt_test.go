@@ -121,43 +121,6 @@ func TestBacklogReporting(t *testing.T) {
 	}
 }
 
-func TestNextAcceptCyclePredictsFirstSuccess(t *testing.T) {
-	n := New(Config{BytesPerCycle: 10, Latency: 0, MaxBacklogCycles: 4})
-	n.Tick(1)
-	// Book the link far past the backlog bound, then verify the O(1)
-	// prediction against brute-force retry: refusal at every cycle before the
-	// predicted one, success exactly at it. (Refused sends do not mutate.)
-	for {
-		if _, ok := n.TrySend(30); !ok {
-			break
-		}
-	}
-	pred := n.NextAcceptCycle(1)
-	if pred <= 1 {
-		t.Fatalf("NextAcceptCycle = %d, want a future cycle", pred)
-	}
-	for c := int64(2); c < pred; c++ {
-		n.Tick(c)
-		if _, ok := n.TrySend(30); ok {
-			t.Fatalf("send accepted at cycle %d, before predicted cycle %d", c, pred)
-		}
-	}
-	n.Tick(pred)
-	if _, ok := n.TrySend(30); !ok {
-		t.Errorf("send refused at predicted accept cycle %d", pred)
-	}
-}
-
-func TestNextAcceptCycleIdleLink(t *testing.T) {
-	n := New(Config{BytesPerCycle: 128, Latency: 10})
-	n.Tick(5)
-	// An idle link accepts at the next cycle; the clamp keeps the engine's
-	// fast-forward target strictly in the future.
-	if got := n.NextAcceptCycle(5); got != 6 {
-		t.Errorf("NextAcceptCycle on idle link = %d, want 6", got)
-	}
-}
-
 func TestTickFastForwardMatchesPerCycle(t *testing.T) {
 	mk := func() *Network {
 		n := New(Config{BytesPerCycle: 32, Latency: 3, WindowCycles: 16})
@@ -167,9 +130,8 @@ func TestTickFastForwardMatchesPerCycle(t *testing.T) {
 		}
 		return n
 	}
-	// Jump by at least a full window (the engine's fast-forward path) vs
-	// rolling the same span cycle by cycle: all observable and internal state
-	// must coincide.
+	// One Tick spanning more than a full window vs rolling the same span
+	// cycle by cycle: all observable and internal state must coincide.
 	const target = 5 + 16 + 7
 	jump, walk := mk(), mk()
 	jump.Tick(target)
@@ -179,7 +141,7 @@ func TestTickFastForwardMatchesPerCycle(t *testing.T) {
 	if jump.cycle != walk.cycle || jump.nextFree != walk.nextFree ||
 		jump.windowSum != walk.windowSum || jump.windowPos != walk.windowPos ||
 		jump.usedThis != walk.usedThis {
-		t.Errorf("fast-forward state (cycle=%d nextFree=%d sum=%d pos=%d used=%d) != per-cycle (cycle=%d nextFree=%d sum=%d pos=%d used=%d)",
+		t.Errorf("multi-cycle Tick state (cycle=%d nextFree=%d sum=%d pos=%d used=%d) != per-cycle (cycle=%d nextFree=%d sum=%d pos=%d used=%d)",
 			jump.cycle, jump.nextFree, jump.windowSum, jump.windowPos, jump.usedThis,
 			walk.cycle, walk.nextFree, walk.windowSum, walk.windowPos, walk.usedThis)
 	}

@@ -143,7 +143,7 @@ func (q *Ingress[T]) Drop(n int) {
 }
 
 // NextCycle returns the delivery cycle of the oldest queued message, or -1
-// when the queue is empty. The engine's fast-forward uses this bound.
+// when the queue is empty. The engine's epoch cutter (actBound) uses it.
 func (q *Ingress[T]) NextCycle() int64 {
 	if q.len == 0 {
 		return -1

@@ -70,10 +70,6 @@ func (d *Decoupled) Magic() bool { return d.Inner.Magic() }
 // Reset implements Prefetcher.
 func (d *Decoupled) Reset() { d.Inner.Reset() }
 
-// CanSkipCycles implements CycleSkipper by delegating to the wrapped
-// prefetcher.
-func (d *Decoupled) CanSkipCycles(cycle int64) bool { return CanSkipCycles(d.Inner, cycle) }
-
 // Storage implements StorageHint.
 func (d *Decoupled) Storage() (bool, bool) { return true, false }
 
@@ -111,35 +107,6 @@ const (
 // condition 1).
 type OutcomeObserver interface {
 	OnPrefetchOutcome(addr uint64, oc Outcome, cycle int64, env Env)
-}
-
-// CycleSkipper is implemented by prefetchers that let the simulator elide
-// their per-cycle OnCycle hook across an idle span — a run of cycles after
-// `cycle` in which no SM issues, no memory traffic moves, and interconnect
-// utilization therefore cannot rise. CanSkipCycles must return true only
-// when calling OnCycle once per cycle over such a span and eliding the calls
-// leave the prefetcher — including every counter it exports — in exactly the
-// same state. Throttling prefetchers return false while halted, so their
-// halted-cycle accounting and hysteresis boundaries still fire cycle by
-// cycle (the engine's throttle-boundary contract; see DESIGN.md "Engine
-// fast-forwarding").
-type CycleSkipper interface {
-	CanSkipCycles(cycle int64) bool
-}
-
-// CanSkipCycles reports whether p's OnCycle hook may be elided across an
-// idle span starting after cycle. A nil prefetcher is trivially skippable;
-// a prefetcher that does not implement CycleSkipper is conservatively
-// assumed to do per-cycle work, which disables engine fast-forwarding for
-// its SM.
-func CanSkipCycles(p Prefetcher, cycle int64) bool {
-	if p == nil {
-		return true
-	}
-	if s, ok := p.(CycleSkipper); ok {
-		return s.CanSkipCycles(cycle)
-	}
-	return false
 }
 
 // Prefetcher is the per-SM prefetch engine interface.
@@ -181,16 +148,9 @@ func (Null) Magic() bool { return false }
 // Reset implements Prefetcher.
 func (Null) Reset() {}
 
-// CanSkipCycles implements CycleSkipper: the baseline does no per-cycle work.
-func (Null) CanSkipCycles(int64) bool { return true }
-
 // nopCycle provides default OnCycle/Trained/Magic for simple prefetchers.
-// Its OnCycle is a no-op, so eliding it across idle spans is always exact.
 type nopCycle struct{}
 
 func (nopCycle) OnCycle(int64, Env) {}
 func (nopCycle) Trained() bool      { return true }
 func (nopCycle) Magic() bool        { return false }
-
-// CanSkipCycles implements CycleSkipper.
-func (nopCycle) CanSkipCycles(int64) bool { return true }

@@ -29,8 +29,7 @@ const (
 	// fills, runs its prefetcher and issues from its warp schedulers.
 	PhaseShards
 	// PhaseMerge is the serial tail: response slot replay, the counting-
-	// scatter store merge, CTA refill, and termination/fast-forward
-	// bookkeeping.
+	// scatter store merge, CTA refill, and termination bookkeeping.
 	PhaseMerge
 
 	// NumPhases is the number of phases (for sizing arrays).
@@ -69,8 +68,7 @@ type Phases struct {
 	ns [NumPhases]int64
 	// barriers counts executed epochs (each epoch crosses the cycle barrier
 	// once), epochCycles the cycles they covered; their ratio is the
-	// amortization the bounded-slack schedule achieved. Fast-forwarded cycles
-	// are in neither.
+	// amortization the bounded-slack schedule achieved.
 	barriers    int64
 	epochCycles int64
 }

@@ -9,7 +9,7 @@ import (
 
 // AppResult carries the outcome of an application (multi-launch) run: the
 // usual aggregate Result plus per-launch records in App order and per-tenant
-// rollups. Like Result.Stats, every field is bit-identical across skip,
+// rollups. Like Result.Stats, every field is bit-identical across
 // Parallelism and SlackWindow settings.
 type AppResult struct {
 	Result

@@ -27,8 +27,8 @@ func buildTestApp(t *testing.T, name string) *trace.App {
 
 // TestAppSingleLaunchBitIdentical is the refactor-safety oracle: every
 // benchmark run as a trivial one-launch App must produce a Result
-// bit-identical to the kernel Run path, for every mechanism, skip setting,
-// Parallelism and SlackWindow — the launch layer changed the engine's
+// bit-identical to the kernel Run path, for every mechanism, Parallelism and
+// SlackWindow — the launch layer changed the engine's
 // structure, not its semantics. The per-launch record must agree with the
 // aggregate.
 func TestAppSingleLaunchBitIdentical(t *testing.T) {
@@ -39,36 +39,34 @@ func TestAppSingleLaunchBitIdentical(t *testing.T) {
 		}
 		a := trace.SingleLaunch(k)
 		for mech, pf := range parMechs() {
-			for _, skip := range []bool{false, true} {
-				for _, cell := range appCells {
-					opt := Options{
-						Config: parCfg(), NewPrefetcher: pf, DisableSkip: !skip,
-						Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
-					}
-					want, err := Run(k, opt)
-					if err != nil {
-						t.Fatalf("%s/%s kernel: %v", name, mech, err)
-					}
-					got, err := RunApp(a, opt)
-					if err != nil {
-						t.Fatalf("%s/%s app: %v", name, mech, err)
-					}
-					if !reflect.DeepEqual(got.Result, *want) {
-						t.Errorf("%s/%s skip=%v P=%d slack=%d: one-launch app diverges from kernel run\n got:  %+v\n want: %+v",
-							name, mech, skip, cell.p, cell.slack, got.Stats, want.Stats)
-					}
-					if len(got.Launches) != 1 {
-						t.Fatalf("%s/%s: %d launch records, want 1", name, mech, len(got.Launches))
-					}
-					l := got.Launches[0]
-					if l.StartCycle != 0 || l.RetireCycle <= 0 || l.RetireCycle > got.Stats.Cycles {
-						t.Errorf("%s/%s: launch span [%d, %d] outside run of %d cycles",
-							name, mech, l.StartCycle, l.RetireCycle, got.Stats.Cycles)
-					}
-					if l.Stats.Insts != want.Stats.Insts || l.Stats.Loads != want.Stats.Loads {
-						t.Errorf("%s/%s: launch record insts/loads %d/%d, want %d/%d",
-							name, mech, l.Stats.Insts, l.Stats.Loads, want.Stats.Insts, want.Stats.Loads)
-					}
+			for _, cell := range appCells {
+				opt := Options{
+					Config: parCfg(), NewPrefetcher: pf,
+					Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+				}
+				want, err := Run(k, opt)
+				if err != nil {
+					t.Fatalf("%s/%s kernel: %v", name, mech, err)
+				}
+				got, err := RunApp(a, opt)
+				if err != nil {
+					t.Fatalf("%s/%s app: %v", name, mech, err)
+				}
+				if !reflect.DeepEqual(got.Result, *want) {
+					t.Errorf("%s/%s P=%d slack=%d: one-launch app diverges from kernel run\n got:  %+v\n want: %+v",
+						name, mech, cell.p, cell.slack, got.Stats, want.Stats)
+				}
+				if len(got.Launches) != 1 {
+					t.Fatalf("%s/%s: %d launch records, want 1", name, mech, len(got.Launches))
+				}
+				l := got.Launches[0]
+				if l.StartCycle != 0 || l.RetireCycle <= 0 || l.RetireCycle > got.Stats.Cycles {
+					t.Errorf("%s/%s: launch span [%d, %d] outside run of %d cycles",
+						name, mech, l.StartCycle, l.RetireCycle, got.Stats.Cycles)
+				}
+				if l.Stats.Insts != want.Stats.Insts || l.Stats.Loads != want.Stats.Loads {
+					t.Errorf("%s/%s: launch record insts/loads %d/%d, want %d/%d",
+						name, mech, l.Stats.Insts, l.Stats.Loads, want.Stats.Insts, want.Stats.Loads)
 				}
 			}
 		}
@@ -77,7 +75,7 @@ func TestAppSingleLaunchBitIdentical(t *testing.T) {
 
 // TestAppScenariosDeterministic: the multi-kernel and two-tenant scenarios
 // produce bit-identical AppResults — per-launch records and tenant rollups
-// included — at every skip, Parallelism and SlackWindow setting, under both
+// included — at every Parallelism and SlackWindow setting, under both
 // chain-persistence policies. Also pins the attribution invariant: execution
 // windows partition the run, so per-launch insts/loads sum to the totals.
 func TestAppScenariosDeterministic(t *testing.T) {
@@ -86,7 +84,7 @@ func TestAppScenariosDeterministic(t *testing.T) {
 		a := buildTestApp(t, app)
 		for _, chain := range []bool{false, true} {
 			ref, err := RunApp(a, Options{
-				Config: parCfg(), NewPrefetcher: pf, DisableSkip: true,
+				Config: parCfg(), NewPrefetcher: pf,
 				Parallelism: 1, SlackWindow: 1, ChainPersistence: chain,
 			})
 			if err != nil {
@@ -107,26 +105,24 @@ func TestAppScenariosDeterministic(t *testing.T) {
 						app, chain, i, l.StartCycle, l.RetireCycle)
 				}
 			}
-			for _, skip := range []bool{false, true} {
-				for _, cell := range appCells {
-					if !skip && cell.p == 1 && cell.slack == 1 {
-						continue // the reference itself
-					}
-					got, err := RunApp(a, Options{
-						Config: parCfg(), NewPrefetcher: pf, DisableSkip: !skip,
-						Parallelism: cell.p, SlackWindow: cell.slack,
-						ForceParallelism: true, ChainPersistence: chain,
-					})
-					if err != nil {
-						t.Fatalf("%s chain=%v P=%d slack=%d: %v", app, chain, cell.p, cell.slack, err)
-					}
-					// Result.Slack echoes the requested window, which differs
-					// across cells by design; the oracle is the output.
-					got.Slack = ref.Slack
-					if !reflect.DeepEqual(got, ref) {
-						t.Errorf("%s chain=%v skip=%v P=%d slack=%d diverges from serial\n got:  %+v\n want: %+v",
-							app, chain, skip, cell.p, cell.slack, got.Launches, ref.Launches)
-					}
+			for _, cell := range appCells {
+				if cell.p == 1 && cell.slack == 1 {
+					continue // the reference itself
+				}
+				got, err := RunApp(a, Options{
+					Config: parCfg(), NewPrefetcher: pf,
+					Parallelism: cell.p, SlackWindow: cell.slack,
+					ForceParallelism: true, ChainPersistence: chain,
+				})
+				if err != nil {
+					t.Fatalf("%s chain=%v P=%d slack=%d: %v", app, chain, cell.p, cell.slack, err)
+				}
+				// Result.Slack echoes the requested window, which differs
+				// across cells by design; the oracle is the output.
+				got.Slack = ref.Slack
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s chain=%v P=%d slack=%d diverges from serial\n got:  %+v\n want: %+v",
+						app, chain, cell.p, cell.slack, got.Launches, ref.Launches)
 				}
 			}
 		}

@@ -97,13 +97,6 @@ type Options struct {
 	// which stays warm either way. See DESIGN.md "Application launch
 	// layer".
 	ChainPersistence bool
-	// DisableSkip forces the engine to execute every cycle individually
-	// instead of fast-forwarding over provably idle spans. Skipping is
-	// exact — Result.Stats is bit-identical either way (see DESIGN.md
-	// "Engine fast-forwarding" and the golden equivalence test) — so this
-	// exists as an escape hatch for debugging and for validating that
-	// equivalence.
-	DisableSkip bool
 }
 
 // withDefaults returns opt with zero-valued tunables replaced by their
@@ -227,8 +220,7 @@ type engine struct {
 	ctaOr epochBits
 
 	ageCtr   int64
-	inflight int   // outstanding fill requests in the memory system
-	skipped  int64 // cycles elided by event-driven fast-forwarding
+	inflight int // outstanding fill requests in the memory system
 
 	// inflightRel defers in-flight capacity releases: a delivered fill frees
 	// its slot horizon−turnaround cycles after delivery. The pull charges
@@ -259,7 +251,7 @@ type engine struct {
 	slackOK    bool
 	slackInfo  SlackInfo // resolved slack parameters, surfaced in Result
 	epochStart int64     // first sub-cycle of the epoch being ticked
-	utilSnap []float64 // per-sub-cycle response-network utilization snapshots
+	utilSnap   []float64 // per-sub-cycle response-network utilization snapshots
 	// respSeq is the global arrival stamp, assigned at injection (pushReq);
 	// each request's response inherits it, so heap ordering equals serial
 	// arrival order no matter what order the merge pushes slots in.
@@ -389,10 +381,7 @@ func (e *engine) partOf(lineAddr uint64) int {
 
 // ctxCheckInterval is how often (in cycles) the engine polls for
 // cancellation; a power of two so the check is a cheap mask.
-const (
-	ctxCheckShift    = 12
-	ctxCheckInterval = 1 << ctxCheckShift
-)
+const ctxCheckInterval = 1 << 12
 
 // deadlockIdleCycles is how many consecutive no-progress, no-traffic cycles
 // the engine tolerates before declaring a deadlock.
@@ -421,8 +410,8 @@ const deadlockIdleCycles = 1_000_000
 //	                     (each already carrying its global arrival seq, so
 //	                     the heap replays serial arrival order) → store
 //	                     merge via counting scatter into (cycle, smID, seq)
-//	                     order → CTA-finish maturation → termination / idle /
-//	                     fast-forward bookkeeping
+//	                     order → CTA-finish maturation → termination / idle
+//	                     bookkeeping
 //
 // The serial phase runs a whole epoch ahead of the ticks; that is sound
 // because every tick output is invisible to the serial phase for at least
@@ -521,188 +510,12 @@ func (e *engine) run() error {
 				return errors.New("sim: deadlock: no progress and no in-flight traffic")
 			}
 		}
-		if e.opt.DisableSkip {
-			continue
-		}
-
-		// Event-driven fast-forward: if no component can act before some
-		// future cycle, jump there instead of idling through the gap. Every
-		// elided cycle is provably a no-op (see nextInteresting and DESIGN.md
-		// "Engine fast-forwarding"), except for three pieces of cycle-indexed
-		// state that are advanced by the whole span at once: the stall
-		// classification counters, the idle/deadlock counter, and the
-		// interconnect's sliding windows (rolled forward by net.tick at the
-		// next executed cycle).
-		target := e.nextInteresting()
-		if target >= 0 && target <= e.cycle+1 {
-			continue
-		}
-		if msgs == 0 {
-			// Idle-counting mode: stop where the deadlock guard would fire so
-			// the error (if the target never arrives) lands on the same cycle
-			// per-cycle execution reports it.
-			if limit := e.cycle + (deadlockIdleCycles + 1 - idle); target < 0 || target > limit {
-				target = limit
-			}
-		}
-		if target > e.opt.MaxCycles+1 {
-			target = e.opt.MaxCycles + 1
-		}
-		span := target - 1 - e.cycle
-		if span <= 0 {
-			continue
-		}
-		if e.opt.Context != nil {
-			// The per-cycle loop polls for cancellation every ctxCheckInterval
-			// cycles; preserve that wall-progress bound across jumps by
-			// polling whenever the span crosses a poll boundary.
-			if b := (e.cycle>>ctxCheckShift + 1) << ctxCheckShift; b < target {
-				if err := e.opt.Context.Err(); err != nil {
-					return fmt.Errorf("sim: aborted at cycle %d: %w", b, err)
-				}
-			}
-		}
-		for _, sh := range e.shards {
-			// Warp states are frozen across the span, so each elided cycle
-			// would have classified identically; the fruitless scheduler pass
-			// of every elided cycle is replayed once (it is idempotent).
-			sh.skipSpan(span)
-		}
-		if msgs == 0 {
-			idle += span
-		}
-		e.skipped += span
-		e.cycle = target - 1
 	}
 	clk.lap(profiling.PhaseMerge) // close the final cycle's merge segment
 	if e.cycle >= e.opt.MaxCycles {
 		return fmt.Errorf("sim: exceeded MaxCycles=%d", e.opt.MaxCycles)
 	}
 	return nil
-}
-
-// nextInteresting returns the earliest future cycle at which any engine
-// component could possibly act, or -1 when nothing is pending at all (a
-// deadlock unless MaxCycles intervenes). Every returned bound is
-// conservative: cycles strictly between e.cycle and the returned value are
-// guaranteed to replay the current cycle's no-op exactly, so they can be
-// elided without changing any statistic. The candidates, mirroring the cycle
-// loop's order:
-//
-//   - the earliest request arrival at the L2 partitions (arriveRequests);
-//   - the earliest response send: its data-ready cycle and the response
-//     network's backlog-drain cycle (drainResponses);
-//   - the earliest fill delivery into a shard's inbox (deliverFills);
-//   - the request network's backlog-drain cycle while stores are queued
-//     (drainStores) or any shard's request port holds drainable demand
-//     misses (drainMissQueues);
-//   - the next cycle outright when a shard could trickle a staged prefetch
-//     into its miss queue, or when its prefetcher does per-cycle work
-//     that may not be elided (Snake while throttled: halted-cycle accounting
-//     and hysteresis boundaries must fire cycle by cycle);
-//   - each shard's earliest ready-warp wake-up (issue).
-//
-// Warps waiting on memory or barriers wake only through those same fills
-// and issues, so they impose no separate bound.
-func (e *engine) nextInteresting() int64 {
-	cur := e.cycle
-	// Invariant guard: a partition holding unprocessed binned work pins the
-	// next cycle. Bins are always drained by the partition ticks of the
-	// cycle that filled them, so this never fires at a real decision point —
-	// it exists so fast-forwarding stays provably safe against future
-	// restructurings of the cycle, not to encode a live bound.
-	for _, p := range e.parts {
-		if p.busy() {
-			return cur + 1
-		}
-	}
-	best := int64(-1)
-	for i := range e.partReqs {
-		if c := e.partReqs[i].NextCycle(); c >= 0 && (best < 0 || c < best) {
-			best = c
-		}
-	}
-	if r, ok := e.resps.peek(); ok {
-		c := e.net.nextRespAccept(cur)
-		if r.readyAt > c {
-			c = r.readyAt
-		}
-		if best < 0 || c < best {
-			best = c
-		}
-	}
-	if len(e.stores) > 0 {
-		// The head store (earliest by merge order) cannot cross before both
-		// its maturity cycle and the request network's backlog drain.
-		c := e.stores[0].cycle + e.horizon
-		if a := e.net.nextReqAccept(cur); a > c {
-			c = a
-		}
-		if best < 0 || c < best {
-			best = c
-		}
-	}
-	if len(e.dispatchAt) > 0 {
-		if c := e.dispatchAt[0]; best < 0 || c < best {
-			best = c
-		}
-	}
-	if len(e.wakeAt) > 0 {
-		// A pending launch activation is an engine act: the fast-forward may
-		// not jump past the wake cycle.
-		if c := e.wakeAt[0]; best < 0 || c < best {
-			best = c
-		}
-	}
-	for _, sh := range e.shards {
-		if sh.mustTickNext(cur) {
-			return cur + 1
-		}
-		if sh.sm.l1.PrefetchQueueLen() > 0 {
-			// Staged prefetches behind a full miss queue: residency aging
-			// un-fulls the queue with no engine action in between, and the
-			// drain trickle resumes at that very cycle. Until then every
-			// elided cycle's drain is a provable no-op (no pushes or pulls
-			// happen while skipping, so fullness is pure aging).
-			if r := sh.sm.l1.DemandQueueRelief(); r >= 0 && (best < 0 || r < best) {
-				best = r
-			}
-		}
-		if sh.hasQueuedReq() {
-			if e.inflight < e.opt.MaxInflightFills {
-				// The queue head pops no earlier than its maturity cycle and
-				// the network's next acceptance.
-				c := e.net.nextReqAccept(cur)
-				if r := sh.nextReqReady(e.horizon); r > c {
-					c = r
-				}
-				if best < 0 || c < best {
-					best = c
-				}
-			} else if len(e.inflightRel) > 0 {
-				// Blocked on the in-flight cap: a deferred capacity release
-				// is the engine act that can unblock the pull. (With none
-				// pending, capacity frees only via future deliveries, which
-				// the fill and partition bounds already pin.)
-				if c := e.inflightRel[0].at; best < 0 || c < best {
-					best = c
-				}
-			}
-		}
-		if f := sh.nextFill(); f >= 0 && (best < 0 || f < best) {
-			best = f
-		}
-		if w := sh.nextWake(); w >= 0 && (best < 0 || w < best) {
-			best = w
-		}
-		if best >= 0 && best <= cur+1 {
-			return cur + 1
-		}
-	}
-	if best >= 0 && best < cur+1 {
-		return cur + 1
-	}
-	return best
 }
 
 // fillSMs dispatches queued CTAs onto SMs with enough free slots: launches in

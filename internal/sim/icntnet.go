@@ -43,13 +43,6 @@ func (n *icntNet) trySendReq(size int) (int64, bool) { return n.req.TrySend(size
 // trySendResp injects a response-direction packet (line fill).
 func (n *icntNet) trySendResp(size int) (int64, bool) { return n.resp.TrySend(size) }
 
-// nextReqAccept returns the first cycle after `from` at which the request
-// network can accept a packet (backlog within bound), for fast-forwarding.
-func (n *icntNet) nextReqAccept(from int64) int64 { return n.req.NextAcceptCycle(from) }
-
-// nextRespAccept is nextReqAccept for the response direction.
-func (n *icntNet) nextRespAccept(from int64) int64 { return n.resp.NextAcceptCycle(from) }
-
 // utilization returns the response-direction sliding-window utilization.
 func (n *icntNet) utilization() float64 { return n.resp.Utilization() }
 

@@ -120,14 +120,6 @@ func (m *memPartition) tickSpan(from, to int64) {
 // tick is the single-cycle span (kept for the white-box unit tests).
 func (m *memPartition) tick(cycle int64) { m.tickSpan(cycle, cycle) }
 
-// busy reports whether the partition holds unprocessed binned work — an
-// invariant guard for the engine's fast-forward: a busy partition pins the
-// next cycle. (Bins are drained by tick every executed cycle, so this is
-// vacuously false at the fast-forward decision point.)
-func (m *memPartition) busy() bool {
-	return m.dueN > 0 || len(m.completes) > 0
-}
-
 // reset clears the partition for a new run on a recycled engine: the L2 is
 // invalidated in place, the DRAM banks and counters are zeroed, the
 // in-flight merge map is emptied (keeping its buckets), and the work bins

@@ -81,7 +81,7 @@ func TestRouteAndTickMergesAcrossSMs(t *testing.T) {
 	if e.reqsLen != 0 || e.partReqs[p.id].Len() != 0 {
 		t.Errorf("after merge: reqsLen=%d ringLen=%d, want 0/0: the due prefix must be dropped", e.reqsLen, e.partReqs[p.id].Len())
 	}
-	if p.busy() {
+	if p.dueN > 0 || len(p.completes) > 0 {
 		t.Error("partition still busy after tick: bins must drain every cycle")
 	}
 }

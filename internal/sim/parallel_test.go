@@ -20,7 +20,7 @@ func parCfg() config.GPU { return config.Scaled(4, 8) }
 // parMechs is the mechanism spread for the equivalence matrix: the baseline
 // (no prefetcher), the stateful chain prefetcher (Snake), the simpler MTA,
 // and the magic oracle — together they exercise every cross-boundary path
-// (demand misses, staged prefetches, throttling's skip inhibition, magic
+// (demand misses, staged prefetches, Snake's per-cycle throttle, magic
 // fills that bypass the memory system).
 func parMechs() map[string]func(int) prefetch.Prefetcher {
 	return map[string]func(int) prefetch.Prefetcher{
@@ -34,9 +34,8 @@ func parMechs() map[string]func(int) prefetch.Prefetcher {
 // TestParallelEquivalenceMatrix is the tentpole's core claim: for every
 // workload and mechanism, the executor's Result — totals and per-SM
 // breakdowns — is bit-identical to per-cycle serial execution, at every
-// Parallelism value, every SlackWindow setting (1 = barrier per cycle,
-// 2 = a short epoch, 0 = auto, the config-derived maximum), and with
-// fast-forwarding on or off. ForceParallelism keeps the multi-worker barrier
+// Parallelism value and every SlackWindow setting (1 = barrier per cycle,
+// 2 = a short epoch, 0 = auto, the config-derived maximum). ForceParallelism keeps the multi-worker barrier
 // real even on single-core CI runners, where Parallelism would otherwise
 // degrade to serial and the matrix would silently test nothing.
 func TestParallelEquivalenceMatrix(t *testing.T) {
@@ -46,35 +45,33 @@ func TestParallelEquivalenceMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for mech, pf := range parMechs() {
-			for _, skip := range []bool{false, true} {
-				opt := Options{Config: parCfg(), NewPrefetcher: pf, DisableSkip: skip, ForceParallelism: true}
-				opt.Parallelism = 1
-				opt.SlackWindow = 1
-				want, err := Run(k, opt)
-				if err != nil {
-					t.Fatalf("%s/%s serial: %v", name, mech, err)
-				}
-				for _, slack := range []int{1, 2, 0} {
-					// 12 = NumSM (4) + L2Partitions (8): every work unit, SM
-					// shard or memory partition, gets its own worker.
-					for _, p := range []int{1, 4, 12} {
-						if slack == 1 && p == 1 {
-							continue // the reference itself
-						}
-						opt.Parallelism = p
-						opt.SlackWindow = slack
-						got, err := Run(k, opt)
-						if err != nil {
-							t.Fatalf("%s/%s P=%d slack=%d: %v", name, mech, p, slack, err)
-						}
-						// Result.Slack echoes the requested window, which
-						// differs across cells by design; the oracle is the
-						// simulation output.
-						got.Slack = want.Slack
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s/%s skip=%v: P=%d slack=%d diverges from serial\n got:  %+v\n want: %+v",
-								name, mech, !skip, p, slack, got.Stats, want.Stats)
-						}
+			opt := Options{Config: parCfg(), NewPrefetcher: pf, ForceParallelism: true}
+			opt.Parallelism = 1
+			opt.SlackWindow = 1
+			want, err := Run(k, opt)
+			if err != nil {
+				t.Fatalf("%s/%s serial: %v", name, mech, err)
+			}
+			for _, slack := range []int{1, 2, 0} {
+				// 12 = NumSM (4) + L2Partitions (8): every work unit, SM
+				// shard or memory partition, gets its own worker.
+				for _, p := range []int{1, 4, 12} {
+					if slack == 1 && p == 1 {
+						continue // the reference itself
+					}
+					opt.Parallelism = p
+					opt.SlackWindow = slack
+					got, err := Run(k, opt)
+					if err != nil {
+						t.Fatalf("%s/%s P=%d slack=%d: %v", name, mech, p, slack, err)
+					}
+					// Result.Slack echoes the requested window, which
+					// differs across cells by design; the oracle is the
+					// simulation output.
+					got.Slack = want.Slack
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s/%s: P=%d slack=%d diverges from serial\n got:  %+v\n want: %+v",
+							name, mech, p, slack, got.Stats, want.Stats)
 					}
 				}
 			}

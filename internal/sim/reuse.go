@@ -14,7 +14,7 @@ import (
 // that dominates steady-state sweep traffic.
 //
 // The reuse contract mirrors the engine's other equivalence guarantees
-// (serial/parallel, skip/no-skip): a recycled engine's Result must be
+// (serial/parallel, slack window): a recycled engine's Result must be
 // bit-identical to a freshly constructed engine's, for any sequence of
 // (kernel, options, tag) runs. The golden and pooled-equivalence matrices
 // enforce it.
@@ -145,7 +145,6 @@ func (e *engine) reinitApp(a *trace.App, opt Options, reusePf bool) {
 	e.ageCtr = 0
 	e.inflight = 0
 	e.inflightRel = e.inflightRel[:0]
-	e.skipped = 0
 	e.dispatchAt = e.dispatchAt[:0]
 	e.utilSnap = e.utilSnap[:0]
 	// Slack parameters depend on opt (SlackWindow may differ between runs on

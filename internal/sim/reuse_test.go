@@ -20,8 +20,8 @@ func reuseMechs() map[string]func(int) prefetch.Prefetcher {
 }
 
 // TestPooledEquivalenceMatrix is the arena-recycling half of the equivalence
-// guarantee: an Engine reused across every workload, skip setting,
-// parallelism and slack window must produce Results bit-identical to a fresh
+// guarantee: an Engine reused across every workload, parallelism and slack
+// window must produce Results bit-identical to a fresh
 // construction for each run. One Engine per mechanism survives the whole
 // matrix, so each run reinitializes state dirtied by a different kernel (the
 // slack epoch buffers included). ForceParallelism keeps the multi-worker
@@ -38,24 +38,22 @@ func TestPooledEquivalenceMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, skip := range []bool{false, true} {
-				for _, cell := range cells {
-					opt := Options{
-						Config: parCfg(), NewPrefetcher: pf, DisableSkip: !skip,
-						Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
-					}
-					want, err := Run(k, opt)
-					if err != nil {
-						t.Fatalf("%s/%s fresh: %v", name, mech, err)
-					}
-					got, err := en.RunTagged(k, opt, mech)
-					if err != nil {
-						t.Fatalf("%s/%s pooled: %v", name, mech, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s/%s skip=%v P=%d slack=%d: pooled engine diverges from fresh\n got:  %+v\n want: %+v",
-							name, mech, skip, cell.p, cell.slack, got.Stats, want.Stats)
-					}
+			for _, cell := range cells {
+				opt := Options{
+					Config: parCfg(), NewPrefetcher: pf,
+					Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+				}
+				want, err := Run(k, opt)
+				if err != nil {
+					t.Fatalf("%s/%s fresh: %v", name, mech, err)
+				}
+				got, err := en.RunTagged(k, opt, mech)
+				if err != nil {
+					t.Fatalf("%s/%s pooled: %v", name, mech, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s P=%d slack=%d: pooled engine diverges from fresh\n got:  %+v\n want: %+v",
+						name, mech, cell.p, cell.slack, got.Stats, want.Stats)
 				}
 			}
 		}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"snake/internal/icnt"
-	"snake/internal/prefetch"
-)
+import "snake/internal/icnt"
 
 // shard is one SM-side unit of parallel execution: the SM (warps, scheduler
 // slices, L1, MSHRs, statistics) plus its attached prefetcher, together with
@@ -226,15 +223,6 @@ func (sh *shard) peekReq(cycle, horizon int64) bool {
 	return any && r.Cycle+horizon <= cycle
 }
 
-// nextReqReady returns the cycle at which the queue head matures (-1: empty).
-func (sh *shard) nextReqReady(horizon int64) int64 {
-	r, any := sh.sm.l1.PeekMiss()
-	if !any {
-		return -1
-	}
-	return r.Cycle + horizon
-}
-
 // popReq removes the next fill request from the port, recording its virtual
 // injection cycle — when its modeled queue residency elapses — for
 // tickSpan's phantom credit.
@@ -247,38 +235,8 @@ func (sh *shard) popReq() (reqMsg, bool) {
 	return reqMsg{sm: sh.sm.id, lineAddr: r.LineAddr, prefetch: r.Prefetch}, true
 }
 
-// --- fast-forward bounds (serial phase only) ----------------------------
-
-// mustTickNext reports whether this shard has per-cycle work that may not be
-// elided: a prefetcher that forbids skipping right now (Snake while
-// throttled), or staged prefetches that could trickle into a non-full miss
-// queue (the trickle happens at the top of each tick sub-cycle, so eliding a
-// cycle elides it). Fullness is evaluated at cycle+1 — the next tick's
-// sub-cycle — because residency aging can un-full the queue with no engine
-// action in between.
-func (sh *shard) mustTickNext(cycle int64) bool {
-	s := sh.sm
-	if s.pf != nil && !prefetch.CanSkipCycles(s.pf, cycle) {
-		return true
-	}
-	return s.l1.PrefetchQueueLen() > 0 && !s.l1.DemandQueueFullAt(cycle+1)
-}
-
-// hasQueuedReq reports whether the request port has drainable demand work.
-func (sh *shard) hasQueuedReq() bool { return sh.sm.l1.DemandQueueLen() > 0 }
-
-// nextWake returns the earliest cycle a ready warp can issue (-1: none).
-func (sh *shard) nextWake() int64 { return sh.sm.nextWake() }
-
 // nextFill returns the earliest pending ingress delivery (-1: none).
 func (sh *shard) nextFill() int64 { return sh.fills.NextCycle() }
 
 // pendingFills returns in-flight plus delivered-but-unconsumed fills.
 func (sh *shard) pendingFills() int { return sh.fills.Len() + len(sh.inbox) }
-
-// skipSpan advances the shard over n provably idle cycles: span-sized stall
-// classification plus the idempotent no-issue scheduler update.
-func (sh *shard) skipSpan(n int64) {
-	sh.sm.classifyStallSpan(n)
-	sh.sm.idleSchedulers()
-}

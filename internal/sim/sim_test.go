@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"snake/internal/cache"
@@ -113,9 +114,19 @@ func TestValidationErrors(t *testing.T) {
 
 func TestMaxCyclesAborts(t *testing.T) {
 	k := workloads.StreamMicro(workloads.DefaultScale(), 512)
-	_, err := Run(k, Options{Config: tinyCfg(), MaxCycles: 100})
-	if err == nil {
-		t.Error("expected MaxCycles error")
+	opt := Options{Config: tinyCfg(), MaxCycles: 100}
+	_, err := Run(k, opt)
+	if err == nil || !strings.Contains(err.Error(), "exceeded MaxCycles=100") {
+		t.Fatalf("err = %v, want exceeded MaxCycles=100", err)
+	}
+	// The epoch cutter clamps every epoch to MaxCycles, so the loop stops on
+	// exactly that cycle, never past it.
+	e := newEngine(k, opt.withDefaults())
+	if err := e.run(); err == nil {
+		t.Fatal("white-box run: expected MaxCycles error")
+	}
+	if e.cycle != 100 {
+		t.Errorf("engine stopped at cycle %d, want exactly MaxCycles=100", e.cycle)
 	}
 }
 

@@ -153,7 +153,7 @@ func (e *engine) slackConflict(matureAt, end int64) {
 //     is released to issue the cycle after, hence the aMin+1 floor.
 //   - Dispatches and wakes land only at epoch starts (run() caps maxEnd at
 //     them), so a scan at the epoch start sees every warp that could issue
-//     within the epoch; skip spans issue nothing at all.
+//     within the epoch.
 func (e *engine) actBound(start int64) int64 {
 	if e.pendingLn == 0 && !e.moreCTAs() {
 		return -1 // no consumer for freed slots: exits need no replay cap

@@ -115,7 +115,7 @@ func TestSlackCancellationMidEpoch(t *testing.T) {
 	for _, window := range []int64{2, bound, bound + 1} {
 		opt := Options{Config: parCfg(), Parallelism: 4, ForceParallelism: true, SlackWindow: int(window)}
 		en := NewEngine()
-		// countdownCtx (skip_test.go) cancels deterministically on the second
+		// countdownCtx (loop_test.go) cancels deterministically on the second
 		// poll — a poll site inside an epoch's serial phase, between barriers,
 		// where a timer race could not guarantee placement.
 		ctx := &countdownCtx{Context: context.Background(), ok: 1}

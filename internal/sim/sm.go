@@ -101,7 +101,7 @@ type sm struct {
 	nWaitMem int // wsWaitMem
 	nBarrier int // wsBarrier
 	// readyAt shadows each slot's issue-readiness cycle: busyUntil while the
-	// warp is wsReady, neverReady otherwise. The issue scan and nextWake read
+	// warp is wsReady, neverReady otherwise. The issue scan and actBound read
 	// this one contiguous array instead of hopping across the ~100-byte
 	// warpCtx structs; every state/busyUntil transition keeps it in sync.
 	readyAt  []int64
@@ -573,68 +573,19 @@ func (s *sm) wake(slots []int, cycle int64) {
 	}
 }
 
-// idleSchedulers applies one cycle's worth of no-issue scheduler updates: for
-// every slice owning at least one live warp, the state change of a fruitless
-// Pick (GTO forgets its greedy warp; LRR and Oldest are untouched). The
-// update is idempotent, so the engine's fast-forward calls this once per
-// skipped span to reproduce what per-cycle execution would have done to
-// scheduler state on every elided cycle.
-func (s *sm) idleSchedulers() {
-	if s.schedDirty {
-		s.refreshSched()
-	}
-	for si := range s.scheds {
-		if len(s.slotBuf[si]) > 0 {
-			s.scheds[si].Idle()
-		}
-	}
-}
-
-// classifyStall records the stall type for a cycle in which nothing retired.
+// classifyStall records the stall type for a cycle in which nothing retired,
+// using the incrementally-maintained state counts: a stall is memory-bound on
+// a reservation failure, or when at least one warp waits on memory and none
+// is ready or at a barrier.
 func (s *sm) classifyStall(resFail bool) {
 	if s.resident == 0 {
 		return
 	}
-	if resFail {
+	if resFail || s.nWaitMem > 0 && s.nReady == 0 && s.nBarrier == 0 {
 		s.st.StallMemory++
-		return
-	}
-	s.classifyStallSpan(1)
-}
-
-// classifyStallSpan records n cycles of issue-free stall classification in
-// one step, using the incrementally-maintained state counts: a stall is
-// memory-bound when at least one warp waits on memory and none is ready or
-// at a barrier. Warp states are frozen across an idle span (nothing issues,
-// wakes, or releases a barrier), so the per-cycle classification is constant
-// and the engine's fast-forward can account a whole skipped span at once,
-// keeping the stall counters bit-identical to per-cycle execution.
-func (s *sm) classifyStallSpan(n int64) {
-	if s.resident == 0 {
-		return
-	}
-	if s.nWaitMem > 0 && s.nReady == 0 && s.nBarrier == 0 {
-		s.st.StallMemory += n
 	} else {
-		s.st.StallOther += n
+		s.st.StallOther++
 	}
-}
-
-// nextWake returns the earliest cycle at which one of the SM's ready warps
-// can issue, or -1 when no warp is in the ready state. Warps waiting on
-// memory or a barrier wake only through fill events or issue-side barrier
-// releases, so they impose no time bound of their own.
-func (s *sm) nextWake() int64 {
-	if s.nReady == 0 {
-		return -1
-	}
-	wake := neverReady
-	for _, r := range s.readyAt {
-		if r < wake {
-			wake = r
-		}
-	}
-	return wake
 }
 
 // done reports whether every slot is free.
