@@ -66,8 +66,9 @@ type Cache struct {
 	// idx maps a line's set+tag key to its position in lines, so lookups are
 	// O(1) instead of an O(ways) set scan — the unified L1 is 256-way, so
 	// scans dominated the simulator's CPU profile. It holds exactly the
-	// lines that are valid or reserved.
-	idx lineIdx
+	// lines that are valid or reserved, so sized at construction for the
+	// line count it never grows.
+	idx LineTable[int32]
 
 	// occ is a per-set bitmap of occupied (valid or reserved) ways; bits
 	// beyond ways in a set's last word are permanently set so a zero bit
@@ -271,98 +272,13 @@ func len2(n int) int {
 	return k
 }
 
-// lineIdx is an open-addressing hash table from a line's set+tag key
-// (addr >> setShift) to its position in Cache.lines. Linear probing;
-// deletion backward-shifts the probe chain so no tombstones accumulate.
-// Capacity is fixed at ≥2× the line count (occupancy is bounded by the
-// number of lines), so the load factor never exceeds 1/2.
-type lineIdx struct {
-	keys  []uint64 // stored as key+1; 0 marks an empty slot
-	vals  []int32
-	mask  uint32
-	shift uint
-}
-
-func (t *lineIdx) init(lines int) {
-	size := 4
-	for size < 2*lines {
-		size <<= 1
-	}
-	t.keys = make([]uint64, size)
-	t.vals = make([]int32, size)
-	t.mask = uint32(size - 1)
-	t.shift = uint(64 - len2(size))
-}
-
-func (t *lineIdx) slot(key uint64) uint32 {
-	return uint32(key * 0x9E3779B97F4A7C15 >> t.shift)
-}
-
-// get returns the stored position for key, or -1.
-func (t *lineIdx) get(key uint64) int32 {
-	k := key + 1
-	for i := t.slot(key); ; i = (i + 1) & t.mask {
-		switch t.keys[i] {
-		case k:
-			return t.vals[i]
-		case 0:
-			return -1
-		}
-	}
-}
-
-func (t *lineIdx) put(key uint64, val int32) {
-	k := key + 1
-	for i := t.slot(key); ; i = (i + 1) & t.mask {
-		if t.keys[i] == 0 || t.keys[i] == k {
-			t.keys[i] = k
-			t.vals[i] = val
-			return
-		}
-	}
-}
-
-func (t *lineIdx) del(key uint64) {
-	k := key + 1
-	i := t.slot(key)
-	for t.keys[i] != k {
-		if t.keys[i] == 0 {
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-	// Backward-shift deletion: pull each later entry of the probe chain into
-	// the hole unless its home slot lies cyclically within (hole, entry].
-	j := i
-	for {
-		j = (j + 1) & t.mask
-		if t.keys[j] == 0 {
-			break
-		}
-		h := t.slot(t.keys[j] - 1)
-		if i < j {
-			if i < h && h <= j {
-				continue
-			}
-		} else if h > i || h <= j {
-			continue
-		}
-		t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
-		i = j
-	}
-	t.keys[i] = 0
-}
-
-func (t *lineIdx) reset() {
-	for i := range t.keys {
-		t.keys[i] = 0
-	}
-}
-
 // findPos returns the index in lines of the line holding addr (valid or
 // reserved), or -1.
 func (c *Cache) findPos(addr uint64) int32 {
-	return c.idx.get(addr >> c.setShift)
+	if pos, ok := c.idx.Get(addr >> c.setShift); ok {
+		return pos
+	}
+	return -1
 }
 
 // findLine returns the line holding addr (valid or reserved), or nil.
@@ -482,7 +398,7 @@ func (c *Cache) Reserve(addr uint64, class Class, cycle int64, filter VictimFilt
 	s, tag := c.index(addr)
 	// Already present or reserved? Caller should have probed; treat as
 	// failure.
-	if c.idx.get(addr>>c.setShift) >= 0 {
+	if c.idx.Has(addr >> c.setShift) {
 		return EvictInfo{}, false
 	}
 	base := s * c.ways
@@ -533,7 +449,7 @@ func (c *Cache) install(pos int32, set int, tag uint64, class Class) {
 	ln.touched = false
 	c.nReserved++
 	c.occMark(set, int(pos)-set*c.ways, true)
-	c.idx.put(tag<<c.setBits|uint64(set), pos)
+	c.idx.Put(tag<<c.setBits|uint64(set), pos)
 }
 
 // evictAt invalidates the valid line at pos in set.
@@ -550,7 +466,7 @@ func (c *Cache) evictAt(pos int32, set int) EvictInfo {
 	ln.valid = false
 	ln.reserved = false
 	c.occMark(set, int(pos)-set*c.ways, false)
-	c.idx.del(ln.tag<<c.setBits | uint64(set))
+	c.idx.Del(ln.tag<<c.setBits | uint64(set))
 	return ev
 }
 
@@ -687,5 +603,5 @@ func (c *Cache) InvalidateAll() {
 	c.resetLists()
 	clear(c.classBits[ClassData])
 	clear(c.classBits[ClassPrefetch])
-	c.idx.reset()
+	c.idx.Clear()
 }

@@ -72,12 +72,12 @@ type L1 struct {
 	trained      bool
 	confineUntil int64
 
-	// pending marks prefetched lines that are resident but not yet demanded.
-	pending map[uint64]bool
-	// predicted records every line address the prefetcher ever generated,
-	// for the paper's prediction-based coverage metric (predictions persist:
+	// pending holds prefetched lines that are resident but not yet demanded.
+	pending LineTable[struct{}]
+	// predicted holds every line address the prefetcher ever generated, for
+	// the paper's prediction-based coverage metric (predictions persist:
 	// one prediction covers all later demands to that line).
-	predicted map[uint64]bool
+	predicted LineTable[struct{}]
 
 	// Running counters for the 80%-transferred eviction heuristic.
 	pfFills       int64
@@ -91,14 +91,12 @@ func NewL1(geom config.CacheGeom, opt L1Options, st *stats.Sim) *L1 {
 		opt.PrefetchQueueSize = 32
 	}
 	l := &L1{
-		cache:     New(geom),
-		mshr:      NewMSHR(opt.MSHREntries, opt.MergeCap),
-		mq:        NewMissQueue(opt.MissQueueSize),
-		pfq:       NewMissQueue(opt.PrefetchQueueSize),
-		opt:       opt,
-		st:        st,
-		pending:   make(map[uint64]bool),
-		predicted: make(map[uint64]bool),
+		cache: New(geom),
+		mshr:  NewMSHR(opt.MSHREntries, opt.MergeCap),
+		mq:    NewMissQueue(opt.MissQueueSize),
+		pfq:   NewMissQueue(opt.PrefetchQueueSize),
+		opt:   opt,
+		st:    st,
 	}
 	if opt.Isolated {
 		l.iso = buildIso(geom, opt.IsolatedLines)
@@ -161,10 +159,9 @@ func (l *L1) dataCapped(cycle int64) bool {
 
 // consumePending records a demand use of a pending prefetched line.
 func (l *L1) consumePending(line uint64) bool {
-	if !l.pending[line] {
+	if !l.pending.Del(line) {
 		return false
 	}
-	delete(l.pending, line)
 	l.st.Pf.UsefulTimely++
 	l.st.Pf.Transferred++
 	l.pfTransferred++
@@ -178,7 +175,7 @@ func (l *L1) Access(warp int, addr uint64, cycle int64) stats.L1Outcome {
 	out := l.access(warp, line, cycle)
 	l.st.AddL1(out)
 	// Prediction-based coverage (§4): count once per accepted access.
-	if out != stats.L1ReservationFail && l.predicted[line] {
+	if out != stats.L1ReservationFail && l.predicted.Has(line) {
 		l.st.Pf.Covered++
 		if out == stats.L1Hit || out == stats.L1HitPrefetch {
 			l.st.Pf.CoveredTimely++
@@ -191,7 +188,7 @@ func (l *L1) Access(warp int, addr uint64, cycle int64) stats.L1Outcome {
 // coverage accounting, independently of whether a physical prefetch is
 // issued (it may be deduplicated against resident data).
 func (l *L1) Predict(addr uint64) {
-	l.predicted[l.cache.LineAddr(addr)] = true
+	l.predicted.Put(l.cache.LineAddr(addr), struct{}{})
 }
 
 func (l *L1) access(warp int, line uint64, cycle int64) stats.L1Outcome {
@@ -392,7 +389,7 @@ func (l *L1) MagicFill(addr uint64, cycle int64) bool {
 	target.Fill(line, cycle)
 	l.st.Pf.Issued++
 	l.pfFills++
-	l.pending[line] = true
+	l.pending.Put(line, struct{}{})
 	return true
 }
 
@@ -430,8 +427,7 @@ func neverEvict(Class, bool) bool { return false }
 func prefetchClassOnly(c Class, _ bool) bool { return c == ClassPrefetch }
 
 func (l *L1) noteEviction(ev EvictInfo) {
-	if ev.Valid && l.pending[ev.LineAddr] {
-		delete(l.pending, ev.LineAddr)
+	if ev.Valid && l.pending.Del(ev.LineAddr) {
 		l.st.Pf.EarlyEvicted++
 	}
 }
@@ -520,7 +516,7 @@ func (l *L1) Fill(lineAddr uint64, cycle int64) (waiters []int) {
 	}
 	if prefetchOnly {
 		l.pfFills++
-		l.pending[lineAddr] = true
+		l.pending.Put(lineAddr, struct{}{})
 	}
 	// Merged demands consume the line on arrival. A line whose prefetch was
 	// consumed while in flight counts as transferred for the 80% heuristic:
@@ -540,7 +536,7 @@ func (l *L1) InFlight() int { return l.mshr.InFlight() }
 
 // PendingPrefetches returns the number of resident, not-yet-used prefetched
 // lines.
-func (l *L1) PendingPrefetches() int { return len(l.pending) }
+func (l *L1) PendingPrefetches() int { return l.pending.Len() }
 
 // Occupancy exposes the unified-space occupancy (data, prefetch, reserved,
 // free line counts).
@@ -556,12 +552,12 @@ func (l *L1) FreeFraction() float64 {
 
 // FinishRun counts still-resident unused prefetched lines.
 func (l *L1) FinishRun() {
-	l.st.Pf.Unused += int64(len(l.pending))
+	l.st.Pf.Unused += int64(l.pending.Len())
 }
 
 // Reset clears all cache and MSHR state (between kernels and when an engine
 // is recycled for a new run). Everything is cleared in place — the cache
-// arrays, MSHR map buckets, queue arrays and tracking maps are all kept — so
+// arrays, MSHR entries, queue arrays and line tables are all kept — so
 // a recycled controller allocates nothing and behaves bit-identically to a
 // freshly constructed one.
 func (l *L1) Reset() {
@@ -576,8 +572,8 @@ func (l *L1) Reset() {
 	l.confineUntil = 0
 	l.pfFills = 0
 	l.pfTransferred = 0
-	clear(l.pending)
-	clear(l.predicted)
+	l.pending.Clear()
+	l.predicted.Clear()
 }
 
 // Reconfigure switches the controller's prefetch-storage organization (a

@@ -17,10 +17,14 @@ const (
 type MSHR struct {
 	entries  int
 	mergeCap int
-	inflight map[uint64]*mshrEntry
-	// freed recycles completed entries (and their waiter slices) so the
-	// steady-state miss path allocates nothing. Bounded by the entry count.
-	freed []*mshrEntry
+	// inflight maps each in-flight line to its entry's index in slots.
+	inflight LineTable[int32]
+	// slots holds every entry ever used, grown on demand up to the entry
+	// count; free stacks the indices of completed ones. Entries (and their
+	// waiter slices) are recycled, so the steady-state miss path allocates
+	// nothing.
+	slots []mshrEntry
+	free  []int32
 }
 
 type mshrEntry struct {
@@ -33,11 +37,9 @@ type mshrEntry struct {
 
 // NewMSHR builds an MSHR file with the given entry count and merge capacity.
 func NewMSHR(entries, mergeCap int) *MSHR {
-	return &MSHR{
-		entries:  entries,
-		mergeCap: mergeCap,
-		inflight: make(map[uint64]*mshrEntry, entries),
-	}
+	m := &MSHR{entries: entries, mergeCap: mergeCap}
+	m.inflight.init(entries)
+	return m
 }
 
 // MSHRResult is the outcome of an allocation attempt.
@@ -53,7 +55,8 @@ const (
 // Allocate tries to register a miss on lineAddr for warp (warp<0 for a
 // prefetch).
 func (m *MSHR) Allocate(lineAddr uint64, warp int, cycle int64) MSHRResult {
-	if e, ok := m.inflight[lineAddr]; ok {
+	if i, ok := m.inflight.Get(lineAddr); ok {
+		e := &m.slots[i]
 		if e.merged >= m.mergeCap {
 			return MSHRFull
 		}
@@ -64,36 +67,40 @@ func (m *MSHR) Allocate(lineAddr uint64, warp int, cycle int64) MSHRResult {
 		}
 		return MSHRMerged
 	}
-	if len(m.inflight) >= m.entries {
+	if m.inflight.Len() >= m.entries {
 		return MSHRFull
 	}
-	var e *mshrEntry
-	if n := len(m.freed); n > 0 {
-		e = m.freed[n-1]
-		m.freed = m.freed[:n-1]
-		*e = mshrEntry{waiters: e.waiters[:0]}
+	var i int32
+	if n := len(m.free); n > 0 {
+		i = m.free[n-1]
+		m.free = m.free[:n-1]
 	} else {
-		e = &mshrEntry{}
+		i = int32(len(m.slots))
+		m.slots = append(m.slots, mshrEntry{})
 	}
-	e.merged = 1
-	e.issuedAt = cycle
-	e.prefetch = warp == PrefetchWarp
+	e := &m.slots[i]
+	*e = mshrEntry{
+		merged:   1,
+		waiters:  e.waiters[:0],
+		prefetch: warp == PrefetchWarp,
+		issuedAt: cycle,
+	}
 	e.origPrefetch = e.prefetch
 	if warp >= 0 {
 		e.waiters = append(e.waiters, warp)
 	}
-	m.inflight[lineAddr] = e
+	m.inflight.Put(lineAddr, i)
 	return MSHRNew
 }
 
 // Lookup reports whether lineAddr has an in-flight entry and whether that
 // entry was allocated purely by a prefetch (no demand merged yet).
 func (m *MSHR) Lookup(lineAddr uint64) (inflight, prefetchOnly bool) {
-	e, ok := m.inflight[lineAddr]
+	i, ok := m.inflight.Get(lineAddr)
 	if !ok {
 		return false, false
 	}
-	return true, e.prefetch
+	return true, m.slots[i].prefetch
 }
 
 // Complete removes the entry for lineAddr and returns the warps waiting on
@@ -104,32 +111,34 @@ func (m *MSHR) Lookup(lineAddr uint64) (inflight, prefetchOnly bool) {
 // until the next Allocate call; callers must consume it before allocating
 // again (the engine wakes waiters synchronously, before any further issue).
 func (m *MSHR) Complete(lineAddr uint64) (waiters []int, prefetchOnly, origPrefetch bool, ok bool) {
-	e, exists := m.inflight[lineAddr]
+	i, exists := m.inflight.Get(lineAddr)
 	if !exists {
 		return nil, false, false, false
 	}
-	delete(m.inflight, lineAddr)
-	m.freed = append(m.freed, e)
+	m.inflight.Del(lineAddr)
+	m.free = append(m.free, i)
+	e := &m.slots[i]
 	return e.waiters, e.prefetch, e.origPrefetch, true
 }
 
-// Reset abandons every in-flight entry, recycling it onto the freed list. A
+// Reset abandons every in-flight entry, recycling it onto the free list. A
 // finished run can leave entries behind — staged prefetches whose request
 // never drained out of the prefetch queue — and a recycled engine must not
-// see them. clear keeps the map's buckets, so the steady-state miss path of
-// the next run allocates nothing.
+// see them. The table, entries and waiter slices are all kept, so the
+// steady-state miss path of the next run allocates nothing.
 func (m *MSHR) Reset() {
-	for _, e := range m.inflight {
-		m.freed = append(m.freed, e)
+	m.inflight.Clear()
+	m.free = m.free[:0]
+	for i := range m.slots {
+		m.free = append(m.free, int32(i))
 	}
-	clear(m.inflight)
 }
 
 // InFlight returns the number of occupied entries.
-func (m *MSHR) InFlight() int { return len(m.inflight) }
+func (m *MSHR) InFlight() int { return m.inflight.Len() }
 
 // Free returns the number of free entries.
-func (m *MSHR) Free() int { return m.entries - len(m.inflight) }
+func (m *MSHR) Free() int { return m.entries - m.inflight.Len() }
 
 // MissQueue is the fixed-capacity queue of outgoing fill requests between the
 // L1 and the interconnect. Congestion here is the dominant cause of
@@ -147,8 +156,14 @@ func (m *MSHR) Free() int { return m.entries - len(m.inflight) }
 // — are a pure function of stamps and the clock, independent of how the
 // engine batches its pulls.
 type MissQueue struct {
-	cap   int
+	cap int
+	// queue[head:] holds the entries in FIFO order. Pop advances head; Push
+	// compacts the live entries to the front of the backing array instead
+	// of growing it once popped slots make up half of it, so Pop is O(1),
+	// Push amortized O(1), and a queue whose depth stays bounded stops
+	// allocating.
 	queue []MissRequest
+	head  int
 	// credit is phantom occupancy: entries the engine already drained that,
 	// at the cycle this queue is being ticked at, would still have been
 	// within their modeled residency.
@@ -162,8 +177,8 @@ type MissQueue struct {
 	// the latest assigned injection cycle and how many entries it carries.
 	lastVInj int64
 	lastCnt  int
-	// aged is the count of leading entries whose virtual injection cycle
-	// has arrived at the last SetClock cycle. Injection cycles are
+	// aged is the count of leading entries (from head) whose virtual
+	// injection cycle has arrived at the last SetClock cycle. Injection cycles are
 	// non-decreasing along the queue, so the aged region is always a prefix
 	// and the cursor only advances.
 	aged int
@@ -188,6 +203,7 @@ func NewMissQueue(capacity int) *MissQueue {
 // Reset empties the queue, keeping its backing array for reuse.
 func (q *MissQueue) Reset() {
 	q.queue = q.queue[:0]
+	q.head = 0
 	q.credit = 0
 	q.aged = 0
 	q.lastVInj = 0
@@ -208,7 +224,7 @@ func (q *MissQueue) SetInjectionModel(turn int64, budget int) {
 // epoch's tick wave. The clock only moves forward.
 func (q *MissQueue) SetClock(now int64, credit int) {
 	q.credit = credit
-	for q.aged < len(q.queue) && q.queue[q.aged].VInj <= now {
+	for q.aged < q.Len() && q.queue[q.head+q.aged].VInj <= now {
 		q.aged++
 	}
 }
@@ -218,11 +234,11 @@ func (q *MissQueue) SetCredit(n int) { q.credit = n }
 
 // Full reports whether the queue has no free slot: un-aged entries plus
 // phantom credit reach capacity.
-func (q *MissQueue) Full() bool { return len(q.queue)-q.aged+q.credit >= q.cap }
+func (q *MissQueue) Full() bool { return q.Len()-q.aged+q.credit >= q.cap }
 
 // Len returns the physical queue occupancy (entries awaiting the engine's
 // pull, aged or not).
-func (q *MissQueue) Len() int { return len(q.queue) }
+func (q *MissQueue) Len() int { return len(q.queue) - q.head }
 
 // Push appends a request and assigns its virtual injection cycle; it panics
 // if the queue is full (callers must check Full first — a full queue is a
@@ -253,17 +269,27 @@ func (q *MissQueue) Push(r MissRequest) {
 		}
 		r.VInj = c
 	}
+	if len(q.queue) == cap(q.queue) && q.head >= q.Len() {
+		// At least half the array is popped: compacting copies no more
+		// entries than were popped since the last compaction, and the
+		// array only grows while live entries fill over half of it.
+		n := copy(q.queue, q.queue[q.head:])
+		q.queue = q.queue[:n]
+		q.head = 0
+	}
 	q.queue = append(q.queue, r)
 }
 
 // Pop removes and returns the oldest request.
 func (q *MissQueue) Pop() (MissRequest, bool) {
-	if len(q.queue) == 0 {
+	if q.Len() == 0 {
 		return MissRequest{}, false
 	}
-	r := q.queue[0]
-	copy(q.queue, q.queue[1:])
-	q.queue = q.queue[:len(q.queue)-1]
+	r := q.queue[q.head]
+	q.head++
+	if q.head == len(q.queue) {
+		q.queue, q.head = q.queue[:0], 0
+	}
 	if q.aged > 0 {
 		q.aged--
 	}
@@ -272,8 +298,8 @@ func (q *MissQueue) Pop() (MissRequest, bool) {
 
 // Peek returns the oldest request without removing it.
 func (q *MissQueue) Peek() (MissRequest, bool) {
-	if len(q.queue) == 0 {
+	if q.Len() == 0 {
 		return MissRequest{}, false
 	}
-	return q.queue[0], true
+	return q.queue[q.head], true
 }

@@ -9,20 +9,74 @@
 // load streams in a way that a single-entry head would lose.
 package sched
 
-import "snake/internal/config"
+import (
+	"math/bits"
+
+	"snake/internal/config"
+)
+
+// Set is a bitset over a scheduler slice's warp positions: bit p (bit p&63
+// of word p>>6) is set when the warp at position p is issuable this cycle.
+// Callers size it to cover every position a slice can hold and keep bits at
+// or past the slice's member count clear.
+type Set []uint64
+
+// NewSet returns an empty set covering positions [0, n).
+func NewSet(n int) Set { return make(Set, (n+63)>>6) }
+
+// Has reports whether position p is in the set.
+func (s Set) Has(p int) bool { return s[p>>6]&(1<<(uint(p)&63)) != 0 }
+
+// Add inserts position p.
+func (s Set) Add(p int) { s[p>>6] |= 1 << (uint(p) & 63) }
+
+// Remove deletes position p.
+func (s Set) Remove(p int) { s[p>>6] &^= 1 << (uint(p) & 63) }
+
+// Clear empties the set.
+func (s Set) Clear() { clear(s) }
+
+// firstFrom returns the lowest position ≥ p in the set, or -1.
+func (s Set) firstFrom(p int) int {
+	wi := p >> 6
+	if wi >= len(s) {
+		return -1
+	}
+	w := s[wi] &^ (1<<(uint(p)&63) - 1)
+	for {
+		if w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+		wi++
+		if wi == len(s) {
+			return -1
+		}
+		w = s[wi]
+	}
+}
+
+// oldest returns the position in the set with the smallest age (the lowest
+// such position on ties), or -1 when the set is empty.
+func (s Set) oldest(age []int64) int {
+	pick := -1
+	for wi, w := range s {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			if pick < 0 || age[i] < age[pick] {
+				pick = i
+			}
+		}
+	}
+	return pick
+}
 
 // Scheduler picks the next warp to issue among a scheduler slice's warps.
 type Scheduler interface {
-	// Pick returns the index (into the ready slice) of the warp to issue, or
-	// -1 if none is ready. ready[i] reports warp i is issuable this cycle;
-	// age[i] is a monotonically increasing assignment stamp (smaller =
-	// older).
-	Pick(ready []bool, age []int64) int
-	// Idle is the fast path for a cycle with no issuable warp: it must leave
-	// the scheduler in exactly the state a Pick over a non-empty all-false
-	// ready slice would (GTO forgets its greedy warp; LRR and Oldest are
-	// untouched). Callers use it to avoid building the ready slice at all.
-	Idle()
+	// Pick returns the position of the warp to issue, or -1 if none is
+	// ready. The slice has len(age) member warps at positions
+	// [0, len(age)); ready holds the issuable ones, and age[p] is a
+	// monotonically increasing assignment stamp (smaller = older).
+	Pick(ready Set, age []int64) int
 	// Reset restores the scheduler to its just-constructed state, so a
 	// recycled SM starts a new run with exactly the policy state a fresh New
 	// would give it.
@@ -43,30 +97,24 @@ func New(policy config.SchedulerPolicy) Scheduler {
 	}
 }
 
-// gto is Greedy-Then-Oldest.
+// gto is Greedy-Then-Oldest. The greedy warp is remembered by position, not
+// by warp: when the slice's membership changes, the same position can name
+// a different warp (a known model deviation, see DESIGN.md).
 type gto struct {
 	last int
 }
 
 func (g *gto) Name() string { return string(config.SchedGTO) }
 
-func (g *gto) Pick(ready []bool, age []int64) int {
-	if g.last >= 0 && g.last < len(ready) && ready[g.last] {
+// Pick implements Scheduler: the greedy warp while it stays ready, else the
+// oldest ready warp, which becomes the greedy one (-1 when none is ready).
+func (g *gto) Pick(ready Set, age []int64) int {
+	if g.last >= 0 && g.last < len(age) && ready.Has(g.last) {
 		return g.last
 	}
-	pick := -1
-	for i, r := range ready {
-		if r && (pick < 0 || age[i] < age[pick]) {
-			pick = i
-		}
-	}
-	g.last = pick
-	return pick
+	g.last = ready.oldest(age)
+	return g.last
 }
-
-// Idle implements Scheduler: with no ready warp, Pick's scan finds nothing
-// and clears the greedy pointer.
-func (g *gto) Idle() { g.last = -1 }
 
 // Reset implements Scheduler.
 func (g *gto) Reset() { g.last = -1 }
@@ -78,25 +126,25 @@ type lrr struct {
 
 func (l *lrr) Name() string { return string(config.SchedLRR) }
 
-// Idle implements Scheduler: a fruitless round-robin scan leaves next as is.
-func (l *lrr) Idle() {}
-
 // Reset implements Scheduler.
 func (l *lrr) Reset() { l.next = 0 }
 
-func (l *lrr) Pick(ready []bool, _ []int64) int {
-	n := len(ready)
+// Pick implements Scheduler: the first ready position at or after next
+// (mod the member count), wrapping around; next moves past the pick and
+// stays put when nothing is ready.
+func (l *lrr) Pick(ready Set, age []int64) int {
+	n := len(age)
 	if n == 0 {
 		return -1
 	}
-	for off := 0; off < n; off++ {
-		i := (l.next + off) % n
-		if ready[i] {
-			l.next = (i + 1) % n
-			return i
+	i := ready.firstFrom(l.next % n)
+	if i < 0 {
+		if i = ready.firstFrom(0); i < 0 {
+			return -1
 		}
 	}
-	return -1
+	l.next = (i + 1) % n
+	return i
 }
 
 // oldest always picks the oldest ready warp.
@@ -104,18 +152,8 @@ type oldest struct{}
 
 func (oldest) Name() string { return string(config.SchedOldest) }
 
-// Idle implements Scheduler: oldest is stateless.
-func (oldest) Idle() {}
-
 // Reset implements Scheduler.
 func (oldest) Reset() {}
 
-func (oldest) Pick(ready []bool, age []int64) int {
-	pick := -1
-	for i, r := range ready {
-		if r && (pick < 0 || age[i] < age[pick]) {
-			pick = i
-		}
-	}
-	return pick
-}
+// Pick implements Scheduler.
+func (oldest) Pick(ready Set, age []int64) int { return ready.oldest(age) }

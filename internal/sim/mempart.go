@@ -34,7 +34,7 @@ type memPartition struct {
 	l2       *cache.Cache
 	dramCtl  *dram.Controller
 	latency  int64
-	inflight map[uint64]int64 // line -> data-ready cycle
+	inflight cache.LineTable[int64] // line -> data-ready cycle
 
 	// ms accumulates this partition's L2 and DRAM counters (an entry of the
 	// engine's stats.MemParts arena; totals are partition-count and
@@ -72,7 +72,6 @@ func newMemPartition(id int, cfg config.GPU, ms *stats.Mem) *memPartition {
 		l2:         cache.New(cfg.L2),
 		dramCtl:    dram.New(cfg.DRAM, cfg.DRAMBanks, cfg.DRAMRowBytes, cfg.DRAMClockxfer, ms),
 		latency:    int64(cfg.L2.Latency),
-		inflight:   make(map[uint64]int64),
 		ms:         ms,
 		minRespLat: int64(1)<<62 - 1,
 	}
@@ -122,12 +121,12 @@ func (m *memPartition) tick(cycle int64) { m.tickSpan(cycle, cycle) }
 
 // reset clears the partition for a new run on a recycled engine: the L2 is
 // invalidated in place, the DRAM banks and counters are zeroed, the
-// in-flight merge map is emptied (keeping its buckets), and the work bins
+// in-flight merge table is emptied (keeping its arrays), and the work bins
 // and L2 counters are cleared.
 func (m *memPartition) reset() {
 	m.l2.InvalidateAll()
 	m.dramCtl.Reset()
-	clear(m.inflight)
+	m.inflight.Clear()
 	m.dueA, m.dueB = nil, nil
 	m.slotBase, m.dueN = 0, 0
 	m.completes = m.completes[:0]
@@ -153,7 +152,7 @@ func (m *memPartition) access(lineAddr uint64, cycle int64) int64 {
 }
 
 func (m *memPartition) serve(lineAddr uint64, cycle int64) int64 {
-	if ra, ok := m.inflight[lineAddr]; ok && ra > cycle {
+	if ra, ok := m.inflight.Get(lineAddr); ok && ra > cycle {
 		m.ms.L2Merges++
 		if min := cycle + m.latency; ra < min {
 			ra = min
@@ -166,17 +165,16 @@ func (m *memPartition) serve(lineAddr uint64, cycle int64) int64 {
 	}
 	m.ms.L2Misses++
 	readyAt := m.dramCtl.Access(lineAddr, cycle+m.latency)
-	m.inflight[lineAddr] = readyAt
+	m.inflight.Put(lineAddr, readyAt)
 	return readyAt
 }
 
 // completeFill installs the line into the L2 once its DRAM fetch finished.
 // Idempotent per in-flight fetch.
 func (m *memPartition) completeFill(lineAddr uint64, cycle int64) {
-	if _, ok := m.inflight[lineAddr]; !ok {
+	if !m.inflight.Del(lineAddr) {
 		return
 	}
-	delete(m.inflight, lineAddr)
 	if p := m.l2.Probe(lineAddr); p.Present || p.Reserved {
 		return
 	}

@@ -115,7 +115,8 @@ func (sh *shard) deliverDue(cycle int64) int {
 }
 
 // tickSpan executes the epoch [from, to] on this shard, one sub-cycle at a
-// time: trickle staged prefetches, apply the fills delivered at that
+// time: apply the warp readiness due at that sub-cycle (sm.drainReady),
+// trickle staged prefetches, apply the fills delivered at that
 // sub-cycle, run the prefetcher's per-cycle hook, issue from the warp
 // schedulers, and classify the stall if nothing retired. Safe to run
 // concurrently with other units' spans; all cross-boundary output lands in
@@ -141,6 +142,7 @@ func (sh *shard) tickSpan(from, to int64) {
 		}
 		s.l1.SetMissQueueClock(c, len(sh.mqExpiry)-exp)
 		s.nowCycle = c
+		s.drainReady(c)
 		if i == 0 && sh.predrained {
 			// The serial phase ran this sub-cycle's prefetch drain (see
 			// engine.serialPhase); running it again would double-drain.

@@ -84,14 +84,23 @@ type sm struct {
 	warps  []warpCtx
 	st     *stats.Sim
 
-	// Per-scheduler warp membership (slot indices and ages), cached across
-	// cycles and rebuilt only when membership changes (dispatch, warp
-	// completion) — see refreshSched. readyBuf is per-cycle scratch.
-	readyBuf   [][]bool
+	// Per-scheduler warp membership (slot indices and ages by position in
+	// the slice), cached across cycles and rebuilt only when membership
+	// changes (dispatch, warp completion) — see refreshSched.
 	ageBuf     [][]int64
 	slotBuf    [][]int
 	schedDirty bool
-	lineBuf    []uint64 // coalescer scratch
+	// Issue readiness, maintained incrementally (see ready.go): ready[si] is
+	// slice si's ready set in position space, posOf maps a slot to its
+	// position in its slice (-1: not a member), and wheel/over hold the
+	// slots whose readyAt lies in the future.
+	ready   []sched.Set
+	posOf   []int32
+	wheel   []uint64 // readyWheelSpan buckets of wheelW words: slot bitsets
+	wheelW  int
+	over    []uint64 // slot bitset: readiness beyond the wheel span
+	overMin int64    // earliest readyAt in over (neverReady: none)
+	lineBuf []uint64 // coalescer scratch
 
 	resident int // live (non-free) warp slots
 	// Warp-state occupancy counts, maintained incrementally at every state
@@ -101,9 +110,9 @@ type sm struct {
 	nWaitMem int // wsWaitMem
 	nBarrier int // wsBarrier
 	// readyAt shadows each slot's issue-readiness cycle: busyUntil while the
-	// warp is wsReady, neverReady otherwise. The issue scan and actBound read
-	// this one contiguous array instead of hopping across the ~100-byte
-	// warpCtx structs; every state/busyUntil transition keeps it in sync.
+	// warp is wsReady, neverReady otherwise. Every write goes through
+	// setReadyAt, which keeps the ready sets and the wheel in step with it;
+	// actBound reads it directly.
 	readyAt  []int64
 	env      prefetch.Env
 	kernel   *trace.Kernel // set by the engine before the run
@@ -139,6 +148,7 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 		MergeCap:      cfg.MSHRMergeCap,
 		MissQueueSize: cfg.MissQueueSize,
 	}
+	wheelW := (cfg.MaxWarpsPerSM + 63) >> 6
 	s := &sm{
 		id:      id,
 		cfg:     cfg,
@@ -146,10 +156,11 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 		st:      st,
 		warps:   make([]warpCtx, cfg.MaxWarpsPerSM),
 		readyAt: make([]int64, cfg.MaxWarpsPerSM),
+		posOf:   make([]int32, cfg.MaxWarpsPerSM),
+		wheel:   make([]uint64, readyWheelSpan*wheelW),
+		wheelW:  wheelW,
+		over:    make([]uint64, wheelW),
 		mlp:     mlp,
-	}
-	for i := range s.readyAt {
-		s.readyAt[i] = neverReady
 	}
 	if pf != nil {
 		s.oracle = prefetch.WantsOracle(pf)
@@ -165,16 +176,17 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 	s.l1 = cache.NewL1(geom, l1opt, st)
 	nSched := cfg.SchedulersPerSM
 	s.scheds = make([]sched.Scheduler, nSched)
-	s.readyBuf = make([][]bool, nSched)
+	s.ready = make([]sched.Set, nSched)
 	s.ageBuf = make([][]int64, nSched)
 	s.slotBuf = make([][]int, nSched)
 	per := (cfg.MaxWarpsPerSM + nSched - 1) / nSched
 	for i := range s.scheds {
 		s.scheds[i] = sched.New(cfg.Scheduler)
-		s.readyBuf[i] = make([]bool, 0, per)
+		s.ready[i] = sched.NewSet(per)
 		s.ageBuf[i] = make([]int64, 0, per)
 		s.slotBuf[i] = make([]int, 0, per)
 	}
+	s.resetReadiness()
 	return s
 }
 
@@ -190,14 +202,11 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 // not here — s.st keeps pointing into it.
 func (s *sm) reset(pf prefetch.Prefetcher, mlp int, reusePf bool) {
 	clear(s.warps)
-	for i := range s.readyAt {
-		s.readyAt[i] = neverReady
-	}
+	s.resetReadiness()
 	for _, sc := range s.scheds {
 		sc.Reset()
 	}
 	for i := range s.slotBuf {
-		s.readyBuf[i] = s.readyBuf[i][:0]
 		s.ageBuf[i] = s.ageBuf[i][:0]
 		s.slotBuf[i] = s.slotBuf[i][:0]
 	}
@@ -265,7 +274,7 @@ func (s *sm) dispatchCTA(k *trace.Kernel, ctaIdx int, age *int64) {
 		if s.oracle {
 			w.futPCs, w.futAddrs = loadStream(w.prog)
 		}
-		s.readyAt[slot] = 0
+		s.setReadyAt(slot, 0, 0)
 		s.resident++
 		s.nReady++
 		wi++
@@ -294,66 +303,23 @@ type issueResult struct {
 	ctaFinished bool // a CTA completed this cycle (slots freed)
 }
 
-// refreshSched rebuilds the per-scheduler slot/age lists from the warp
-// array. Membership (every warp not free and not done) only changes on CTA
-// dispatch and warp completion, so the lists are cached between those points.
-func (s *sm) refreshSched() {
-	nSched := len(s.scheds)
-	for si := 0; si < nSched; si++ {
-		slots := s.slotBuf[si][:0]
-		ages := s.ageBuf[si][:0]
-		for slot := si; slot < len(s.warps); slot += nSched {
-			w := &s.warps[slot]
-			if w.state == wsFree || w.state == wsDone {
-				continue
-			}
-			slots = append(slots, slot)
-			ages = append(ages, w.age)
-		}
-		s.slotBuf[si], s.ageBuf[si] = slots, ages
-	}
-	s.schedDirty = false
-}
-
 // issue runs all scheduler slices for one cycle. Outbound memory traffic is
 // staged into eg, the shard's egress port (never written to engine state
 // directly — issue may run concurrently with other shards' ticks).
 func (s *sm) issue(cycle int64, eg *egress) issueResult {
 	var res issueResult
-	nSched := len(s.scheds)
-	if s.nReady == 0 {
-		// Every resident warp is blocked on memory or a barrier: no scheduler
-		// can pick, so skip the per-warp scans. GTO must still forget its
-		// greedy warp exactly as a full no-ready scan would (Idle), but only
-		// for slices that own at least one live warp — Pick is never reached
-		// for an empty slice.
-		if s.schedDirty {
-			s.refreshSched()
-		}
-		for si := 0; si < nSched; si++ {
-			if len(s.slotBuf[si]) > 0 {
-				s.scheds[si].Idle()
-			}
-		}
-		return res
-	}
-	for si := 0; si < nSched; si++ {
+	for si, sc := range s.scheds {
 		if s.schedDirty {
 			// execute may have completed a warp (or dispatched CTAs onto this
 			// SM via fillSMs); later slices must see the updated membership,
 			// exactly as the per-cycle rebuild did.
-			s.refreshSched()
+			s.refreshSched(cycle)
 		}
 		slots := s.slotBuf[si]
 		if len(slots) == 0 {
 			continue
 		}
-		ready := s.readyBuf[si][:0]
-		for _, slot := range slots {
-			ready = append(ready, s.readyAt[slot] <= cycle)
-		}
-		s.readyBuf[si] = ready
-		pick := s.scheds[si].Pick(ready, s.ageBuf[si])
+		pick := sc.Pick(s.ready[si], s.ageBuf[si])
 		if pick < 0 {
 			continue
 		}
@@ -369,7 +335,7 @@ func (s *sm) execute(slot int, cycle int64, eg *egress, res *issueResult) {
 	switch in.Op {
 	case trace.OpCompute:
 		w.busyUntil = cycle + int64(in.Lat)
-		s.readyAt[slot] = w.busyUntil
+		s.setReadyAt(slot, w.busyUntil, cycle)
 		w.pc++
 		s.st.Insts++
 		res.retired++
@@ -377,7 +343,7 @@ func (s *sm) execute(slot int, cycle int64, eg *egress, res *issueResult) {
 	case trace.OpStore:
 		eg.addStore(in.Addr, cycle)
 		w.busyUntil = cycle + 1
-		s.readyAt[slot] = w.busyUntil
+		s.setReadyAt(slot, w.busyUntil, cycle)
 		w.pc++
 		s.st.Insts++
 		s.st.Stores++
@@ -385,7 +351,7 @@ func (s *sm) execute(slot int, cycle int64, eg *egress, res *issueResult) {
 
 	case trace.OpBarrier:
 		w.state = wsBarrier
-		s.readyAt[slot] = neverReady
+		s.setReadyAt(slot, neverReady, cycle)
 		s.nReady--
 		s.nBarrier++
 		w.pc++
@@ -398,13 +364,13 @@ func (s *sm) execute(slot int, cycle int64, eg *egress, res *issueResult) {
 			// Drain in-flight loads before retiring so a freed slot can
 			// never receive a stale wake-up.
 			w.state = wsWaitMem
-			s.readyAt[slot] = neverReady
+			s.setReadyAt(slot, neverReady, cycle)
 			s.nReady--
 			s.nWaitMem++
 			return
 		}
 		w.state = wsDone
-		s.readyAt[slot] = neverReady
+		s.setReadyAt(slot, neverReady, cycle)
 		s.nReady--
 		s.schedDirty = true
 		s.st.Insts++
@@ -430,24 +396,24 @@ func (s *sm) execute(slot int, cycle int64, eg *egress, res *issueResult) {
 			// The replay takes a few cycles to come around the access
 			// pipeline again.
 			w.busyUntil = cycle + 4
-			s.readyAt[slot] = w.busyUntil
+			s.setReadyAt(slot, w.busyUntil, cycle)
 			res.resFail = true
 			return
 		case stats.L1Hit, stats.L1HitPrefetch:
 			w.busyUntil = cycle + int64(s.cfg.Unified.Latency)
-			s.readyAt[slot] = w.busyUntil
+			s.setReadyAt(slot, w.busyUntil, cycle)
 		default:
 			// Miss or merged: the load is in flight. The warp keeps issuing
 			// until its MLP window fills, then blocks until a fill drains it.
 			w.outstanding++
 			if w.outstanding >= s.mlp {
 				w.state = wsWaitMem
-				s.readyAt[slot] = neverReady
+				s.setReadyAt(slot, neverReady, cycle)
 				s.nReady--
 				s.nWaitMem++
 			} else {
 				w.busyUntil = cycle + 2 // issue occupancy only
-				s.readyAt[slot] = w.busyUntil
+				s.setReadyAt(slot, w.busyUntil, cycle)
 			}
 		}
 		for _, line := range s.lineBuf[1:] {
@@ -547,7 +513,7 @@ func (s *sm) maybeReleaseBarrier(ctaIdx int, cycle int64) {
 			s.nBarrier--
 			s.nReady++
 			w.busyUntil = cycle + 1
-			s.readyAt[i] = w.busyUntil
+			s.setReadyAt(i, w.busyUntil, cycle)
 		}
 	}
 }
@@ -568,7 +534,7 @@ func (s *sm) wake(slots []int, cycle int64) {
 			s.nWaitMem--
 			s.nReady++
 			w.busyUntil = cycle
-			s.readyAt[slot] = cycle
+			s.setReadyAt(slot, cycle, cycle)
 		}
 	}
 }
