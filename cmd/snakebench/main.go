@@ -6,7 +6,11 @@
 //	snakebench -exp fig16,fig17    # several
 //	snakebench -all                # everything (can take several minutes)
 //	snakebench -list               # list experiment IDs
-//	snakebench -json               # write the BENCH_sim.json perf trajectory
+//	snakebench -phases             # per-phase engine wall clock and barrier density
+//
+// Simulator throughput is a Go benchmark (BenchmarkSimulatorThroughput in
+// the repository root); scripts/bench_ab.sh compares it between two commits
+// on one machine.
 package main
 
 import (
@@ -30,10 +34,7 @@ func main() {
 		ctas       = flag.Int("ctas", 0, "CTA count (0: default scale)")
 		iters      = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
 		format     = flag.String("format", "text", "output format: text, csv, json")
-		simJSON    = flag.Bool("json", false, "run the simulator throughput benchmark and write BENCH_sim.json")
 		phases     = flag.Bool("phases", false, "report the engine's per-phase wall clock and serial share (honors -parallel)")
-		jsonOut    = flag.String("json-out", "BENCH_sim.json", "output path for -json")
-		baseline   = flag.String("baseline", "", "with -json: committed BENCH_sim.json to guard against throughput regressions (>20% fails)")
 		parallel   = flag.Int("parallel", 1, "SM-shard workers per experiment run (same results at any value)")
 		slack      = flag.Int("slack", 0, "bounded-slack epoch length in cycles (0: auto from config; same results at any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -53,13 +54,6 @@ func main() {
 	}
 	defer stopProf()
 
-	if *simJSON {
-		if err := writeSimBench(*jsonOut, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "snakebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *phases {
 		if err := reportPhases(*parallel, *slack); err != nil {
 			fmt.Fprintln(os.Stderr, "snakebench:", err)

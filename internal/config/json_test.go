@@ -48,3 +48,28 @@ func TestParseJSONValidates(t *testing.T) {
 		t.Error("invalid config accepted")
 	}
 }
+
+// FuzzParseJSON checks the wire decoder snaked feeds with client GPU
+// overrides: any input is either rejected or accepted as a configuration
+// that survives JSON → ParseJSON unchanged and whose slack audit is
+// computable. It never panics. Seeds live in testdata/fuzz/FuzzParseJSON.
+func FuzzParseJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ParseJSON(data)
+		if err != nil {
+			return
+		}
+		g.SlackAudit()
+		b, err := g.JSON()
+		if err != nil {
+			t.Fatalf("accepted config does not encode: %v", err)
+		}
+		back, err := ParseJSON(b)
+		if err != nil {
+			t.Fatalf("accepted config does not re-parse: %v\n%s", err, b)
+		}
+		if !reflect.DeepEqual(g, back) {
+			t.Fatalf("round trip changed the config:\nbefore %+v\nafter  %+v", g, back)
+		}
+	})
+}

@@ -62,8 +62,10 @@ func (p Phase) String() string {
 // how much of the engine's wall clock is still serial (drain + route + merge)
 // versus parallel (partitions + shards)? SerialShare is that fraction
 // directly — with RouteShare and MergeShare splitting out the two phases the
-// parallel route/merge work targeted — and snakebench's regression guard
-// watches them so the serial fraction cannot silently grow back.
+// parallel route/merge work targeted. BenchmarkSimulatorThroughput reports
+// the serial share of its parallel rows, scripts/bench_ab.sh gates it against
+// the merge base, and the benchmark itself fails a parallel row whose
+// route+merge share exceeds its absolute ceiling.
 type Phases struct {
 	ns [NumPhases]int64
 	// barriers counts executed epochs (each epoch crosses the cycle barrier
@@ -121,8 +123,8 @@ func (p *Phases) SerialShare() float64 {
 }
 
 // RouteShare returns the fraction of accumulated time spent in the route
-// prefix-sum phase, 0..1. The parallel-route CI gate watches this: the
-// O(#partitions) plan must stay a sliver of the epoch.
+// prefix-sum phase, 0..1. The throughput benchmark's route+merge ceiling
+// watches this: the O(#partitions) plan must stay a sliver of the epoch.
 func (p *Phases) RouteShare() float64 {
 	t := p.TotalNs()
 	if t == 0 {
@@ -139,27 +141,4 @@ func (p *Phases) MergeShare() float64 {
 		return 0
 	}
 	return float64(p.ns[PhaseMerge]) / float64(t)
-}
-
-// Reset zeroes the accumulator.
-func (p *Phases) Reset() {
-	p.ns = [NumPhases]int64{}
-	p.barriers = 0
-	p.epochCycles = 0
-}
-
-// Map returns the accumulated nanoseconds keyed by phase name, plus explicit
-// "route_ns"/"merge_ns" aliases for the two formerly-serial phases the CI
-// gates watch, and the barrier counters under "barriers" and "epoch_cycles"
-// (the BENCH_sim.json phase_ns schema).
-func (p *Phases) Map() map[string]int64 {
-	out := make(map[string]int64, NumPhases+4)
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		out[ph.String()] = p.ns[ph]
-	}
-	out["route_ns"] = p.ns[PhaseSerialRoute]
-	out["merge_ns"] = p.ns[PhaseMerge]
-	out["barriers"] = p.barriers
-	out["epoch_cycles"] = p.epochCycles
-	return out
 }

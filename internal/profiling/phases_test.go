@@ -36,25 +36,9 @@ func TestPhasesAccounting(t *testing.T) {
 	if got := p.CyclesPerBarrier(); math.Abs(got-4.0) > 1e-12 {
 		t.Errorf("CyclesPerBarrier = %f, want 4", got)
 	}
-	m := p.Map()
-	if len(m) != int(NumPhases)+4 {
-		t.Fatalf("Map has %d entries, want %d", len(m), int(NumPhases)+4)
-	}
-	if m["serial-drain"] != 25 || m["route"] != 5 || m["parallel-partition"] != 20 || m["parallel-shard"] != 40 || m["merge"] != 10 {
-		t.Errorf("Map = %v", m)
-	}
-	if m["route_ns"] != 5 || m["merge_ns"] != 10 {
-		t.Errorf("Map gate aliases = %v", m)
-	}
-	if m["barriers"] != 2 || m["epoch_cycles"] != 8 {
-		t.Errorf("Map barrier counters = %v", m)
-	}
-	p.Reset()
-	if p.TotalNs() != 0 || p.Barriers() != 0 || p.EpochCycles() != 0 {
-		t.Errorf("Reset left total=%d barriers=%d epochCycles=%d", p.TotalNs(), p.Barriers(), p.EpochCycles())
-	}
-	if p.CyclesPerBarrier() != 0 {
-		t.Errorf("CyclesPerBarrier on empty accumulator = %f, want 0", p.CyclesPerBarrier())
+	var empty Phases
+	if empty.CyclesPerBarrier() != 0 {
+		t.Errorf("CyclesPerBarrier on empty accumulator = %f, want 0", empty.CyclesPerBarrier())
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"snake/internal/config"
+	"snake/internal/core"
 	"snake/internal/prefetch"
+	"snake/internal/profiling"
 	"snake/internal/workloads"
 )
 
@@ -290,6 +292,50 @@ func TestSlackWindowSweepEquivalence(t *testing.T) {
 			if wantClamp := window > bound; got.Slack.Clamped != wantClamp {
 				t.Errorf("w=%d P=%d: Result.Slack.Clamped = %v, want %v", window, p, got.Slack.Clamped, wantClamp)
 			}
+		}
+	}
+}
+
+// TestSlackBarrierDensity pins how well bounded-slack ticking amortizes the
+// wave barrier: barrier waves per thousand simulated cycles for lps, mum and
+// nw under Snake on the mid-scale 8-SM machine (24×8×8) at the auto window —
+// the shape `snakebench -phases` reports. Epoch cuts depend only on
+// simulated state, so the counts are deterministic and identical at every
+// parallelism; a change that silently shortens epochs would re-serialize the
+// executor without moving any correctness test. A density may exceed its
+// recorded value by at most 1.2× or 3 waves/kcycle, whichever is looser.
+func TestSlackBarrierDensity(t *testing.T) {
+	recorded := []struct {
+		bench   string
+		perKcyc float64
+	}{{"lps", 60.9}, {"mum", 16.9}, {"nw", 35.5}}
+	for _, r := range recorded {
+		k, err := workloads.Build(r.bench, workloads.Scale{CTAs: 24, WarpsPerCTA: 8, Iters: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var barriers [2]int64
+		for i, p := range []int{1, 4} {
+			var prof profiling.Phases
+			res, err := Run(k, Options{
+				Config:           config.Scaled(8, 48),
+				NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
+				Parallelism:      p,
+				ForceParallelism: p > 1,
+				PhaseProfile:     &prof,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			barriers[i] = prof.Barriers()
+			got := 1000 * float64(prof.Barriers()) / float64(res.Stats.Cycles)
+			t.Logf("%s P=%d: %d barriers over %d cycles = %.2f/kcycle (recorded %.1f)", r.bench, p, prof.Barriers(), res.Stats.Cycles, got, r.perKcyc)
+			if got > r.perKcyc*1.2 && got-r.perKcyc > 3 {
+				t.Errorf("%s P=%d: %.2f barrier waves/kcycle vs recorded %.1f (%.2fx, bound 1.2x and +3)", r.bench, p, got, r.perKcyc, got/r.perKcyc)
+			}
+		}
+		if barriers[0] != barriers[1] {
+			t.Errorf("%s: %d barriers at P=1 vs %d at P=4: epoch cuts must not depend on parallelism", r.bench, barriers[0], barriers[1])
 		}
 	}
 }
