@@ -158,8 +158,8 @@ func BenchmarkAblationHeadColumns(b *testing.B) {
 
 // throughputCase is one row of BenchmarkSimulatorThroughput. Serial rows
 // run the standard 4×64 experiment machine at 12×8×8. parN rows run the
-// mid-scale 8-SM machine at 24×8×8 on N shard workers (forced, so the real
-// barrier machinery runs whatever GOMAXPROCS is). Reuse rows re-run on a
+// mid-scale 8-SM machine at 24×8×8 on N shard workers (the real barrier
+// machinery runs whatever GOMAXPROCS is). Reuse rows re-run on a
 // warmed persistent Engine, the steady state of pooled sweep traffic: their
 // allocs/op is the per-run residual. App rows time sim.RunApp on a launch
 // graph, so launch-layer overhead shows up as its own row.
@@ -250,7 +250,6 @@ func throughputOp(b *testing.B, c throughputCase) (func(sim.Options) int64, sim.
 		Config:           cfg,
 		NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
 		Parallelism:      c.parallelism,
-		ForceParallelism: c.parallelism > 1,
 		ChainPersistence: c.chain,
 	}
 	if c.app {
@@ -273,7 +272,6 @@ func throughputOp(b *testing.B, c throughputCase) (func(sim.Options) int64, sim.
 	run := sim.Run
 	if c.reuse {
 		en := sim.NewEngine()
-		b.Cleanup(en.Close)
 		run = func(k *trace.Kernel, opt sim.Options) (*sim.Result, error) { return en.RunTagged(k, opt, "snake") }
 		if _, err := run(k, opt); err != nil { // warm the engine before timing
 			b.Fatal(err)

@@ -19,6 +19,8 @@ import (
 // of the total — with route% and merge% broken out so each serial phase's
 // trajectory is visible on its own. The barriers and cyc/barrier columns show
 // how well bounded-slack ticking amortizes the wave barrier (honors -slack).
+// The parallel rows always run real workers; on a one-core host they measure
+// barrier overhead, not speedup.
 func reportPhases(parallel, slack int) error {
 	if parallel <= 1 {
 		parallel = 4
@@ -39,9 +41,6 @@ func reportPhases(parallel, slack int) error {
 				Parallelism:   p,
 				SlackWindow:   slack,
 				PhaseProfile:  &prof,
-				// Profile the real multi-worker split even where GOMAXPROCS
-				// would clamp it away.
-				ForceParallelism: p > 1,
 			})
 			if err != nil {
 				return err

@@ -32,13 +32,13 @@ var out io.Writer = os.Stdout
 
 func main() {
 	var (
-		bench = flag.String("bench", "lps", "benchmark name")
-		dump  = flag.Bool("dump", false, "dump a warp's load stream instead of mining")
-		cta   = flag.Int("cta", 0, "CTA index for -dump")
-		warp  = flag.Int("warp", 0, "warp index within the CTA for -dump")
-		limit = flag.Int("limit", 40, "max loads to dump")
-		ctas  = flag.Int("ctas", 0, "CTA count (0: default scale)")
-		iters = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
+		bench   = flag.String("bench", "lps", "benchmark name")
+		dump    = flag.Bool("dump", false, "dump a warp's load stream instead of mining")
+		cta     = flag.Int("cta", 0, "CTA index for -dump")
+		warp    = flag.Int("warp", 0, "warp index within the CTA for -dump")
+		limit   = flag.Int("limit", 40, "max loads to dump")
+		ctas    = flag.Int("ctas", 0, "CTA count (0: default scale)")
+		iters   = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
 		save    = flag.String("save", "", "write the trace (or app) to this file (.json or binary)")
 		load    = flag.String("load", "", "read the trace from this file instead of -bench")
 		app     = flag.String("app", "", "application workload instead of -bench (see -list)")

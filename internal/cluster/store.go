@@ -224,7 +224,7 @@ func (s *Store) Put(key string, st *stats.Sim) {
 // the raw encoding when the caller already has it.
 type spillJob struct {
 	key  string
-	data []byte     // pre-encoded; nil means encode st
+	data []byte // pre-encoded; nil means encode st
 	st   *stats.Sim
 }
 

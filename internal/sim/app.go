@@ -25,7 +25,6 @@ type AppResult struct {
 // engine; repeat callers should hold an Engine.
 func RunApp(a *trace.App, opt Options) (*AppResult, error) {
 	var en Engine
-	defer en.Close() // one-shot run: don't leave a parked crew to the finalizer
 	return en.RunApp(a, opt)
 }
 

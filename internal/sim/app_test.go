@@ -42,7 +42,7 @@ func TestAppSingleLaunchBitIdentical(t *testing.T) {
 			for _, cell := range appCells {
 				opt := Options{
 					Config: parCfg(), NewPrefetcher: pf,
-					Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+					Parallelism: cell.p, SlackWindow: cell.slack,
 				}
 				want, err := Run(k, opt)
 				if err != nil {
@@ -112,7 +112,7 @@ func TestAppScenariosDeterministic(t *testing.T) {
 				got, err := RunApp(a, Options{
 					Config: parCfg(), NewPrefetcher: pf,
 					Parallelism: cell.p, SlackWindow: cell.slack,
-					ForceParallelism: true, ChainPersistence: chain,
+					ChainPersistence: chain,
 				})
 				if err != nil {
 					t.Fatalf("%s chain=%v P=%d slack=%d: %v", app, chain, cell.p, cell.slack, err)
@@ -188,7 +188,7 @@ func TestAppLaunchOrderTieBreak(t *testing.T) {
 	}
 	for _, cell := range appCells {
 		res, err := RunApp(mk(hot, lps), Options{
-			Config: cfg, Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+			Config: cfg, Parallelism: cell.p, SlackWindow: cell.slack,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -209,7 +209,7 @@ func TestAppLaunchOrderTieBreak(t *testing.T) {
 		// Swapped App: the same two kernels in the opposite positions must
 		// execute in the opposite order (index 1 always first).
 		swapped, err := RunApp(mk(lps, hot), Options{
-			Config: cfg, Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+			Config: cfg, Parallelism: cell.p, SlackWindow: cell.slack,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +277,7 @@ func TestPooledAppEquivalenceMatrix(t *testing.T) {
 		for _, cell := range appCells {
 			opt := Options{
 				Config: parCfg(), NewPrefetcher: pf,
-				Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+				Parallelism: cell.p, SlackWindow: cell.slack,
 				ChainPersistence: true,
 			}
 			check := func(step string, got, want any) {

@@ -9,8 +9,9 @@
 // controller) is a work unit too — both talk across the boundary only
 // through typed, cycle-stamped port queues and per-cycle work bins, and both
 // may tick concurrently (Options.Parallelism) with results bit-identical to
-// serial execution — see DESIGN.md "Parallel execution" and "Memory-side
-// parallelism".
+// serial execution. The worker goroutines start and stop inside each run, so
+// an engine holds none between runs and needs no closing — see DESIGN.md
+// "Parallel execution" and "Memory-side parallelism".
 package sim
 
 import (
@@ -18,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 
 	"snake/internal/config"
 	"snake/internal/icnt"
@@ -57,15 +57,9 @@ type Options struct {
 	// serial). Results are bit-identical for every value — units exchange
 	// state only at the epoch barrier, in fixed merge orders — so callers
 	// may pick purely on available cores. Clamped to the total unit count
-	// (NumSM + L2Partitions). On a single-core runtime (GOMAXPROCS == 1)
-	// values > 1 degrade to serial ticking — extra workers can only steal
-	// the engine's core there — unless ForceParallelism overrides.
+	// (NumSM + L2Partitions). Values > 1 start Parallelism-1 worker
+	// goroutines when the run starts and stop them before it returns.
 	Parallelism int
-	// ForceParallelism keeps Parallelism > 1 worker groups even when
-	// GOMAXPROCS == 1. Results are identical either way; this exists for the
-	// equivalence tests, which must exercise the real multi-worker barrier
-	// on single-core CI machines.
-	ForceParallelism bool
 	// SlackWindow is the bounded-slack epoch length: how many consecutive
 	// cycles every work unit ticks between barriers. 0 (auto) and anything
 	// above the config's provable bound resolve to that bound
@@ -120,14 +114,6 @@ func (opt Options) withDefaults() Options {
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = 1
 	}
-	if opt.Parallelism > 1 && runtime.GOMAXPROCS(0) == 1 && !opt.ForceParallelism {
-		// One schedulable core: worker goroutines cannot overlap the engine,
-		// they can only preempt it. Serial ticking computes identical results
-		// (the equivalence matrices force the multi-worker path via
-		// ForceParallelism to prove it), so degrade instead of paying the
-		// barrier for nothing.
-		opt.Parallelism = 1
-	}
 	if max := opt.Config.NumSM + opt.Config.L2Partitions; opt.Parallelism > max {
 		opt.Parallelism = max
 	}
@@ -174,15 +160,9 @@ type engine struct {
 	// units is the barrier group's schedule: partitions [0, L2Partitions),
 	// then shards. The serial paths iterate parts/shards directly.
 	units []workUnit
-	// crew is the persistent barrier-worker group, created on the first
-	// parallel run and parked — not respawned — between runs, surviving Reset
-	// and pool recycling. Reclaimed by closeCrew (Engine.Close, or the engine
-	// finalizer as a backstop). group aliases crew only while a run is
-	// executing; the rest of the engine keys "is a parallel run active" off
-	// group, so pointing it at the parked crew per run keeps those paths
-	// unchanged.
-	crew  *shardGroup
-	group *shardGroup
+	// group is the barrier-worker group; its workers run only while run()
+	// executes with Parallelism > 1.
+	group shardGroup
 
 	// partReqs are the SM→L2 ingress ports, one ring per L2 partition: fill
 	// requests in flight across the request network, binned to their
@@ -207,13 +187,9 @@ type engine struct {
 	// heap in the exact sequence the serial-arrival engine produced, so heap
 	// tie-breaking (and thus every downstream statistic) is unchanged.
 	routed []resp
-	// Scatter scratch for the parallel store merge (mergeStores): the active
-	// shards of the epoch being merged, the destination window in stores, and
-	// the epoch start — published before the scatter wave, consumed by
-	// runTask.
+	// scatterShards is mergeStores' scratch: the active shards of the epoch
+	// being merged.
 	scatterShards []*shard
-	scatterDst    []storeMsg
-	scatterFrom   int64
 	// ctaOr is the merge phase's OR-accumulator over eligible launches'
 	// CTA-completion bitsets (one bit per epoch sub-cycle), recycled across
 	// epochs.
@@ -245,10 +221,9 @@ type engine struct {
 	horizon  int64
 	turn     int64
 	slackMax int64
-	// slackOK is the production conflict fallback: a merged response whose
-	// ready cycle lands inside its own epoch (provably impossible, see the
-	// mergeEpoch assert) clears it, degrading all later epochs to length 1.
-	slackOK    bool
+	// slackErr records the first slack conflict of the run (see
+	// slackConflict); run returns it once the conflicting epoch is merged.
+	slackErr   error
 	slackInfo  SlackInfo // resolved slack parameters, surfaced in Result
 	epochStart int64     // first sub-cycle of the epoch being ticked
 	utilSnap   []float64 // per-sub-cycle response-network utilization snapshots
@@ -273,7 +248,6 @@ type engine struct {
 // the construction cost.
 func Run(k *trace.Kernel, opt Options) (*Result, error) {
 	var en Engine
-	defer en.Close() // one-shot run: don't leave a parked crew to the finalizer
 	return en.Run(k, opt)
 }
 
@@ -353,21 +327,7 @@ func newMachine(opt Options) *engine {
 	e.smAttr = make([]int, cfg.NumSM)
 	e.smBase = make([]stats.Sim, cfg.NumSM)
 	e.initSlack()
-	// Backstop for the persistent crew: an engine dropped without Close
-	// (tests, one-shot callers, pool discards) must not leak its parked
-	// workers. The crew holds no pointer back to the engine, so the engine
-	// stays collectable; the method expression captures nothing.
-	runtime.SetFinalizer(e, (*engine).closeCrew)
 	return e
-}
-
-// closeCrew stops and forgets the persistent barrier crew, if one exists.
-// Idempotent, and safe from the finalizer goroutine.
-func (e *engine) closeCrew() {
-	if e.crew != nil {
-		e.crew.stop()
-		e.crew = nil
-	}
 }
 
 // partOf maps a line address to its L2 partition. Interleaving is at DRAM
@@ -420,15 +380,8 @@ const deadlockIdleCycles = 1_000_000
 // exactly the seed's per-cycle schedule.
 func (e *engine) run() error {
 	if e.opt.Parallelism > 1 {
-		// Persistent crew: created on the first parallel run, parked between
-		// runs, reused across Reset/pool recycling. Only a Parallelism change
-		// (an engine recycled under different options) replaces it.
-		if e.crew == nil || e.crew.n != e.opt.Parallelism {
-			e.closeCrew()
-			e.crew = startShardGroup(e.opt.Parallelism)
-		}
-		e.group = e.crew
-		defer func() { e.group = nil }()
+		e.group.start(e.units, e.opt.Parallelism)
+		defer e.group.stop()
 	}
 	e.prof = e.opt.PhaseProfile
 	var clk phaseClock
@@ -443,12 +396,8 @@ func (e *engine) run() error {
 		clk.lap(profiling.PhaseMerge)
 		e.applyWakes(start)
 		e.applyDispatches(start)
-		cur := e.slackMax
-		if !e.slackOK {
-			cur = 1
-		}
-		maxEnd := start + cur - 1
-		if cur > e.turn {
+		maxEnd := start + e.slackMax - 1
+		if e.slackMax > e.turn {
 			// Adaptive epoch cutter: stores and CTA retirements replay after
 			// the turnaround delay, so the epoch may not extend past the
 			// earliest cycle such an event could occur plus turn-1 (see
@@ -488,6 +437,9 @@ func (e *engine) run() error {
 			e.prof.AddEpoch(end - start + 1)
 		}
 		retiredLast := e.mergeEpoch(start, end)
+		if e.slackErr != nil {
+			return e.slackErr
+		}
 		if e.finished() {
 			break
 		}
@@ -822,8 +774,8 @@ func (e *engine) drainStores(c int64) {
 
 // tickWave runs the parallel phase of the epoch: every work unit ticks the
 // sub-cycles [start, end] (memory partitions drain their request/complete
-// bins, shards apply fills and issue), on the worker group when one is
-// running.
+// bins, shards apply fills and issue), on the worker group when
+// Parallelism > 1.
 //
 // Normally partitions and shards tick as one wave — they touch disjoint
 // state, so no ordering between them is needed. When phase profiling is on,
@@ -831,26 +783,27 @@ func (e *engine) drainStores(c int64) {
 // the split cannot change results (same disjointness).
 func (e *engine) tickWave(start, end int64, clk *phaseClock) {
 	np := len(e.parts)
+	par := e.opt.Parallelism > 1
 	switch {
 	case e.prof != nil:
-		if e.group != nil {
-			e.group.runSpan(e.units, start, end, 0, np)
+		if par {
+			e.group.runSpan(start, end, 0, np)
 		} else {
 			for _, p := range e.parts {
 				p.tickSpan(start, end)
 			}
 		}
 		clk.lap(profiling.PhaseMemPartitions)
-		if e.group != nil {
-			e.group.runSpan(e.units, start, end, np, len(e.units))
+		if par {
+			e.group.runSpan(start, end, np, len(e.units))
 		} else {
 			for _, sh := range e.shards {
 				sh.tickSpan(start, end)
 			}
 		}
 		clk.lap(profiling.PhaseShards)
-	case e.group != nil:
-		e.group.runSpan(e.units, start, end, 0, len(e.units))
+	case par:
+		e.group.runSpan(start, end, 0, len(e.units))
 	default:
 		for _, u := range e.units {
 			u.tickSpan(start, end)
@@ -949,11 +902,6 @@ func (e *engine) mergeEpoch(start, end int64) bool {
 	return false
 }
 
-// scatterParallelMin is the epoch store count below which the parallel
-// scatter is not worth a barrier wave: a few hundred 32-byte copies cost
-// less than waking the crew.
-const scatterParallelMin = 256
-
 // mergeStores merges the epoch's per-shard egress store streams into the
 // global queue in (cycle, smID, seq) order — exactly the order per-cycle
 // barriers would have appended — via a counting scatter instead of a serial
@@ -966,10 +914,9 @@ const scatterParallelMin = 256
 //	                    count into that group's first destination offset,
 //	                    stored back in place — O(span × active shards)
 //	                    bookkeeping, no per-store work
-//	pass 3 (parallel):  each shard scatters its (cycle-sorted, seq-ordered)
-//	                    stream into its reserved, disjoint offsets
-//	                    (shard.scatterStores), on the crew when the epoch
-//	                    carries enough stores to pay for the wave
+//	pass 3 (serial):    each shard scatters its (cycle-sorted, seq-ordered)
+//	                    stream into its reserved offsets
+//	                    (shard.scatterStores)
 //
 // Store-free epochs — the common case — exit at the active scan without
 // touching anything.
@@ -1004,23 +951,10 @@ func (e *engine) mergeStores(start, end int64) {
 			off += n
 		}
 	}
-	e.scatterDst = e.stores[base:]
-	e.scatterFrom = start
-	if e.group != nil && len(active) > 1 && total >= scatterParallelMin {
-		e.group.runTasks(e, len(active))
-	} else {
-		for i := range active {
-			e.runTask(i)
-		}
+	dst := e.stores[base:]
+	for _, sh := range active {
+		sh.scatterStores(dst, start)
 	}
-	e.scatterDst = nil
-}
-
-// runTask implements taskRunner for the store-merge scatter wave: task i is
-// shard i of the active set, whose destination offsets are disjoint from
-// every other task's by the prefix-sum construction.
-func (e *engine) runTask(i int) {
-	e.scatterShards[i].scatterStores(e.scatterDst, e.scatterFrom)
 }
 
 // growStores extends s to length n, reusing capacity and growing the backing

@@ -13,31 +13,18 @@ type workUnit interface {
 	tickSpan(from, to int64)
 }
 
-// taskRunner is the group's generic wave payload for non-span work (the
-// epoch store scatter): runTask(i) must touch only state owned by task i, so
-// any assignment of tasks to workers computes the same state.
-type taskRunner interface {
-	runTask(i int)
-}
-
-// shardGroup is a persistent crew of barrier workers that runs work waves —
-// work-unit tick spans or generic task sets — one slack epoch at a time, with
-// a barrier on each side of the parallel phase. The calling (engine)
-// goroutine is participant 0 and runs its own stripe, so Parallelism=N uses
-// N-1 extra goroutines.
-//
-// The crew is unit-agnostic and long-lived: the wave payload (units or tasks)
-// is published per wave and cleared after the closing barrier, so a parked
-// crew references nothing but itself. That is what lets one crew outlive
-// engine Reset/reinit cycles and pool recycling — workers are created once
-// per engine (per Parallelism value), parked between runs, and reclaimed by
-// engine.closeCrew (explicitly via Engine.Close, or by the engine finalizer
-// when a pooled engine is discarded).
+// shardGroup is the barrier-worker group of one engine run: it ticks work
+// units one slack epoch at a time, with a barrier on each side of the
+// parallel phase. The calling (engine) goroutine is participant 0 and runs
+// its own stripe, so Parallelism=N uses N-1 extra goroutines. The workers
+// live for exactly one engine.run call: start launches them, and stop (which
+// run defers) returns only once every one has exited, so no goroutine
+// outlives the run and the next run may reinitialize the group in place.
 //
 // Determinism does not depend on the group at all: units are data-disjoint
-// during tick spans (see workUnit) and tasks are data-disjoint by the
-// taskRunner contract, so any interleaving computes the same state. The group
-// only has to provide the two happens-before edges of the epoch:
+// during tick spans (see workUnit), so any interleaving computes the same
+// state. The group only has to provide the two happens-before edges of the
+// epoch:
 //
 //	engine's serial writes → release (epoch increment, atomic) → worker spans
 //	worker spans → arrive (counter increment, atomic) → engine's serial reads
@@ -49,84 +36,65 @@ type taskRunner interface {
 //
 // Waiters spin briefly, then park on a condition variable instead of
 // yield-spinning: on a loaded or single-core machine a Gosched loop burns
-// exactly the core the engine needs (the seed's par4-slower-than-serial
-// pathology on one core), whereas a parked worker costs nothing until the
-// engine wakes it. The wake-side epoch increment is atomic and happens
-// before the broadcast under the same mutex the waiter re-checks under, so
-// no wakeup can be lost.
+// exactly the core the engine needs, whereas a parked worker costs nothing
+// until the engine wakes it. The wake-side epoch increment is atomic and
+// happens before the broadcast under the same mutex the waiter re-checks
+// under, so no wakeup can be lost.
+//
+// The group is embedded in the engine by value and reused by every run, so
+// starting one allocates only the worker goroutines.
 type shardGroup struct {
 	n int // participants, including the engine goroutine
 
-	// Wave payload: exactly one of units/tasks is non-nil during a wave.
-	// They are plain fields — written by the engine before the epoch release
-	// and read by workers after observing it — and cleared after the closing
-	// barrier so a parked crew holds no reference into any engine.
+	// Wave payload: plain fields, written by the engine before the epoch
+	// release and read by workers after observing it.
 	units    []workUnit
-	tasks    taskRunner
 	from, to int64
-	lo, hi   int // unit/task span for the current wave
+	lo, hi   int // unit span for the current wave
 	quit     bool
-	stopped  bool // stop already ran (close paths are idempotent)
 
 	epoch   atomic.Uint64
 	arrived atomic.Int64
+	exited  sync.WaitGroup
 
 	mu       sync.Mutex
-	wake     *sync.Cond // workers park here awaiting the next wave
-	done     *sync.Cond // the engine parks here awaiting stragglers
-	sleepers int        // workers currently parked on wake
-	joinWait bool       // engine currently parked on done
+	wake     sync.Cond // workers park here awaiting the next wave
+	done     sync.Cond // the engine parks here awaiting stragglers
+	sleepers int       // workers currently parked on wake
+	joinWait bool      // engine currently parked on done
 }
 
-// startShardGroup launches a parked crew of n-1 workers. n must be ≥ 2; a
-// wave whose span is narrower than n leaves the surplus workers idling at
-// that wave's barrier.
-func startShardGroup(n int) *shardGroup {
-	g := &shardGroup{n: n}
-	g.wake = sync.NewCond(&g.mu)
-	g.done = sync.NewCond(&g.mu)
+// start launches n-1 workers over units. n must be ≥ 2; a wave whose span is
+// narrower than n leaves the surplus workers idling at that wave's barrier.
+// The previous run's workers have all exited (stop waited for them), so the
+// group's counters can be reset without racing any of them.
+func (g *shardGroup) start(units []workUnit, n int) {
+	g.n, g.units, g.quit = n, units, false
+	g.epoch.Store(0)
+	g.arrived.Store(0)
+	g.wake.L, g.done.L = &g.mu, &g.mu
+	g.exited.Add(n - 1)
 	for w := 1; w < n; w++ {
 		go g.worker(w)
 	}
-	return g
 }
 
 // runSpan ticks units [lo, hi) for the epoch [from, to] as one barrier wave
 // and returns after all of them finished.
-func (g *shardGroup) runSpan(units []workUnit, from, to int64, lo, hi int) {
-	g.units, g.tasks = units, nil
+func (g *shardGroup) runSpan(from, to int64, lo, hi int) {
 	g.from, g.to, g.lo, g.hi = from, to, lo, hi
 	g.release()
 	for i := lo; i < hi; i += g.n {
-		units[i].tickSpan(from, to)
+		g.units[i].tickSpan(from, to)
 	}
 	g.join()
-	g.units = nil
 }
 
-// runTasks runs tasks [0, n) of t as one barrier wave and returns after all
-// of them finished.
-func (g *shardGroup) runTasks(t taskRunner, n int) {
-	g.units, g.tasks = nil, t
-	g.lo, g.hi = 0, n
-	g.release()
-	for i := 0; i < n; i += g.n {
-		t.runTask(i)
-	}
-	g.join()
-	g.tasks = nil
-}
-
-// stop terminates the workers and waits for them to exit. Idempotent: close
-// paths (explicit Close, run-error teardown, engine finalizer) may overlap.
+// stop terminates the workers and returns once all of them have exited.
 func (g *shardGroup) stop() {
-	if g.stopped {
-		return
-	}
-	g.stopped = true
 	g.quit = true
 	g.release()
-	g.join()
+	g.exited.Wait()
 }
 
 // release opens the next wave: the epoch increment is the release edge, and
@@ -165,22 +133,15 @@ func (g *shardGroup) join() {
 
 // worker runs the stripe of each wave's span with offset ≡ w (mod n).
 func (g *shardGroup) worker(w int) {
+	defer g.exited.Done()
 	for epoch := uint64(1); ; epoch++ {
 		g.awaitEpoch(epoch)
 		if g.quit {
-			g.arrive()
 			return
 		}
-		if t := g.tasks; t != nil {
-			for i := g.lo + w; i < g.hi; i += g.n {
-				t.runTask(i)
-			}
-		} else {
-			from, to := g.from, g.to
-			units := g.units
-			for i := g.lo + w; i < g.hi; i += g.n {
-				units[i].tickSpan(from, to)
-			}
+		from, to := g.from, g.to
+		for i := g.lo + w; i < g.hi; i += g.n {
+			g.units[i].tickSpan(from, to)
 		}
 		g.arrive()
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"snake/internal/config"
@@ -35,9 +34,7 @@ func parMechs() map[string]func(int) prefetch.Prefetcher {
 // workload and mechanism, the executor's Result — totals and per-SM
 // breakdowns — is bit-identical to per-cycle serial execution, at every
 // Parallelism value and every SlackWindow setting (1 = barrier per cycle,
-// 2 = a short epoch, 0 = auto, the config-derived maximum). ForceParallelism keeps the multi-worker barrier
-// real even on single-core CI runners, where Parallelism would otherwise
-// degrade to serial and the matrix would silently test nothing.
+// 2 = a short epoch, 0 = auto, the config-derived maximum).
 func TestParallelEquivalenceMatrix(t *testing.T) {
 	for _, name := range workloads.Names() {
 		k, err := workloads.Build(name, workloads.Tiny())
@@ -45,7 +42,7 @@ func TestParallelEquivalenceMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for mech, pf := range parMechs() {
-			opt := Options{Config: parCfg(), NewPrefetcher: pf, ForceParallelism: true}
+			opt := Options{Config: parCfg(), NewPrefetcher: pf}
 			opt.Parallelism = 1
 			opt.SlackWindow = 1
 			want, err := Run(k, opt)
@@ -85,10 +82,9 @@ func TestParallelEquivalenceMatrix(t *testing.T) {
 func TestParallelRepeatDeterminism(t *testing.T) {
 	k, _ := workloads.Build("hotspot", workloads.Tiny())
 	opt := Options{
-		Config:           parCfg(),
-		NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
-		Parallelism:      4,
-		ForceParallelism: true,
+		Config:        parCfg(),
+		NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
+		Parallelism:   4,
 	}
 	first, err := Run(k, opt)
 	if err != nil {
@@ -119,10 +115,9 @@ func TestParallelSequenceEquivalence(t *testing.T) {
 	kernels := []*trace.Kernel{mk("lps"), mk("hotspot"), mk("lps")}
 	run := func(p int) *SequenceResult {
 		opt := SequenceOptions{Options: Options{
-			Config:           parCfg(),
-			NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
-			Parallelism:      p,
-			ForceParallelism: true,
+			Config:        parCfg(),
+			NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
+			Parallelism:   p,
 		}}
 		res, err := RunSequence(kernels, opt)
 		if err != nil {
@@ -144,22 +139,20 @@ func TestParallelSequenceEquivalence(t *testing.T) {
 func TestParallelCancellationStopsWorkers(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Scale{CTAs: 8, WarpsPerCTA: 4, Iters: 32}, 4096)
 	ctx := &countdownCtx{Context: context.Background(), ok: 0}
-	_, err := Run(k, Options{Config: parCfg(), Context: ctx, Parallelism: 4, ForceParallelism: true})
+	_, err := Run(k, Options{Config: parCfg(), Context: ctx, Parallelism: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The engine must stay reusable after a torn-down run: a fresh run on the
 	// same goroutine succeeds.
-	if _, err := Run(k, Options{Config: parCfg(), Parallelism: 4, ForceParallelism: true}); err != nil {
+	if _, err := Run(k, Options{Config: parCfg(), Parallelism: 4}); err != nil {
 		t.Fatalf("run after cancelled run: %v", err)
 	}
 }
 
 // TestParallelOptionsClamp pins the Parallelism defaulting rules: zero and
 // negative mean serial, a request wider than the machine clamps to one
-// worker per work unit (SM shards plus L2 partitions), and on a single-core
-// runtime any multi-worker request degrades to serial unless
-// ForceParallelism overrides.
+// worker per work unit (SM shards plus L2 partitions).
 func TestParallelOptionsClamp(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 1},
@@ -168,21 +161,10 @@ func TestParallelOptionsClamp(t *testing.T) {
 		{4, 4},
 		{64, parCfg().NumSM + parCfg().L2Partitions},
 	} {
-		opt := Options{Config: parCfg(), Parallelism: tc.in, ForceParallelism: true}.withDefaults()
+		opt := Options{Config: parCfg(), Parallelism: tc.in}.withDefaults()
 		if opt.Parallelism != tc.want {
 			t.Errorf("Parallelism %d defaulted to %d, want %d", tc.in, opt.Parallelism, tc.want)
 		}
-	}
-	got := Options{Config: parCfg(), Parallelism: 4}.withDefaults().Parallelism
-	if want := 4; runtime.GOMAXPROCS(0) == 1 {
-		// Extra workers cannot overlap the engine on one core; they only
-		// preempt it.
-		want = 1
-		if got != want {
-			t.Errorf("GOMAXPROCS=1: Parallelism 4 resolved to %d, want serial degrade to %d", got, want)
-		}
-	} else if got != want {
-		t.Errorf("multi-core: Parallelism 4 resolved to %d, want %d", got, want)
 	}
 }
 
@@ -205,7 +187,6 @@ func TestParallelStoreMergeOrder(t *testing.T) {
 		t.Fatal("stencil workload issued no stores; pick a store-heavy kernel")
 	}
 	opt.Parallelism = 4
-	opt.ForceParallelism = true
 	got, err := Run(k, opt)
 	if err != nil {
 		t.Fatal(err)

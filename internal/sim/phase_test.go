@@ -23,11 +23,10 @@ func TestPhaseProfileEquivalence(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		for _, slack := range []int{1, 0} {
 			opt := Options{
-				Config:           parCfg(),
-				NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
-				Parallelism:      p,
-				SlackWindow:      slack,
-				ForceParallelism: true,
+				Config:        parCfg(),
+				NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
+				Parallelism:   p,
+				SlackWindow:   slack,
 			}
 			want, err := Run(k, opt)
 			if err != nil {

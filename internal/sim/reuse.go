@@ -32,18 +32,6 @@ type Engine struct {
 // everything, exactly as the package-level Run does.
 func NewEngine() *Engine { return &Engine{} }
 
-// Close releases the engine's persistent barrier crew — the parked worker
-// goroutines its parallel runs reuse across Reset and pool recycling. Safe
-// on engines that never ran in parallel and safe to call repeatedly; the
-// Engine stays usable, the next parallel run simply starts a fresh crew.
-// Engines dropped without Close are covered by a finalizer backstop, but
-// long-lived holders (pools, services) should Close deterministically.
-func (en *Engine) Close() {
-	if en.e != nil {
-		en.e.closeCrew()
-	}
-}
-
 // Run simulates the kernel, recycling the engine's arenas when the config
 // matches the previous run. Prefetchers are always constructed fresh from
 // opt.NewPrefetcher; use RunTagged to recycle prefetcher instances too.
@@ -66,9 +54,6 @@ func (en *Engine) RunTagged(k *trace.Kernel, opt Options, tag string) (*Result, 
 	if en.e != nil && en.e.cfg == opt.Config {
 		en.e.reinit(k, opt, tag != "" && tag == en.tag)
 	} else {
-		if en.e != nil {
-			en.e.closeCrew() // don't leave the replaced engine's crew to the finalizer
-		}
 		en.e = newEngine(k, opt)
 	}
 	en.tag = tag
@@ -101,9 +86,6 @@ func (en *Engine) RunAppTagged(a *trace.App, opt Options, tag string) (*AppResul
 	if en.e != nil && en.e.cfg == opt.Config {
 		en.e.reinitApp(a, opt, tag != "" && tag == en.tag)
 	} else {
-		if en.e != nil {
-			en.e.closeCrew()
-		}
 		en.e = newEngineApp(a, opt)
 	}
 	en.tag = tag
@@ -148,7 +130,7 @@ func (e *engine) reinitApp(a *trace.App, opt Options, reusePf bool) {
 	e.dispatchAt = e.dispatchAt[:0]
 	e.utilSnap = e.utilSnap[:0]
 	// Slack parameters depend on opt (SlackWindow may differ between runs on
-	// the same config), and the conflict fallback must not leak across runs.
+	// the same config), and a recorded conflict must not leak across runs.
 	e.initSlack()
 	e.shStats.Reset()
 	for i, sh := range e.shards {

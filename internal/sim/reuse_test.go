@@ -26,8 +26,7 @@ func reuseMechs() map[string]func(int) prefetch.Prefetcher {
 // window must produce Results bit-identical to a fresh
 // construction for each run. One Engine per mechanism survives the whole
 // matrix, so each run reinitializes state dirtied by a different kernel (the
-// slack epoch buffers included). ForceParallelism keeps the multi-worker
-// paths real on single-core runners.
+// slack epoch buffers included).
 func TestPooledEquivalenceMatrix(t *testing.T) {
 	// (Parallelism, SlackWindow) pairs covering both axes without squaring
 	// the matrix: per-cycle serial, short epochs under the sharded barrier,
@@ -43,7 +42,7 @@ func TestPooledEquivalenceMatrix(t *testing.T) {
 			for _, cell := range cells {
 				opt := Options{
 					Config: parCfg(), NewPrefetcher: pf,
-					Parallelism: cell.p, SlackWindow: cell.slack, ForceParallelism: true,
+					Parallelism: cell.p, SlackWindow: cell.slack,
 				}
 				want, err := Run(k, opt)
 				if err != nil {
@@ -137,17 +136,18 @@ func TestEngineReuseUntaggedRebuildsPrefetchers(t *testing.T) {
 // once warm, re-running a kernel on a recycled Engine performs near-zero heap
 // allocations — the arenas (warp contexts, cache line index, MSHR files, port
 // rings, stats shards, route views, scatter scratch) are all reused in place,
-// and in parallel mode the barrier crew is a parked persistent group, not a
-// per-run goroutine spawn. The bound leaves headroom for the Result copy and
-// the prefetcher's small per-run maps; a fresh engine costs thousands of
-// allocations per run (the fresh rows of BenchmarkSimulatorThroughput).
+// and in parallel mode the barrier group is embedded in the engine, so a run
+// allocates only its worker goroutines' spawns. The bound leaves headroom for
+// the Result copy and the prefetcher's small per-run maps; a fresh engine
+// costs thousands of allocations per run (the fresh rows of
+// BenchmarkSimulatorThroughput).
 //
 // The par4 measurement pins the allocation-flat-parallel-mode claim: a warm
-// pooled run must cost the same whether it ticks serially or on a
-// ForceParallelism=4 crew (the multi-worker barrier, the epoch bitsets, the
-// due views and the scatter none of them allocate per run). It is checked on
-// the tiny shape and on the mid-scale lps shape of the benchmark's pooled
-// parN rows.
+// pooled run must cost the same, up to the three worker spawns, whether it
+// ticks serially or on four workers (the multi-worker barrier, the epoch
+// bitsets and the due views allocate nothing per run). It is checked on the
+// tiny shape and on the mid-scale lps shape of the benchmark's pooled parN
+// rows.
 func TestRepeatedRunAllocs(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -164,23 +164,21 @@ func TestRepeatedRunAllocs(t *testing.T) {
 		}
 		measure := func(opt Options) float64 {
 			en := NewEngine()
-			defer en.Close()
 			run := func() {
 				if _, err := en.RunTagged(k, opt, "snake"); err != nil {
 					t.Fatal(err)
 				}
 			}
-			run() // warm: first run constructs everything, including the crew
+			run() // warm: first run constructs everything
 			return testing.AllocsPerRun(20, run)
 		}
 		pf := func(int) prefetch.Prefetcher { return core.NewSnake() }
 		serial := measure(Options{Config: sh.cfg, NewPrefetcher: pf})
-		par := measure(Options{Config: sh.cfg, NewPrefetcher: pf, Parallelism: 4, ForceParallelism: true})
+		par := measure(Options{Config: sh.cfg, NewPrefetcher: pf, Parallelism: 4})
 		t.Logf("%s: steady-state allocs/run: serial=%.1f par4=%.1f", sh.name, serial, par)
 		if raceEnabled {
 			// The race detector allocates for its own bookkeeping; the loops
-			// above still provide race coverage of the reuse and crew-reuse
-			// paths.
+			// above still provide race coverage of the reuse paths.
 			continue
 		}
 		const bound = 64

@@ -3,10 +3,8 @@ package sim
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
-	"time"
 
 	"snake/internal/core"
 	"snake/internal/prefetch"
@@ -132,80 +130,65 @@ func TestRoutePlanReplaysSerialArrivalOrder(t *testing.T) {
 // stages them, with heavy same-cycle ties across shards) must come out of the
 // counting scatter in exactly (cycle, smID, seq) order — the order the
 // per-cycle serial engine appended. Pass 1 runs through the real shard
-// tickSpan; the par leg drives the crew scatter path (runTasks) that the
-// -race CI leg exercises.
+// tickSpan.
 func TestStoreScatterMatchesSerialOracle(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	for _, par := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 12; trial++ {
-			e := newEngine(k, Options{Config: parCfg()}.withDefaults())
-			// Stores must mature strictly past the epoch end (mergeStores
-			// asserts it); the white-box streams below are staged inside the
-			// epoch, so widen the horizon instead of modeling maturation.
-			e.horizon = 1 << 20
-			if par {
-				e.crew = startShardGroup(4)
-				e.group = e.crew
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 12; trial++ {
+		e := newEngine(k, Options{Config: parCfg()}.withDefaults())
+		// Stores must mature strictly past the epoch end (mergeStores
+		// asserts it); the white-box streams below are staged inside the
+		// epoch, so widen the horizon instead of modeling maturation.
+		e.horizon = 1 << 20
+		start := int64(1000)
+		end := start + int64(rng.Intn(60))
+		var want []storeMsg
+		for si, sh := range e.shards {
+			n := rng.Intn(40)
+			if si == 0 {
+				n = 0 // store-free shards must be skipped by the active scan
 			}
-			start := int64(1000)
-			end := start + int64(rng.Intn(60))
-			var want []storeMsg
-			for si, sh := range e.shards {
-				n := rng.Intn(40)
-				if par {
-					// Every shard active and the epoch total past
-					// scatterParallelMin, so the crew path is really taken.
-					n += scatterParallelMin
-				} else if si == 0 {
-					n = 0 // store-free shards must be skipped by the active scan
-				}
-				c := start
-				for i := 0; i < n; i++ {
-					if rng.Intn(2) == 0 {
-						c += int64(rng.Intn(3))
-						if c > end {
-							c = end
-						}
+			c := start
+			for i := 0; i < n; i++ {
+				if rng.Intn(2) == 0 {
+					c += int64(rng.Intn(3))
+					if c > end {
+						c = end
 					}
-					sh.out.addStore(uint64(rng.Intn(1<<20))<<7, c)
 				}
-				want = append(want, sh.out.stores...)
-				sh.tickSpan(start, end) // pass 1: per-sub-cycle counts
+				sh.out.addStore(uint64(rng.Intn(1<<20))<<7, c)
 			}
-			sort.SliceStable(want, func(i, j int) bool {
-				a, b := &want[i], &want[j]
-				if a.cycle != b.cycle {
-					return a.cycle < b.cycle
-				}
-				if a.sm != b.sm {
-					return a.sm < b.sm
-				}
-				return a.seq < b.seq
-			})
-			e.mergeStores(start, end)
-			if !reflect.DeepEqual(e.stores, want) && len(e.stores)+len(want) > 0 {
-				t.Fatalf("par=%v trial %d: scatter produced %d stores diverging from the (cycle, smID, seq) oracle (%d)",
-					par, trial, len(e.stores), len(want))
+			want = append(want, sh.out.stores...)
+			sh.tickSpan(start, end) // pass 1: per-sub-cycle counts
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := &want[i], &want[j]
+			if a.cycle != b.cycle {
+				return a.cycle < b.cycle
 			}
-			for si, sh := range e.shards {
-				if len(sh.out.stores) != 0 {
-					t.Fatalf("par=%v trial %d: shard %d egress not cleared", par, trial, si)
-				}
+			if a.sm != b.sm {
+				return a.sm < b.sm
 			}
-			if par {
-				e.group = nil
-				e.closeCrew()
+			return a.seq < b.seq
+		})
+		e.mergeStores(start, end)
+		if !reflect.DeepEqual(e.stores, want) && len(e.stores)+len(want) > 0 {
+			t.Fatalf("trial %d: scatter produced %d stores diverging from the (cycle, smID, seq) oracle (%d)",
+				trial, len(e.stores), len(want))
+		}
+		for si, sh := range e.shards {
+			if len(sh.out.stores) != 0 {
+				t.Fatalf("trial %d: shard %d egress not cleared", trial, si)
 			}
 		}
 	}
 }
 
 // TestScatterHighParallelismEquivalence is the end-to-end race target for the
-// parallel route and store scatter: twelve forced workers, both extreme slack
-// windows, two store-heavy Table 2 benchmarks, bit-identical to serial. The
-// CI -race leg runs this (with the white-box scatter/route tests) at
-// GOMAXPROCS≥4.
+// parallel route and the per-shard store counts the merge scatters by: twelve
+// workers, both extreme slack windows, two store-heavy Table 2 benchmarks,
+// bit-identical to serial. The CI -race leg runs this (with the white-box
+// scatter/route tests).
 func TestScatterHighParallelismEquivalence(t *testing.T) {
 	pf := func(int) prefetch.Prefetcher { return core.NewSnake() }
 	for _, name := range []string{"lps", "mum"} {
@@ -220,7 +203,7 @@ func TestScatterHighParallelismEquivalence(t *testing.T) {
 		for _, slack := range []int{1, 0} { // per-cycle barriers and the full audit bound
 			got, err := Run(k, Options{
 				Config: parCfg(), NewPrefetcher: pf,
-				Parallelism: 12, SlackWindow: slack, ForceParallelism: true,
+				Parallelism: 12, SlackWindow: slack,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -233,126 +216,5 @@ func TestScatterHighParallelismEquivalence(t *testing.T) {
 					name, slack, got.Stats, want.Stats)
 			}
 		}
-	}
-}
-
-// TestCrewPersistsAcrossRunsAndReset pins the persistent-crew contract: the
-// parked worker group created by the first parallel run survives pooled
-// reruns, engine Reset across kernels, and prefetcher recycling — it is
-// replaced only when the engine is recycled under a different Parallelism —
-// and the active-group alias never outlives a run.
-func TestCrewPersistsAcrossRunsAndReset(t *testing.T) {
-	lps, err := workloads.Build("lps", workloads.Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mum, err := workloads.Build("mum", workloads.Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf := func(int) prefetch.Prefetcher { return core.NewSnake() }
-	opt := Options{Config: parCfg(), NewPrefetcher: pf, Parallelism: 4, ForceParallelism: true}
-	en := NewEngine()
-	defer en.Close()
-	if _, err := en.RunTagged(lps, opt, "snake"); err != nil {
-		t.Fatal(err)
-	}
-	crew := en.e.crew
-	if crew == nil || crew.n != 4 {
-		t.Fatal("first parallel run left no 4-worker crew")
-	}
-	if en.e.group != nil {
-		t.Fatal("active-group alias survived the run")
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := en.RunTagged(lps, opt, "snake"); err != nil {
-			t.Fatal(err)
-		}
-		if en.e.crew != crew {
-			t.Fatalf("pooled rerun %d respawned the crew", i)
-		}
-	}
-	// Reset across a different kernel keeps the crew too.
-	if _, err := en.RunTagged(mum, opt, "snake"); err != nil {
-		t.Fatal(err)
-	}
-	if en.e.crew != crew {
-		t.Fatal("engine Reset across kernels respawned the crew")
-	}
-	// A serial run parks the crew without touching it.
-	serial := opt
-	serial.Parallelism = 1
-	serial.ForceParallelism = false
-	if _, err := en.RunTagged(lps, serial, "snake"); err != nil {
-		t.Fatal(err)
-	}
-	if en.e.crew != crew {
-		t.Fatal("serial run on a pooled engine disturbed the parked crew")
-	}
-	// Only a Parallelism change replaces it.
-	wider := opt
-	wider.Parallelism = 8
-	if _, err := en.RunTagged(lps, wider, "snake"); err != nil {
-		t.Fatal(err)
-	}
-	if en.e.crew == crew || en.e.crew == nil || en.e.crew.n != 8 {
-		t.Fatal("parallelism change must rebuild the crew at the new width")
-	}
-}
-
-// TestCrewWorkersReleasedOnClose is the goroutine-leak test: parallel runs
-// park workers rather than exiting them, so Close (and the config-change
-// engine replacement inside RunTagged) must return the process to its
-// pre-engine goroutine count.
-func TestCrewWorkersReleasedOnClose(t *testing.T) {
-	goroutinesSettleTo := func(baseline int) bool {
-		for i := 0; i < 200; i++ {
-			if runtime.NumGoroutine() <= baseline {
-				return true
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		return false
-	}
-	k, err := workloads.Build("lps", workloads.Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf := func(int) prefetch.Prefetcher { return core.NewSnake() }
-	opt := Options{Config: parCfg(), NewPrefetcher: pf, Parallelism: 4, ForceParallelism: true}
-	// Flush finalizer-driven crew teardown left by earlier tests so the
-	// baseline is stable before we start counting.
-	runtime.GC()
-	runtime.GC()
-	time.Sleep(20 * time.Millisecond)
-	baseline := runtime.NumGoroutine()
-
-	en := NewEngine()
-	if _, err := en.RunTagged(k, opt, "snake"); err != nil {
-		t.Fatal(err)
-	}
-	if g := runtime.NumGoroutine(); g < baseline+3 {
-		t.Fatalf("parked crew missing: %d goroutines, want >= %d (3 workers beyond baseline)", g, baseline+3)
-	}
-	en.Close()
-	if !goroutinesSettleTo(baseline) {
-		t.Fatalf("Close leaked crew workers: %d goroutines, baseline %d", runtime.NumGoroutine(), baseline)
-	}
-
-	// Close is idempotent and the engine stays usable: the next parallel run
-	// starts a fresh crew, and a config change mid-pool must close the
-	// replaced engine's crew rather than abandon it to the finalizer.
-	en.Close()
-	if _, err := en.RunTagged(k, opt, "snake"); err != nil {
-		t.Fatal(err)
-	}
-	smaller := opt
-	smaller.Config = tinyCfg()
-	if _, err := en.RunTagged(k, smaller, "snake"); err != nil {
-		t.Fatal(err)
-	}
-	en.Close()
-	if !goroutinesSettleTo(baseline) {
-		t.Fatalf("config-change replacement leaked crew workers: %d goroutines, baseline %d", runtime.NumGoroutine(), baseline)
 	}
 }

@@ -64,7 +64,6 @@ func RunSequence(kernels []*trace.Kernel, opt SequenceOptions) (*SequenceResult,
 	}
 
 	e := newEngine(kernels[0], base)
-	defer e.closeCrew() // the crew persists across the sequence's runs, not past it
 	out := &SequenceResult{}
 	var prevInsts int64
 	for i, k := range kernels {

@@ -194,8 +194,7 @@ func (sh *shard) tickSpan(from, to int64) {
 // and clear the egress. storeCnt holds the destination offset for each
 // sub-cycle's group after the engine's prefix-sum; consecutive stores of one
 // sub-cycle land at consecutive offsets, preserving seq order within the
-// group. Offsets of different shards are disjoint by construction, so
-// scatters may run concurrently.
+// group. Offsets of different shards are disjoint by construction.
 func (sh *shard) scatterStores(dst []storeMsg, from int64) {
 	for i := range sh.out.stores {
 		m := &sh.out.stores[i]

@@ -92,7 +92,7 @@ func (e *engine) initSlack() {
 		Clamped:     clamped,
 		BindingTerm: a.Limiting().Name,
 	}
-	e.slackOK = true
+	e.slackErr = nil
 	e.epochStart = 0
 	e.respSeq = 0
 	e.minReqLat = latencyUnobserved
@@ -107,22 +107,16 @@ func (e *engine) initSlack() {
 	}
 }
 
-// slackConflictFatal makes a slack conflict panic instead of degrading. It
-// is on under the race detector and in the sim tests (the equivalence
-// matrices must fail loudly, not quietly fall back to per-cycle barriers)
-// and off in production binaries, where the safe response to the impossible
-// is to keep simulating correctly at SlackWindow=1.
-var slackConflictFatal = raceEnabled
-
-// slackConflict handles an event whose replay cycle landed inside its own
+// slackConflict records an event whose replay cycle landed inside its own
 // epoch — impossible while every access path honours the L2 latency floor
 // (memPartition.access) and the epoch cutter honours the turnaround bound
-// (actBound), so reaching here means one of those invariants broke.
+// (actBound), so reaching here means one of those invariants broke and the
+// epoch's stats cannot be trusted. The first conflict fails the run: run
+// returns it once the epoch's merge completes.
 func (e *engine) slackConflict(matureAt, end int64) {
-	if slackConflictFatal {
-		panic(fmt.Sprintf("sim: slack conflict: event matures at %d within epoch ending %d (horizon %d, turnaround %d)", matureAt, end, e.horizon, e.turn))
+	if e.slackErr == nil {
+		e.slackErr = fmt.Errorf("sim: slack conflict: event matures at %d within epoch ending %d (horizon %d, turnaround %d)", matureAt, end, e.horizon, e.turn)
 	}
-	e.slackOK = false
 }
 
 // --- adaptive epoch cutter ----------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"snake/internal/config"
@@ -115,7 +116,7 @@ func TestSlackCancellationMidEpoch(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Scale{CTAs: 8, WarpsPerCTA: 4, Iters: 32}, 4096)
 	bound := int64(parCfg().SlackBound())
 	for _, window := range []int64{2, bound, bound + 1} {
-		opt := Options{Config: parCfg(), Parallelism: 4, ForceParallelism: true, SlackWindow: int(window)}
+		opt := Options{Config: parCfg(), Parallelism: 4, SlackWindow: int(window)}
 		en := NewEngine()
 		// countdownCtx (loop_test.go) cancels deterministically on the second
 		// poll — a poll site inside an epoch's serial phase, between barriers,
@@ -144,34 +145,37 @@ func TestSlackCancellationMidEpoch(t *testing.T) {
 	}
 }
 
-// TestSlackConflictFatalPanics pins the test/race-build behavior: a response
-// maturing inside its own epoch is an invariant violation and must fail
-// loudly, not silently degrade.
-func TestSlackConflictFatalPanics(t *testing.T) {
-	old := slackConflictFatal
-	slackConflictFatal = true
-	defer func() { slackConflictFatal = old }()
-	e := &engine{horizon: 8, slackOK: true}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("slackConflict did not panic with slackConflictFatal set")
+// TestSlackConflictFailsRun pins the one conflict behaviour, in every build:
+// an event maturing inside its own epoch is an invariant violation, so the
+// run that hits it returns an error instead of reporting stats from a
+// schedule it cannot trust. The conflict is forced by dropping the horizon
+// below the L2 latency floor after construction, so the first response
+// merged lands inside its own epoch; a recycled engine starts clean.
+func TestSlackConflictFailsRun(t *testing.T) {
+	k, err := workloads.Build("lps", workloads.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 4} {
+		opt := Options{Config: parCfg(), Parallelism: p}.withDefaults()
+		e := newEngine(k, opt)
+		e.horizon = 1
+		err := e.run()
+		if err == nil || !strings.Contains(err.Error(), "slack conflict") {
+			t.Fatalf("P=%d: run with a horizon below the L2 latency floor returned %v, want a slack conflict", p, err)
 		}
-	}()
-	e.slackConflict(5, 10)
-}
-
-// TestSlackConflictDegradesInProduction pins the production behavior: the
-// same violation drops the engine to per-cycle epochs (slackOK false → every
-// later epoch has length 1), which is always correct, instead of crashing a
-// long sweep.
-func TestSlackConflictDegradesInProduction(t *testing.T) {
-	old := slackConflictFatal
-	slackConflictFatal = false
-	defer func() { slackConflictFatal = old }()
-	e := &engine{horizon: 8, slackOK: true}
-	e.slackConflict(5, 10)
-	if e.slackOK {
-		t.Fatal("slackConflict left slackOK set; production fallback to per-cycle epochs is broken")
+		first := e.slackErr
+		e.slackConflict(1, 2)
+		if e.slackErr != first {
+			t.Errorf("P=%d: a later conflict replaced the first one's error", p)
+		}
+		e.reinit(k, opt, false)
+		if e.slackErr != nil {
+			t.Fatalf("P=%d: reinit kept the previous run's conflict: %v", p, e.slackErr)
+		}
+		if err := e.run(); err != nil {
+			t.Fatalf("P=%d: recycled engine failed after a conflicted run: %v", p, err)
+		}
 	}
 }
 
@@ -214,8 +218,8 @@ func TestInitSlackClamps(t *testing.T) {
 		if e.slackMax != c.want {
 			t.Errorf("SlackWindow=%d: slackMax=%d, want %d", c.window, e.slackMax, c.want)
 		}
-		if !e.slackOK {
-			t.Errorf("SlackWindow=%d: slackOK not reset", c.window)
+		if e.slackErr != nil {
+			t.Errorf("SlackWindow=%d: slackErr not reset", c.window)
 		}
 		info := SlackInfo{
 			Horizon: bound, Window: c.want, Turnaround: wantTurn,
@@ -248,7 +252,7 @@ func TestSlackWindowSweepEquivalence(t *testing.T) {
 		for _, window := range slackWindowSweep(bound) {
 			for _, p := range []int{1, 4} {
 				opt := Options{
-					Config: cfg, Parallelism: p, ForceParallelism: p > 1,
+					Config: cfg, Parallelism: p,
 					SlackWindow: int(window), ChainPersistence: persist,
 				}
 				got, err := RunApp(app, opt)
@@ -257,7 +261,7 @@ func TestSlackWindowSweepEquivalence(t *testing.T) {
 				}
 				if refApp == nil {
 					ref := opt
-					ref.Parallelism, ref.ForceParallelism, ref.SlackWindow = 1, false, 1
+					ref.Parallelism, ref.SlackWindow = 1, 1
 					if refApp, err = RunApp(app, ref); err != nil {
 						t.Fatal(err)
 					}
@@ -273,7 +277,7 @@ func TestSlackWindowSweepEquivalence(t *testing.T) {
 		for _, p := range []int{1, 4} {
 			got, err := Run(k, Options{
 				Config: cfg, NewPrefetcher: parMechs()["snake"], Parallelism: p,
-				ForceParallelism: p > 1, SlackWindow: int(window),
+				SlackWindow: int(window),
 			})
 			if err != nil {
 				t.Fatalf("w=%d P=%d: %v", window, p, err)
@@ -318,11 +322,10 @@ func TestSlackBarrierDensity(t *testing.T) {
 		for i, p := range []int{1, 4} {
 			var prof profiling.Phases
 			res, err := Run(k, Options{
-				Config:           config.Scaled(8, 48),
-				NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
-				Parallelism:      p,
-				ForceParallelism: p > 1,
-				PhaseProfile:     &prof,
+				Config:        config.Scaled(8, 48),
+				NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
+				Parallelism:   p,
+				PhaseProfile:  &prof,
 			})
 			if err != nil {
 				t.Fatal(err)
