@@ -3,10 +3,12 @@ package cluster
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"snake/internal/stats"
@@ -19,7 +21,7 @@ type Tier int
 const (
 	TierNone   Tier = iota // miss everywhere
 	TierMemory             // resident LRU
-	TierDisk               // content-addressed spill file
+	TierDisk               // a slot of the disk tier's slot file
 	TierPeer               // fetched from the owning peer's cache
 )
 
@@ -44,10 +46,10 @@ type StoreOptions struct {
 	// the original flat-map behavior.
 	MaxBytes int64
 	// Dir enables the disk tier: every admitted result is written through to
-	// a content-addressed file here, so eviction from the memory tier only
-	// drops the resident copy and files present at startup are served (the
-	// whole cache survives restarts). Empty disables it, making eviction a
-	// plain drop.
+	// a fixed-size slot of the slot file here, so eviction from the memory
+	// tier only drops the resident copy and slots present at startup are
+	// served (the whole cache survives restarts). Empty disables it, making
+	// eviction a plain drop.
 	Dir string
 	// PeerFetch, when non-nil, is the tier-3 lookup consulted after a local
 	// miss (typically Cluster.FetchResult). A hit is admitted to the memory
@@ -59,6 +61,30 @@ type StoreOptions struct {
 // key string) charged against MaxBytes on top of the encoded value.
 const entryOverhead = 128
 
+// The disk tier is one file of fixed-size slots after a header:
+//
+//	header: magic [8] | version u32 | slot size u32 | stats.LayoutFingerprint u64
+//	slot:   key [64] | JSON size u32 | stats.Sim binary [stats.BinarySize] | CRC-32 u32
+//
+// Integers are little-endian. The CRC-32 (IEEE) covers the slot's bytes
+// before it. The JSON size is the result's canonical JSON length, which the
+// memory tier charges on promotion. Keys are harness.RunKey hashes: 64
+// lowercase hex characters, so every slot has the same size and slot i
+// starts at slotHeaderSize + i*slotSize.
+const (
+	slotFileName   = "results.slots"
+	slotMagic      = "snakeRS\x00"
+	slotVersion    = 1
+	slotHeaderSize = 24
+	slotKeyLen     = 64
+	slotSize       = slotKeyLen + 4 + stats.BinarySize + 4
+	// scanChunk is how many slots one startup read covers.
+	scanChunk = 256
+)
+
+// errBadSlot reports a slot whose checksum or key does not match.
+var errBadSlot = errors.New("cluster: corrupt result slot")
+
 // Store is the content-addressed result cache behind snaked: keys are
 // harness.RunKey hashes, values are completed simulation stats. Tier 1 is a
 // byte-accounted LRU; tier 2 (disk, when enabled) holds every result via
@@ -68,22 +94,24 @@ const entryOverhead = 128
 // deterministic, so entries never expire and first write wins.
 //
 // Locking discipline: mu guards only the in-memory structures and the disk
-// index. Disk I/O (spill writes, reads, deletes) always runs outside the
-// lock — a write is reserved under the lock via the spilling set, performed
+// index. Disk I/O (slot writes and reads) always runs outside the lock — a
+// write reserves its slot under the lock via the spilling set, is performed
 // unlocked, then confirmed or rolled back — so memory hits never serialize
 // behind another goroutine's disk traffic.
 type Store struct {
 	maxBytes  int64
-	dir       string
+	file      *os.File // the slot file; nil when the disk tier is off. Set only by NewStore.
 	peerFetch func(ctx context.Context, key string) (*stats.Sim, bool)
 
 	mu       sync.Mutex
 	ll       *list.List // front = most recently used
 	idx      map[string]*list.Element
 	memBytes int64
-	diskIdx  map[string]int64 // key -> spill file size in bytes
-	dBytes   int64
-	spilling map[string]bool // keys whose spill write is in flight (unlocked I/O)
+	diskIdx  map[string]int64 // key -> its slot's index
+	slots    int64            // slots reserved so far; the next write takes this index
+	dBytes   int64            // slot file length: header + every slot scanned or written
+	spilling map[string]bool  // keys whose slot write is in flight (unlocked I/O)
+	closed   bool
 
 	memHits, diskHits, peerHits, misses int64
 	evictions, spills                   int64
@@ -96,45 +124,136 @@ type entry struct {
 	size int64
 }
 
-// NewStore builds the store. A Dir that cannot be created or scanned
-// disables the disk tier (counted in DiskErrors) rather than failing: the
-// store is a cache, and a cache that cannot spill still serves.
+// NewStore builds the store. A Dir that cannot be created, opened or
+// scanned disables the disk tier (counted in DiskErrors) rather than
+// failing: the store is a cache, and a cache that cannot spill still
+// serves.
 func NewStore(opt StoreOptions) *Store {
 	s := &Store{
 		maxBytes:  opt.MaxBytes,
-		dir:       opt.Dir,
 		peerFetch: opt.PeerFetch,
 		ll:        list.New(),
 		idx:       make(map[string]*list.Element),
 		diskIdx:   make(map[string]int64),
 		spilling:  make(map[string]bool),
 	}
-	if s.dir != "" {
-		if err := os.MkdirAll(s.dir, 0o755); err != nil {
-			s.dir = ""
+	if opt.Dir != "" {
+		if err := s.openSlots(opt.Dir); err != nil {
 			s.diskErrors++
-			return s
-		}
-		ents, err := os.ReadDir(s.dir)
-		if err != nil {
-			s.dir = ""
-			s.diskErrors++
-			return s
-		}
-		for _, e := range ents {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".json") {
-				continue
-			}
-			info, err := e.Info()
-			if err != nil {
-				continue
-			}
-			s.diskIdx[strings.TrimSuffix(name, ".json")] = info.Size()
-			s.dBytes += info.Size()
 		}
 	}
 	return s
+}
+
+// openSlots opens (creating it if needed) the slot file in dir and rebuilds
+// the disk index from it.
+func (s *Store) openSlots(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(filepath.Join(dir, slotFileName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	if err := s.scanSlots(f); err != nil {
+		f.Close()
+		clear(s.diskIdx)
+		s.slots, s.dBytes = 0, 0
+		return err
+	}
+	s.file = f
+	return nil
+}
+
+// scanSlots indexes f's slots. A file without this build's header (none at
+// all, or another format version, slot size or stats.Sim layout) is reset
+// to an empty slot file, so an old layout is never decoded. A partial
+// trailing slot, left by a write cut short, is truncated. A slot whose
+// checksum or key is bad is skipped and counted in DiskErrors, and the scan
+// goes on: slots are fixed-size, so one bad slot hides no other. When two
+// slots hold one key the first wins.
+func (s *Store) scanSlots(f *os.File) error {
+	info, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := info.Size()
+	want := slotHeader()
+	var got [slotHeaderSize]byte
+	if size >= slotHeaderSize {
+		if _, err := f.ReadAt(got[:], 0); err != nil {
+			return err
+		}
+	}
+	if got != want {
+		if err := f.Truncate(0); err != nil {
+			return err
+		}
+		_, err := f.WriteAt(want[:], 0)
+		s.dBytes = slotHeaderSize
+		return err
+	}
+	n := (size - slotHeaderSize) / slotSize
+	if end := slotOffset(n); end != size {
+		if err := f.Truncate(end); err != nil {
+			return err
+		}
+	}
+	buf := make([]byte, scanChunk*slotSize)
+	for i := int64(0); i < n; {
+		m := min(n-i, scanChunk)
+		chunk := buf[:m*slotSize]
+		if _, err := f.ReadAt(chunk, slotOffset(i)); err != nil {
+			return err
+		}
+		for j := int64(0); j < m; j, i = j+1, i+1 {
+			b := chunk[j*slotSize : (j+1)*slotSize]
+			key := string(b[:slotKeyLen])
+			if !sealed(b) || !validKey(key) {
+				s.diskErrors++
+				continue
+			}
+			if _, dup := s.diskIdx[key]; !dup {
+				s.diskIdx[key] = i
+			}
+		}
+	}
+	s.slots = n
+	s.dBytes = slotOffset(n)
+	return nil
+}
+
+// slotHeader is the header this build writes and accepts.
+func slotHeader() [slotHeaderSize]byte {
+	var h [slotHeaderSize]byte
+	copy(h[:], slotMagic)
+	binary.LittleEndian.PutUint32(h[8:], slotVersion)
+	binary.LittleEndian.PutUint32(h[12:], slotSize)
+	binary.LittleEndian.PutUint64(h[16:], stats.LayoutFingerprint())
+	return h
+}
+
+// slotOffset is where slot i starts in the slot file.
+func slotOffset(i int64) int64 { return slotHeaderSize + i*slotSize }
+
+// sealed reports whether slot b's CRC-32 matches its contents.
+func sealed(b []byte) bool {
+	return crc32.ChecksumIEEE(b[:slotSize-4]) == binary.LittleEndian.Uint32(b[slotSize-4:])
+}
+
+// validKey reports whether key can have a slot: 64 lowercase hex
+// characters, the shape of a harness.RunKey hash. Other keys stay
+// memory-only.
+func validKey(key string) bool {
+	if len(key) != slotKeyLen {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // SetPeerFetch installs the tier-3 lookup after construction (the service
@@ -166,8 +285,9 @@ func (s *Store) Get(ctx context.Context, key string) (*stats.Sim, Tier) {
 
 // GetLocal looks key up in the local tiers only (memory, then disk) — the
 // peer cache endpoint serves from this, so cross-node lookups never
-// recurse. A disk hit is promoted into the memory tier (the spill read runs
-// outside the lock); its spill file is kept, making re-eviction free.
+// recurse. A disk hit is promoted into the memory tier (the slot read runs
+// outside the lock); its slot is kept, making re-eviction free. After
+// Close the disk tier answers every lookup with a plain miss.
 func (s *Store) GetLocal(key string) (*stats.Sim, Tier) {
 	s.mu.Lock()
 	if el, ok := s.idx[key]; ok {
@@ -177,15 +297,20 @@ func (s *Store) GetLocal(key string) (*stats.Sim, Tier) {
 		s.mu.Unlock()
 		return st, TierMemory
 	}
-	_, onDisk := s.diskIdx[key]
+	slot, onDisk := s.diskIdx[key]
+	closed := s.closed
 	s.mu.Unlock()
-	if !onDisk {
+	if !onDisk || closed {
 		return nil, TierNone
 	}
-	st, n, err := s.readSpill(key)
+	st, n, err := s.readSlot(key, slot)
+	if errors.Is(err, os.ErrClosed) {
+		// Close won the race with this read: the slot is fine.
+		return nil, TierNone
+	}
 	if err != nil {
-		// Corrupt or unreadable spill: drop it and treat as a miss.
-		s.dropSpill(key)
+		// Corrupt or unreadable slot: drop it and treat as a miss.
+		s.dropSpill(key, slot)
 		return nil, TierNone
 	}
 	s.mu.Lock()
@@ -198,49 +323,52 @@ func (s *Store) GetLocal(key string) (*stats.Sim, Tier) {
 }
 
 // Put stores a completed result, writing through to the disk tier when
-// enabled (the file write runs outside the lock). First write wins: the
+// enabled (the slot write runs outside the lock). First write wins: the
 // simulations are deterministic, so a concurrent duplicate computed the
 // same stats.
 func (s *Store) Put(key string, st *stats.Sim) {
+	// The JSON encoding is only measured: it is what the memory tier charges.
 	b, err := json.Marshal(st)
-	if err != nil {
-		b = nil
-	}
+	size := int64(len(b))
 	s.mu.Lock()
 	if err != nil {
 		s.diskErrors++
 	}
-	evicted := s.admitLocked(key, st, int64(len(b)))
+	evicted := s.admitLocked(key, st, size)
 	var writes []spillJob
-	if b != nil && s.claimSpillLocked(key) {
-		writes = append(writes, spillJob{key: key, data: b})
+	if slot, ok := s.claimSpillLocked(key); ok {
+		writes = append(writes, spillJob{key: key, st: st, size: size, slot: slot})
 	}
 	writes = s.claimSpillsLocked(writes, evicted)
 	s.mu.Unlock()
 	s.writeSpills(writes)
 }
 
-// spillJob is one reserved write-through: the data to persist for key, with
-// the raw encoding when the caller already has it.
+// spillJob is one reserved write-through: key's stats, their JSON size, and
+// the slot reserved for them.
 type spillJob struct {
 	key  string
-	data []byte // pre-encoded; nil means encode st
 	st   *stats.Sim
+	size int64
+	slot int64
 }
 
-// claimSpillLocked reserves the write-through of key. True means the caller
-// must write the spill file outside the lock and report via finishSpill;
-// false when the disk tier is off, the key is already persisted, or another
-// goroutine's write is in flight.
-func (s *Store) claimSpillLocked(key string) bool {
-	if s.dir == "" || s.spilling[key] {
-		return false
+// claimSpillLocked reserves the write-through of key and returns the slot
+// to write. False when the disk tier is off or closed, the key cannot have
+// a slot, the key is already persisted, or another goroutine's write is in
+// flight; otherwise the caller must write the slot outside the lock and
+// report via finishSpill.
+func (s *Store) claimSpillLocked(key string) (int64, bool) {
+	if s.file == nil || s.closed || s.spilling[key] || !validKey(key) {
+		return 0, false
 	}
 	if _, ok := s.diskIdx[key]; ok {
-		return false
+		return 0, false
 	}
 	s.spilling[key] = true
-	return true
+	slot := s.slots
+	s.slots++
+	return slot, true
 }
 
 // claimSpillsLocked reserves writes for evicted entries that are not yet on
@@ -250,31 +378,36 @@ func (s *Store) claimSpillLocked(key string) bool {
 // the result is lost from both tiers, which is acceptable for a cache.
 func (s *Store) claimSpillsLocked(writes []spillJob, evicted []*entry) []spillJob {
 	for _, e := range evicted {
-		if s.claimSpillLocked(e.key) {
-			writes = append(writes, spillJob{key: e.key, st: e.st})
+		if slot, ok := s.claimSpillLocked(e.key); ok {
+			size := e.size - int64(len(e.key)) - entryOverhead // the JSON size admitLocked charged
+			writes = append(writes, spillJob{key: e.key, st: e.st, size: size, slot: slot})
 		}
 	}
 	return writes
 }
 
-// writeSpills performs reserved spill writes; the caller must not hold mu.
+// writeSpills performs reserved slot writes; the caller must not hold mu.
 func (s *Store) writeSpills(writes []spillJob) {
 	for _, w := range writes {
-		b := w.data
-		if b == nil {
-			var err error
-			if b, err = json.Marshal(w.st); err != nil {
-				s.finishSpill(w.key, 0, err)
-				continue
-			}
-		}
-		n, err := s.writeSpill(w.key, b)
-		s.finishSpill(w.key, n, err)
+		s.finishSpill(w.key, w.slot, s.writeSlot(w))
 	}
 }
 
-// finishSpill confirms or rolls back a reserved spill write.
-func (s *Store) finishSpill(key string, n int64, err error) {
+// writeSlot encodes w into its reserved slot with one positioned write. The
+// caller must not hold mu.
+func (s *Store) writeSlot(w spillJob) error {
+	var b [slotSize]byte
+	copy(b[:], w.key)
+	binary.LittleEndian.PutUint32(b[slotKeyLen:], uint32(w.size))
+	w.st.PutBinary(b[slotKeyLen+4:])
+	binary.LittleEndian.PutUint32(b[slotSize-4:], crc32.ChecksumIEEE(b[:slotSize-4]))
+	_, err := s.file.WriteAt(b[:], slotOffset(w.slot))
+	return err
+}
+
+// finishSpill confirms or rolls back a reserved slot write. A failed write
+// leaves a dead slot: it is never indexed, and a restart skips it.
+func (s *Store) finishSpill(key string, slot int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.spilling, key)
@@ -282,17 +415,57 @@ func (s *Store) finishSpill(key string, n int64, err error) {
 		s.diskErrors++
 		return
 	}
-	s.diskIdx[key] = n
-	s.dBytes += n
+	s.diskIdx[key] = slot
+	s.dBytes = max(s.dBytes, slotOffset(slot+1))
 	s.spills++
+}
+
+// readSlot loads key's stats from slot with one positioned read, checking
+// the slot's checksum and key first. It returns the stats and their JSON
+// size. The caller must not hold mu.
+func (s *Store) readSlot(key string, slot int64) (*stats.Sim, int64, error) {
+	var b [slotSize]byte
+	if _, err := s.file.ReadAt(b[:], slotOffset(slot)); err != nil {
+		return nil, 0, err
+	}
+	if !sealed(b[:]) || string(b[:slotKeyLen]) != key {
+		return nil, 0, errBadSlot
+	}
+	st := new(stats.Sim)
+	st.ReadBinary(b[slotKeyLen+4:])
+	return st, int64(binary.LittleEndian.Uint32(b[slotKeyLen:])), nil
+}
+
+// dropSpill unindexes a corrupt or unreadable slot. The slot stays in the
+// file; a restart's scan skips it if its checksum or key is bad.
+func (s *Store) dropSpill(key string, slot int64) {
+	s.mu.Lock()
+	if i, ok := s.diskIdx[key]; ok && i == slot {
+		delete(s.diskIdx, key)
+	}
+	s.diskErrors++
+	s.mu.Unlock()
+}
+
+// Close closes the slot file. Afterwards disk-tier lookups are plain misses
+// and new results stay in memory; the memory tier keeps serving. Close is
+// idempotent.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	already := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if s.file == nil || already {
+		return nil
+	}
+	return s.file.Close()
 }
 
 // admitLocked inserts into the memory tier and evicts from the cold end
 // until the byte budget holds again, returning the evicted entries so the
 // caller can re-spill any whose write-through failed. encoded is the size
-// of the value's JSON encoding (what a spill file holds). The entry being
-// admitted is never the eviction victim, so even an over-budget result
-// serves its job.
+// of the value's canonical JSON encoding. The entry being admitted is never
+// the eviction victim, so even an over-budget result serves its job.
 func (s *Store) admitLocked(key string, st *stats.Sim, encoded int64) []*entry {
 	if el, ok := s.idx[key]; ok {
 		s.ll.MoveToFront(el)
@@ -321,80 +494,10 @@ func (s *Store) evictLocked(el *list.Element) *entry {
 	return e
 }
 
-// spillPath is the content-addressed file for key. Keys are hex hashes; any
-// other shape is refused so a crafted key cannot escape the cache dir.
-func (s *Store) spillPath(key string) (string, bool) {
-	if key == "" || strings.ContainsAny(key, "/\\.") {
-		return "", false
-	}
-	return filepath.Join(s.dir, key+".json"), true
-}
-
-// writeSpill persists pre-encoded bytes for key (tmp + atomic rename). The
-// caller must not hold mu; s.dir is immutable after construction.
-func (s *Store) writeSpill(key string, b []byte) (int64, error) {
-	path, ok := s.spillPath(key)
-	if !ok {
-		return 0, os.ErrInvalid
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return int64(len(b)), nil
-}
-
-// readSpill loads key's spill file, returning the decoded stats and the
-// file's byte length. The caller must not hold mu.
-func (s *Store) readSpill(key string) (*stats.Sim, int64, error) {
-	path, ok := s.spillPath(key)
-	if !ok {
-		return nil, 0, os.ErrInvalid
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	st := new(stats.Sim)
-	if err := json.Unmarshal(b, st); err != nil {
-		return nil, 0, err
-	}
-	return st, int64(len(b)), nil
-}
-
-// dropSpill removes a corrupt or unreadable spill file and its accounting;
-// the file delete runs outside the lock.
-func (s *Store) dropSpill(key string) {
-	s.mu.Lock()
-	if n, ok := s.diskIdx[key]; ok {
-		delete(s.diskIdx, key)
-		s.dBytes -= n
-	}
-	s.diskErrors++
-	s.mu.Unlock()
-	if path, ok := s.spillPath(key); ok {
-		os.Remove(path)
-	}
-}
-
-// encodedSize is the byte cost charged for one result: its canonical JSON
-// encoding, which is also exactly what a spill file holds.
-func encodedSize(st *stats.Sim) int64 {
-	b, err := json.Marshal(st)
-	if err != nil {
-		return 0
-	}
-	return int64(len(b))
-}
-
 // StoreStats is a consistent snapshot of the store for metrics.
 type StoreStats struct {
 	MemEntries, MemBytes   int64
-	DiskEntries, DiskBytes int64
+	DiskEntries, DiskBytes int64 // DiskBytes: the slot file's length, dead slots included
 	Entries                int64 // unique keys resident in memory ∪ disk
 	MemHits, DiskHits      int64
 	PeerHits, Misses       int64

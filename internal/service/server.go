@@ -48,8 +48,9 @@ type Options struct {
 	// CacheMaxBytes bounds the in-memory result-cache tier; eviction
 	// offloads to CacheDir when set, else drops. 0 means unbounded.
 	CacheMaxBytes int64
-	// CacheDir enables the disk spillover tier (content-addressed files;
-	// survives restarts). Empty disables it.
+	// CacheDir enables the disk tier: one file of fixed-size result slots
+	// there, written through on every admission, which survives restarts.
+	// Empty disables it.
 	CacheDir string
 	// Self is this node's advertised base URL; with Peers it joins the node
 	// to a cluster. Ignored (standalone) when Peers is empty, and vice
@@ -198,7 +199,8 @@ func New(opt Options) *Service {
 
 // Shutdown stops intake and drains: queued and running jobs complete
 // normally. If ctx expires first, running simulations are aborted through
-// their contexts and ctx.Err is returned.
+// their contexts and ctx.Err is returned. Once drained it closes the result
+// store's disk tier.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -211,14 +213,20 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		return nil
 	case <-ctx.Done():
 		s.baseCancel()
 		<-done
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	// Every job has finished, so nothing writes the store any more; a late
+	// peer cache lookup now misses the disk tier instead of reading it.
+	if cerr := s.store.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("service: closing the result store: %w", cerr)
+	}
+	return err
 }
 
 // normalize validates a RunRequest against the registries and fills
@@ -383,14 +391,16 @@ func (s *Service) enqueueLocked(sp spec, sweepID string) (*job, error) {
 	return j, nil
 }
 
-// SubmitSweep validates and enqueues a (bench ∪ app)×mech grid.
-func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
+// sweepSpecs expands a sweep into its cells and normalizes each one, in
+// submission order (benches, then apps, each across mechs). Nothing is
+// enqueued; one invalid cell rejects the whole sweep.
+func (s *Service) sweepSpecs(req SweepRequest) ([]spec, error) {
 	mechs := req.Mechs
 	if req.Snake != nil {
 		mechs = []string{""}
 	}
 	if (len(req.Benches) == 0 && len(req.Apps) == 0) || len(mechs) == 0 {
-		return nil, nil, errors.New("sweep needs at least one benchmark or app, and one mechanism (or a snake config)")
+		return nil, errors.New("sweep needs at least one benchmark or app, and one mechanism (or a snake config)")
 	}
 	var specs []spec
 	cell := func(r RunRequest) error {
@@ -408,16 +418,25 @@ func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
 	for _, b := range req.Benches {
 		for _, m := range mechs {
 			if err := cell(RunRequest{Bench: b, Mech: m}); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
 	for _, a := range req.Apps {
 		for _, m := range mechs {
 			if err := cell(RunRequest{App: a, Chain: req.Chain, Split: req.Split, Mech: m}); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
+	}
+	return specs, nil
+}
+
+// SubmitSweep validates and enqueues a (bench ∪ app)×mech grid.
+func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
+	specs, err := s.sweepSpecs(req)
+	if err != nil {
+		return nil, nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

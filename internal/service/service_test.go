@@ -9,11 +9,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"snake/internal/cluster"
 	"snake/internal/config"
+	"snake/internal/stats"
 	"snake/internal/workloads"
 )
 
@@ -475,5 +478,78 @@ func TestNormalizeSlackAndParallelismDefaults(t *testing.T) {
 	}
 	if !strings.Contains(sp.warning, fmt.Sprintf("bound %d", bound)) {
 		t.Errorf("over-bound slack: warning %q, want the bound %d named", sp.warning, bound)
+	}
+}
+
+// TestCacheDirSurvivesRestart: a sweep on a service with a disk tier, then
+// Shutdown, then a new service on the same directory: every cell comes
+// back from disk with bit-identical stats. It also pins the store after
+// Shutdown: a key only the disk tier holds is a plain miss there, neither
+// dropped nor counted as a disk error.
+func TestCacheDirSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	gpu := config.Scaled(2, 16)
+	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
+	req := SweepRequest{Benches: []string{"cp", "lps", "mum"}, Mechs: []string{"baseline", "snake"}}
+	sweep := func(svc *Service, source string) map[string]*stats.Sim {
+		t.Helper()
+		_, jobs, err := svc.SubmitSweep(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]*stats.Sim, len(jobs))
+		for _, j := range jobs {
+			select {
+			case <-j.done:
+			case <-time.After(60 * time.Second):
+				t.Fatalf("job %s did not finish", j.id)
+			}
+			if v := j.view(); v.Status != StatusDone || v.Source != source {
+				t.Fatalf("%s/%s: status %s, source %q, want done from %q (%s)", v.Bench, v.Mech, v.Status, v.Source, source, v.Error)
+			}
+			j.mu.Lock()
+			out[j.key] = j.st
+			j.mu.Unlock()
+		}
+		return out
+	}
+	shutdown := func(svc *Service) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	}
+
+	// A one-byte memory tier keeps only the latest result resident, so the
+	// other cells live on disk alone.
+	first := New(Options{Workers: 2, GPU: &gpu, Scale: &scale, CacheDir: dir, CacheMaxBytes: 1})
+	want := sweep(first, "sim")
+	shutdown(first)
+	before := first.store.Snap()
+	if before.DiskEntries != int64(len(want)) || before.MemEntries != 1 {
+		t.Fatalf("before restart: %+v, want %d disk entries and 1 resident", before, len(want))
+	}
+	misses := 0
+	for k := range want {
+		if st, tier := first.store.GetLocal(k); tier == cluster.TierNone && st == nil {
+			misses++
+		}
+	}
+	if misses != len(want)-1 {
+		t.Errorf("after Shutdown %d of %d disk-only keys missed, want all", misses, len(want)-1)
+	}
+	if after := first.store.Snap(); after.DiskErrors != before.DiskErrors || after.DiskEntries != before.DiskEntries {
+		t.Errorf("lookups after Shutdown changed the disk tier: before %+v after %+v", before, after)
+	}
+
+	second := New(Options{Workers: 2, GPU: &gpu, Scale: &scale, CacheDir: dir})
+	defer shutdown(second)
+	got := sweep(second, "disk")
+	for k, st := range want {
+		if !reflect.DeepEqual(got[k], st) {
+			t.Errorf("key %s: stats after restart differ:\ngot  %+v\nwant %+v", k[:8], got[k], st)
+		}
 	}
 }
