@@ -85,13 +85,13 @@ func (c *Cluster) FetchResult(ctx context.Context, key string) (*stats.Sim, bool
 		}
 		return nil, false
 	}
-	var st stats.Sim
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	st, err := decodeResult(resp.Body)
+	if err != nil {
 		c.count(&c.fetchErrors)
 		return nil, false
 	}
 	c.count(&c.fetchHits)
-	return &st, true
+	return st, true
 }
 
 // Execute forwards a job to the peer owning key and blocks until the peer
@@ -149,8 +149,8 @@ func (c *Cluster) Execute(ctx context.Context, key string, body []byte) (st *sta
 		c.count(&c.execErrors)
 		return nil, "", fmt.Errorf("cluster: peer %s computed key %s for our %s (version skew?)", owner, got, key)
 	}
-	st = new(stats.Sim)
-	if err := json.NewDecoder(resp.Body).Decode(st); err != nil {
+	st, err = decodeResult(resp.Body)
+	if err != nil {
 		c.count(&c.execErrors)
 		return nil, "", fmt.Errorf("cluster: peer %s: bad result body: %w", owner, err)
 	}
@@ -160,6 +160,26 @@ func (c *Cluster) Execute(ctx context.Context, key string, body []byte) (st *sta
 		source = "sim"
 	}
 	return st, source, nil
+}
+
+// decodeResult reads a peer's result body: exactly one JSON object of
+// stats.Sim fields, nothing after it, and a run of at least one cycle. A
+// peer or proxy answering 200 with anything else (null, {}, a partial object,
+// trailing junk) is an error, not a hit: the caller would serve and cache it.
+func decodeResult(r io.Reader) (*stats.Sim, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	st := new(stats.Sim)
+	if err := dec.Decode(st); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after the result")
+	}
+	if st.Cycles <= 0 {
+		return nil, fmt.Errorf("result of %d cycles", st.Cycles)
+	}
+	return st, nil
 }
 
 func (c *Cluster) count(field *int64) {

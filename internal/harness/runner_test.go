@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"snake/internal/config"
+	"snake/internal/core"
 	"snake/internal/workloads"
 )
 
@@ -77,6 +78,32 @@ func TestRunKeyHash(t *testing.T) {
 	for i, v := range variants {
 		if v.Hash() == base.Hash() {
 			t.Errorf("variant %d collides with base", i)
+		}
+	}
+}
+
+// TestRunKeyGoldenHashes pins the hex content address of three keys. Every
+// cached result, on disk and on peers, and snaked's per-key records are found
+// by these hashes, so a change to key derivation must be deliberate: it
+// fails here first (bump runKeyVersion and update the pins together).
+func TestRunKeyGoldenHashes(t *testing.T) {
+	gpu, scale := config.Scaled(4, 64), workloads.DefaultScale()
+	custom := core.Defaults()
+	custom.TailEntries, custom.ChainDepth = 5, 4
+	for _, tc := range []struct {
+		name string
+		key  RunKey
+		want string
+	}{
+		{"registry mechanism", RunKey{Bench: "lps", Mech: "snake", GPU: gpu, Scale: scale},
+			"5c529524b6bea5308242dc1bd7014ec1af401d9b7ded364eebc24be70146a98c"},
+		{"custom snake", RunKey{Bench: "lps", Mech: "snake:custom", Snake: &custom, GPU: gpu, Scale: scale},
+			"f11bdfd7a86380b19aacc612cfe6d97c4e1b33514e47373000565980e8bdddef"},
+		{"app with chain", RunKey{App: "warmup", AppDigest: strings.Repeat("ab", 32), Chain: true, Mech: "snake", GPU: gpu, Scale: scale},
+			"671698306cd8760f5c5df314b85db4af49a59455d07ad16022074e9280442f00"},
+	} {
+		if got := tc.key.Hash(); got != tc.want {
+			t.Errorf("%s: hash %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

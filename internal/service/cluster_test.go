@@ -453,3 +453,40 @@ func TestSweepStream(t *testing.T) {
 		t.Errorf("stream subscribers after close = %v, want 0", got)
 	}
 }
+
+// TestJunkPeerResultFallsBack: an owning peer that answers 200 with a body
+// that is no result (here {}) on both the cache and the execute endpoint
+// costs a local simulation, never a zero result served and cached.
+func TestJunkPeerResultFallsBack(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{}`)
+	}))
+	defer peer.Close()
+	gpu := config.Scaled(2, 16)
+	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
+	self := "http://self.invalid"
+	svc := New(Options{Workers: 1, GPU: &gpu, Scale: &scale, Self: self, Peers: []string{peer.URL}})
+	defer svc.Shutdown(t.Context())
+
+	req := cellOwnedBy(t, peer.URL, []string{self, peer.URL}, gpu, scale, map[string]bool{})
+	j, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.done
+	v := j.view()
+	if v.Status != StatusDone || v.Source != "sim" || v.Result == nil || v.Result.Cycles == 0 {
+		t.Fatalf("job over a junk peer: %+v, want done from a local simulation", v)
+	}
+	if st, _ := svc.store.GetLocal(v.Key); st == nil || st.Cycles != v.Result.Cycles {
+		t.Errorf("cached result %+v, want the local simulation's", st)
+	}
+	clu := svc.clu.Snap()
+	if clu.FetchErrors != 1 || clu.ExecErrors != 1 || clu.FetchHits != 0 || clu.ExecOK != 0 {
+		t.Errorf("peer accounting %+v, want one fetch error and one exec error", clu)
+	}
+	if m := svc.metrics.snap(); m.ForwardFallbacks != 1 || m.ForwardsOK != 0 {
+		t.Errorf("forwards ok=%d fallback=%d, want one fallback", m.ForwardsOK, m.ForwardFallbacks)
+	}
+}

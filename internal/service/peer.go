@@ -69,13 +69,13 @@ func (s *Service) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 		<-j.done
 	}
 	j.mu.Lock()
-	st, jerr, source, status := j.st, j.err, j.source, j.status
+	jerr, source, status := j.err, j.source, j.status
 	j.mu.Unlock()
 	switch status {
 	case StatusDone:
 		w.Header().Set(cluster.SourceHeader, sourceForPeer(source))
-		w.Header().Set(cluster.KeyHeader, j.key)
-		writeJSON(w, http.StatusOK, st)
+		w.Header().Set(cluster.KeyHeader, j.rec.key)
+		writeJSON(w, http.StatusOK, j.rec.st.Load())
 	case StatusCanceled:
 		writeErr(w, http.StatusServiceUnavailable, errors.New("forwarded job canceled"))
 	default:

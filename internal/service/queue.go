@@ -67,10 +67,11 @@ func (q *jobQueue) Pop() (*job, bool) {
 func (q *jobQueue) Remove(j *job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if j.heapIdx < 0 || j.heapIdx >= len(q.heap) || q.heap[j.heapIdx] != j {
+	i := j.live.heapIdx
+	if i < 0 || i >= len(q.heap) || q.heap[i] != j {
 		return false
 	}
-	heap.Remove(&q.heap, j.heapIdx)
+	heap.Remove(&q.heap, i)
 	return true
 }
 
@@ -96,19 +97,20 @@ type jobHeap []*job
 
 func (h jobHeap) Len() int { return len(h) }
 func (h jobHeap) Less(i, j int) bool {
-	if h[i].spec.priority != h[j].spec.priority {
-		return h[i].spec.priority > h[j].spec.priority
+	a, b := h[i].live, h[j].live
+	if a.spec.priority != b.spec.priority {
+		return a.spec.priority > b.spec.priority
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 func (h jobHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+	h[i].live.heapIdx = i
+	h[j].live.heapIdx = j
 }
 func (h *jobHeap) Push(x interface{}) {
 	j := x.(*job)
-	j.heapIdx = len(*h)
+	j.live.heapIdx = len(*h)
 	*h = append(*h, j)
 }
 func (h *jobHeap) Pop() interface{} {
@@ -116,7 +118,7 @@ func (h *jobHeap) Pop() interface{} {
 	n := len(old)
 	j := old[n-1]
 	old[n-1] = nil
-	j.heapIdx = -1
+	j.live.heapIdx = -1
 	*h = old[:n-1]
 	return j
 }

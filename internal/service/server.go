@@ -105,6 +105,7 @@ type Service struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job
+	records   map[string]*record // by RunKey hash; one per distinct key
 	sweeps    map[string]*sweep
 	nextJob   int64
 	nextSweep int64
@@ -169,6 +170,7 @@ func New(opt Options) *Service {
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 		jobs:        make(map[string]*job),
+		records:     make(map[string]*record),
 		sweeps:      make(map[string]*sweep),
 		flight:      make(map[string]chan struct{}),
 		benchSet:    make(map[string]bool),
@@ -233,11 +235,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // defaults.
 func (s *Service) normalize(req RunRequest) (spec, error) {
 	sp := spec{
-		bench:    req.Bench,
-		app:      req.App,
-		chain:    req.Chain,
+		label:    label{bench: req.Bench, app: req.App, chain: req.Chain, mech: req.Mech},
 		split:    req.Split,
-		mech:     req.Mech,
 		priority: req.Priority,
 		gpu:      s.gpu,
 		scale:    s.scale,
@@ -355,17 +354,23 @@ func (s *Service) submitPeer(req RunRequest) (*job, error) {
 	return j, nil
 }
 
-// newJobLocked creates and registers a job; the caller holds s.mu.
+// newJobLocked creates and registers a job, and its key's record if it is
+// the key's first job; the caller holds s.mu.
 func (s *Service) newJobLocked(sp spec, sweepID string) *job {
 	s.nextJob++
+	key := sp.key()
+	rec := s.records[key]
+	if rec == nil {
+		rec = &record{key: key, label: sp.label}
+		s.records[key] = rec
+	}
 	j := &job{
 		id:      fmt.Sprintf("r%06d", s.nextJob),
-		seq:     s.nextJob,
-		spec:    sp,
-		key:     sp.key(),
 		sweepID: sweepID,
+		rec:     rec,
+		warning: sp.warning,
+		live:    &jobLive{spec: sp, seq: s.nextJob, heapIdx: -1},
 		status:  StatusQueued,
-		heapIdx: -1,
 		done:    make(chan struct{}),
 	}
 	s.jobs[j.id] = j
@@ -452,7 +457,9 @@ func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
 			// instead of inflating the queue until a worker pops and skips
 			// it.
 			for _, prev := range jobs {
-				s.markCanceled(prev)
+				if s.dropQueued(prev) {
+					close(prev.done)
+				}
 			}
 			return nil, nil, err
 		}
@@ -461,23 +468,6 @@ func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
 	}
 	s.sweeps[sw.id] = sw
 	return sw, jobs, nil
-}
-
-// markCanceled moves a still-queued job straight to canceled (sweep
-// admission rollback) and drops it from the priority heap. Safe while
-// holding s.mu: it only takes j.mu, the queue lock, and the metrics lock.
-func (s *Service) markCanceled(j *job) {
-	j.mu.Lock()
-	if j.status != StatusQueued {
-		j.mu.Unlock()
-		return
-	}
-	j.status = StatusCanceled
-	j.err = context.Canceled
-	j.mu.Unlock()
-	s.queue.Remove(j)
-	s.metrics.jobDroppedQueued()
-	close(j.done)
 }
 
 // Job looks up a job by ID.
@@ -516,7 +506,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		snap := s.clu.Snap()
 		clu = &snap
 	}
-	s.metrics.render(w, s.queue.Len(), s.store.Snap(), clu)
+	s.mu.Lock()
+	jobs, records := len(s.jobs), len(s.records)
+	s.mu.Unlock()
+	s.metrics.render(w, s.queue.Len(), jobs, records, s.store.Snap(), clu)
 }
 
 func (s *Service) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {

@@ -304,7 +304,7 @@ func TestWaitModeClientDisconnect(t *testing.T) {
 func TestQueueOrdering(t *testing.T) {
 	q := newJobQueue(0)
 	mk := func(id string, prio int, seq int64) *job {
-		return &job{id: id, seq: seq, spec: spec{priority: prio}, done: make(chan struct{})}
+		return &job{id: id, live: &jobLive{spec: spec{priority: prio}, seq: seq}, done: make(chan struct{})}
 	}
 	for _, j := range []*job{mk("low", -1, 1), mk("a", 0, 2), mk("b", 0, 3), mk("high", 7, 4)} {
 		if err := q.Push(j); err != nil {
@@ -507,9 +507,7 @@ func TestCacheDirSurvivesRestart(t *testing.T) {
 			if v := j.view(); v.Status != StatusDone || v.Source != source {
 				t.Fatalf("%s/%s: status %s, source %q, want done from %q (%s)", v.Bench, v.Mech, v.Status, v.Source, source, v.Error)
 			}
-			j.mu.Lock()
-			out[j.key] = j.st
-			j.mu.Unlock()
+			out[j.rec.key] = j.rec.st.Load()
 		}
 		return out
 	}

@@ -197,18 +197,25 @@ type AppInfo struct {
 	Description string `json:"description"`
 }
 
+// label is what a run view shows of a job's shape: its workload and
+// mechanism. Every field is part of the content address, so all jobs of one
+// key share one label (in their record).
+type label struct {
+	bench string
+	app   string // application name; empty for single-kernel jobs
+	chain bool   // sim.Options.ChainPersistence for app jobs
+	mech  string // display name; "snake:custom" for custom configs
+}
+
 // spec is a normalized, validated job specification. parallelism and slack
 // are not part of the content address: they change wall clock, never
 // results. noForward
 // marks work that arrived from a peer: it must be produced locally, never
 // forwarded again (loop prevention).
 type spec struct {
-	bench       string
-	app         string // application name; empty for single-kernel jobs
+	label
 	appDigest   string // content digest of the assembled app (normalize)
-	chain       bool   // sim.Options.ChainPersistence for app jobs
 	split       int    // tenant-0 SM share for partitioned apps (0: half)
-	mech        string // display name; "snake:custom" for custom configs
 	snake       *core.Config
 	gpu         config.GPU
 	scale       workloads.Scale
@@ -223,11 +230,11 @@ type spec struct {
 
 // workload is the display/metrics label: the benchmark name, or the app name
 // marked as such.
-func (sp *spec) workload() string {
-	if sp.app != "" {
-		return "app:" + sp.app
+func (l label) workload() string {
+	if l.app != "" {
+		return "app:" + l.app
 	}
-	return sp.bench
+	return l.bench
 }
 
 // wireRequest reconstructs a forwardable RunRequest from the normalized

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"snake/internal/cluster"
@@ -14,53 +15,77 @@ import (
 	"snake/internal/workloads"
 )
 
-// job is one queued/running/completed simulation.
+// job is one queued/running/completed simulation. snaked keeps every job
+// for GET /v1/runs/{id}, so a terminal job holds only what its RunView shows
+// plus a pointer to its key's shared record: finish drops live.
 type job struct {
 	id      string
-	seq     int64
-	spec    spec
-	key     string
 	sweepID string
-	heapIdx int // position in the priority heap (queue lock; -1 when out)
+	rec     *record // shared per-key state: key, label, first result
+	warning string  // normalize-time advisory (RunView.Warning)
 
-	mu         sync.Mutex
-	status     Status
-	cached     bool
-	source     string // where the result came from (RunView.Source)
-	st         *stats.Sim
-	err        error
-	cancel     context.CancelFunc // non-nil while running
-	startedAt  time.Time
-	finishedAt time.Time
+	mu     sync.Mutex
+	live   *jobLive // nil once terminal
+	status Status
+	cached bool
+	source string // where the result came from (RunView.Source)
+	err    error
+	wall   time.Duration // from start to finish; 0 for a job that never ran
 
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
+}
+
+// jobLive is what a job needs only until it is terminal: the normalized
+// spec, its queue position, and the start time and cancel func of its run.
+// The queue reads seq, heapIdx and spec.priority under its own lock while
+// the job is queued; the worker running the job reads spec without j.mu.
+// Only the goroutine that makes the job terminal clears it, under j.mu.
+type jobLive struct {
+	spec    spec
+	seq     int64              // FIFO order among equal priorities
+	heapIdx int                // position in the priority heap (queue lock; -1 when out)
+	start   time.Time          // when a worker picked the job up
+	cancel  context.CancelFunc // non-nil while running
+}
+
+// record is the state every job of one RunKey shares, created by the key's
+// first job: the key, the display label and the result. The result is set by
+// the key's first successful finish and never replaced: simulations are
+// deterministic, so every later success carries equal stats (the store's
+// first-write-wins rule). Failed and canceled jobs never set it. Records are
+// never removed; there is one per distinct key.
+type record struct {
+	key   string
+	label label
+	st    atomic.Pointer[stats.Sim]
 }
 
 // view snapshots the job for the wire.
 func (j *job) view() RunView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	l := &j.rec.label
 	v := RunView{
 		ID:      j.id,
-		Bench:   j.spec.bench,
-		App:     j.spec.app,
-		Chain:   j.spec.chain,
-		Mech:    j.spec.mech,
-		Key:     j.key,
+		Bench:   l.bench,
+		App:     l.app,
+		Chain:   l.chain,
+		Mech:    l.mech,
+		Key:     j.rec.key,
 		Status:  j.status,
 		Cached:  j.cached,
 		Source:  j.source,
-		Warning: j.spec.warning,
+		Warning: j.warning,
 	}
 	if j.err != nil {
 		v.Error = j.err.Error()
 	}
-	if j.status == StatusDone && j.st != nil {
-		v.Result = summarize(j.st)
+	if j.status == StatusDone {
+		v.Result = summarize(j.rec.st.Load())
 	}
-	if !j.finishedAt.IsZero() && !j.startedAt.IsZero() {
-		v.WallMS = float64(j.finishedAt.Sub(j.startedAt)) / float64(time.Millisecond)
+	if j.wall > 0 {
+		v.WallMS = float64(j.wall) / float64(time.Millisecond)
 	}
 	return v
 }
@@ -88,15 +113,16 @@ func (s *Service) runJob(j *job) {
 		return
 	}
 	j.status = StatusRunning
-	j.startedAt = time.Now()
+	j.live.start = time.Now()
+	sp, key := &j.live.spec, j.rec.key
 	var ctx context.Context
 	var cancel context.CancelFunc
-	if j.spec.timeout > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, j.spec.timeout)
+	if sp.timeout > 0 {
+		ctx, cancel = context.WithTimeout(s.baseCtx, sp.timeout)
 	} else {
 		ctx, cancel = context.WithCancel(s.baseCtx)
 	}
-	j.cancel = cancel
+	j.live.cancel = cancel
 	j.mu.Unlock()
 	s.metrics.jobStarted()
 	defer cancel()
@@ -105,10 +131,10 @@ func (s *Service) runJob(j *job) {
 	// peer tier, and this node is the key's owner.
 	var st *stats.Sim
 	var tier cluster.Tier
-	if j.spec.noForward {
-		st, tier = s.store.GetLocal(j.key)
+	if sp.noForward {
+		st, tier = s.store.GetLocal(key)
 	} else {
-		st, tier = s.store.Get(ctx, j.key)
+		st, tier = s.store.Get(ctx, key)
 	}
 	if st != nil {
 		s.metrics.cacheHit()
@@ -121,7 +147,7 @@ func (s *Service) runJob(j *job) {
 	// that lose the race wait and re-read the cache. A leader that failed
 	// (error, cancel) leaves the next waiter to claim leadership and retry.
 	for {
-		wait, leader := s.beginFlight(j.key)
+		wait, leader := s.beginFlight(key)
 		if leader {
 			break
 		}
@@ -131,17 +157,17 @@ func (s *Service) runJob(j *job) {
 			s.finish(j, nil, ctx.Err(), false, "")
 			return
 		}
-		if st, tier := s.store.GetLocal(j.key); st != nil {
+		if st, tier := s.store.GetLocal(key); st != nil {
 			s.metrics.cacheHit()
 			s.finish(j, st, nil, true, tier.String())
 			return
 		}
 	}
-	st, source, err := s.produce(ctx, j)
+	st, source, err := s.produce(ctx, key, sp)
 	if err == nil {
-		s.store.Put(j.key, st)
+		s.store.Put(key, st)
 	}
-	s.endFlight(j.key)
+	s.endFlight(key)
 	s.finish(j, st, err, false, source)
 }
 
@@ -171,11 +197,11 @@ func (s *Service) endFlight(key string) {
 // when this node is not the owner, locally otherwise. Every forwarding
 // failure — owner down, saturated, or erroring — degrades to local compute;
 // a dead peer costs duplicated work, never a failed job.
-func (s *Service) produce(ctx context.Context, j *job) (*stats.Sim, string, error) {
-	if s.clu != nil && !j.spec.noForward {
-		body, err := json.Marshal(j.spec.wireRequest())
+func (s *Service) produce(ctx context.Context, key string, sp *spec) (*stats.Sim, string, error) {
+	if s.clu != nil && !sp.noForward {
+		body, err := json.Marshal(sp.wireRequest())
 		if err == nil {
-			st, src, err := s.clu.Execute(ctx, j.key, body)
+			st, src, err := s.clu.Execute(ctx, key, body)
 			if err == nil {
 				s.metrics.forwardOK()
 				return st, "forward:" + src, nil
@@ -188,7 +214,7 @@ func (s *Service) produce(ctx context.Context, j *job) (*stats.Sim, string, erro
 			}
 		}
 	}
-	st, err := s.simulate(ctx, &j.spec)
+	st, err := s.simulate(ctx, sp)
 	return st, "sim", err
 }
 
@@ -244,11 +270,16 @@ func (s *Service) simulate(ctx context.Context, sp *spec) (*stats.Sim, error) {
 	return &out.Stats, nil
 }
 
-// finish moves a running job to its terminal state and updates metrics.
+// finish moves a running job to its terminal state, releases its live
+// state and updates metrics. A success sets the key's result unless an
+// earlier one did.
 func (s *Service) finish(j *job, st *stats.Sim, err error, cached bool, source string) {
+	if err == nil {
+		j.rec.st.CompareAndSwap(nil, st)
+	}
 	j.mu.Lock()
-	j.finishedAt = time.Now()
-	j.st, j.err, j.cached, j.source = st, err, cached, source
+	j.wall = time.Since(j.live.start)
+	j.err, j.cached, j.source = err, cached, source
 	switch {
 	case err == nil:
 		j.status = StatusDone
@@ -257,12 +288,12 @@ func (s *Service) finish(j *job, st *stats.Sim, err error, cached bool, source s
 	default:
 		j.status = StatusFailed
 	}
-	status := j.status
-	wall := j.finishedAt.Sub(j.startedAt)
+	j.live = nil
+	status, wall := j.status, j.wall
 	j.mu.Unlock()
 	s.metrics.jobFinished(status)
 	if err == nil && !cached && source == "sim" {
-		s.metrics.observeWall(j.spec.workload(), float64(wall)/float64(time.Millisecond))
+		s.metrics.observeWall(j.rec.label.workload(), float64(wall)/float64(time.Millisecond))
 	}
 	close(j.done)
 	s.notifySweep(j)
@@ -270,23 +301,40 @@ func (s *Service) finish(j *job, st *stats.Sim, err error, cached bool, source s
 
 // cancelJob cancels a queued or running job; terminal jobs are left alone.
 func (s *Service) cancelJob(j *job) {
-	j.mu.Lock()
-	switch j.status {
-	case StatusQueued:
-		j.status = StatusCanceled
-		j.err = context.Canceled
-		j.mu.Unlock()
-		// Drop it from the heap so the slot frees now; a worker that already
-		// popped it (Remove returns false) skips non-queued jobs anyway.
-		s.queue.Remove(j)
-		s.metrics.jobDroppedQueued()
+	if s.dropQueued(j) {
 		close(j.done)
 		s.notifySweep(j)
-	case StatusRunning:
-		cancel := j.cancel
-		j.mu.Unlock()
-		cancel() // runJob observes the aborted sim and finishes the job
-	default:
-		j.mu.Unlock()
+		return
 	}
+	j.mu.Lock()
+	var cancel context.CancelFunc
+	if j.status == StatusRunning {
+		cancel = j.live.cancel
+	}
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel() // runJob observes the aborted sim and finishes the job
+	}
+}
+
+// dropQueued moves a still-queued job straight to canceled, takes it out of
+// the priority heap so its depth slot frees now, and releases its live
+// state. It reports false when the job had already left the queued state.
+// The caller closes done. Safe while holding s.mu: it only takes j.mu, the
+// queue lock, and the metrics lock.
+func (s *Service) dropQueued(j *job) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.status != StatusQueued {
+		return false
+	}
+	j.status = StatusCanceled
+	j.err = context.Canceled
+	// A worker that already popped the job (Remove returns false) skips
+	// non-queued jobs without touching live; once Remove returns, the heap
+	// no longer reads it either.
+	s.queue.Remove(j)
+	j.live = nil
+	s.metrics.jobDroppedQueued()
+	return true
 }
