@@ -16,6 +16,7 @@ import (
 	"snake/internal/cluster"
 	"snake/internal/config"
 	"snake/internal/harness"
+	"snake/internal/stats"
 	"snake/internal/workloads"
 )
 
@@ -139,6 +140,56 @@ func TestSweepRollbackFreesQueueDepth(t *testing.T) {
 	creq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+long.ID, nil)
 	if cresp, err := http.DefaultClient.Do(creq); err == nil {
 		cresp.Body.Close()
+	}
+}
+
+// TestRejectedSweepLeavesNoJobs: a sweep that admission control rejects
+// partway keeps none of the cells it had admitted. No client learns their
+// IDs, so they must not stay in the job table or in snaked_jobs_retained.
+func TestRejectedSweepLeavesNoJobs(t *testing.T) {
+	gpu := config.Scaled(2, 16)
+	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
+	svc := New(Options{Workers: 1, GPU: &gpu, Scale: &scale, QueueMax: 3})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer shutdown(t, svc)
+
+	// Pin the single worker so the sweep's cells stay queued.
+	resp, body := postJSON(t, ts.URL+"/v1/runs", RunRequest{
+		Bench: "lps", Mech: "baseline", Scale: &bigScale, Priority: 100,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit long job: %d %s", resp.StatusCode, body)
+	}
+	var long RunView
+	if err := json.Unmarshal(body, &long); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		creq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+long.ID, nil)
+		if cresp, err := http.DefaultClient.Do(creq); err == nil {
+			cresp.Body.Close()
+		}
+	}()
+	waitRun(t, ts.URL, long.ID, func(v RunView) bool { return v.Status == StatusRunning }, "running")
+
+	retained := func() (int, float64) {
+		svc.mu.Lock()
+		n := len(svc.jobs)
+		svc.mu.Unlock()
+		return n, metricValue(t, scrapeMetrics(t, ts.URL), "snaked_jobs_retained")
+	}
+	jobs0, metric0 := retained()
+	// Four cells: three fill the queue, the fourth is rejected.
+	resp, body = postJSON(t, ts.URL+"/v1/sweeps", SweepRequest{
+		Benches: []string{"cp", "mum"}, Mechs: []string{"baseline", "intra"},
+	})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-depth sweep: %d %s, want 429", resp.StatusCode, body)
+	}
+	if jobs, metric := retained(); jobs != jobs0 || metric != metric0 {
+		t.Errorf("after a rejected sweep: %d jobs, snaked_jobs_retained %v; want %d and %v",
+			jobs, metric, jobs0, metric0)
 	}
 }
 
@@ -451,6 +502,70 @@ func TestSweepStream(t *testing.T) {
 	}
 	if got := metricValue(t, scrapeMetrics(t, ts.URL), "snaked_stream_subscribers"); got != 0 {
 		t.Errorf("stream subscribers after close = %v, want 0", got)
+	}
+}
+
+// TestSweepStreamFlushesPerBurst: the stream is flushed per burst, not
+// only at its end, so a cell served from the cache reaches the client while
+// another cell of the sweep is still simulating.
+func TestSweepStreamFlushesPerBurst(t *testing.T) {
+	svc := tinyService(2)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer shutdown(t, svc)
+
+	// At bigScale, cp/baseline is in the cache and lps/baseline simulates
+	// for seconds.
+	sp, err := svc.normalize(RunRequest{Bench: "cp", Mech: "baseline", Scale: &bigScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.store.Put(sp.key(), &stats.Sim{Cycles: 1000, Insts: 2000})
+	resp, body := postJSON(t, ts.URL+"/v1/sweeps", SweepRequest{
+		Benches: []string{"lps", "cp"}, Mechs: []string{"baseline"}, Scale: &bigScale,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit sweep: %d %s", resp.StatusCode, body)
+	}
+	var sw SweepView
+	if err := json.Unmarshal(body, &sw); err != nil {
+		t.Fatal(err)
+	}
+	slow := sw.Jobs[0].ID
+	defer func() {
+		creq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+slow, nil)
+		if cresp, err := http.DefaultClient.Do(creq); err == nil {
+			cresp.Body.Close()
+		}
+	}()
+
+	sresp, err := http.Get(ts.URL + "/v1/sweeps/" + sw.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	first := make(chan []byte, 1)
+	go func() {
+		sc := bufio.NewScanner(sresp.Body)
+		if sc.Scan() {
+			first <- append([]byte(nil), sc.Bytes()...)
+		}
+		close(first)
+	}()
+	select {
+	case line := <-first:
+		var v RunView
+		if err := json.Unmarshal(line, &v); err != nil {
+			t.Fatalf("bad first line %q: %v", line, err)
+		}
+		if v.Bench != "cp" || v.Source != "memory" {
+			t.Errorf("first line is %s from %q, want the cached cp cell", v.Bench, v.Source)
+		}
+		if st := getRun(t, ts.URL, slow).Status; st.Terminal() {
+			t.Errorf("the slow cell was %s before the cached cell's line arrived", st)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("no stream line within 30 s while the slow cell runs")
 	}
 }
 

@@ -105,7 +105,7 @@ type Service struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job
-	records   map[string]*record // by RunKey hash; one per distinct key
+	records   map[recordKey]*record // one per distinct key
 	sweeps    map[string]*sweep
 	nextJob   int64
 	nextSweep int64
@@ -170,7 +170,7 @@ func New(opt Options) *Service {
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 		jobs:        make(map[string]*job),
-		records:     make(map[string]*record),
+		records:     make(map[recordKey]*record),
 		sweeps:      make(map[string]*sweep),
 		flight:      make(map[string]chan struct{}),
 		benchSet:    make(map[string]bool),
@@ -355,14 +355,19 @@ func (s *Service) submitPeer(req RunRequest) (*job, error) {
 }
 
 // newJobLocked creates and registers a job, and its key's record if it is
-// the key's first job; the caller holds s.mu.
+// the key's first job; the caller holds s.mu. Only a new record, or a
+// custom Snake config, costs a RunKey hash.
 func (s *Service) newJobLocked(sp spec, sweepID string) *job {
 	s.nextJob++
-	key := sp.key()
-	rec := s.records[key]
+	rk := sp.recordKey()
+	rec := s.records[rk]
 	if rec == nil {
+		key := rk.hash
+		if key == "" {
+			key = sp.key()
+		}
 		rec = &record{key: key, label: sp.label}
-		s.records[key] = rec
+		s.records[rk] = rec
 	}
 	j := &job{
 		id:      fmt.Sprintf("r%06d", s.nextJob),
@@ -455,11 +460,13 @@ func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
 			// a rejected sweep leaves no stray work behind. Each is also
 			// removed from the heap so it frees its depth slot immediately
 			// instead of inflating the queue until a worker pops and skips
-			// it.
+			// it, and from the job table, since no client learns its ID. A
+			// cell a worker already popped still runs to its end.
 			for _, prev := range jobs {
 				if s.dropQueued(prev) {
 					close(prev.done)
 				}
+				delete(s.jobs, prev.id)
 			}
 			return nil, nil, err
 		}
@@ -537,14 +544,14 @@ func (s *Service) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("wait") == "" {
-		writeJSON(w, http.StatusAccepted, j.view())
+		writeRun(w, http.StatusAccepted, j.view())
 		return
 	}
 	// Synchronous mode: the client holding the connection is the job's
 	// owner, so a disconnect cancels the simulation.
 	select {
 	case <-j.done:
-		writeJSON(w, http.StatusOK, j.view())
+		writeRun(w, http.StatusOK, j.view())
 	case <-r.Context().Done():
 		s.cancelJob(j)
 		<-j.done
@@ -557,7 +564,7 @@ func (s *Service) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such run %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	writeRun(w, http.StatusOK, j.view())
 }
 
 func (s *Service) handleCancelRun(w http.ResponseWriter, r *http.Request) {
@@ -567,7 +574,7 @@ func (s *Service) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cancelJob(j)
-	writeJSON(w, http.StatusOK, j.view())
+	writeRun(w, http.StatusOK, j.view())
 }
 
 func (s *Service) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
@@ -581,11 +588,8 @@ func (s *Service) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitErr(w, err)
 		return
 	}
-	v := SweepView{ID: sw.id, Total: len(jobs), Pending: len(jobs)}
-	for _, j := range jobs {
-		v.Jobs = append(v.Jobs, j.view())
-	}
-	writeJSON(w, http.StatusAccepted, v)
+	v := SweepView{ID: sw.id, Total: len(jobs), Pending: len(jobs), Jobs: views(jobs)}
+	writeSweep(w, http.StatusAccepted, &v)
 }
 
 func (s *Service) handleGetSweep(w http.ResponseWriter, r *http.Request) {
@@ -603,16 +607,14 @@ func (s *Service) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such sweep %q", r.PathValue("id")))
 		return
 	}
-	v := SweepView{ID: sw.id, Total: len(jobs)}
-	for _, j := range jobs {
-		jv := j.view()
-		if !jv.Status.Terminal() {
+	v := SweepView{ID: sw.id, Total: len(jobs), Jobs: views(jobs)}
+	for i := range v.Jobs {
+		if !v.Jobs[i].Status.Terminal() {
 			v.Pending++
 		}
-		v.Jobs = append(v.Jobs, jv)
 	}
 	v.Done = v.Pending == 0
-	writeJSON(w, http.StatusOK, v)
+	writeSweep(w, http.StatusOK, &v)
 }
 
 // writeSubmitErr maps submission errors to HTTP statuses. A full queue gets

@@ -82,7 +82,12 @@ func (s *Service) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 	s.metrics.streamSubscribed()
 	defer s.metrics.streamUnsubscribed()
 
-	enc := json.NewEncoder(w)
+	flush := func() {
+		if canFlush {
+			flusher.Flush()
+		}
+	}
+	var line []byte
 	sent := make(map[string]bool, len(jobs))
 	var end StreamEnd
 	emit := func(j *job) bool {
@@ -102,22 +107,27 @@ func (s *Service) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 		case StatusCanceled:
 			end.Canceled++
 		}
-		if err := enc.Encode(v); err != nil {
+		var err error
+		if line, err = v.appendJSON(line[:0], false); err != nil {
 			return false
 		}
-		if canFlush {
-			flusher.Flush()
-		}
-		return true
+		line = append(line, '\n')
+		_, err = w.Write(line)
+		return err == nil
 	}
 
 	// Replay cells already terminal at connect time, then stream the rest
 	// in completion order. Notifications that raced the replay are deduped
-	// by job ID.
+	// by job ID. The stream is flushed per burst, not per line: after the
+	// replay, and whenever no further notification is ready, so a line
+	// waits only for lines already queued behind it.
 	for _, j := range jobs {
 		if !emit(j) {
 			return
 		}
+	}
+	if len(sent) < len(jobs) {
+		flush()
 	}
 	for len(sent) < len(jobs) {
 		select {
@@ -125,14 +135,15 @@ func (s *Service) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 			if !emit(j) {
 				return
 			}
+			if len(ch) == 0 {
+				flush()
+			}
 		case <-r.Context().Done():
 			return
 		}
 	}
 	end.Done = true
 	end.Total = len(jobs)
-	_ = enc.Encode(end)
-	if canFlush {
-		flusher.Flush()
-	}
+	_ = json.NewEncoder(w).Encode(end)
+	flush()
 }

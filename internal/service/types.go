@@ -261,6 +261,32 @@ func (sp *spec) wireRequest() RunRequest {
 	return req
 }
 
+// recordKey identifies a RunKey by content, so a job finds its key's record
+// without hashing. It holds every RunKey field but the Snake config, and all
+// of them are ints, strings and bools: equal values marshal to the same
+// canonical JSON, hence the same hash. A custom Snake config has float64
+// fields, where -0 and +0 compare equal yet marshal (and hash) apart, so a
+// custom cell is hashed every time and its hash stands in for the config.
+// (Unequal values can still share a hash, as encoding/json writes invalid
+// UTF-8 as U+FFFD; their records then carry one key, which is harmless.)
+type recordKey struct {
+	label
+	appDigest string
+	gpu       config.GPU
+	scale     workloads.Scale
+	hash      string // the RunKey hash of a custom Snake cell; "" otherwise
+}
+
+// recordKey returns the spec's record key; it hashes only a custom Snake
+// cell.
+func (sp *spec) recordKey() recordKey {
+	rk := recordKey{label: sp.label, appDigest: sp.appDigest, gpu: sp.gpu, scale: sp.scale}
+	if sp.snake != nil {
+		rk.hash = sp.key()
+	}
+	return rk
+}
+
 // key returns the job's content address. App jobs carry the app name, its
 // content digest (covering kernels, masks, tenants, and dependency edges —
 // so one app name assembled for different machines keys apart) and the
