@@ -104,13 +104,7 @@ func New(geom config.CacheGeom) *Cache {
 		panic(fmt.Sprintf("cache: %v", err))
 	}
 	nsets := geom.Sets()
-	if nsets&(nsets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d is not a power of two", nsets))
-	}
 	ls := geom.LineSize
-	if ls&(ls-1) != 0 {
-		panic(fmt.Sprintf("cache: line size %d is not a power of two", ls))
-	}
 	shift := uint(0)
 	for 1<<shift < ls {
 		shift++

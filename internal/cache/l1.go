@@ -74,10 +74,11 @@ type L1 struct {
 
 	// pending holds prefetched lines that are resident but not yet demanded.
 	pending LineTable[struct{}]
-	// predicted holds every line address the prefetcher ever generated, for
-	// the paper's prediction-based coverage metric (predictions persist:
-	// one prediction covers all later demands to that line).
-	predicted LineTable[struct{}]
+	// predicted holds the line number of every address the prefetcher ever
+	// generated, for the paper's prediction-based coverage metric
+	// (predictions persist: one prediction covers all later demands to that
+	// line).
+	predicted LineSet
 
 	// Running counters for the 80%-transferred eviction heuristic.
 	pfFills       int64
@@ -110,7 +111,7 @@ func NewL1(geom config.CacheGeom, opt L1Options, st *stats.Sim) *L1 {
 func buildIso(geom config.CacheGeom, isolatedLines int) *Cache {
 	lines := isolatedLines
 	if lines <= 0 {
-		lines = geom.Lines() / 2
+		lines = max(1, geom.Lines()/2)
 	}
 	ways := 8
 	if lines < ways {
@@ -175,7 +176,7 @@ func (l *L1) Access(warp int, addr uint64, cycle int64) stats.L1Outcome {
 	out := l.access(warp, line, cycle)
 	l.st.AddL1(out)
 	// Prediction-based coverage (§4): count once per accepted access.
-	if out != stats.L1ReservationFail && l.predicted.Has(line) {
+	if out != stats.L1ReservationFail && l.predicted.Has(line>>l.cache.setShift) {
 		l.st.Pf.Covered++
 		if out == stats.L1Hit || out == stats.L1HitPrefetch {
 			l.st.Pf.CoveredTimely++
@@ -188,7 +189,7 @@ func (l *L1) Access(warp int, addr uint64, cycle int64) stats.L1Outcome {
 // coverage accounting, independently of whether a physical prefetch is
 // issued (it may be deduplicated against resident data).
 func (l *L1) Predict(addr uint64) {
-	l.predicted.Put(l.cache.LineAddr(addr), struct{}{})
+	l.predicted.Put(addr >> l.cache.setShift)
 }
 
 func (l *L1) access(warp int, line uint64, cycle int64) stats.L1Outcome {

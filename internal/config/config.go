@@ -61,19 +61,25 @@ func (g CacheGeom) Sets() int {
 // Lines returns the total number of cache lines.
 func (g CacheGeom) Lines() int { return g.SizeBytes / g.LineSize }
 
-// Validate checks internal consistency of the geometry.
+// Validate checks that the geometry can be built: the cache indexes sets
+// and lines by bit masks, so both counts must be powers of two.
 func (g CacheGeom) Validate() error {
 	switch {
 	case g.SizeBytes <= 0:
 		return errors.New("cache size must be positive")
 	case g.LineSize <= 0:
 		return errors.New("line size must be positive")
+	case g.LineSize&(g.LineSize-1) != 0:
+		return fmt.Errorf("line size %d is not a power of two", g.LineSize)
 	case g.SizeBytes%g.LineSize != 0:
 		return fmt.Errorf("cache size %d not a multiple of line size %d", g.SizeBytes, g.LineSize)
 	case g.Ways <= 0:
 		return errors.New("associativity must be positive")
 	case g.Lines()%g.Ways != 0:
 		return fmt.Errorf("line count %d not a multiple of ways %d", g.Lines(), g.Ways)
+	case g.Sets()&(g.Sets()-1) != 0:
+		return fmt.Errorf("%d bytes at %d ways of %d-byte lines give %d sets, not a power of two",
+			g.SizeBytes, g.Ways, g.LineSize, g.Sets())
 	}
 	return nil
 }
@@ -184,43 +190,123 @@ func Scaled(numSM, warpsPerSM int) GPU {
 	return g
 }
 
-// Validate checks the whole configuration for consistency.
+// Upper limits Validate puts on the sizes the engine allocates from and the
+// latencies it waits out. A configuration can arrive over the network
+// (snaked's "gpu" override), so without them one request could allocate
+// without bound or hold a core for MaxCycles. Each limit is 4× its Table 1
+// value (Default). An engine built at every size limit at once holds about
+// 165 MB under Isolated-Snake, whose side buffer adds to each L1.
+const (
+	// LimitNumSM bounds the SM count: each SM owns an L1, an MSHR file and a
+	// warp array.
+	LimitNumSM = 4 * 80
+	// LimitWarpsPerSM bounds each SM's warp slots, readiness arrays and
+	// scheduler slices.
+	LimitWarpsPerSM = 4 * 64
+	// LimitCTAsPerSM bounds the CTA residency limit.
+	LimitCTAsPerSM = 4 * 32
+	// LimitSchedulersPerSM bounds the scheduler slices per SM.
+	LimitSchedulersPerSM = 4 * 4
+	// LimitWarpSize bounds the threads the coalescer visits per warp access.
+	LimitWarpSize = 4 * 32
+	// LimitUnifiedBytes bounds each SM's unified L1 arrays and tag index.
+	LimitUnifiedBytes = 4 * 128 << 10
+	// LimitL2Bytes bounds each L2 partition's arrays and tag index.
+	LimitL2Bytes = 4 * 96 << 10
+	// LimitMSHREntries bounds each SM's MSHR file and its in-flight table.
+	LimitMSHREntries = 4 * 512
+	// LimitMSHRMergeCap bounds the waiter list of one MSHR entry.
+	LimitMSHRMergeCap = 4 * 8
+	// LimitMissQueueSize bounds each L1 miss queue.
+	LimitMissQueueSize = 4 * 8
+	// LimitIcntBytesPerCycle bounds the per-SM port width; the network's
+	// budget is this times NumSM.
+	LimitIcntBytesPerCycle = 4 * 128
+	// LimitL2Partitions bounds the partition count: each partition owns an
+	// L2 and a DRAM controller.
+	LimitL2Partitions = 4 * 32
+	// LimitDRAMBanks bounds each DRAM controller's bank array.
+	LimitDRAMBanks = 4 * 16
+	// LimitLatency bounds every core-clock latency (L1, L2, interconnect):
+	// 4× Table 1's longest, the 212-cycle L2 round trip.
+	LimitLatency = 4 * 212
+	// LimitDRAMCycles bounds every DRAM timing and DRAMClockxfer: 4× Table 1's
+	// longest timing, tRC = 40.
+	LimitDRAMCycles = 4 * 40
+)
+
+// Validate checks that the engine can build and run the configuration:
+// every count it allocates from is positive and within its limit, and every
+// cache geometry, the L1 data space carved out by SharedMemPer included,
+// can be constructed.
 func (g GPU) Validate() error {
-	if g.NumSM <= 0 {
-		return errors.New("config: NumSM must be positive")
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"NumSM", g.NumSM, LimitNumSM},
+		{"SchedulersPerSM", g.SchedulersPerSM, LimitSchedulersPerSM},
+		{"WarpSize", g.WarpSize, LimitWarpSize},
+		{"MaxWarpsPerSM", g.MaxWarpsPerSM, LimitWarpsPerSM},
+		{"MaxCTAsPerSM", g.MaxCTAsPerSM, LimitCTAsPerSM},
+		{"MSHREntries", g.MSHREntries, LimitMSHREntries},
+		{"MSHRMergeCap", g.MSHRMergeCap, LimitMSHRMergeCap},
+		{"MissQueueSize", g.MissQueueSize, LimitMissQueueSize},
+		{"IcntBytesPerCycle", g.IcntBytesPerCycle, LimitIcntBytesPerCycle},
+		{"L2Partitions", g.L2Partitions, LimitL2Partitions},
+		{"DRAMBanks", g.DRAMBanks, LimitDRAMBanks},
+		{"DRAMClockxfer", g.DRAMClockxfer, LimitDRAMCycles},
+	} {
+		if f.val <= 0 || f.val > f.max {
+			return fmt.Errorf("config: %s %d must be in [1, %d]", f.name, f.val, f.max)
+		}
 	}
-	if g.SchedulersPerSM <= 0 {
-		return errors.New("config: SchedulersPerSM must be positive")
+	if g.DRAMRowBytes <= 0 {
+		return fmt.Errorf("config: DRAMRowBytes %d must be positive", g.DRAMRowBytes)
 	}
-	if g.WarpSize <= 0 {
-		return errors.New("config: WarpSize must be positive")
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"Unified.Latency", g.Unified.Latency, LimitLatency},
+		{"L2.Latency", g.L2.Latency, LimitLatency},
+		{"IcntLatency", g.IcntLatency, LimitLatency},
+		{"DRAM.TCCD", g.DRAM.TCCD, LimitDRAMCycles},
+		{"DRAM.TRRD", g.DRAM.TRRD, LimitDRAMCycles},
+		{"DRAM.TRCD", g.DRAM.TRCD, LimitDRAMCycles},
+		{"DRAM.TRAS", g.DRAM.TRAS, LimitDRAMCycles},
+		{"DRAM.TRP", g.DRAM.TRP, LimitDRAMCycles},
+		{"DRAM.TRC", g.DRAM.TRC, LimitDRAMCycles},
+		{"DRAM.TCL", g.DRAM.TCL, LimitDRAMCycles},
+		{"DRAM.TWL", g.DRAM.TWL, LimitDRAMCycles},
+		{"DRAM.TCDLR", g.DRAM.TCDLR, LimitDRAMCycles},
+		{"DRAM.TWR", g.DRAM.TWR, LimitDRAMCycles},
+		{"DRAM.TCCDL", g.DRAM.TCCDL, LimitDRAMCycles},
+		{"DRAM.TRTPL", g.DRAM.TRTPL, LimitDRAMCycles},
+	} {
+		if f.val < 0 || f.val > f.max {
+			return fmt.Errorf("config: %s %d must be in [0, %d]", f.name, f.val, f.max)
+		}
 	}
-	if g.MaxWarpsPerSM <= 0 {
-		return errors.New("config: MaxWarpsPerSM must be positive")
+	if err := g.Unified.Validate(); err != nil {
+		return fmt.Errorf("config: Unified: %w", err)
+	}
+	if g.Unified.SizeBytes > LimitUnifiedBytes {
+		return fmt.Errorf("config: Unified.SizeBytes %d exceeds %d", g.Unified.SizeBytes, LimitUnifiedBytes)
 	}
 	if g.SharedMemPer < 0 || g.SharedMemPer >= g.Unified.SizeBytes {
 		return fmt.Errorf("config: SharedMemPer %d must be in [0, unified size)", g.SharedMemPer)
 	}
-	if g.MSHREntries <= 0 || g.MSHRMergeCap <= 0 {
-		return errors.New("config: MSHR entries and merge capability must be positive")
-	}
-	if g.MissQueueSize <= 0 {
-		return errors.New("config: MissQueueSize must be positive")
-	}
-	if g.IcntBytesPerCycle <= 0 {
-		return errors.New("config: IcntBytesPerCycle must be positive")
-	}
-	if g.L2Partitions <= 0 {
-		return errors.New("config: L2Partitions must be positive")
-	}
-	if g.DRAMBanks <= 0 {
-		return errors.New("config: DRAMBanks must be positive")
-	}
-	if err := g.Unified.Validate(); err != nil {
-		return fmt.Errorf("config: unified cache: %w", err)
+	data := g.Unified
+	data.SizeBytes = g.DataCacheBytes()
+	if err := data.Validate(); err != nil {
+		return fmt.Errorf("config: L1 data space (Unified minus SharedMemPer %d): %w", g.SharedMemPer, err)
 	}
 	if err := g.L2.Validate(); err != nil {
-		return fmt.Errorf("config: L2 cache: %w", err)
+		return fmt.Errorf("config: L2: %w", err)
+	}
+	if g.L2.SizeBytes > LimitL2Bytes {
+		return fmt.Errorf("config: L2.SizeBytes %d exceeds %d", g.L2.SizeBytes, LimitL2Bytes)
 	}
 	if g.L2.Latency < 1 {
 		// The engine computes L2 responses off the serial path, during the

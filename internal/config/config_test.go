@@ -50,6 +50,8 @@ func TestCacheGeomValidate(t *testing.T) {
 		{"size not multiple", CacheGeom{SizeBytes: 1000, LineSize: 128, Ways: 2}, "multiple"},
 		{"zero ways", CacheGeom{SizeBytes: 1024, LineSize: 128}, "associativity"},
 		{"lines not multiple of ways", CacheGeom{SizeBytes: 1280, LineSize: 128, Ways: 3}, "multiple"},
+		{"line size not a power of two", CacheGeom{SizeBytes: 960, LineSize: 96, Ways: 2}, "line size 96"},
+		{"sets not a power of two", CacheGeom{SizeBytes: 48 << 10, LineSize: 128, Ways: 16}, "24 sets"},
 	}
 	for _, tc := range cases {
 		err := tc.g.Validate()
@@ -78,6 +80,33 @@ func TestGPUValidateRejects(t *testing.T) {
 		{"no partitions", func(g *GPU) { g.L2Partitions = 0 }},
 		{"no banks", func(g *GPU) { g.DRAMBanks = 0 }},
 		{"bad unified", func(g *GPU) { g.Unified.Ways = 0 }},
+		{"unified sets not a power of two", func(g *GPU) { g.Unified.SizeBytes = 96 << 10 }},
+		{"L2 sets not a power of two", func(g *GPU) { g.L2.SizeBytes = 48 << 10; g.L2.Ways = 16 }},
+		{"line size not a power of two", func(g *GPU) { g.L2.LineSize = 96; g.L2.SizeBytes = 96 * 768 }},
+		{"data space sets not a power of two", func(g *GPU) { g.SharedMemPer = 32 << 10 }},
+		{"data space not whole lines", func(g *GPU) { g.SharedMemPer = 1000 }},
+		{"no DRAM rows", func(g *GPU) { g.DRAMRowBytes = 0 }},
+		{"no DRAM transfer", func(g *GPU) { g.DRAMClockxfer = 0 }},
+		{"negative DRAM timing", func(g *GPU) { g.DRAM.TCL = -1 }},
+		{"negative L1 latency", func(g *GPU) { g.Unified.Latency = -1 }},
+		{"no CTAs", func(g *GPU) { g.MaxCTAsPerSM = 0 }},
+		{"too many SMs", func(g *GPU) { g.NumSM = LimitNumSM + 1 }},
+		{"too many warps", func(g *GPU) { g.MaxWarpsPerSM = LimitWarpsPerSM + 1 }},
+		{"too many CTAs", func(g *GPU) { g.MaxCTAsPerSM = LimitCTAsPerSM + 1 }},
+		{"too many schedulers", func(g *GPU) { g.SchedulersPerSM = LimitSchedulersPerSM + 1 }},
+		{"warp too wide", func(g *GPU) { g.WarpSize = LimitWarpSize + 1 }},
+		{"too many MSHRs", func(g *GPU) { g.MSHREntries = LimitMSHREntries + 1 }},
+		{"merge cap too big", func(g *GPU) { g.MSHRMergeCap = LimitMSHRMergeCap + 1 }},
+		{"miss queue too deep", func(g *GPU) { g.MissQueueSize = LimitMissQueueSize + 1 }},
+		{"icnt too wide", func(g *GPU) { g.IcntBytesPerCycle = LimitIcntBytesPerCycle + 1 }},
+		{"too many partitions", func(g *GPU) { g.L2Partitions = LimitL2Partitions + 1 }},
+		{"too many banks", func(g *GPU) { g.DRAMBanks = LimitDRAMBanks + 1 }},
+		{"unified too big", func(g *GPU) { g.Unified.SizeBytes = 2 * LimitUnifiedBytes }},
+		{"L2 too big", func(g *GPU) { g.L2.SizeBytes = 2 * LimitL2Bytes }},
+		{"icnt too slow", func(g *GPU) { g.IcntLatency = LimitLatency + 1 }},
+		{"L2 too slow", func(g *GPU) { g.L2.Latency = LimitLatency + 1 }},
+		{"DRAM too slow", func(g *GPU) { g.DRAM.TRC = LimitDRAMCycles + 1 }},
+		{"transfer too slow", func(g *GPU) { g.DRAMClockxfer = LimitDRAMCycles + 1 }},
 	}
 	for _, m := range mutate {
 		g := Default()

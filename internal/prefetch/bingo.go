@@ -1,7 +1,5 @@
 package prefetch
 
-import "math/bits"
-
 // Bingo is a GPU adaptation of the Bingo spatial prefetcher (Bakhshalipour
 // et al., HPCA'19 — §6.1 of the Snake paper): it learns the footprint of
 // lines touched within a spatial region and, on the next trigger access to
@@ -21,12 +19,13 @@ type Bingo struct {
 	// MaxEntries bounds each history table (default 2048).
 	MaxEntries int
 
-	active map[uint64]*regionState // region base -> accumulation
-	long   map[longKey]uint32      // PC+trigger-address -> footprint
-	short  map[shortKey]uint32     // PC+trigger-offset  -> footprint
-	fifoA  []uint64
-	fifoL  []longKey
-	fifoS  []shortKey
+	active map[uint64]regionState // region base -> accumulation
+	long   map[longKey]uint32     // PC+trigger-address -> footprint
+	short  map[shortKey]uint32    // PC+trigger-offset  -> footprint
+	fifoA  ring[uint64]
+	fifoL  ring[longKey]
+	fifoS  ring[shortKey]
+	reqs   []Request // OnAccess's result, reused across calls
 }
 
 type longKey struct {
@@ -51,7 +50,7 @@ func NewBingo() *Bingo {
 		RegionBytes: 2048,
 		LineBytes:   128,
 		MaxEntries:  2048,
-		active:      make(map[uint64]*regionState),
+		active:      make(map[uint64]regionState),
 		long:        make(map[longKey]uint32),
 		short:       make(map[shortKey]uint32),
 	}
@@ -64,21 +63,18 @@ func (p *Bingo) Name() string { return "bingo" }
 func (p *Bingo) OnAccess(ev AccessEvent) []Request {
 	region := ev.Addr &^ (p.RegionBytes - 1)
 	lineIdx := uint((ev.Addr % p.RegionBytes) / p.LineBytes)
-	st, tracked := p.active[region]
-	if tracked {
+	if st, tracked := p.active[region]; tracked {
 		st.footprint |= 1 << lineIdx
+		p.active[region] = st
 		return nil
 	}
 	// Trigger access to a new region: learn the previous epoch's footprint
 	// is handled on eviction; start tracking and predict from history.
-	st = &regionState{footprint: 1 << lineIdx, trigPC: ev.PC, trigAddr: ev.Addr}
 	if len(p.active) >= 64 { // few regions tracked at once, FIFO recycled
-		victim := p.fifoA[0]
-		p.fifoA = p.fifoA[1:]
-		p.retire(victim)
+		p.retire(p.fifoA.pop())
 	}
-	p.active[region] = st
-	p.fifoA = append(p.fifoA, region)
+	p.active[region] = regionState{footprint: 1 << lineIdx, trigPC: ev.PC, trigAddr: ev.Addr}
+	p.fifoA.push(region)
 
 	// Long event first, then the short event (§6.1).
 	fp, ok := p.long[longKey{ev.PC, ev.Addr}]
@@ -88,13 +84,13 @@ func (p *Bingo) OnAccess(ev AccessEvent) []Request {
 	if !ok || fp == 0 {
 		return nil
 	}
-	reqs := make([]Request, 0, bits.OnesCount32(fp))
+	p.reqs = p.reqs[:0]
 	for i := uint(0); i < uint(p.RegionBytes/p.LineBytes); i++ {
 		if fp&(1<<i) != 0 && i != lineIdx {
-			reqs = append(reqs, Request{Addr: region + uint64(i)*p.LineBytes})
+			p.reqs = append(p.reqs, Request{Addr: region + uint64(i)*p.LineBytes})
 		}
 	}
-	return reqs
+	return p.reqs
 }
 
 // retire stores a finished region's footprint under both event keys.
@@ -106,28 +102,28 @@ func (p *Bingo) retire(region uint64) {
 	delete(p.active, region)
 	lk := longKey{st.trigPC, st.trigAddr}
 	if _, exists := p.long[lk]; !exists {
-		if len(p.fifoL) >= p.MaxEntries {
-			delete(p.long, p.fifoL[0])
-			p.fifoL = p.fifoL[1:]
+		if p.fifoL.n >= p.MaxEntries {
+			delete(p.long, p.fifoL.pop())
 		}
-		p.fifoL = append(p.fifoL, lk)
+		p.fifoL.push(lk)
 	}
 	p.long[lk] = st.footprint
 	sk := shortKey{st.trigPC, uint8((st.trigAddr % p.RegionBytes) / p.LineBytes)}
 	if _, exists := p.short[sk]; !exists {
-		if len(p.fifoS) >= p.MaxEntries {
-			delete(p.short, p.fifoS[0])
-			p.fifoS = p.fifoS[1:]
+		if p.fifoS.n >= p.MaxEntries {
+			delete(p.short, p.fifoS.pop())
 		}
-		p.fifoS = append(p.fifoS, sk)
+		p.fifoS.push(sk)
 	}
 	p.short[sk] = st.footprint
 }
 
 // Reset implements Prefetcher.
 func (p *Bingo) Reset() {
-	p.active = make(map[uint64]*regionState)
-	p.long = make(map[longKey]uint32)
-	p.short = make(map[shortKey]uint32)
-	p.fifoA, p.fifoL, p.fifoS = nil, nil, nil
+	clear(p.active)
+	clear(p.long)
+	clear(p.short)
+	p.fifoA.reset()
+	p.fifoL.reset()
+	p.fifoS.reset()
 }

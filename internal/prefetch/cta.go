@@ -18,6 +18,8 @@ type CTAAware struct {
 	ctaStride  int64
 	strideSeen int
 	lastCTA    int
+
+	reqs []Request // OnAccess's result, reused across calls
 }
 
 // NewCTAAware returns a CTA-aware prefetcher with default parameters.
@@ -53,14 +55,11 @@ func (p *CTAAware) OnAccess(ev AccessEvent) []Request {
 		return nil
 	}
 	// Prefetch this load's address translated into the next CTA(s).
-	reqs := make([]Request, 0, p.Degree)
-	for d := 1; d <= p.Degree; d++ {
-		reqs = append(reqs, Request{Addr: uint64(int64(ev.Addr) + p.ctaStride*int64(d))})
-	}
-	return reqs
+	p.reqs = strideRequests(p.reqs[:0], ev.Addr, p.ctaStride, p.Degree)
+	return p.reqs
 }
 
 // Reset implements Prefetcher.
 func (p *CTAAware) Reset() {
-	*p = CTAAware{Degree: p.Degree, MinCTAs: p.MinCTAs, lastCTA: -1}
+	*p = CTAAware{Degree: p.Degree, MinCTAs: p.MinCTAs, lastCTA: -1, reqs: p.reqs}
 }

@@ -18,9 +18,10 @@ type Domino struct {
 	MaxEntries int
 
 	table map[pairKey]entryList
-	fifo  []pairKey // insertion order for eviction
-	last  [2]uint64 // the two most recent line addresses
+	fifo  ring[pairKey] // insertion order for eviction
+	last  [2]uint64     // the two most recent line addresses
 	have  int
+	reqs  []Request // OnAccess's result, reused across calls
 }
 
 type pairKey struct{ a, b uint64 }
@@ -39,17 +40,16 @@ func (p *Domino) Name() string { return "domino" }
 // OnAccess implements Prefetcher.
 func (p *Domino) OnAccess(ev AccessEvent) []Request {
 	line := ev.LineAddr
-	var reqs []Request
+	p.reqs = p.reqs[:0]
 	if p.have == 2 {
 		// Record: the pair (last[0], last[1]) is followed by line.
 		k := pairKey{p.last[0], p.last[1]}
 		e, exists := p.table[k]
 		if !exists {
-			if len(p.fifo) >= p.MaxEntries {
-				delete(p.table, p.fifo[0])
-				p.fifo = p.fifo[1:]
+			if p.fifo.n >= p.MaxEntries {
+				delete(p.table, p.fifo.pop())
 			}
-			p.fifo = append(p.fifo, k)
+			p.fifo.push(k)
 		}
 		if e[0] != line {
 			e[1] = e[0]
@@ -64,7 +64,7 @@ func (p *Domino) OnAccess(ev AccessEvent) []Request {
 			if !ok || nxt[0] == 0 {
 				break
 			}
-			reqs = append(reqs, Request{Addr: nxt[0]})
+			p.reqs = append(p.reqs, Request{Addr: nxt[0]})
 			cur = pairKey{cur.b, nxt[0]}
 		}
 	}
@@ -75,12 +75,12 @@ func (p *Domino) OnAccess(ev AccessEvent) []Request {
 	} else {
 		p.last[0], p.last[1] = p.last[1], line
 	}
-	return reqs
+	return p.reqs
 }
 
 // Reset implements Prefetcher.
 func (p *Domino) Reset() {
-	p.table = make(map[pairKey]entryList)
-	p.fifo = nil
+	clear(p.table)
+	p.fifo.reset()
 	p.have = 0
 }

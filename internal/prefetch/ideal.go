@@ -17,6 +17,7 @@ type Ideal struct {
 
 	deltas map[pcPairDelta]bool
 	last   map[int]pcAddr // per-warp last load
+	reqs   []Request      // OnAccess's result, reused across calls
 }
 
 type pcPairDelta struct {
@@ -58,20 +59,20 @@ func (p *Ideal) OnAccess(ev AccessEvent) []Request {
 	if n > len(ev.FuturePCs) {
 		n = len(ev.FuturePCs)
 	}
-	var reqs []Request
+	p.reqs = p.reqs[:0]
 	pc, addr := ev.PC, ev.Addr
 	for i := 0; i < n; i++ {
 		npc, naddr := ev.FuturePCs[i], ev.FutureAddrs[i]
 		if p.deltas[pcPairDelta{pc, npc, int64(naddr) - int64(addr)}] {
-			reqs = append(reqs, Request{Addr: naddr})
+			p.reqs = append(p.reqs, Request{Addr: naddr})
 		}
 		pc, addr = npc, naddr
 	}
-	return reqs
+	return p.reqs
 }
 
 // Reset implements Prefetcher.
 func (p *Ideal) Reset() {
-	p.deltas = make(map[pcPairDelta]bool)
-	p.last = make(map[int]pcAddr)
+	clear(p.deltas)
+	clear(p.last)
 }

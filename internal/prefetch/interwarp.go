@@ -14,7 +14,8 @@ type InterWarp struct {
 	// (default 3, matching Snake's promotion rule).
 	MinWarps int
 
-	table map[uint64]*interEntry // keyed by PC
+	table map[uint64]interEntry // keyed by PC
+	reqs  []Request             // OnAccess's result, reused across calls
 }
 
 type interEntry struct {
@@ -28,7 +29,7 @@ type interEntry struct {
 // NewInterWarp returns an inter-warp prefetcher with default parameters:
 // each warp prefetches for the next future warp, per Lee et al. [29].
 func NewInterWarp() *InterWarp {
-	return &InterWarp{Degree: 1, MinWarps: 3, table: make(map[uint64]*interEntry)}
+	return &InterWarp{Degree: 1, MinWarps: 3, table: make(map[uint64]interEntry)}
 }
 
 // Name implements Prefetcher.
@@ -38,7 +39,7 @@ func (p *InterWarp) Name() string { return "inter-warp" }
 func (p *InterWarp) OnAccess(ev AccessEvent) []Request {
 	e, ok := p.table[ev.PC]
 	if !ok {
-		p.table[ev.PC] = &interEntry{lastAddr: ev.Addr, lastWarp: ev.WarpID, warpsSeen: 1}
+		p.table[ev.PC] = interEntry{lastAddr: ev.Addr, lastWarp: ev.WarpID, warpsSeen: 1}
 		return nil
 	}
 	dw := ev.WarpID - e.lastWarp
@@ -57,15 +58,13 @@ func (p *InterWarp) OnAccess(ev AccessEvent) []Request {
 	}
 	e.lastAddr = ev.Addr
 	e.lastWarp = ev.WarpID
+	p.table[ev.PC] = e
 	if !e.valid || e.stride == 0 {
 		return nil
 	}
-	reqs := make([]Request, 0, p.Degree)
-	for d := 1; d <= p.Degree; d++ {
-		reqs = append(reqs, Request{Addr: uint64(int64(ev.Addr) + e.stride*int64(d))})
-	}
-	return reqs
+	p.reqs = strideRequests(p.reqs[:0], ev.Addr, e.stride, p.Degree)
+	return p.reqs
 }
 
 // Reset implements Prefetcher.
-func (p *InterWarp) Reset() { p.table = make(map[uint64]*interEntry) }
+func (p *InterWarp) Reset() { clear(p.table) }

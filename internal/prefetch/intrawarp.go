@@ -12,7 +12,8 @@ type IntraWarp struct {
 	// before prefetching (default 2).
 	MinConfidence int
 
-	table map[intraKey]*intraEntry
+	table map[intraKey]intraEntry
+	reqs  []Request // OnAccess's result, reused across calls
 }
 
 type intraKey struct {
@@ -31,7 +32,7 @@ type intraEntry struct {
 // instruction, per Lee et al. [29]. Multi-step lookahead is what Snake's
 // chain walking adds on top.
 func NewIntraWarp() *IntraWarp {
-	return &IntraWarp{Degree: 1, MinConfidence: 2, table: make(map[intraKey]*intraEntry)}
+	return &IntraWarp{Degree: 1, MinConfidence: 2, table: make(map[intraKey]intraEntry)}
 }
 
 // Name implements Prefetcher.
@@ -42,31 +43,28 @@ func (p *IntraWarp) OnAccess(ev AccessEvent) []Request {
 	k := intraKey{ev.WarpID, ev.PC}
 	e, ok := p.table[k]
 	if !ok {
-		p.table[k] = &intraEntry{lastAddr: ev.Addr}
+		p.table[k] = intraEntry{lastAddr: ev.Addr}
 		return nil
 	}
 	stride := int64(ev.Addr) - int64(e.lastAddr)
 	e.lastAddr = ev.Addr
-	if stride == 0 {
-		return nil
-	}
-	if stride == e.stride {
-		if e.confidence < 1<<20 {
-			e.confidence++
+	if stride != 0 {
+		if stride == e.stride {
+			if e.confidence < 1<<20 {
+				e.confidence++
+			}
+		} else {
+			e.stride = stride
+			e.confidence = 1
 		}
-	} else {
-		e.stride = stride
-		e.confidence = 1
 	}
-	if e.confidence < p.MinConfidence {
+	p.table[k] = e
+	if stride == 0 || e.confidence < p.MinConfidence {
 		return nil
 	}
-	reqs := make([]Request, 0, p.Degree)
-	for d := 1; d <= p.Degree; d++ {
-		reqs = append(reqs, Request{Addr: uint64(int64(ev.Addr) + stride*int64(d))})
-	}
-	return reqs
+	p.reqs = strideRequests(p.reqs[:0], ev.Addr, stride, p.Degree)
+	return p.reqs
 }
 
 // Reset implements Prefetcher.
-func (p *IntraWarp) Reset() { p.table = make(map[intraKey]*intraEntry) }
+func (p *IntraWarp) Reset() { clear(p.table) }

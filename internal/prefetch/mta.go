@@ -9,6 +9,7 @@ type MTA struct {
 	nopCycle
 	intra *IntraWarp
 	inter *InterWarp
+	reqs  []Request // merged result, reused across calls
 }
 
 // NewMTA returns an MTA prefetcher with default sub-prefetcher parameters.
@@ -30,21 +31,21 @@ func (p *MTA) OnAccess(ev AccessEvent) []Request {
 	if len(b) == 0 {
 		return a
 	}
-	seen := make(map[uint64]bool, len(a)+len(b))
-	out := make([]Request, 0, len(a)+len(b))
-	for _, r := range a {
-		if !seen[r.Addr] {
-			seen[r.Addr] = true
-			out = append(out, r)
+	// Both lists hold Degree requests (1 by default), so a linear scan
+	// deduplicates cheaper than any set.
+	p.reqs = p.reqs[:0]
+	for _, list := range [2][]Request{a, b} {
+	next:
+		for _, r := range list {
+			for _, q := range p.reqs {
+				if q.Addr == r.Addr {
+					continue next
+				}
+			}
+			p.reqs = append(p.reqs, r)
 		}
 	}
-	for _, r := range b {
-		if !seen[r.Addr] {
-			seen[r.Addr] = true
-			out = append(out, r)
-		}
-	}
-	return out
+	return p.reqs
 }
 
 // Reset implements Prefetcher.

@@ -113,7 +113,10 @@ type OutcomeObserver interface {
 type Prefetcher interface {
 	// Name returns the mechanism name used in reports.
 	Name() string
-	// OnAccess observes a demand load and returns prefetch candidates.
+	// OnAccess observes a demand load and returns prefetch candidates. The
+	// returned slice is valid until the next call: prefetchers return their
+	// candidates in one buffer they reuse, so the per-access path does not
+	// allocate.
 	OnAccess(ev AccessEvent) []Request
 	// OnCycle is called once per simulated cycle before issue.
 	OnCycle(cycle int64, env Env)
@@ -154,3 +157,41 @@ type nopCycle struct{}
 func (nopCycle) OnCycle(int64, Env) {}
 func (nopCycle) Trained() bool      { return true }
 func (nopCycle) Magic() bool        { return false }
+
+// strideRequests appends the degree addresses addr+stride, addr+2*stride, …
+// to reqs.
+func strideRequests(reqs []Request, addr uint64, stride int64, degree int) []Request {
+	for d := 1; d <= degree; d++ {
+		reqs = append(reqs, Request{Addr: uint64(int64(addr) + stride*int64(d))})
+	}
+	return reqs
+}
+
+// ring is a first-in-first-out queue over a circular buffer that doubles
+// when full and keeps its storage across reset, so a queue held at a
+// bounded length allocates nothing once it has reached it.
+type ring[K any] struct {
+	buf     []K
+	head, n int
+}
+
+func (r *ring[K]) push(k K) {
+	if r.n == len(r.buf) {
+		buf := make([]K, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = k
+	r.n++
+}
+
+func (r *ring[K]) pop() K {
+	k := r.buf[r.head]
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return k
+}
+
+func (r *ring[K]) reset() { r.head, r.n = 0, 0 }

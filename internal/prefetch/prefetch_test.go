@@ -210,3 +210,40 @@ func TestResets(t *testing.T) {
 		}
 	}
 }
+
+// TestRingFIFO drives ring against a slice queue through growth, wrap-around
+// and resets, and checks that a ring held at its working length stops
+// allocating.
+func TestRingFIFO(t *testing.T) {
+	var r ring[int]
+	var ref []int
+	next := 0
+	for step := 0; step < 5000; step++ {
+		switch {
+		case step%997 == 0:
+			r.reset()
+			ref = ref[:0]
+		case step%3 != 0 || len(ref) == 0:
+			r.push(next)
+			ref = append(ref, next)
+			next++
+		default:
+			if got := r.pop(); got != ref[0] {
+				t.Fatalf("step %d: pop = %d, want %d", step, got, ref[0])
+			}
+			ref = ref[1:]
+		}
+		if r.n != len(ref) {
+			t.Fatalf("step %d: length %d, want %d", step, r.n, len(ref))
+		}
+	}
+	r.reset()
+	for i := 0; i < 100; i++ {
+		r.push(i)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		r.push(r.pop())
+	}); n != 0 {
+		t.Errorf("a ring at its working length allocated %.1f times per push, want 0", n)
+	}
+}

@@ -17,6 +17,7 @@ type Tree struct {
 	BurstLines int
 
 	seen map[uint64]int // chunk -> lines issued so far
+	reqs []Request      // OnAccess's result, reused across calls
 }
 
 // NewTree returns a Tree prefetcher with default parameters.
@@ -40,13 +41,13 @@ func (p *Tree) OnAccess(ev AccessEvent) []Request {
 	if issued+n > linesPerChunk {
 		n = linesPerChunk - issued
 	}
-	reqs := make([]Request, 0, n)
+	p.reqs = p.reqs[:0]
 	for i := 0; i < n; i++ {
-		reqs = append(reqs, Request{Addr: base + uint64(issued+i)*p.LineBytes})
+		p.reqs = append(p.reqs, Request{Addr: base + uint64(issued+i)*p.LineBytes})
 	}
 	p.seen[chunk] = issued + n
-	return reqs
+	return p.reqs
 }
 
 // Reset implements Prefetcher.
-func (p *Tree) Reset() { p.seen = make(map[uint64]int) }
+func (p *Tree) Reset() { clear(p.seen) }

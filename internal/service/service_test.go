@@ -435,6 +435,30 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestUnbuildableGPURejected pins that a "gpu" override the engine cannot
+// build gets a 400 naming the field, instead of reaching a worker: an L2 of
+// 48 KB at 16 ways has 24 sets, and the cache indexes sets by bit mask.
+func TestUnbuildableGPURejected(t *testing.T) {
+	svc := tinyService(1)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = svc.Shutdown(ctx)
+	}()
+
+	gpu := config.Scaled(4, 64)
+	gpu.L2.SizeBytes = 48 << 10
+	resp, body := postJSON(t, ts.URL+"/v1/runs?wait=1", RunRequest{Bench: "lps", Mech: "baseline", GPU: &gpu})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("48 KB L2: %d %s, want 400", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "L2") || !strings.Contains(string(body), "power of two") {
+		t.Errorf("48 KB L2: error %s does not name the L2 geometry", body)
+	}
+}
+
 // TestNormalizeSlackAndParallelismDefaults pins the local-resource knob
 // plumbing: a request's 0 means "server default", explicit values pass
 // through, and neither knob reaches the content address (covered by the

@@ -132,31 +132,3 @@ func TestCancellationPollBoundary(t *testing.T) {
 		t.Errorf("%d Err calls, want 1 (abort on the first poll)", ctx.calls)
 	}
 }
-
-func TestSteadyStateAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc measurement is slow")
-	}
-	// The cycle loop must not allocate in steady state: lengthening a run 8x
-	// must not raise the per-run allocation count, because everything beyond
-	// engine construction reuses pooled or pre-sized storage. Measured on the
-	// baseline so the count isolates the engine; Snake's chain tables grow
-	// with the number of distinct lines touched (tracked separately by the
-	// throughput benchmark's allocs/op).
-	measure := func(iters int) float64 {
-		k := workloads.StreamMicro(workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: iters}, 256)
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(k, Options{Config: tinyCfg()}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	short := measure(4)
-	long := measure(32)
-	// Tiny slack for run-to-run GC noise; per-cycle allocation would show up
-	// as thousands of extra allocations on the 8x run.
-	if long > short+8 {
-		t.Errorf("8x longer run allocates %.0f vs %.0f per run; cycle loop is allocating in steady state",
-			long, short)
-	}
-}

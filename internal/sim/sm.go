@@ -201,7 +201,10 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 // per-run statistics accumulator is reset by the engine (stats.Shards.Reset),
 // not here — s.st keeps pointing into it.
 func (s *sm) reset(pf prefetch.Prefetcher, mlp int, reusePf bool) {
-	clear(s.warps)
+	for i := range s.warps {
+		w := &s.warps[i]
+		*w = warpCtx{futPCs: w.futPCs[:0], futAddrs: w.futAddrs[:0]}
+	}
 	s.resetReadiness()
 	for _, sc := range s.scheds {
 		sc.Reset()
@@ -263,6 +266,7 @@ func (s *sm) dispatchCTA(k *trace.Kernel, ctaIdx int, age *int64) {
 			continue
 		}
 		w := &s.warps[slot]
+		pcs, addrs := w.futPCs[:0], w.futAddrs[:0] // the slot's oracle buffers, reused
 		*age++
 		*w = warpCtx{
 			state:    wsReady,
@@ -272,7 +276,7 @@ func (s *sm) dispatchCTA(k *trace.Kernel, ctaIdx int, age *int64) {
 			nextExit: -1,
 		}
 		if s.oracle {
-			w.futPCs, w.futAddrs = loadStream(w.prog)
+			w.futPCs, w.futAddrs = loadStream(w.prog, pcs, addrs)
 		}
 		s.setReadyAt(slot, 0, 0)
 		s.resident++
@@ -285,8 +289,9 @@ func (s *sm) dispatchCTA(k *trace.Kernel, ctaIdx int, age *int64) {
 	s.schedDirty = true
 }
 
-// loadStream extracts the PC/address stream of a warp's loads.
-func loadStream(p *trace.WarpProgram) (pcs, addrs []uint64) {
+// loadStream appends the PC/address stream of a warp's loads to pcs and
+// addrs.
+func loadStream(p *trace.WarpProgram, pcs, addrs []uint64) ([]uint64, []uint64) {
 	for _, in := range p.Insts {
 		if in.Op == trace.OpLoad {
 			pcs = append(pcs, in.PC)

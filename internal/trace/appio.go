@@ -73,6 +73,11 @@ func ReadAppJSON(r io.Reader) (*App, error) {
 	if err := json.NewDecoder(r).Decode(&a); err != nil {
 		return nil, fmt.Errorf("trace: decode app json: %w", err)
 	}
+	for _, l := range a.Launches {
+		if l.Kernel != nil {
+			l.Kernel.trim()
+		}
+	}
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: loaded app invalid: %w", err)
 	}

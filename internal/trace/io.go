@@ -74,6 +74,7 @@ func ReadJSON(r io.Reader) (*Kernel, error) {
 	if err := json.NewDecoder(r).Decode(&k); err != nil {
 		return nil, fmt.Errorf("trace: decode json: %w", err)
 	}
+	k.trim()
 	if err := k.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: loaded kernel invalid: %w", err)
 	}

@@ -36,6 +36,13 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(k, got) {
 		t.Error("json round trip changed the kernel")
 	}
+	for ci, cta := range got.CTAs {
+		for wi, w := range cta.Warps {
+			if cap(w.Insts) != len(w.Insts) {
+				t.Errorf("decoded CTA %d warp %d has cap %d for %d instructions", ci, wi, cap(w.Insts), len(w.Insts))
+			}
+		}
+	}
 }
 
 func TestReadBinaryRejectsGarbage(t *testing.T) {

@@ -1,9 +1,12 @@
 package workloads
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+
+	"snake/internal/trace"
 )
 
 // TestStoreInternsPerKey checks the interning contract: repeated lookups of
@@ -121,5 +124,39 @@ func TestStoreMatchesBuild(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("interned kernel differs from a direct Build")
+	}
+}
+
+// TestStoreProgramsExactLength pins that an interned kernel holds no spare
+// instruction capacity: the store keeps every warp program for the life of
+// the process, and append-doubling would leave up to half of each program's
+// array unused.
+func TestStoreProgramsExactLength(t *testing.T) {
+	s := NewStore()
+	check := func(what string, k *trace.Kernel) {
+		for ci, cta := range k.CTAs {
+			for wi, w := range cta.Warps {
+				if cap(w.Insts) != len(w.Insts) {
+					t.Fatalf("%s: CTA %d warp %d has cap %d for %d instructions",
+						what, ci, wi, cap(w.Insts), len(w.Insts))
+				}
+			}
+		}
+	}
+	for _, name := range Names() {
+		k, err := s.Kernel(name, Tiny())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, k)
+	}
+	for _, name := range AppNames() {
+		a, _, err := s.App(name, Tiny(), 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range a.Launches {
+			check(fmt.Sprintf("app %s launch %d", name, i), l.Kernel)
+		}
 	}
 }
