@@ -67,6 +67,45 @@ func TestOwnerBalanced(t *testing.T) {
 	}
 }
 
+// TestOwnerBalancedPairs: a two-node cluster splits keys about evenly
+// whatever the peer's address. One fixed self is paired with 2,000 peers
+// whose URLs differ only in the port, the shape an httptest cluster has;
+// each peer must own 40-60% of 2,000 RunKey-shaped keys, and some of the
+// 4,096 counter keys transport tests search for an owned key among. Bare
+// FNV-1a left 12 of these peers outside 40-60% (port 31972 owned 1.7%).
+func TestOwnerBalancedPairs(t *testing.T) {
+	keys := testKeys(2000)
+	counters := make([]string, 4096)
+	for i := range counters {
+		counters[i] = fmt.Sprintf("%064x", i)
+	}
+	const self = "http://self.invalid"
+	for port := 30000; port < 32000; port++ {
+		peer := fmt.Sprintf("http://127.0.0.1:%d", port)
+		nodes := []string{self, peer}
+		owned := 0
+		for _, k := range keys {
+			if Owner(k, nodes) == peer {
+				owned++
+			}
+		}
+		if share := float64(owned) / float64(len(keys)); share < 0.4 || share > 0.6 {
+			t.Errorf("%s owns %.1f%% of %d keys paired with %s, want 40-60%%",
+				peer, 100*share, len(keys), self)
+		}
+		ownsCounter := false
+		for _, k := range counters {
+			if Owner(k, nodes) == peer {
+				ownsCounter = true
+				break
+			}
+		}
+		if !ownsCounter {
+			t.Errorf("%s owns none of %d counter keys paired with %s", peer, len(counters), self)
+		}
+	}
+}
+
 // TestOwnerMonotone: growing the member set only moves keys to the new
 // node — the rendezvous property that makes scale-out cheap (no reshuffle
 // among survivors).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"snake/internal/prefetch"
 )
 
@@ -113,6 +115,79 @@ func (c Config) withDefaults() Config {
 		c.MaxRequestsPerAccess = d.MaxRequestsPerAccess
 	}
 	return c
+}
+
+// Upper limits Validate puts on a configuration. A configuration can arrive
+// over the network (snaked's "snake" override), and every SM builds its own
+// tables from it, so without them one request could allocate without bound
+// or make every load scan a table of any length. Most limits admit 4× the
+// paper's value, or the largest point the repository's experiments sweep
+// where that is larger; the others say why they sit where they do.
+const (
+	// LimitTailEntries bounds the Tail table: every SM allocates it, and
+	// findByPC1 scans all of it on each chain step. It admits the 1000-entry
+	// "unbounded" point of the tail-size sweep (Figs. 20 and 21).
+	LimitTailEntries = 1024
+	// LimitHeadRows bounds the Head table's rows: #warps/2 at 4× Table 1's
+	// 64 warps per SM.
+	LimitHeadRows = 4 * 32
+	// LimitHeadSlotsPerRow bounds the slots each Head row holds and each
+	// load scans.
+	LimitHeadSlotsPerRow = 4 * 2
+	// LimitPromoteWarps is the width of a Tail entry's warp bit vector; a
+	// larger threshold could never be met.
+	LimitPromoteWarps = 64
+	// LimitChainDepth bounds the steps of one chain walk; each step scans
+	// the Tail table.
+	LimitChainDepth = 4 * 2
+	// LimitDegree bounds InterWarpDegree and IntraDegree: the projections
+	// one access makes, each of which may walk a chain.
+	LimitDegree = 4 * 2
+	// LimitBulkPromotionWarps bounds the one-time promotion burst, which
+	// bypasses the per-access cap: all future warps of one SM at 4× Table
+	// 1's 64 warps.
+	LimitBulkPromotionWarps = 4 * 64
+	// LimitThrottleCycles bounds the space-triggered halt: 4× the longest
+	// interval of the throttle sweep (Fig. 23).
+	LimitThrottleCycles = 4 * 400
+	// LimitMaxRequestsPerAccess bounds the per-access burst, which each
+	// push scans to drop duplicates.
+	LimitMaxRequestsPerAccess = 4 * 8
+)
+
+// Validate checks the configuration New would build (zero and negative
+// counts take the paper's defaults first): every table size, degree and
+// interval within its limit, and the bandwidth thresholds in [0, 1].
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	for _, f := range []struct {
+		name          string
+		val, min, max int
+	}{
+		{"TailEntries", c.TailEntries, 1, LimitTailEntries},
+		{"HeadRows", c.HeadRows, 1, LimitHeadRows},
+		{"HeadSlotsPerRow", c.HeadSlotsPerRow, 1, LimitHeadSlotsPerRow},
+		{"PromoteWarps", c.PromoteWarps, 1, LimitPromoteWarps},
+		{"ChainDepth", c.ChainDepth, 1, LimitChainDepth},
+		{"InterWarpDegree", c.InterWarpDegree, 0, LimitDegree},
+		{"IntraDegree", c.IntraDegree, 1, LimitDegree},
+		{"BulkPromotionWarps", c.BulkPromotionWarps, 0, LimitBulkPromotionWarps},
+		{"ThrottleCycles", c.ThrottleCycles, 1, LimitThrottleCycles},
+		{"MaxRequestsPerAccess", c.MaxRequestsPerAccess, 1, LimitMaxRequestsPerAccess},
+	} {
+		if f.val < f.min || f.val > f.max {
+			return fmt.Errorf("snake: %s %d must be in [%d, %d]", f.name, f.val, f.min, f.max)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		val  float64
+	}{{"BWHalt", c.BWHalt}, {"BWResume", c.BWResume}} {
+		if !(f.val >= 0 && f.val <= 1) {
+			return fmt.Errorf("snake: %s %v must be in [0, 1]", f.name, f.val)
+		}
+	}
+	return nil
 }
 
 // Snake is the chain-based prefetcher. One instance serves one SM.

@@ -3,38 +3,29 @@ package harness
 import (
 	"sync"
 
-	"snake/internal/config"
 	"snake/internal/sim"
 	"snake/internal/trace"
 )
 
-// EnginePool recycles sim.Engine instances across runs. Engines are pooled
-// per (config.GPU, tag) shape so a checked-out engine's arenas always match
-// the requested configuration and — when the tag is non-empty — its retained
-// prefetcher instances match the requested mechanism; a run drawn from the
-// pool reinitializes those arenas in place instead of reallocating them.
+// EnginePool recycles sim.Engine instances across runs. It is one pool for
+// every configuration and mechanism, so it holds about as many warm engines
+// as there are runs in flight. A checked-out engine may have last run any
+// (config, tag): sim.Engine reinitializes its arenas in place when the
+// config matches its previous run and rebuilds them when it does not, and
+// it resets its retained prefetcher instances only when the tag matches its
+// previous run's, constructing them fresh otherwise.
 //
 // The tag follows sim.Engine.RunTagged's contract: it must uniquely identify
 // the prefetcher factory's configuration (the mechanism registry name is the
 // canonical choice), and the empty tag always constructs prefetchers fresh.
 // Pooling is transparent to results: the sim package guarantees recycled
-// engines produce bit-identical statistics.
+// engines produce bit-identical statistics whatever they ran before.
 type EnginePool struct {
-	mu    sync.Mutex
-	pools map[engineKey]*sync.Pool
-}
-
-// engineKey is one pool's shape. config.GPU is a comparable value type, so
-// the full configuration participates in the key directly.
-type engineKey struct {
-	cfg config.GPU
-	tag string
+	engines sync.Pool
 }
 
 // NewEnginePool returns an empty pool.
-func NewEnginePool() *EnginePool {
-	return &EnginePool{pools: make(map[engineKey]*sync.Pool)}
-}
+func NewEnginePool() *EnginePool { return &EnginePool{} }
 
 // sharedEngines is the process-wide pool the runner and the snaked service
 // default to, so their steady-state traffic shares one set of warm arenas.
@@ -43,43 +34,31 @@ var sharedEngines = NewEnginePool()
 // SharedEnginePool returns the process-wide engine pool.
 func SharedEnginePool() *EnginePool { return sharedEngines }
 
+// get checks out a pooled engine, or a new one when the pool is empty.
+func (p *EnginePool) get() *sim.Engine {
+	if en, ok := p.engines.Get().(*sim.Engine); ok {
+		return en
+	}
+	return sim.NewEngine()
+}
+
 // Run simulates the kernel on a pooled engine and returns the engine to the
 // pool afterwards. Engines are returned even after failed runs — the sim
 // package's reinitialization path handles arbitrary dirty state.
 func (p *EnginePool) Run(k *trace.Kernel, opt sim.Options, tag string) (*sim.Result, error) {
-	sp := p.pool(engineKey{cfg: opt.Config, tag: tag})
-	en, _ := sp.Get().(*sim.Engine)
-	if en == nil {
-		en = sim.NewEngine()
-	}
+	en := p.get()
 	res, err := en.RunTagged(k, opt, tag)
-	sp.Put(en)
+	p.engines.Put(en)
 	return res, err
 }
 
 // RunApp simulates the application on a pooled engine and returns the engine
-// to the pool afterwards. Apps and single kernels share the same pools: the
-// engine's persistent machine is shaped by the configuration alone, and the
-// launch state rebuilds per run, so a kernel run can recycle an app run's
-// engine and vice versa.
+// to the pool afterwards. Kernel and app runs recycle each other's engines:
+// the engine's persistent machine is shaped by the configuration alone, and
+// the launch state rebuilds per run.
 func (p *EnginePool) RunApp(a *trace.App, opt sim.Options, tag string) (*sim.AppResult, error) {
-	sp := p.pool(engineKey{cfg: opt.Config, tag: tag})
-	en, _ := sp.Get().(*sim.Engine)
-	if en == nil {
-		en = sim.NewEngine()
-	}
+	en := p.get()
 	res, err := en.RunAppTagged(a, opt, tag)
-	sp.Put(en)
+	p.engines.Put(en)
 	return res, err
-}
-
-func (p *EnginePool) pool(key engineKey) *sync.Pool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sp, ok := p.pools[key]
-	if !ok {
-		sp = &sync.Pool{}
-		p.pools[key] = sp
-	}
-	return sp
 }

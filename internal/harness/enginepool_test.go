@@ -1,12 +1,16 @@
 package harness
 
 import (
+	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
 	"snake/internal/config"
 	"snake/internal/sim"
+	"snake/internal/trace"
 	"snake/internal/workloads"
 )
 
@@ -32,26 +36,31 @@ func TestPrefillSharesKernelBuild(t *testing.T) {
 	}
 }
 
-// TestEnginePoolMatchesFresh runs a spread of (bench, mech) pairs through one
-// EnginePool — recycling engines between runs — and checks every Result
-// against a freshly constructed engine.
+// TestEnginePoolMatchesFresh runs every registry mechanism twice, in a
+// seeded shuffled order, through one EnginePool, and checks every Result
+// against a freshly constructed engine. The pool is shared by every
+// mechanism, so each run draws an engine whose previous run was, in the
+// main, a different mechanism: the L1's storage organization moves between
+// plain, decoupled and isolated, and the retained prefetchers are swapped.
 func TestEnginePoolMatchesFresh(t *testing.T) {
 	cfg := config.Scaled(2, 16)
 	sc := workloads.Tiny()
-	p := NewEnginePool()
-	cases := []struct{ bench, mech string }{
-		{"lps", "snake"},
-		{"mum", "snake"},
-		{"lps", "baseline"},
-		{"lps", "snake"}, // repeat: this one draws a warm engine
-		{"hotspot", "mta"},
+	benches := []string{"lps", "mum", "hotspot"}
+	var order []string
+	rng := rand.New(rand.NewSource(24))
+	for pass := 0; pass < 2; pass++ {
+		names := MechanismNames()
+		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+		order = append(order, names...)
 	}
-	for _, c := range cases {
-		k, err := workloads.Build(c.bench, sc)
+	p := NewEnginePool()
+	for i, mech := range order {
+		bench := benches[i%len(benches)]
+		k, err := workloads.Build(bench, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := Mechanism(c.mech)
+		f, err := Mechanism(mech)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,13 +69,131 @@ func TestEnginePoolMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Run(k, opt, c.mech)
+		got, err := p.Run(k, opt, mech)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s/%s: pooled run diverges from fresh", c.bench, c.mech)
+			t.Errorf("run %d %s/%s: pooled run diverges from fresh", i, bench, mech)
 		}
+	}
+}
+
+// TestEnginePoolMixedStream shares one pool between two goroutines running
+// a mixed stream: two machine configs, kernel and app runs, tagged and
+// untagged. An engine checked out may have last run any of them, so runs
+// rebuild, reinitialize and swap prefetchers in every combination; every
+// result must still match a fresh engine's.
+func TestEnginePoolMixedStream(t *testing.T) {
+	sc := workloads.Tiny()
+	st := workloads.NewStore()
+	k, err := st.Kernel("lps", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		opt  sim.Options
+		app  *trace.App
+		tag  string
+		want any
+	}
+	var runs []run
+	for _, cfg := range []config.GPU{config.Scaled(2, 16), config.Scaled(4, 32)} {
+		app, _, err := st.App("pipeline", sc, cfg.NumSM, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mech := range []string{"baseline", "snake", "isolated-snake", "mta+decoupled"} {
+			f, err := Mechanism(mech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := sim.Options{Config: cfg, NewPrefetcher: f}
+			wantK, err := sim.Run(k, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantA, err := sim.RunApp(app, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tag := range []string{mech, ""} {
+				runs = append(runs, run{opt, nil, tag, wantK}, run{opt, app, tag, wantA})
+			}
+		}
+	}
+	p := NewEnginePool()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		order := append([]run(nil), runs...)
+		order = append(order, runs...)
+		rng := rand.New(rand.NewSource(int64(g)))
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, r := range order {
+				var got any
+				var err error
+				if r.app != nil {
+					got, err = p.RunApp(r.app, r.opt, r.tag)
+				} else {
+					got, err = p.Run(k, r.opt, r.tag)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, r.want) {
+					t.Errorf("run %d (%d SMs, app %v, tag %q) diverges from fresh",
+						i, r.opt.Config.NumSM, r.app != nil, r.tag)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestEnginePoolAllocsAcrossMechanisms: one sequential pass of the Figs.
+// 16-19 mechanisms over cp draws one engine and reinitializes it in place
+// for each mechanism, so the pass allocates about one engine's worth
+// (~2 MB), not one engine per mechanism (~10.6 MB when the pool was keyed
+// by mechanism). GC is off so the pool keeps what it is given, and
+// GOMAXPROCS is 1 so the goroutine cannot move to another P and miss the
+// engine sync.Pool parked on the first.
+func TestEnginePoolAllocsAcrossMechanisms(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	const limit = 3 << 20
+	k, err := workloads.Build("cp", workloads.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mechs := append([]string{"baseline"}, Fig16Order...)
+	factories := make([]Factory, len(mechs))
+	for i, m := range mechs {
+		if factories[i], err = Mechanism(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := NewEnginePool()
+	for i, m := range mechs {
+		opt := sim.Options{Config: config.Scaled(4, 64), NewPrefetcher: factories[i]}
+		if _, err := p.Run(k, opt, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d mechanisms through one pool allocate %.2f MB", len(mechs), float64(got)/(1<<20))
+	if got > limit {
+		t.Errorf("a pass of %d mechanisms through a fresh pool allocates %.2f MB, want ≤ %.2f MB",
+			len(mechs), float64(got)/(1<<20), float64(limit)/(1<<20))
 	}
 }
 

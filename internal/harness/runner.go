@@ -200,10 +200,12 @@ func (r *Runner) execute(ctx context.Context, res *runResult, label, mech string
 		res.err = err
 		return
 	}
-	// Registry mechanisms carry their name as the engine-pool reuse tag so
-	// back-to-back runs of one mechanism recycle prefetcher state too; custom
-	// factories get the empty tag (their mech labels, e.g. "snake:"+key, are
-	// only unique within one runner's cache, not across the shared pool).
+	// Registry mechanisms carry their name as the prefetcher-reuse tag, so a
+	// pooled engine whose last run was the same mechanism resets its
+	// prefetchers instead of building new ones; the tag does not choose the
+	// engine. Custom factories get the empty tag (their mech labels, e.g.
+	// "snake:"+key, are only unique within one runner's cache, not across
+	// the shared pool).
 	tag := mech
 	if factory != nil {
 		tag = ""

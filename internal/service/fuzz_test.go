@@ -14,10 +14,10 @@ import (
 // false) or a SweepRequest (sweep true) with the handlers' decoder, then
 // normalizes the request, or every cell the sweep expands to, without
 // enqueueing anything. Each input must be rejected or yield valid specs:
-// a registry workload, a mechanism, a valid GPU, non-negative timeout and
-// slack, positive parallelism, a 64-hex content address, and a wire form
-// that normalizes back to the same address (what a forwarding peer relies
-// on). Nothing may panic.
+// a registry workload, a mechanism, a valid GPU, scale and custom Snake
+// config, non-negative timeout and slack, positive parallelism, a 64-hex
+// content address, and a wire form that normalizes back to the same address
+// (what a forwarding peer relies on). Nothing may panic.
 func FuzzRequestNormalize(f *testing.F) {
 	svc := tinyService(1)
 	f.Cleanup(func() {
@@ -65,12 +65,13 @@ func FuzzRequestNormalize(f *testing.F) {
 	})
 }
 
-// costlyApp reports whether an app request's scale would make normalize
-// build a large workload: normalize interns the app's kernels, so a scale
-// beyond these caps spends the fuzzing budget on trace generation, not on
-// decoding and validation.
+// costlyApp reports whether an app request's scale is valid but would make
+// normalize build a large workload: normalize interns the app's kernels, so
+// such a scale spends the fuzzing budget on trace generation, not on
+// decoding and validation. A scale beyond Scale.Validate's limits is not
+// skipped: normalize must reject it before building anything.
 func costlyApp(sc *workloads.Scale) bool {
-	return sc != nil && (sc.CTAs > 8 || sc.WarpsPerCTA > 4 || sc.Iters > 8)
+	return sc != nil && sc.Validate() == nil && (sc.CTAs > 8 || sc.WarpsPerCTA > 4 || sc.Iters > 8)
 }
 
 // checkSpec asserts what every accepted request must normalize to.
@@ -90,6 +91,14 @@ func checkSpec(t *testing.T, svc *Service, sp *spec) {
 	}
 	if err := sp.gpu.Validate(); err != nil {
 		t.Fatalf("spec GPU invalid: %v", err)
+	}
+	if err := sp.scale.Validate(); err != nil {
+		t.Fatalf("spec scale invalid: %v", err)
+	}
+	if sp.snake != nil {
+		if err := sp.snake.Validate(); err != nil {
+			t.Fatalf("spec snake config invalid: %v", err)
+		}
 	}
 	key := sp.key()
 	if len(key) != 64 {

@@ -255,6 +255,9 @@ func (s *Service) normalize(req RunRequest) (spec, error) {
 		return spec{}, fmt.Errorf("unknown benchmark %q (known: %v)", req.Bench, workloads.Names())
 	}
 	if req.Snake != nil {
+		if err := req.Snake.Validate(); err != nil {
+			return spec{}, err
+		}
 		snake := *req.Snake
 		sp.snake = &snake
 		sp.mech = "snake:custom"
@@ -273,6 +276,10 @@ func (s *Service) normalize(req RunRequest) (spec, error) {
 		sp.gpu = *req.GPU
 	}
 	if req.Scale != nil {
+		// Checked before anything is built: the store keeps every trace.
+		if err := req.Scale.Validate(); err != nil {
+			return spec{}, err
+		}
 		sp.scale = *req.Scale
 	}
 	if req.TimeoutMS < 0 {

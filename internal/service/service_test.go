@@ -16,6 +16,7 @@ import (
 
 	"snake/internal/cluster"
 	"snake/internal/config"
+	"snake/internal/core"
 	"snake/internal/stats"
 	"snake/internal/workloads"
 )
@@ -456,6 +457,64 @@ func TestUnbuildableGPURejected(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "L2") || !strings.Contains(string(body), "power of two") {
 		t.Errorf("48 KB L2: error %s does not name the L2 geometry", body)
+	}
+}
+
+// TestOversizedRequestRejected pins that a "scale" or "snake" override
+// beyond its limits gets a 400 naming the field before anything is built:
+// the store would keep the trace for the life of the process, and every SM
+// would allocate the Snake tables.
+func TestOversizedRequestRejected(t *testing.T) {
+	svc := tinyService(1)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = svc.Shutdown(ctx)
+	}()
+
+	cases := []struct {
+		name, path, field string
+		req               any
+	}{
+		{"1M CTAs", "/v1/runs?wait=1", "CTAs",
+			RunRequest{Bench: "lps", Mech: "baseline", Scale: &workloads.Scale{CTAs: 1_000_000}}},
+		{"1M-entry tail", "/v1/runs?wait=1", "TailEntries",
+			RunRequest{Bench: "lps", Snake: &core.Config{TailEntries: 1 << 20}}},
+		{"halt above 1", "/v1/runs?wait=1", "BWHalt",
+			RunRequest{Bench: "lps", Snake: &core.Config{BWHalt: 2}}},
+		{"2M-unit sweep", "/v1/sweeps", "Iters",
+			SweepRequest{Benches: []string{"lps"}, Mechs: []string{"baseline"},
+				Scale: &workloads.Scale{CTAs: 2048, WarpsPerCTA: 8, Iters: 128}}},
+	}
+	// Normalizing a bench request builds nothing, so this check is safe; an
+	// accepted oversized scale would be built by the worker, gigabytes of
+	// trace, so stop before posting it.
+	for _, c := range cases {
+		var err error
+		switch r := c.req.(type) {
+		case RunRequest:
+			_, err = svc.normalize(r)
+		case SweepRequest:
+			_, err = svc.sweepSpecs(r)
+		}
+		if err == nil {
+			t.Fatalf("%s: normalize accepts it", c.name)
+		}
+	}
+
+	builds := workloads.Shared().Builds()
+	for _, c := range cases {
+		resp, body := postJSON(t, ts.URL+c.path, c.req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", c.name, resp.StatusCode, body)
+		} else if !strings.Contains(string(body), c.field) {
+			t.Errorf("%s: error %s does not name %s", c.name, body, c.field)
+		}
+	}
+	if got := workloads.Shared().Builds(); got != builds {
+		t.Errorf("rejected requests built %d traces", got-builds)
 	}
 }
 

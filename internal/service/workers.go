@@ -229,9 +229,11 @@ func (s *Service) simulate(ctx context.Context, sp *spec) (*stats.Sim, error) {
 		return nil, err
 	}
 	defer s.budget.Release(granted)
-	// Registry mechanism names tag the pooled engine for prefetcher reuse;
-	// custom snake configs all normalize to mech "snake:custom", which does
-	// not identify one configuration, so they use the untagged path.
+	// Registry mechanism names are the prefetcher-reuse tag: a pooled engine
+	// whose last run had the same tag resets its prefetchers instead of
+	// building new ones (any engine serves any run). Custom snake configs
+	// all normalize to mech "snake:custom", which does not identify one
+	// configuration, so they use the untagged path.
 	tag := sp.mech
 	if sp.snake != nil {
 		tag = ""

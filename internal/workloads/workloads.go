@@ -53,6 +53,48 @@ func (s Scale) withDefaults() Scale {
 	return s
 }
 
+// Upper limits Scale.Validate puts on a scale. A scale can arrive over the
+// network (snaked's "scale" override), and the store keeps every trace it
+// builds, whose size is proportional to CTAs × WarpsPerCTA × Iters: about
+// 1.3 KB per unit for lib, the largest generator, so 6 MB at DefaultScale.
+const (
+	// LimitCTAs, LimitWarpsPerCTA and LimitIters bound each dimension, so
+	// a request is rejected by name and the product cannot overflow. A CTA
+	// must fit one SM: LimitWarpsPerCTA is the most warps an SM may hold
+	// (config.LimitWarpsPerSM).
+	LimitCTAs        = 1 << 16
+	LimitWarpsPerCTA = 4 * 64
+	LimitIters       = 1 << 16
+	// LimitWork bounds CTAs × WarpsPerCTA × Iters, and so the trace's size:
+	// the scale that keeps one cell simulating for seconds on a small GPU
+	// (CTAs 1024, WarpsPerCTA 8, Iters 128), where lps holds ~210 MB and
+	// lib ~1.3 GB.
+	LimitWork = 1 << 20
+)
+
+// Validate checks the scale the generators would build (zero and negative
+// dimensions take DefaultScale's first): each dimension and their product
+// within its limit.
+func (s Scale) Validate() error {
+	s = s.withDefaults()
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"CTAs", s.CTAs, LimitCTAs},
+		{"WarpsPerCTA", s.WarpsPerCTA, LimitWarpsPerCTA},
+		{"Iters", s.Iters, LimitIters},
+	} {
+		if f.val > f.max {
+			return fmt.Errorf("scale: %s %d must be in [1, %d]", f.name, f.val, f.max)
+		}
+	}
+	if w := s.CTAs * s.WarpsPerCTA * s.Iters; w > LimitWork {
+		return fmt.Errorf("scale: CTAs × WarpsPerCTA × Iters = %d exceeds %d", w, LimitWork)
+	}
+	return nil
+}
+
 // Builder constructs a kernel at the given scale.
 type Builder func(Scale) *trace.Kernel
 
