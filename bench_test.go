@@ -10,7 +10,6 @@
 package repro_test
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -18,7 +17,6 @@ import (
 	"snake/internal/core"
 	"snake/internal/harness"
 	"snake/internal/prefetch"
-	"snake/internal/profiling"
 	"snake/internal/sim"
 	"snake/internal/trace"
 	"snake/internal/workloads"
@@ -156,74 +154,38 @@ func BenchmarkAblationHeadColumns(b *testing.B) {
 	benchVariant(b, "abl-singlehead", cfg)
 }
 
-// throughputCase is one row of BenchmarkSimulatorThroughput. Serial rows
-// run the standard 4×64 experiment machine at 12×8×8. parN rows run the
-// mid-scale 8-SM machine at 24×8×8 on N shard workers (the real barrier
-// machinery runs whatever GOMAXPROCS is). Reuse rows re-run on a
+// throughputCase is one row of BenchmarkSimulatorThroughput. Kernel rows
+// run the standard 4×64 experiment machine at 12×8×8. Reuse rows re-run on a
 // warmed persistent Engine, the steady state of pooled sweep traffic: their
 // allocs/op is the per-run residual. App rows time sim.RunApp on a launch
 // graph, so launch-layer overhead shows up as its own row.
 type throughputCase struct {
-	name        string
-	bench       string
-	parallelism int // 0: serial engine on the 4×64 machine
-	reuse       bool
-	app         bool // bench names an application; the op is sim.RunApp
-	chain       bool // persist chain tables across launches (app rows)
+	name  string
+	bench string
+	reuse bool
+	app   bool // bench names an application; the op is sim.RunApp
+	chain bool // persist chain tables across launches (app rows)
 }
 
 var throughputCases = []throughputCase{
 	{name: "lps", bench: "lps"},
 	{name: "mum", bench: "mum"},
 	{name: "nw", bench: "nw"},
-	{name: "lps-par1", bench: "lps", parallelism: 1},
-	{name: "lps-par4", bench: "lps", parallelism: 4},
-	{name: "mum-par1", bench: "mum", parallelism: 1},
-	{name: "mum-par4", bench: "mum", parallelism: 4},
-	{name: "nw-par1", bench: "nw", parallelism: 1},
-	{name: "nw-par4", bench: "nw", parallelism: 4},
 	{name: "lps-reuse", bench: "lps", reuse: true},
 	{name: "mum-reuse", bench: "mum", reuse: true},
 	{name: "nw-reuse", bench: "nw", reuse: true},
-	{name: "lps-par1-reuse", bench: "lps", parallelism: 1, reuse: true},
-	{name: "lps-par4-reuse", bench: "lps", parallelism: 4, reuse: true},
-	{name: "mum-par1-reuse", bench: "mum", parallelism: 1, reuse: true},
-	{name: "mum-par4-reuse", bench: "mum", parallelism: 4, reuse: true},
 	{name: "app-pipeline", bench: "pipeline", app: true, chain: true},
 	{name: "app-cotenant", bench: "cotenant", app: true},
 }
 
-// routeMergeMax is the absolute ceiling on the route-plus-merge share of a
-// profiled P>1 run: planRoute is an O(#partitions) prefix-sum per epoch and
-// the merge is heap pushes plus O(span × active shards) scatter bookkeeping,
-// so together they must stay noise-level. The drain rides the A/B's relative
-// serial-share gate instead.
-const routeMergeMax = 0.06
-
 // BenchmarkSimulatorThroughput measures raw simulator throughput under the
-// Snake prefetcher: ns/op and allocs/op per case, simulated cycles per
-// wall-clock second, and, for fresh parN rows, the serial (drain + route +
-// merge) share of one profiled run taken outside the timer.
-// scripts/bench_ab.sh compares these rows between two commits on one
-// machine.
+// Snake prefetcher: ns/op and allocs/op per case, and simulated cycles per
+// wall-clock second. scripts/bench_ab.sh compares these rows between two
+// commits on one machine.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, c := range throughputCases {
 		b.Run(c.name, func(b *testing.B) {
 			op, opt := throughputOp(b, c)
-			share := -1.0
-			if c.parallelism != 0 && !c.reuse {
-				var prof profiling.Phases
-				popt := opt
-				popt.PhaseProfile = &prof
-				op(popt)
-				// On one core the workers interleave, and the shares measure
-				// the scheduler rather than the executor.
-				if rm := prof.RouteShare() + prof.MergeShare(); c.parallelism > 1 && runtime.GOMAXPROCS(0) > 1 && rm > routeMergeMax {
-					b.Fatalf("route+merge share %.3f (route %.3f, merge %.3f) exceeds %.2f: the per-epoch route/merge passes must stay noise-level",
-						rm, prof.RouteShare(), prof.MergeShare(), routeMergeMax)
-				}
-				share = prof.SerialShare()
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var cycles int64
@@ -231,9 +193,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 				cycles += op(opt)
 			}
 			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-			if share >= 0 {
-				b.ReportMetric(share, "serial-share")
-			}
 		})
 	}
 }
@@ -243,13 +202,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // simulated cycle count.
 func throughputOp(b *testing.B, c throughputCase) (func(sim.Options) int64, sim.Options) {
 	cfg, sc := config.Scaled(4, 64), workloads.Scale{CTAs: 12, WarpsPerCTA: 8, Iters: 8}
-	if c.parallelism != 0 {
-		cfg, sc.CTAs = config.Scaled(8, 48), 24
-	}
 	opt := sim.Options{
 		Config:           cfg,
 		NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
-		Parallelism:      c.parallelism,
 		ChainPersistence: c.chain,
 	}
 	if c.app {

@@ -34,9 +34,7 @@ func main() {
 		ctas       = flag.Int("ctas", 0, "CTA count (0: default scale)")
 		iters      = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
 		format     = flag.String("format", "text", "output format: text, csv, json")
-		phases     = flag.Bool("phases", false, "report the engine's per-phase wall clock and serial share (honors -parallel)")
-		parallel   = flag.Int("parallel", 1, "SM-shard workers per experiment run (same results at any value)")
-		slack      = flag.Int("slack", 0, "bounded-slack epoch length in cycles (0: auto from config; same results at any value)")
+		phases     = flag.Bool("phases", false, "report the engine's per-phase wall clock")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -55,7 +53,7 @@ func main() {
 	defer stopProf()
 
 	if *phases {
-		if err := reportPhases(*parallel, *slack); err != nil {
+		if err := reportPhases(); err != nil {
 			fmt.Fprintln(os.Stderr, "snakebench:", err)
 			os.Exit(1)
 		}
@@ -71,8 +69,6 @@ func main() {
 	}
 
 	r := newRunner(*sms, *warps, *ctas, *iters)
-	r.Parallelism = *parallel
-	r.SlackWindow = *slack
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		e, ok := harness.Experiments[id]

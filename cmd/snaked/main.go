@@ -47,16 +47,14 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "concurrent job limit (default: GOMAXPROCS; CPU use is bounded by the shared budget, not this)")
-		parallel = flag.Int("parallel", 1, "default per-run SM-shard workers (jobs may override; draws from the shared CPU budget)")
-		slack    = flag.Int("slack", 0, "default per-run bounded-slack epoch length (jobs may override; 0: auto from config)")
-		numSM    = flag.Int("sms", 4, "simulated SMs in the default GPU config")
-		warps    = flag.Int("warps", 64, "warps per SM in the default GPU config")
-		ctas     = flag.Int("ctas", 0, "default workload scale: CTAs (0: paper default)")
-		iters    = flag.Int("iters", 0, "default workload scale: loop iterations (0: paper default)")
-		drain    = flag.Duration("draintimeout", 2*time.Minute, "graceful shutdown drain budget")
-		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; profiles reveal operational detail, enable only on trusted networks)")
+		addr    = flag.String("addr", ":8080", "listen address")
+		workers = flag.Int("workers", 0, "concurrent job limit (default: GOMAXPROCS; CPU use is bounded by the shared budget, not this)")
+		numSM   = flag.Int("sms", 4, "simulated SMs in the default GPU config")
+		warps   = flag.Int("warps", 64, "warps per SM in the default GPU config")
+		ctas    = flag.Int("ctas", 0, "default workload scale: CTAs (0: paper default)")
+		iters   = flag.Int("iters", 0, "default workload scale: loop iterations (0: paper default)")
+		drain   = flag.Duration("draintimeout", 2*time.Minute, "graceful shutdown drain budget")
+		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; profiles reveal operational detail, enable only on trusted networks)")
 
 		queueMax   = flag.Int("queue-max", 0, "max queued jobs before submissions get 429 (0: unbounded)")
 		cacheMax   = flag.Int64("cache-max-bytes", 0, "in-memory result cache budget in bytes; evicted entries stay readable from -cache-dir (0: unbounded)")
@@ -90,9 +88,8 @@ func main() {
 	}
 
 	svc := service.New(service.Options{
-		Workers: *workers, GPU: &gpu, Scale: &scale, Parallelism: *parallel,
-		SlackWindow: *slack,
-		QueueMax:    *queueMax, CacheMaxBytes: *cacheMax, CacheDir: *cacheDir,
+		Workers: *workers, GPU: &gpu, Scale: &scale,
+		QueueMax: *queueMax, CacheMaxBytes: *cacheMax, CacheDir: *cacheDir,
 		Self: *self, Peers: peerList, PeerInflight: *peerFlight,
 		PeerExecTimeout: *peerExecTO,
 	})

@@ -35,8 +35,6 @@ func main() {
 		wpc        = flag.Int("wpc", 0, "warps per CTA (0: default scale)")
 		iters      = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
 		list       = flag.Bool("list", false, "list benchmarks and mechanisms")
-		parallel   = flag.Int("parallel", 1, "SM-shard workers per simulated cycle (same stats at any value)")
-		slack      = flag.Int("slack", 0, "bounded-slack epoch length in cycles (0: auto from config; same stats at any value)")
 		slackaudit = flag.Bool("slackaudit", false, "print the config's slack-bound derivation and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -69,8 +67,6 @@ func main() {
 	opt := sim.Options{
 		Config:        config.Scaled(*sms, *warps),
 		NewPrefetcher: factory,
-		Parallelism:   *parallel,
-		SlackWindow:   *slack,
 	}
 
 	var s *stats.Sim
@@ -105,9 +101,8 @@ func main() {
 	}
 	fmt.Printf("benchmark        %s\n", name)
 	fmt.Printf("mechanism        %s\n", *pf)
-	fmt.Printf("slack            horizon=%d window=%d turnaround=%d (bound by %s%s)\n",
-		slackRes.Horizon, slackRes.Window, slackRes.Turnaround, slackRes.BindingTerm,
-		clampNote(slackRes))
+	fmt.Printf("slack            horizon=%d window=%d turnaround=%d (bound by %s)\n",
+		slackRes.Horizon, slackRes.Window, slackRes.Turnaround, slackRes.BindingTerm)
 	fmt.Printf("cycles           %d\n", s.Cycles)
 	fmt.Printf("instructions     %d\n", s.Insts)
 	fmt.Printf("loads            %d\n", s.Loads)
@@ -144,15 +139,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// clampNote annotates the slack line when the requested window exceeded the
-// config's provable bound and was clamped down.
-func clampNote(si sim.SlackInfo) string {
-	if !si.Clamped {
-		return ""
-	}
-	return fmt.Sprintf("; requested %d clamped", si.Requested)
 }
 
 // printSlackAudit prints the config's slack-bound derivation: every

@@ -76,8 +76,6 @@ func main() {
 		app        = flag.String("app", "", "application workload for run-shape knobs (chainpersist, tenant0sms)")
 		format     = flag.String("format", "text", "output format: text, csv, json")
 		lk         = flag.Bool("listknobs", false, "list sweepable knobs")
-		parallel   = flag.Int("parallel", 1, "parallel workers per run (same results at any value)")
-		slack      = flag.Int("slack", 0, "bounded-slack epoch length in cycles (0: auto from config; same results at any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -111,8 +109,6 @@ func main() {
 	}
 
 	r := harness.NewRunner()
-	r.Parallelism = *parallel
-	r.SlackWindow = *slack
 	if shapeKnob {
 		if *app == "" {
 			fatal(fmt.Errorf("knob %q shapes the launch schedule and needs -app (see -listknobs)", *knob))

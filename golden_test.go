@@ -11,16 +11,15 @@ import (
 	"snake/internal/workloads"
 )
 
-// TestGoldenEquivalence is the tentpole invariant of the engine's execution
-// strategies: sharded parallel execution (Options.Parallelism) and recycled
-// pooled engines must each produce statistics bit-identical to plain serial
-// simulation on a fresh engine — and so must their combination. It runs the
-// full Table 2 benchmark suite under both the baseline and the Snake
-// prefetcher, simulates every (parallelism × reuse) variant, and compares
-// Result.Stats and every per-SM counter block with reflect.DeepEqual — any
-// divergence, down to a single stall cycle on one SM, fails the test.
+// TestGoldenEquivalence is the invariant of the engine's execution
+// strategies: a recycled pooled engine must produce statistics bit-identical
+// to a fresh one, at the auto epoch window and per cycle. It runs the full
+// Table 2 benchmark suite under both the baseline and the Snake prefetcher,
+// simulates every (window × reuse) variant, and compares Result.Stats and
+// every per-SM counter block with reflect.DeepEqual — any divergence, down
+// to a single stall cycle on one SM, fails the test.
 func TestGoldenEquivalence(t *testing.T) {
-	cfg := config.Scaled(4, 8) // 4 SMs: Parallelism=4 genuinely shards
+	cfg := config.Scaled(4, 8)
 	sc := workloads.Tiny()
 	for _, bench := range workloads.Names() {
 		for _, mech := range []string{"baseline", "snake"} {
@@ -62,16 +61,16 @@ func TestGoldenEquivalenceMediumScale(t *testing.T) {
 // TestSkipEquivalenceGTOGreedyReset pins default workload scale on 2 SMs x
 // 16 warps, a configuration where GTO's greedy-warp state after a long memory
 // wait decides which warp issues next (every fruitless no-ready cycle must
-// make GTO forget its greedy warp). Parallel and pooled runs must reproduce
+// make GTO forget its greedy warp). Per-cycle and pooled runs must reproduce
 // that state exactly.
 func TestSkipEquivalenceGTOGreedyReset(t *testing.T) {
 	assertEngineEquivalent(t, "lps", workloads.Scale{}, config.Scaled(2, 16), "snake")
 }
 
 // assertEngineEquivalent runs bench/mech under every engine strategy —
-// serial vs parallel work units, freshly constructed vs a recycled engine —
-// and demands bit-identical results. The reference is the plainest
-// configuration: serial, fresh construction.
+// auto vs per-cycle epochs, freshly constructed vs a recycled engine — and
+// demands bit-identical results. The reference is the configuration every
+// caller runs: the auto window on a fresh engine.
 func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg config.GPU, mech string) {
 	t.Helper()
 	k, err := workloads.Build(bench, sc)
@@ -97,11 +96,11 @@ func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg 
 	if _, err := pooled.RunTagged(dk, sim.Options{Config: cfg, NewPrefetcher: factory}, mech); err != nil {
 		t.Fatal(err)
 	}
-	run := func(parallelism int, reuse bool) *sim.Result {
+	run := func(slack int, reuse bool) *sim.Result {
 		opt := sim.Options{
 			Config:        cfg,
 			NewPrefetcher: factory,
-			Parallelism:   parallelism,
+			SlackWindow:   slack,
 		}
 		var res *sim.Result
 		if reuse {
@@ -110,25 +109,23 @@ func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg 
 			res, err = sim.Run(k, opt)
 		}
 		if err != nil {
-			t.Fatalf("parallelism=%d reuse=%v: %v", parallelism, reuse, err)
+			t.Fatalf("slack=%d reuse=%v: %v", slack, reuse, err)
 		}
 		return res
 	}
-	ref := run(1, false)
+	ref := run(0, false)
 	for _, v := range []struct {
-		parallelism int
-		reuse       bool
+		slack int
+		reuse bool
 	}{
-		{4, false},  // parallel work units (shards + memory partitions)
-		{12, false}, // one worker per work unit (4 SMs + 8 L2 partitions)
-		{1, true},   // recycled engine, plain serial
-		{4, true},   // recycled engine, parallel
-		{12, true},  // recycled engine, maximally wide
+		{1, false}, // per-cycle epochs
+		{0, true},  // recycled engine
+		{1, true},  // recycled engine, per-cycle epochs
 	} {
-		got := run(v.parallelism, v.reuse)
-		label := fmt.Sprintf("parallelism=%d reuse=%v", v.parallelism, v.reuse)
+		got := run(v.slack, v.reuse)
+		label := fmt.Sprintf("slack=%d reuse=%v", v.slack, v.reuse)
 		if !reflect.DeepEqual(got.Stats, ref.Stats) {
-			t.Errorf("%s: aggregate stats diverge from serial fresh run:\n got: %+v\n ref: %+v",
+			t.Errorf("%s: aggregate stats diverge from fresh auto-window run:\n got: %+v\n ref: %+v",
 				label, got.Stats, ref.Stats)
 		}
 		if !reflect.DeepEqual(got.PerSM, ref.PerSM) {

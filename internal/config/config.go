@@ -309,8 +309,8 @@ func (g GPU) Validate() error {
 		return fmt.Errorf("config: L2.SizeBytes %d exceeds %d", g.L2.SizeBytes, LimitL2Bytes)
 	}
 	if g.L2.Latency < 1 {
-		// The engine computes L2 responses off the serial path, during the
-		// cycle's parallel phase; that is exact only because a response to a
+		// The engine computes L2 responses in the epoch's partition ticks,
+		// after the drain; that is exact only because a response to a
 		// request arriving at cycle C can never be sendable before C+1,
 		// which needs at least one cycle of L2 latency.
 		return errors.New("config: L2 latency must be at least 1 cycle")

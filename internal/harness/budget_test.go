@@ -8,42 +8,20 @@ import (
 	"time"
 )
 
-func TestBudgetClampsWideRequests(t *testing.T) {
-	b := NewBudget(4)
-	if got := b.Cap(); got != 4 {
-		t.Fatalf("Cap() = %d, want 4", got)
-	}
-	// Wider than the machine degrades to the whole machine, not a deadlock.
-	ctx := context.Background()
-	got, err := b.Acquire(ctx, 64)
-	if err != nil || got != 4 {
-		t.Fatalf("Acquire(64) = (%d, %v), want (4, nil)", got, err)
-	}
-	b.Release(got)
-	// Sub-positive requests round up to one slot.
-	got, err = b.Acquire(ctx, 0)
-	if err != nil || got != 1 {
-		t.Fatalf("Acquire(0) = (%d, %v), want (1, nil)", got, err)
-	}
-	b.Release(got)
-}
-
 func TestBudgetBoundsConcurrentUse(t *testing.T) {
 	const slots = 3
 	b := NewBudget(slots)
 	var inUse, peak atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
-		n := 1 + i%slots
 		wg.Add(1)
-		go func(n int) {
+		go func() {
 			defer wg.Done()
-			got, err := b.Acquire(context.Background(), n)
-			if err != nil {
-				t.Errorf("Acquire(%d): %v", n, err)
+			if err := b.Acquire(context.Background()); err != nil {
+				t.Errorf("Acquire: %v", err)
 				return
 			}
-			cur := inUse.Add(int64(got))
+			cur := inUse.Add(1)
 			for {
 				p := peak.Load()
 				if cur <= p || peak.CompareAndSwap(p, cur) {
@@ -51,9 +29,9 @@ func TestBudgetBoundsConcurrentUse(t *testing.T) {
 				}
 			}
 			time.Sleep(time.Millisecond)
-			inUse.Add(-int64(got))
-			b.Release(got)
-		}(n)
+			inUse.Add(-1)
+			b.Release()
+		}()
 	}
 	wg.Wait()
 	if p := peak.Load(); p > slots {
@@ -61,126 +39,43 @@ func TestBudgetBoundsConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestBudgetFIFOPreventsStarvation: a parked wide request must block later
-// narrow requests from slipping past it, or a stream of narrow acquires
-// starves it forever.
-func TestBudgetFIFOPreventsStarvation(t *testing.T) {
-	b := NewBudget(4)
-	first, err := b.Acquire(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wideGranted := make(chan struct{})
-	go func() {
-		got, err := b.Acquire(context.Background(), 4) // must wait: 2 of 4 in use
-		if err != nil || got != 4 {
-			t.Errorf("wide Acquire = (%d, %v), want (4, nil)", got, err)
-		}
-		close(wideGranted)
-		b.Release(got)
-	}()
-
-	// Wait until the wide request is parked.
-	for {
-		b.mu.Lock()
-		parked := len(b.waiters) == 1
-		b.mu.Unlock()
-		if parked {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	// A narrow request arriving behind the parked wide one must queue even
-	// though a slot is technically free.
-	narrowGranted := make(chan struct{})
-	go func() {
-		got, err := b.Acquire(context.Background(), 1)
-		if err != nil {
-			t.Errorf("narrow Acquire: %v", err)
-		}
-		close(narrowGranted)
-		b.Release(got)
-	}()
-	select {
-	case <-narrowGranted:
-		t.Fatal("narrow request jumped the queue past a parked wide request")
-	case <-time.After(5 * time.Millisecond):
-	}
-
-	b.Release(first)
-	for ch, name := range map[chan struct{}]string{wideGranted: "wide", narrowGranted: "narrow"} {
-		select {
-		case <-ch:
-		case <-time.After(time.Second):
-			t.Fatalf("%s request not granted after release", name)
-		}
-	}
-}
-
 func TestBudgetCancellationUnblocksQueue(t *testing.T) {
-	b := NewBudget(2)
-	held, err := b.Acquire(context.Background(), 2)
-	if err != nil {
+	b := NewBudget(1)
+	if err := b.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	// Park a request, then cancel it: Acquire must return the context error
-	// and grant zero slots.
+	// A request waiting on the full budget returns the context error once
+	// canceled, and takes no slot.
 	ctx, cancel := context.WithCancel(context.Background())
-	canceled := make(chan struct{})
-	go func() {
-		got, err := b.Acquire(ctx, 2)
-		if err == nil || got != 0 {
-			t.Errorf("canceled Acquire = (%d, %v), want (0, ctx error)", got, err)
-		}
-		close(canceled)
-	}()
-	for {
-		b.mu.Lock()
-		parked := len(b.waiters) == 1
-		b.mu.Unlock()
-		if parked {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
+	canceled := make(chan error)
+	go func() { canceled <- b.Acquire(ctx) }()
+	cancel()
+	if err := <-canceled; err == nil {
+		t.Fatal("canceled Acquire returned nil, want the context error")
 	}
 
-	// A request parked behind the canceled one must still be admitted once
-	// the cancellation removes it from the queue.
-	secondGranted := make(chan struct{})
+	// A request waiting alongside it is admitted once the slot comes back.
+	granted := make(chan struct{})
 	go func() {
-		got, err := b.Acquire(context.Background(), 1)
-		if err != nil {
+		if err := b.Acquire(context.Background()); err != nil {
 			t.Errorf("queued Acquire: %v", err)
 		}
-		close(secondGranted)
-		b.Release(got)
+		close(granted)
+		b.Release()
 	}()
-	for {
-		b.mu.Lock()
-		parked := len(b.waiters) == 2
-		b.mu.Unlock()
-		if parked {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	cancel()
-	<-canceled
-	b.Release(held)
+	b.Release()
 	select {
-	case <-secondGranted:
+	case <-granted:
 	case <-time.After(time.Second):
-		t.Fatal("request behind the canceled waiter never granted")
+		t.Fatal("request behind the canceled one never granted")
 	}
 
-	// All slots must be back: a full-width acquire succeeds immediately.
-	got, err := b.Acquire(context.Background(), 2)
-	if err != nil || got != 2 {
-		t.Fatalf("post-cancellation Acquire(2) = (%d, %v), want (2, nil): slot leak", got, err)
+	// The slot must be back: an acquire with an expiring context succeeds.
+	tctx, tcancel := context.WithTimeout(context.Background(), time.Second)
+	defer tcancel()
+	if err := b.Acquire(tctx); err != nil {
+		t.Fatalf("post-cancellation Acquire: %v: slot leak", err)
 	}
-	b.Release(got)
+	b.Release()
 }

@@ -20,28 +20,20 @@ import (
 // bounded worker pool, since the figure experiments share most of their
 // underlying runs (e.g. Figures 16–19 all read the same eleven×ten grid).
 //
-// Successful runs are memoized forever (the simulations are deterministic,
-// and sim.Options.Parallelism does not change results, so the cache is keyed
-// without it); failed runs are never cached, so callers can retry transient
-// failures such as context cancellation.
+// Successful runs are memoized forever (the simulations are deterministic);
+// failed runs are never cached, so callers can retry transient failures such
+// as context cancellation.
 type Runner struct {
 	Cfg   config.GPU
 	Scale workloads.Scale
-	// Parallelism is the sim.Options.Parallelism for each run (default 1).
-	// Each running simulation holds that many Budget slots, so concurrency ×
-	// parallelism never exceeds the budget.
-	Parallelism int
-	// SlackWindow is the sim.Options.SlackWindow for each run (default 0:
-	// auto — the config-derived maximum). Results are bit-identical at every
-	// setting, so like Parallelism it is not part of the memoization key.
-	SlackWindow int
 	// Split is the tenant-0 SM share for application runs that partition the
 	// machine (0: an even halving). It shapes the assembled app's SM masks
 	// and therefore participates in keys via the app's content digest.
 	Split int
-	// Budget bounds this runner's CPU use; NewRunner wires the process-wide
-	// SharedBudget so runner pools and the snaked service cannot
-	// oversubscribe the host between them.
+	// Budget bounds this runner's CPU use — one slot per running
+	// simulation; NewRunner wires the process-wide SharedBudget so runner
+	// pools and the snaked service cannot oversubscribe the host between
+	// them.
 	Budget *Budget
 	// Store interns built kernel traces; nil uses the process-wide
 	// workloads.Shared() store, so every runner (and the snaked service)
@@ -175,20 +167,14 @@ func (r *Runner) memoize(ctx context.Context, key string, fill func(*runResult))
 	}
 }
 
-// execute performs the simulation for one cache entry. It draws Parallelism
-// slots from the CPU budget for the run's duration, so the runner's
-// concurrent callers and the run's internal workers spend the same slots.
+// execute performs the simulation for one cache entry, holding one slot of
+// the CPU budget for the run's duration.
 func (r *Runner) execute(ctx context.Context, res *runResult, label, mech string, factory Factory, build func() (*trace.Kernel, error)) {
-	budget := r.Budget
-	if budget == nil {
-		budget = SharedBudget()
-	}
-	granted, err := budget.Acquire(ctx, max(r.Parallelism, 1))
-	if err != nil {
-		res.err = err
+	budget := r.budget()
+	if res.err = budget.Acquire(ctx); res.err != nil {
 		return
 	}
-	defer budget.Release(granted)
+	defer budget.Release()
 	f := factory
 	if f == nil {
 		if f, res.err = Mechanism(mech); res.err != nil {
@@ -214,8 +200,6 @@ func (r *Runner) execute(ctx context.Context, res *runResult, label, mech string
 		Config:        r.Cfg,
 		NewPrefetcher: f,
 		Context:       ctx,
-		Parallelism:   granted,
-		SlackWindow:   r.SlackWindow,
 		PhaseProfile:  r.PhaseProfile,
 	}, tag)
 	if err != nil {
@@ -223,6 +207,14 @@ func (r *Runner) execute(ctx context.Context, res *runResult, label, mech string
 		return
 	}
 	res.st = &out.Stats
+}
+
+// budget returns the runner's CPU budget (the process-wide one when unset).
+func (r *Runner) budget() *Budget {
+	if r.Budget != nil {
+		return r.Budget
+	}
+	return SharedBudget()
 }
 
 // store returns the runner's kernel store (the process-wide one when unset).
@@ -327,16 +319,11 @@ func (r *Runner) RunAppCtx(ctx context.Context, app, mech string, chain bool) (*
 // same engine pool (apps and kernels recycle each other's machines), plus
 // the chain-persistence policy.
 func (r *Runner) executeApp(ctx context.Context, res *runResult, label, mech string, chain bool, a *trace.App) {
-	budget := r.Budget
-	if budget == nil {
-		budget = SharedBudget()
-	}
-	granted, err := budget.Acquire(ctx, max(r.Parallelism, 1))
-	if err != nil {
-		res.err = err
+	budget := r.budget()
+	if res.err = budget.Acquire(ctx); res.err != nil {
 		return
 	}
-	defer budget.Release(granted)
+	defer budget.Release()
 	f, err := Mechanism(mech)
 	if err != nil {
 		res.err = err
@@ -346,8 +333,6 @@ func (r *Runner) executeApp(ctx context.Context, res *runResult, label, mech str
 		Config:           r.Cfg,
 		NewPrefetcher:    f,
 		Context:          ctx,
-		Parallelism:      granted,
-		SlackWindow:      r.SlackWindow,
 		ChainPersistence: chain,
 		PhaseProfile:     r.PhaseProfile,
 	}, mech)

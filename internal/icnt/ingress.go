@@ -15,10 +15,10 @@ import (
 // The drain order is deterministic by construction — strict FIFO, which
 // equals (cycle, send-seq) order because stamps never decrease — so a
 // simulation's results cannot depend on which goroutine drains the queue or
-// when. This is the property the engine's parallel executor relies on: all
-// pushes happen in the serial memory phase (fixed order), all pops happen
-// either in the serial phase or in the owning shard's tick, and the sequence
-// of popped messages is identical either way.
+// when. This is the property the engine's epoch loop relies on: all pushes
+// happen in the drain phase (fixed order), all pops happen either in the
+// drain phase or in the owning shard's tick, and the sequence of popped
+// messages is identical either way.
 //
 // The queue is a growable ring: steady-state traffic reuses the backing
 // array, keeping the simulator's cycle loop allocation-free.

@@ -2,17 +2,18 @@ package profiling
 
 import "fmt"
 
-// Phase names one section of the simulation engine's cycle pipeline. The
+// Phase names one section of the simulation engine's epoch loop. The
 // engine's wall clock divides into exactly these five buckets (see DESIGN.md
-// "Memory-side parallelism" and "Deterministic parallel routing"): the serial
-// per-sub-cycle drain pump, the O(#partitions) route prefix-sum, the two
-// halves of the parallel phase (memory partitions and SM shards), and the
-// serial merge plus end-of-cycle bookkeeping.
+// "Epoch loop"): the per-sub-cycle drain pump, the O(#partitions) route
+// prefix-sum, the two tick loops (memory partitions, then SM shards), and
+// the merge plus end-of-epoch bookkeeping. The report names of the two tick
+// phases keep their "parallel-" prefix because perfbench's span reports are
+// keyed by them.
 type Phase uint8
 
 // Engine phases, in cycle order.
 const (
-	// PhaseSerialDrain is the serial head of the cycle: network tick,
+	// PhaseSerialDrain is the head of the epoch: network tick,
 	// response bandwidth arbitration, fill delivery into shard inboxes,
 	// request pull (with partition binning at push) and store drain.
 	PhaseSerialDrain Phase = iota
@@ -21,14 +22,13 @@ const (
 	// slot range — O(#partitions), not O(#requests), since the counting
 	// moved to injection time.
 	PhaseSerialRoute
-	// PhaseMemPartitions is the memory half of the parallel phase: each L2
-	// sub-partition performs its binned lookups, in-flight merges and DRAM
-	// timing.
+	// PhaseMemPartitions is the memory tick loop: each L2 sub-partition
+	// performs its binned lookups, in-flight merges and DRAM timing.
 	PhaseMemPartitions
-	// PhaseShards is the SM half of the parallel phase: each shard applies
-	// fills, runs its prefetcher and issues from its warp schedulers.
+	// PhaseShards is the SM tick loop: each shard applies fills, runs its
+	// prefetcher and issues from its warp schedulers.
 	PhaseShards
-	// PhaseMerge is the serial tail: response slot replay, the counting-
+	// PhaseMerge is the tail: response slot replay, the counting-
 	// scatter store merge, CTA refill, and termination bookkeeping.
 	PhaseMerge
 
@@ -58,19 +58,14 @@ func (p Phase) String() string {
 // (or any number of runs — callers own the aggregation window). It is not
 // safe for concurrent use; give each engine its own accumulator.
 //
-// Phase timing answers the Amdahl question the parallel executor raises:
-// how much of the engine's wall clock is still serial (drain + route + merge)
-// versus parallel (partitions + shards)? SerialShare is that fraction
-// directly — with RouteShare and MergeShare splitting out the two phases the
-// parallel route/merge work targeted. BenchmarkSimulatorThroughput reports
-// the serial share of its parallel rows, scripts/bench_ab.sh gates it against
-// the merge base, and the benchmark itself fails a parallel row whose
-// route+merge share exceeds its absolute ceiling.
+// Phase timing says how much of the engine's wall clock is per-epoch
+// bookkeeping (drain + route + merge) rather than unit ticks (partitions +
+// shards): SerialShare is that fraction, with RouteShare and MergeShare
+// splitting out the route and merge phases.
 type Phases struct {
 	ns [NumPhases]int64
-	// barriers counts executed epochs (each epoch crosses the cycle barrier
-	// once), epochCycles the cycles they covered; their ratio is the
-	// amortization the bounded-slack schedule achieved.
+	// barriers counts executed epochs, epochCycles the cycles they covered;
+	// their ratio is the amortization the bounded-slack schedule achieved.
 	barriers    int64
 	epochCycles int64
 }
@@ -78,21 +73,20 @@ type Phases struct {
 // Add accrues ns nanoseconds to the given phase.
 func (p *Phases) Add(ph Phase, ns int64) { p.ns[ph] += ns }
 
-// AddEpoch records one executed epoch covering the given number of cycles —
-// one barrier crossing.
+// AddEpoch records one executed epoch covering the given number of cycles.
 func (p *Phases) AddEpoch(cycles int64) {
 	p.barriers++
 	p.epochCycles += cycles
 }
 
-// Barriers returns the number of barrier crossings (executed epochs).
+// Barriers returns the number of executed epochs.
 func (p *Phases) Barriers() int64 { return p.barriers }
 
 // EpochCycles returns the number of cycles covered by executed epochs.
 func (p *Phases) EpochCycles() int64 { return p.epochCycles }
 
 // CyclesPerBarrier returns the mean epoch length — executed cycles per
-// barrier crossing; zero when nothing has been recorded.
+// epoch; zero when nothing has been recorded.
 func (p *Phases) CyclesPerBarrier() float64 {
 	if p.barriers == 0 {
 		return 0
@@ -123,8 +117,8 @@ func (p *Phases) SerialShare() float64 {
 }
 
 // RouteShare returns the fraction of accumulated time spent in the route
-// prefix-sum phase, 0..1. The throughput benchmark's route+merge ceiling
-// watches this: the O(#partitions) plan must stay a sliver of the epoch.
+// prefix-sum phase, 0..1: the O(#partitions) plan must stay a sliver of the
+// epoch.
 func (p *Phases) RouteShare() float64 {
 	t := p.TotalNs()
 	if t == 0 {

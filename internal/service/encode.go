@@ -169,10 +169,6 @@ func (v *RunView) encode(o *jsonOut) {
 		o.field("error")
 		o.str(v.Error)
 	}
-	if v.Warning != "" {
-		o.field("warning")
-		o.str(v.Warning)
-	}
 	if v.WallMS != 0 {
 		o.field("wall_ms")
 		o.float(v.WallMS)

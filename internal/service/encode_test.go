@@ -87,18 +87,17 @@ func TestRunViewJSONEdgeCases(t *testing.T) {
 		{name: "done", view: done, jobs: 3},
 		{name: "queued, no optional fields", view: RunView{ID: "r000002", Mech: "baseline", Status: StatusQueued}, jobs: 2},
 		{name: "app with chain", view: with(func(v *RunView) { v.Bench, v.App, v.Chain = "", "warmup", true }), jobs: 2},
-		{name: "failed with warning", view: with(func(v *RunView) {
+		{name: "failed", view: with(func(v *RunView) {
 			v.Status, v.Result, v.Error = StatusFailed, nil, "context deadline exceeded"
-			v.Warning = "slack 99 exceeds the config bound 8; the engine clamps the epoch window to 8"
 		}), jobs: 2},
 		{name: "escapes", view: with(func(v *RunView) {
 			v.Error = "<script>&\"\\\n\r\t\b\f\x00\x01\x1f\x7f>"
 		}), jobs: 2},
 		{name: "one HTML character each", view: with(func(v *RunView) {
-			v.Bench, v.App, v.Mech, v.Source, v.Warning = "a<b", "c>d", "e&f", "\x1f", "\\"
+			v.Bench, v.App, v.Mech, v.Source, v.Key = "a<b", "c>d", "e&f", "\x1f", "\\"
 		}), jobs: 2},
 		{name: "non-UTF-8", view: with(func(v *RunView) { v.Mech, v.Source = "\xff\xfeab\xc3", "x\xe2\x82" }), jobs: 2},
-		{name: "line and paragraph separators", view: with(func(v *RunView) { v.Warning = "a\u2028b\u2029c é 日本" }), jobs: 2},
+		{name: "line and paragraph separators", view: with(func(v *RunView) { v.Error = "a\u2028b\u2029c é 日本" }), jobs: 2},
 		{name: "negative zero", view: with(func(v *RunView) { v.WallMS, v.Result = negZero, res(negZero, 0, negZero, 0) }), jobs: 2},
 		{name: "small and large floats", view: with(func(v *RunView) {
 			v.WallMS, v.Result = 1e-7, res(1e21, 1e-6, 999999999999999999999, 1.5e-9)
@@ -123,14 +122,14 @@ func TestRunViewJSONEdgeCases(t *testing.T) {
 // bits, with an optional result, and holds appendJSON to encoding/json on
 // it and on a SweepView of it (see checkEncoding).
 func FuzzRunViewJSON(f *testing.F) {
-	f.Add("r000001", "lps", "", "snake", "0123abcd", "done", "disk", "", "",
+	f.Add("r000001", "lps", "", "snake", "0123abcd", "done", "disk", "",
 		false, true, true, math.Float64bits(0.0123), math.Float64bits(1.5), math.Float64bits(0.25),
 		math.Float64bits(0.125), math.Float64bits(0.9), int64(123456789), int64(185185183), int64(4096), uint8(3))
-	f.Fuzz(func(t *testing.T, id, bench, app, mech, key, status, source, errMsg, warning string,
+	f.Fuzz(func(t *testing.T, id, bench, app, mech, key, status, source, errMsg string,
 		chain, cached, result bool, wall, ipc, cov, acc, l1 uint64, cycles, insts, loads int64, jobs uint8) {
 		c := encodingCase{name: "fuzz", jobs: int(jobs % 4), view: RunView{
 			ID: id, Bench: bench, App: app, Chain: chain, Mech: mech, Key: key, Status: Status(status),
-			Cached: cached, Source: source, Error: errMsg, Warning: warning, WallMS: math.Float64frombits(wall),
+			Cached: cached, Source: source, Error: errMsg, WallMS: math.Float64frombits(wall),
 		}}
 		if result {
 			c.view.Result = &Result{

@@ -123,14 +123,13 @@ func TestRunViewAfterFinish(t *testing.T) {
 
 	custom := core.Defaults()
 	custom.TailEntries = 5
-	overBound := gpu.SlackBound() + 1
 	type want struct {
 		bench, app, mech string
 		chain            bool
 		status           Status
 		source           string
 		cached           bool
-		warning, err     string // substrings; "" means the field is empty
+		err              string // substring; "" means the field is empty
 	}
 	done := func(bench, mech, source string) want {
 		return want{bench: bench, mech: mech, status: StatusDone, source: source, cached: source != "sim"}
@@ -196,9 +195,6 @@ func TestRunViewAfterFinish(t *testing.T) {
 	app := done("", "snake", "sim")
 	app.app, app.chain = "warmup", true
 	run("app with chain", SweepRequest{Apps: []string{"warmup"}, Chain: true, Mechs: []string{"snake"}}, app)
-	warned := done("cp", "snake", "sim")
-	warned.warning = "exceeds the config bound"
-	run("slack warning", SweepRequest{Benches: []string{"cp"}, Mechs: []string{"snake"}, Slack: overBound}, warned)
 
 	// The one worker runs a long cell under a short timeout (it fails), and a
 	// cell queued behind it is canceled.
@@ -249,9 +245,6 @@ func TestRunViewAfterFinish(t *testing.T) {
 			}
 			if v.Status != w.status || v.Source != w.source || v.Cached != w.cached {
 				t.Errorf("status %s source %q cached %v, want %s %q %v", v.Status, v.Source, v.Cached, w.status, w.source, w.cached)
-			}
-			if (v.Warning == "") != (w.warning == "") || !strings.Contains(v.Warning, w.warning) {
-				t.Errorf("warning %q, want %q", v.Warning, w.warning)
 			}
 			if (v.Error == "") != (w.err == "") || !strings.Contains(v.Error, w.err) {
 				t.Errorf("error %q, want %q", v.Error, w.err)

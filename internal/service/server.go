@@ -23,23 +23,19 @@ import (
 type Options struct {
 	// Workers sizes the job pool: how many jobs can be in flight at once
 	// (default: GOMAXPROCS). CPU use is governed by Budget, not Workers — a
-	// worker whose job cannot get budget slots waits its turn.
+	// worker whose job cannot get a budget slot waits its turn.
 	Workers int
 	// GPU is the default hardware configuration (default: Scaled(4, 64)).
 	GPU *config.GPU
 	// Scale is the default workload scale (default: DefaultScale).
 	Scale *workloads.Scale
-	// Parallelism is the default per-run SM-shard worker count for jobs that
-	// do not request one (default 1).
+	// Deprecated: ignored; the engine is serial. Kept only because
+	// perfbench/svc.go still sets it.
 	Parallelism int
-	// SlackWindow is the default per-run epoch length (sim.Options
-	// .SlackWindow) for jobs that do not request one (default 0: auto, the
-	// config-derived maximum). Results are bit-identical at every setting.
-	SlackWindow int
-	// Budget is the CPU-slot budget simulations draw from (default: the
-	// process-wide harness.SharedBudget, shared with any harness.Runner in
-	// the same process so the two pools cannot oversubscribe the host
-	// together).
+	// Budget is the CPU-slot budget each simulation holds one slot of
+	// (default: the process-wide harness.SharedBudget, shared with any
+	// harness.Runner in the same process so the two pools cannot
+	// oversubscribe the host together).
 	Budget *harness.Budget
 
 	// QueueMax bounds the job queue depth; submissions past it are rejected
@@ -77,16 +73,14 @@ var ErrDraining = errors.New("service: shutting down")
 // Service is the snaked core: job registry, priority queue, worker pool,
 // result cache, and metrics. Wrap Handler in an http.Server to expose it.
 type Service struct {
-	gpu         config.GPU
-	scale       workloads.Scale
-	parallelism int
-	slack       int
-	workers     int
-	budget      *harness.Budget
-	queue       *jobQueue
-	store       *cluster.Store
-	clu         *cluster.Cluster // nil when standalone
-	metrics     *metrics
+	gpu     config.GPU
+	scale   workloads.Scale
+	workers int
+	budget  *harness.Budget
+	queue   *jobQueue
+	store   *cluster.Store
+	clu     *cluster.Cluster // nil when standalone
+	metrics *metrics
 
 	// peerSlots is the reserved capacity for forwarded-in peer work, sized
 	// like the worker pool but separate from it. Workers may block forwarding
@@ -146,35 +140,27 @@ func New(opt Options) *Service {
 	if opt.Scale != nil {
 		scale = *opt.Scale
 	}
-	if opt.Parallelism < 1 {
-		opt.Parallelism = 1
-	}
-	if opt.SlackWindow < 0 {
-		opt.SlackWindow = 0
-	}
 	if opt.Budget == nil {
 		opt.Budget = harness.SharedBudget()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		gpu:         gpu,
-		scale:       scale,
-		parallelism: opt.Parallelism,
-		slack:       opt.SlackWindow,
-		workers:     opt.Workers,
-		budget:      opt.Budget,
-		queue:       newJobQueue(opt.QueueMax),
-		store:       cluster.NewStore(cluster.StoreOptions{MaxBytes: opt.CacheMaxBytes, Dir: opt.CacheDir}),
-		metrics:     newMetrics(),
-		peerSlots:   make(chan struct{}, opt.Workers),
-		baseCtx:     ctx,
-		baseCancel:  cancel,
-		jobs:        make(map[string]*job),
-		records:     make(map[recordKey]*record),
-		sweeps:      make(map[string]*sweep),
-		flight:      make(map[string]chan struct{}),
-		benchSet:    make(map[string]bool),
-		appSet:      make(map[string]bool),
+		gpu:        gpu,
+		scale:      scale,
+		workers:    opt.Workers,
+		budget:     opt.Budget,
+		queue:      newJobQueue(opt.QueueMax),
+		store:      cluster.NewStore(cluster.StoreOptions{MaxBytes: opt.CacheMaxBytes, Dir: opt.CacheDir}),
+		metrics:    newMetrics(),
+		peerSlots:  make(chan struct{}, opt.Workers),
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		jobs:       make(map[string]*job),
+		records:    make(map[recordKey]*record),
+		sweeps:     make(map[string]*sweep),
+		flight:     make(map[string]chan struct{}),
+		benchSet:   make(map[string]bool),
+		appSet:     make(map[string]bool),
 	}
 	if len(opt.Peers) > 0 && opt.Self != "" {
 		s.clu = cluster.New(cluster.Options{
@@ -286,27 +272,6 @@ func (s *Service) normalize(req RunRequest) (spec, error) {
 		return spec{}, errors.New("timeout_ms must be non-negative")
 	}
 	sp.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	if req.Parallelism < 0 {
-		return spec{}, errors.New("parallelism must be non-negative")
-	}
-	sp.parallelism = req.Parallelism
-	if sp.parallelism == 0 {
-		sp.parallelism = s.parallelism
-	}
-	if req.Slack < 0 {
-		return spec{}, errors.New("slack must be non-negative")
-	}
-	sp.slack = req.Slack
-	if sp.slack == 0 {
-		sp.slack = s.slack
-	}
-	if bound := sp.gpu.SlackBound(); sp.slack > bound {
-		// Not an error: the engine clamps the window to the provable bound
-		// and results are bit-identical at every setting. But the caller asked
-		// for an epoch length the hardware model cannot admit, so say so.
-		sp.warning = fmt.Sprintf("slack %d exceeds the config bound %d; the engine clamps the epoch window to %d",
-			sp.slack, bound, bound)
-	}
 	if sp.app != "" {
 		// Intern the app now (for the resolved machine and scale) so
 		// ill-partitioned requests fail at submission and the content digest
@@ -380,7 +345,6 @@ func (s *Service) newJobLocked(sp spec, sweepID string) *job {
 		id:      fmt.Sprintf("r%06d", s.nextJob),
 		sweepID: sweepID,
 		rec:     rec,
-		warning: sp.warning,
 		live:    &jobLive{spec: sp, seq: s.nextJob, heapIdx: -1},
 		status:  StatusQueued,
 		done:    make(chan struct{}),
@@ -424,7 +388,6 @@ func (s *Service) sweepSpecs(req SweepRequest) ([]spec, error) {
 		r.Snake = req.Snake
 		r.GPU, r.Scale = req.GPU, req.Scale
 		r.Priority, r.TimeoutMS = req.Priority, req.TimeoutMS
-		r.Parallelism, r.Slack = req.Parallelism, req.Slack
 		sp, err := s.normalize(r)
 		if err != nil {
 			return err

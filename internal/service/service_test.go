@@ -415,10 +415,8 @@ func TestSubmitValidation(t *testing.T) {
 	}()
 
 	for name, req := range map[string]RunRequest{
-		"unknown bench":        {Bench: "nope", Mech: "baseline"},
-		"unknown mech":         {Bench: "lps", Mech: "nope"},
-		"negative parallelism": {Bench: "lps", Mech: "baseline", Parallelism: -1},
-		"negative slack":       {Bench: "lps", Mech: "baseline", Slack: -1},
+		"unknown bench": {Bench: "nope", Mech: "baseline"},
+		"unknown mech":  {Bench: "lps", Mech: "nope"},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/runs", req)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -518,49 +516,33 @@ func TestOversizedRequestRejected(t *testing.T) {
 	}
 }
 
-// TestNormalizeSlackAndParallelismDefaults pins the local-resource knob
-// plumbing: a request's 0 means "server default", explicit values pass
-// through, and neither knob reaches the content address (covered by the
-// spec fields being outside the RunKey — see keyOf).
-func TestNormalizeSlackAndParallelismDefaults(t *testing.T) {
-	gpu := config.Scaled(2, 16)
-	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
-	svc := New(Options{Workers: 1, GPU: &gpu, Scale: &scale, Parallelism: 2, SlackWindow: 3})
+// TestRequestRejectsParallelismAndSlack pins that the two request fields
+// the serial engine dropped are refused, not silently ignored: a run or a
+// sweep carrying "parallelism" or "slack" gets a 400 that names the field.
+func TestRequestRejectsParallelismAndSlack(t *testing.T) {
+	svc := tinyService(1)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = svc.Shutdown(ctx)
 	}()
-	sp, err := svc.normalize(RunRequest{Bench: "lps", Mech: "baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.parallelism != 2 || sp.slack != 3 {
-		t.Errorf("defaults: parallelism=%d slack=%d, want 2 and 3", sp.parallelism, sp.slack)
-	}
-	sp, err = svc.normalize(RunRequest{Bench: "lps", Mech: "baseline", Parallelism: 1, Slack: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.parallelism != 1 || sp.slack != 5 {
-		t.Errorf("explicit: parallelism=%d slack=%d, want 1 and 5", sp.parallelism, sp.slack)
-	}
-	if sp.warning != "" {
-		t.Errorf("in-bound slack: warning %q, want none", sp.warning)
-	}
-	// A window beyond the config's provable bound is not an error — the
-	// engine clamps it and results are unchanged — but normalize records an
-	// advisory the run view surfaces.
-	bound := sp.gpu.SlackBound()
-	sp, err = svc.normalize(RunRequest{Bench: "lps", Mech: "baseline", Slack: bound + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.slack != bound+1 {
-		t.Errorf("over-bound slack: %d, want %d passed through", sp.slack, bound+1)
-	}
-	if !strings.Contains(sp.warning, fmt.Sprintf("bound %d", bound)) {
-		t.Errorf("over-bound slack: warning %q, want the bound %d named", sp.warning, bound)
+	for _, field := range []string{"parallelism", "slack"} {
+		for path, body := range map[string]string{
+			"/v1/runs":   `{"bench":"lps","mech":"baseline","` + field + `":2}`,
+			"/v1/sweeps": `{"benches":["lps"],"mechs":["baseline"],"` + field + `":2}`,
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `\"`+field+`\"`) {
+				t.Errorf("POST %s with %q: %d %s, want 400 naming the field", path, field, resp.StatusCode, msg)
+			}
+		}
 	}
 }
 

@@ -62,34 +62,21 @@ type RunRequest struct {
 	Priority int `json:"priority,omitempty"`
 	// TimeoutMS bounds the simulation wall clock; 0 means no limit.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Parallelism is the per-run SM-shard worker count (sim.Options
-	// .Parallelism): 0 uses the server default. Results are bit-identical at
-	// every value; the slots are drawn from the server's shared CPU budget,
-	// so a wide run trades against job concurrency rather than
-	// oversubscribing the host.
-	Parallelism int `json:"parallelism,omitempty"`
-	// Slack is the per-run bounded-slack epoch length (sim.Options
-	// .SlackWindow): 0 uses the server default (itself 0 = auto, the
-	// config-derived maximum). Results are bit-identical at every value;
-	// like Parallelism it only changes wall clock.
-	Slack int `json:"slack,omitempty"`
 }
 
 // SweepRequest submits the cross product of (benches ∪ apps) × mechs as one
 // sweep. Chain and Split apply to the app cells only.
 type SweepRequest struct {
-	Benches     []string         `json:"benches,omitempty"`
-	Apps        []string         `json:"apps,omitempty"`
-	Chain       bool             `json:"chain,omitempty"`
-	Split       int              `json:"split,omitempty"`
-	Mechs       []string         `json:"mechs"`
-	Snake       *core.Config     `json:"snake,omitempty"` // replaces Mechs when set
-	GPU         *config.GPU      `json:"gpu,omitempty"`
-	Scale       *workloads.Scale `json:"scale,omitempty"`
-	Priority    int              `json:"priority,omitempty"`
-	TimeoutMS   int64            `json:"timeout_ms,omitempty"`
-	Parallelism int              `json:"parallelism,omitempty"`
-	Slack       int              `json:"slack,omitempty"`
+	Benches   []string         `json:"benches,omitempty"`
+	Apps      []string         `json:"apps,omitempty"`
+	Chain     bool             `json:"chain,omitempty"`
+	Split     int              `json:"split,omitempty"`
+	Mechs     []string         `json:"mechs"`
+	Snake     *core.Config     `json:"snake,omitempty"` // replaces Mechs when set
+	GPU       *config.GPU      `json:"gpu,omitempty"`
+	Scale     *workloads.Scale `json:"scale,omitempty"`
+	Priority  int              `json:"priority,omitempty"`
+	TimeoutMS int64            `json:"timeout_ms,omitempty"`
 }
 
 // Status is a job's lifecycle state.
@@ -148,14 +135,10 @@ type RunView struct {
 	// "disk", "peer"), a forwarded execution on the owning peer
 	// ("forward:memory", "forward:disk", "forward:sim"), or a local
 	// simulation ("sim").
-	Source string `json:"source,omitempty"`
-	Error  string `json:"error,omitempty"`
-	// Warning carries normalize-time advisories that did not reject the
-	// request — e.g. a slack window beyond the config's provable bound,
-	// which the engine clamps (results are unchanged, only wall clock).
-	Warning string  `json:"warning,omitempty"`
-	WallMS  float64 `json:"wall_ms,omitempty"`
-	Result  *Result `json:"result,omitempty"`
+	Source string  `json:"source,omitempty"`
+	Error  string  `json:"error,omitempty"`
+	WallMS float64 `json:"wall_ms,omitempty"`
+	Result *Result `json:"result,omitempty"`
 }
 
 // SweepView is the wire representation of a sweep.
@@ -207,25 +190,20 @@ type label struct {
 	mech  string // display name; "snake:custom" for custom configs
 }
 
-// spec is a normalized, validated job specification. parallelism and slack
-// are not part of the content address: they change wall clock, never
-// results. noForward
-// marks work that arrived from a peer: it must be produced locally, never
-// forwarded again (loop prevention).
+// spec is a normalized, validated job specification. noForward marks work
+// that arrived from a peer: it must be produced locally, never forwarded
+// again (loop prevention).
 type spec struct {
 	label
-	appDigest   string // content digest of the assembled app (normalize)
-	split       int    // tenant-0 SM share for partitioned apps (0: half)
-	snake       *core.Config
-	gpu         config.GPU
-	scale       workloads.Scale
-	priority    int
-	timeout     time.Duration
-	parallelism int
-	slack       int
-	warning     string // normalize-time advisory (e.g. slack beyond the bound)
-	noForward   bool
-	factory     harness.Factory
+	appDigest string // content digest of the assembled app (normalize)
+	split     int    // tenant-0 SM share for partitioned apps (0: half)
+	snake     *core.Config
+	gpu       config.GPU
+	scale     workloads.Scale
+	priority  int
+	timeout   time.Duration
+	noForward bool
+	factory   harness.Factory
 }
 
 // workload is the display/metrics label: the benchmark name, or the app name
@@ -239,8 +217,7 @@ func (l label) workload() string {
 
 // wireRequest reconstructs a forwardable RunRequest from the normalized
 // spec. GPU and scale are always sent explicitly so the peer normalizes to
-// the same content address whatever its own defaults are; parallelism and
-// slack are local-resource knobs and are left to the peer's defaults.
+// the same content address whatever its own defaults are.
 func (sp *spec) wireRequest() RunRequest {
 	gpu, scale := sp.gpu, sp.scale
 	req := RunRequest{

@@ -22,7 +22,6 @@ type job struct {
 	id      string
 	sweepID string
 	rec     *record // shared per-key state: key, label, first result
-	warning string  // normalize-time advisory (RunView.Warning)
 
 	mu     sync.Mutex
 	live   *jobLive // nil once terminal
@@ -67,16 +66,15 @@ func (j *job) view() RunView {
 	defer j.mu.Unlock()
 	l := &j.rec.label
 	v := RunView{
-		ID:      j.id,
-		Bench:   l.bench,
-		App:     l.app,
-		Chain:   l.chain,
-		Mech:    l.mech,
-		Key:     j.rec.key,
-		Status:  j.status,
-		Cached:  j.cached,
-		Source:  j.source,
-		Warning: j.warning,
+		ID:     j.id,
+		Bench:  l.bench,
+		App:    l.app,
+		Chain:  l.chain,
+		Mech:   l.mech,
+		Key:    j.rec.key,
+		Status: j.status,
+		Cached: j.cached,
+		Source: j.source,
 	}
 	if j.err != nil {
 		v.Error = j.err.Error()
@@ -219,16 +217,14 @@ func (s *Service) produce(ctx context.Context, key string, sp *spec) (*stats.Sim
 }
 
 // simulate builds the workload and runs the cycle-level simulation under
-// ctx. The run holds parallelism slots of the shared CPU budget for its
-// duration, so the worker pool's concurrency and each run's internal
-// parallelism spend one bounded currency (workers × parallelism can never
-// exceed the budget in CPU terms, whatever the pool size).
+// ctx. The run holds one slot of the shared CPU budget for its duration, so
+// however large the worker pool, no more simulations run at once than the
+// budget has slots.
 func (s *Service) simulate(ctx context.Context, sp *spec) (*stats.Sim, error) {
-	granted, err := s.budget.Acquire(ctx, sp.parallelism)
-	if err != nil {
+	if err := s.budget.Acquire(ctx); err != nil {
 		return nil, err
 	}
-	defer s.budget.Release(granted)
+	defer s.budget.Release()
 	// Registry mechanism names are the prefetcher-reuse tag: a pooled engine
 	// whose last run had the same tag resets its prefetchers instead of
 	// building new ones (any engine serves any run). Custom snake configs
@@ -242,8 +238,6 @@ func (s *Service) simulate(ctx context.Context, sp *spec) (*stats.Sim, error) {
 		Config:        sp.gpu,
 		NewPrefetcher: sp.factory,
 		Context:       ctx,
-		Parallelism:   granted,
-		SlackWindow:   sp.slack,
 	}
 	if sp.app != "" {
 		// Application job: the interned app was assembled (and validated) at

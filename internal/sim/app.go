@@ -10,7 +10,7 @@ import (
 // AppResult carries the outcome of an application (multi-launch) run: the
 // usual aggregate Result plus per-launch records in App order and per-tenant
 // rollups. Like Result.Stats, every field is bit-identical across
-// Parallelism and SlackWindow settings.
+// SlackWindow settings.
 type AppResult struct {
 	Result
 	Launches stats.Launches

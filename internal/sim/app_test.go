@@ -10,15 +10,10 @@ import (
 	"snake/internal/workloads"
 )
 
-// appCells are the (Parallelism, SlackWindow) pairs the app tests sweep:
-// per-cycle serial, short epochs under the sharded barrier, and auto-length
-// epochs up to one worker per unit — the same spread as the pooled matrix.
-var appCells = []struct{ p, slack int }{{1, 1}, {4, 2}, {4, 0}, {12, 0}}
-
-// buildTestApp assembles a workloads app for the parCfg machine.
+// buildTestApp assembles a workloads app for the testCfg machine.
 func buildTestApp(t *testing.T, name string) *trace.App {
 	t.Helper()
-	a, err := workloads.BuildApp(name, workloads.Tiny(), parCfg().NumSM, 0)
+	a, err := workloads.BuildApp(name, workloads.Tiny(), testCfg().NumSM, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +22,9 @@ func buildTestApp(t *testing.T, name string) *trace.App {
 
 // TestAppSingleLaunchBitIdentical is the refactor-safety oracle: every
 // benchmark run as a trivial one-launch App must produce a Result
-// bit-identical to the kernel Run path, for every mechanism, Parallelism and
-// SlackWindow — the launch layer changed the engine's
-// structure, not its semantics. The per-launch record must agree with the
+// bit-identical to the kernel Run path, for every mechanism and
+// SlackWindow — the launch layer changed the engine's structure, not its
+// semantics. The per-launch record must agree with the
 // aggregate.
 func TestAppSingleLaunchBitIdentical(t *testing.T) {
 	for _, name := range workloads.Names() {
@@ -38,12 +33,9 @@ func TestAppSingleLaunchBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := trace.SingleLaunch(k)
-		for mech, pf := range parMechs() {
-			for _, cell := range appCells {
-				opt := Options{
-					Config: parCfg(), NewPrefetcher: pf,
-					Parallelism: cell.p, SlackWindow: cell.slack,
-				}
+		for mech, pf := range testMechs() {
+			for _, slack := range slackCells {
+				opt := Options{Config: testCfg(), NewPrefetcher: pf, SlackWindow: slack}
 				want, err := Run(k, opt)
 				if err != nil {
 					t.Fatalf("%s/%s kernel: %v", name, mech, err)
@@ -53,8 +45,8 @@ func TestAppSingleLaunchBitIdentical(t *testing.T) {
 					t.Fatalf("%s/%s app: %v", name, mech, err)
 				}
 				if !reflect.DeepEqual(got.Result, *want) {
-					t.Errorf("%s/%s P=%d slack=%d: one-launch app diverges from kernel run\n got:  %+v\n want: %+v",
-						name, mech, cell.p, cell.slack, got.Stats, want.Stats)
+					t.Errorf("%s/%s slack=%d: one-launch app diverges from kernel run\n got:  %+v\n want: %+v",
+						name, mech, slack, got.Stats, want.Stats)
 				}
 				if len(got.Launches) != 1 {
 					t.Fatalf("%s/%s: %d launch records, want 1", name, mech, len(got.Launches))
@@ -75,7 +67,7 @@ func TestAppSingleLaunchBitIdentical(t *testing.T) {
 
 // TestAppScenariosDeterministic: the multi-kernel and two-tenant scenarios
 // produce bit-identical AppResults — per-launch records and tenant rollups
-// included — at every Parallelism and SlackWindow setting, under both
+// included — at every SlackWindow setting, under both
 // chain-persistence policies. Also pins the attribution invariant: execution
 // windows partition the run, so per-launch insts/loads sum to the totals.
 func TestAppScenariosDeterministic(t *testing.T) {
@@ -84,8 +76,8 @@ func TestAppScenariosDeterministic(t *testing.T) {
 		a := buildTestApp(t, app)
 		for _, chain := range []bool{false, true} {
 			ref, err := RunApp(a, Options{
-				Config: parCfg(), NewPrefetcher: pf,
-				Parallelism: 1, SlackWindow: 1, ChainPersistence: chain,
+				Config: testCfg(), NewPrefetcher: pf,
+				SlackWindow: 1, ChainPersistence: chain,
 			})
 			if err != nil {
 				t.Fatalf("%s chain=%v ref: %v", app, chain, err)
@@ -105,24 +97,20 @@ func TestAppScenariosDeterministic(t *testing.T) {
 						app, chain, i, l.StartCycle, l.RetireCycle)
 				}
 			}
-			for _, cell := range appCells {
-				if cell.p == 1 && cell.slack == 1 {
-					continue // the reference itself
-				}
+			for _, slack := range slackCells[1:] {
 				got, err := RunApp(a, Options{
-					Config: parCfg(), NewPrefetcher: pf,
-					Parallelism: cell.p, SlackWindow: cell.slack,
-					ChainPersistence: chain,
+					Config: testCfg(), NewPrefetcher: pf,
+					SlackWindow: slack, ChainPersistence: chain,
 				})
 				if err != nil {
-					t.Fatalf("%s chain=%v P=%d slack=%d: %v", app, chain, cell.p, cell.slack, err)
+					t.Fatalf("%s chain=%v slack=%d: %v", app, chain, slack, err)
 				}
 				// Result.Slack echoes the requested window, which differs
 				// across cells by design; the oracle is the output.
 				got.Slack = ref.Slack
 				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s chain=%v P=%d slack=%d diverges from serial\n got:  %+v\n want: %+v",
-						app, chain, cell.p, cell.slack, got.Launches, ref.Launches)
+					t.Errorf("%s chain=%v slack=%d diverges from per-cycle\n got:  %+v\n want: %+v",
+						app, chain, slack, got.Launches, ref.Launches)
 				}
 			}
 		}
@@ -134,7 +122,7 @@ func TestAppScenariosDeterministic(t *testing.T) {
 // genuinely overlapped in time (co-residency, not serialization).
 func TestAppTenantRollups(t *testing.T) {
 	a := buildTestApp(t, "cotenant")
-	res, err := RunApp(a, Options{Config: parCfg()})
+	res, err := RunApp(a, Options{Config: testCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,44 +167,40 @@ func TestAppLaunchOrderTieBreak(t *testing.T) {
 			{Kernel: second, DependsOn: []int{0}},
 		}}
 	}
-	cfg := parCfg()
+	cfg := testCfg()
 	// Successors wake a turnaround delay after the parent's retire cycle
 	// (launch.go retireScan): min(bound, TurnaroundCap).
 	turn := int64(cfg.SlackBound())
 	if turn > TurnaroundCap {
 		turn = TurnaroundCap
 	}
-	for _, cell := range appCells {
-		res, err := RunApp(mk(hot, lps), Options{
-			Config: cfg, Parallelism: cell.p, SlackWindow: cell.slack,
-		})
+	for _, slack := range slackCells {
+		res, err := RunApp(mk(hot, lps), Options{Config: cfg, SlackWindow: slack})
 		if err != nil {
 			t.Fatal(err)
 		}
 		l := res.Launches
 		if l[1].StartCycle != l[0].RetireCycle+turn {
-			t.Errorf("P=%d slack=%d: first successor started at %d, want parent retire %d + turnaround %d",
-				cell.p, cell.slack, l[1].StartCycle, l[0].RetireCycle, turn)
+			t.Errorf("slack=%d: first successor started at %d, want parent retire %d + turnaround %d",
+				slack, l[1].StartCycle, l[0].RetireCycle, turn)
 		}
 		if l[2].StartCycle <= l[1].StartCycle {
-			t.Errorf("P=%d slack=%d: launch 2 started at %d, not after launch 1 (%d) — App order violated",
-				cell.p, cell.slack, l[2].StartCycle, l[1].StartCycle)
+			t.Errorf("slack=%d: launch 2 started at %d, not after launch 1 (%d) — App order violated",
+				slack, l[2].StartCycle, l[1].StartCycle)
 		}
 		if l[2].StartCycle < l[1].RetireCycle {
-			t.Errorf("P=%d slack=%d: launch 2 started at %d while launch 1 held the machine until %d",
-				cell.p, cell.slack, l[2].StartCycle, l[1].RetireCycle)
+			t.Errorf("slack=%d: launch 2 started at %d while launch 1 held the machine until %d",
+				slack, l[2].StartCycle, l[1].RetireCycle)
 		}
 		// Swapped App: the same two kernels in the opposite positions must
 		// execute in the opposite order (index 1 always first).
-		swapped, err := RunApp(mk(lps, hot), Options{
-			Config: cfg, Parallelism: cell.p, SlackWindow: cell.slack,
-		})
+		swapped, err := RunApp(mk(lps, hot), Options{Config: cfg, SlackWindow: slack})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s := swapped.Launches; s[1].Kernel != "lps" || s[1].StartCycle >= s[2].StartCycle {
-			t.Errorf("P=%d slack=%d: swapped app ran %q first (start %d vs %d), App order must decide",
-				cell.p, cell.slack, s[2].Kernel, s[1].StartCycle, s[2].StartCycle)
+			t.Errorf("slack=%d: swapped app ran %q first (start %d vs %d), App order must decide",
+				slack, s[2].Kernel, s[1].StartCycle, s[2].StartCycle)
 		}
 	}
 }
@@ -232,7 +216,7 @@ func TestAppChainPersistence(t *testing.T) {
 	a := buildTestApp(t, "warmup")
 	run := func(chain bool) *AppResult {
 		res, err := RunApp(a, Options{
-			Config:           parCfg(),
+			Config:           testCfg(),
 			NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
 			ChainPersistence: chain,
 		})
@@ -272,18 +256,17 @@ func TestPooledAppEquivalenceMatrix(t *testing.T) {
 	}
 	pipeline := buildTestApp(t, "pipeline")
 	cotenant := buildTestApp(t, "cotenant")
-	for mech, pf := range parMechs() {
+	for mech, pf := range testMechs() {
 		en := NewEngine()
-		for _, cell := range appCells {
+		for _, slack := range slackCells {
 			opt := Options{
-				Config: parCfg(), NewPrefetcher: pf,
-				Parallelism: cell.p, SlackWindow: cell.slack,
-				ChainPersistence: true,
+				Config: testCfg(), NewPrefetcher: pf,
+				SlackWindow: slack, ChainPersistence: true,
 			}
 			check := func(step string, got, want any) {
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s P=%d slack=%d: pooled engine diverges from fresh at %s",
-						mech, step, cell.p, cell.slack, step)
+					t.Errorf("%s/%s slack=%d: pooled engine diverges from fresh at %s",
+						mech, step, slack, step)
 				}
 			}
 			want, err := Run(k, opt)
@@ -328,7 +311,7 @@ func TestRunAppValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := parCfg()
+	cfg := testCfg()
 	bad := &trace.App{Name: "bad", Launches: []trace.KernelLaunch{
 		{Kernel: k, SMMask: 1 << uint(cfg.NumSM)},
 	}}

@@ -6,12 +6,10 @@
 //
 // The engine is sharded on both sides of the interconnect: each SM (plus its
 // warps, L1 and prefetcher) is a shard, and each L2 partition (plus its DRAM
-// controller) is a work unit too — both talk across the boundary only
-// through typed, cycle-stamped port queues and per-cycle work bins, and both
-// may tick concurrently (Options.Parallelism) with results bit-identical to
-// serial execution. The worker goroutines start and stop inside each run, so
-// an engine holds none between runs and needs no closing — see DESIGN.md
-// "Parallel execution" and "Memory-side parallelism".
+// controller) is a memory partition — both talk across the boundary only
+// through typed, cycle-stamped port queues and per-cycle work bins, and one
+// goroutine ticks them in epochs whose order fixes every statistic — see
+// DESIGN.md "Epoch loop".
 package sim
 
 import (
@@ -52,21 +50,17 @@ type Options struct {
 	// behaviour §2 attributes to miss-queue pressure. Default:
 	// 128 × L2Partitions (see withDefaults).
 	MaxInflightFills int
-	// Parallelism is how many workers tick work units — SM shards and L2
-	// memory partitions — concurrently within each slack epoch (default 1:
-	// serial). Results are bit-identical for every value — units exchange
-	// state only at the epoch barrier, in fixed merge orders — so callers
-	// may pick purely on available cores. Clamped to the total unit count
-	// (NumSM + L2Partitions). Values > 1 start Parallelism-1 worker
-	// goroutines when the run starts and stop them before it returns.
+	// Deprecated: ignored; the engine is serial. Kept only because
+	// perfbench/refs.go and perfbench/wide.go still set it.
 	Parallelism int
-	// SlackWindow is the bounded-slack epoch length: how many consecutive
-	// cycles every work unit ticks between barriers. 0 (auto) and anything
-	// above the config's provable bound resolve to that bound
-	// (config.SlackBound, the full audit-derived horizon); 1 degenerates to
-	// a barrier per cycle. Result.Stats is bit-identical at every setting —
-	// message visibility is gated on the config-derived slack horizon, never
-	// on the runtime epoch length — so callers pick purely on sync overhead.
+	// SlackWindow is a test hook for the bounded-slack epoch length: how
+	// many consecutive cycles the engine ticks between epoch merges. 0
+	// (auto, what every caller outside the tests uses) and anything above
+	// the config's provable bound resolve to that bound (config.SlackBound,
+	// the full audit-derived horizon); 1 is the per-cycle reference the
+	// slack equivalence tests compare against. Result.Stats is
+	// bit-identical at every setting — message visibility is gated on the
+	// config-derived slack horizon, never on the runtime epoch length.
 	// Result.Slack reports the resolved parameters. See DESIGN.md
 	// "Bounded-slack ticking".
 	SlackWindow int
@@ -75,11 +69,10 @@ type Options struct {
 	// slack property test checks the config-derived bound against.
 	LatencyAudit *LatencyAudit
 	// PhaseProfile, when non-nil, accumulates the engine's wall-clock time
-	// per cycle phase (serial route, parallel partitions, parallel shards,
-	// serial merge) into the given accumulator across the run. Profiling
-	// never changes Result (see phaseClock); it exists to measure the serial
-	// share Amdahl's law cares about. Not safe to share one accumulator
-	// between concurrently running engines.
+	// per epoch phase (drain, route, partitions, shards, merge) into the
+	// given accumulator across the run. Profiling never changes Result (see
+	// phaseClock). Not safe to share one accumulator between concurrently
+	// running engines.
 	PhaseProfile *profiling.Phases
 	// ChainPersistence keeps prefetcher state — Snake's variable-length
 	// chain tables — across kernel-launch boundaries within an App run:
@@ -111,12 +104,6 @@ func (opt Options) withDefaults() Options {
 	if opt.MLPPerWarp <= 0 {
 		opt.MLPPerWarp = 2
 	}
-	if opt.Parallelism <= 0 {
-		opt.Parallelism = 1
-	}
-	if max := opt.Config.NumSM + opt.Config.L2Partitions; opt.Parallelism > max {
-		opt.Parallelism = max
-	}
 	return opt
 }
 
@@ -128,10 +115,8 @@ type Result struct {
 }
 
 // engine is the live simulation state: the memory side (interconnect, L2
-// partitions, DRAM, in-flight message queues) plus one shard per SM. The
-// engine goroutine owns everything during the serial phases of a cycle;
-// during the parallel phase it owns only the memory side while each shard's
-// tick owns that shard.
+// partitions, DRAM, in-flight message queues) plus one shard per SM, all
+// owned by the one goroutine that runs it.
 type engine struct {
 	cfg config.GPU
 	opt Options
@@ -157,12 +142,6 @@ type engine struct {
 	net    *icntNet
 	parts  []*memPartition
 	shards []*shard
-	// units is the barrier group's schedule: partitions [0, L2Partitions),
-	// then shards. The serial paths iterate parts/shards directly.
-	units []workUnit
-	// group is the barrier-worker group; its workers run only while run()
-	// executes with Parallelism > 1.
-	group shardGroup
 
 	// partReqs are the SM→L2 ingress ports, one ring per L2 partition: fill
 	// requests in flight across the request network, binned to their
@@ -289,8 +268,8 @@ func newEngineApp(a *trace.App, opt Options) *engine {
 }
 
 // newMachine allocates the persistent machine — SM shards, L2 partitions,
-// interconnect, barrier schedule, stat arenas — whose shape depends only on
-// the config. Launch state (kernels, CTA cursors, SM ownership) is installed
+// interconnect, stat arenas — whose shape depends only on the config.
+// Launch state (kernels, CTA cursors, SM ownership) is installed
 // separately by loadApp and rebuilt on every run.
 func newMachine(opt Options) *engine {
 	cfg := opt.Config
@@ -314,13 +293,6 @@ func newMachine(opt Options) *engine {
 		s := newSM(i, cfg, pf, e.shStats.Shard(i), opt.MLPPerWarp)
 		s.env = &smEnv{eng: e, sm: s}
 		e.shards[i] = newShard(s)
-	}
-	e.units = make([]workUnit, 0, len(e.parts)+len(e.shards))
-	for _, p := range e.parts {
-		e.units = append(e.units, p)
-	}
-	for _, sh := range e.shards {
-		e.units = append(e.units, sh)
 	}
 	e.partReqs = make([]icnt.Ingress[reqMsg], cfg.L2Partitions)
 	e.smBusy = make([]int, cfg.NumSM)
@@ -348,7 +320,7 @@ const ctxCheckInterval = 1 << 12
 const deadlockIdleCycles = 1_000_000
 
 // run executes the epoch loop. Every executed epoch — a span of up to
-// slackMax consecutive cycles between two barriers — has the same shape:
+// slackMax consecutive cycles between two merges — has the same shape:
 //
 //	serial drain phase:  for each sub-cycle in order: net.tick → response
 //	                     sends (with L2 installs deferred into partition
@@ -360,12 +332,12 @@ const deadlockIdleCycles = 1_000_000
 //	route phase:         O(#partitions) prefix-sum over the per-ring due
 //	                     counts assigns each partition a zero-copy due view
 //	                     and a contiguous response slot range (planRoute)
-//	parallel phase:      every work unit ticks the whole span, concurrently
-//	                     when Parallelism > 1 — partitions perform their due
-//	                     L2 lookups, merges and DRAM timing, scattering
-//	                     responses into their reserved slots; shards apply
-//	                     fills, run prefetchers, issue, and count their
-//	                     epoch store outputs per sub-cycle
+//	tick phase:          every partition, then every shard, ticks the whole
+//	                     span — partitions perform their due L2 lookups,
+//	                     merges and DRAM timing, writing responses into
+//	                     their reserved slots; shards apply fills, run
+//	                     prefetchers, issue, and count their epoch store
+//	                     outputs per sub-cycle
 //	serial merge phase:  response slots pushed in partition-major slot order
 //	                     (each already carrying its global arrival seq, so
 //	                     the heap replays serial arrival order) → store
@@ -379,10 +351,6 @@ const deadlockIdleCycles = 1_000_000
 // epoch is at most horizon cycles long. With SlackWindow=1 the loop is
 // exactly the seed's per-cycle schedule.
 func (e *engine) run() error {
-	if e.opt.Parallelism > 1 {
-		e.group.start(e.units, e.opt.Parallelism)
-		defer e.group.stop()
-	}
 	e.prof = e.opt.PhaseProfile
 	var clk phaseClock
 	e.fillSMs()
@@ -772,43 +740,20 @@ func (e *engine) drainStores(c int64) {
 	}
 }
 
-// tickWave runs the parallel phase of the epoch: every work unit ticks the
-// sub-cycles [start, end] (memory partitions drain their request/complete
-// bins, shards apply fills and issue), on the worker group when
-// Parallelism > 1.
-//
-// Normally partitions and shards tick as one wave — they touch disjoint
-// state, so no ordering between them is needed. When phase profiling is on,
-// the wave splits in two so partition and shard wall clocks are separable;
-// the split cannot change results (same disjointness).
+// tickWave runs the tick phase of the epoch: every memory partition ticks
+// the sub-cycles [start, end] (draining its request and complete bins), then
+// every shard does (applying fills and issuing). Partitions and shards touch
+// disjoint state, so the order between the two loops changes nothing; the
+// profiling lap between them separates their wall clocks.
 func (e *engine) tickWave(start, end int64, clk *phaseClock) {
-	np := len(e.parts)
-	par := e.opt.Parallelism > 1
-	switch {
-	case e.prof != nil:
-		if par {
-			e.group.runSpan(start, end, 0, np)
-		} else {
-			for _, p := range e.parts {
-				p.tickSpan(start, end)
-			}
-		}
-		clk.lap(profiling.PhaseMemPartitions)
-		if par {
-			e.group.runSpan(start, end, np, len(e.units))
-		} else {
-			for _, sh := range e.shards {
-				sh.tickSpan(start, end)
-			}
-		}
-		clk.lap(profiling.PhaseShards)
-	case par:
-		e.group.runSpan(start, end, 0, len(e.units))
-	default:
-		for _, u := range e.units {
-			u.tickSpan(start, end)
-		}
+	for _, p := range e.parts {
+		p.tickSpan(start, end)
 	}
+	clk.lap(profiling.PhaseMemPartitions)
+	for _, sh := range e.shards {
+		sh.tickSpan(start, end)
+	}
+	clk.lap(profiling.PhaseShards)
 }
 
 // mergeEpoch performs the serial merges closing the epoch [start, end]:
@@ -907,7 +852,7 @@ func (e *engine) mergeEpoch(start, end int64) bool {
 // barriers would have appended — via a counting scatter instead of a serial
 // (span × shards) walk:
 //
-//	pass 1 (parallel):  each shard counted its stores per sub-cycle into
+//	pass 1 (tick):      each shard counted its stores per sub-cycle into
 //	                    storeCnt during its tick span (shard.tickSpan)
 //	pass 2 (serial):    a cycle-major, shard-minor prefix-sum over the
 //	                    active shards' counts turns each (cycle, shard)
@@ -1071,9 +1016,8 @@ func (e *engine) result() *Result {
 }
 
 // smEnv adapts engine state to the prefetch.Env interface for one SM. The
-// engine-side reads are of memory-side state that is frozen during the
-// parallel phase (the serial phases mutate it, the barrier publishes it), so
-// concurrent shard ticks may call them safely.
+// engine-side reads are of memory-side state that only the drain and merge
+// phases mutate, so a shard's tick span sees it as of the epoch's drain.
 type smEnv struct {
 	eng *engine
 	sm  *sm

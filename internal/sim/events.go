@@ -20,7 +20,7 @@ package sim
 // defer a whole epoch's pushes to one merge, and lets that merge push slots
 // in partition-major rather than global arrival order, without perturbing
 // any downstream statistic (see DESIGN.md "Bounded-slack ticking" and
-// "Deterministic parallel routing"). Responses pushed with seq 0 (white-box
+// "Epoch loop"). Responses pushed with seq 0 (white-box
 // tests) tie-break exactly like the strict-less heap the seed engine used.
 type resp struct {
 	readyAt  int64

@@ -124,7 +124,7 @@ func (e *engine) maskFree(ln *launchRun) bool {
 // attribution window: each shard's counters accrue to the claiming launch
 // from this snapshot until the next claim of that shard (or end of run).
 // Claims happen only at launch activations — deterministic, epoch-aligned
-// cycles — so attribution is independent of Parallelism and SlackWindow.
+// cycles — so attribution is independent of SlackWindow.
 func (e *engine) claimSMs(ln *launchRun, li int) {
 	for _, sh := range ln.shards {
 		id := sh.sm.id
@@ -244,7 +244,7 @@ func (e *engine) moreCTAs() bool {
 // reported a CTA completion. The detection epoch always contains that
 // completion (done() flips only via retireCTA, which sets the shard's ctaMask
 // bit), and shard ticking is bit-identical across epoch shapes, so c* is an
-// absolute cycle independent of Parallelism and SlackWindow.
+// absolute cycle independent of SlackWindow.
 func (e *engine) retireScan(start, end int64) {
 	for li := range e.launches {
 		ln := &e.launches[li]

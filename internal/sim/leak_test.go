@@ -13,10 +13,10 @@ import (
 )
 
 // TestFreshRunsDoNotLeak pins that a one-shot run leaves nothing behind:
-// after every fresh Run and RunApp, serial and on four workers, plus a P=4
+// after every fresh Run and RunApp, per cycle and at the auto window, plus a
 // run cancelled mid-simulation, the goroutine count returns to its baseline,
 // and across all of them the live heap after a collection stays flat. An
-// engine that outlives its run — held by a parked worker, a finalizer or a
+// engine that outlives its run — held by a goroutine, a finalizer or a
 // pointer cycle — shows up here as hundreds of kilobytes per run.
 func TestFreshRunsDoNotLeak(t *testing.T) {
 	k, err := workloads.Build("lps", workloads.Tiny())
@@ -32,25 +32,25 @@ func TestFreshRunsDoNotLeak(t *testing.T) {
 		run  func() error
 	}
 	var legs []leg
-	for _, p := range []int{1, 4} {
-		opt := Options{Config: parCfg(), NewPrefetcher: pf, Parallelism: p}
+	for _, slack := range []int{1, 0} {
+		opt := Options{Config: testCfg(), NewPrefetcher: pf, SlackWindow: slack}
 		legs = append(legs,
 			leg{"Run", func() error { _, err := Run(k, opt); return err }},
 			leg{"RunApp", func() error { _, err := RunApp(a, opt); return err }})
 	}
 	legs = append(legs, leg{"cancelled", func() error {
 		// countdownCtx (loop_test.go) cancels on the second poll, inside the
-		// cycle loop with the workers running.
+		// cycle loop.
 		ctx := &countdownCtx{Context: context.Background(), ok: 1}
-		_, err := Run(long, Options{Config: parCfg(), Context: ctx, Parallelism: 4})
+		_, err := Run(long, Options{Config: testCfg(), Context: ctx})
 		if !errors.Is(err, context.Canceled) {
 			return errors.New("cancelled run did not return context.Canceled")
 		}
 		return nil
 	}})
 
-	// The worker goroutines call Done before they finish exiting, so the
-	// count may trail the run's return by a scheduler hand-off.
+	// A goroutine that calls Done before it finishes exiting would trail
+	// the run's return by a scheduler hand-off, so the check waits briefly.
 	settles := func(baseline int) bool {
 		deadline := time.Now().Add(2 * time.Second)
 		for runtime.NumGoroutine() > baseline {

@@ -19,16 +19,15 @@ type partFill struct {
 // Requests from different SMs to the same in-flight line merge at the
 // partition so DRAM sees each line once.
 //
-// A partition is a schedulable work unit on the engine's cycle barrier, peer
-// to the SM shards: requests are binned to the partition at injection time
+// A partition is ticked once per epoch, like the SM shards: requests are
+// binned to the partition at injection time
 // (the engine pushes them onto the partition's ingress ring, stamped with
 // their arrival cycle and global arrival seq), the O(#partitions) route
 // prefix-sum hands each partition a zero-copy due view plus a contiguous
-// slot range, and tick — possibly concurrent with other partitions and with
-// shard ticks — performs the L2 lookups, in-flight merges and DRAM timing,
-// scattering responses into its reserved slots. Partitions are data-disjoint
-// by the engine's line-address hash (partOf): no line ever reaches two
-// partitions, so ticks share no state and need no locks.
+// slot range, and tick performs the L2 lookups, in-flight merges and DRAM
+// timing, writing responses into its reserved slots. Partitions are
+// data-disjoint by the engine's line-address hash (partOf): no line ever
+// reaches two partitions, so the order partitions tick in changes nothing.
 type memPartition struct {
 	id       int
 	l2       *cache.Cache

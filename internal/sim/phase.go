@@ -12,9 +12,8 @@ import (
 // loop carries the laps unconditionally.
 //
 // Profiling must not change simulation results: the clock only reads
-// time.Now between phases, and the only behavioural difference it induces —
-// the two-wave barrier schedule in tickUnits — computes identical state (see
-// shardGroup). TestPhaseProfileEquivalence pins this.
+// time.Now between phases, and the schedule is the same with or without it.
+// TestPhaseProfileEquivalence pins this.
 type phaseClock struct {
 	prof *profiling.Phases
 	last time.Time

@@ -11,56 +11,52 @@ import (
 )
 
 // TestPhaseProfileEquivalence pins the profiler's non-interference contract:
-// attaching a phase accumulator — which switches the parallel phase to the
-// two-wave schedule so partition and shard time are separable — must not
-// change Result at any Parallelism, and the accumulator must come back with
-// a plausible breakdown (time recorded, serial share strictly inside (0,1)).
+// attaching a phase accumulator must not change Result at any slack window,
+// and the accumulator must come back with a plausible breakdown (time
+// recorded, serial share strictly inside (0,1)).
 func TestPhaseProfileEquivalence(t *testing.T) {
 	k, err := workloads.Build("hotspot", workloads.Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 4} {
-		for _, slack := range []int{1, 0} {
-			opt := Options{
-				Config:        parCfg(),
-				NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
-				Parallelism:   p,
-				SlackWindow:   slack,
-			}
-			want, err := Run(k, opt)
-			if err != nil {
-				t.Fatalf("P=%d slack=%d unprofiled: %v", p, slack, err)
-			}
-			var prof profiling.Phases
-			opt.PhaseProfile = &prof
-			got, err := Run(k, opt)
-			if err != nil {
-				t.Fatalf("P=%d slack=%d profiled: %v", p, slack, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("P=%d slack=%d: profiling changed results\n got:  %+v\n want: %+v", p, slack, got.Stats, want.Stats)
-			}
-			if prof.TotalNs() <= 0 {
-				t.Fatalf("P=%d slack=%d: no phase time recorded", p, slack)
-			}
-			if prof.Ns(profiling.PhaseSerialRoute) <= 0 || prof.Ns(profiling.PhaseShards) <= 0 {
-				t.Errorf("P=%d slack=%d: route=%dns shards=%dns; both run every executed cycle",
-					p, slack, prof.Ns(profiling.PhaseSerialRoute), prof.Ns(profiling.PhaseShards))
-			}
-			if share := prof.SerialShare(); share <= 0 || share >= 1 {
-				t.Errorf("P=%d slack=%d: serial share %f outside (0,1)", p, slack, share)
-			}
-			if prof.Barriers() <= 0 || prof.EpochCycles() < prof.Barriers() {
-				t.Errorf("P=%d slack=%d: barriers=%d epochCycles=%d; every epoch crosses one barrier and ticks at least one cycle",
-					p, slack, prof.Barriers(), prof.EpochCycles())
-			}
-			if slack == 1 && prof.CyclesPerBarrier() != 1 {
-				t.Errorf("P=%d slack=1: cycles/barrier = %f, want exactly 1", p, prof.CyclesPerBarrier())
-			}
-			if slack == 0 && prof.CyclesPerBarrier() <= 1 {
-				t.Errorf("P=%d slack=auto: cycles/barrier = %f, want > 1 (epochs never lengthened)", p, prof.CyclesPerBarrier())
-			}
+	for _, slack := range []int{1, 0} {
+		opt := Options{
+			Config:        testCfg(),
+			NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
+			SlackWindow:   slack,
+		}
+		want, err := Run(k, opt)
+		if err != nil {
+			t.Fatalf("slack=%d unprofiled: %v", slack, err)
+		}
+		var prof profiling.Phases
+		opt.PhaseProfile = &prof
+		got, err := Run(k, opt)
+		if err != nil {
+			t.Fatalf("slack=%d profiled: %v", slack, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("slack=%d: profiling changed results\n got:  %+v\n want: %+v", slack, got.Stats, want.Stats)
+		}
+		if prof.TotalNs() <= 0 {
+			t.Fatalf("slack=%d: no phase time recorded", slack)
+		}
+		if prof.Ns(profiling.PhaseSerialRoute) <= 0 || prof.Ns(profiling.PhaseShards) <= 0 {
+			t.Errorf("slack=%d: route=%dns shards=%dns; both run every executed cycle",
+				slack, prof.Ns(profiling.PhaseSerialRoute), prof.Ns(profiling.PhaseShards))
+		}
+		if share := prof.SerialShare(); share <= 0 || share >= 1 {
+			t.Errorf("slack=%d: serial share %f outside (0,1)", slack, share)
+		}
+		if prof.Barriers() <= 0 || prof.EpochCycles() < prof.Barriers() {
+			t.Errorf("slack=%d: epochs=%d epochCycles=%d; every epoch ticks at least one cycle",
+				slack, prof.Barriers(), prof.EpochCycles())
+		}
+		if slack == 1 && prof.CyclesPerBarrier() != 1 {
+			t.Errorf("slack=1: cycles/epoch = %f, want exactly 1", prof.CyclesPerBarrier())
+		}
+		if slack == 0 && prof.CyclesPerBarrier() <= 1 {
+			t.Errorf("slack=auto: cycles/epoch = %f, want > 1 (epochs never lengthened)", prof.CyclesPerBarrier())
 		}
 	}
 }
@@ -74,7 +70,7 @@ func TestPhaseProfileAccumulatesAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var prof profiling.Phases
-	opt := Options{Config: parCfg(), PhaseProfile: &prof}
+	opt := Options{Config: testCfg(), PhaseProfile: &prof}
 	en := NewEngine()
 	if _, err := en.Run(k, opt); err != nil {
 		t.Fatal(err)

@@ -6,19 +6,19 @@ package sim
 // moves across the boundary:
 //
 //	SM shard  --reqMsg-->   memory side   (fill requests, pulled from the
-//	                                       shard's request port at the
-//	                                       barrier, in smID order)
+//	                                       shard's request port in the
+//	                                       drain phase, in smID order)
 //	SM shard  --storeMsg--> memory side   (write-through stores, staged in
 //	                                       the shard's egress during its
-//	                                       tick, merged at the barrier in
-//	                                       (smID, seq) order)
+//	                                       tick, merged at the epoch merge
+//	                                       in (smID, seq) order)
 //	memory side --fillMsg--> SM shard     (line fills, pushed into the
 //	                                       shard's cycle-stamped ingress
 //	                                       queue, delivered when due)
 //
 // Everything else an SM owns (warps, L1, MSHRs, prefetcher, statistics) is
-// shard-private, which is what lets shards tick concurrently; see DESIGN.md
-// "Parallel execution".
+// shard-private, which is what lets a shard tick a whole epoch on its own;
+// see DESIGN.md "Epoch loop".
 
 // fillMsg is a completed memory response in flight toward an SM's L1. It is
 // delivered through the shard's icnt.Ingress queue, whose stamp carries the
@@ -57,8 +57,8 @@ type storeMsg struct {
 }
 
 // egress buffers one shard's outbound messages for the epoch being ticked.
-// The shard appends during its (possibly concurrent) tick span; the engine
-// drains it at the epoch barrier and it must be empty before the next tick
+// The shard appends during its tick span; the engine drains it at the epoch
+// merge and it must be empty before the next tick
 // span starts. Entries are naturally in (cycle, seq) order: sub-cycles run
 // forward and seq only grows.
 type egress struct {

@@ -14,7 +14,7 @@ import (
 // that dominates steady-state sweep traffic.
 //
 // The reuse contract mirrors the engine's other equivalence guarantees
-// (serial/parallel, slack window): a recycled engine's Result must be
+// (slack window): a recycled engine's Result must be
 // bit-identical to a freshly constructed engine's, for any sequence of
 // (kernel, options, tag) runs. The golden and pooled-equivalence matrices
 // enforce it.

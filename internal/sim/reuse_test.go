@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -11,27 +10,23 @@ import (
 	"snake/internal/workloads"
 )
 
-// reuseMechs extends the parallel-equivalence spread with the two storage
+// reuseMechs extends the equivalence spread with the two storage
 // reconfiguration paths reinit must handle: decoupled unified storage and the
 // isolated prefetch buffer.
 func reuseMechs() map[string]func(int) prefetch.Prefetcher {
-	m := parMechs()
+	m := testMechs()
 	m["isolated-snake"] = func(int) prefetch.Prefetcher { return core.NewIsolatedSnake() }
 	m["mta+decoupled"] = func(int) prefetch.Prefetcher { return &prefetch.Decoupled{Inner: prefetch.NewMTA()} }
 	return m
 }
 
 // TestPooledEquivalenceMatrix is the arena-recycling half of the equivalence
-// guarantee: an Engine reused across every workload, parallelism and slack
-// window must produce Results bit-identical to a fresh
+// guarantee: an Engine reused across every workload and slack window must
+// produce Results bit-identical to a fresh
 // construction for each run. One Engine per mechanism survives the whole
 // matrix, so each run reinitializes state dirtied by a different kernel (the
 // slack epoch buffers included).
 func TestPooledEquivalenceMatrix(t *testing.T) {
-	// (Parallelism, SlackWindow) pairs covering both axes without squaring
-	// the matrix: per-cycle serial, short epochs under the sharded barrier,
-	// and auto-length epochs at one worker per unit.
-	cells := []struct{ p, slack int }{{1, 1}, {4, 2}, {4, 0}, {12, 0}}
 	for mech, pf := range reuseMechs() {
 		en := NewEngine()
 		for _, name := range workloads.Names() {
@@ -39,11 +34,8 @@ func TestPooledEquivalenceMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, cell := range cells {
-				opt := Options{
-					Config: parCfg(), NewPrefetcher: pf,
-					Parallelism: cell.p, SlackWindow: cell.slack,
-				}
+			for _, slack := range slackCells {
+				opt := Options{Config: testCfg(), NewPrefetcher: pf, SlackWindow: slack}
 				want, err := Run(k, opt)
 				if err != nil {
 					t.Fatalf("%s/%s fresh: %v", name, mech, err)
@@ -53,8 +45,8 @@ func TestPooledEquivalenceMatrix(t *testing.T) {
 					t.Fatalf("%s/%s pooled: %v", name, mech, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s P=%d slack=%d: pooled engine diverges from fresh\n got:  %+v\n want: %+v",
-						name, mech, cell.p, cell.slack, got.Stats, want.Stats)
+					t.Errorf("%s/%s slack=%d: pooled engine diverges from fresh\n got:  %+v\n want: %+v",
+						name, mech, slack, got.Stats, want.Stats)
 				}
 			}
 		}
@@ -75,7 +67,7 @@ func TestEngineReuseAcrossMechanisms(t *testing.T) {
 	order := []string{"baseline", "snake", "isolated-snake", "mta+decoupled", "snake", "baseline", "ideal"}
 	mechs := reuseMechs()
 	for i, mech := range order {
-		opt := Options{Config: parCfg(), NewPrefetcher: mechs[mech]}
+		opt := Options{Config: testCfg(), NewPrefetcher: mechs[mech]}
 		want, err := Run(k, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +93,7 @@ func TestEngineReuseUntaggedRebuildsPrefetchers(t *testing.T) {
 	}
 	en := NewEngine()
 	calls := 0
-	opt := Options{Config: parCfg(), NewPrefetcher: func(int) prefetch.Prefetcher {
+	opt := Options{Config: testCfg(), NewPrefetcher: func(int) prefetch.Prefetcher {
 		calls++
 		return core.NewSnake()
 	}}
@@ -135,26 +127,18 @@ func TestEngineReuseUntaggedRebuildsPrefetchers(t *testing.T) {
 // TestRepeatedRunAllocs is the steady-state claim behind the engine pool:
 // once warm, re-running a kernel on a recycled Engine performs near-zero heap
 // allocations — the arenas (warp contexts, cache line index, MSHR files, port
-// rings, stats shards, route views, scatter scratch) are all reused in place,
-// and in parallel mode the barrier group is embedded in the engine, so a run
-// allocates only its worker goroutines' spawns. The bound leaves headroom for
-// the Result copy and the prefetcher's small per-run maps; a fresh engine
-// costs thousands of allocations per run (the fresh rows of
-// BenchmarkSimulatorThroughput).
-//
-// The par4 measurement pins the allocation-flat-parallel-mode claim: a warm
-// pooled run must cost the same, up to the three worker spawns, whether it
-// ticks serially or on four workers (the multi-worker barrier, the epoch
-// bitsets and the due views allocate nothing per run). It is checked on the
-// tiny shape and on the mid-scale lps shape of the benchmark's pooled parN
-// rows.
+// rings, stats shards, route views, scatter scratch, epoch bitsets) are all
+// reused in place. The bound leaves headroom for the Result copy and the
+// prefetcher's small per-run maps; a fresh engine costs thousands of
+// allocations per run (the fresh rows of BenchmarkSimulatorThroughput). It
+// is checked on the tiny shape and on a mid-scale 8-SM lps shape.
 func TestRepeatedRunAllocs(t *testing.T) {
 	shapes := []struct {
 		name string
 		sc   workloads.Scale
 		cfg  config.GPU
 	}{
-		{"tiny", workloads.Tiny(), parCfg()},
+		{"tiny", workloads.Tiny(), testCfg()},
 		{"mid", workloads.Scale{CTAs: 24, WarpsPerCTA: 8, Iters: 8}, config.Scaled(8, 48)},
 	}
 	for _, sh := range shapes {
@@ -174,24 +158,15 @@ func TestRepeatedRunAllocs(t *testing.T) {
 		}
 		pf := func(int) prefetch.Prefetcher { return core.NewSnake() }
 		serial := measure(Options{Config: sh.cfg, NewPrefetcher: pf})
-		par := measure(Options{Config: sh.cfg, NewPrefetcher: pf, Parallelism: 4})
-		t.Logf("%s: steady-state allocs/run: serial=%.1f par4=%.1f", sh.name, serial, par)
+		t.Logf("%s: steady-state allocs/run: %.1f", sh.name, serial)
 		if raceEnabled {
-			// The race detector allocates for its own bookkeeping; the loops
-			// above still provide race coverage of the reuse paths.
+			// The race detector allocates for its own bookkeeping; the loop
+			// above still provides race coverage of the reuse paths.
 			continue
 		}
 		const bound = 64
 		if serial > bound {
-			t.Errorf("%s: steady-state serial reuse allocates %.1f/run, want <= %d", sh.name, serial, bound)
-		}
-		if par > bound {
-			t.Errorf("%s: steady-state par4 reuse allocates %.1f/run, want <= %d", sh.name, par, bound)
-		}
-		// Flat means within 1.2x, plus up to 4 allocs of slack below 16
-		// allocs, where one incidental allocation would trip the ratio.
-		if limit := math.Min(serial*1.2+4, math.Max(16, serial*1.2)); par > limit {
-			t.Errorf("%s: par4-pooled allocates %.1f/run vs serial %.1f: parallel mode must stay allocation-flat (<= %.1f)", sh.name, par, serial, limit)
+			t.Errorf("%s: steady-state reuse allocates %.1f/run, want <= %d", sh.name, serial, bound)
 		}
 	}
 }

@@ -6,19 +6,17 @@ import (
 	"sort"
 	"testing"
 
-	"snake/internal/core"
-	"snake/internal/prefetch"
 	"snake/internal/workloads"
 )
 
 // TestRoutePlanReplaysSerialArrivalOrder is the property test behind the
-// parallel route phase: for randomized due-sets — non-decreasing arrival
+// route phase: for randomized due-sets — non-decreasing arrival
 // stamps with ties, random partition targets — the prefix-sum slot assignment
 // must (a) hand each partition a contiguous, disjoint slot range, (b) present
 // each ring's due view in global arrival order restricted to that partition,
 // and (c) produce a routed slab whose heap replay is identical whether the
 // responses are pushed in partition-major slot order (what mergeEpoch does)
-// or in global arrival order (what the serial engine did). (c) is the whole
+// or in global arrival order (what a per-request walk would do). (c) is the whole
 // determinism argument: the heap's pop sequence depends only on the
 // (readyAt, seq) key set, and seq is the global arrival rank stamped at
 // injection.
@@ -26,7 +24,7 @@ func TestRoutePlanReplaysSerialArrivalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	for trial := 0; trial < 50; trial++ {
-		e := newEngine(k, Options{Config: parCfg()}.withDefaults())
+		e := newEngine(k, Options{Config: testCfg()}.withDefaults())
 		n := 1 + rng.Intn(200)
 		start := int64(100)
 		end := start + int64(rng.Intn(32))
@@ -128,14 +126,14 @@ func TestRoutePlanReplaysSerialArrivalOrder(t *testing.T) {
 // TestStoreScatterMatchesSerialOracle is the property test for the epoch
 // store merge: randomized per-shard store streams (cycle-sorted, as tickSpan
 // stages them, with heavy same-cycle ties across shards) must come out of the
-// counting scatter in exactly (cycle, smID, seq) order — the order the
-// per-cycle serial engine appended. Pass 1 runs through the real shard
+// counting scatter in exactly (cycle, smID, seq) order — the order
+// per-cycle merging appends. Pass 1 runs through the real shard
 // tickSpan.
 func TestStoreScatterMatchesSerialOracle(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 12; trial++ {
-		e := newEngine(k, Options{Config: parCfg()}.withDefaults())
+		e := newEngine(k, Options{Config: testCfg()}.withDefaults())
 		// Stores must mature strictly past the epoch end (mergeStores
 		// asserts it); the white-box streams below are staged inside the
 		// epoch, so widen the horizon instead of modeling maturation.
@@ -179,41 +177,6 @@ func TestStoreScatterMatchesSerialOracle(t *testing.T) {
 		for si, sh := range e.shards {
 			if len(sh.out.stores) != 0 {
 				t.Fatalf("trial %d: shard %d egress not cleared", trial, si)
-			}
-		}
-	}
-}
-
-// TestScatterHighParallelismEquivalence is the end-to-end race target for the
-// parallel route and the per-shard store counts the merge scatters by: twelve
-// workers, both extreme slack windows, two store-heavy Table 2 benchmarks,
-// bit-identical to serial. The CI -race leg runs this (with the white-box
-// scatter/route tests).
-func TestScatterHighParallelismEquivalence(t *testing.T) {
-	pf := func(int) prefetch.Prefetcher { return core.NewSnake() }
-	for _, name := range []string{"lps", "mum"} {
-		k, err := workloads.Build(name, workloads.Tiny())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Run(k, Options{Config: parCfg(), NewPrefetcher: pf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, slack := range []int{1, 0} { // per-cycle barriers and the full audit bound
-			got, err := Run(k, Options{
-				Config: parCfg(), NewPrefetcher: pf,
-				Parallelism: 12, SlackWindow: slack,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Result.Slack echoes the requested window; the oracle is the
-			// simulation output.
-			got.Slack = want.Slack
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s P=12 slack=%d diverges from serial\n got:  %+v\n want: %+v",
-					name, slack, got.Stats, want.Stats)
 			}
 		}
 	}

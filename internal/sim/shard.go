@@ -2,23 +2,20 @@ package sim
 
 import "snake/internal/icnt"
 
-// shard is one SM-side unit of parallel execution: the SM (warps, scheduler
+// shard is one SM-side unit of the epoch loop: the SM (warps, scheduler
 // slices, L1, MSHRs, statistics) plus its attached prefetcher, together with
 // the typed ports that are its only connection to the memory side.
 //
-// Ownership protocol (what makes parallel ticking deterministic and
-// race-free):
+// Ownership protocol (what makes the epoch schedule independent of where
+// epochs are cut):
 //
-//   - During the parallel phase of a cycle, exactly one worker runs
-//     sh.tick, which touches only shard-private state, the inbox the serial
-//     phase filled, and the shard's egress buffer. It never reads another
-//     shard or writes memory-side state.
-//   - Between barriers (the serial phases), the engine goroutine owns the
-//     whole shard: it delivers ingress messages, pulls from the request
-//     port, merges the egress, and may dispatch CTAs.
-//
-// The barrier's synchronization establishes the happens-before edges between
-// the two phases, so the protocol is also what the race detector checks.
+//   - During the tick phase of an epoch, tickSpan touches only
+//     shard-private state, the inbox the drain phase filled, and the
+//     shard's egress buffer. It never reads another shard or writes
+//     memory-side state.
+//   - In the drain and merge phases the engine owns the whole shard: it
+//     delivers ingress messages, pulls from the request port, merges the
+//     egress, and may dispatch CTAs.
 type shard struct {
 	sm *sm
 
@@ -41,12 +38,12 @@ type shard struct {
 	mqExpiry []int64
 
 	// out is the SM→memory egress port, appended to during tickSpan and
-	// merged by the engine at the epoch barrier in (cycle, smID, seq) order.
+	// merged by the engine at the epoch merge in (cycle, smID, seq) order.
 	out egress
 
 	// storeCnt is the counting-scatter scratch for the epoch store merge:
-	// tickSpan counts this shard's staged stores per sub-cycle (pass 1, in
-	// parallel), the engine's prefix-sum rewrites the counts into destination
+	// tickSpan counts this shard's staged stores per sub-cycle (pass 1), the
+	// engine's prefix-sum rewrites the counts into destination
 	// offsets in place (pass 2), and scatterStores consumes them (pass 3).
 	// Only meaningful for epochs in which the shard staged stores; recycled
 	// across epochs and runs.
@@ -118,9 +115,8 @@ func (sh *shard) deliverDue(cycle int64) int {
 // time: apply the warp readiness due at that sub-cycle (sm.drainReady),
 // trickle staged prefetches, apply the fills delivered at that
 // sub-cycle, run the prefetcher's per-cycle hook, issue from the warp
-// schedulers, and classify the stall if nothing retired. Safe to run
-// concurrently with other units' spans; all cross-boundary output lands in
-// sh.out and sh.report.
+// schedulers, and classify the stall if nothing retired. All
+// cross-boundary output lands in sh.out and sh.report.
 //
 // Phantom credit: the engine's serial phase already pulled the whole epoch's
 // injections from the miss queue, but at sub-cycle c some of those entries'
@@ -173,8 +169,8 @@ func (sh *shard) tickSpan(from, to int64) {
 	sh.inboxStamp = sh.inboxStamp[:0]
 	if len(sh.out.stores) > 0 {
 		// Pass 1 of the epoch store merge (engine.mergeStores): count this
-		// shard's stores per sub-cycle, here in the parallel phase so the
-		// serial merge only prefix-sums per-unit counts. The stream is
+		// shard's stores per sub-cycle, here in the tick phase so the
+		// merge only prefix-sums per-shard counts. The stream is
 		// cycle-sorted (sub-cycles run forward), so indices are in range.
 		span := int(to-from) + 1
 		if cap(sh.storeCnt) < span {
@@ -210,7 +206,7 @@ func (sh *shard) scatterStores(dst []storeMsg, from int64) {
 // The memory side pulls fill requests from the shard rather than the shard
 // pushing them: how many it may inject per cycle depends on global state
 // (request-network bandwidth, the in-flight cap) that only the memory side
-// sees. The pull happens at the barrier, in fixed smID order, which is the
+// sees. The pull happens in the drain phase, in fixed smID order, which is the
 // deterministic merge order of the SM→memory request stream.
 
 // peekReq reports whether a fill request is ready to inject at cycle: the

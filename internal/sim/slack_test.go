@@ -14,11 +14,11 @@ import (
 	"snake/internal/workloads"
 )
 
-// slackMechs widens parMechs to the full mechanism spread the slack property
+// slackMechs widens testMechs to the full mechanism spread the slack property
 // test sweeps: every distinct cross-boundary traffic shape (demand-only,
 // chained prefetch, history tables, tree/graph walkers, magic fills).
 func slackMechs() map[string]func(int) prefetch.Prefetcher {
-	m := parMechs()
+	m := testMechs()
 	m["tree"] = func(int) prefetch.Prefetcher { return prefetch.NewTree() }
 	m["interwarp"] = func(int) prefetch.Prefetcher { return prefetch.NewInterWarp() }
 	return m
@@ -39,7 +39,7 @@ func slackMechs() map[string]func(int) prefetch.Prefetcher {
 //     residual latency plus that front segment must still be ≥ bound, and
 //     the residual itself must be ≥ 1 (arrival strictly in the future).
 func TestSlackHorizonBoundsObservedLatencies(t *testing.T) {
-	cfg := parCfg()
+	cfg := testCfg()
 	bound := int64(cfg.SlackBound())
 	horizon := bound // the full audit bound — no fixed cap
 	if horizon < 1 {
@@ -105,22 +105,21 @@ func slackWindowSweep(bound int64) []int64 {
 	return []int64{0, 1, 2, bound / 2, bound, bound + 1}
 }
 
-// TestSlackCancellationMidEpoch aborts a parallel bounded-slack run from
-// inside an epoch's serial phase and demands (a) the abort surfaces as the
-// context error, and (b) the engine — shard-group workers included — comes
-// back clean: reusing it afterwards yields results bit-identical to a fresh
-// engine's.
+// TestSlackCancellationMidEpoch aborts a bounded-slack run from inside an
+// epoch's drain phase and demands (a) the abort surfaces as the context
+// error, and (b) the engine comes back clean: reusing it afterwards yields
+// results bit-identical to a fresh engine's.
 func TestSlackCancellationMidEpoch(t *testing.T) {
 	// A kernel long enough that the engine reaches the second poll boundary
 	// (cycle ctxCheckInterval) while work is still in flight.
 	k := workloads.StreamMicro(workloads.Scale{CTAs: 8, WarpsPerCTA: 4, Iters: 32}, 4096)
-	bound := int64(parCfg().SlackBound())
+	bound := int64(testCfg().SlackBound())
 	for _, window := range []int64{2, bound, bound + 1} {
-		opt := Options{Config: parCfg(), Parallelism: 4, SlackWindow: int(window)}
+		opt := Options{Config: testCfg(), SlackWindow: int(window)}
 		en := NewEngine()
 		// countdownCtx (loop_test.go) cancels deterministically on the second
-		// poll — a poll site inside an epoch's serial phase, between barriers,
-		// where a timer race could not guarantee placement.
+		// poll — a poll site inside an epoch's drain phase, where a timer
+		// race could not guarantee placement.
 		ctx := &countdownCtx{Context: context.Background(), ok: 1}
 		abortOpt := opt
 		abortOpt.Context = ctx
@@ -156,26 +155,24 @@ func TestSlackConflictFailsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 4} {
-		opt := Options{Config: parCfg(), Parallelism: p}.withDefaults()
-		e := newEngine(k, opt)
-		e.horizon = 1
-		err := e.run()
-		if err == nil || !strings.Contains(err.Error(), "slack conflict") {
-			t.Fatalf("P=%d: run with a horizon below the L2 latency floor returned %v, want a slack conflict", p, err)
-		}
-		first := e.slackErr
-		e.slackConflict(1, 2)
-		if e.slackErr != first {
-			t.Errorf("P=%d: a later conflict replaced the first one's error", p)
-		}
-		e.reinit(k, opt, false)
-		if e.slackErr != nil {
-			t.Fatalf("P=%d: reinit kept the previous run's conflict: %v", p, e.slackErr)
-		}
-		if err := e.run(); err != nil {
-			t.Fatalf("P=%d: recycled engine failed after a conflicted run: %v", p, err)
-		}
+	opt := Options{Config: testCfg()}.withDefaults()
+	e := newEngine(k, opt)
+	e.horizon = 1
+	err = e.run()
+	if err == nil || !strings.Contains(err.Error(), "slack conflict") {
+		t.Fatalf("run with a horizon below the L2 latency floor returned %v, want a slack conflict", err)
+	}
+	first := e.slackErr
+	e.slackConflict(1, 2)
+	if e.slackErr != first {
+		t.Error("a later conflict replaced the first one's error")
+	}
+	e.reinit(k, opt, false)
+	if e.slackErr != nil {
+		t.Fatalf("reinit kept the previous run's conflict: %v", e.slackErr)
+	}
+	if err := e.run(); err != nil {
+		t.Fatalf("recycled engine failed after a conflicted run: %v", err)
 	}
 }
 
@@ -232,12 +229,12 @@ func TestInitSlackClamps(t *testing.T) {
 }
 
 // TestSlackWindowSweepEquivalence is the wide-horizon equivalence matrix:
-// serial and parallel runs at every sweep window — including the full bound
-// and an oversized request — must be bit-identical to the per-cycle
+// runs at every sweep window — including the full bound and an oversized
+// request — must be bit-identical to the per-cycle
 // reference, for a bare kernel and for an app-layer launch graph with chain
 // persistence both ways (launch retirement wakes cross epochs too).
 func TestSlackWindowSweepEquivalence(t *testing.T) {
-	cfg := parCfg()
+	cfg := testCfg()
 	bound := int64(cfg.SlackBound())
 	k, err := workloads.Build("lps", workloads.Tiny())
 	if err != nil {
@@ -250,64 +247,54 @@ func TestSlackWindowSweepEquivalence(t *testing.T) {
 	for _, persist := range []bool{false, true} {
 		var refApp *AppResult
 		for _, window := range slackWindowSweep(bound) {
-			for _, p := range []int{1, 4} {
-				opt := Options{
-					Config: cfg, Parallelism: p,
-					SlackWindow: int(window), ChainPersistence: persist,
+			opt := Options{Config: cfg, SlackWindow: int(window), ChainPersistence: persist}
+			got, err := RunApp(app, opt)
+			if err != nil {
+				t.Fatalf("persist=%v w=%d: %v", persist, window, err)
+			}
+			if refApp == nil {
+				ref := opt
+				ref.SlackWindow = 1
+				if refApp, err = RunApp(app, ref); err != nil {
+					t.Fatal(err)
 				}
-				got, err := RunApp(app, opt)
-				if err != nil {
-					t.Fatalf("persist=%v w=%d P=%d: %v", persist, window, p, err)
-				}
-				if refApp == nil {
-					ref := opt
-					ref.Parallelism, ref.SlackWindow = 1, 1
-					if refApp, err = RunApp(app, ref); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if !reflect.DeepEqual(got.Stats, refApp.Stats) || !reflect.DeepEqual(got.Launches, refApp.Launches) {
-					t.Errorf("persist=%v w=%d P=%d: app stats diverge from per-cycle reference", persist, window, p)
-				}
+			}
+			if !reflect.DeepEqual(got.Stats, refApp.Stats) || !reflect.DeepEqual(got.Launches, refApp.Launches) {
+				t.Errorf("persist=%v w=%d: app stats diverge from per-cycle reference", persist, window)
 			}
 		}
 	}
 	var refK *Result
 	for _, window := range slackWindowSweep(bound) {
-		for _, p := range []int{1, 4} {
-			got, err := Run(k, Options{
-				Config: cfg, NewPrefetcher: parMechs()["snake"], Parallelism: p,
-				SlackWindow: int(window),
-			})
-			if err != nil {
-				t.Fatalf("w=%d P=%d: %v", window, p, err)
+		got, err := Run(k, Options{Config: cfg, NewPrefetcher: testMechs()["snake"], SlackWindow: int(window)})
+		if err != nil {
+			t.Fatalf("w=%d: %v", window, err)
+		}
+		if refK == nil {
+			if refK, err = Run(k, Options{Config: cfg, NewPrefetcher: testMechs()["snake"], SlackWindow: 1}); err != nil {
+				t.Fatal(err)
 			}
-			if refK == nil {
-				if refK, err = Run(k, Options{Config: cfg, NewPrefetcher: parMechs()["snake"], SlackWindow: 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !reflect.DeepEqual(got.Stats, refK.Stats) {
-				t.Errorf("w=%d P=%d: kernel stats diverge from per-cycle reference", window, p)
-			}
-			if got.Slack.Horizon != bound || got.Slack.Window < 1 || got.Slack.Window > bound {
-				t.Errorf("w=%d P=%d: Result.Slack = %+v, horizon/window out of range", window, p, got.Slack)
-			}
-			if wantClamp := window > bound; got.Slack.Clamped != wantClamp {
-				t.Errorf("w=%d P=%d: Result.Slack.Clamped = %v, want %v", window, p, got.Slack.Clamped, wantClamp)
-			}
+		}
+		if !reflect.DeepEqual(got.Stats, refK.Stats) {
+			t.Errorf("w=%d: kernel stats diverge from per-cycle reference", window)
+		}
+		if got.Slack.Horizon != bound || got.Slack.Window < 1 || got.Slack.Window > bound {
+			t.Errorf("w=%d: Result.Slack = %+v, horizon/window out of range", window, got.Slack)
+		}
+		if wantClamp := window > bound; got.Slack.Clamped != wantClamp {
+			t.Errorf("w=%d: Result.Slack.Clamped = %v, want %v", window, got.Slack.Clamped, wantClamp)
 		}
 	}
 }
 
 // TestSlackBarrierDensity pins how well bounded-slack ticking amortizes the
-// wave barrier: barrier waves per thousand simulated cycles for lps, mum and
-// nw under Snake on the mid-scale 8-SM machine (24×8×8) at the auto window —
+// epoch merge: epochs per thousand simulated cycles for lps, mum and nw
+// under Snake on the mid-scale 8-SM machine (24×8×8) at the auto window —
 // the shape `snakebench -phases` reports. Epoch cuts depend only on
-// simulated state, so the counts are deterministic and identical at every
-// parallelism; a change that silently shortens epochs would re-serialize the
-// executor without moving any correctness test. A density may exceed its
-// recorded value by at most 1.2× or 3 waves/kcycle, whichever is looser.
+// simulated state, so the counts are deterministic; a change that silently
+// shortens epochs would multiply the per-epoch drain, route and merge cost
+// without moving any correctness test. A density may exceed its recorded
+// value by at most 1.2× or 3 epochs/kcycle, whichever is looser.
 func TestSlackBarrierDensity(t *testing.T) {
 	recorded := []struct {
 		bench   string
@@ -318,27 +305,19 @@ func TestSlackBarrierDensity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var barriers [2]int64
-		for i, p := range []int{1, 4} {
-			var prof profiling.Phases
-			res, err := Run(k, Options{
-				Config:        config.Scaled(8, 48),
-				NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
-				Parallelism:   p,
-				PhaseProfile:  &prof,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			barriers[i] = prof.Barriers()
-			got := 1000 * float64(prof.Barriers()) / float64(res.Stats.Cycles)
-			t.Logf("%s P=%d: %d barriers over %d cycles = %.2f/kcycle (recorded %.1f)", r.bench, p, prof.Barriers(), res.Stats.Cycles, got, r.perKcyc)
-			if got > r.perKcyc*1.2 && got-r.perKcyc > 3 {
-				t.Errorf("%s P=%d: %.2f barrier waves/kcycle vs recorded %.1f (%.2fx, bound 1.2x and +3)", r.bench, p, got, r.perKcyc, got/r.perKcyc)
-			}
+		var prof profiling.Phases
+		res, err := Run(k, Options{
+			Config:        config.Scaled(8, 48),
+			NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
+			PhaseProfile:  &prof,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if barriers[0] != barriers[1] {
-			t.Errorf("%s: %d barriers at P=1 vs %d at P=4: epoch cuts must not depend on parallelism", r.bench, barriers[0], barriers[1])
+		got := 1000 * float64(prof.Barriers()) / float64(res.Stats.Cycles)
+		t.Logf("%s: %d epochs over %d cycles = %.2f/kcycle (recorded %.1f)", r.bench, prof.Barriers(), res.Stats.Cycles, got, r.perKcyc)
+		if got > r.perKcyc*1.2 && got-r.perKcyc > 3 {
+			t.Errorf("%s: %.2f epochs/kcycle vs recorded %.1f (%.2fx, bound 1.2x and +3)", r.bench, got, r.perKcyc, got/r.perKcyc)
 		}
 	}
 }

@@ -310,7 +310,7 @@ type issueResult struct {
 
 // issue runs all scheduler slices for one cycle. Outbound memory traffic is
 // staged into eg, the shard's egress port (never written to engine state
-// directly — issue may run concurrently with other shards' ticks).
+// directly — the engine merges it at the epoch end).
 func (s *sm) issue(cycle int64, eg *egress) issueResult {
 	var res issueResult
 	for si, sc := range s.scheds {

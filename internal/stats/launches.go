@@ -5,7 +5,7 @@ import "sort"
 // Per-launch and per-tenant statistics for application (multi-kernel) runs.
 // The engine attributes shard counters to launches at deterministic cycle
 // boundaries (launch activations and end of run), so these records are
-// bit-identical across Parallelism and SlackWindow settings, like everything
+// bit-identical across SlackWindow settings, like everything
 // else in Result.
 
 // Launch is one kernel launch's slice of an application run.

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"strconv"
 	"strings"
 )
@@ -24,20 +23,13 @@ import (
 // gate is one metric's regression rule: the head fails when it exceeds the
 // base by more than ratio×, is above floor, and grew by more than step.
 // Allocation floors keep one incidental allocation on a near-zero steady
-// state from tripping the ratio; the serial-share step absorbs phase-timing
-// jitter.
+// state from tripping the ratio.
 type gate struct {
 	unit               string
 	ratio, floor, step float64
 }
 
-var (
-	serialGates = []gate{{"ns/op", 1.25, 0, 0}, {"allocs/op", 1.2, 16, 0}, {"B/op", 1.2, 16 << 10, 0}}
-	// parN rows (N > 1) carry the executor's headline number and its Amdahl
-	// term, the serial share.
-	parGates = []gate{{"ns/op", 1.20, 0, 0}, {"allocs/op", 1.2, 16, 0}, {"B/op", 1.2, 16 << 10, 0}, {"serial-share", 1.25, 0, 0.05}}
-	parRow   = regexp.MustCompile(`-par(\d+)`)
-)
+var serialGates = []gate{{"ns/op", 1.25, 0, 0}, {"allocs/op", 1.2, 16, 0}, {"B/op", 1.2, 16 << 10, 0}}
 
 // results holds the lowest reading of each metric per case, in first-seen
 // case order.
@@ -84,11 +76,7 @@ func compare(w io.Writer, base, head results) []string {
 			fmt.Fprintf(w, "%-46s skipped: not on base\n", name)
 			continue
 		}
-		gates := serialGates
-		if m := parRow.FindStringSubmatch(name); m != nil && m[1] != "1" {
-			gates = parGates
-		}
-		for _, g := range gates {
+		for _, g := range serialGates {
 			bv, bok := b[g.unit]
 			hv, hok := head.best[name][g.unit]
 			if !bok || !hok || bv <= 0 {
