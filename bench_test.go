@@ -157,14 +157,11 @@ func BenchmarkAblationHeadColumns(b *testing.B) {
 // throughputCase is one row of BenchmarkSimulatorThroughput. Kernel rows
 // run the standard 4×64 experiment machine at 12×8×8. Reuse rows re-run on a
 // warmed persistent Engine, the steady state of pooled sweep traffic: their
-// allocs/op is the per-run residual. App rows time sim.RunApp on a launch
-// graph, so launch-layer overhead shows up as its own row.
+// allocs/op is the per-run residual.
 type throughputCase struct {
 	name  string
 	bench string
 	reuse bool
-	app   bool // bench names an application; the op is sim.RunApp
-	chain bool // persist chain tables across launches (app rows)
 }
 
 var throughputCases = []throughputCase{
@@ -174,8 +171,6 @@ var throughputCases = []throughputCase{
 	{name: "lps-reuse", bench: "lps", reuse: true},
 	{name: "mum-reuse", bench: "mum", reuse: true},
 	{name: "nw-reuse", bench: "nw", reuse: true},
-	{name: "app-pipeline", bench: "pipeline", app: true, chain: true},
-	{name: "app-cotenant", bench: "cotenant", app: true},
 }
 
 // BenchmarkSimulatorThroughput measures raw simulator throughput under the
@@ -201,26 +196,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // timed op, which simulates under the given options and returns the
 // simulated cycle count.
 func throughputOp(b *testing.B, c throughputCase) (func(sim.Options) int64, sim.Options) {
-	cfg, sc := config.Scaled(4, 64), workloads.Scale{CTAs: 12, WarpsPerCTA: 8, Iters: 8}
 	opt := sim.Options{
-		Config:           cfg,
-		NewPrefetcher:    func(int) prefetch.Prefetcher { return core.NewSnake() },
-		ChainPersistence: c.chain,
+		Config:        config.Scaled(4, 64),
+		NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
 	}
-	if c.app {
-		a, _, err := workloads.Shared().App(c.bench, sc, cfg.NumSM, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return func(opt sim.Options) int64 {
-			res, err := sim.RunApp(a, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res.Stats.Cycles
-		}, opt
-	}
-	k, err := workloads.Shared().Kernel(c.bench, sc)
+	k, err := workloads.Shared().Kernel(c.bench, workloads.Scale{CTAs: 12, WarpsPerCTA: 8, Iters: 8})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,8 +7,6 @@
 //	snakesweep -knob chaindepth -values 1,2,4,8
 //	snakesweep -knob tailentries -values 3,5,10,20 -bench lps,hotspot
 //	snakesweep -knob throttlecycles -values 10,50,200 -format csv
-//	snakesweep -knob chainpersist -values 0,1 -app warmup
-//	snakesweep -knob tenant0sms -values 1,2,3 -app cotenant
 package main
 
 import (
@@ -39,29 +37,10 @@ var knobs = map[string]func(*core.Config, int){
 	"maxrequests":    func(c *core.Config, v int) { c.MaxRequestsPerAccess = v },
 }
 
-// runShape is the launch-layer run configuration the run-shape knobs mutate
-// (versus knobs, which mutate Snake's core.Config).
-type runShape struct {
-	chain bool // persist chain tables across kernel-launch boundaries
-	split int  // tenant-0 SM share for partitioned apps
-}
-
-// runKnobs maps application-level sweep parameters to runShape setters.
-// These knobs require -app: they shape the launch schedule, not the
-// prefetcher.
-var runKnobs = map[string]func(*runShape, int){
-	"chainpersist": func(s *runShape, v int) { s.chain = v != 0 },
-	"tenant0sms":   func(s *runShape, v int) { s.split = v },
-}
-
-// knobNames returns all sweepable knob names — core.Config knobs and
-// run-shape knobs — sorted.
+// knobNames returns all sweepable knob names, sorted.
 func knobNames() []string {
-	names := make([]string, 0, len(knobs)+len(runKnobs))
+	names := make([]string, 0, len(knobs))
 	for k := range knobs {
-		names = append(names, k)
-	}
-	for k := range runKnobs {
 		names = append(names, k)
 	}
 	sort.Strings(names)
@@ -73,7 +52,6 @@ func main() {
 		knob       = flag.String("knob", "chaindepth", "parameter to sweep (see -listknobs)")
 		values     = flag.String("values", "1,2,4,8", "comma-separated integer values")
 		bench      = flag.String("bench", "", "comma-separated benchmarks (default: all)")
-		app        = flag.String("app", "", "application workload for run-shape knobs (chainpersist, tenant0sms)")
 		format     = flag.String("format", "text", "output format: text, csv, json")
 		lk         = flag.Bool("listknobs", false, "list sweepable knobs")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -90,9 +68,8 @@ func main() {
 		fatal(err)
 	}
 	defer stopProf()
-	set, coreKnob := knobs[*knob]
-	rset, shapeKnob := runKnobs[*knob]
-	if !coreKnob && !shapeKnob {
+	set, ok := knobs[*knob]
+	if !ok {
 		fatal(fmt.Errorf("unknown knob %q (see -listknobs)", *knob))
 	}
 	var vals []int
@@ -109,18 +86,6 @@ func main() {
 	}
 
 	r := harness.NewRunner()
-	if shapeKnob {
-		if *app == "" {
-			fatal(fmt.Errorf("knob %q shapes the launch schedule and needs -app (see -listknobs)", *knob))
-		}
-		if err := sweepApp(r, *app, *knob, rset, vals, *format); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *app != "" {
-		fatal(fmt.Errorf("knob %q sweeps Snake's tables over benchmarks; app sweeps support %v", *knob, runKnobNames()))
-	}
 	t := &harness.Table{
 		ID:      "sweep-" + *knob,
 		Title:   fmt.Sprintf("Snake sensitivity to %s (means over %d benchmarks)", *knob, len(benches)),
@@ -149,41 +114,6 @@ func main() {
 	if err := t.Write(os.Stdout, *format); err != nil {
 		fatal(err)
 	}
-}
-
-// runKnobNames returns just the run-shape knob names, sorted.
-func runKnobNames() []string {
-	names := make([]string, 0, len(runKnobs))
-	for k := range runKnobs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// sweepApp sweeps a run-shape knob over one application: Snake versus the
-// no-prefetch baseline at each knob value.
-func sweepApp(r *harness.Runner, app, knob string, set func(*runShape, int), vals []int, format string) error {
-	t := &harness.Table{
-		ID:      "sweep-" + knob,
-		Title:   fmt.Sprintf("Snake sensitivity to %s (app %s)", knob, app),
-		Columns: []string{knob, "ipc-vs-base", "coverage", "accuracy"},
-	}
-	for _, v := range vals {
-		var shape runShape
-		set(&shape, v)
-		r.Split = shape.split
-		base, err := r.RunApp(app, "baseline", shape.chain)
-		if err != nil {
-			return err
-		}
-		st, err := r.RunApp(app, "snake", shape.chain)
-		if err != nil {
-			return err
-		}
-		t.AddRow(strconv.Itoa(v), st.Stats.IPC()/base.Stats.IPC(), st.Stats.Coverage(), st.Stats.Accuracy())
-	}
-	return t.Write(os.Stdout, format)
 }
 
 func fatal(err error) {

@@ -39,47 +39,18 @@ func TestEveryKnobMutatesConfig(t *testing.T) {
 }
 
 // TestKnobNamesSortedAndComplete pins the -listknobs contract: sorted output
-// covering exactly the union of the core-config and run-shape knob maps,
-// with no name claimed by both.
+// covering exactly the knob map.
 func TestKnobNamesSortedAndComplete(t *testing.T) {
 	names := knobNames()
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("knob names not sorted: %v", names)
 	}
-	if len(names) != len(knobs)+len(runKnobs) {
-		t.Fatalf("knobNames returned %d names for %d core + %d run-shape knobs",
-			len(names), len(knobs), len(runKnobs))
+	if len(names) != len(knobs) {
+		t.Fatalf("knobNames returned %d names for %d knobs", len(names), len(knobs))
 	}
 	for _, n := range names {
-		_, core := knobs[n]
-		_, shape := runKnobs[n]
-		if !core && !shape {
+		if _, ok := knobs[n]; !ok {
 			t.Errorf("knobNames lists unknown knob %q", n)
-		}
-		if core && shape {
-			t.Errorf("knob %q is both a core and a run-shape knob", n)
-		}
-	}
-	for _, n := range runKnobNames() {
-		if _, ok := runKnobs[n]; !ok {
-			t.Errorf("runKnobNames lists unknown knob %q", n)
-		}
-	}
-}
-
-// TestEveryRunKnobMutatesShape is the run-shape counterpart of
-// TestEveryKnobMutatesConfig: each app-level knob must change runShape and
-// forward its value.
-func TestEveryRunKnobMutatesShape(t *testing.T) {
-	for name, set := range runKnobs {
-		var a, b runShape
-		set(&a, 1)
-		if a == (runShape{}) {
-			t.Errorf("run knob %q does not mutate runShape", name)
-		}
-		set(&b, 0)
-		if a == b {
-			t.Errorf("run knob %q ignores its value", name)
 		}
 	}
 }

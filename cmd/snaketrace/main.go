@@ -8,9 +8,6 @@
 //	snaketrace -bench lps -dump -warp 0   # dump a warp's load stream
 //	snaketrace -bench lps -save lps.trace # serialize (".json" for JSON)
 //	snaketrace -load lps.trace            # mine a saved trace
-//	snaketrace -app fanout                # application launch-graph report
-//	snaketrace -app fanout -save f.app    # serialize the app (".json" for JSON)
-//	snaketrace -loadapp f.app             # inspect a saved app
 //	snaketrace -list
 package main
 
@@ -32,20 +29,16 @@ var out io.Writer = os.Stdout
 
 func main() {
 	var (
-		bench   = flag.String("bench", "lps", "benchmark name")
-		dump    = flag.Bool("dump", false, "dump a warp's load stream instead of mining")
-		cta     = flag.Int("cta", 0, "CTA index for -dump")
-		warp    = flag.Int("warp", 0, "warp index within the CTA for -dump")
-		limit   = flag.Int("limit", 40, "max loads to dump")
-		ctas    = flag.Int("ctas", 0, "CTA count (0: default scale)")
-		iters   = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
-		save    = flag.String("save", "", "write the trace (or app) to this file (.json or binary)")
-		load    = flag.String("load", "", "read the trace from this file instead of -bench")
-		app     = flag.String("app", "", "application workload instead of -bench (see -list)")
-		sms     = flag.Int("sms", 4, "SM count the app's masks are resolved for (-app only)")
-		split   = flag.Int("split", 0, "tenant-0 SM share for partitioned apps (0: half)")
-		loadapp = flag.String("loadapp", "", "read an application from this file and inspect it")
-		list    = flag.Bool("list", false, "list benchmarks and apps")
+		bench = flag.String("bench", "lps", "benchmark name")
+		dump  = flag.Bool("dump", false, "dump a warp's load stream instead of mining")
+		cta   = flag.Int("cta", 0, "CTA index for -dump")
+		warp  = flag.Int("warp", 0, "warp index within the CTA for -dump")
+		limit = flag.Int("limit", 40, "max loads to dump")
+		ctas  = flag.Int("ctas", 0, "CTA count (0: default scale)")
+		iters = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
+		save  = flag.String("save", "", "write the trace to this file (.json or binary)")
+		load  = flag.String("load", "", "read the trace from this file instead of -bench")
+		list  = flag.Bool("list", false, "list benchmarks")
 	)
 	flag.Parse()
 
@@ -55,28 +48,6 @@ func main() {
 
 	if *list {
 		fmt.Fprintln(out, "benchmarks:", workloads.Names())
-		fmt.Fprintln(out, "apps:", workloads.AppNames())
-		return
-	}
-	if *app != "" || *loadapp != "" {
-		var a *trace.App
-		var err error
-		if *loadapp != "" {
-			a, err = trace.LoadAppFile(*loadapp)
-		} else {
-			a, _, err = workloads.Shared().App(*app, workloads.Scale{CTAs: *ctas, Iters: *iters}, *sms, *split)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *save != "" {
-			if err := a.SaveFile(*save); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(out, "wrote %s (%d launches, %d instructions)\n", *save, len(a.Launches), a.TotalInsts())
-			return
-		}
-		reportApp(a)
 		return
 	}
 	var k *trace.Kernel
@@ -150,43 +121,6 @@ func report(k *trace.Kernel) {
 		for _, l := range st.Links[:max] {
 			fmt.Fprintf(out, "  %#06x -> %#06x  stride=%+d  x%d\n", l.PC1, l.PC2, l.Delta, l.Count)
 		}
-	}
-}
-
-// reportApp prints an application's launch graph plus a per-distinct-kernel
-// chain-mining summary (each kernel analyzed once however often it launches).
-func reportApp(a *trace.App) {
-	digest, err := a.Digest()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(out, "application          %s\n", a.Name)
-	fmt.Fprintf(out, "launches             %d\n", len(a.Launches))
-	fmt.Fprintf(out, "tenants              %d\n", a.Tenants())
-	fmt.Fprintf(out, "total instructions   %d\n", a.TotalInsts())
-	fmt.Fprintf(out, "digest               %s\n", digest[:16])
-	fmt.Fprintln(out, "launch graph:")
-	for i, l := range a.Launches {
-		mask := "all SMs"
-		if l.SMMask != 0 {
-			mask = fmt.Sprintf("mask %#x", l.SMMask)
-		}
-		deps := "no deps"
-		if len(l.DependsOn) > 0 {
-			deps = fmt.Sprintf("after %v", l.DependsOn)
-		}
-		fmt.Fprintf(out, "  [%d] %-10s tenant %d  %-12s %s\n", i, l.Kernel.Name, l.Tenant, mask, deps)
-	}
-	fmt.Fprintln(out, "per-kernel chains (distinct kernels):")
-	seen := make(map[*trace.Kernel]bool)
-	for _, l := range a.Launches {
-		if seen[l.Kernel] {
-			continue
-		}
-		seen[l.Kernel] = true
-		st := chains.Analyze(l.Kernel)
-		fmt.Fprintf(out, "  %-10s loads=%-8d chain-pc=%.0f%%  chain-cov=%.1f%%\n",
-			l.Kernel.Name, l.Kernel.TotalLoads(), 100*st.PCFraction(), 100*st.ChainCoverage)
 	}
 }
 

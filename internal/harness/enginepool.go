@@ -51,14 +51,3 @@ func (p *EnginePool) Run(k *trace.Kernel, opt sim.Options, tag string) (*sim.Res
 	p.engines.Put(en)
 	return res, err
 }
-
-// RunApp simulates the application on a pooled engine and returns the engine
-// to the pool afterwards. Kernel and app runs recycle each other's engines:
-// the engine's persistent machine is shaped by the configuration alone, and
-// the launch state rebuilds per run.
-func (p *EnginePool) RunApp(a *trace.App, opt sim.Options, tag string) (*sim.AppResult, error) {
-	en := p.get()
-	res, err := en.RunAppTagged(a, opt, tag)
-	p.engines.Put(en)
-	return res, err
-}

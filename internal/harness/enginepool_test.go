@@ -80,45 +80,39 @@ func TestEnginePoolMatchesFresh(t *testing.T) {
 }
 
 // TestEnginePoolMixedStream shares one pool between two goroutines running
-// a mixed stream: two machine configs, kernel and app runs, tagged and
-// untagged. An engine checked out may have last run any of them, so runs
-// rebuild, reinitialize and swap prefetchers in every combination; every
-// result must still match a fresh engine's.
+// a mixed stream: two machine configs, two kernels, tagged and untagged. An
+// engine checked out may have last run any of them, so runs rebuild,
+// reinitialize and swap prefetchers in every combination; every result must
+// still match a fresh engine's.
 func TestEnginePoolMixedStream(t *testing.T) {
 	sc := workloads.Tiny()
 	st := workloads.NewStore()
-	k, err := st.Kernel("lps", sc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	type run struct {
+		k    *trace.Kernel
 		opt  sim.Options
-		app  *trace.App
 		tag  string
-		want any
+		want *sim.Result
 	}
 	var runs []run
-	for _, cfg := range []config.GPU{config.Scaled(2, 16), config.Scaled(4, 32)} {
-		app, _, err := st.App("pipeline", sc, cfg.NumSM, 0)
+	for _, bench := range []string{"lps", "hotspot"} {
+		k, err := st.Kernel(bench, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mech := range []string{"baseline", "snake", "isolated-snake", "mta+decoupled"} {
-			f, err := Mechanism(mech)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := sim.Options{Config: cfg, NewPrefetcher: f}
-			wantK, err := sim.Run(k, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantA, err := sim.RunApp(app, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tag := range []string{mech, ""} {
-				runs = append(runs, run{opt, nil, tag, wantK}, run{opt, app, tag, wantA})
+		for _, cfg := range []config.GPU{config.Scaled(2, 16), config.Scaled(4, 32)} {
+			for _, mech := range []string{"baseline", "snake", "isolated-snake", "mta+decoupled"} {
+				f, err := Mechanism(mech)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := sim.Options{Config: cfg, NewPrefetcher: f}
+				want, err := sim.Run(k, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tag := range []string{mech, ""} {
+					runs = append(runs, run{k, opt, tag, want})
+				}
 			}
 		}
 	}
@@ -133,20 +127,14 @@ func TestEnginePoolMixedStream(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, r := range order {
-				var got any
-				var err error
-				if r.app != nil {
-					got, err = p.RunApp(r.app, r.opt, r.tag)
-				} else {
-					got, err = p.Run(k, r.opt, r.tag)
-				}
+				got, err := p.Run(r.k, r.opt, r.tag)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if !reflect.DeepEqual(got, r.want) {
-					t.Errorf("run %d (%d SMs, app %v, tag %q) diverges from fresh",
-						i, r.opt.Config.NumSM, r.app != nil, r.tag)
+					t.Errorf("run %d (%s, %d SMs, tag %q) diverges from fresh",
+						i, r.k.Name, r.opt.Config.NumSM, r.tag)
 				}
 			}
 		}()

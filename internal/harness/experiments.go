@@ -6,7 +6,6 @@ import (
 	"snake/internal/chains"
 	"snake/internal/core"
 	"snake/internal/energy"
-	"snake/internal/sim"
 	"snake/internal/stats"
 	"snake/internal/workloads"
 )
@@ -38,9 +37,8 @@ var Experiments = map[string]Experiment{
 	"table2": Table2,
 	"table3": Table3,
 	// Extensions beyond the paper's evaluation.
-	"ext-cpu":      ExtCPUPrefetchers,
-	"ext-sched":    ExtSchedulerHead,
-	"ext-appchain": ExtAppChain,
+	"ext-cpu":   ExtCPUPrefetchers,
+	"ext-sched": ExtSchedulerHead,
 }
 
 // ExperimentIDs returns the IDs in presentation order.
@@ -49,7 +47,7 @@ func ExperimentIDs() []string {
 		"fig3", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11",
 		"fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22",
 		"fig23", "fig24", "fig25", "table1", "table2", "table3",
-		"ext-cpu", "ext-sched", "ext-appchain",
+		"ext-cpu", "ext-sched",
 	}
 	// Guard against drift between the slice and the map.
 	if len(ids) != len(Experiments) {
@@ -524,42 +522,6 @@ func ExtSchedulerHead(r *Runner) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(b, full.Coverage(), st.Coverage())
-	}
-	t.Mean("mean")
-	return t, nil
-}
-
-// ExtAppChain is an extension experiment beyond the paper: Snake's chain
-// tables across kernel-launch boundaries. Each application workload runs
-// twice — chain tables flushed at every launch (each kernel pays the full
-// training warm-up) versus persisted across launches — and the table reports
-// the whole-app speedup plus the prefetch coverage achieved on the launches
-// after the first, where persistence pays off.
-func ExtAppChain(r *Runner) (*Table, error) {
-	t := &Table{ID: "ext-appchain", Title: "Snake chain persistence across kernel launches (extension)",
-		Columns: []string{"app", "speedup", "tail-cov-flush", "tail-cov-persist"},
-		Note:    "speedup = persistent-chain IPC / flushed-chain IPC; tail-cov = coverage on launches after the first"}
-	tailCov := func(res *sim.AppResult) float64 {
-		var covered, loads int64
-		for _, l := range res.Launches[1:] {
-			covered += l.Stats.Pf.Covered
-			loads += l.Stats.Loads
-		}
-		if loads == 0 {
-			return 0
-		}
-		return float64(covered) / float64(loads)
-	}
-	for _, app := range workloads.AppNames() {
-		flush, err := r.RunApp(app, "snake", false)
-		if err != nil {
-			return nil, err
-		}
-		persist, err := r.RunApp(app, "snake", true)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(app, persist.Stats.IPC()/flush.Stats.IPC(), tailCov(flush), tailCov(persist))
 	}
 	t.Mean("mean")
 	return t, nil

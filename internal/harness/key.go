@@ -33,19 +33,6 @@ type RunKey struct {
 	GPU config.GPU `json:"gpu"`
 	// Scale is the workload scale.
 	Scale workloads.Scale `json:"scale"`
-	// App is the application name for multi-launch runs; empty for
-	// single-kernel runs. All three app fields use omitempty so single-kernel
-	// keys marshal exactly as before this field existed — no cache
-	// invalidation, no runKeyVersion bump.
-	App string `json:"app,omitempty"`
-	// AppDigest content-addresses the application's launch structure —
-	// kernels, dependency edges, SM masks, tenant IDs — so one app name
-	// assembled for different machines or partition splits keys distinct
-	// results.
-	AppDigest string `json:"appDigest,omitempty"`
-	// Chain records sim.Options.ChainPersistence, which changes app results
-	// (single-kernel runs ignore it and leave it false).
-	Chain bool `json:"chain,omitempty"`
 }
 
 // Hash returns the content address of the key: a hex SHA-256 over the

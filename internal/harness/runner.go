@@ -26,10 +26,6 @@ import (
 type Runner struct {
 	Cfg   config.GPU
 	Scale workloads.Scale
-	// Split is the tenant-0 SM share for application runs that partition the
-	// machine (0: an even halving). It shapes the assembled app's SM masks
-	// and therefore participates in keys via the app's content digest.
-	Split int
 	// Budget bounds this runner's CPU use — one slot per running
 	// simulation; NewRunner wires the process-wide SharedBudget so runner
 	// pools and the snaked service cannot oversubscribe the host between
@@ -56,13 +52,10 @@ type Runner struct {
 // executes the run and closes done; waiters block on done (or their own
 // context). On failure the entry is removed from the cache before done is
 // closed, so a retrying caller always finds either a fresh slot or a
-// successful result. Kernel runs fill st; application runs fill app (and st
-// with the aggregate) — the key namespaces never collide because app keys
-// carry the AppDigest field.
+// successful result.
 type runResult struct {
 	done chan struct{}
 	st   *stats.Sim
-	app  *sim.AppResult
 	err  error
 }
 
@@ -272,74 +265,4 @@ func (r *Runner) SnakeVariant(bench, key string, cfg core.Config) (*stats.Sim, e
 // SnakeVariantCtx is SnakeVariant with cancellation.
 func (r *Runner) SnakeVariantCtx(ctx context.Context, bench, key string, cfg core.Config) (*stats.Sim, error) {
 	return r.RunWithCtx(ctx, bench, "snake:"+key, func(int) prefetch.Prefetcher { return core.New(cfg) })
-}
-
-// AppKey returns the content-address of an (app, mech, chain) run under this
-// runner's configuration. It interns the app (assembling it on first use for
-// this machine's SM count and the runner's Split) to obtain the content
-// digest that distinguishes the same app name across partition geometries.
-func (r *Runner) AppKey(app, mech string, chain bool) (RunKey, error) {
-	_, digest, err := r.store().App(app, r.Scale, r.Cfg.NumSM, r.Split)
-	if err != nil {
-		return RunKey{}, err
-	}
-	return RunKey{
-		Mech: mech, GPU: r.Cfg, Scale: r.Scale,
-		App: app, AppDigest: digest, Chain: chain,
-	}, nil
-}
-
-// RunApp simulates the named application workload under the named registry
-// mechanism (memoized), with chain selecting sim.Options.ChainPersistence.
-func (r *Runner) RunApp(app, mech string, chain bool) (*sim.AppResult, error) {
-	return r.RunAppCtx(context.Background(), app, mech, chain)
-}
-
-// RunAppCtx is RunApp with cancellation, under the same retry discipline as
-// RunCtx: failed fills are not cached.
-func (r *Runner) RunAppCtx(ctx context.Context, app, mech string, chain bool) (*sim.AppResult, error) {
-	key, err := r.AppKey(app, mech, chain)
-	if err != nil {
-		return nil, err
-	}
-	a, _, err := r.store().App(app, r.Scale, r.Cfg.NumSM, r.Split)
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.memoize(ctx, key.Hash(), func(res *runResult) {
-		r.executeApp(ctx, res, app+"|"+mech, mech, chain, a)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.app, nil
-}
-
-// executeApp is execute's application counterpart: same budget discipline,
-// same engine pool (apps and kernels recycle each other's machines), plus
-// the chain-persistence policy.
-func (r *Runner) executeApp(ctx context.Context, res *runResult, label, mech string, chain bool, a *trace.App) {
-	budget := r.budget()
-	if res.err = budget.Acquire(ctx); res.err != nil {
-		return
-	}
-	defer budget.Release()
-	f, err := Mechanism(mech)
-	if err != nil {
-		res.err = err
-		return
-	}
-	out, err := r.engines().RunApp(a, sim.Options{
-		Config:           r.Cfg,
-		NewPrefetcher:    f,
-		Context:          ctx,
-		ChainPersistence: chain,
-		PhaseProfile:     r.PhaseProfile,
-	}, mech)
-	if err != nil {
-		res.err = fmt.Errorf("%s: %w", label, err)
-		return
-	}
-	res.app = out
-	res.st = &out.Stats
 }

@@ -29,13 +29,16 @@ func TestRunnerRetriesAfterCancel(t *testing.T) {
 }
 
 // TestRunnerDoesNotCacheFailures: two calls with a bad mechanism both fail,
-// and a concurrent waiter retries rather than inheriting the first error.
+// as does a call with an unknown benchmark, and none leaves a cache entry.
 func TestRunnerDoesNotCacheFailures(t *testing.T) {
 	r := tinyRunner()
 	for i := 0; i < 2; i++ {
 		if _, err := r.Run("lps", "bogus"); err == nil {
 			t.Fatalf("call %d: unknown mechanism accepted", i)
 		}
+	}
+	if _, err := r.Run("nope", "snake"); err == nil {
+		t.Fatal("unknown benchmark accepted")
 	}
 	r.mu.Lock()
 	n := len(r.cache)
@@ -82,7 +85,7 @@ func TestRunKeyHash(t *testing.T) {
 	}
 }
 
-// TestRunKeyGoldenHashes pins the hex content address of three keys. Every
+// TestRunKeyGoldenHashes pins the hex content address of two keys. Every
 // cached result, on disk and on peers, and snaked's per-key records are found
 // by these hashes, so a change to key derivation must be deliberate: it
 // fails here first (bump runKeyVersion and update the pins together).
@@ -99,8 +102,6 @@ func TestRunKeyGoldenHashes(t *testing.T) {
 			"5c529524b6bea5308242dc1bd7014ec1af401d9b7ded364eebc24be70146a98c"},
 		{"custom snake", RunKey{Bench: "lps", Mech: "snake:custom", Snake: &custom, GPU: gpu, Scale: scale},
 			"f11bdfd7a86380b19aacc612cfe6d97c4e1b33514e47373000565980e8bdddef"},
-		{"app with chain", RunKey{App: "warmup", AppDigest: strings.Repeat("ab", 32), Chain: true, Mech: "snake", GPU: gpu, Scale: scale},
-			"671698306cd8760f5c5df314b85db4af49a59455d07ad16022074e9280442f00"},
 	} {
 		if got := tc.key.Hash(); got != tc.want {
 			t.Errorf("%s: hash %s, want %s", tc.name, got, tc.want)

@@ -145,14 +145,6 @@ func (v *RunView) encode(o *jsonOut) {
 		o.field("bench")
 		o.str(v.Bench)
 	}
-	if v.App != "" {
-		o.field("app")
-		o.str(v.App)
-	}
-	if v.Chain {
-		o.field("chain")
-		o.bool(true)
-	}
 	o.field("mech")
 	o.str(v.Mech)
 	o.field("key")

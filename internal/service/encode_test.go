@@ -86,7 +86,6 @@ func TestRunViewJSONEdgeCases(t *testing.T) {
 	cases := []encodingCase{
 		{name: "done", view: done, jobs: 3},
 		{name: "queued, no optional fields", view: RunView{ID: "r000002", Mech: "baseline", Status: StatusQueued}, jobs: 2},
-		{name: "app with chain", view: with(func(v *RunView) { v.Bench, v.App, v.Chain = "", "warmup", true }), jobs: 2},
 		{name: "failed", view: with(func(v *RunView) {
 			v.Status, v.Result, v.Error = StatusFailed, nil, "context deadline exceeded"
 		}), jobs: 2},
@@ -94,7 +93,7 @@ func TestRunViewJSONEdgeCases(t *testing.T) {
 			v.Error = "<script>&\"\\\n\r\t\b\f\x00\x01\x1f\x7f>"
 		}), jobs: 2},
 		{name: "one HTML character each", view: with(func(v *RunView) {
-			v.Bench, v.App, v.Mech, v.Source, v.Key = "a<b", "c>d", "e&f", "\x1f", "\\"
+			v.Bench, v.Mech, v.Source, v.Key, v.Error = "a<b", "c>d", "e&f", "\x1f", "\\"
 		}), jobs: 2},
 		{name: "non-UTF-8", view: with(func(v *RunView) { v.Mech, v.Source = "\xff\xfeab\xc3", "x\xe2\x82" }), jobs: 2},
 		{name: "line and paragraph separators", view: with(func(v *RunView) { v.Error = "a\u2028b\u2029c é 日本" }), jobs: 2},
@@ -122,13 +121,13 @@ func TestRunViewJSONEdgeCases(t *testing.T) {
 // bits, with an optional result, and holds appendJSON to encoding/json on
 // it and on a SweepView of it (see checkEncoding).
 func FuzzRunViewJSON(f *testing.F) {
-	f.Add("r000001", "lps", "", "snake", "0123abcd", "done", "disk", "",
-		false, true, true, math.Float64bits(0.0123), math.Float64bits(1.5), math.Float64bits(0.25),
+	f.Add("r000001", "lps", "snake", "0123abcd", "done", "disk", "",
+		true, true, math.Float64bits(0.0123), math.Float64bits(1.5), math.Float64bits(0.25),
 		math.Float64bits(0.125), math.Float64bits(0.9), int64(123456789), int64(185185183), int64(4096), uint8(3))
-	f.Fuzz(func(t *testing.T, id, bench, app, mech, key, status, source, errMsg string,
-		chain, cached, result bool, wall, ipc, cov, acc, l1 uint64, cycles, insts, loads int64, jobs uint8) {
+	f.Fuzz(func(t *testing.T, id, bench, mech, key, status, source, errMsg string,
+		cached, result bool, wall, ipc, cov, acc, l1 uint64, cycles, insts, loads int64, jobs uint8) {
 		c := encodingCase{name: "fuzz", jobs: int(jobs % 4), view: RunView{
-			ID: id, Bench: bench, App: app, Chain: chain, Mech: mech, Key: key, Status: Status(status),
+			ID: id, Bench: bench, Mech: mech, Key: key, Status: Status(status),
 			Cached: cached, Source: source, Error: errMsg, WallMS: math.Float64frombits(wall),
 		}}
 		if result {

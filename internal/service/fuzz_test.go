@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"snake/internal/workloads"
 )
 
 // FuzzRequestNormalize decodes arbitrary bytes as a RunRequest (sweep
@@ -31,9 +29,6 @@ func FuzzRequestNormalize(f *testing.F) {
 			if decodeJSON(httptest.NewRequest("POST", "/v1/sweeps", bytes.NewReader(body)), &req) != nil {
 				return
 			}
-			if len(req.Apps) > 0 && costlyApp(req.Scale) {
-				return
-			}
 			specs, err := svc.sweepSpecs(req)
 			if err != nil {
 				return
@@ -42,7 +37,7 @@ func FuzzRequestNormalize(f *testing.F) {
 			if req.Snake != nil {
 				mechs = 1
 			}
-			if want := (len(req.Benches) + len(req.Apps)) * mechs; len(specs) != want {
+			if want := len(req.Benches) * mechs; len(specs) != want {
 				t.Fatalf("sweep expanded to %d cells, want %d", len(specs), want)
 			}
 			for i := range specs {
@@ -54,9 +49,6 @@ func FuzzRequestNormalize(f *testing.F) {
 		if decodeJSON(httptest.NewRequest("POST", "/v1/runs", bytes.NewReader(body)), &req) != nil {
 			return
 		}
-		if req.App != "" && costlyApp(req.Scale) {
-			return
-		}
 		sp, err := svc.normalize(req)
 		if err != nil {
 			return
@@ -65,25 +57,12 @@ func FuzzRequestNormalize(f *testing.F) {
 	})
 }
 
-// costlyApp reports whether an app request's scale is valid but would make
-// normalize build a large workload: normalize interns the app's kernels, so
-// such a scale spends the fuzzing budget on trace generation, not on
-// decoding and validation. A scale beyond Scale.Validate's limits is not
-// skipped: normalize must reject it before building anything.
-func costlyApp(sc *workloads.Scale) bool {
-	return sc != nil && sc.Validate() == nil && (sc.CTAs > 8 || sc.WarpsPerCTA > 4 || sc.Iters > 8)
-}
-
 // checkSpec asserts what every accepted request must normalize to.
 func checkSpec(t *testing.T, svc *Service, sp *spec) {
 	t.Helper()
 	switch {
-	case (sp.bench == "") == (sp.app == ""):
-		t.Fatalf("spec names bench %q and app %q: want exactly one", sp.bench, sp.app)
-	case sp.bench != "" && !svc.benchSet[sp.bench]:
+	case !svc.benchSet[sp.bench]:
 		t.Fatalf("unknown bench %q accepted", sp.bench)
-	case sp.app != "" && (!svc.appSet[sp.app] || sp.appDigest == ""):
-		t.Fatalf("app %q accepted without registry entry or digest %q", sp.app, sp.appDigest)
 	case sp.factory == nil:
 		t.Fatal("spec without a prefetcher factory")
 	case sp.timeout < 0:

@@ -23,11 +23,9 @@ func shutdown(t *testing.T, svc *Service) {
 
 // TestRecordKeysMatchRunKey: a job finds its record by content, not by
 // hash, so every field of the content key must tell keys apart. Sweeps over
-// registry mechanisms, an app with and without chain persistence, a
-// partitioned app at two splits, and GPU and scale overrides, each sent
-// twice, must show every cell the
-// harness.RunKey hash of its own spec, and hold one record per distinct
-// key.
+// benchmarks, registry mechanisms, and GPU and scale overrides, each sent
+// twice, must show every cell the harness.RunKey hash of its own spec, and
+// hold one record per distinct key.
 func TestRecordKeysMatchRunKey(t *testing.T) {
 	svc := tinyService(2)
 	defer shutdown(t, svc)
@@ -35,13 +33,11 @@ func TestRecordKeysMatchRunKey(t *testing.T) {
 	scale := workloads.Scale{CTAs: 2, WarpsPerCTA: 2, Iters: 2}
 	mechs := []string{"baseline", "snake"}
 	reqs := []SweepRequest{
-		{Benches: []string{"cp", "lps"}, Apps: []string{"warmup"}, Chain: true, Mechs: mechs},
-		{Benches: []string{"cp"}, Apps: []string{"warmup"}, Mechs: mechs},
-		{Benches: []string{"cp"}, Apps: []string{"warmup"}, Chain: true, Mechs: mechs, GPU: &gpu},
-		{Benches: []string{"cp"}, Apps: []string{"warmup"}, Chain: true, Mechs: mechs, Scale: &scale},
+		{Benches: []string{"cp", "lps"}, Mechs: mechs},
+		{Benches: []string{"lps"}, Mechs: mechs},
+		{Benches: []string{"cp"}, Mechs: mechs, GPU: &gpu},
+		{Benches: []string{"cp"}, Mechs: mechs, Scale: &scale},
 		{Benches: []string{"cp"}, Mechs: mechs, GPU: &gpu, Scale: &scale},
-		{Apps: []string{"cotenant"}, Mechs: mechs, GPU: &gpu},
-		{Apps: []string{"cotenant"}, Split: 1, Mechs: mechs, GPU: &gpu},
 	}
 	keys := map[string]bool{}
 	for round := 0; round < 2; round++ {
@@ -52,23 +48,16 @@ func TestRecordKeysMatchRunKey(t *testing.T) {
 			}
 			for _, j := range jobs {
 				v := j.view()
-				k := harness.RunKey{Bench: v.Bench, Mech: v.Mech, GPU: svc.gpu, Scale: svc.scale, App: v.App, Chain: v.Chain}
+				k := harness.RunKey{Bench: v.Bench, Mech: v.Mech, GPU: svc.gpu, Scale: svc.scale}
 				if req.GPU != nil {
 					k.GPU = *req.GPU
 				}
 				if req.Scale != nil {
 					k.Scale = *req.Scale
 				}
-				if k.App != "" {
-					_, digest, err := workloads.Shared().App(k.App, k.Scale, k.GPU.NumSM, req.Split)
-					if err != nil {
-						t.Fatal(err)
-					}
-					k.AppDigest = digest
-				}
 				if want := k.Hash(); v.Key != want {
-					t.Errorf("round %d, %+v: %s/%s%s chain=%v has key %s, want %s",
-						round, req, v.Bench, v.App, v.Mech, v.Chain, v.Key, want)
+					t.Errorf("round %d, %+v: %s/%s has key %s, want %s",
+						round, req, v.Bench, v.Mech, v.Key, want)
 				}
 				keys[v.Key] = true
 			}
@@ -77,9 +66,8 @@ func TestRecordKeysMatchRunKey(t *testing.T) {
 	svc.mu.Lock()
 	records := len(svc.records)
 	svc.mu.Unlock()
-	// req 0: 6 keys; 1: the app without chain (cp repeats req 0's); 2 and
-	// 3: 4 each; 4, 5 and 6: 2 each.
-	if want := 6 + 2 + 4 + 4 + 3*2; records != want || len(keys) != want {
+	// req 0: 4 keys; 1: none (repeats req 0's); 2, 3 and 4: 2 each.
+	if want := 4 + 3*2; records != want || len(keys) != want {
 		t.Errorf("%d records and %d distinct keys, want %d", records, len(keys), want)
 	}
 }

@@ -124,12 +124,11 @@ func TestRunViewAfterFinish(t *testing.T) {
 	custom := core.Defaults()
 	custom.TailEntries = 5
 	type want struct {
-		bench, app, mech string
-		chain            bool
-		status           Status
-		source           string
-		cached           bool
-		err              string // substring; "" means the field is empty
+		bench, mech string
+		status      Status
+		source      string
+		cached      bool
+		err         string // substring; "" means the field is empty
 	}
 	done := func(bench, mech, source string) want {
 		return want{bench: bench, mech: mech, status: StatusDone, source: source, cached: source != "sim"}
@@ -192,9 +191,6 @@ func TestRunViewAfterFinish(t *testing.T) {
 	run("other key", SweepRequest{Benches: []string{"cp"}, Mechs: []string{"baseline"}}, done("cp", "baseline", "sim"))
 	run("disk", SweepRequest{Benches: []string{"lps"}, Mechs: []string{"baseline"}}, done("lps", "baseline", "disk"))
 	run("custom snake", SweepRequest{Benches: []string{"lps"}, Snake: &custom}, done("lps", "snake:custom", "sim"))
-	app := done("", "snake", "sim")
-	app.app, app.chain = "warmup", true
-	run("app with chain", SweepRequest{Apps: []string{"warmup"}, Chain: true, Mechs: []string{"snake"}}, app)
 
 	// The one worker runs a long cell under a short timeout (it fails), and a
 	// cell queued behind it is canceled.
@@ -240,8 +236,8 @@ func TestRunViewAfterFinish(t *testing.T) {
 				t.Errorf("stream shows %+v, run shows %+v", s, v)
 			}
 			w := c.want
-			if v.Bench != w.bench || v.App != w.app || v.Chain != w.chain || v.Mech != w.mech {
-				t.Errorf("label %q %q %v %q, want %q %q %v %q", v.Bench, v.App, v.Chain, v.Mech, w.bench, w.app, w.chain, w.mech)
+			if v.Bench != w.bench || v.Mech != w.mech {
+				t.Errorf("label %q %q, want %q %q", v.Bench, v.Mech, w.bench, w.mech)
 			}
 			if v.Status != w.status || v.Source != w.source || v.Cached != w.cached {
 				t.Errorf("status %s source %q cached %v, want %s %q %v", v.Status, v.Source, v.Cached, w.status, w.source, w.cached)
@@ -263,10 +259,10 @@ func TestRunViewAfterFinish(t *testing.T) {
 			if (v.WallMS > 0) != (w.source != "") {
 				t.Errorf("wall %v ms for a job from %q", v.WallMS, w.source)
 			}
-			if prev, ok := keys[w.bench+w.app+w.mech]; ok && w.status == StatusDone && prev != v.Key {
+			if prev, ok := keys[w.bench+w.mech]; ok && w.status == StatusDone && prev != v.Key {
 				t.Errorf("key %s, want the earlier job's %s", v.Key, prev)
 			}
-			keys[w.bench+w.app+w.mech] = v.Key
+			keys[w.bench+w.mech] = v.Key
 		})
 	}
 }

@@ -113,7 +113,6 @@ type Service struct {
 	flight   map[string]chan struct{}
 
 	benchSet map[string]bool
-	appSet   map[string]bool
 }
 
 // sweep groups the jobs of one POST /v1/sweeps submission and fans
@@ -160,7 +159,6 @@ func New(opt Options) *Service {
 		sweeps:     make(map[string]*sweep),
 		flight:     make(map[string]chan struct{}),
 		benchSet:   make(map[string]bool),
-		appSet:     make(map[string]bool),
 	}
 	if len(opt.Peers) > 0 && opt.Self != "" {
 		s.clu = cluster.New(cluster.Options{
@@ -174,9 +172,6 @@ func New(opt Options) *Service {
 	}
 	for _, b := range workloads.Names() {
 		s.benchSet[b] = true
-	}
-	for _, a := range workloads.AppNames() {
-		s.appSet[a] = true
 	}
 	s.wg.Add(opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
@@ -221,23 +216,12 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // defaults.
 func (s *Service) normalize(req RunRequest) (spec, error) {
 	sp := spec{
-		label:    label{bench: req.Bench, app: req.App, chain: req.Chain, mech: req.Mech},
-		split:    req.Split,
+		label:    label{bench: req.Bench, mech: req.Mech},
 		priority: req.Priority,
 		gpu:      s.gpu,
 		scale:    s.scale,
 	}
-	switch {
-	case req.App != "" && req.Bench != "":
-		return spec{}, errors.New("bench and app are mutually exclusive")
-	case req.App != "":
-		if !s.appSet[req.App] {
-			return spec{}, fmt.Errorf("unknown app %q (known: %v)", req.App, workloads.AppNames())
-		}
-		if req.Split < 0 {
-			return spec{}, errors.New("split must be non-negative")
-		}
-	case !s.benchSet[req.Bench]:
+	if !s.benchSet[req.Bench] {
 		return spec{}, fmt.Errorf("unknown benchmark %q (known: %v)", req.Bench, workloads.Names())
 	}
 	if req.Snake != nil {
@@ -272,16 +256,6 @@ func (s *Service) normalize(req RunRequest) (spec, error) {
 		return spec{}, errors.New("timeout_ms must be non-negative")
 	}
 	sp.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	if sp.app != "" {
-		// Intern the app now (for the resolved machine and scale) so
-		// ill-partitioned requests fail at submission and the content digest
-		// is ready for the job key. The intern is shared with simulate().
-		_, digest, err := workloads.Shared().App(sp.app, sp.scale, sp.gpu.NumSM, sp.split)
-		if err != nil {
-			return spec{}, err
-		}
-		sp.appDigest = digest
-	}
 	return sp, nil
 }
 
@@ -373,15 +347,15 @@ func (s *Service) enqueueLocked(sp spec, sweepID string) (*job, error) {
 }
 
 // sweepSpecs expands a sweep into its cells and normalizes each one, in
-// submission order (benches, then apps, each across mechs). Nothing is
-// enqueued; one invalid cell rejects the whole sweep.
+// submission order (each bench across mechs). Nothing is enqueued; one
+// invalid cell rejects the whole sweep.
 func (s *Service) sweepSpecs(req SweepRequest) ([]spec, error) {
 	mechs := req.Mechs
 	if req.Snake != nil {
 		mechs = []string{""}
 	}
-	if (len(req.Benches) == 0 && len(req.Apps) == 0) || len(mechs) == 0 {
-		return nil, errors.New("sweep needs at least one benchmark or app, and one mechanism (or a snake config)")
+	if len(req.Benches) == 0 || len(mechs) == 0 {
+		return nil, errors.New("sweep needs at least one benchmark and one mechanism (or a snake config)")
 	}
 	var specs []spec
 	cell := func(r RunRequest) error {
@@ -402,17 +376,10 @@ func (s *Service) sweepSpecs(req SweepRequest) ([]spec, error) {
 			}
 		}
 	}
-	for _, a := range req.Apps {
-		for _, m := range mechs {
-			if err := cell(RunRequest{App: a, Chain: req.Chain, Split: req.Split, Mech: m}); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return specs, nil
 }
 
-// SubmitSweep validates and enqueues a (bench ∪ app)×mech grid.
+// SubmitSweep validates and enqueues a bench×mech grid.
 func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
 	specs, err := s.sweepSpecs(req)
 	if err != nil {
@@ -494,10 +461,6 @@ func (s *Service) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 	v := BenchmarksView{Mechanisms: harness.MechanismNames()}
 	for _, b := range workloads.Names() {
 		v.Benchmarks = append(v.Benchmarks, BenchInfo{Name: b, FullName: full[b]})
-	}
-	descs := workloads.AppDescriptions()
-	for _, a := range workloads.AppNames() {
-		v.Apps = append(v.Apps, AppInfo{Name: a, Description: descs[a]})
 	}
 	writeJSON(w, http.StatusOK, v)
 }

@@ -516,9 +516,11 @@ func TestOversizedRequestRejected(t *testing.T) {
 	}
 }
 
-// TestRequestRejectsParallelismAndSlack pins that the two request fields
-// the serial engine dropped are refused, not silently ignored: a run or a
-// sweep carrying "parallelism" or "slack" gets a 400 that names the field.
+// TestRequestRejectsParallelismAndSlack pins that request fields the
+// service dropped are refused, not silently ignored: a run or a sweep
+// carrying "parallelism" or "slack" (gone with the intra-run executor), or
+// "app", "apps", "chain" or "split" (gone with multi-kernel runs), gets a
+// 400 that names the field.
 func TestRequestRejectsParallelismAndSlack(t *testing.T) {
 	svc := tinyService(1)
 	ts := httptest.NewServer(svc.Handler())
@@ -528,10 +530,13 @@ func TestRequestRejectsParallelismAndSlack(t *testing.T) {
 		defer cancel()
 		_ = svc.Shutdown(ctx)
 	}()
-	for _, field := range []string{"parallelism", "slack"} {
+	for field, value := range map[string]string{
+		"parallelism": `2`, "slack": `2`,
+		"app": `"warmup"`, "apps": `["warmup"]`, "chain": `true`, "split": `1`,
+	} {
 		for path, body := range map[string]string{
-			"/v1/runs":   `{"bench":"lps","mech":"baseline","` + field + `":2}`,
-			"/v1/sweeps": `{"benches":["lps"],"mechs":["baseline"],"` + field + `":2}`,
+			"/v1/runs":   `{"bench":"lps","mech":"baseline","` + field + `":` + value + `}`,
+			"/v1/sweeps": `{"benches":["lps"],"mechs":["baseline"],"` + field + `":` + value + `}`,
 		} {
 			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 			if err != nil {

@@ -36,19 +36,7 @@ import (
 // RunRequest submits one simulation job.
 type RunRequest struct {
 	// Bench names a registry benchmark (GET /v1/benchmarks lists them).
-	// Mutually exclusive with App.
 	Bench string `json:"bench,omitempty"`
-	// App names a registry application workload (a multi-kernel launch graph;
-	// GET /v1/benchmarks lists them). Mutually exclusive with Bench.
-	App string `json:"app,omitempty"`
-	// Chain keeps prefetcher chain tables trained across kernel-launch
-	// boundaries (sim.Options.ChainPersistence). Only meaningful with App; it
-	// changes results and therefore participates in the content address.
-	Chain bool `json:"chain,omitempty"`
-	// Split is the tenant-0 SM share for apps that partition the machine
-	// (0: an even halving). It shapes the app's SM masks and so participates
-	// in the content address through the app digest.
-	Split int `json:"split,omitempty"`
 	// Mech names a registry mechanism; ignored when Snake is set.
 	Mech string `json:"mech"`
 	// Snake, when set, runs a custom Snake configuration instead of Mech.
@@ -64,13 +52,9 @@ type RunRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// SweepRequest submits the cross product of (benches ∪ apps) × mechs as one
-// sweep. Chain and Split apply to the app cells only.
+// SweepRequest submits the cross product benches × mechs as one sweep.
 type SweepRequest struct {
 	Benches   []string         `json:"benches,omitempty"`
-	Apps      []string         `json:"apps,omitempty"`
-	Chain     bool             `json:"chain,omitempty"`
-	Split     int              `json:"split,omitempty"`
 	Mechs     []string         `json:"mechs"`
 	Snake     *core.Config     `json:"snake,omitempty"` // replaces Mechs when set
 	GPU       *config.GPU      `json:"gpu,omitempty"`
@@ -120,13 +104,10 @@ func summarize(st *stats.Sim) *Result {
 	}
 }
 
-// RunView is the wire representation of a job. Exactly one of Bench and App
-// is set, mirroring the request.
+// RunView is the wire representation of a job.
 type RunView struct {
 	ID     string `json:"id"`
 	Bench  string `json:"bench,omitempty"`
-	App    string `json:"app,omitempty"`
-	Chain  bool   `json:"chain,omitempty"`
 	Mech   string `json:"mech"`
 	Key    string `json:"key"` // content address (harness.RunKey hash)
 	Status Status `json:"status"`
@@ -164,7 +145,6 @@ type StreamEnd struct {
 // BenchmarksView is the GET /v1/benchmarks payload.
 type BenchmarksView struct {
 	Benchmarks []BenchInfo `json:"benchmarks"`
-	Apps       []AppInfo   `json:"apps"`
 	Mechanisms []string    `json:"mechanisms"`
 }
 
@@ -174,19 +154,11 @@ type BenchInfo struct {
 	FullName string `json:"full_name"`
 }
 
-// AppInfo describes one registry application workload.
-type AppInfo struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-}
-
-// label is what a run view shows of a job's shape: its workload and
+// label is what a run view shows of a job's shape: its benchmark and
 // mechanism. Every field is part of the content address, so all jobs of one
 // key share one label (in their record).
 type label struct {
 	bench string
-	app   string // application name; empty for single-kernel jobs
-	chain bool   // sim.Options.ChainPersistence for app jobs
 	mech  string // display name; "snake:custom" for custom configs
 }
 
@@ -195,8 +167,6 @@ type label struct {
 // again (loop prevention).
 type spec struct {
 	label
-	appDigest string // content digest of the assembled app (normalize)
-	split     int    // tenant-0 SM share for partitioned apps (0: half)
 	snake     *core.Config
 	gpu       config.GPU
 	scale     workloads.Scale
@@ -206,15 +176,6 @@ type spec struct {
 	factory   harness.Factory
 }
 
-// workload is the display/metrics label: the benchmark name, or the app name
-// marked as such.
-func (l label) workload() string {
-	if l.app != "" {
-		return "app:" + l.app
-	}
-	return l.bench
-}
-
 // wireRequest reconstructs a forwardable RunRequest from the normalized
 // spec. GPU and scale are always sent explicitly so the peer normalizes to
 // the same content address whatever its own defaults are.
@@ -222,9 +183,6 @@ func (sp *spec) wireRequest() RunRequest {
 	gpu, scale := sp.gpu, sp.scale
 	req := RunRequest{
 		Bench:     sp.bench,
-		App:       sp.app,
-		Chain:     sp.chain,
-		Split:     sp.split,
 		GPU:       &gpu,
 		Scale:     &scale,
 		Priority:  sp.priority,
@@ -248,36 +206,28 @@ func (sp *spec) wireRequest() RunRequest {
 // UTF-8 as U+FFFD; their records then carry one key, which is harmless.)
 type recordKey struct {
 	label
-	appDigest string
-	gpu       config.GPU
-	scale     workloads.Scale
-	hash      string // the RunKey hash of a custom Snake cell; "" otherwise
+	gpu   config.GPU
+	scale workloads.Scale
+	hash  string // the RunKey hash of a custom Snake cell; "" otherwise
 }
 
 // recordKey returns the spec's record key; it hashes only a custom Snake
 // cell.
 func (sp *spec) recordKey() recordKey {
-	rk := recordKey{label: sp.label, appDigest: sp.appDigest, gpu: sp.gpu, scale: sp.scale}
+	rk := recordKey{label: sp.label, gpu: sp.gpu, scale: sp.scale}
 	if sp.snake != nil {
 		rk.hash = sp.key()
 	}
 	return rk
 }
 
-// key returns the job's content address. App jobs carry the app name, its
-// content digest (covering kernels, masks, tenants, and dependency edges —
-// so one app name assembled for different machines keys apart) and the
-// chain-persistence policy; all three are omitempty-zero for kernel jobs, so
-// existing kernel keys are unchanged.
+// key returns the job's content address.
 func (sp *spec) key() string {
 	return harness.RunKey{
-		Bench:     sp.bench,
-		Mech:      sp.mech,
-		Snake:     sp.snake,
-		GPU:       sp.gpu,
-		Scale:     sp.scale,
-		App:       sp.app,
-		AppDigest: sp.appDigest,
-		Chain:     sp.chain,
+		Bench: sp.bench,
+		Mech:  sp.mech,
+		Snake: sp.snake,
+		GPU:   sp.gpu,
+		Scale: sp.scale,
 	}.Hash()
 }

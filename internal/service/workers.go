@@ -68,8 +68,6 @@ func (j *job) view() RunView {
 	v := RunView{
 		ID:     j.id,
 		Bench:  l.bench,
-		App:    l.app,
-		Chain:  l.chain,
 		Mech:   l.mech,
 		Key:    j.rec.key,
 		Status: j.status,
@@ -239,22 +237,6 @@ func (s *Service) simulate(ctx context.Context, sp *spec) (*stats.Sim, error) {
 		NewPrefetcher: sp.factory,
 		Context:       ctx,
 	}
-	if sp.app != "" {
-		// Application job: the interned app was assembled (and validated) at
-		// normalize time, so this fetch is a pure cache hit. The cache and the
-		// wire carry the aggregate statistics; per-launch breakdowns are a
-		// local concern (snakesim -app prints them).
-		a, _, err := workloads.Shared().App(sp.app, sp.scale, sp.gpu.NumSM, sp.split)
-		if err != nil {
-			return nil, err
-		}
-		opt.ChainPersistence = sp.chain
-		out, err := harness.SharedEnginePool().RunApp(a, opt, tag)
-		if err != nil {
-			return nil, err
-		}
-		return &out.Stats, nil
-	}
 	k, err := workloads.Shared().Kernel(sp.bench, sp.scale)
 	if err != nil {
 		return nil, err
@@ -289,7 +271,7 @@ func (s *Service) finish(j *job, st *stats.Sim, err error, cached bool, source s
 	j.mu.Unlock()
 	s.metrics.jobFinished(status)
 	if err == nil && !cached && source == "sim" {
-		s.metrics.observeWall(j.rec.label.workload(), float64(wall)/float64(time.Millisecond))
+		s.metrics.observeWall(j.rec.label.bench, float64(wall)/float64(time.Millisecond))
 	}
 	close(j.done)
 	s.notifySweep(j)

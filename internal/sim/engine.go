@@ -74,20 +74,10 @@ type Options struct {
 	// phaseClock). Not safe to share one accumulator between concurrently
 	// running engines.
 	PhaseProfile *profiling.Phases
-	// ChainPersistence keeps prefetcher state — Snake's variable-length
-	// chain tables — across kernel-launch boundaries within an App run:
-	// a launch activated by the launch scheduler starts with its SMs'
-	// tables already trained by earlier launches. False (the default)
-	// flushes prefetcher state at every scheduler activation, scoping
-	// chain detection to one launch. Irrelevant for single-launch runs
-	// (there are no scheduler activations) and independent of L1 data,
-	// which stays warm either way. See DESIGN.md "Application launch
-	// layer".
-	ChainPersistence bool
 }
 
 // withDefaults returns opt with zero-valued tunables replaced by their
-// defaults (shared by Run, RunSequence and the white-box tests).
+// defaults (shared by Run and the white-box tests).
 func (opt Options) withDefaults() Options {
 	if opt.MaxCycles <= 0 {
 		opt.MaxCycles = 20_000_000
@@ -121,22 +111,10 @@ type engine struct {
 	cfg config.GPU
 	opt Options
 
-	// Application launch state (see launch.go): the machine below survives
-	// across runs and launches; everything here is rebuilt by loadApp.
-	app       *trace.App
-	launches  []launchRun
-	pendingLn int     // launches not yet activated
-	wakeAt    []int64 // matured launch-scheduler wake cycles, ascending
-	// smBusy is per-SM launch ownership (-1: free); smAttr/smBase are the
-	// stat-attribution window per SM — the launch the counters accrue to
-	// and the snapshot the delta is taken against (launch.go claimSMs).
-	smBusy []int
-	smAttr []int
-	smBase []stats.Sim
-	// oneLaunch/oneApp are engine-owned scratch wrapping a bare kernel as
-	// a one-launch App without allocating (singleApp).
-	oneLaunch [1]trace.KernelLaunch
-	oneApp    trace.App
+	// kernel is the run's kernel and ctaNext its next undispatched CTA; the
+	// machine below survives across runs and is reset by reinit.
+	kernel  *trace.Kernel
+	ctaNext int
 
 	cycle  int64
 	net    *icntNet
@@ -169,7 +147,7 @@ type engine struct {
 	// scatterShards is mergeStores' scratch: the active shards of the epoch
 	// being merged.
 	scatterShards []*shard
-	// ctaOr is the merge phase's OR-accumulator over eligible launches'
+	// ctaOr is the merge phase's OR-accumulator over the shards'
 	// CTA-completion bitsets (one bit per epoch sub-cycle), recycled across
 	// epochs.
 	ctaOr epochBits
@@ -191,8 +169,8 @@ type engine struct {
 	//
 	// horizon is the visibility delay applied to miss-queue injection —
 	// the full config.SlackBound, a pure function of the config. turn is
-	// the turnaround delay applied to store sends, CTA redispatch and
-	// launch wakes: min(horizon, TurnaroundCap), also config-pure. slackMax
+	// the turnaround delay applied to store sends and CTA redispatch:
+	// min(horizon, TurnaroundCap), also config-pure. slackMax
 	// is the runtime epoch-length cap — Options.SlackWindow resolved into
 	// [1, horizon]. Statistics depend on horizon and turn only, never on
 	// where epoch boundaries fall, which is what makes every SlackWindow
@@ -252,26 +230,10 @@ func validateRun(k *trace.Kernel, opt Options) error {
 	return nil
 }
 
-// newEngine constructs a machine and loads a bare kernel as the trivial
-// one-launch App.
+// newEngine constructs a machine — SM shards, L2 partitions, interconnect,
+// stat arenas, whose shape depends only on the config — and loads the
+// kernel onto it.
 func newEngine(k *trace.Kernel, opt Options) *engine {
-	e := newMachine(opt)
-	e.loadApp(e.singleApp(k))
-	return e
-}
-
-// newEngineApp constructs a machine and loads an application.
-func newEngineApp(a *trace.App, opt Options) *engine {
-	e := newMachine(opt)
-	e.loadApp(a)
-	return e
-}
-
-// newMachine allocates the persistent machine — SM shards, L2 partitions,
-// interconnect, stat arenas — whose shape depends only on the config.
-// Launch state (kernels, CTA cursors, SM ownership) is installed
-// separately by loadApp and rebuilt on every run.
-func newMachine(opt Options) *engine {
 	cfg := opt.Config
 	e := &engine{
 		cfg:     cfg,
@@ -295,11 +257,18 @@ func newMachine(opt Options) *engine {
 		e.shards[i] = newShard(s)
 	}
 	e.partReqs = make([]icnt.Ingress[reqMsg], cfg.L2Partitions)
-	e.smBusy = make([]int, cfg.NumSM)
-	e.smAttr = make([]int, cfg.NumSM)
-	e.smBase = make([]stats.Sim, cfg.NumSM)
 	e.initSlack()
+	e.load(k)
 	return e
+}
+
+// load installs the kernel on every SM and rewinds the CTA cursor.
+func (e *engine) load(k *trace.Kernel) {
+	e.kernel = k
+	e.ctaNext = 0
+	for _, sh := range e.shards {
+		sh.sm.kernel = k
+	}
 }
 
 // partOf maps a line address to its L2 partition. Interleaving is at DRAM
@@ -362,7 +331,6 @@ func (e *engine) run() error {
 		// merge phase: every continue path below re-enters here, so the
 		// merge/bookkeeping tail is charged exactly once per executed epoch.
 		clk.lap(profiling.PhaseMerge)
-		e.applyWakes(start)
 		e.applyDispatches(start)
 		maxEnd := start + e.slackMax - 1
 		if e.slackMax > e.turn {
@@ -384,12 +352,6 @@ func (e *engine) run() error {
 			// warps are visible to that whole epoch's ticks (and to its serial
 			// phase), exactly as with per-cycle barriers.
 			maxEnd = e.dispatchAt[0] - 1
-		}
-		if len(e.wakeAt) > 0 && e.wakeAt[0]-1 < maxEnd {
-			// Launch-scheduler wakes land on epoch starts too, for the same
-			// reason — an activated launch's first CTAs must be visible to a
-			// whole epoch.
-			maxEnd = e.wakeAt[0] - 1
 		}
 		end, err := e.serialPhase(start, maxEnd)
 		if err != nil {
@@ -438,28 +400,21 @@ func (e *engine) run() error {
 	return nil
 }
 
-// fillSMs dispatches queued CTAs onto SMs with enough free slots: launches in
-// App order, and within a launch one CTA per SM per pass over its shard set
-// (round-robin, the occupancy-balancing discipline the single-kernel engine
-// always had — for a one-launch App the dispatch sequence is identical).
+// fillSMs dispatches queued CTAs onto SMs with enough free slots, one CTA
+// per SM per pass over the shards in smID order (round-robin, the
+// occupancy-balancing discipline).
 func (e *engine) fillSMs() {
 	for {
 		progress := false
-		for li := range e.launches {
-			ln := &e.launches[li]
-			if ln.state != lnRunning {
-				continue
+		for _, sh := range e.shards {
+			if e.ctaNext >= len(e.kernel.CTAs) {
+				return
 			}
-			for _, sh := range ln.shards {
-				if ln.ctaNext >= len(ln.kernel.CTAs) {
-					break
-				}
-				need := len(ln.kernel.CTAs[ln.ctaNext].Warps)
-				if sh.sm.freeSlots() >= need {
-					sh.sm.dispatchCTA(ln.kernel, ln.ctaNext, &e.ageCtr)
-					ln.ctaNext++
-					progress = true
-				}
+			need := len(e.kernel.CTAs[e.ctaNext].Warps)
+			if sh.sm.freeSlots() >= need {
+				sh.sm.dispatchCTA(e.kernel, e.ctaNext, &e.ageCtr)
+				e.ctaNext++
+				progress = true
 			}
 		}
 		if !progress {
@@ -795,26 +750,17 @@ func (e *engine) mergeEpoch(start, end int64) bool {
 	// redispatch at f + turnaround — an epoch start by construction (run
 	// caps epochs at the earliest matured dispatch), so the refill is
 	// visible to a whole epoch exactly as under per-cycle barriers. Skipped
-	// once no running launch holds undispatched CTAs: maturation would only
-	// cap future epochs for a guaranteed no-op fillSMs. Only completions on
-	// the SMs of a launch with remaining CTAs matter — a slot freed on
-	// another launch's SMs can never host them; OR-ing the eligible
-	// launches' shard bitsets gives exactly the sub-cycles at which one
-	// dispatch event is due (at most one per sub-cycle, as with per-cycle
-	// barriers).
-	if e.moreCTAs() {
+	// once every CTA is dispatched: maturation would only cap future epochs
+	// for a guaranteed no-op fillSMs. OR-ing the shards' bitsets gives
+	// exactly the sub-cycles at which one dispatch event is due (at most one
+	// per sub-cycle, as with per-cycle barriers).
+	if e.ctaNext < len(e.kernel.CTAs) {
 		words := int((end-start)>>6) + 1
 		e.ctaOr.reset(words)
 		any := false
-		for li := range e.launches {
-			ln := &e.launches[li]
-			if ln.state != lnRunning || ln.ctaNext >= len(ln.kernel.CTAs) {
-				continue
-			}
-			for _, sh := range ln.shards {
-				if sh.report.cta.orInto(e.ctaOr) {
-					any = true
-				}
+		for _, sh := range e.shards {
+			if sh.report.cta.orInto(e.ctaOr) {
+				any = true
 			}
 		}
 		if any {
@@ -833,10 +779,6 @@ func (e *engine) mergeEpoch(start, end int64) bool {
 			}
 		}
 	}
-
-	// Launch retirement: detected here, in the epoch whose ticks completed
-	// the launch's last CTA (see launch.go retireScan).
-	e.retireScan(start, end)
 
 	last := end - start
 	for _, sh := range e.shards {
@@ -945,15 +887,11 @@ func (e *engine) inFlightMsgs() int {
 	return n
 }
 
-// finished reports whether every launch has retired, all SMs have drained
-// and no traffic is in flight. For a one-launch App this computes exactly
-// the single-kernel predicate (the launch retires in the merge of the first
-// epoch where its CTAs are exhausted and its SMs drained).
+// finished reports whether every CTA has been dispatched, all SMs have
+// drained and no traffic is in flight.
 func (e *engine) finished() bool {
-	for i := range e.launches {
-		if e.launches[i].state != lnRetired {
-			return false
-		}
+	if e.ctaNext < len(e.kernel.CTAs) {
+		return false
 	}
 	for _, sh := range e.shards {
 		if !sh.sm.done() {
@@ -969,11 +907,8 @@ type throttleReporter interface {
 	ThrottleCycles() int64
 }
 
-// result aggregates statistics (call once, after the final run).
+// result aggregates statistics (call once, after run).
 func (e *engine) result() *Result {
-	// Close the launch attribution windows before the end-of-run L1/throttle
-	// accounting below, so per-launch stats cover execution windows only.
-	e.finalizeLaunchStats()
 	for i, sh := range e.shards {
 		sh.sm.l1.FinishRun()
 		if tr, ok := sh.sm.pf.(throttleReporter); ok {

@@ -11,7 +11,6 @@ import (
 	"snake/internal/config"
 	"snake/internal/core"
 	"snake/internal/prefetch"
-	"snake/internal/trace"
 	"snake/internal/workloads"
 )
 
@@ -92,38 +91,6 @@ func TestParallelRepeatDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(again, first) {
 			t.Fatalf("repeat %d produced different results", i)
 		}
-	}
-}
-
-// TestParallelSequenceEquivalence covers the multi-kernel path: the
-// warm-state carryover between kernels of one sequence must not depend on
-// the epoch window.
-func TestParallelSequenceEquivalence(t *testing.T) {
-	mk := func(name string) *trace.Kernel {
-		k, err := workloads.Build(name, workloads.Tiny())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	kernels := []*trace.Kernel{mk("lps"), mk("hotspot"), mk("lps")}
-	run := func(slack int) *SequenceResult {
-		opt := SequenceOptions{Options: Options{
-			Config:        testCfg(),
-			NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
-			SlackWindow:   slack,
-		}}
-		res, err := RunSequence(kernels, opt)
-		if err != nil {
-			t.Fatalf("slack=%d: %v", slack, err)
-		}
-		return res
-	}
-	want := run(1)
-	got := run(0)
-	got.Slack = want.Slack // echoes the requested window
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("auto-window sequence diverges from per-cycle\n got:  %+v\n want: %+v", got.Stats, want.Stats)
 	}
 }
 

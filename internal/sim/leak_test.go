@@ -13,7 +13,7 @@ import (
 )
 
 // TestFreshRunsDoNotLeak pins that a one-shot run leaves nothing behind:
-// after every fresh Run and RunApp, per cycle and at the auto window, plus a
+// after every fresh Run, per cycle and at the auto window, plus a
 // run cancelled mid-simulation, the goroutine count returns to its baseline,
 // and across all of them the live heap after a collection stays flat. An
 // engine that outlives its run — held by a goroutine, a finalizer or a
@@ -23,7 +23,6 @@ func TestFreshRunsDoNotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := buildTestApp(t, "pipeline")
 	pf := func(int) prefetch.Prefetcher { return core.NewSnake() }
 	long := workloads.StreamMicro(workloads.Scale{CTAs: 8, WarpsPerCTA: 4, Iters: 32}, 4096)
 
@@ -34,9 +33,7 @@ func TestFreshRunsDoNotLeak(t *testing.T) {
 	var legs []leg
 	for _, slack := range []int{1, 0} {
 		opt := Options{Config: testCfg(), NewPrefetcher: pf, SlackWindow: slack}
-		legs = append(legs,
-			leg{"Run", func() error { _, err := Run(k, opt); return err }},
-			leg{"RunApp", func() error { _, err := RunApp(a, opt); return err }})
+		legs = append(legs, leg{"Run", func() error { _, err := Run(k, opt); return err }})
 	}
 	legs = append(legs, leg{"cancelled", func() error {
 		// countdownCtx (loop_test.go) cancels on the second poll, inside the

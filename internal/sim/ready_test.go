@@ -12,7 +12,7 @@ import (
 
 // farLatencyKernel mixes compute latencies far beyond any short-range
 // readiness bookkeeping (1,000, 4,096 and 1<<20 cycles) with zero and
-// negative ones — trace latencies are arbitrary int32s from decoded apps —
+// negative ones — trace latencies are arbitrary int32s from decoded traces —
 // plus loads, stores and barriers, over more CTAs than the SMs hold at once
 // so warp slots are freed and redispatched while long waits are pending.
 func farLatencyKernel() *trace.Kernel {

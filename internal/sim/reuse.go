@@ -63,53 +63,12 @@ func (en *Engine) RunTagged(k *trace.Kernel, opt Options, tag string) (*Result, 
 	return en.e.result(), nil
 }
 
-// RunApp simulates an application (see the package-level RunApp), recycling
-// the engine's arenas when the config matches the previous run. Kernel and
-// App runs may interleave freely on one Engine — the machine is shared, the
-// launch state is rebuilt per run — with results bit-identical to fresh
-// engines either way.
-func (en *Engine) RunApp(a *trace.App, opt Options) (*AppResult, error) {
-	return en.RunAppTagged(a, opt, "")
-}
-
-// RunAppTagged is RunApp with a prefetcher-reuse tag (see RunTagged).
-func (en *Engine) RunAppTagged(a *trace.App, opt Options, tag string) (*AppResult, error) {
-	if err := validateRunApp(a, opt); err != nil {
-		return nil, err
-	}
-	if opt.MaxCycles <= 0 {
-		// The runaway guard scales with the application length, as in
-		// RunSequence.
-		opt.MaxCycles = 20_000_000 * int64(len(a.Launches))
-	}
-	opt = opt.withDefaults()
-	if en.e != nil && en.e.cfg == opt.Config {
-		en.e.reinitApp(a, opt, tag != "" && tag == en.tag)
-	} else {
-		en.e = newEngineApp(a, opt)
-	}
-	en.tag = tag
-	if err := en.e.run(); err != nil {
-		return nil, err
-	}
-	return en.e.appResult(), nil
-}
-
-// reinit rewires a previously used engine to run a bare kernel as the
-// trivial one-launch App (engine-owned scratch, so the hot path stays
-// allocation-free).
+// reinit rewires a previously used engine for a new kernel run, reusing
+// every allocation whose shape depends only on the config (which the caller
+// has checked is unchanged). With reusePf the shards keep their prefetcher
+// instances and reset them; otherwise new instances come from
+// opt.NewPrefetcher and each L1's storage organization is re-derived.
 func (e *engine) reinit(k *trace.Kernel, opt Options, reusePf bool) {
-	e.reinitApp(e.singleApp(k), opt, reusePf)
-}
-
-// reinitApp rewires a previously used engine for a new application run,
-// reusing every allocation whose shape depends only on the config (which the
-// caller has checked is unchanged). With reusePf the shards keep their
-// prefetcher instances and reset them; otherwise new instances come from
-// opt.NewPrefetcher and each L1's storage organization is re-derived. Launch
-// state is rebuilt last, once the machine is clean (loadApp's activation
-// wave snapshots the freshly reset stat arenas).
-func (e *engine) reinitApp(a *trace.App, opt Options, reusePf bool) {
 	e.opt = opt
 	e.cycle = 0
 	e.net.reset()
@@ -141,5 +100,5 @@ func (e *engine) reinitApp(a *trace.App, opt Options, reusePf bool) {
 		sh.sm.reset(pf, opt.MLPPerWarp, reusePf)
 		sh.reset()
 	}
-	e.loadApp(a)
+	e.load(k)
 }

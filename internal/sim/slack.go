@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"snake/internal/trace"
 )
@@ -10,8 +9,7 @@ import (
 // TurnaroundCap bounds the engine's turnaround delay: the fixed number of
 // cycles between a tick-side event (a store issue, a CTA's last warp
 // retiring) and the serial engine replaying it on the memory side (the store
-// maturing for network injection, freed warp slots redispatching, a
-// successor launch waking). The per-cycle engine replays these the next
+// maturing for network injection, freed warp slots redispatching). The per-cycle engine replays these the next
 // serial pass; bounded-slack ticking defers them by a constant so that every
 // epoch shape yields the same replay cycle. Earlier revisions tied that
 // constant to the horizon itself (then capped at 8), which meant widening
@@ -125,8 +123,8 @@ func (e *engine) slackConflict(matureAt, end int64) {
 // a wide horizon — so an epoch is admissible only while no shard can retire
 // a CTA early enough for its slot-refill to land inside the epoch. actBound
 // computes a conservative lower bound on the earliest cycle any warp could
-// retire through an OpExit (relevant only while CTA re-dispatch or a
-// pending launch could consume the freed slots), and the epoch loop caps
+// retire through an OpExit (relevant only while CTA re-dispatch could
+// consume the freed slots), and the epoch loop caps
 // the window at actBound + turnaround − 1. Stores need no bound: they
 // mature after the full horizon (drainStores), which no epoch can span.
 // During exit-heavy dispatch phases the cap shrinks epochs back toward the
@@ -145,11 +143,11 @@ func (e *engine) slackConflict(matureAt, end int64) {
 //     start + horizon (the response network's latency is ≥ the bound).
 //   - A barrier-parked warp needs some non-barrier warp to retire first and
 //     is released to issue the cycle after, hence the aMin+1 floor.
-//   - Dispatches and wakes land only at epoch starts (run() caps maxEnd at
-//     them), so a scan at the epoch start sees every warp that could issue
+//   - Dispatches land only at epoch starts (run() caps maxEnd at them),
+//     so a scan at the epoch start sees every warp that could issue
 //     within the epoch.
 func (e *engine) actBound(start int64) int64 {
-	if e.pendingLn == 0 && !e.moreCTAs() {
+	if e.ctaNext >= len(e.kernel.CTAs) {
 		return -1 // no consumer for freed slots: exits need no replay cap
 	}
 	best := int64(-1)
@@ -259,7 +257,7 @@ func (b epochBits) anySet() bool {
 
 // orInto ORs b's marked sub-cycles into dst (sized to the same span) and
 // reports whether b had any marked at all — the merge phase's accumulator
-// for CTA-completion bits across a launch's shards.
+// for CTA-completion bits across the shards.
 func (b epochBits) orInto(dst epochBits) bool {
 	any := false
 	for i, w := range b {
@@ -269,14 +267,4 @@ func (b epochBits) orInto(dst epochBits) bool {
 		}
 	}
 	return any
-}
-
-// lastSet returns the highest marked sub-cycle offset (-1: none).
-func (b epochBits) lastSet() int64 {
-	for w := len(b) - 1; w >= 0; w-- {
-		if b[w] != 0 {
-			return int64(w)<<6 + int64(bits.Len64(b[w])) - 1
-		}
-	}
-	return -1
 }

@@ -192,9 +192,8 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 
 // reset restores the SM to its just-constructed state for a new run: warp
 // slots, scheduler slices, occupancy counters and the L1 are all cleared in
-// place. The kernel pointer is cleared too — launch activation
-// (launch.go activateEligible) installs the kernel whose CTAs the SM will
-// host. pf handling depends on reusePf: when true the SM keeps its existing
+// place. The kernel pointer is cleared too — the engine's load installs the
+// kernel whose CTAs the SM will host. pf handling depends on reusePf: when true the SM keeps its existing
 // prefetcher instances (the caller guarantees the new run uses the same
 // mechanism configuration) and resets them; when false pf replaces them and
 // the L1's storage organization is re-derived from the new prefetcher. The

@@ -37,39 +37,3 @@ func TestTraceRoundTripDefaultScale(t *testing.T) {
 		}
 	}
 }
-
-// TestAppRoundTripDefaultScale is the application-trace counterpart: a
-// DefaultScale multi-kernel app with masks, tenants and dependency edges
-// through both on-disk formats (gob+gzip binary with the app magic, and
-// JSON), loaded back bit-equal and with its content digest preserved —
-// digests key the result caches, so serialization must not perturb them.
-func TestAppRoundTripDefaultScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("DefaultScale round-trip writes multi-MB files")
-	}
-	a, digest, err := NewStore().App("fanout", DefaultScale(), 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	for _, name := range []string{"fanout.app", "fanout.json"} {
-		path := filepath.Join(dir, name)
-		if err := a.SaveFile(path); err != nil {
-			t.Fatalf("%s: save: %v", name, err)
-		}
-		got, err := trace.LoadAppFile(path)
-		if err != nil {
-			t.Fatalf("%s: load: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, a) {
-			t.Errorf("%s: reloaded app differs from original", name)
-		}
-		d2, err := got.Digest()
-		if err != nil {
-			t.Fatalf("%s: digest: %v", name, err)
-		}
-		if d2 != digest {
-			t.Errorf("%s: digest changed across round trip", name)
-		}
-	}
-}

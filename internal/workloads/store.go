@@ -19,7 +19,6 @@ import (
 type Store struct {
 	mu      sync.Mutex
 	entries map[storeKey]*storeEntry
-	apps    map[appKey]*appEntry
 	builds  atomic.Int64
 }
 
@@ -39,31 +38,9 @@ type storeEntry struct {
 	err  error
 }
 
-// appKey identifies one interned application: the app name, the normalized
-// kernel scale, and the SM-partition geometry the masks were resolved for.
-type appKey struct {
-	name  string
-	sc    Scale
-	numSM int
-	split int
-}
-
-// appEntry is one in-flight or completed app assembly, with the content
-// digest computed once at intern time (it hashes every kernel, so callers
-// building cache keys must not recompute it per run).
-type appEntry struct {
-	done   chan struct{}
-	a      *trace.App
-	digest string
-	err    error
-}
-
 // NewStore returns an empty kernel store.
 func NewStore() *Store {
-	return &Store{
-		entries: make(map[storeKey]*storeEntry),
-		apps:    make(map[appKey]*appEntry),
-	}
+	return &Store{entries: make(map[storeKey]*storeEntry)}
 }
 
 // shared is the process-wide store all default call paths intern through.
@@ -99,39 +76,6 @@ func (s *Store) Kernel(bench string, sc Scale) (*trace.Kernel, error) {
 	}
 	close(e.done)
 	return e.k, e.err
-}
-
-// App returns the interned application for (name, sc, numSM, split) plus its
-// content digest, assembling it on first use. Kernels are fetched through
-// s.Kernel, so an app and the single-kernel runs of its constituent
-// benchmarks share one trace per (bench, scale) — Builds counts kernel
-// builds, and interning an app of already-interned kernels performs none.
-func (s *Store) App(name string, sc Scale, numSM, split int) (*trace.App, string, error) {
-	key := appKey{name: name, sc: sc.withDefaults(), numSM: numSM, split: split}
-	s.mu.Lock()
-	e, ok := s.apps[key]
-	if ok {
-		s.mu.Unlock()
-		<-e.done
-		return e.a, e.digest, e.err
-	}
-	e = &appEntry{done: make(chan struct{})}
-	s.apps[key] = e
-	s.mu.Unlock()
-
-	e.a, e.err = assembleApp(name, sc, numSM, split, func(bench string) (*trace.Kernel, error) {
-		return s.Kernel(bench, sc)
-	})
-	if e.err == nil {
-		e.digest, e.err = e.a.Digest()
-	}
-	if e.err != nil {
-		s.mu.Lock()
-		delete(s.apps, key)
-		s.mu.Unlock()
-	}
-	close(e.done)
-	return e.a, e.digest, e.err
 }
 
 // Builds returns how many kernels this store has built — the proof that

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -149,14 +148,5 @@ func TestStoreProgramsExactLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(name, k)
-	}
-	for _, name := range AppNames() {
-		a, _, err := s.App(name, Tiny(), 4, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, l := range a.Launches {
-			check(fmt.Sprintf("app %s launch %d", name, i), l.Kernel)
-		}
 	}
 }

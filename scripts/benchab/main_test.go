@@ -29,7 +29,7 @@ func TestCompare(t *testing.T) {
 		{"allocs/op and B/op above their floors flag past 1.2x",
 			"BenchmarkT/lps-4 100 5000000 ns/op 1300000 B/op 2100 allocs/op", []string{"BenchmarkT/lps-4 allocs/op", "BenchmarkT/lps-4 B/op"}},
 		{"a case present only on head is skipped",
-			"BenchmarkT/app-pipeline-4 100 99000000 ns/op 99999 allocs/op", nil},
+			"BenchmarkT/nw-4 100 99000000 ns/op 99999 allocs/op", nil},
 		// Fastest rounds 5.0 vs 6.1 ms pass; the head's first round (7.0 ms,
 		// 1.4x) would not.
 		{"the fastest round is compared",
