@@ -24,7 +24,7 @@ func main() {
 		bench      = flag.String("bench", "lps", "benchmark name (see -list)")
 		pf         = flag.String("pf", "baseline", "prefetching mechanism (see -list)")
 		sms        = flag.Int("sms", 4, "number of SMs")
-		warps      = flag.Int("warps", 32, "warp slots per SM")
+		warps      = flag.Int("warps", 64, "warp slots per SM")
 		ctas       = flag.Int("ctas", 0, "CTA count (0: default scale)")
 		wpc        = flag.Int("wpc", 0, "warps per CTA (0: default scale)")
 		iters      = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")

@@ -12,18 +12,15 @@ import (
 // Controller is one memory controller governing a set of DRAM banks with
 // open-page row-buffer policy. A controller is single-owner state: the
 // simulation engine runs each controller only from its owning memory
-// partition (serially within the partition, partitions concurrently), so it
-// needs no internal locking.
+// partition, on the engine's one goroutine, so it needs no internal locking.
 type Controller struct {
 	timing   config.DRAMTiming
 	rowBytes uint64
 	banks    []bank
 	xferCyc  int64 // data transfer cycles per request
 
-	// ms receives the traffic counters. The engine passes each partition's
-	// entry of a shared stats.MemParts arena so DRAM traffic lands directly
-	// in the per-partition accumulators; standalone controllers (tests) get
-	// a private block.
+	// ms receives the traffic counters: the engine passes its one memory
+	// counter block, shared by every partition's controller.
 	ms *stats.Mem
 }
 
@@ -35,11 +32,8 @@ type bank struct {
 }
 
 // New builds a controller with the given bank count and row size, counting
-// traffic into ms (nil: a private counter block, readable via Stats).
+// traffic into ms.
 func New(t config.DRAMTiming, banks int, rowBytes int, xferCycles int, ms *stats.Mem) *Controller {
-	if ms == nil {
-		ms = &stats.Mem{}
-	}
 	return &Controller{
 		timing:   t,
 		rowBytes: uint64(rowBytes),
@@ -91,18 +85,9 @@ func (c *Controller) Access(lineAddr uint64, cycle int64) int64 {
 	return dataAt
 }
 
-// Reset closes every bank's row and zeroes the controller's traffic
-// counters, returning it to its just-constructed state without reallocating
-// the bank array. Only the DRAM fields of the shared counter block are
-// touched; the partition owns the rest.
+// Reset closes every bank's row, returning the banks to their
+// just-constructed state without reallocating the bank array. The counters
+// belong to the block's owner, which zeroes them itself.
 func (c *Controller) Reset() {
 	clear(c.banks)
-	c.ms.DRAMReads = 0
-	c.ms.DRAMRowHits = 0
-	c.ms.DRAMRowMisses = 0
-}
-
-// Stats returns read, row-hit and row-miss counts.
-func (c *Controller) Stats() (reads, rowHits, rowMisses int64) {
-	return c.ms.DRAMReads, c.ms.DRAMRowHits, c.ms.DRAMRowMisses
 }

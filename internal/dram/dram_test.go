@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"snake/internal/config"
+	"snake/internal/stats"
 )
 
 func newCtl() *Controller {
-	return New(config.DefaultDRAMTiming(), 16, 2048, 2, nil)
+	return New(config.DefaultDRAMTiming(), 16, 2048, 2, &stats.Mem{})
 }
 
 func TestRowHitFasterThanRowMiss(t *testing.T) {
@@ -21,7 +22,7 @@ func TestRowHitFasterThanRowMiss(t *testing.T) {
 		t.Errorf("row hit (%d cycles) not faster than cold access (%d)", d2, d1)
 	}
 	_ = t3
-	reads, hits, misses := c.Stats()
+	reads, hits, misses := c.ms.DRAMReads, c.ms.DRAMRowHits, c.ms.DRAMRowMisses
 	if reads != 3 || hits != 1 || misses != 2 {
 		t.Errorf("stats = (%d,%d,%d), want (3,1,2)", reads, hits, misses)
 	}

@@ -2,11 +2,14 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"snake/internal/config"
 	"snake/internal/core"
+	"snake/internal/stats"
 	"snake/internal/workloads"
 )
 
@@ -45,6 +48,72 @@ func TestRunnerDoesNotCacheFailures(t *testing.T) {
 	r.mu.Unlock()
 	if n != 0 {
 		t.Errorf("failed runs left %d cache entries", n)
+	}
+}
+
+// doneSignalCtx closes waiting the first time Done is called: its caller
+// has reached a select on it — memoize's wait on another caller's fill, or
+// the budget's Acquire.
+type doneSignalCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newDoneSignalCtx(ctx context.Context) *doneSignalCtx {
+	return &doneSignalCtx{Context: ctx, waiting: make(chan struct{})}
+}
+
+func (c *doneSignalCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestRunnerWaiterRetriesAfterFailedFill: when the caller filling a key
+// fails, a concurrent caller waiting on that fill must retry under its own
+// context and succeed, not return the first caller's error. The first
+// caller's fill fails because its context is canceled while it waits for
+// the budget's only slot, which the test holds; the second caller is
+// already blocked on the fill by then.
+func TestRunnerWaiterRetriesAfterFailedFill(t *testing.T) {
+	r := tinyRunner()
+	r.Budget = NewBudget(1)
+	if err := r.Budget.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	base, cancelA := context.WithCancel(context.Background())
+	ctxA := newDoneSignalCtx(base)
+	errA := make(chan error, 1)
+	go func() {
+		_, err := r.RunCtx(ctxA, "lps", "baseline")
+		errA <- err
+	}()
+	<-ctxA.waiting // A holds the cache entry and waits for the slot
+
+	ctxB := newDoneSignalCtx(context.Background())
+	type out struct {
+		st  *stats.Sim
+		err error
+	}
+	outB := make(chan out, 1)
+	go func() {
+		st, err := r.RunCtx(ctxB, "lps", "baseline")
+		outB <- out{st, err}
+	}()
+	<-ctxB.waiting // B waits on A's fill
+
+	cancelA()
+	if err := <-errA; !errors.Is(err, context.Canceled) {
+		t.Fatalf("first caller: err = %v, want context.Canceled", err)
+	}
+	r.Budget.Release()
+	b := <-outB
+	if b.err != nil {
+		t.Fatalf("waiting caller inherited the failed fill: %v", b.err)
+	}
+	if b.st == nil || b.st.Insts == 0 {
+		t.Fatal("waiting caller returned empty stats")
 	}
 }
 

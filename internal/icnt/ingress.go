@@ -31,7 +31,7 @@ type Ingress[T any] struct {
 
 // Stamped is one queued message with its delivery cycle. It is exported so
 // DueView can hand zero-copy windows of the ring to consumers (the engine's
-// parallel route phase) without repacking entries.
+// route phase) without repacking entries.
 type Stamped[T any] struct {
 	Cycle int64
 	Msg   T
@@ -106,9 +106,8 @@ func (q *Ingress[T]) DrainTo(now int64, buf []T) []T {
 // non-decreasing, the due set is always a prefix, located by binary search.
 //
 // The view stays valid until the next Push, Pop, Drain, Drop or Reset; the
-// engine's parallel route phase takes it after all of an epoch's pushes and
-// drops it at the epoch merge, so work units may read it concurrently in
-// between.
+// engine's route phase takes it after all of an epoch's pushes, the
+// partition's tick reads it, and the epoch merge drops it.
 func (q *Ingress[T]) DueView(now int64) (a, b []Stamped[T]) {
 	n := sort.Search(q.len, func(i int) bool {
 		return q.buf[(q.head+i)%len(q.buf)].Cycle > now

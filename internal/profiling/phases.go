@@ -5,10 +5,11 @@ import "fmt"
 // Phase names one section of the simulation engine's epoch loop. The
 // engine's wall clock divides into exactly these five buckets (see DESIGN.md
 // "Epoch loop"): the per-sub-cycle drain pump, the O(#partitions) route
-// prefix-sum, the two tick loops (memory partitions, then SM shards), and
-// the merge plus end-of-epoch bookkeeping. The report names of the two tick
-// phases keep their "parallel-" prefix because perfbench's span reports are
-// keyed by them.
+// lookup, the two tick loops (memory partitions, then SM shards), and the
+// merge plus end-of-epoch bookkeeping. The engine runs all five on one
+// goroutine; the report names of the two tick phases keep their
+// "parallel-" prefix only because perfbench's span reports are keyed by
+// them.
 type Phase uint8
 
 // Engine phases, in cycle order.
@@ -17,19 +18,20 @@ const (
 	// response bandwidth arbitration, fill delivery into shard inboxes,
 	// request pull (with partition binning at push) and store drain.
 	PhaseSerialDrain Phase = iota
-	// PhaseSerialRoute is the route phase: the per-partition due counts and
-	// the prefix-sum that assigns each partition its contiguous response
-	// slot range — O(#partitions), not O(#requests), since the counting
-	// moved to injection time.
+	// PhaseSerialRoute is the route phase: each partition's zero-copy view
+	// of its due requests — O(#partitions), not O(#requests), since the
+	// binning happens at injection time.
 	PhaseSerialRoute
 	// PhaseMemPartitions is the memory tick loop: each L2 sub-partition
-	// performs its binned lookups, in-flight merges and DRAM timing.
+	// performs its binned lookups, in-flight merges and DRAM timing, and
+	// pushes its responses onto the response heap.
 	PhaseMemPartitions
 	// PhaseShards is the SM tick loop: each shard applies fills, runs its
 	// prefetcher and issues from its warp schedulers.
 	PhaseShards
-	// PhaseMerge is the tail: response slot replay, the counting-
-	// scatter store merge, CTA refill, and termination bookkeeping.
+	// PhaseMerge is the tail: dropping the consumed request prefixes,
+	// queueing the epoch's store counts, CTA refill, and termination
+	// bookkeeping.
 	PhaseMerge
 
 	// NumPhases is the number of phases (for sizing arrays).

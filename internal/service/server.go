@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -583,6 +584,11 @@ func decodeJSON(r *http.Request, v interface{}) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	// One object per body: anything but whitespace after it (a second
+	// object, a stray brace) is refused, not silently dropped.
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: trailing data after the JSON object")
 	}
 	return nil
 }

@@ -516,11 +516,13 @@ func TestOversizedRequestRejected(t *testing.T) {
 	}
 }
 
-// TestRequestRejectsParallelismAndSlack pins that request fields the
-// service dropped are refused, not silently ignored: a run or a sweep
+// TestRequestRejectsParallelismAndSlack pins that request content the
+// service would drop is refused, not silently ignored: a run or a sweep
 // carrying "parallelism" or "slack" (gone with the intra-run executor), or
 // "app", "apps", "chain" or "split" (gone with multi-kernel runs), gets a
-// 400 that names the field.
+// 400 that names the field; and a body with anything after its JSON object
+// gets a 400 on every POST endpoint, where the decoder used to read the
+// first object and ignore the rest.
 func TestRequestRejectsParallelismAndSlack(t *testing.T) {
 	svc := tinyService(1)
 	ts := httptest.NewServer(svc.Handler())
@@ -546,6 +548,23 @@ func TestRequestRejectsParallelismAndSlack(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `\"`+field+`\"`) {
 				t.Errorf("POST %s with %q: %d %s, want 400 naming the field", path, field, resp.StatusCode, msg)
+			}
+		}
+	}
+	for _, path := range []string{"/v1/runs", "/v1/sweeps", "/v1/peer/execute"} {
+		obj := `{"bench":"lps","mech":"snake"}`
+		if path == "/v1/sweeps" {
+			obj = `{"benches":["lps"],"mechs":["snake"]}`
+		}
+		for _, trail := range []string{`{"bench":"cp"}`, `}`, ` x`, "\n[]"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(obj+trail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "trailing data") {
+				t.Errorf("POST %s with trailing %q: %d %s, want 400 naming the trailing data", path, trail, resp.StatusCode, msg)
 			}
 		}
 	}

@@ -133,24 +133,11 @@ type engine struct {
 	// resps holds partition responses waiting for response-network
 	// bandwidth, ordered by data-ready cycle.
 	resps respHeap
-	// stores is the merged write-through store queue, in (cycle, smID, seq)
-	// order; a store issued at cycle p becomes sendable at p + horizon.
-	stores []storeMsg
-	// routed is the per-epoch response slot array: planRoute's prefix-sum
-	// assigns each partition a contiguous slot range in global arrival order
-	// (see planRoute for why partition-major ranges preserve it), the owning
-	// partition's tick span writes each computed response into its slot, and
-	// the epoch merge pushes slots in range order — replaying through the
-	// heap in the exact sequence the serial-arrival engine produced, so heap
-	// tie-breaking (and thus every downstream statistic) is unchanged.
-	routed []resp
-	// scatterShards is mergeStores' scratch: the active shards of the epoch
-	// being merged.
-	scatterShards []*shard
-	// ctaOr is the merge phase's OR-accumulator over the shards'
-	// CTA-completion bitsets (one bit per epoch sub-cycle), recycled across
-	// epochs.
-	ctaOr epochBits
+	// stores is the write-through store queue, one batch per issue cycle in
+	// cycle order; a store issued at cycle p becomes sendable at p + horizon.
+	stores []storeBatch
+	// out is what the shards' tick spans record for the epoch merge.
+	out epochOut
 
 	ageCtr   int64
 	inflight int // outstanding fill requests in the memory system
@@ -193,10 +180,29 @@ type engine struct {
 	minRespLat int64   // smallest observed response-delivery latency (audit)
 
 	shStats *stats.Shards
-	// memStats holds one counter block per L2 partition; totals are
-	// partition-count and merge-order invariant (stats property tests).
-	memStats *stats.MemParts
-	prof     *profiling.Phases // nil unless Options.PhaseProfile is set
+	mem     stats.Mem         // every partition's L2 and DRAM counters
+	prof    *profiling.Phases // nil unless Options.PhaseProfile is set
+}
+
+// epochOut is the engine-owned record the shards' tick spans add to, one
+// entry per sub-cycle of the epoch (offset from its start). The shards tick
+// one after another, so they share it without staging.
+type epochOut struct {
+	stores      []int32   // write-through stores issued at each sub-cycle
+	cta         epochBits // sub-cycles at which some CTA completed
+	retiredLast bool      // some shard retired an instruction at the last sub-cycle
+}
+
+// reset sizes the record to an epoch of span sub-cycles and clears it.
+func (o *epochOut) reset(span int) {
+	if cap(o.stores) < span {
+		o.stores = make([]int32, span)
+	} else {
+		o.stores = o.stores[:span]
+		clear(o.stores)
+	}
+	o.cta.reset((span-1)>>6 + 1)
+	o.retiredLast = false
 }
 
 // Run simulates the kernel under the given options and returns aggregated
@@ -231,7 +237,7 @@ func validateRun(k *trace.Kernel, opt Options) error {
 }
 
 // newEngine constructs a machine — SM shards, L2 partitions, interconnect,
-// stat arenas, whose shape depends only on the config — and loads the
+// per-SM stat arena, whose shape depends only on the config — and loads the
 // kernel onto it.
 func newEngine(k *trace.Kernel, opt Options) *engine {
 	cfg := opt.Config
@@ -241,10 +247,9 @@ func newEngine(k *trace.Kernel, opt Options) *engine {
 		net:     newIcntNet(cfg),
 		shStats: stats.NewShards(cfg.NumSM),
 	}
-	e.memStats = stats.NewMemParts(cfg.L2Partitions)
 	e.parts = make([]*memPartition, cfg.L2Partitions)
 	for i := range e.parts {
-		e.parts[i] = newMemPartition(i, cfg, e.memStats.Part(i))
+		e.parts[i] = newMemPartition(i, cfg, &e.mem)
 	}
 	e.shards = make([]*shard, cfg.NumSM)
 	for i := range e.shards {
@@ -298,20 +303,17 @@ const deadlockIdleCycles = 1_000_000
 //	                     only, binned to the owning partition's ingress ring
 //	                     and stamped with the global arrival rank at push) →
 //	                     matured stores → utilization snapshot
-//	route phase:         O(#partitions) prefix-sum over the per-ring due
-//	                     counts assigns each partition a zero-copy due view
-//	                     and a contiguous response slot range (planRoute)
+//	route phase:         each partition gets a zero-copy view of its ring's
+//	                     due prefix (planRoute)
 //	tick phase:          every partition, then every shard, ticks the whole
 //	                     span — partitions perform their due L2 lookups,
-//	                     merges and DRAM timing, writing responses into
-//	                     their reserved slots; shards apply fills, run
-//	                     prefetchers, issue, and count their epoch store
-//	                     outputs per sub-cycle
-//	serial merge phase:  response slots pushed in partition-major slot order
-//	                     (each already carrying its global arrival seq, so
-//	                     the heap replays serial arrival order) → store
-//	                     merge via counting scatter into (cycle, smID, seq)
-//	                     order → CTA-finish maturation → termination / idle
+//	                     merges and DRAM timing, pushing each response onto
+//	                     the response heap with its global arrival seq;
+//	                     shards apply fills, run prefetchers, issue, and add
+//	                     their stores per sub-cycle into the epoch record
+//	serial merge phase:  consumed ring prefixes dropped → one store batch
+//	                     queued per sub-cycle that issued stores →
+//	                     CTA-finish maturation → termination / idle
 //	                     bookkeeping
 //
 // The serial phase runs a whole epoch ahead of the ticks; that is sound
@@ -510,49 +512,20 @@ func (e *engine) pushReq(arriveAt int64, req reqMsg) {
 }
 
 // planRoute is the route phase, run once per epoch after the serial drain:
-// an O(#partitions) prefix-sum over the per-ring due counts. Each partition
-// gets a zero-copy view of its due prefix (every ring entry stamped ≤ end)
-// and a contiguous slot range [slotBase, slotBase+dueN) in the epoch
-// response array; its tick span computes responses into those slots, and
-// mergeEpoch pushes the slots in partition-major order.
-//
-// Partition-major slot order is NOT global arrival order — but it does not
-// need to be. The response heap's pop sequence is a pure function of the
-// response set's (readyAt, seq) keys (see respHeap), and every response
-// carries the global arrival seq its request was stamped with at injection,
-// so the heap replays exactly the serial arrival order no matter how the
-// slots were laid out. What the slot ranges must preserve — and do, by the
-// per-ring prefix property — is each partition's own arrival order, which
-// fixes its L2/DRAM access sequence.
-//
-// Responses computed for an arrival at sub-cycle c are never sendable before
-// c + L2.Latency ≥ c + horizon — past the epoch end — so deferring their
-// heap push to the epoch merge changes nothing (asserted there). Returns the
-// epoch's total due-request count.
+// each partition gets a zero-copy view of its ring's due prefix (every entry
+// stamped ≤ end), which is that partition's own arrival order — all that
+// fixes its L2/DRAM access sequence. The order partitions then push their
+// responses in does not matter: the response heap's pop sequence is a pure
+// function of the (readyAt, seq) key set, and every response carries the
+// global arrival seq its request was stamped with at injection (respHeap).
+// Returns the epoch's total due-request count.
 func (e *engine) planRoute(end int64) int {
 	total := 0
 	for i, p := range e.parts {
 		a, b := e.partReqs[i].DueView(end)
 		p.dueA, p.dueB = a, b
-		p.slotBase = total
 		p.dueN = len(a) + len(b)
 		total += p.dueN
-	}
-	if total == 0 {
-		return 0
-	}
-	if cap(e.routed) < total {
-		// Grow geometrically; slots need no zeroing — every one is written by
-		// exactly one partition before the merge reads it.
-		c := 2 * cap(e.routed)
-		if c < total {
-			c = total
-		}
-		e.routed = make([]resp, total, c)
-	}
-	e.routed = e.routed[:total]
-	for _, p := range e.parts {
-		p.routed = e.routed
 	}
 	return total
 }
@@ -675,12 +648,20 @@ func (e *engine) drainMissQueues(c int64) {
 // request-direction traffic classes stay phase-aligned and their bandwidth
 // contention matches the per-cycle model's (both shifted uniformly; the
 // network's budget is time-invariant). Fire-and-forget: nothing downstream
-// observes a store's send cycle, so the shift is latency-neutral. The queue
-// is in (cycle, smID, seq) merge order, so maturity is a prefix property.
+// observes a store's send cycle, so the shift is latency-neutral, and the
+// queue holds only a count per issue cycle. Batches are in cycle order, so
+// maturity is a prefix property; a batch the bandwidth cuts short keeps
+// its remaining count at the head for the next cycle.
 func (e *engine) drainStores(c int64) {
 	n := 0
 	for n < len(e.stores) && e.stores[n].cycle+e.horizon <= c {
-		if _, sent := e.net.trySendReq(e.opt.StoreBytes); !sent {
+		b := &e.stores[n]
+		for ; b.n > 0; b.n-- {
+			if _, sent := e.net.trySendReq(e.opt.StoreBytes); !sent {
+				break
+			}
+		}
+		if b.n > 0 {
 			break
 		}
 		n++
@@ -696,43 +677,33 @@ func (e *engine) drainStores(c int64) {
 }
 
 // tickWave runs the tick phase of the epoch: every memory partition ticks
-// the sub-cycles [start, end] (draining its request and complete bins), then
-// every shard does (applying fills and issuing). Partitions and shards touch
-// disjoint state, so the order between the two loops changes nothing; the
-// profiling lap between them separates their wall clocks.
+// the sub-cycles [start, end] (draining its request and complete bins onto
+// the response heap), then every shard does (applying fills and issuing,
+// into the epoch record). Partitions and shards touch disjoint state, so the
+// order between the two loops changes nothing; the profiling lap between
+// them separates their wall clocks.
 func (e *engine) tickWave(start, end int64, clk *phaseClock) {
 	for _, p := range e.parts {
-		p.tickSpan(start, end)
+		if at := p.tickSpan(start, end, &e.resps); at >= 0 {
+			e.slackConflict(at, end)
+		}
 	}
 	clk.lap(profiling.PhaseMemPartitions)
+	e.out.reset(int(end-start) + 1)
 	for _, sh := range e.shards {
-		sh.tickSpan(start, end)
+		sh.tickSpan(start, end, &e.out)
 	}
 	clk.lap(profiling.PhaseShards)
 }
 
-// mergeEpoch performs the serial merges closing the epoch [start, end]:
-// partition responses are pushed in partition-major slot order (each already
-// carrying the global arrival seq its request was stamped with at injection,
-// so heap ordering is independent of push order and of epoch shape), the
-// consumed due prefixes are dropped from the partition ingress rings, egress
-// store streams are merged into (cycle, smID, seq) order by a counting
-// scatter (mergeStores), and CTA finishes are queued for redispatch at
-// +turnaround. Returns whether any shard retired an instruction at the final
-// sub-cycle — the only per-cycle retire bit the idle bookkeeping still needs
-// (earlier sub-cycles all carried in-flight traffic, which resets the
-// counter regardless).
+// mergeEpoch performs the serial merges closing the epoch [start, end]: the
+// consumed due prefixes are dropped from the partition ingress rings, each
+// sub-cycle's store count is queued as one batch, and CTA finishes are
+// queued for redispatch at +turnaround. Returns whether any shard retired an
+// instruction at the final sub-cycle — the only per-cycle retire bit the
+// idle bookkeeping still needs (earlier sub-cycles all carried in-flight
+// traffic, which resets the counter regardless).
 func (e *engine) mergeEpoch(start, end int64) bool {
-	for i := range e.routed {
-		r := e.routed[i]
-		if r.readyAt <= end {
-			// Provably unreachable: every partition response is ready no
-			// earlier than arrival + L2.Latency ≥ arrival + horizon > end.
-			e.slackConflict(r.readyAt, end)
-		}
-		e.resps.push(r)
-	}
-	e.routed = e.routed[:0]
 	for i, p := range e.parts {
 		if p.dueN > 0 {
 			e.partReqs[i].Drop(p.dueN)
@@ -741,7 +712,19 @@ func (e *engine) mergeEpoch(start, end int64) bool {
 		}
 	}
 
-	e.mergeStores(start, end)
+	for i, n := range e.out.stores {
+		if n == 0 {
+			continue
+		}
+		c := start + int64(i)
+		if m := c + e.horizon; m <= end {
+			// Provably unreachable: stores mature after the full horizon and
+			// epochs never span more than the horizon, so no store can
+			// mature inside its own epoch.
+			e.slackConflict(m, end)
+		}
+		e.stores = append(e.stores, storeBatch{cycle: c, n: n})
+	}
 	for _, sh := range e.shards {
 		sh.mqExpiry = sh.mqExpiry[:0]
 	}
@@ -751,113 +734,25 @@ func (e *engine) mergeEpoch(start, end int64) bool {
 	// caps epochs at the earliest matured dispatch), so the refill is
 	// visible to a whole epoch exactly as under per-cycle barriers. Skipped
 	// once every CTA is dispatched: maturation would only cap future epochs
-	// for a guaranteed no-op fillSMs. OR-ing the shards' bitsets gives
-	// exactly the sub-cycles at which one dispatch event is due (at most one
-	// per sub-cycle, as with per-cycle barriers).
+	// for a guaranteed no-op fillSMs. The shards' finishes share one bitset,
+	// so each marked sub-cycle is exactly one due dispatch event (at most
+	// one per sub-cycle, as with per-cycle barriers).
 	if e.ctaNext < len(e.kernel.CTAs) {
-		words := int((end-start)>>6) + 1
-		e.ctaOr.reset(words)
-		any := false
-		for _, sh := range e.shards {
-			if sh.report.cta.orInto(e.ctaOr) {
-				any = true
-			}
-		}
-		if any {
-			for w, bitsW := range e.ctaOr {
-				for bitsW != 0 {
-					i := int64(w)<<6 + int64(bits.TrailingZeros64(bitsW))
-					bitsW &= bitsW - 1
-					at := start + i + e.turn
-					if at <= end {
-						// Unreachable: the epoch cutter's exit lookahead
-						// is armed whenever undispatched CTAs remain.
-						e.slackConflict(at, end)
-					}
-					e.dispatchAt = append(e.dispatchAt, at)
+		for w, bitsW := range e.out.cta {
+			for bitsW != 0 {
+				i := int64(w)<<6 + int64(bits.TrailingZeros64(bitsW))
+				bitsW &= bitsW - 1
+				at := start + i + e.turn
+				if at <= end {
+					// Unreachable: the epoch cutter's exit lookahead
+					// is armed whenever undispatched CTAs remain.
+					e.slackConflict(at, end)
 				}
+				e.dispatchAt = append(e.dispatchAt, at)
 			}
 		}
 	}
-
-	last := end - start
-	for _, sh := range e.shards {
-		if sh.report.retired.test(last) {
-			return true
-		}
-	}
-	return false
-}
-
-// mergeStores merges the epoch's per-shard egress store streams into the
-// global queue in (cycle, smID, seq) order — exactly the order per-cycle
-// barriers would have appended — via a counting scatter instead of a serial
-// (span × shards) walk:
-//
-//	pass 1 (tick):      each shard counted its stores per sub-cycle into
-//	                    storeCnt during its tick span (shard.tickSpan)
-//	pass 2 (serial):    a cycle-major, shard-minor prefix-sum over the
-//	                    active shards' counts turns each (cycle, shard)
-//	                    count into that group's first destination offset,
-//	                    stored back in place — O(span × active shards)
-//	                    bookkeeping, no per-store work
-//	pass 3 (serial):    each shard scatters its (cycle-sorted, seq-ordered)
-//	                    stream into its reserved offsets
-//	                    (shard.scatterStores)
-//
-// Store-free epochs — the common case — exit at the active scan without
-// touching anything.
-func (e *engine) mergeStores(start, end int64) {
-	active := e.scatterShards[:0]
-	total := 0
-	for _, sh := range e.shards {
-		if n := len(sh.out.stores); n > 0 {
-			if m := sh.out.stores[0].cycle + e.horizon; m <= end {
-				// Provably unreachable: stores mature after the full horizon
-				// and epochs never span more than the horizon, so no store
-				// can mature inside its own epoch. The stream is
-				// cycle-sorted, so checking its earliest entry covers it.
-				e.slackConflict(m, end)
-			}
-			active = append(active, sh)
-			total += n
-		}
-	}
-	e.scatterShards = active
-	if total == 0 {
-		return
-	}
-	base := len(e.stores)
-	e.stores = growStores(e.stores, base+total)
-	off := int32(0)
-	span := end - start + 1
-	for ci := int64(0); ci < span; ci++ {
-		for _, sh := range active {
-			n := sh.storeCnt[ci]
-			sh.storeCnt[ci] = off
-			off += n
-		}
-	}
-	dst := e.stores[base:]
-	for _, sh := range active {
-		sh.scatterStores(dst, start)
-	}
-}
-
-// growStores extends s to length n, reusing capacity and growing the backing
-// array geometrically — without the temporary slice that
-// append(s, make([]storeMsg, k)...) would allocate on the hot path.
-func growStores(s []storeMsg, n int) []storeMsg {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	c := 2 * cap(s)
-	if c < n {
-		c = n
-	}
-	next := make([]storeMsg, n, c)
-	copy(next, s)
-	return next
+	return e.out.retiredLast
 }
 
 // applyDispatches pops matured CTA-redispatch events due at the epoch start
@@ -927,16 +822,14 @@ func (e *engine) result() *Result {
 	res.Stats.Cycles = e.cycle
 	res.Stats.IcntBytes = e.net.totalBytes()
 	res.Stats.IcntPeakBytes = e.net.peakBytes(e.cycle)
-	// Memory-side counters come from the per-partition arenas; the total is
-	// invariant to the partition count and merge order (stats property
-	// tests), and the per-SM blocks hold zeros for these fields.
-	mem := e.memStats.Total()
-	res.Stats.L2Hits += mem.L2Hits
-	res.Stats.L2Misses += mem.L2Misses
-	res.Stats.L2Merges += mem.L2Merges
-	res.Stats.DRAMReads += mem.DRAMReads
-	res.Stats.DRAMRowHits += mem.DRAMRowHits
-	res.Stats.DRAMRowMisses += mem.DRAMRowMisses
+	// Memory-side counters come from the engine's one block; the per-SM
+	// blocks hold zeros for these fields.
+	res.Stats.L2Hits += e.mem.L2Hits
+	res.Stats.L2Misses += e.mem.L2Misses
+	res.Stats.L2Merges += e.mem.L2Merges
+	res.Stats.DRAMReads += e.mem.DRAMReads
+	res.Stats.DRAMRowHits += e.mem.DRAMRowHits
+	res.Stats.DRAMRowMisses += e.mem.DRAMRowMisses
 	if a := e.opt.LatencyAudit; a != nil {
 		a.MinReqDelivery = e.minReqLat
 		a.MinRespDelivery = e.minRespLat

@@ -48,8 +48,7 @@ func TestMemPartitionCompleteFillIdempotent(t *testing.T) {
 	ready := m.access(0x2000, 100)
 	m.completeFill(0x2000, ready)
 	m.completeFill(0x2000, ready+1) // second call is a no-op
-	reads, _, _ := m.dramStats()
-	if reads != 1 {
+	if reads := m.ms.DRAMReads; reads != 1 {
 		t.Errorf("dram reads = %d, want 1", reads)
 	}
 }

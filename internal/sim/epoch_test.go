@@ -36,11 +36,11 @@ func testMechs() map[string]func(int) prefetch.Prefetcher {
 	}
 }
 
-// TestParallelEquivalenceMatrix is the epoch loop's core claim: for every
+// TestEpochEquivalenceMatrix is the epoch loop's core claim: for every
 // workload and mechanism, the Result — totals and per-SM breakdowns — at a
 // short epoch (SlackWindow 2) and at the auto window (the config-derived
 // maximum) is bit-identical to the per-cycle reference (SlackWindow 1).
-func TestParallelEquivalenceMatrix(t *testing.T) {
+func TestEpochEquivalenceMatrix(t *testing.T) {
 	for _, name := range workloads.Names() {
 		k, err := workloads.Build(name, workloads.Tiny())
 		if err != nil {
@@ -71,9 +71,9 @@ func TestParallelEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestParallelRepeatDeterminism re-runs the same configuration and demands
+// TestEpochRepeatDeterminism re-runs the same configuration and demands
 // identical Results, per-SM blocks included.
-func TestParallelRepeatDeterminism(t *testing.T) {
+func TestEpochRepeatDeterminism(t *testing.T) {
 	k, _ := workloads.Build("hotspot", workloads.Tiny())
 	opt := Options{
 		Config:        testCfg(),
@@ -107,12 +107,12 @@ func (c *goroutineCtx) Err() error {
 	return c.countdownCtx.Err()
 }
 
-// TestParallelCancellationStopsWorkers cancels a run at the auto window from
-// inside an epoch's drain phase: the run must return the context error
+// TestEpochCancellation cancels a run at the auto window from inside an
+// epoch's drain phase: the run must return the context error
 // naming the cycle, must stay on the caller's goroutine throughout (the
 // goroutine count at every poll equals the count before the run), and a
 // following run must succeed.
-func TestParallelCancellationStopsWorkers(t *testing.T) {
+func TestEpochCancellation(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Scale{CTAs: 8, WarpsPerCTA: 4, Iters: 32}, 4096)
 	before := runtime.NumGoroutine()
 	ctx := &goroutineCtx{countdownCtx: countdownCtx{Context: context.Background(), ok: 1}}
@@ -137,11 +137,11 @@ func TestParallelCancellationStopsWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelStoreMergeOrder pins the (cycle, smID, seq) egress merge: a
-// workload with store traffic must produce identical store/interconnect
-// accounting at the auto window and per cycle. (Covered by the matrix too;
-// this narrow test fails more readably if the merge order regresses.)
-func TestParallelStoreMergeOrder(t *testing.T) {
+// TestEpochStoreTraffic pins the per-cycle store counts: a workload with
+// store traffic must produce identical store/interconnect accounting at the
+// auto window and per cycle. (Covered by the matrix too; this narrow test
+// fails more readably if the store queue regresses.)
+func TestEpochStoreTraffic(t *testing.T) {
 	k, err := workloads.Build("srad", workloads.Tiny())
 	if err != nil {
 		t.Fatal(err)

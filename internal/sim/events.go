@@ -16,11 +16,11 @@ package sim
 // the engine stamps on each request at injection (deterministic smID-order
 // pull) and the response inherits, so the pop sequence — ties included — is
 // a pure function of the response set, independent of how heap pushes
-// interleave with pops. That independence is what lets bounded-slack epochs
-// defer a whole epoch's pushes to one merge, and lets that merge push slots
-// in partition-major rather than global arrival order, without perturbing
-// any downstream statistic (see DESIGN.md "Bounded-slack ticking" and
-// "Epoch loop"). Responses pushed with seq 0 (white-box
+// interleave with pops. That independence is what lets the partitions of a
+// bounded-slack epoch push their responses as they tick, partition after
+// partition rather than in global arrival order, without perturbing any
+// downstream statistic (see DESIGN.md "Bounded-slack ticking" and "Epoch
+// loop"). Responses pushed with seq 0 (white-box
 // tests) tie-break exactly like the strict-less heap the seed engine used.
 type resp struct {
 	readyAt  int64

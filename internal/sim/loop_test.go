@@ -51,21 +51,24 @@ func TestMissInjectPerSM(t *testing.T) {
 	}
 }
 
+// TestDrainStoresCompactsInPlace pins the store queue's bookkeeping: (a)
+// sent batches are compacted out in place, so a queue that cycles through
+// its capacity many times never reallocates; (b) a batch the request
+// network's bandwidth cuts short keeps its remaining count at the head and
+// resumes the next cycle, ahead of every later batch, and every store is
+// sent exactly once.
 func TestDrainStoresCompactsInPlace(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	opt := Options{Config: tinyCfg()}.withDefaults()
 	e := newEngine(k, opt)
 
 	const depth = 64
-	// Stage stores through a shard egress and merge at once, as the cycle
-	// barrier does.
+	// Top the queue up with one-store batches, as the epoch merge appends
+	// them.
 	fill := func(c int64) {
-		out := &e.shards[0].out
-		for n := depth - len(e.stores); n > 0; n-- {
-			out.addStore(uint64(len(out.stores))*128, c)
+		for len(e.stores) < depth {
+			e.stores = append(e.stores, storeBatch{cycle: c, n: 1})
 		}
-		e.stores = append(e.stores, out.stores...)
-		out.stores = out.stores[:0]
 	}
 	fill(0)
 	capInit := cap(e.stores)
@@ -81,10 +84,36 @@ func TestDrainStoresCompactsInPlace(t *testing.T) {
 	if drained == 0 {
 		t.Fatal("no stores drained in 200 cycles")
 	}
-	// Compaction must reuse the backing array: the queue cycles through its
-	// capacity many times, yet never grows past the initial allocation.
 	if cap(e.stores) != capInit {
 		t.Errorf("store queue reallocated: cap %d -> %d", capInit, cap(e.stores))
+	}
+
+	e = newEngine(k, opt)
+	const big, later = 1000, 5
+	e.stores = append(e.stores, storeBatch{cycle: 0, n: big}, storeBatch{cycle: 1, n: later})
+	sent := func() int64 { return e.net.req.TotalBytes() / int64(opt.StoreBytes) }
+	cycles := 0
+	for c := e.horizon + 1; len(e.stores) > 0; c++ {
+		if c > e.horizon+big+later {
+			t.Fatalf("queue still holds %+v after %d cycles", e.stores, cycles)
+		}
+		e.net.tick(c)
+		e.drainStores(c)
+		cycles++
+		if len(e.stores) == 2 {
+			if got, want := int64(e.stores[0].n), big-sent(); got != want {
+				t.Fatalf("cycle %d: head batch holds %d stores, want %d unsent", c, got, want)
+			}
+			if e.stores[1].n != later {
+				t.Fatalf("cycle %d: the later batch was sent before the cut-short head finished", c)
+			}
+		}
+	}
+	if got := sent(); got != big+later {
+		t.Errorf("sent %d stores, want %d", got, big+later)
+	}
+	if cycles < 2 {
+		t.Error("the big batch drained in one cycle: no carry-over exercised")
 	}
 }
 

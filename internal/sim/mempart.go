@@ -20,14 +20,14 @@ type partFill struct {
 // partition so DRAM sees each line once.
 //
 // A partition is ticked once per epoch, like the SM shards: requests are
-// binned to the partition at injection time
-// (the engine pushes them onto the partition's ingress ring, stamped with
-// their arrival cycle and global arrival seq), the O(#partitions) route
-// prefix-sum hands each partition a zero-copy due view plus a contiguous
-// slot range, and tick performs the L2 lookups, in-flight merges and DRAM
-// timing, writing responses into its reserved slots. Partitions are
-// data-disjoint by the engine's line-address hash (partOf): no line ever
-// reaches two partitions, so the order partitions tick in changes nothing.
+// binned to the partition at injection time (the engine pushes them onto
+// the partition's ingress ring, stamped with their arrival cycle and global
+// arrival seq), the route phase hands each partition a zero-copy view of
+// its due requests, and tickSpan performs the L2 lookups, in-flight merges
+// and DRAM timing, pushing each response onto the engine's response heap.
+// Partitions are data-disjoint by the engine's line-address hash (partOf):
+// no line ever reaches two partitions, so the order partitions tick in
+// changes nothing.
 type memPartition struct {
 	id       int
 	l2       *cache.Cache
@@ -35,25 +35,18 @@ type memPartition struct {
 	latency  int64
 	inflight cache.LineTable[int64] // line -> data-ready cycle
 
-	// ms accumulates this partition's L2 and DRAM counters (an entry of the
-	// engine's stats.MemParts arena; totals are partition-count and
-	// merge-order invariant, see that package's property tests).
+	// ms is the counter block the L2 and DRAM outcomes are added to: the
+	// engine's one stats.Mem, shared by every partition.
 	ms *stats.Mem
 
 	// Per-epoch work, set by the engine (sub-cycle tags non-decreasing) and
 	// consumed by tickSpan. dueA/dueB are this epoch's due requests — a
 	// zero-copy view of the partition's ingress ring (two windows because the
-	// ring wraps at most once), assigned by planRoute together with slotBase,
-	// the first index of this partition's contiguous range in routed. dueN
-	// persists past tickSpan: mergeEpoch uses it to Drop the consumed ring
-	// prefix.
+	// ring wraps at most once), assigned by planRoute. dueN persists past
+	// tickSpan: mergeEpoch uses it to Drop the consumed ring prefix.
 	dueA, dueB []icnt.Stamped[reqMsg]
-	slotBase   int
 	dueN       int
 	completes  []partFill // lines whose responses shipped this epoch
-	// routed aliases the engine's per-epoch response slot array; tickSpan
-	// writes each due request's response at slotBase + its due-view index.
-	routed []resp
 
 	// minRespLat is the smallest (readyAt - arrival) latency this partition
 	// ever returned — the slack property test's observed floor.
@@ -85,12 +78,18 @@ func newMemPartition(id int, cfg config.GPU, ms *stats.Mem) *memPartition {
 // invisible: nothing between the two points reads L2 state, and a
 // sub-cycle's accesses cannot observe its completions in either schedule.
 // Both the due view and completes are tagged with non-decreasing sub-cycles,
-// so two index walks suffice. Each response is written at slotBase + its
-// due-view index and inherits the request's global arrival seq, so any
-// partition-major merge replays in exact serial order (see planRoute).
-func (m *memPartition) tickSpan(from, to int64) {
+// so two index walks suffice.
+//
+// Each response is pushed onto resps as soon as it is computed, carrying
+// its request's global arrival seq: the heap pops by (readyAt, seq), so the
+// partition-major push order is invisible (see respHeap). Returns the first
+// response ready within the span, or -1: provably none is, since every
+// response is ready no earlier than arrival + L2.Latency ≥ arrival + horizon
+// > to, and the engine turns any such cycle into a slack conflict.
+func (m *memPartition) tickSpan(from, to int64, resps *respHeap) int64 {
 	di, ci := 0, 0
 	a, na, n := m.dueA, len(m.dueA), m.dueN
+	early := int64(-1)
 	for c := from; c <= to; c++ {
 		for di < n {
 			var e *icnt.Stamped[reqMsg]
@@ -103,7 +102,10 @@ func (m *memPartition) tickSpan(from, to int64) {
 				break
 			}
 			readyAt := m.access(e.Msg.lineAddr, c)
-			m.routed[m.slotBase+di] = resp{readyAt: readyAt, seq: e.Msg.seq, sm: e.Msg.sm, lineAddr: e.Msg.lineAddr, part: m.id, prefetch: e.Msg.prefetch}
+			if readyAt <= to && early < 0 {
+				early = readyAt
+			}
+			resps.push(resp{readyAt: readyAt, seq: e.Msg.seq, sm: e.Msg.sm, lineAddr: e.Msg.lineAddr, part: m.id, prefetch: e.Msg.prefetch})
 			di++
 		}
 		for ci < len(m.completes) && m.completes[ci].cycle <= c {
@@ -113,25 +115,21 @@ func (m *memPartition) tickSpan(from, to int64) {
 	}
 	m.dueA, m.dueB = nil, nil
 	m.completes = m.completes[:0]
+	return early
 }
 
-// tick is the single-cycle span (kept for the white-box unit tests).
-func (m *memPartition) tick(cycle int64) { m.tickSpan(cycle, cycle) }
-
 // reset clears the partition for a new run on a recycled engine: the L2 is
-// invalidated in place, the DRAM banks and counters are zeroed, the
-// in-flight merge table is emptied (keeping its arrays), and the work bins
-// and L2 counters are cleared.
+// invalidated in place, the DRAM banks are closed, the in-flight merge table
+// is emptied (keeping its arrays), and the work bins are cleared. The
+// counters belong to the engine, which zeroes them itself.
 func (m *memPartition) reset() {
 	m.l2.InvalidateAll()
 	m.dramCtl.Reset()
 	m.inflight.Clear()
 	m.dueA, m.dueB = nil, nil
-	m.slotBase, m.dueN = 0, 0
+	m.dueN = 0
 	m.completes = m.completes[:0]
-	m.routed = nil
 	m.minRespLat = int64(1)<<62 - 1
-	m.ms.L2Hits, m.ms.L2Misses, m.ms.L2Merges = 0, 0, 0
 }
 
 // access services a fill request arriving at the partition at cycle and
@@ -180,9 +178,4 @@ func (m *memPartition) completeFill(lineAddr uint64, cycle int64) {
 	if _, ok := m.l2.Reserve(lineAddr, cache.ClassData, cycle, nil); ok {
 		m.l2.Fill(lineAddr, cycle)
 	}
-}
-
-// dramStats exposes the controller counters.
-func (m *memPartition) dramStats() (reads, rowHits, rowMisses int64) {
-	return m.dramCtl.Stats()
 }

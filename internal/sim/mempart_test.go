@@ -28,7 +28,7 @@ func TestMemPartitionRowHitFasterThanRowMiss(t *testing.T) {
 	if hitLat >= missLat {
 		t.Errorf("open-row access took %d cycles, not faster than the %d-cycle row miss", hitLat, missLat)
 	}
-	reads, rowHits, rowMisses := m.dramStats()
+	reads, rowHits, rowMisses := m.ms.DRAMReads, m.ms.DRAMRowHits, m.ms.DRAMRowMisses
 	if reads != 2 || rowHits != 1 || rowMisses != 1 {
 		t.Errorf("dram counters reads=%d rowHits=%d rowMisses=%d, want 2/1/1", reads, rowHits, rowMisses)
 	}
@@ -65,7 +65,7 @@ func TestMemPartitionPrechargePenalty(t *testing.T) {
 	if !sawPrecharge {
 		t.Errorf("no probe among %d distinct rows paid a precharge over the cold-miss latency %d", probes, coldLat)
 	}
-	if _, rowHits, rowMisses := m.dramStats(); rowHits != 0 || rowMisses != probes+1 {
+	if rowHits, rowMisses := m.ms.DRAMRowHits, m.ms.DRAMRowMisses; rowHits != 0 || rowMisses != probes+1 {
 		t.Errorf("rowHits=%d rowMisses=%d, want 0 and %d: distinct rows must all miss", rowHits, rowMisses, probes+1)
 	}
 }
@@ -82,7 +82,7 @@ func TestMemPartitionMergeWindowCloses(t *testing.T) {
 	if r2 <= r1 {
 		t.Errorf("post-window access ready at %d, not after the first fetch at %d", r2, r1)
 	}
-	if reads, _, _ := m.dramStats(); reads != 2 {
+	if reads := m.ms.DRAMReads; reads != 2 {
 		t.Errorf("dram reads = %d, want 2: the closed merge window must issue a new read", reads)
 	}
 }
@@ -232,10 +232,10 @@ func TestMemPartitionCountsL2Outcomes(t *testing.T) {
 // TestRouteAndTickMergesAcrossSMs drives the routed path white-box: two SMs
 // requesting the same line in the same cycle are binned onto one partition's
 // ingress ring at injection (pushReq, consecutive global arrival seqs),
-// planRoute hands the partition a due view with consecutive slots, the
-// partition's tick computes one miss plus one merge (both responses ready at
-// the same data cycle), and mergeEpoch publishes the slots onto the response
-// heap and drops the consumed ring prefix.
+// planRoute hands the partition a due view of both, the partition's tick
+// computes one miss plus one merge (both responses ready at the same data
+// cycle) and pushes both onto the response heap, and mergeEpoch drops the
+// consumed ring prefix.
 func TestRouteAndTickMergesAcrossSMs(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	e := newEngine(k, Options{Config: testCfg()}.withDefaults())
@@ -249,36 +249,32 @@ func TestRouteAndTickMergesAcrossSMs(t *testing.T) {
 	}
 
 	p := e.parts[e.partOf(line)]
-	if len(e.routed) != 2 || p.dueN != 2 {
-		t.Fatalf("routed %d slots, partition due %d, want 2/2", len(e.routed), p.dueN)
-	}
-	if p.slotBase != 0 {
-		t.Fatalf("slotBase = %d, want 0: the only active partition owns the whole range", p.slotBase)
-	}
-	if got := len(p.dueA) + len(p.dueB); got != 2 {
-		t.Fatalf("due view holds %d entries, want 2", got)
+	if got := len(p.dueA) + len(p.dueB); got != 2 || p.dueN != 2 {
+		t.Fatalf("due view holds %d entries, dueN=%d, want 2/2", got, p.dueN)
 	}
 	if p.dueA[0].Msg.seq >= p.dueA[1].Msg.seq {
 		t.Fatalf("arrival seqs %d,%d not increasing in injection order", p.dueA[0].Msg.seq, p.dueA[1].Msg.seq)
 	}
-	p.tick(10)
+	if at := p.tickSpan(10, 10, &e.resps); at >= 0 {
+		t.Fatalf("response ready at %d, inside the one-cycle span", at)
+	}
 	if p.ms.L2Misses != 1 || p.ms.L2Merges != 1 {
 		t.Errorf("misses=%d merges=%d, want 1 miss and 1 merge", p.ms.L2Misses, p.ms.L2Merges)
 	}
-	r0, r1 := e.routed[0], e.routed[1]
+	if len(e.resps) != 2 {
+		t.Fatalf("%d responses on the heap after the tick, want 2", len(e.resps))
+	}
+	r0, r1 := e.resps.pop(), e.resps.pop()
 	if r0.sm != 0 || r1.sm != 1 {
-		t.Errorf("slot SMs = %d,%d, want 0,1", r0.sm, r1.sm)
+		t.Errorf("response SMs = %d,%d, want 0,1", r0.sm, r1.sm)
 	}
 	if r0.seq >= r1.seq {
-		t.Errorf("slot seqs = %d,%d: responses must inherit increasing arrival seqs", r0.seq, r1.seq)
+		t.Errorf("response seqs = %d,%d: responses must inherit increasing arrival seqs", r0.seq, r1.seq)
 	}
 	if r0.readyAt != r1.readyAt {
 		t.Errorf("merged request ready at %d, fetch at %d: must share the in-flight data cycle", r1.readyAt, r0.readyAt)
 	}
 	e.mergeEpoch(10, 10)
-	if len(e.resps) != 2 || len(e.routed) != 0 {
-		t.Errorf("after merge: %d heap entries, %d routed slots, want 2 and 0", len(e.resps), len(e.routed))
-	}
 	if e.reqsLen != 0 || e.partReqs[p.id].Len() != 0 {
 		t.Errorf("after merge: reqsLen=%d ringLen=%d, want 0/0: the due prefix must be dropped", e.reqsLen, e.partReqs[p.id].Len())
 	}

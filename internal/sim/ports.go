@@ -1,20 +1,19 @@
 package sim
 
 // This file defines the typed, cycle-stamped messages that cross the
-// SM-shard / memory-side boundary, and the per-shard egress buffer they are
-// staged in. After the port refactor these messages are the ONLY way state
-// moves across the boundary:
+// SM-shard / memory-side boundary:
 //
 //	SM shard  --reqMsg-->   memory side   (fill requests, pulled from the
 //	                                       shard's request port in the
 //	                                       drain phase, in smID order)
-//	SM shard  --storeMsg--> memory side   (write-through stores, staged in
-//	                                       the shard's egress during its
-//	                                       tick, merged at the epoch merge
-//	                                       in (smID, seq) order)
 //	memory side --fillMsg--> SM shard     (line fills, pushed into the
 //	                                       shard's cycle-stamped ingress
 //	                                       queue, delivered when due)
+//
+// Nothing downstream reads a write-through store's address or SM, so stores
+// cross as a count: each shard's tick adds the stores it issued at each
+// sub-cycle into the engine's per-epoch count (engine.epochOut), and the
+// merge queues one (cycle, n) batch per sub-cycle for drainStores.
 //
 // Everything else an SM owns (warps, L1, MSHRs, prefetcher, statistics) is
 // shard-private, which is what lets a shard tick a whole epoch on its own;
@@ -32,9 +31,9 @@ type fillMsg struct {
 // carries the arrival cycle at the partition crossbar; seq is the request's
 // global arrival rank, assigned by the engine at injection time (strictly
 // increasing across all partitions). The computed response inherits seq, so
-// the epoch merge can push responses in any partition-major order and the
-// response heap still replays them in exact serial arrival order — which is
-// what lets routing bin requests per partition at injection instead of in a
+// partitions can push responses onto the heap in partition-major order and
+// the heap still replays them in exact serial arrival order — which is what
+// lets routing bin requests per partition at injection instead of in a
 // serial per-epoch walk.
 type reqMsg struct {
 	sm       int
@@ -43,32 +42,11 @@ type reqMsg struct {
 	prefetch bool
 }
 
-// storeMsg is one write-through store packet staged by a shard. cycle is the
-// sub-cycle it was issued at and seq the shard-local stamp assigned at issue;
-// the epoch merge orders the global store queue by (cycle, smID, seq), which
-// reproduces per-cycle barrier merging exactly. The engine may not send a
-// store before cycle + slack horizon: the visibility delay that makes the
+// storeBatch is the write-through stores issued at one cycle, across all
+// SMs, waiting to cross the request network. The engine may not send them
+// before cycle + slack horizon: the visibility delay that makes the
 // epoch-deferred merge invisible (see DESIGN.md "Bounded-slack ticking").
-type storeMsg struct {
-	sm    int
-	seq   int64
-	addr  uint64
+type storeBatch struct {
 	cycle int64
-}
-
-// egress buffers one shard's outbound messages for the epoch being ticked.
-// The shard appends during its tick span; the engine drains it at the epoch
-// merge and it must be empty before the next tick
-// span starts. Entries are naturally in (cycle, seq) order: sub-cycles run
-// forward and seq only grows.
-type egress struct {
-	sm     int
-	seq    int64 // monotonically increasing per-shard message stamp
-	stores []storeMsg
-}
-
-// addStore stages a write-through store packet issued at the given sub-cycle.
-func (e *egress) addStore(addr uint64, cycle int64) {
-	e.seq++
-	e.stores = append(e.stores, storeMsg{sm: e.sm, seq: e.seq, addr: addr, cycle: cycle})
+	n     int32
 }

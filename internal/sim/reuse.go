@@ -2,6 +2,7 @@ package sim
 
 import (
 	"snake/internal/prefetch"
+	"snake/internal/stats"
 	"snake/internal/trace"
 )
 
@@ -81,8 +82,7 @@ func (e *engine) reinit(k *trace.Kernel, opt Options, reusePf bool) {
 	e.reqsLen = 0
 	e.resps = e.resps[:0]
 	e.stores = e.stores[:0]
-	e.routed = e.routed[:0]
-	e.memStats.Reset()
+	e.mem = stats.Mem{}
 	e.ageCtr = 0
 	e.inflight = 0
 	e.inflightRel = e.inflightRel[:0]

@@ -6,16 +6,15 @@ import "snake/internal/icnt"
 // slices, L1, MSHRs, statistics) plus its attached prefetcher, together with
 // the typed ports that are its only connection to the memory side.
 //
-// Ownership protocol (what makes the epoch schedule independent of where
-// epochs are cut):
+// The engine's one goroutine ticks every shard in smID order:
 //
-//   - During the tick phase of an epoch, tickSpan touches only
-//     shard-private state, the inbox the drain phase filled, and the
-//     shard's egress buffer. It never reads another shard or writes
-//     memory-side state.
+//   - During the tick phase of an epoch, tickSpan touches the shard's own
+//     state, the inbox the drain phase filled, and the engine's per-epoch
+//     record (epochOut) it adds its stores, CTA finishes and last-cycle
+//     retirement to. It never reads another shard or memory-side state.
 //   - In the drain and merge phases the engine owns the whole shard: it
-//     delivers ingress messages, pulls from the request port, merges the
-//     egress, and may dispatch CTAs.
+//     delivers ingress messages, pulls from the request port, and may
+//     dispatch CTAs.
 type shard struct {
 	sm *sm
 
@@ -37,22 +36,6 @@ type shard struct {
 	// presents to the L1 (see tickSpan).
 	mqExpiry []int64
 
-	// out is the SM→memory egress port, appended to during tickSpan and
-	// merged by the engine at the epoch merge in (cycle, smID, seq) order.
-	out egress
-
-	// storeCnt is the counting-scatter scratch for the epoch store merge:
-	// tickSpan counts this shard's staged stores per sub-cycle (pass 1), the
-	// engine's prefix-sum rewrites the counts into destination
-	// offsets in place (pass 2), and scatterStores consumes them (pass 3).
-	// Only meaningful for epochs in which the shard staged stores; recycled
-	// across epochs and runs.
-	storeCnt []int32
-
-	// report is tickSpan's summary for the epoch merge: bit i of a set is
-	// sub-cycle from+i.
-	report tickReport
-
 	// predrained records that the engine's serial phase already ran this
 	// epoch's first-sub-cycle prefetch drain (after that sub-cycle's
 	// injection pull, matching the per-cycle drain-after-pull order), so
@@ -63,20 +46,11 @@ type shard struct {
 	predrained bool
 }
 
-// tickReport summarizes one shard tick span for the serial merge phase.
-// The bitsets are variable-width — one bit per epoch sub-cycle, sized by
-// tickSpan to the span it runs — so the horizon is bounded by the config
-// audit alone, not by a word size.
-type tickReport struct {
-	retired epochBits // sub-cycles at which an instruction retired
-	cta     epochBits // sub-cycles at which a CTA completed (slots freed)
-}
-
 func newShard(s *sm) *shard {
-	return &shard{sm: s, out: egress{sm: s.id}}
+	return &shard{sm: s}
 }
 
-// reset empties the shard's ports and report for a new run on a recycled
+// reset empties the shard's ports for a new run on a recycled
 // engine, keeping the ring and inbox backing arrays. The SM itself is reset
 // separately (sm.reset).
 func (sh *shard) reset() {
@@ -84,10 +58,6 @@ func (sh *shard) reset() {
 	sh.inbox = sh.inbox[:0]
 	sh.inboxStamp = sh.inboxStamp[:0]
 	sh.mqExpiry = sh.mqExpiry[:0]
-	sh.out.seq = 0
-	sh.out.stores = sh.out.stores[:0]
-	sh.report.retired.reset(0)
-	sh.report.cta.reset(0)
 	sh.predrained = false
 }
 
@@ -115,8 +85,10 @@ func (sh *shard) deliverDue(cycle int64) int {
 // time: apply the warp readiness due at that sub-cycle (sm.drainReady),
 // trickle staged prefetches, apply the fills delivered at that
 // sub-cycle, run the prefetcher's per-cycle hook, issue from the warp
-// schedulers, and classify the stall if nothing retired. All
-// cross-boundary output lands in sh.out and sh.report.
+// schedulers, and classify the stall if nothing retired. Everything the
+// epoch merge needs — stores per sub-cycle, CTA finishes, whether the last
+// sub-cycle retired anything — is added straight into out, which the engine
+// sized to the span.
 //
 // Phantom credit: the engine's serial phase already pulled the whole epoch's
 // injections from the miss queue, but at sub-cycle c some of those entries'
@@ -125,13 +97,9 @@ func (sh *shard) deliverDue(cycle int64) int {
 // still-queued entries — so every Full check (reservation fails, prefetch
 // drain) sees exactly the occupancy the virtual-residency model defines,
 // independent of epoch shape.
-func (sh *shard) tickSpan(from, to int64) {
+func (sh *shard) tickSpan(from, to int64, out *epochOut) {
 	s := sh.sm
-	exp := 0
-	words := int((to-from)>>6) + 1
-	sh.report.retired.reset(words)
-	sh.report.cta.reset(words)
-	fi := 0
+	exp, fi := 0, 0
 	for i, c := int64(0), from; c <= to; i, c = i+1, c+1 {
 		for exp < len(sh.mqExpiry) && sh.mqExpiry[exp] <= c {
 			exp++
@@ -154,51 +122,19 @@ func (sh *shard) tickSpan(from, to int64) {
 		if s.pf != nil {
 			s.pf.OnCycle(c, s.env)
 		}
-		res := s.issue(c, &sh.out)
-		if res.retired > 0 {
-			sh.report.retired.set(i)
-		} else {
+		res := s.issue(c, &out.stores[i])
+		if res.retired == 0 {
 			s.classifyStall(res.resFail)
+		} else if c == to {
+			out.retiredLast = true
 		}
 		if res.ctaFinished {
-			sh.report.cta.set(i)
+			out.cta.set(i)
 		}
 	}
 	s.l1.SetMissQueueClock(to, 0)
 	sh.inbox = sh.inbox[:0]
 	sh.inboxStamp = sh.inboxStamp[:0]
-	if len(sh.out.stores) > 0 {
-		// Pass 1 of the epoch store merge (engine.mergeStores): count this
-		// shard's stores per sub-cycle, here in the tick phase so the
-		// merge only prefix-sums per-shard counts. The stream is
-		// cycle-sorted (sub-cycles run forward), so indices are in range.
-		span := int(to-from) + 1
-		if cap(sh.storeCnt) < span {
-			sh.storeCnt = make([]int32, span)
-		} else {
-			sh.storeCnt = sh.storeCnt[:span]
-			clear(sh.storeCnt)
-		}
-		for i := range sh.out.stores {
-			sh.storeCnt[sh.out.stores[i].cycle-from]++
-		}
-	}
-}
-
-// scatterStores is pass 3 of the epoch store merge: write this shard's
-// staged stores into their reserved slots of dst (the engine's merge window)
-// and clear the egress. storeCnt holds the destination offset for each
-// sub-cycle's group after the engine's prefix-sum; consecutive stores of one
-// sub-cycle land at consecutive offsets, preserving seq order within the
-// group. Offsets of different shards are disjoint by construction.
-func (sh *shard) scatterStores(dst []storeMsg, from int64) {
-	for i := range sh.out.stores {
-		m := &sh.out.stores[i]
-		c := m.cycle - from
-		dst[sh.storeCnt[c]] = *m
-		sh.storeCnt[c]++
-	}
-	sh.out.stores = sh.out.stores[:0]
 }
 
 // --- request port (serial phase only) -----------------------------------

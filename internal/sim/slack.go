@@ -215,10 +215,9 @@ func (e *engine) actBound(start int64) int64 {
 
 // --- variable-width epoch reports ----------------------------------------
 
-// epochBits is a per-shard, per-epoch bitset with one bit per sub-cycle:
-// bit i covers sub-cycle from+i of the span. Backing words are recycled
-// across epochs (and across runs through shard.reset), so steady-state
-// epochs allocate nothing.
+// epochBits is a per-epoch bitset with one bit per sub-cycle: bit i covers
+// sub-cycle from+i of the span. Backing words are recycled across epochs
+// and runs, so steady-state epochs allocate nothing.
 type epochBits []uint64
 
 // reset resizes the bitset to cover words 64-bit words and clears it.
@@ -237,34 +236,3 @@ func (b *epochBits) reset(words int) {
 
 // set marks sub-cycle offset i.
 func (b epochBits) set(i int64) { b[i>>6] |= 1 << uint(i&63) }
-
-// test reports whether sub-cycle offset i is marked. Offsets past the
-// current width read as unset.
-func (b epochBits) test(i int64) bool {
-	w := int(i >> 6)
-	return w < len(b) && b[w]&(1<<uint(i&63)) != 0
-}
-
-// anySet reports whether any sub-cycle is marked.
-func (b epochBits) anySet() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// orInto ORs b's marked sub-cycles into dst (sized to the same span) and
-// reports whether b had any marked at all — the merge phase's accumulator
-// for CTA-completion bits across the shards.
-func (b epochBits) orInto(dst epochBits) bool {
-	any := false
-	for i, w := range b {
-		if w != 0 {
-			dst[i] |= w
-			any = true
-		}
-	}
-	return any
-}

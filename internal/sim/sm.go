@@ -307,10 +307,9 @@ type issueResult struct {
 	ctaFinished bool // a CTA completed this cycle (slots freed)
 }
 
-// issue runs all scheduler slices for one cycle. Outbound memory traffic is
-// staged into eg, the shard's egress port (never written to engine state
-// directly — the engine merges it at the epoch end).
-func (s *sm) issue(cycle int64, eg *egress) issueResult {
+// issue runs all scheduler slices for one cycle, adding each write-through
+// store it issues to *stores, the engine's store count for this cycle.
+func (s *sm) issue(cycle int64, stores *int32) issueResult {
 	var res issueResult
 	for si, sc := range s.scheds {
 		if s.schedDirty {
@@ -327,13 +326,13 @@ func (s *sm) issue(cycle int64, eg *egress) issueResult {
 		if pick < 0 {
 			continue
 		}
-		s.execute(slots[pick], cycle, eg, &res)
+		s.execute(slots[pick], cycle, stores, &res)
 	}
 	return res
 }
 
 // execute issues warp slot's next instruction.
-func (s *sm) execute(slot int, cycle int64, eg *egress, res *issueResult) {
+func (s *sm) execute(slot int, cycle int64, stores *int32, res *issueResult) {
 	w := &s.warps[slot]
 	in := &w.prog.Insts[w.pc]
 	switch in.Op {
@@ -345,7 +344,7 @@ func (s *sm) execute(slot int, cycle int64, eg *egress, res *issueResult) {
 		res.retired++
 
 	case trace.OpStore:
-		eg.addStore(in.Addr, cycle)
+		*stores++
 		w.busyUntil = cycle + 1
 		s.setReadyAt(slot, w.busyUntil, cycle)
 		w.pc++

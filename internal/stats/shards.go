@@ -1,16 +1,13 @@
 package stats
 
-// Shards is a set of per-shard Sim accumulators. The simulation engine gives
-// each SM shard its own accumulator so shards can count events concurrently
-// without sharing a cache line of logic (each shard writes only its own
-// entry), and merges them into one Sim at the end of the run.
+// Shards is a set of per-shard Sim accumulators, one per SM: each SM counts
+// into its own entry, which is what the engine reports as Result.PerSM, and
+// Total merges them into the run's Sim.
 //
 // Merge (and therefore Total) is insensitive to how events were partitioned
 // across shards: every counter is a sum and Cycles is a max, so merging any
 // shard partition of an event stream yields the same totals as accumulating
-// the stream serially. TestShardsMergePartitionInvariant pins this property;
-// it is what makes the engine's parallel results bit-identical to serial
-// ones at the statistics layer.
+// the stream serially. TestShardsMergePartitionInvariant pins this property.
 type Shards struct {
 	sims []Sim
 }

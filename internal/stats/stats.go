@@ -249,3 +249,18 @@ func (s *Sim) String() string {
 		s.Cycles, s.Insts, s.IPC(), 100*s.L1HitRate(), 100*s.ReservationFailRate(),
 		100*s.Coverage(), 100*s.Accuracy())
 }
+
+// Mem is the memory side's counter block: every L2 sub-partition and DRAM
+// controller of an engine adds its outcomes to the engine's one Mem, and
+// the run's Sim takes the totals from it.
+type Mem struct {
+	// L2 access outcomes at the partitions.
+	L2Hits   int64 // request hit in the L2 data array
+	L2Misses int64 // request went to DRAM
+	L2Merges int64 // same-line request coalesced onto an in-flight fetch
+
+	// DRAM controller traffic.
+	DRAMReads     int64
+	DRAMRowHits   int64
+	DRAMRowMisses int64
+}
