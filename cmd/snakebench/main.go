@@ -98,7 +98,6 @@ func newRunner(sms, warps, ctas, iters int) *harness.Runner {
 		cfg := r.Cfg
 		cfg.NumSM = sms
 		cfg.MaxWarpsPerSM = warps
-		cfg.ThreadsPerSM = warps * cfg.WarpSize
 		r.Cfg = cfg
 	}
 	sc := r.Scale

@@ -80,13 +80,19 @@ func TestEnginePoolMatchesFresh(t *testing.T) {
 }
 
 // TestEnginePoolMixedStream shares one pool between two goroutines running
-// a mixed stream: two machine configs, two kernels, tagged and untagged. An
+// a mixed stream: four machine configs, two kernels, tagged and untagged. An
 // engine checked out may have last run any of them, so runs rebuild,
 // reinitialize and swap prefetchers in every combination; every result must
-// still match a fresh engine's.
+// still match a fresh engine's. Two configs differ from Scaled(2, 16) only in
+// MLPPerWarp or FillsPerPartition, which the engine fixes at construction,
+// so an engine must never be reused across them.
 func TestEnginePoolMixedStream(t *testing.T) {
 	sc := workloads.Tiny()
 	st := workloads.NewStore()
+	mlp, fills := config.Scaled(2, 16), config.Scaled(2, 16)
+	mlp.MLPPerWarp = 1
+	fills.FillsPerPartition = 1
+	cfgs := []config.GPU{config.Scaled(2, 16), config.Scaled(4, 32), mlp, fills}
 	type run struct {
 		k    *trace.Kernel
 		opt  sim.Options
@@ -99,8 +105,9 @@ func TestEnginePoolMixedStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []config.GPU{config.Scaled(2, 16), config.Scaled(4, 32)} {
-			for _, mech := range []string{"baseline", "snake", "isolated-snake", "mta+decoupled"} {
+		var first []*sim.Result // Scaled(2, 16)'s results, per mechanism
+		for ci, cfg := range cfgs {
+			for mi, mech := range []string{"baseline", "snake", "isolated-snake", "mta+decoupled"} {
 				f, err := Mechanism(mech)
 				if err != nil {
 					t.Fatal(err)
@@ -109,6 +116,11 @@ func TestEnginePoolMixedStream(t *testing.T) {
 				want, err := sim.Run(k, opt)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if ci == 0 {
+					first = append(first, want)
+				} else if ci >= 2 && reflect.DeepEqual(want.Stats, first[mi].Stats) {
+					t.Fatalf("%s/%s: config %d runs like Scaled(2, 16), so a wrong reuse would not show", bench, mech, ci)
 				}
 				for _, tag := range []string{mech, ""} {
 					runs = append(runs, run{k, opt, tag, want})

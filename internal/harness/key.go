@@ -13,7 +13,7 @@ import (
 
 // runKeyVersion salts the hash so a change to the key schema (or to the
 // meaning of any field) invalidates previously cached results.
-const runKeyVersion = "snake-runkey-v1"
+const runKeyVersion = "snake-runkey-v2"
 
 // RunKey identifies one simulation for memoization and result caching: the
 // same key always denotes the same deterministic simulation, so a result

@@ -94,7 +94,7 @@ func TestMemPartitionMergeWindowCloses(t *testing.T) {
 // FIFO-equals-cycle-order property the epoch loop relies on.
 func TestDrainResponsesDeliveryOrdering(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	e := newEngine(k, Options{Config: tinyCfg()}.withDefaults())
+	e := newEngine(k, Options{Config: tinyCfg()})
 
 	lineSz := uint64(e.cfg.Unified.LineSize)
 	push := func(ready int64, sm int, line uint64) {
@@ -162,7 +162,7 @@ func TestDrainResponsesDeliveryOrdering(t *testing.T) {
 // several cycles rather than booking the whole burst in one.
 func TestDrainResponsesSerializesBandwidth(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	e := newEngine(k, Options{Config: tinyCfg()}.withDefaults())
+	e := newEngine(k, Options{Config: tinyCfg()})
 
 	lineSz := e.cfg.Unified.LineSize
 	const burst = 40
@@ -238,7 +238,7 @@ func TestMemPartitionCountsL2Outcomes(t *testing.T) {
 // consumed ring prefix.
 func TestRouteAndTickMergesAcrossSMs(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	e := newEngine(k, Options{Config: testCfg()}.withDefaults())
+	e := newEngine(k, Options{Config: testCfg()})
 
 	line := uint64(0x10000)
 	e.pushReq(10, reqMsg{sm: 0, lineAddr: line})

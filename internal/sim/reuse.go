@@ -51,7 +51,6 @@ func (en *Engine) RunTagged(k *trace.Kernel, opt Options, tag string) (*Result, 
 	if err := validateRun(k, opt); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
 	if en.e != nil && en.e.cfg == opt.Config {
 		en.e.reinit(k, opt, tag != "" && tag == en.tag)
 	} else {
@@ -70,7 +69,7 @@ func (en *Engine) RunTagged(k *trace.Kernel, opt Options, tag string) (*Result, 
 // instances and reset them; otherwise new instances come from
 // opt.NewPrefetcher and each L1's storage organization is re-derived.
 func (e *engine) reinit(k *trace.Kernel, opt Options, reusePf bool) {
-	e.opt = opt
+	e.setOptions(opt)
 	e.cycle = 0
 	e.net.reset()
 	for _, p := range e.parts {
@@ -97,7 +96,7 @@ func (e *engine) reinit(k *trace.Kernel, opt Options, reusePf bool) {
 		if !reusePf && opt.NewPrefetcher != nil {
 			pf = opt.NewPrefetcher(i)
 		}
-		sh.sm.reset(pf, opt.MLPPerWarp, reusePf)
+		sh.sm.reset(pf, reusePf)
 		sh.reset()
 	}
 	e.load(k)

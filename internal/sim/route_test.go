@@ -23,7 +23,7 @@ func TestRoutePlanReplaysSerialArrivalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	for trial := 0; trial < 50; trial++ {
-		e := newEngine(k, Options{Config: testCfg()}.withDefaults())
+		e := newEngine(k, Options{Config: testCfg()})
 		n := 1 + rng.Intn(200)
 		start := int64(100)
 		end := start + int64(rng.Intn(32))

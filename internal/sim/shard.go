@@ -65,7 +65,7 @@ func (sh *shard) reset() {
 // stamp order (stamping each entry with cycle — deliveries always land
 // exactly on time, the engine never overshoots a delivery), and returns how
 // many it moved. Serial phase only: the engine uses the count to release
-// MaxInflightFills capacity before it arbitrates this sub-cycle's request
+// fill-cap capacity before it arbitrates this sub-cycle's request
 // injection, exactly when the serial engine's delivery events released it.
 func (sh *shard) deliverDue(cycle int64) int {
 	n := 0

@@ -121,7 +121,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 	}
 	// The epoch cutter clamps every epoch to MaxCycles, so the loop stops on
 	// exactly that cycle, never past it.
-	e := newEngine(k, opt.withDefaults())
+	e := newEngine(k, opt)
 	if err := e.run(); err == nil {
 		t.Fatal("white-box run: expected MaxCycles error")
 	}

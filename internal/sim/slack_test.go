@@ -155,7 +155,7 @@ func TestSlackConflictFailsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Config: testCfg()}.withDefaults()
+	opt := Options{Config: testCfg()}
 	e := newEngine(k, opt)
 	e.horizon = 1
 	err = e.run()

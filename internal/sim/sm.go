@@ -116,7 +116,6 @@ type sm struct {
 	readyAt  []int64
 	env      prefetch.Env
 	kernel   *trace.Kernel // set by the engine before the run
-	mlp      int           // per-warp MLP window (outstanding loads before blocking)
 	observer prefetch.OutcomeObserver
 
 	// nowCycle is the sub-cycle the owning shard's tickSpan is currently
@@ -140,7 +139,7 @@ func outcomeOf(oc cache.PrefetchOutcome) prefetch.Outcome {
 	}
 }
 
-func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp int) *sm {
+func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim) *sm {
 	geom := cfg.Unified
 	geom.SizeBytes = cfg.DataCacheBytes()
 	l1opt := cache.L1Options{
@@ -160,7 +159,6 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 		wheel:   make([]uint64, readyWheelSpan*wheelW),
 		wheelW:  wheelW,
 		over:    make([]uint64, wheelW),
-		mlp:     mlp,
 	}
 	if pf != nil {
 		s.oracle = prefetch.WantsOracle(pf)
@@ -199,7 +197,7 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim, mlp in
 // the L1's storage organization is re-derived from the new prefetcher. The
 // per-run statistics accumulator is reset by the engine (stats.Shards.Reset),
 // not here — s.st keeps pointing into it.
-func (s *sm) reset(pf prefetch.Prefetcher, mlp int, reusePf bool) {
+func (s *sm) reset(pf prefetch.Prefetcher, reusePf bool) {
 	for i := range s.warps {
 		w := &s.warps[i]
 		*w = warpCtx{futPCs: w.futPCs[:0], futAddrs: w.futAddrs[:0]}
@@ -218,7 +216,6 @@ func (s *sm) reset(pf prefetch.Prefetcher, mlp int, reusePf bool) {
 	s.nWaitMem = 0
 	s.nBarrier = 0
 	s.kernel = nil
-	s.mlp = mlp
 	s.nowCycle = 0
 	if reusePf {
 		if s.pf != nil {
@@ -409,7 +406,7 @@ func (s *sm) execute(slot int, cycle int64, stores *int32, res *issueResult) {
 			// Miss or merged: the load is in flight. The warp keeps issuing
 			// until its MLP window fills, then blocks until a fill drains it.
 			w.outstanding++
-			if w.outstanding >= s.mlp {
+			if w.outstanding >= s.cfg.MLPPerWarp {
 				w.state = wsWaitMem
 				s.setReadyAt(slot, neverReady, cycle)
 				s.nReady--
@@ -532,7 +529,7 @@ func (s *sm) wake(slots []int, cycle int64) {
 		if w.outstanding > 0 {
 			w.outstanding--
 		}
-		if w.state == wsWaitMem && w.outstanding < s.mlp {
+		if w.state == wsWaitMem && w.outstanding < s.cfg.MLPPerWarp {
 			w.state = wsReady
 			s.nWaitMem--
 			s.nReady++
