@@ -95,6 +95,16 @@ func (s Scale) Validate() error {
 	return nil
 }
 
+// FitsSM checks that one CTA of the scale fits in an SM with warpSlots warp
+// slots (config.GPU.MaxWarpsPerSM): CTA residency is bounded by warp slots
+// alone, so a larger CTA could never be placed.
+func (s Scale) FitsSM(warpSlots int) error {
+	if w := s.withDefaults().WarpsPerCTA; w > warpSlots {
+		return fmt.Errorf("scale: a CTA of %d warps does not fit in %d warp slots per SM", w, warpSlots)
+	}
+	return nil
+}
+
 // Builder constructs a kernel at the given scale.
 type Builder func(Scale) *trace.Kernel
 
