@@ -104,7 +104,7 @@ func BenchmarkTable3HardwareCost(b *testing.B) {
 
 // benchVariant runs lps under a custom Snake configuration and reports the
 // speedup over baseline.
-func benchVariant(b *testing.B, key string, cfg core.Config) {
+func benchVariant(b *testing.B, cfg core.Config) {
 	b.Helper()
 	r := sharedRunner()
 	for i := 0; i < b.N; i++ {
@@ -112,7 +112,7 @@ func benchVariant(b *testing.B, key string, cfg core.Config) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := r.SnakeVariant("lps", key, cfg)
+		st, err := r.SnakeVariant("lps", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,25 +124,25 @@ func benchVariant(b *testing.B, key string, cfg core.Config) {
 func BenchmarkAblationDecoupling(b *testing.B) {
 	cfg := core.Defaults()
 	cfg.DisableDecoupling = true
-	benchVariant(b, "abl-nodecouple", cfg)
+	benchVariant(b, cfg)
 }
 
 func BenchmarkAblationThrottle(b *testing.B) {
 	cfg := core.Defaults()
 	cfg.DisableThrottle = true
-	benchVariant(b, "abl-nothrottle", cfg)
+	benchVariant(b, cfg)
 }
 
 func BenchmarkAblationChainDepth1(b *testing.B) {
 	cfg := core.Defaults()
 	cfg.ChainDepth = 1
-	benchVariant(b, "abl-depth1", cfg)
+	benchVariant(b, cfg)
 }
 
 func BenchmarkAblationChainDepth8(b *testing.B) {
 	cfg := core.Defaults()
 	cfg.ChainDepth = 8
-	benchVariant(b, "abl-depth8", cfg)
+	benchVariant(b, cfg)
 }
 
 // BenchmarkAblationHeadColumns measures the §3.1 doubled Head-table columns
@@ -151,7 +151,7 @@ func BenchmarkAblationChainDepth8(b *testing.B) {
 func BenchmarkAblationHeadColumns(b *testing.B) {
 	cfg := core.Defaults()
 	cfg.HeadSlotsPerRow = 1
-	benchVariant(b, "abl-singlehead", cfg)
+	benchVariant(b, cfg)
 }
 
 // throughputCase is one row of BenchmarkSimulatorThroughput. Kernel rows

@@ -29,10 +29,7 @@ func main() {
 		exp        = flag.String("exp", "", "comma-separated experiment IDs (fig3..fig25, table1..table3)")
 		all        = flag.Bool("all", false, "run every experiment")
 		list       = flag.Bool("list", false, "list experiment IDs")
-		sms        = flag.Int("sms", 4, "number of SMs")
-		warps      = flag.Int("warps", 64, "warp slots per SM")
-		ctas       = flag.Int("ctas", 0, "CTA count (0: default scale)")
-		iters      = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
+		shape      = harness.ShapeFlags(flag.CommandLine)
 		format     = flag.String("format", "text", "output format: text, csv, json")
 		phases     = flag.Bool("phases", false, "report the engine's per-phase wall clock")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -45,6 +42,11 @@ func main() {
 		return
 	}
 
+	gpu, scale, err := shape()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "snakebench:", err)
+		os.Exit(2)
+	}
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snakebench:", err)
@@ -68,7 +70,8 @@ func main() {
 		ids = strings.Split(*exp, ",")
 	}
 
-	r := newRunner(*sms, *warps, *ctas, *iters)
+	r := harness.NewRunner()
+	r.Cfg, r.Scale = gpu, scale
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		e, ok := harness.Experiments[id]
@@ -86,27 +89,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "snakebench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		if *format == "text" {
-			fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
-		}
+		// Wall time goes to stderr: it is not a result.
+		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, time.Since(start).Seconds())
 	}
-}
-
-func newRunner(sms, warps, ctas, iters int) *harness.Runner {
-	r := harness.NewRunner()
-	if sms > 0 && warps > 0 {
-		cfg := r.Cfg
-		cfg.NumSM = sms
-		cfg.MaxWarpsPerSM = warps
-		r.Cfg = cfg
-	}
-	sc := r.Scale
-	if ctas > 0 {
-		sc.CTAs = ctas
-	}
-	if iters > 0 {
-		sc.Iters = iters
-	}
-	r.Scale = sc
-	return r
 }

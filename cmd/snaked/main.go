@@ -40,19 +40,15 @@ import (
 	"syscall"
 	"time"
 
-	"snake/internal/config"
+	"snake/internal/harness"
 	"snake/internal/service"
-	"snake/internal/workloads"
 )
 
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
 		workers = flag.Int("workers", 0, "concurrent job limit (default: GOMAXPROCS; CPU use is bounded by the shared budget, not this)")
-		numSM   = flag.Int("sms", 4, "simulated SMs in the default GPU config")
-		warps   = flag.Int("warps", 64, "warps per SM in the default GPU config")
-		ctas    = flag.Int("ctas", 0, "default workload scale: CTAs (0: paper default)")
-		iters   = flag.Int("iters", 0, "default workload scale: loop iterations (0: paper default)")
+		shape   = harness.ShapeFlags(flag.CommandLine) // the default GPU and scale
 		drain   = flag.Duration("draintimeout", 2*time.Minute, "graceful shutdown drain budget")
 		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; profiles reveal operational detail, enable only on trusted networks)")
 
@@ -78,24 +74,11 @@ func main() {
 		fatal(errors.New("-peers requires -self (this node's advertised URL, as the peers spell it)"))
 	}
 
-	gpu := config.Scaled(*numSM, *warps)
-	scale := workloads.DefaultScale()
-	if *ctas > 0 {
-		scale.CTAs = *ctas
-	}
-	if *iters > 0 {
-		scale.Iters = *iters
-	}
 	// A default the service could not run would fail every job that does
 	// not override it, so refuse to start instead.
-	if err := gpu.Validate(); err != nil {
-		fatal(fmt.Errorf("-sms/-warps: %w", err))
-	}
-	if err := scale.Validate(); err != nil {
-		fatal(fmt.Errorf("-ctas/-iters: %w", err))
-	}
-	if err := scale.FitsSM(gpu.MaxWarpsPerSM); err != nil {
-		fatal(fmt.Errorf("-warps: %w", err))
+	gpu, scale, err := shape()
+	if err != nil {
+		fatal(err)
 	}
 
 	svc := service.New(service.Options{

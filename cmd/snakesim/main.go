@@ -23,11 +23,7 @@ func main() {
 	var (
 		bench      = flag.String("bench", "lps", "benchmark name (see -list)")
 		pf         = flag.String("pf", "baseline", "prefetching mechanism (see -list)")
-		sms        = flag.Int("sms", 4, "number of SMs")
-		warps      = flag.Int("warps", 64, "warp slots per SM")
-		ctas       = flag.Int("ctas", 0, "CTA count (0: default scale)")
-		wpc        = flag.Int("wpc", 0, "warps per CTA (0: default scale)")
-		iters      = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
+		shape      = harness.ShapeFlags(flag.CommandLine)
 		list       = flag.Bool("list", false, "list benchmarks and mechanisms")
 		slackaudit = flag.Bool("slackaudit", false, "print the config's slack-bound derivation and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -47,12 +43,15 @@ func main() {
 		return
 	}
 
+	gpu, sc, err := shape()
+	if err != nil {
+		fatal(err)
+	}
 	if *slackaudit {
-		printSlackAudit(config.Scaled(*sms, *warps))
+		printSlackAudit(gpu)
 		return
 	}
 
-	sc := workloads.Scale{CTAs: *ctas, WarpsPerCTA: *wpc, Iters: *iters}
 	factory, err := harness.Mechanism(*pf)
 	if err != nil {
 		fatal(err)
@@ -62,7 +61,7 @@ func main() {
 		fatal(err)
 	}
 	res, err := sim.Run(k, sim.Options{
-		Config:        config.Scaled(*sms, *warps),
+		Config:        gpu,
 		NewPrefetcher: factory,
 	})
 	if err != nil {

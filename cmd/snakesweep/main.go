@@ -23,18 +23,38 @@ import (
 	"snake/internal/workloads"
 )
 
-// knobs maps sweepable parameter names to setters.
-var knobs = map[string]func(*core.Config, int){
-	"chaindepth":     func(c *core.Config, v int) { c.ChainDepth = v },
-	"tailentries":    func(c *core.Config, v int) { c.TailEntries = v },
-	"headrows":       func(c *core.Config, v int) { c.HeadRows = v },
-	"headslots":      func(c *core.Config, v int) { c.HeadSlotsPerRow = v },
-	"promotewarps":   func(c *core.Config, v int) { c.PromoteWarps = v },
-	"intradegree":    func(c *core.Config, v int) { c.IntraDegree = v },
-	"interwarpdeg":   func(c *core.Config, v int) { c.InterWarpDegree = v },
-	"throttlecycles": func(c *core.Config, v int) { c.ThrottleCycles = v },
-	"bulkwarps":      func(c *core.Config, v int) { c.BulkPromotionWarps = v },
-	"maxrequests":    func(c *core.Config, v int) { c.MaxRequestsPerAccess = v },
+// knob is one sweepable Snake parameter: its setter and the values the
+// canonical config keeps as set.
+type knob struct {
+	set      func(*core.Config, int)
+	min, max int
+}
+
+// knobs maps sweepable parameter names to knobs.
+var knobs = map[string]knob{
+	"chaindepth":     {func(c *core.Config, v int) { c.ChainDepth = v }, 1, core.LimitChainDepth},
+	"tailentries":    {func(c *core.Config, v int) { c.TailEntries = v }, 1, core.LimitTailEntries},
+	"headrows":       {func(c *core.Config, v int) { c.HeadRows = v }, 1, core.LimitHeadRows},
+	"headslots":      {func(c *core.Config, v int) { c.HeadSlotsPerRow = v }, 1, core.LimitHeadSlotsPerRow},
+	"promotewarps":   {func(c *core.Config, v int) { c.PromoteWarps = v }, 1, core.LimitPromoteWarps},
+	"intradegree":    {func(c *core.Config, v int) { c.IntraDegree = v }, 1, core.LimitDegree},
+	"interwarpdeg":   {func(c *core.Config, v int) { c.InterWarpDegree = v }, 0, core.LimitDegree},
+	"throttlecycles": {func(c *core.Config, v int) { c.ThrottleCycles = v }, 1, core.LimitThrottleCycles},
+	"bulkwarps":      {func(c *core.Config, v int) { c.BulkPromotionWarps = v }, 0, core.LimitBulkPromotionWarps},
+	"maxrequests":    {func(c *core.Config, v int) { c.MaxRequestsPerAccess = v }, 1, core.LimitMaxRequestsPerAccess},
+}
+
+// config returns the default Snake config with the knob set to v. A value
+// core.Config.Validate rejects, or one the canonical config replaces with
+// its default, is an error: its row would be labelled v but run another
+// value.
+func (k knob) config(name string, v int) (core.Config, error) {
+	cfg := core.Defaults()
+	k.set(&cfg, v)
+	if cfg.Validate() != nil || cfg.WithDefaults() != cfg {
+		return cfg, fmt.Errorf("knob %s: value %d outside its valid range [%d, %d]", name, v, k.min, k.max)
+	}
+	return cfg, nil
 }
 
 // knobNames returns all sweepable knob names, sorted.
@@ -68,17 +88,22 @@ func main() {
 		fatal(err)
 	}
 	defer stopProf()
-	set, ok := knobs[*knob]
+	k, ok := knobs[*knob]
 	if !ok {
 		fatal(fmt.Errorf("unknown knob %q (see -listknobs)", *knob))
 	}
 	var vals []int
+	var cfgs []core.Config
 	for _, s := range strings.Split(*values, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
 			fatal(fmt.Errorf("bad value %q: %w", s, err))
 		}
-		vals = append(vals, v)
+		cfg, err := k.config(*knob, v)
+		if err != nil {
+			fatal(err)
+		}
+		vals, cfgs = append(vals, v), append(cfgs, cfg)
 	}
 	benches := workloads.Names()
 	if *bench != "" {
@@ -91,16 +116,14 @@ func main() {
 		Title:   fmt.Sprintf("Snake sensitivity to %s (means over %d benchmarks)", *knob, len(benches)),
 		Columns: []string{*knob, "ipc-vs-base", "coverage", "accuracy"},
 	}
-	for _, v := range vals {
-		cfg := core.Defaults()
-		set(&cfg, v)
+	for i, v := range vals {
 		var ipc, cov, acc float64
 		for _, b := range benches {
 			base, err := r.Run(b, "baseline")
 			if err != nil {
 				fatal(err)
 			}
-			st, err := r.SnakeVariant(b, fmt.Sprintf("sweep-%s-%d", *knob, v), cfg)
+			st, err := r.SnakeVariant(b, cfgs[i])
 			if err != nil {
 				fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"snake/internal/core"
@@ -15,9 +16,9 @@ import (
 func TestEveryKnobMutatesConfig(t *testing.T) {
 	base := core.Defaults()
 	seen := make(map[string]string) // fingerprint -> knob that produced it
-	for name, set := range knobs {
+	for name, k := range knobs {
 		cfg := core.Defaults()
-		set(&cfg, 7777)
+		k.set(&cfg, 7777)
 		if reflect.DeepEqual(cfg, base) {
 			t.Errorf("knob %q does not mutate core.Config", name)
 			continue
@@ -25,7 +26,7 @@ func TestEveryKnobMutatesConfig(t *testing.T) {
 		// Setting a second value must change the config again, so the knob
 		// really forwards its argument.
 		cfg2 := core.Defaults()
-		set(&cfg2, 8888)
+		k.set(&cfg2, 8888)
 		if reflect.DeepEqual(cfg, cfg2) {
 			t.Errorf("knob %q ignores its value", name)
 		}
@@ -35,6 +36,44 @@ func TestEveryKnobMutatesConfig(t *testing.T) {
 			t.Errorf("knobs %q and %q mutate the same field", name, prev)
 		}
 		seen[fp] = name
+	}
+}
+
+// TestKnobRanges: a knob accepts exactly the values of its range, and each
+// accepted value is the one the config runs. Around both ends of every
+// range, a value is accepted iff core.Config.Validate accepts it and the
+// canonical config keeps it; a rejected value names the knob and the range.
+// chaindepth 0 and -1 are rejected (they ran the default depth 2 under
+// their own labels), and interwarpdeg 0 is a real setting.
+func TestKnobRanges(t *testing.T) {
+	for name, k := range knobs {
+		if k.min > k.max {
+			t.Errorf("knob %s: empty range [%d, %d]", name, k.min, k.max)
+		}
+		for _, v := range []int{-2, -1, 0, 1, 2, k.min - 1, k.min, k.max, k.max + 1} {
+			cfg, err := k.config(name, v)
+			want := core.Defaults()
+			k.set(&want, v)
+			valid := want.Validate() == nil && want.WithDefaults() == want
+			inRange := v >= k.min && v <= k.max
+			switch {
+			case valid != inRange:
+				t.Errorf("knob %s: value %d in range %v, but valid %v", name, v, inRange, valid)
+			case inRange && (err != nil || cfg != want):
+				t.Errorf("knob %s: value %d: config %+v, %v; want %+v", name, v, cfg, err, want)
+			case !inRange && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("knob %s: value %d outside its valid range [%d, %d]", name, v, k.min, k.max))):
+				t.Errorf("knob %s: value %d: error %v, want one naming the knob and its range", name, v, err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		knob string
+		v    int
+		ok   bool
+	}{{"chaindepth", 0, false}, {"chaindepth", -1, false}, {"interwarpdeg", 0, true}} {
+		if _, err := knobs[c.knob].config(c.knob, c.v); (err == nil) != c.ok {
+			t.Errorf("knob %s value %d: error %v, want accepted %v", c.knob, c.v, err, c.ok)
+		}
 	}
 }
 
@@ -64,10 +103,10 @@ func TestKnobsCoverIntConfigFields(t *testing.T) {
 		"ThrottleCycles": false, // swept
 	}
 	covered := make(map[string]bool)
-	for _, set := range knobs {
+	for _, k := range knobs {
 		base := core.Defaults()
 		cfg := base
-		set(&cfg, 31337)
+		k.set(&cfg, 31337)
 		bv := reflect.ValueOf(base)
 		cv := reflect.ValueOf(cfg)
 		for i := 0; i < bv.NumField(); i++ {

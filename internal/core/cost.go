@@ -43,7 +43,7 @@ const (
 // = 32+32+32+2+64+32+2+32 = 228 bits, padded to 32 bytes (Table 3) to cover
 // the training scratch registers.
 func CostOf(cfg Config) Cost {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	headBits := pcBits + cfg.HeadSlotsPerRow*(warpIDBits+addrBits)
 	tailBits := 2*pcBits + 3*strideBits + 2*trainBits + warpVecBits
 	return Cost{

@@ -79,7 +79,11 @@ func Defaults() Config {
 	}
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration New builds: each count that is zero
+// or negative (InterWarpDegree: negative) and each zero bandwidth threshold
+// takes the paper's value. It is the canonical form of a configuration, so
+// two configurations that build the same prefetcher compare equal after it.
+func (c Config) WithDefaults() Config {
 	d := Defaults()
 	if c.TailEntries <= 0 {
 		c.TailEntries = d.TailEntries
@@ -159,7 +163,7 @@ const (
 // counts take the paper's defaults first): every table size, degree and
 // interval within its limit, and the bandwidth thresholds in [0, 1].
 func (c Config) Validate() error {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	for _, f := range []struct {
 		name          string
 		val, min, max int
@@ -219,7 +223,7 @@ var _ prefetch.StorageHint = (*Snake)(nil)
 
 // New builds a Snake prefetcher with the given configuration.
 func New(cfg Config) *Snake {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return &Snake{
 		cfg:      cfg,
 		name:     "snake",

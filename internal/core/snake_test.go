@@ -352,9 +352,9 @@ func TestDefaultsValidation(t *testing.T) {
 		t.Errorf("paper defaults drifted: %+v", d)
 	}
 	// Zero config inherits defaults.
-	z := Config{}.withDefaults()
+	z := Config{}.WithDefaults()
 	if z.TailEntries != d.TailEntries || z.BWHalt != d.BWHalt {
-		t.Errorf("withDefaults incomplete: %+v", z)
+		t.Errorf("WithDefaults incomplete: %+v", z)
 	}
 }
 

@@ -277,8 +277,8 @@ func (r *Runner) tailSweep(id, title string, lru bool, note string) (*Table, err
 	}
 	t := &Table{ID: id, Title: title, Columns: cols, Note: note}
 	type cell struct {
-		b, key string
-		cfg    core.Config
+		b   string
+		cfg core.Config
 	}
 	var cells []cell
 	for _, b := range benchList() {
@@ -286,7 +286,7 @@ func (r *Runner) tailSweep(id, title string, lru bool, note string) (*Table, err
 			cfg := core.Defaults()
 			cfg.TailEntries = n
 			cfg.EvictPopcountOnly = !lru
-			cells = append(cells, cell{b, fmt.Sprintf("%s-e%d-lru%v", id, n, lru), cfg})
+			cells = append(cells, cell{b, cfg})
 		}
 	}
 	// Prefill concurrently.
@@ -294,7 +294,7 @@ func (r *Runner) tailSweep(id, title string, lru bool, note string) (*Table, err
 	done := make(chan struct{}, len(cells))
 	for _, c := range cells {
 		go func(c cell) {
-			_, err := r.SnakeVariant(c.b, c.key, c.cfg)
+			_, err := r.SnakeVariant(c.b, c.cfg)
 			if err != nil {
 				errs <- err
 			}
@@ -315,7 +315,7 @@ func (r *Runner) tailSweep(id, title string, lru bool, note string) (*Table, err
 			cfg := core.Defaults()
 			cfg.TailEntries = n
 			cfg.EvictPopcountOnly = !lru
-			st, err := r.SnakeVariant(b, fmt.Sprintf("%s-e%d-lru%v", id, n, lru), cfg)
+			st, err := r.SnakeVariant(b, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -354,7 +354,7 @@ func Fig23(r *Runner) (*Table, error) {
 		cfg.ThrottleCycles = iv
 		var acc, cov float64
 		for _, b := range benchList() {
-			st, err := r.SnakeVariant(b, fmt.Sprintf("fig23-%d", iv), cfg)
+			st, err := r.SnakeVariant(b, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -519,7 +519,7 @@ func ExtSchedulerHead(r *Runner) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := r.SnakeVariant(b, "ext-singlehead", single)
+		st, err := r.SnakeVariant(b, single)
 		if err != nil {
 			return nil, err
 		}

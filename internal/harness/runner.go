@@ -24,6 +24,8 @@ import (
 // failed runs are never cached, so callers can retry transient failures such
 // as context cancellation.
 type Runner struct {
+	// Cfg and Scale shape the memoized runs (Key); the snaked service holds
+	// a runner whose Cfg and Scale are its defaults.
 	Cfg   config.GPU
 	Scale workloads.Scale
 	// Budget bounds this runner's CPU use — one slot per running
@@ -85,32 +87,27 @@ func (r *Runner) Run(bench, mech string) (*stats.Sim, error) {
 // loop (if this caller started it) or just this caller's wait (if another
 // caller is already running the same key).
 func (r *Runner) RunCtx(ctx context.Context, bench, mech string) (*stats.Sim, error) {
-	return r.RunWithCtx(ctx, bench, mech, nil)
+	return r.run(ctx, r.Key(bench, mech), nil)
 }
 
-// RunWith is RunWithCtx without cancellation; mech must uniquely identify
-// the factory's configuration for memoization. A nil factory resolves mech
-// from the registry.
-func (r *Runner) RunWith(bench, mech string, factory Factory) (*stats.Sim, error) {
-	return r.RunWithCtx(context.Background(), bench, mech, factory)
+// SnakeVariant simulates the benchmark under a custom Snake configuration
+// (memoized by the configuration's content).
+func (r *Runner) SnakeVariant(bench string, cfg core.Config) (*stats.Sim, error) {
+	key := r.Key(bench, CustomSnake)
+	key.Snake = &cfg
+	return r.run(context.Background(), key, nil)
 }
 
-// RunWithCtx is Run with a custom prefetcher factory and cancellation.
-func (r *Runner) RunWithCtx(ctx context.Context, bench, mech string, factory Factory) (*stats.Sim, error) {
-	return r.run(ctx, r.Key(bench, mech).Hash(), bench+"|"+mech, mech, factory, func() (*trace.Kernel, error) {
-		return r.store().Kernel(bench, r.Scale)
-	})
+// runKernel memoizes a simulation of an explicitly built kernel, keyed by a
+// synthetic benchmark name.
+func (r *Runner) runKernel(k *trace.Kernel, bench, mech string) (*stats.Sim, error) {
+	return r.run(context.Background(), r.Key(bench, mech), k)
 }
 
-// runKernel memoizes a simulation of an explicitly built kernel.
-func (r *Runner) runKernel(k *trace.Kernel, key, mech string) (*stats.Sim, error) {
-	return r.run(context.Background(), r.Key(key, mech).Hash(), key+"|"+mech, mech, nil,
-		func() (*trace.Kernel, error) { return k, nil })
-}
-
-func (r *Runner) run(ctx context.Context, key, label, mech string, factory Factory, build func() (*trace.Kernel, error)) (*stats.Sim, error) {
-	res, err := r.memoize(ctx, key, func(res *runResult) {
-		r.execute(ctx, res, label, mech, factory, build)
+// run is the memoized path: one simulate per distinct key.
+func (r *Runner) run(ctx context.Context, key RunKey, k *trace.Kernel) (*stats.Sim, error) {
+	res, err := r.memoize(ctx, key.Hash(), func(res *runResult) {
+		res.st, res.err = r.simulate(ctx, key, k)
 	})
 	if err != nil {
 		return nil, err
@@ -160,46 +157,53 @@ func (r *Runner) memoize(ctx context.Context, key string, fill func(*runResult))
 	}
 }
 
-// execute performs the simulation for one cache entry, holding one slot of
-// the CPU budget for the run's duration.
-func (r *Runner) execute(ctx context.Context, res *runResult, label, mech string, factory Factory, build func() (*trace.Kernel, error)) {
+// Simulate runs the key once, uncached, under ctx; the key should be
+// normalized (RunKey.Normalize). It is the one execution path of the
+// runner's memoized methods and of the snaked service.
+func (r *Runner) Simulate(ctx context.Context, key RunKey) (*stats.Sim, error) {
+	return r.simulate(ctx, key, nil)
+}
+
+// simulate holds one slot of the CPU budget for the run's duration, resolves
+// the key's prefetcher factory, interns its kernel (unless k is given) and
+// runs it on a pooled engine. Errors past the budget name the run.
+func (r *Runner) simulate(ctx context.Context, key RunKey, k *trace.Kernel) (*stats.Sim, error) {
 	budget := r.budget()
-	if res.err = budget.Acquire(ctx); res.err != nil {
-		return
+	if err := budget.Acquire(ctx); err != nil {
+		return nil, err
 	}
 	defer budget.Release()
-	f := factory
-	if f == nil {
-		if f, res.err = Mechanism(mech); res.err != nil {
-			return
-		}
+	f, tag, err := key.factory()
+	if err == nil && k == nil {
+		k, err = r.store().Kernel(key.Bench, key.Scale)
 	}
-	k, err := build()
+	var out *sim.Result
+	if err == nil {
+		out, err = r.engines().Run(k, sim.Options{
+			Config:        key.GPU,
+			NewPrefetcher: f,
+			Context:       ctx,
+			PhaseProfile:  r.PhaseProfile,
+		}, tag)
+	}
 	if err != nil {
-		res.err = err
-		return
+		return nil, fmt.Errorf("%s/%s: %w", key.Bench, key.Mech, err)
 	}
-	// Registry mechanisms carry their name as the prefetcher-reuse tag, so a
-	// pooled engine whose last run was the same mechanism resets its
-	// prefetchers instead of building new ones; the tag does not choose the
-	// engine. Custom factories get the empty tag (their mech labels, e.g.
-	// "snake:"+key, are only unique within one runner's cache, not across
-	// the shared pool).
-	tag := mech
-	if factory != nil {
-		tag = ""
+	return &out.Stats, nil
+}
+
+// factory resolves the key's prefetcher factory and its reuse tag. A
+// registry mechanism's tag is its name, so a pooled engine whose last run was
+// the same mechanism resets its prefetchers instead of building new ones (the
+// tag does not choose the engine). A custom Snake config gets the empty tag:
+// CustomSnake does not identify one configuration.
+func (k RunKey) factory() (Factory, string, error) {
+	if k.Snake != nil {
+		cfg := *k.Snake
+		return func(int) prefetch.Prefetcher { return core.New(cfg) }, "", nil
 	}
-	out, err := r.engines().Run(k, sim.Options{
-		Config:        r.Cfg,
-		NewPrefetcher: f,
-		Context:       ctx,
-		PhaseProfile:  r.PhaseProfile,
-	}, tag)
-	if err != nil {
-		res.err = fmt.Errorf("%s: %w", label, err)
-		return
-	}
-	res.st = &out.Stats
+	f, err := Mechanism(k.Mech)
+	return f, k.Mech, err
 }
 
 // budget returns the runner's CPU budget (the process-wide one when unset).
@@ -228,13 +232,9 @@ func (r *Runner) engines() *EnginePool {
 
 // Prefill launches the given (bench, mech) grid concurrently and waits; it
 // exists so experiments reading a big grid pay wall-clock ≈ grid/#cores.
+// All cells are attempted; every failure is reported via errors.Join rather
+// than only the first.
 func (r *Runner) Prefill(benches, mechs []string) error {
-	return r.PrefillCtx(context.Background(), benches, mechs)
-}
-
-// PrefillCtx is Prefill with cancellation. All cells are attempted; every
-// failure is reported via errors.Join rather than only the first.
-func (r *Runner) PrefillCtx(ctx context.Context, benches, mechs []string) error {
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(benches)*len(mechs))
 	for _, b := range benches {
@@ -242,8 +242,8 @@ func (r *Runner) PrefillCtx(ctx context.Context, benches, mechs []string) error 
 			wg.Add(1)
 			go func(b, m string) {
 				defer wg.Done()
-				if _, err := r.RunCtx(ctx, b, m); err != nil {
-					errCh <- fmt.Errorf("%s/%s: %w", b, m, err)
+				if _, err := r.Run(b, m); err != nil {
+					errCh <- err
 				}
 			}(b, m)
 		}
@@ -255,14 +255,4 @@ func (r *Runner) PrefillCtx(ctx context.Context, benches, mechs []string) error 
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
-}
-
-// SnakeVariant builds a memoized custom Snake configuration run.
-func (r *Runner) SnakeVariant(bench, key string, cfg core.Config) (*stats.Sim, error) {
-	return r.SnakeVariantCtx(context.Background(), bench, key, cfg)
-}
-
-// SnakeVariantCtx is SnakeVariant with cancellation.
-func (r *Runner) SnakeVariantCtx(ctx context.Context, bench, key string, cfg core.Config) (*stats.Sim, error) {
-	return r.RunWithCtx(ctx, bench, "snake:"+key, func(int) prefetch.Prefetcher { return core.New(cfg) })
 }

@@ -520,7 +520,7 @@ func TestSweepStreamFlushesPerBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.store.Put(sp.key(), &stats.Sim{Cycles: 1000, Insts: 2000})
+	svc.store.Put(sp.key.Hash(), &stats.Sim{Cycles: 1000, Insts: 2000})
 	resp, body := postJSON(t, ts.URL+"/v1/sweeps", SweepRequest{
 		Benches: []string{"lps", "cp"}, Mechs: []string{"baseline"}, Scale: &bigScale,
 	})

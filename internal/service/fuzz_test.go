@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
+
+	"snake/internal/harness"
+	"snake/internal/workloads"
 )
 
 // FuzzRequestNormalize decodes arbitrary bytes as a RunRequest (sweep
@@ -13,9 +17,10 @@ import (
 // normalizes the request, or every cell the sweep expands to, without
 // enqueueing anything. Each input must be rejected or yield valid specs:
 // a registry workload, a mechanism, a valid GPU, scale and custom Snake
-// config, a scale whose CTA fits the GPU's warp slots, the timeout the request asked for, a 64-hex
-// content address, and a wire form that normalizes back to the same address
-// (what a forwarding peer relies on). Nothing may panic.
+// config, a scale whose CTA fits the GPU's warp slots, the timeout the
+// request asked for, a canonical key (normalizing it again changes
+// nothing), a 64-hex content address, and a wire form that normalizes back
+// to the same address (what a forwarding peer relies on). Nothing may panic.
 func FuzzRequestNormalize(f *testing.F) {
 	svc := tinyService(1)
 	f.Cleanup(func() {
@@ -60,29 +65,39 @@ func FuzzRequestNormalize(f *testing.F) {
 // checkSpec asserts what every accepted request must normalize to.
 func checkSpec(t *testing.T, svc *Service, sp *spec, timeoutMS int64) {
 	t.Helper()
+	k := &sp.key
 	switch {
-	case !svc.benchSet[sp.bench]:
-		t.Fatalf("unknown bench %q accepted", sp.bench)
-	case sp.factory == nil:
-		t.Fatal("spec without a prefetcher factory")
+	case !workloads.Has(k.Bench):
+		t.Fatalf("unknown bench %q accepted", k.Bench)
+	case k.Snake != nil && k.Mech != harness.CustomSnake:
+		t.Fatalf("custom snake config under mech %q", k.Mech)
 	case sp.timeout < 0 || sp.timeout/time.Millisecond != time.Duration(timeoutMS):
 		t.Fatalf("timeout_ms %d normalized to spec timeout %v", timeoutMS, sp.timeout)
 	}
-	if err := sp.gpu.Validate(); err != nil {
+	if k.Snake == nil {
+		if _, err := harness.Mechanism(k.Mech); err != nil {
+			t.Fatalf("spec mechanism: %v", err)
+		}
+	} else if err := k.Snake.Validate(); err != nil {
+		t.Fatalf("spec snake config invalid: %v", err)
+	}
+	if err := k.GPU.Validate(); err != nil {
 		t.Fatalf("spec GPU invalid: %v", err)
 	}
-	if err := sp.scale.Validate(); err != nil {
+	if err := k.Scale.Validate(); err != nil {
 		t.Fatalf("spec scale invalid: %v", err)
 	}
-	if err := sp.scale.FitsSM(sp.gpu.MaxWarpsPerSM); err != nil {
+	if err := k.Scale.FitsSM(k.GPU.MaxWarpsPerSM); err != nil {
 		t.Fatalf("spec scale does not fit its GPU: %v", err)
 	}
-	if sp.snake != nil {
-		if err := sp.snake.Validate(); err != nil {
-			t.Fatalf("spec snake config invalid: %v", err)
-		}
+	key := k.Hash()
+	canon, err := k.Normalize()
+	if err != nil {
+		t.Fatalf("accepted key does not normalize: %v", err)
 	}
-	key := sp.key()
+	if !reflect.DeepEqual(canon, *k) || canon.Hash() != key {
+		t.Fatalf("accepted key %+v is not canonical: it normalizes to %+v", *k, canon)
+	}
 	if len(key) != 64 {
 		t.Fatalf("content address %q is not 64 hex characters", key)
 	}
@@ -95,7 +110,7 @@ func checkSpec(t *testing.T, svc *Service, sp *spec, timeoutMS int64) {
 	if err != nil {
 		t.Fatalf("wire form of an accepted spec rejected: %v", err)
 	}
-	if got := again.key(); got != key {
+	if got := again.key.Hash(); got != key {
 		t.Fatalf("wire form normalizes to %s, want %s", got, key)
 	}
 }

@@ -22,10 +22,14 @@ func shutdown(t *testing.T, svc *Service) {
 }
 
 // TestRecordKeysMatchRunKey: a job finds its record by content, not by
-// hash, so every field of the content key must tell keys apart. Sweeps over
-// benchmarks, registry mechanisms, and GPU and scale overrides, each sent
-// twice, must show every cell the harness.RunKey hash of its own spec, and
-// hold one record per distinct key.
+// hash, so every field of the content key must tell keys apart, and keys
+// that name one simulation must not. Sweeps over benchmarks, registry
+// mechanisms, and GPU and scale overrides, each sent twice, must show every
+// cell the harness.RunKey hash of its own normalized key, and hold one
+// record per distinct key. On a service at the default scale, a request with
+// no scale, "scale":{} and "scale":{"Iters":-5} simulate the same kernel, and
+// "snake":{} the same prefetcher as the defaults with InterWarpDegree 0:
+// each group shares one key and one record.
 func TestRecordKeysMatchRunKey(t *testing.T) {
 	svc := tinyService(2)
 	defer shutdown(t, svc)
@@ -39,6 +43,28 @@ func TestRecordKeysMatchRunKey(t *testing.T) {
 		{Benches: []string{"cp"}, Mechs: mechs, Scale: &scale},
 		{Benches: []string{"cp"}, Mechs: mechs, GPU: &gpu, Scale: &scale},
 	}
+	// want is the hash of the request cell's normalized key.
+	want := func(svc *Service, req SweepRequest, v RunView) string {
+		t.Helper()
+		k := svc.runner.Key(v.Bench, v.Mech)
+		k.Snake = req.Snake
+		if req.GPU != nil {
+			k.GPU = *req.GPU
+		}
+		if req.Scale != nil {
+			k.Scale = *req.Scale
+		}
+		k, err := k.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k.Hash()
+	}
+	records := func(svc *Service) int {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return len(svc.records)
+	}
 	keys := map[string]bool{}
 	for round := 0; round < 2; round++ {
 		for _, req := range reqs {
@@ -48,38 +74,69 @@ func TestRecordKeysMatchRunKey(t *testing.T) {
 			}
 			for _, j := range jobs {
 				v := j.view()
-				k := harness.RunKey{Bench: v.Bench, Mech: v.Mech, GPU: svc.gpu, Scale: svc.scale}
-				if req.GPU != nil {
-					k.GPU = *req.GPU
-				}
-				if req.Scale != nil {
-					k.Scale = *req.Scale
-				}
-				if want := k.Hash(); v.Key != want {
+				if w := want(svc, req, v); v.Key != w {
 					t.Errorf("round %d, %+v: %s/%s has key %s, want %s",
-						round, req, v.Bench, v.Mech, v.Key, want)
+						round, req, v.Bench, v.Mech, v.Key, w)
 				}
 				keys[v.Key] = true
 			}
 		}
 	}
-	svc.mu.Lock()
-	records := len(svc.records)
-	svc.mu.Unlock()
 	// req 0: 4 keys; 1: none (repeats req 0's); 2, 3 and 4: 2 each.
-	if want := 4 + 3*2; records != want || len(keys) != want {
-		t.Errorf("%d records and %d distinct keys, want %d", records, len(keys), want)
+	if w := 4 + 3*2; records(svc) != w || len(keys) != w {
+		t.Errorf("%d records and %d distinct keys, want %d", records(svc), len(keys), w)
+	}
+
+	// Admitted, not run: these cells are at the default scale.
+	def := New(Options{Workers: 1, GPU: &gpu})
+	defer shutdown(t, def)
+	noInterWarp := core.Defaults()
+	noInterWarp.InterWarpDegree = 0
+	for _, group := range []struct {
+		reqs []SweepRequest
+		keys int
+	}{
+		{[]SweepRequest{
+			{Benches: []string{"cp"}, Mechs: mechs},
+			{Benches: []string{"cp"}, Mechs: mechs, Scale: &workloads.Scale{}},
+			{Benches: []string{"cp"}, Mechs: mechs, Scale: &workloads.Scale{Iters: -5}},
+		}, len(mechs)},
+		{[]SweepRequest{
+			{Benches: []string{"cp"}, Snake: &noInterWarp},
+			{Benches: []string{"cp"}, Snake: &core.Config{}},
+		}, 1},
+	} {
+		before := records(def)
+		groupKeys := map[string]bool{}
+		for _, req := range group.reqs {
+			specs, err := def.sweepSpecs(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			def.mu.Lock()
+			for _, sp := range specs {
+				v := def.newJobLocked(sp, "").view()
+				if w := want(def, req, v); v.Key != w {
+					t.Errorf("%+v: %s/%s has key %s, want %s", req, v.Bench, v.Mech, v.Key, w)
+				}
+				groupKeys[v.Key] = true
+			}
+			def.mu.Unlock()
+		}
+		if got := records(def) - before; got != group.keys || len(groupKeys) != group.keys {
+			t.Errorf("%+v and its equivalents: %d records and %d keys, want %d", group.reqs[0], got, len(groupKeys), group.keys)
+		}
 	}
 }
 
-// TestCustomSnakeSignedZeroKeys: custom Snake configs differing only in the
-// sign of a zero compare equal in Go but marshal, and so hash, apart. They
-// keep distinct keys and records, as they always had, and a repeat of
-// either shares its record.
+// TestCustomSnakeSignedZeroKeys: BWHalt 0 and -0 compare equal in Go but
+// marshal apart. Both mean "the default threshold", so the canonical key
+// replaces either with 0.70: 0, -0 and the default share one key and one
+// record.
 func TestCustomSnakeSignedZeroKeys(t *testing.T) {
 	svc := tinyService(1)
 	defer shutdown(t, svc)
-	pos, neg := core.Defaults(), core.Defaults()
+	def, pos, neg := core.Defaults(), core.Defaults(), core.Defaults()
 	pos.BWHalt, neg.BWHalt = 0, math.Copysign(0, -1)
 	jobFor := func(cfg core.Config) *job {
 		t.Helper()
@@ -91,21 +148,12 @@ func TestCustomSnakeSignedZeroKeys(t *testing.T) {
 		defer svc.mu.Unlock()
 		return svc.newJobLocked(sp, "")
 	}
-	jp, jn, jp2 := jobFor(pos), jobFor(neg), jobFor(pos)
-	for _, c := range []struct {
-		j   *job
-		cfg core.Config
-	}{{jp, pos}, {jn, neg}} {
-		want := harness.RunKey{Bench: "cp", Mech: "snake:custom", Snake: &c.cfg, GPU: svc.gpu, Scale: svc.scale}.Hash()
-		if c.j.rec.key != want {
-			t.Errorf("BWHalt %v: key %s, want %s", c.cfg.BWHalt, c.j.rec.key, want)
+	jd, jp, jn := jobFor(def), jobFor(pos), jobFor(neg)
+	want := harness.RunKey{Bench: "cp", Mech: harness.CustomSnake, Snake: &def, GPU: svc.runner.Cfg, Scale: svc.runner.Scale}.Hash()
+	for _, j := range []*job{jd, jp, jn} {
+		if j.rec != jd.rec || j.rec.key != want {
+			t.Errorf("key %s, want the default's %s in one record", j.rec.key, want)
 		}
-	}
-	if jp.rec == jn.rec || jp.rec.key == jn.rec.key {
-		t.Error("BWHalt 0 and -0 share a record or key")
-	}
-	if jp2.rec != jp.rec {
-		t.Error("a repeated custom config got a second record")
 	}
 }
 

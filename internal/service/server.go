@@ -15,9 +15,7 @@ import (
 
 	"snake/internal/cluster"
 	"snake/internal/config"
-	"snake/internal/core"
 	"snake/internal/harness"
-	"snake/internal/prefetch"
 	"snake/internal/workloads"
 )
 
@@ -75,10 +73,10 @@ var ErrDraining = errors.New("service: shutting down")
 // Service is the snaked core: job registry, priority queue, worker pool,
 // result cache, and metrics. Wrap Handler in an http.Server to expose it.
 type Service struct {
-	gpu     config.GPU
-	scale   workloads.Scale
+	// runner simulates every local job (Runner.Simulate); its Cfg, Scale
+	// and Budget are the service's defaults.
+	runner  *harness.Runner
 	workers int
-	budget  *harness.Budget
 	queue   *jobQueue
 	store   *cluster.Store
 	clu     *cluster.Cluster // nil when standalone
@@ -113,8 +111,6 @@ type Service struct {
 	// forwarding, at most once per cluster — under normal operation.
 	flightMu sync.Mutex
 	flight   map[string]chan struct{}
-
-	benchSet map[string]bool
 }
 
 // sweep groups the jobs of one POST /v1/sweeps submission and fans
@@ -133,23 +129,20 @@ func New(opt Options) *Service {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	gpu := config.Scaled(4, 64)
+	runner := harness.NewRunner()
 	if opt.GPU != nil {
-		gpu = *opt.GPU
+		runner.Cfg = *opt.GPU
 	}
-	scale := workloads.DefaultScale()
 	if opt.Scale != nil {
-		scale = *opt.Scale
+		runner.Scale = *opt.Scale
 	}
-	if opt.Budget == nil {
-		opt.Budget = harness.SharedBudget()
+	if opt.Budget != nil {
+		runner.Budget = opt.Budget
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		gpu:        gpu,
-		scale:      scale,
+		runner:     runner,
 		workers:    opt.Workers,
-		budget:     opt.Budget,
 		queue:      newJobQueue(opt.QueueMax),
 		store:      cluster.NewStore(cluster.StoreOptions{MaxBytes: opt.CacheMaxBytes, Dir: opt.CacheDir}),
 		metrics:    newMetrics(),
@@ -160,7 +153,6 @@ func New(opt Options) *Service {
 		records:    make(map[recordKey]*record),
 		sweeps:     make(map[string]*sweep),
 		flight:     make(map[string]chan struct{}),
-		benchSet:   make(map[string]bool),
 	}
 	if len(opt.Peers) > 0 && opt.Self != "" {
 		s.clu = cluster.New(cluster.Options{
@@ -171,9 +163,6 @@ func New(opt Options) *Service {
 		// Tier 3 of the store: after a local miss, ask the owning peer's
 		// cache before considering any compute.
 		s.store.SetPeerFetch(s.clu.FetchResult)
-	}
-	for _, b := range workloads.Names() {
-		s.benchSet[b] = true
 	}
 	s.wg.Add(opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
@@ -218,54 +207,29 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // time.Duration; a larger one would wrap to a negative or tiny timeout.
 const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
-// normalize validates a RunRequest against the registries and fills
-// defaults.
+// normalize applies a RunRequest's overrides to the service's defaults and
+// returns its spec: the canonical, validated RunKey (harness.RunKey.Normalize)
+// with the request's priority and timeout.
 func (s *Service) normalize(req RunRequest) (spec, error) {
-	sp := spec{
-		label:    label{bench: req.Bench, mech: req.Mech},
-		priority: req.Priority,
-		gpu:      s.gpu,
-		scale:    s.scale,
-	}
-	if !s.benchSet[req.Bench] {
-		return spec{}, fmt.Errorf("unknown benchmark %q (known: %v)", req.Bench, workloads.Names())
-	}
+	k := s.runner.Key(req.Bench, req.Mech)
 	if req.Snake != nil {
-		if err := req.Snake.Validate(); err != nil {
-			return spec{}, err
-		}
-		snake := *req.Snake
-		sp.snake = &snake
-		sp.mech = "snake:custom"
-		sp.factory = func(int) prefetch.Prefetcher { return core.New(snake) }
-	} else {
-		f, err := harness.Mechanism(req.Mech)
-		if err != nil {
-			return spec{}, err
-		}
-		sp.factory = f
+		k.Mech, k.Snake = harness.CustomSnake, req.Snake
 	}
 	if req.GPU != nil {
-		if err := req.GPU.Validate(); err != nil {
-			return spec{}, err
-		}
-		sp.gpu = *req.GPU
+		k.GPU = *req.GPU
 	}
 	if req.Scale != nil {
-		// Checked before anything is built: the store keeps every trace.
-		if err := req.Scale.Validate(); err != nil {
-			return spec{}, err
-		}
-		sp.scale = *req.Scale
+		k.Scale = *req.Scale
 	}
-	if err := sp.scale.FitsSM(sp.gpu.MaxWarpsPerSM); err != nil {
+	// Checked before anything is built: the store keeps every trace.
+	k, err := k.Normalize()
+	if err != nil {
 		return spec{}, err
 	}
 	if req.TimeoutMS < 0 || req.TimeoutMS > maxTimeoutMS {
 		return spec{}, fmt.Errorf("timeout_ms %d must be in [0, %d]", req.TimeoutMS, maxTimeoutMS)
 	}
-	sp.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	return sp, nil
+	return spec{key: k, priority: req.Priority, timeout: time.Duration(req.TimeoutMS) * time.Millisecond}, nil
 }
 
 // Submit validates and enqueues one job.
@@ -310,18 +274,14 @@ func (s *Service) submitPeer(req RunRequest) (*job, error) {
 }
 
 // newJobLocked creates and registers a job, and its key's record if it is
-// the key's first job; the caller holds s.mu. Only a new record, or a
-// custom Snake config, costs a RunKey hash.
+// the key's first job; the caller holds s.mu. Only a new record costs a
+// RunKey hash.
 func (s *Service) newJobLocked(sp spec, sweepID string) *job {
 	s.nextJob++
 	rk := sp.recordKey()
 	rec := s.records[rk]
 	if rec == nil {
-		key := rk.hash
-		if key == "" {
-			key = sp.key()
-		}
-		rec = &record{key: key, label: sp.label}
+		rec = &record{key: sp.key.Hash(), bench: sp.key.Bench, mech: sp.key.Mech}
 		s.records[rk] = rec
 	}
 	j := &job{

@@ -154,80 +154,57 @@ type BenchInfo struct {
 	FullName string `json:"full_name"`
 }
 
-// label is what a run view shows of a job's shape: its benchmark and
-// mechanism. Every field is part of the content address, so all jobs of one
-// key share one label (in their record).
-type label struct {
-	bench string
-	mech  string // display name; "snake:custom" for custom configs
-}
-
-// spec is a normalized, validated job specification. noForward marks work
-// that arrived from a peer: it must be produced locally, never forwarded
-// again (loop prevention).
+// spec is a normalized, validated job specification: a canonical RunKey
+// (harness.RunKey.Normalize) plus how to run it. noForward marks work that
+// arrived from a peer: it must be produced locally, never forwarded again
+// (loop prevention).
 type spec struct {
-	label
-	snake     *core.Config
-	gpu       config.GPU
-	scale     workloads.Scale
+	key       harness.RunKey
 	priority  int
 	timeout   time.Duration
 	noForward bool
-	factory   harness.Factory
 }
 
 // wireRequest reconstructs a forwardable RunRequest from the normalized
 // spec. GPU and scale are always sent explicitly so the peer normalizes to
 // the same content address whatever its own defaults are.
 func (sp *spec) wireRequest() RunRequest {
-	gpu, scale := sp.gpu, sp.scale
+	k := sp.key
 	req := RunRequest{
-		Bench:     sp.bench,
-		GPU:       &gpu,
-		Scale:     &scale,
+		Bench:     k.Bench,
+		Snake:     k.Snake,
+		GPU:       &k.GPU,
+		Scale:     &k.Scale,
 		Priority:  sp.priority,
 		TimeoutMS: int64(sp.timeout / time.Millisecond),
 	}
-	if sp.snake != nil {
-		req.Snake = sp.snake
-	} else {
-		req.Mech = sp.mech
+	if k.Snake == nil {
+		req.Mech = k.Mech
 	}
 	return req
 }
 
-// recordKey identifies a RunKey by content, so a job finds its key's record
-// without hashing. It holds every RunKey field but the Snake config, and all
-// of them are ints, strings and bools: equal values marshal to the same
-// canonical JSON, hence the same hash. A custom Snake config has float64
-// fields, where -0 and +0 compare equal yet marshal (and hash) apart, so a
-// custom cell is hashed every time and its hash stands in for the config.
-// (Unequal values can still share a hash, as encoding/json writes invalid
-// UTF-8 as U+FFFD; their records then carry one key, which is harmless.)
+// recordKey identifies a canonical RunKey by content, so a job finds its
+// key's record without hashing. It holds every RunKey field, the Snake
+// config by value (zero for a registry mechanism, whose mech tells it
+// apart), and each is an int, string, bool or a float of a canonical Snake
+// config: BWHalt and BWResume lie in (0, 1], never -0 or NaN. So equal
+// values marshal to the same canonical JSON, hence the same hash. (Unequal
+// values can still share a hash, as encoding/json writes invalid UTF-8 as
+// U+FFFD; their records then carry one key, which is harmless.)
 type recordKey struct {
-	label
-	gpu   config.GPU
-	scale workloads.Scale
-	hash  string // the RunKey hash of a custom Snake cell; "" otherwise
+	bench, mech string
+	snake       core.Config
+	gpu         config.GPU
+	scale       workloads.Scale
 }
 
-// recordKey returns the spec's record key; it hashes only a custom Snake
-// cell.
+// recordKey returns the spec's record key.
 func (sp *spec) recordKey() recordKey {
-	rk := recordKey{label: sp.label, gpu: sp.gpu, scale: sp.scale}
-	if sp.snake != nil {
-		rk.hash = sp.key()
+	k := &sp.key
+	rk := recordKey{bench: k.Bench, mech: k.Mech, gpu: k.GPU, scale: k.Scale}
+	if k.Snake != nil {
+		rk.snake = *k.Snake
 	}
 	return rk
-}
-
-// key returns the job's content address.
-func (sp *spec) key() string {
-	return harness.RunKey{
-		Bench: sp.bench,
-		Mech:  sp.mech,
-		Snake: sp.snake,
-		GPU:   sp.gpu,
-		Scale: sp.scale,
-	}.Hash()
 }

@@ -9,10 +9,7 @@ import (
 	"time"
 
 	"snake/internal/cluster"
-	"snake/internal/harness"
-	"snake/internal/sim"
 	"snake/internal/stats"
-	"snake/internal/workloads"
 )
 
 // job is one queued/running/completed simulation. snaked keeps every job
@@ -21,7 +18,7 @@ import (
 type job struct {
 	id      string
 	sweepID string
-	rec     *record // shared per-key state: key, label, first result
+	rec     *record // shared per-key state: key, bench, mech, first result
 
 	mu     sync.Mutex
 	live   *jobLive // nil once terminal
@@ -49,26 +46,24 @@ type jobLive struct {
 }
 
 // record is the state every job of one RunKey shares, created by the key's
-// first job: the key, the display label and the result. The result is set by
-// the key's first successful finish and never replaced: simulations are
-// deterministic, so every later success carries equal stats (the store's
-// first-write-wins rule). Failed and canceled jobs never set it. Records are
-// never removed; there is one per distinct key.
+// first job: the key, the bench and mech a run view shows, and the result.
+// The result is set by the key's first successful finish and never
+// replaced: simulations are deterministic, so every later success carries
+// equal stats (the store's first-write-wins rule). Failed and canceled jobs
+// never set it. Records are never removed; there is one per distinct key.
 type record struct {
-	key   string
-	label label
-	st    atomic.Pointer[stats.Sim]
+	key, bench, mech string
+	st               atomic.Pointer[stats.Sim]
 }
 
 // view snapshots the job for the wire.
 func (j *job) view() RunView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	l := &j.rec.label
 	v := RunView{
 		ID:     j.id,
-		Bench:  l.bench,
-		Mech:   l.mech,
+		Bench:  j.rec.bench,
+		Mech:   j.rec.mech,
 		Key:    j.rec.key,
 		Status: j.status,
 		Cached: j.cached,
@@ -210,42 +205,8 @@ func (s *Service) produce(ctx context.Context, key string, sp *spec) (*stats.Sim
 			}
 		}
 	}
-	st, err := s.simulate(ctx, sp)
+	st, err := s.runner.Simulate(ctx, sp.key)
 	return st, "sim", err
-}
-
-// simulate builds the workload and runs the cycle-level simulation under
-// ctx. The run holds one slot of the shared CPU budget for its duration, so
-// however large the worker pool, no more simulations run at once than the
-// budget has slots.
-func (s *Service) simulate(ctx context.Context, sp *spec) (*stats.Sim, error) {
-	if err := s.budget.Acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.budget.Release()
-	// Registry mechanism names are the prefetcher-reuse tag: a pooled engine
-	// whose last run had the same tag resets its prefetchers instead of
-	// building new ones (any engine serves any run). Custom snake configs
-	// all normalize to mech "snake:custom", which does not identify one
-	// configuration, so they use the untagged path.
-	tag := sp.mech
-	if sp.snake != nil {
-		tag = ""
-	}
-	opt := sim.Options{
-		Config:        sp.gpu,
-		NewPrefetcher: sp.factory,
-		Context:       ctx,
-	}
-	k, err := workloads.Shared().Kernel(sp.bench, sp.scale)
-	if err != nil {
-		return nil, err
-	}
-	out, err := harness.SharedEnginePool().Run(k, opt, tag)
-	if err != nil {
-		return nil, err
-	}
-	return &out.Stats, nil
 }
 
 // finish moves a running job to its terminal state, releases its live
@@ -271,7 +232,7 @@ func (s *Service) finish(j *job, st *stats.Sim, err error, cached bool, source s
 	j.mu.Unlock()
 	s.metrics.jobFinished(status)
 	if err == nil && !cached && source == "sim" {
-		s.metrics.observeWall(j.rec.label.bench, float64(wall)/float64(time.Millisecond))
+		s.metrics.observeWall(j.rec.bench, float64(wall)/float64(time.Millisecond))
 	}
 	close(j.done)
 	s.notifySweep(j)

@@ -54,7 +54,7 @@ func Shared() *Store { return shared }
 // goroutine runs the generator, the rest wait. Failed builds (an unknown
 // benchmark name) are not retained, so they do not grow the store.
 func (s *Store) Kernel(bench string, sc Scale) (*trace.Kernel, error) {
-	key := storeKey{bench: bench, sc: sc.withDefaults()}
+	key := storeKey{bench: bench, sc: sc.WithDefaults()}
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if ok {

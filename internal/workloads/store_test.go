@@ -42,7 +42,7 @@ func TestStoreInternsPerKey(t *testing.T) {
 }
 
 // TestStoreNormalizesScale checks that the zero Scale and the explicit
-// default share one entry, like Build's withDefaults normalization.
+// default share one entry, like Build's WithDefaults normalization.
 func TestStoreNormalizesScale(t *testing.T) {
 	s := NewStore()
 	k1, err := s.Kernel("cp", Scale{})

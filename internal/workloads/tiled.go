@@ -15,7 +15,7 @@ import "snake/internal/trace"
 // between the elements of tiles") and prefetches the following tile's
 // segment while the current tile is being computed (§3.5).
 func TiledConv(sc Scale, tileFrac float64, unifiedBytes int) *trace.Kernel {
-	sc = sc.withDefaults()
+	sc = sc.WithDefaults()
 	const (
 		inBase  = 0xD000_0000
 		outBase = 0xDF00_0000

@@ -39,7 +39,9 @@ func DefaultScale() Scale { return Scale{CTAs: 48, WarpsPerCTA: 8, Iters: 12} }
 // Tiny returns a minimal scale for unit tests.
 func Tiny() Scale { return Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 4} }
 
-func (s Scale) withDefaults() Scale {
+// WithDefaults returns the scale the generators build: each dimension that is
+// zero or negative takes DefaultScale's value.
+func (s Scale) WithDefaults() Scale {
 	d := DefaultScale()
 	if s.CTAs <= 0 {
 		s.CTAs = d.CTAs
@@ -76,7 +78,7 @@ const (
 // dimensions take DefaultScale's first): each dimension and their product
 // within its limit.
 func (s Scale) Validate() error {
-	s = s.withDefaults()
+	s = s.WithDefaults()
 	for _, f := range []struct {
 		name     string
 		val, max int
@@ -99,7 +101,7 @@ func (s Scale) Validate() error {
 // slots (config.GPU.MaxWarpsPerSM): CTA residency is bounded by warp slots
 // alone, so a larger CTA could never be placed.
 func (s Scale) FitsSM(warpSlots int) error {
-	if w := s.withDefaults().WarpsPerCTA; w > warpSlots {
+	if w := s.WithDefaults().WarpsPerCTA; w > warpSlots {
 		return fmt.Errorf("scale: a CTA of %d warps does not fit in %d warp slots per SM", w, warpSlots)
 	}
 	return nil
@@ -134,6 +136,12 @@ func Names() []string {
 	return out
 }
 
+// Has reports whether name is a registry benchmark.
+func Has(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
+
 // FullNames maps the abbreviation to the Table 2 full benchmark name.
 func FullNames() map[string]string {
 	return map[string]string{
@@ -162,7 +170,7 @@ func Build(name string, sc Scale) (*trace.Kernel, error) {
 		sort.Strings(known)
 		return nil, fmt.Errorf("workloads: unknown benchmark %q (known: %v)", name, known)
 	}
-	return b(sc.withDefaults()), nil
+	return b(sc.WithDefaults()), nil
 }
 
 // mix is splitmix64: a deterministic pseudo-random mixer used for irregular
