@@ -45,13 +45,11 @@ var knobs = map[string]knob{
 }
 
 // config returns the default Snake config with the knob set to v. A value
-// core.Config.Validate rejects, or one the canonical config replaces with
-// its default, is an error: its row would be labelled v but run another
-// value.
+// core.Config.Validate rejects is an error naming the knob's range.
 func (k knob) config(name string, v int) (core.Config, error) {
 	cfg := core.Defaults()
 	k.set(&cfg, v)
-	if cfg.Validate() != nil || cfg.WithDefaults() != cfg {
+	if cfg.Validate() != nil {
 		return cfg, fmt.Errorf("knob %s: value %d outside its valid range [%d, %d]", name, v, k.min, k.max)
 	}
 	return cfg, nil

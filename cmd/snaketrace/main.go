@@ -34,8 +34,8 @@ func main() {
 		cta   = flag.Int("cta", 0, "CTA index for -dump")
 		warp  = flag.Int("warp", 0, "warp index within the CTA for -dump")
 		limit = flag.Int("limit", 40, "max loads to dump")
-		ctas  = flag.Int("ctas", 0, "CTA count (0: default scale)")
-		iters = flag.Int("iters", 0, "loop-depth multiplier (0: default scale)")
+		ctas  = flag.Int("ctas", workloads.DefaultScale().CTAs, "CTA count")
+		iters = flag.Int("iters", workloads.DefaultScale().Iters, "loop-depth multiplier")
 		save  = flag.String("save", "", "write the trace to this file (.json or binary)")
 		load  = flag.String("load", "", "read the trace from this file instead of -bench")
 		list  = flag.Bool("list", false, "list benchmarks")
@@ -55,7 +55,9 @@ func main() {
 	if *load != "" {
 		k, err = trace.LoadFile(*load)
 	} else {
-		k, err = workloads.Shared().Kernel(*bench, workloads.Scale{CTAs: *ctas, Iters: *iters})
+		sc := workloads.DefaultScale()
+		sc.CTAs, sc.Iters = *ctas, *iters
+		k, err = workloads.Shared().Kernel(*bench, sc)
 	}
 	if err != nil {
 		fatal(err)

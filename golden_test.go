@@ -64,7 +64,7 @@ func TestGoldenEquivalenceMediumScale(t *testing.T) {
 // make GTO forget its greedy warp). Per-cycle and pooled runs must reproduce
 // that state exactly.
 func TestSkipEquivalenceGTOGreedyReset(t *testing.T) {
-	assertEngineEquivalent(t, "lps", workloads.Scale{}, config.Scaled(2, 16), "snake")
+	assertEngineEquivalent(t, "lps", workloads.DefaultScale(), config.Scaled(2, 16), "snake")
 }
 
 // assertEngineEquivalent runs bench/mech under every engine strategy —

@@ -1,6 +1,8 @@
 package config
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -8,6 +10,28 @@ import (
 func TestDefaultValidates(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatalf("Default() invalid: %v", err)
+	}
+}
+
+// TestJSONRoundTrip: a GPU survives encoding/json unchanged. Cache keys
+// hash its JSON, and a peer re-decodes a forwarded request's "gpu" from it.
+func TestJSONRoundTrip(t *testing.T) {
+	for name, g := range map[string]GPU{
+		"default": Default(),
+		"scaled":  Scaled(4, 64),
+		"tiny":    Scaled(2, 16),
+	} {
+		b, err := json.Marshal(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var back GPU
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(g, back) {
+			t.Errorf("%s: round trip changed the config:\nbefore %+v\nafter  %+v", name, g, back)
+		}
 	}
 }
 

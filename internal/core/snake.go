@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 
 	"snake/internal/prefetch"
 )
 
-// Config holds Snake's tunable parameters. Zero values are replaced by the
-// paper's defaults in New.
+// Config holds Snake's tunable parameters. New builds a configuration as
+// given, so a variant starts from Defaults and changes the fields it studies;
+// a zero count is a value Validate rejects, not a request for the default.
 type Config struct {
 	// TailEntries is the Tail-table size (paper: 10, §5.5).
 	TailEntries int
@@ -79,46 +82,20 @@ func Defaults() Config {
 	}
 }
 
-// WithDefaults returns the configuration New builds: each count that is zero
-// or negative (InterWarpDegree: negative) and each zero bandwidth threshold
-// takes the paper's value. It is the canonical form of a configuration, so
-// two configurations that build the same prefetcher compare equal after it.
-func (c Config) WithDefaults() Config {
-	d := Defaults()
-	if c.TailEntries <= 0 {
-		c.TailEntries = d.TailEntries
+// UnmarshalJSON decodes a configuration onto Defaults: a field the JSON
+// omits keeps the paper's value, and a field it holds is taken literally.
+// So snaked's "snake":{"TailEntries":5} is the paper's configuration with a
+// 5-entry Tail table. A field Config does not have is an error.
+func (c *Config) UnmarshalJSON(data []byte) error {
+	type plain Config // plain has Config's fields but not this method
+	d := plain(Defaults())
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&d); err != nil {
+		return err
 	}
-	if c.HeadRows <= 0 {
-		c.HeadRows = d.HeadRows
-	}
-	if c.HeadSlotsPerRow <= 0 {
-		c.HeadSlotsPerRow = d.HeadSlotsPerRow
-	}
-	if c.PromoteWarps <= 0 {
-		c.PromoteWarps = d.PromoteWarps
-	}
-	if c.ChainDepth <= 0 {
-		c.ChainDepth = d.ChainDepth
-	}
-	if c.InterWarpDegree < 0 {
-		c.InterWarpDegree = d.InterWarpDegree
-	}
-	if c.IntraDegree <= 0 {
-		c.IntraDegree = d.IntraDegree
-	}
-	if c.ThrottleCycles <= 0 {
-		c.ThrottleCycles = d.ThrottleCycles
-	}
-	if c.BWHalt == 0 {
-		c.BWHalt = d.BWHalt
-	}
-	if c.BWResume == 0 {
-		c.BWResume = d.BWResume
-	}
-	if c.MaxRequestsPerAccess <= 0 {
-		c.MaxRequestsPerAccess = d.MaxRequestsPerAccess
-	}
-	return c
+	*c = Config(d)
+	return nil
 }
 
 // Upper limits Validate puts on a configuration. A configuration can arrive
@@ -159,11 +136,10 @@ const (
 	LimitMaxRequestsPerAccess = 4 * 8
 )
 
-// Validate checks the configuration New would build (zero and negative
-// counts take the paper's defaults first): every table size, degree and
-// interval within its limit, and the bandwidth thresholds in [0, 1].
+// Validate checks the configuration as New would build it: every table
+// size, degree and interval within its limit, and the bandwidth thresholds in
+// [0, 1].
 func (c Config) Validate() error {
-	c = c.WithDefaults()
 	for _, f := range []struct {
 		name          string
 		val, min, max int
@@ -221,9 +197,13 @@ type Snake struct {
 var _ prefetch.Prefetcher = (*Snake)(nil)
 var _ prefetch.StorageHint = (*Snake)(nil)
 
-// New builds a Snake prefetcher with the given configuration.
+// New builds a Snake prefetcher with the given configuration. Like
+// regexp.MustCompile, it panics with Validate's error on a configuration
+// Validate rejects: its tables could not be sized from it.
 func New(cfg Config) *Snake {
-	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	return &Snake{
 		cfg:      cfg,
 		name:     "snake",

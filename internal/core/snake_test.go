@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"snake/internal/prefetch"
@@ -61,7 +62,9 @@ func TestChainPromotionAfterThreeWarps(t *testing.T) {
 }
 
 func TestChainWalkDepth(t *testing.T) {
-	s := New(Config{ChainDepth: 3, ChainsOnly: true})
+	cfg := Defaults()
+	cfg.ChainDepth, cfg.ChainsOnly = 3, true
+	s := New(cfg)
 	// Build chain 0x100 -> 0x108 -> 0x110 with strides 64 and 128 across 3 warps.
 	for w := 0; w < 3; w++ {
 		base := uint64(0x10000 + w*0x1000)
@@ -119,7 +122,9 @@ func TestIntraWarpCase1ConsecutiveReexecution(t *testing.T) {
 }
 
 func TestIntraWarpCase2LoopAccumulation(t *testing.T) {
-	s := New(Config{ChainDepth: 2, PromoteWarps: 3})
+	cfg := Defaults()
+	cfg.InterWarpDegree = 0
+	s := New(cfg)
 	// Loop over two PCs: pc1 -> pc2 (stride +64), pc2 -> pc1' (stride +192):
 	// the loop displacement for pc1 is 256.
 	for w := 0; w < 3; w++ {
@@ -351,11 +356,24 @@ func TestDefaultsValidation(t *testing.T) {
 	if d.TailEntries != 10 || d.HeadRows != 32 || d.PromoteWarps != 3 || d.ThrottleCycles != 50 {
 		t.Errorf("paper defaults drifted: %+v", d)
 	}
-	// Zero config inherits defaults.
-	z := Config{}.WithDefaults()
-	if z.TailEntries != d.TailEntries || z.BWHalt != d.BWHalt {
-		t.Errorf("WithDefaults incomplete: %+v", z)
+	if err := d.Validate(); err != nil {
+		t.Errorf("paper defaults invalid: %v", err)
 	}
+	// The zero config is not the defaults: New takes it literally, and
+	// Validate rejects its zero Tail table by name.
+	if err := (Config{}).Validate(); err == nil || !strings.Contains(err.Error(), "TailEntries 0") {
+		t.Errorf("zero config: Validate() = %v, want an error naming TailEntries 0", err)
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("New accepted a zero HeadRows")
+		} else if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "HeadRows 0") {
+			t.Errorf("New panicked with %v, want Validate's error naming HeadRows 0", r)
+		}
+	}()
+	cfg := d
+	cfg.HeadRows = 0
+	New(cfg)
 }
 
 func TestBulkPromotionBurst(t *testing.T) {

@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// TestConfigValidateAcceptsPaperSpace: the paper's defaults, the zero
-// config (all defaults), every evaluated variant's config, and every point
-// the repository's sweeps and the service benchmark's custom Snake configs
-// reach pass Validate.
+// TestConfigValidateAcceptsPaperSpace: the paper's defaults, every
+// evaluated variant's config, and every point the repository's sweeps and the
+// service benchmark's custom Snake configs reach pass Validate.
 func TestConfigValidateAcceptsPaperSpace(t *testing.T) {
-	ok := []Config{{}, Defaults()}
+	ok := []Config{Defaults()}
 	for _, s := range []*Snake{NewSimpleSnake(), NewSnakeDT(), NewSnakeT(), NewSnakePlusCTA(), NewIsolatedSnake()} {
 		ok = append(ok, s.cfg)
 	}
@@ -28,8 +27,9 @@ func TestConfigValidateAcceptsPaperSpace(t *testing.T) {
 	}
 	single := Defaults()
 	single.HeadSlotsPerRow = 1
-	negative := Config{TailEntries: -1, InterWarpDegree: -3} // New takes the defaults
-	ok = append(ok, single, negative)
+	noInterWarp := Defaults()
+	noInterWarp.InterWarpDegree = 0
+	ok = append(ok, single, noInterWarp)
 	for _, c := range ok {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%+v: %v", c, err)
@@ -38,7 +38,8 @@ func TestConfigValidateAcceptsPaperSpace(t *testing.T) {
 }
 
 // TestConfigValidateNamesField: one field past its limit is rejected by
-// name.
+// name, and so is a zero or negative count: New takes a configuration
+// literally, so a zero is a zero-sized table, not the paper's value.
 func TestConfigValidateNamesField(t *testing.T) {
 	for field, set := range map[string]func(*Config){
 		"TailEntries":          func(c *Config) { c.TailEntries = LimitTailEntries + 1 },
@@ -53,6 +54,11 @@ func TestConfigValidateNamesField(t *testing.T) {
 		"MaxRequestsPerAccess": func(c *Config) { c.MaxRequestsPerAccess = LimitMaxRequestsPerAccess + 1 },
 		"BWHalt":               func(c *Config) { c.BWHalt = 1.5 },
 		"BWResume":             func(c *Config) { c.BWResume = math.NaN() },
+		"TailEntries 0":        func(c *Config) { c.TailEntries = 0 },
+		"HeadRows 0":           func(c *Config) { c.HeadRows = 0 },
+		"ChainDepth 0":         func(c *Config) { c.ChainDepth = 0 },
+		"ThrottleCycles -1":    func(c *Config) { c.ThrottleCycles = -1 },
+		"InterWarpDegree -1":   func(c *Config) { c.InterWarpDegree = -1 },
 	} {
 		c := Defaults()
 		set(&c)

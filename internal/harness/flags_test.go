@@ -13,8 +13,8 @@ import (
 
 // TestShapeFlags: the shared shape flags default to the experiments' machine
 // and scale, and a shape no run could simulate is one error that names the
-// flag, before anything runs. A negative scale flag is an error too, not
-// a silent default.
+// flag, before anything runs. A zero or negative scale flag is that error
+// too, not a silent default.
 func TestShapeFlags(t *testing.T) {
 	parse := func(args ...string) (config.GPU, workloads.Scale, error) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -44,12 +44,13 @@ func TestShapeFlags(t *testing.T) {
 		{[]string{"-warps", "0"}, "-sms 4 -warps 0: config: MaxWarpsPerSM 0"},
 		{[]string{"-sms", "8", "-warps", "0"}, "-sms 8 -warps 0: config: MaxWarpsPerSM 0"},
 		{[]string{"-warps", "300"}, "-sms 4 -warps 300: config: MaxWarpsPerSM 300"},
-		{[]string{"-ctas", "-1"}, "-ctas -1 must be ≥ 0"},
-		{[]string{"-wpc", "-1"}, "-wpc -1 must be ≥ 0"},
-		{[]string{"-iters", "-1"}, "-iters -1 must be ≥ 0"},
-		{[]string{"-ctas", "70000"}, "-ctas 70000 -wpc 0 -iters 0: scale: CTAs 70000"},
+		{[]string{"-ctas", "0"}, "-ctas 0 -wpc 8 -iters 12: scale: CTAs 0"},
+		{[]string{"-ctas", "-1"}, "-ctas -1 -wpc 8 -iters 12: scale: CTAs -1"},
+		{[]string{"-wpc", "0"}, "-ctas 48 -wpc 0 -iters 12: scale: WarpsPerCTA 0"},
+		{[]string{"-iters", "-1"}, "-ctas 48 -wpc 8 -iters -1: scale: Iters -1"},
+		{[]string{"-ctas", "70000"}, "-ctas 70000 -wpc 8 -iters 12: scale: CTAs 70000"},
 		{[]string{"-wpc", "65", "-warps", "64"}, "-wpc 65 -warps 64: scale: a CTA of 65 warps"},
-		{[]string{"-warps", "4"}, "-wpc 0 -warps 4: scale: a CTA of 8 warps"},
+		{[]string{"-warps", "4"}, "-wpc 8 -warps 4: scale: a CTA of 8 warps"},
 	} {
 		_, _, err := parse(tc.args...)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {

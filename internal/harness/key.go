@@ -38,13 +38,13 @@ type RunKey struct {
 // (RunKey.Snake); the configuration itself tells such runs apart.
 const CustomSnake = "snake:custom"
 
-// Normalize returns the canonical form of the key, or an error naming why no
+// Normalize returns the key as its canonical form, or an error naming why no
 // run could simulate it: a benchmark outside the registry; a mechanism
 // outside the registry, or a Snake config under CustomSnake that fails
 // core.Config.Validate; an invalid GPU or scale; or a CTA wider than an SM.
-// The canonical key fills in the scale's and the Snake config's defaults,
-// which the workload store and core.New fill in anyway, so every key of one
-// simulation hashes alike. A canonical key normalizes to itself.
+// It takes every field literally, so it fills in no default. Its one rewrite
+// is a Snake bandwidth threshold of −0 to 0: the two compare equal, and so
+// run alike, but marshal apart. A canonical key normalizes to itself.
 func (k RunKey) Normalize() (RunKey, error) {
 	if !workloads.Has(k.Bench) {
 		return RunKey{}, fmt.Errorf("unknown benchmark %q (known: %v)", k.Bench, workloads.Names())
@@ -56,16 +56,19 @@ func (k RunKey) Normalize() (RunKey, error) {
 		if err := k.Snake.Validate(); err != nil {
 			return RunKey{}, err
 		}
-		snake := k.Snake.WithDefaults()
+		snake := *k.Snake
+		for _, bw := range []*float64{&snake.BWHalt, &snake.BWResume} {
+			if *bw == 0 {
+				*bw = 0 // −0 to 0
+			}
+		}
 		k.Snake = &snake
 	} else if _, err := Mechanism(k.Mech); err != nil {
 		return RunKey{}, err
 	}
-	sc, _, err := checkShape(k.GPU, k.Scale)
-	if err != nil {
+	if _, err := checkShape(k.GPU, k.Scale); err != nil {
 		return RunKey{}, err
 	}
-	k.Scale = sc
 	return k, nil
 }
 
@@ -77,17 +80,16 @@ const (
 )
 
 // checkShape checks a machine and a workload scale together: each valid, and
-// a CTA of the scale no wider than an SM. It returns the scale with its
-// defaults filled in, or the part at fault and why.
-func checkShape(gpu config.GPU, sc workloads.Scale) (workloads.Scale, int, error) {
+// a CTA of the scale no wider than an SM. It returns the part at fault and
+// why.
+func checkShape(gpu config.GPU, sc workloads.Scale) (int, error) {
 	if err := gpu.Validate(); err != nil {
-		return sc, shapeGPU, err
+		return shapeGPU, err
 	}
 	if err := sc.Validate(); err != nil {
-		return sc, shapeScale, err
+		return shapeScale, err
 	}
-	sc = sc.WithDefaults()
-	return sc, shapeFit, sc.FitsSM(gpu.MaxWarpsPerSM)
+	return shapeFit, sc.FitsSM(gpu.MaxWarpsPerSM)
 }
 
 // Hash returns the content address of the key: a hex SHA-256 over the

@@ -11,29 +11,33 @@ import (
 	"snake/internal/workloads"
 )
 
-// TestRunKeyNormalize: the canonical key fills in the scale's and the Snake
-// config's defaults, so keys of one simulation hash alike, and normalizes
-// to itself; a key no run could simulate is rejected with the reason.
+// TestRunKeyNormalize: a key normalizes to itself, field for field, with one
+// exception: a Snake bandwidth threshold of −0 becomes 0, which compares
+// equal but marshals apart. Normalize fills in no default, so a zero scale
+// dimension or Snake count is rejected by name like any key no run could
+// simulate.
 func TestRunKeyNormalize(t *testing.T) {
 	gpu, scale := config.Scaled(4, 64), workloads.DefaultScale()
 	def := core.Defaults()
-	canon := []RunKey{
-		{Bench: "lps", Mech: "snake", GPU: gpu, Scale: scale},
-		{Bench: "lps", Mech: CustomSnake, Snake: &def, GPU: gpu, Scale: scale},
-	}
+	zero := def
+	zero.BWHalt, zero.BWResume = 0, 0
 	negZero := def
 	negZero.BWHalt, negZero.BWResume = math.Copysign(0, -1), 0
-	same := []RunKey{
-		{Bench: "lps", Mech: "snake", GPU: gpu},
-		{Bench: "lps", Mech: "snake", GPU: gpu, Scale: workloads.Scale{Iters: -5}},
-		{Bench: "lps", Mech: CustomSnake, Snake: &negZero, GPU: gpu, Scale: scale},
-	}
-	for i, k := range same {
-		want := canon[0]
-		if k.Snake != nil {
-			want = canon[1]
+	noInterWarp := def
+	noInterWarp.InterWarpDegree = 0
+	for i, tc := range []struct{ key, want RunKey }{
+		{RunKey{Bench: "lps", Mech: "snake", GPU: gpu, Scale: scale}, RunKey{}},
+		{RunKey{Bench: "lps", Mech: CustomSnake, Snake: &def, GPU: gpu, Scale: scale}, RunKey{}},
+		{RunKey{Bench: "lps", Mech: CustomSnake, Snake: &noInterWarp, GPU: gpu, Scale: scale}, RunKey{}},
+		{RunKey{Bench: "lps", Mech: CustomSnake, Snake: &zero, GPU: gpu, Scale: scale}, RunKey{}},
+		{RunKey{Bench: "lps", Mech: CustomSnake, Snake: &negZero, GPU: gpu, Scale: scale},
+			RunKey{Bench: "lps", Mech: CustomSnake, Snake: &zero, GPU: gpu, Scale: scale}},
+	} {
+		want := tc.want
+		if want.Bench == "" {
+			want = tc.key
 		}
-		got, err := k.Normalize()
+		got, err := tc.key.Normalize()
 		if err != nil || got.Hash() != want.Hash() || !reflect.DeepEqual(got, want) {
 			t.Errorf("key %d normalizes to %+v, %v; want %+v", i, got, err, want)
 		}
@@ -41,11 +45,13 @@ func TestRunKeyNormalize(t *testing.T) {
 			t.Errorf("key %d: canonical key renormalizes to %+v, %v", i, again, err)
 		}
 	}
-	if canon[1].Snake != &def || def != core.Defaults() {
+	if !math.Signbit(negZero.BWHalt) || def != core.Defaults() {
 		t.Error("Normalize wrote through the caller's Snake config")
 	}
 	wide := scale
 	wide.WarpsPerCTA = 65
+	deep, shallow := def, def
+	deep.ChainDepth, shallow.ChainDepth = 9, 0
 	for _, tc := range []struct {
 		key  RunKey
 		want string
@@ -54,9 +60,13 @@ func TestRunKeyNormalize(t *testing.T) {
 		{RunKey{Bench: "lps", Mech: "nope", GPU: gpu}, `unknown mechanism "nope"`},
 		{RunKey{Bench: "lps", Mech: CustomSnake, GPU: gpu}, `unknown mechanism "snake:custom"`},
 		{RunKey{Bench: "lps", Mech: "snake", Snake: &def, GPU: gpu}, `runs as mech "snake:custom"`},
-		{RunKey{Bench: "lps", Mech: CustomSnake, Snake: &core.Config{ChainDepth: 9}, GPU: gpu}, "ChainDepth 9"},
+		{RunKey{Bench: "lps", Mech: CustomSnake, Snake: &deep, GPU: gpu, Scale: scale}, "ChainDepth 9"},
+		{RunKey{Bench: "lps", Mech: CustomSnake, Snake: &shallow, GPU: gpu, Scale: scale}, "ChainDepth 0"},
+		{RunKey{Bench: "lps", Mech: CustomSnake, Snake: &core.Config{}, GPU: gpu, Scale: scale}, "TailEntries 0"},
 		{RunKey{Bench: "lps", Mech: "snake", GPU: config.Scaled(0, 64)}, "NumSM 0"},
 		{RunKey{Bench: "lps", Mech: "snake", GPU: gpu, Scale: workloads.Scale{CTAs: 1 << 20}}, "CTAs 1048576"},
+		{RunKey{Bench: "lps", Mech: "snake", GPU: gpu}, "CTAs 0"},
+		{RunKey{Bench: "lps", Mech: "snake", GPU: gpu, Scale: workloads.Scale{CTAs: 48, WarpsPerCTA: 8, Iters: -5}}, "Iters -5"},
 		{RunKey{Bench: "lps", Mech: "snake", GPU: gpu, Scale: wide}, "does not fit in 64 warp slots"},
 	} {
 		if _, err := tc.key.Normalize(); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -16,11 +17,12 @@ import (
 // false) or a SweepRequest (sweep true) with the handlers' decoder, then
 // normalizes the request, or every cell the sweep expands to, without
 // enqueueing anything. Each input must be rejected or yield valid specs:
-// a registry workload, a mechanism, a valid GPU, scale and custom Snake
-// config, a scale whose CTA fits the GPU's warp slots, the timeout the
-// request asked for, a canonical key (normalizing it again changes
-// nothing), a 64-hex content address, and a wire form that normalizes back
-// to the same address (what a forwarding peer relies on). Nothing may panic.
+// a registry workload, a mechanism, a valid GPU whose slack audit is
+// computable, a valid scale and custom Snake config, a scale whose CTA fits
+// the GPU's warp slots, the timeout the request asked for, a canonical key
+// (normalizing it again changes nothing) whose JSON decodes back to an equal
+// key, a 64-hex content address, and a wire form that normalizes back to the
+// same address (what a forwarding peer relies on). Nothing may panic.
 func FuzzRequestNormalize(f *testing.F) {
 	svc := tinyService(1)
 	f.Cleanup(func() {
@@ -31,7 +33,7 @@ func FuzzRequestNormalize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, sweep bool) {
 		if sweep {
 			var req SweepRequest
-			if decodeJSON(httptest.NewRequest("POST", "/v1/sweeps", bytes.NewReader(body)), &req) != nil {
+			if svc.decodeRequest(httptest.NewRequest("POST", "/v1/sweeps", bytes.NewReader(body)), &req) != nil {
 				return
 			}
 			specs, err := svc.sweepSpecs(req)
@@ -51,7 +53,7 @@ func FuzzRequestNormalize(f *testing.F) {
 			return
 		}
 		var req RunRequest
-		if decodeJSON(httptest.NewRequest("POST", "/v1/runs", bytes.NewReader(body)), &req) != nil {
+		if svc.decodeRequest(httptest.NewRequest("POST", "/v1/runs", bytes.NewReader(body)), &req) != nil {
 			return
 		}
 		sp, err := svc.normalize(req)
@@ -84,6 +86,7 @@ func checkSpec(t *testing.T, svc *Service, sp *spec, timeoutMS int64) {
 	if err := k.GPU.Validate(); err != nil {
 		t.Fatalf("spec GPU invalid: %v", err)
 	}
+	k.GPU.SlackAudit()
 	if err := k.Scale.Validate(); err != nil {
 		t.Fatalf("spec scale invalid: %v", err)
 	}
@@ -97,6 +100,14 @@ func checkSpec(t *testing.T, svc *Service, sp *spec, timeoutMS int64) {
 	}
 	if !reflect.DeepEqual(canon, *k) || canon.Hash() != key {
 		t.Fatalf("accepted key %+v is not canonical: it normalizes to %+v", *k, canon)
+	}
+	b, err := json.Marshal(k)
+	if err != nil {
+		t.Fatalf("accepted key does not encode: %v", err)
+	}
+	var back harness.RunKey
+	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, *k) {
+		t.Fatalf("accepted key's JSON decodes to %+v, %v; want %+v\n%s", back, err, *k, b)
 	}
 	if len(key) != 64 {
 		t.Fatalf("content address %q is not 64 hex characters", key)

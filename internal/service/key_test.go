@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,9 +30,10 @@ func shutdown(t *testing.T, svc *Service) {
 // mechanisms, and GPU and scale overrides, each sent twice, must show every
 // cell the harness.RunKey hash of its own normalized key, and hold one
 // record per distinct key. On a service at the default scale, a request with
-// no scale, "scale":{} and "scale":{"Iters":-5} simulate the same kernel, and
-// "snake":{} the same prefetcher as the defaults with InterWarpDegree 0:
-// each group shares one key and one record.
+// no scale, "scale":{} and a scale spelling out default values simulate the
+// same kernel, and "snake":{}, the spelled-out defaults and a part of them
+// the same prefetcher, core.Defaults(): each group shares one key and one
+// record. "scale":{"Iters":-5} is rejected, not read as the default.
 func TestRecordKeysMatchRunKey(t *testing.T) {
 	svc := tinyService(2)
 	defer shutdown(t, svc)
@@ -87,28 +91,45 @@ func TestRecordKeysMatchRunKey(t *testing.T) {
 		t.Errorf("%d records and %d distinct keys, want %d", records(svc), len(keys), w)
 	}
 
-	// Admitted, not run: these cells are at the default scale.
+	// Admitted, not run: these cells are at the default scale. Each group
+	// spells one simulation's overrides differently, decoded as the
+	// handlers decode them.
 	def := New(Options{Workers: 1, GPU: &gpu})
 	defer shutdown(t, def)
-	noInterWarp := core.Defaults()
-	noInterWarp.InterWarpDegree = 0
+	decode := func(body string) SweepRequest {
+		t.Helper()
+		var req SweepRequest
+		if err := def.decodeRequest(httptest.NewRequest("POST", "/v1/sweeps", strings.NewReader(body)), &req); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return req
+	}
+	defaults, err := json.Marshal(core.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper := core.Defaults()
+	paperKey := harness.RunKey{Bench: "cp", Mech: harness.CustomSnake, Snake: &paper, GPU: gpu, Scale: workloads.DefaultScale()}.Hash()
 	for _, group := range []struct {
-		reqs []SweepRequest
-		keys int
+		bodies []string
+		keys   int
+		has    string // a key the group must hold, or ""
 	}{
-		{[]SweepRequest{
-			{Benches: []string{"cp"}, Mechs: mechs},
-			{Benches: []string{"cp"}, Mechs: mechs, Scale: &workloads.Scale{}},
-			{Benches: []string{"cp"}, Mechs: mechs, Scale: &workloads.Scale{Iters: -5}},
-		}, len(mechs)},
-		{[]SweepRequest{
-			{Benches: []string{"cp"}, Snake: &noInterWarp},
-			{Benches: []string{"cp"}, Snake: &core.Config{}},
-		}, 1},
+		{[]string{
+			`{"benches":["cp"],"mechs":["baseline","snake"]}`,
+			`{"benches":["cp"],"mechs":["baseline","snake"],"scale":{}}`,
+			`{"benches":["cp"],"mechs":["baseline","snake"],"scale":{"CTAs":48,"Iters":12}}`,
+		}, len(mechs), ""},
+		{[]string{
+			`{"benches":["cp"],"snake":{}}`,
+			`{"benches":["cp"],"snake":` + string(defaults) + `}`,
+			`{"benches":["cp"],"snake":{"InterWarpDegree":2,"BWHalt":0.7}}`,
+		}, 1, paperKey},
 	} {
 		before := records(def)
 		groupKeys := map[string]bool{}
-		for _, req := range group.reqs {
+		for _, body := range group.bodies {
+			req := decode(body)
 			specs, err := def.sweepSpecs(req)
 			if err != nil {
 				t.Fatal(err)
@@ -117,22 +138,28 @@ func TestRecordKeysMatchRunKey(t *testing.T) {
 			for _, sp := range specs {
 				v := def.newJobLocked(sp, "").view()
 				if w := want(def, req, v); v.Key != w {
-					t.Errorf("%+v: %s/%s has key %s, want %s", req, v.Bench, v.Mech, v.Key, w)
+					t.Errorf("%s: %s/%s has key %s, want %s", body, v.Bench, v.Mech, v.Key, w)
 				}
 				groupKeys[v.Key] = true
 			}
 			def.mu.Unlock()
 		}
 		if got := records(def) - before; got != group.keys || len(groupKeys) != group.keys {
-			t.Errorf("%+v and its equivalents: %d records and %d keys, want %d", group.reqs[0], got, len(groupKeys), group.keys)
+			t.Errorf("%s and its equivalents: %d records and %d keys, want %d", group.bodies[0], got, len(groupKeys), group.keys)
 		}
+		if group.has != "" && !groupKeys[group.has] {
+			t.Errorf("%s and its equivalents: keys %v, want %s among them", group.bodies[0], groupKeys, group.has)
+		}
+	}
+	if _, err := def.sweepSpecs(decode(`{"benches":["cp"],"mechs":["baseline"],"scale":{"Iters":-5}}`)); err == nil || !strings.Contains(err.Error(), "Iters -5") {
+		t.Errorf(`"scale":{"Iters":-5}: %v, want an error naming Iters -5`, err)
 	}
 }
 
-// TestCustomSnakeSignedZeroKeys: BWHalt 0 and -0 compare equal in Go but
-// marshal apart. Both mean "the default threshold", so the canonical key
-// replaces either with 0.70: 0, -0 and the default share one key and one
-// record.
+// TestCustomSnakeSignedZeroKeys: BWHalt 0 and -0 compare equal in Go, and
+// so run alike, but marshal apart. The canonical key writes -0 as 0, so the
+// two share one key and one record: BWHalt 0's, a real threshold distinct
+// from the default 0.70.
 func TestCustomSnakeSignedZeroKeys(t *testing.T) {
 	svc := tinyService(1)
 	defer shutdown(t, svc)
@@ -149,11 +176,14 @@ func TestCustomSnakeSignedZeroKeys(t *testing.T) {
 		return svc.newJobLocked(sp, "")
 	}
 	jd, jp, jn := jobFor(def), jobFor(pos), jobFor(neg)
-	want := harness.RunKey{Bench: "cp", Mech: harness.CustomSnake, Snake: &def, GPU: svc.runner.Cfg, Scale: svc.runner.Scale}.Hash()
-	for _, j := range []*job{jd, jp, jn} {
-		if j.rec != jd.rec || j.rec.key != want {
-			t.Errorf("key %s, want the default's %s in one record", j.rec.key, want)
-		}
+	key := func(cfg core.Config) string {
+		return harness.RunKey{Bench: "cp", Mech: harness.CustomSnake, Snake: &cfg, GPU: svc.runner.Cfg, Scale: svc.runner.Scale}.Hash()
+	}
+	if jn.rec != jp.rec || jp.rec.key != key(pos) {
+		t.Errorf("BWHalt -0 keys %s and 0 keys %s, want both %s in one record", jn.rec.key, jp.rec.key, key(pos))
+	}
+	if jd.rec == jp.rec || jd.rec.key != key(def) {
+		t.Errorf("BWHalt 0.70 keys %s, want %s in its own record", jd.rec.key, key(def))
 	}
 }
 

@@ -41,7 +41,7 @@ func (s *Service) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 // forward.
 func (s *Service) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeRequest(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -436,7 +436,7 @@ func (s *Service) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Service) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeRequest(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -481,7 +481,7 @@ func (s *Service) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeRequest(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -547,7 +547,20 @@ func (s *Service) retryAfterSeconds() int {
 	return sec
 }
 
-func decodeJSON(r *http.Request, v interface{}) error {
+// decodeRequest decodes a RunRequest or SweepRequest body onto the
+// service's defaults: a "gpu" or "scale" override onto a copy of the
+// service's machine or scale, and a "snake" override onto core.Defaults
+// (core.Config.UnmarshalJSON). An omitted field is the default and a present
+// one is taken literally; normalize rejects what cannot run. A field the
+// request or an override does not have is an error.
+func (s *Service) decodeRequest(r *http.Request, v any) error {
+	gpu, sc := s.runner.Cfg, s.runner.Scale
+	switch req := v.(type) {
+	case *RunRequest:
+		req.GPU, req.Scale = &gpu, &sc // encoding/json fills a non-nil pointer in place
+	case *SweepRequest:
+		req.GPU, req.Scale = &gpu, &sc
+	}
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -17,6 +17,7 @@ import (
 	"snake/internal/cluster"
 	"snake/internal/config"
 	"snake/internal/core"
+	"snake/internal/harness"
 	"snake/internal/stats"
 	"snake/internal/workloads"
 )
@@ -472,16 +473,21 @@ func TestOversizedRequestRejected(t *testing.T) {
 		_ = svc.Shutdown(ctx)
 	}()
 
+	snake := func(set func(*core.Config)) *core.Config {
+		cfg := core.Defaults()
+		set(&cfg)
+		return &cfg
+	}
 	cases := []struct {
 		name, path, field string
 		req               any
 	}{
 		{"1M CTAs", "/v1/runs?wait=1", "CTAs",
-			RunRequest{Bench: "lps", Mech: "baseline", Scale: &workloads.Scale{CTAs: 1_000_000}}},
+			RunRequest{Bench: "lps", Mech: "baseline", Scale: &workloads.Scale{CTAs: 1_000_000, WarpsPerCTA: 8, Iters: 12}}},
 		{"1M-entry tail", "/v1/runs?wait=1", "TailEntries",
-			RunRequest{Bench: "lps", Snake: &core.Config{TailEntries: 1 << 20}}},
+			RunRequest{Bench: "lps", Snake: snake(func(c *core.Config) { c.TailEntries = 1 << 20 })}},
 		{"halt above 1", "/v1/runs?wait=1", "BWHalt",
-			RunRequest{Bench: "lps", Snake: &core.Config{BWHalt: 2}}},
+			RunRequest{Bench: "lps", Snake: snake(func(c *core.Config) { c.BWHalt = 2 })}},
 		{"2M-unit sweep", "/v1/sweeps", "Iters",
 			SweepRequest{Benches: []string{"lps"}, Mechs: []string{"baseline"},
 				Scale: &workloads.Scale{CTAs: 2048, WarpsPerCTA: 8, Iters: 128}}},
@@ -523,7 +529,8 @@ func TestOversizedRequestRejected(t *testing.T) {
 // carrying "parallelism" or "slack" (gone with the intra-run executor), or
 // "app", "apps", "chain" or "split" (gone with multi-kernel runs), or a
 // "gpu" override naming a Table 1 value config.GPU dropped because the
-// engine never modelled it, gets a 400 that names the field; a "gpu" or
+// engine never modelled it, or any override naming a field its type does not
+// have, gets a 400 that names the field; a "gpu" or
 // "scale" override under which a CTA has more warps than an SM has warp
 // slots gets a 400 instead of a job that fails; and a body with
 // anything after its JSON object gets a 400 on every POST endpoint, where
@@ -556,14 +563,16 @@ func TestRequestRejectsParallelismAndSlack(t *testing.T) {
 			}
 		}
 	}
-	for field, gpu := range map[string]string{
-		"RegFilePerSM": `{"RegFilePerSM":65536}`, "MaxCTAsPerSM": `{"MaxCTAsPerSM":32}`,
-		"ThreadsPerSM": `{"ThreadsPerSM":2048}`, "Banks": `{"Unified":{"Banks":4}}`,
-		"TWR": `{"DRAM":{"TWR":10}}`, "TCCD": `{"DRAM":{"TCCD":1}}`,
+	for field, override := range map[string]string{
+		"RegFilePerSM": `"gpu":{"RegFilePerSM":65536}`, "MaxCTAsPerSM": `"gpu":{"MaxCTAsPerSM":32}`,
+		"ThreadsPerSM": `"gpu":{"ThreadsPerSM":2048}`, "Banks": `"gpu":{"Unified":{"Banks":4}}`,
+		"TWR": `"gpu":{"DRAM":{"TWR":10}}`, "TCCD": `"gpu":{"DRAM":{"TCCD":1}}`,
+		"NumSMs": `"gpu":{"NumSMs":4}`, "TailEntrys": `"snake":{"TailEntrys":5}`,
+		"Iter": `"scale":{"Iter":3}`,
 	} {
 		for path, body := range map[string]string{
-			"/v1/runs":   `{"bench":"lps","mech":"baseline","gpu":` + gpu + `}`,
-			"/v1/sweeps": `{"benches":["lps"],"mechs":["baseline"],"gpu":` + gpu + `}`,
+			"/v1/runs":   `{"bench":"lps","mech":"baseline",` + override + `}`,
+			"/v1/sweeps": `{"benches":["lps"],"mechs":["baseline"],` + override + `}`,
 		} {
 			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 			if err != nil {
@@ -572,7 +581,7 @@ func TestRequestRejectsParallelismAndSlack(t *testing.T) {
 			msg, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `\"`+field+`\"`) {
-				t.Errorf("POST %s with gpu %s: %d %s, want 400 naming the field", path, gpu, resp.StatusCode, msg)
+				t.Errorf("POST %s with %s: %d %s, want 400 naming the field", path, override, resp.StatusCode, msg)
 			}
 		}
 	}
@@ -613,6 +622,77 @@ func TestRequestRejectsParallelismAndSlack(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "trailing data") {
 				t.Errorf("POST %s with trailing %q: %d %s, want 400 naming the trailing data", path, trail, resp.StatusCode, msg)
+			}
+		}
+	}
+}
+
+// TestOverridesDecodeOntoDefaults: over HTTP, on /v1/runs and /v1/sweeps
+// alike, a "gpu" or "scale" override is the service's default with the
+// fields the JSON holds, and a "snake" override is core.Defaults with them.
+// A present field is taken literally: InterWarpDegree 0 is no inter-warp
+// prefetching, and a zero count the config cannot run is a 400 naming it.
+func TestOverridesDecodeOntoDefaults(t *testing.T) {
+	svc := tinyService(1)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer shutdown(t, svc)
+	key := func(set func(*harness.RunKey)) string {
+		k := svc.runner.Key("lps", "baseline")
+		set(&k)
+		return k.Hash()
+	}
+	snake := func(set func(*core.Config)) func(*harness.RunKey) {
+		return func(k *harness.RunKey) {
+			cfg := core.Defaults()
+			set(&cfg)
+			k.Mech, k.Snake = harness.CustomSnake, &cfg
+		}
+	}
+	for _, c := range []struct {
+		override string
+		key      string // the content address it must run under, or ""
+		field    string // what the 400 must name when key is ""
+	}{
+		{`"gpu":{"MLPPerWarp":8}`, key(func(k *harness.RunKey) { k.GPU.MLPPerWarp = 8 }), ""},
+		{`"gpu":{"DRAM":{"TCL":20}}`, key(func(k *harness.RunKey) { k.GPU.DRAM.TCL = 20 }), ""},
+		{`"snake":{"TailEntries":5}`, key(snake(func(c *core.Config) { c.TailEntries = 5 })), ""},
+		{`"snake":{"InterWarpDegree":0}`, key(snake(func(c *core.Config) { c.InterWarpDegree = 0 })), ""},
+		{`"scale":{"Iters":3}`, key(func(k *harness.RunKey) { k.Scale.Iters = 3 }), ""},
+		{`"scale":{"Iters":0}`, "", "Iters 0"},
+		{`"scale":{"Iters":-5}`, "", "Iters -5"},
+		{`"snake":{"ChainDepth":0}`, "", "ChainDepth 0"},
+		{`"gpu":{"L2":{"Ways":7}}`, "", "L2"},
+	} {
+		for path, body := range map[string]string{
+			"/v1/runs":   `{"bench":"lps","mech":"baseline",` + c.override + `}`,
+			"/v1/sweeps": `{"benches":["lps"],"mechs":["baseline"],` + c.override + `}`,
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if c.key == "" {
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.field) {
+					t.Errorf("POST %s with %s: %d %s, want 400 naming %s", path, c.override, resp.StatusCode, msg, c.field)
+				}
+				continue
+			}
+			var v struct {
+				Key  string    `json:"key"`
+				Jobs []RunView `json:"jobs"`
+			}
+			if resp.StatusCode != http.StatusAccepted || json.Unmarshal(msg, &v) != nil {
+				t.Errorf("POST %s with %s: %d %s, want 202", path, c.override, resp.StatusCode, msg)
+				continue
+			}
+			if len(v.Jobs) == 1 {
+				v.Key = v.Jobs[0].Key
+			}
+			if v.Key != c.key {
+				t.Errorf("POST %s with %s: key %s, want %s", path, c.override, v.Key, c.key)
 			}
 		}
 	}

@@ -40,10 +40,13 @@ type RunRequest struct {
 	// Mech names a registry mechanism; ignored when Snake is set.
 	Mech string `json:"mech"`
 	// Snake, when set, runs a custom Snake configuration instead of Mech.
+	// Over HTTP it is core.Defaults with the fields the JSON holds.
 	Snake *core.Config `json:"snake,omitempty"`
-	// GPU overrides the server's default hardware configuration.
+	// GPU overrides the server's default hardware configuration. Over
+	// HTTP it is that default with the fields the JSON holds.
 	GPU *config.GPU `json:"gpu,omitempty"`
-	// Scale overrides the server's default workload scale.
+	// Scale overrides the server's default workload scale. Over HTTP it is
+	// that default with the fields the JSON holds.
 	Scale *workloads.Scale `json:"scale,omitempty"`
 	// Priority orders the queue: higher runs first (default 0); ties are
 	// FIFO.
@@ -188,10 +191,11 @@ func (sp *spec) wireRequest() RunRequest {
 // key's record without hashing. It holds every RunKey field, the Snake
 // config by value (zero for a registry mechanism, whose mech tells it
 // apart), and each is an int, string, bool or a float of a canonical Snake
-// config: BWHalt and BWResume lie in (0, 1], never -0 or NaN. So equal
-// values marshal to the same canonical JSON, hence the same hash. (Unequal
-// values can still share a hash, as encoding/json writes invalid UTF-8 as
-// U+FFFD; their records then carry one key, which is harmless.)
+// config: BWHalt and BWResume lie in [0, 1], never -0 (Normalize writes it
+// as 0) or NaN. So equal values marshal to the same canonical JSON, hence
+// the same hash. (Unequal values can still share a hash, as encoding/json
+// writes invalid UTF-8 as U+FFFD; their records then carry one key, which
+// is harmless.)
 type recordKey struct {
 	bench, mech string
 	snake       core.Config

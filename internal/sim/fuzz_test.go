@@ -42,10 +42,11 @@ func panicSeeds() []config.GPU {
 }
 
 // FuzzValidatedConfigRuns checks the promise snaked relies on when it
-// accepts a client's "gpu" override: whenever Validate accepts a decoded
-// configuration, the engine runs a tiny kernel on it under any registry
-// mechanism and returns a result or an error — it never panics. Seeds are
-// panicSeeds; CI fuzzes it with the wire codecs.
+// accepts a client's "gpu" override: whenever Validate accepts a
+// configuration decoded, as snaked decodes it, onto a default machine
+// (config.Scaled(4, 64)), the engine runs a tiny kernel on it under any
+// registry mechanism and returns a result or an error — it never panics.
+// Seeds are panicSeeds; CI fuzzes it with the wire codecs.
 func FuzzValidatedConfigRuns(f *testing.F) {
 	mechs := harness.MechanismNames()
 	for _, g := range panicSeeds() {
@@ -59,8 +60,8 @@ func FuzzValidatedConfigRuns(f *testing.F) {
 	}
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	f.Fuzz(func(t *testing.T, data []byte, mech uint8) {
-		g, err := config.ParseJSON(data)
-		if err != nil {
+		g := config.Scaled(4, 64)
+		if json.Unmarshal(data, &g) != nil || g.Validate() != nil {
 			return
 		}
 		// Keep each input to a few MB of engine storage. The limits bound

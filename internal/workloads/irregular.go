@@ -11,7 +11,6 @@ import "snake/internal/trace"
 // prefetcher's coverage is low here, including the Ideal oracle (the jump
 // strides never repeat).
 func MUM(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		treeBase  = 0x8000_0000
 		treeSpan  = 64 * mb
@@ -52,7 +51,6 @@ func MUM(sc Scale) *trace.Kernel {
 // coverage "despite having regular memory access patterns ... due to the
 // low number of repetitions of these patterns" (§5.1).
 func NW(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		matBase  = 0x9000_0000
 		refBase  = 0x9800_0000
@@ -101,7 +99,6 @@ func NW(sc Scale) *trace.Kernel {
 // paper highlights; covering just the input stream yields Histo's 33%
 // speedup (§5.2).
 func Histo(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		inBase  = 0xA000_0000
 		binBase = 0xA800_0000

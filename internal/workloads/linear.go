@@ -11,7 +11,6 @@ import "snake/internal/trace"
 // regular loop — every stride mechanism trains; the application is partially
 // compute-bound so the absolute gain is moderate.
 func CP(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		atomBase = 0x5000_0000
 		atomRec  = 32 // bytes per atom record
@@ -50,7 +49,6 @@ func CP(sc Scale) *trace.Kernel {
 // §5.2): all three PCs chain with fixed inter-array deltas and a fixed
 // per-iteration stride, so a trained prefetcher converts every miss.
 func LIB(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		base   = 0x6000_0000
 		arrGap = 16 * mb // delta between the three arrays
@@ -87,7 +85,6 @@ func LIB(sc Scale) *trace.Kernel {
 // helps latency but the end-to-end gain is bounded by the compute — the
 // smallest bars in the paper's Figure 18.
 func MRQ(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		kBase  = 0x7000_0000
 		xBase  = 0x7400_0000

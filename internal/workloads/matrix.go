@@ -10,7 +10,6 @@ import "snake/internal/trace"
 // input/weight/delta arrays sit at fixed offsets, giving stable inter-thread
 // chains; the loop over hidden units gives fixed per-PC strides too.
 func Backprop(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		inBase     = 0xB000_0000
 		weightBase = 0xB400_0000
@@ -59,7 +58,6 @@ func Backprop(sc Scale) *trace.Kernel {
 // Snake's inter-thread mechanism captures. This is the paper's
 // "variable strides" case in its purest form.
 func LUD(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		matBase = 0xC000_0000
 		n       = 512 // matrix dimension in lines

@@ -9,7 +9,6 @@ import "snake/internal/trace"
 // with a fixed per-iteration stride and a two-PC chain: load A[i], load
 // B[i] (= A[i] + gap), compute, advance. Everything about it is trainable.
 func StreamMicro(sc Scale, stepBytes int) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		base   = 0xE000_0000
 		gap    = 8 * mb
@@ -43,7 +42,6 @@ func StreamMicro(sc Scale, stepBytes int) *trace.Kernel {
 // RandomMicro builds a kernel whose loads are uniformly pseudo-random: no
 // prefetcher (including the Ideal oracle) should cover it.
 func RandomMicro(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		base   = 0xE800_0000
 		span   = 256 * mb
@@ -72,7 +70,6 @@ func RandomMicro(sc Scale) *trace.Kernel {
 // larger strides split each access into multiple line transactions — the
 // divergent pattern §1 lists among the GPU-specific prefetching challenges.
 func DivergenceMicro(sc Scale, threadStride int32) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		base   = 0xEC00_0000
 		pcBase = 0xDC00
@@ -101,7 +98,6 @@ func DivergenceMicro(sc Scale, threadStride int32) *trace.Kernel {
 // per-PC strides vary every iteration (the LUD-style pattern): only a
 // chain-based prefetcher can cover the chain body.
 func ChainOnlyMicro(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		base   = 0xF000_0000
 		delta1 = 16 * kb

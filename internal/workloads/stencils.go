@@ -17,7 +17,6 @@ import "snake/internal/trace"
 // gets some coverage here; Snake trains faster (3 warps once, not 3
 // iterations per warp per PC) and adds the chain.
 func LPS(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		u1Base   = 0x1000_0000
 		koff     = 64 * kb // (BLOCK_X+2)*(BLOCK_Y+2) plane, in bytes
@@ -56,7 +55,6 @@ func LPS(sc Scale) *trace.Kernel {
 // training covers the same loads almost immediately, which is exactly the
 // coverage gap the paper's Figure 16 shows.
 func Hotspot(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		tempBase  = 0x2000_0000
 		powerBase = 0x2800_0000
@@ -101,7 +99,6 @@ func Hotspot(sc Scale) *trace.Kernel {
 // leading to resource congestion" that Snake's precise prefetching relieves
 // (§5.2).
 func Srad(sc Scale) *trace.Kernel {
-	sc = sc.WithDefaults()
 	const (
 		imgBase  = 0x4000_0000
 		cBase    = 0x4800_0000

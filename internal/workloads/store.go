@@ -22,8 +22,7 @@ type Store struct {
 	builds  atomic.Int64
 }
 
-// storeKey identifies one interned kernel. The Scale is normalized (defaults
-// applied) before keying, so Scale{} and DefaultScale() share an entry.
+// storeKey identifies one interned kernel.
 type storeKey struct {
 	bench string
 	sc    Scale
@@ -52,9 +51,10 @@ func Shared() *Store { return shared }
 // Kernel returns the interned kernel for (bench, sc), building it on first
 // use. Concurrent callers of the same key share one build: exactly one
 // goroutine runs the generator, the rest wait. Failed builds (an unknown
-// benchmark name) are not retained, so they do not grow the store.
+// benchmark name, a scale Validate rejects) are not retained, so they do not
+// grow the store.
 func (s *Store) Kernel(bench string, sc Scale) (*trace.Kernel, error) {
-	key := storeKey{bench: bench, sc: sc.WithDefaults()}
+	key := storeKey{bench: bench, sc: sc}
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if ok {

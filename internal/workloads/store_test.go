@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,23 +42,19 @@ func TestStoreInternsPerKey(t *testing.T) {
 	}
 }
 
-// TestStoreNormalizesScale checks that the zero Scale and the explicit
-// default share one entry, like Build's WithDefaults normalization.
-func TestStoreNormalizesScale(t *testing.T) {
+// TestStoreRejectsZeroScale: a scale is taken as given, so the zero Scale
+// is not DefaultScale. Build and Kernel return Validate's error instead of
+// generating from it, and the store keeps nothing for it.
+func TestStoreRejectsZeroScale(t *testing.T) {
+	if _, err := Build("cp", Scale{}); err == nil || !strings.Contains(err.Error(), "CTAs 0") {
+		t.Errorf("Build with Scale{}: %v, want an error naming CTAs 0", err)
+	}
 	s := NewStore()
-	k1, err := s.Kernel("cp", Scale{})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := s.Kernel("cp", Scale{}); err == nil || !strings.Contains(err.Error(), "CTAs 0") {
+		t.Errorf("Kernel with Scale{}: %v, want an error naming CTAs 0", err)
 	}
-	k2, err := s.Kernel("cp", DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Error("Scale{} and DefaultScale() interned separately")
-	}
-	if got := s.Builds(); got != 1 {
-		t.Errorf("Builds() = %d, want 1", got)
+	if s.Builds() != 0 || s.Len() != 0 {
+		t.Errorf("a rejected scale left %d builds and %d entries", s.Builds(), s.Len())
 	}
 }
 

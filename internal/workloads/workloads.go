@@ -39,22 +39,6 @@ func DefaultScale() Scale { return Scale{CTAs: 48, WarpsPerCTA: 8, Iters: 12} }
 // Tiny returns a minimal scale for unit tests.
 func Tiny() Scale { return Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 4} }
 
-// WithDefaults returns the scale the generators build: each dimension that is
-// zero or negative takes DefaultScale's value.
-func (s Scale) WithDefaults() Scale {
-	d := DefaultScale()
-	if s.CTAs <= 0 {
-		s.CTAs = d.CTAs
-	}
-	if s.WarpsPerCTA <= 0 {
-		s.WarpsPerCTA = d.WarpsPerCTA
-	}
-	if s.Iters <= 0 {
-		s.Iters = d.Iters
-	}
-	return s
-}
-
 // Upper limits Scale.Validate puts on a scale. A scale can arrive over the
 // network (snaked's "scale" override), and the store keeps every trace it
 // builds, whose size is proportional to CTAs × WarpsPerCTA × Iters: about
@@ -74,11 +58,9 @@ const (
 	LimitWork = 1 << 20
 )
 
-// Validate checks the scale the generators would build (zero and negative
-// dimensions take DefaultScale's first): each dimension and their product
-// within its limit.
+// Validate checks the scale as the generators would build it: each
+// dimension in [1, its limit] and their product within LimitWork.
 func (s Scale) Validate() error {
-	s = s.WithDefaults()
 	for _, f := range []struct {
 		name     string
 		val, max int
@@ -87,7 +69,7 @@ func (s Scale) Validate() error {
 		{"WarpsPerCTA", s.WarpsPerCTA, LimitWarpsPerCTA},
 		{"Iters", s.Iters, LimitIters},
 	} {
-		if f.val > f.max {
+		if f.val < 1 || f.val > f.max {
 			return fmt.Errorf("scale: %s %d must be in [1, %d]", f.name, f.val, f.max)
 		}
 	}
@@ -101,8 +83,8 @@ func (s Scale) Validate() error {
 // slots (config.GPU.MaxWarpsPerSM): CTA residency is bounded by warp slots
 // alone, so a larger CTA could never be placed.
 func (s Scale) FitsSM(warpSlots int) error {
-	if w := s.WithDefaults().WarpsPerCTA; w > warpSlots {
-		return fmt.Errorf("scale: a CTA of %d warps does not fit in %d warp slots per SM", w, warpSlots)
+	if s.WarpsPerCTA > warpSlots {
+		return fmt.Errorf("scale: a CTA of %d warps does not fit in %d warp slots per SM", s.WarpsPerCTA, warpSlots)
 	}
 	return nil
 }
@@ -159,7 +141,8 @@ func FullNames() map[string]string {
 	}
 }
 
-// Build constructs the named benchmark's kernel.
+// Build constructs the named benchmark's kernel, or returns the error of a
+// scale Validate rejects.
 func Build(name string, sc Scale) (*trace.Kernel, error) {
 	b, ok := registry[name]
 	if !ok {
@@ -170,7 +153,10 @@ func Build(name string, sc Scale) (*trace.Kernel, error) {
 		sort.Strings(known)
 		return nil, fmt.Errorf("workloads: unknown benchmark %q (known: %v)", name, known)
 	}
-	return b(sc.WithDefaults()), nil
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	return b(sc), nil
 }
 
 // mix is splitmix64: a deterministic pseudo-random mixer used for irregular
