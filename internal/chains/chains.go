@@ -101,7 +101,7 @@ func countLinks(w *trace.WarpProgram) map[link]int {
 	loads := w.Loads()
 	out := make(map[link]int)
 	for i := 1; i < len(loads); i++ {
-		out[link{loads[i-1].PC, loads[i].PC, int64(loads[i].Addr) - int64(loads[i-1].Addr)}]++
+		out[link{uint64(loads[i-1].PC), uint64(loads[i].PC), int64(loads[i].Addr) - int64(loads[i-1].Addr)}]++
 	}
 	return out
 }
@@ -170,6 +170,7 @@ func dynamicCoverage(k *trace.Kernel) (chain, mta float64) {
 			}
 			active++
 			in := c.loads[c.pos]
+			pc := uint64(in.PC)
 			c.pos++
 			total++
 
@@ -177,7 +178,7 @@ func dynamicCoverage(k *trace.Kernel) (chain, mta float64) {
 
 			// Chain: the incoming link was trained before this access.
 			if prevOK[c.warp] {
-				l := link{prevLoad[c.warp].PC, in.PC, int64(in.Addr) - int64(prevLoad[c.warp].Addr)}
+				l := link{uint64(prevLoad[c.warp].PC), pc, int64(in.Addr) - int64(prevLoad[c.warp].Addr)}
 				if linkSeen[l] >= MinRepeat {
 					covChain = true
 				}
@@ -187,9 +188,9 @@ func dynamicCoverage(k *trace.Kernel) (chain, mta float64) {
 			prevOK[c.warp] = true
 
 			// Self-link: the PC's re-execution stride within this warp.
-			lk := lastKey{c.warp, in.PC}
+			lk := lastKey{c.warp, pc}
 			if last, ok := lastExec[lk]; ok {
-				sk := selfKey{in.PC, int64(in.Addr) - int64(last)}
+				sk := selfKey{pc, int64(in.Addr) - int64(last)}
 				if selfSeen[sk] >= MinRepeat {
 					covChain = true
 				}
@@ -198,7 +199,7 @@ func dynamicCoverage(k *trace.Kernel) (chain, mta float64) {
 			lastExec[lk] = in.Addr
 
 			// MTA intra-warp: per (warp, PC) fixed stride.
-			ik := intraKey{c.warp, in.PC}
+			ik := intraKey{c.warp, pc}
 			if s, ok := intra[ik]; ok {
 				d := int64(in.Addr) - int64(s.last)
 				if d == s.stride && d != 0 {
@@ -216,7 +217,7 @@ func dynamicCoverage(k *trace.Kernel) (chain, mta float64) {
 			}
 
 			// MTA inter-warp: per-PC fixed stride between warps.
-			if s, ok := inter[in.PC]; ok {
+			if s, ok := inter[pc]; ok {
 				if dw := c.warp - s.lastW; dw != 0 {
 					d := (int64(in.Addr) - int64(s.last)) / int64(dw)
 					if d == s.stride && d != 0 {
@@ -232,7 +233,7 @@ func dynamicCoverage(k *trace.Kernel) (chain, mta float64) {
 				s.last = in.Addr
 				s.lastW = c.warp
 			} else {
-				inter[in.PC] = &interState{last: in.Addr, lastW: c.warp}
+				inter[pc] = &interState{last: in.Addr, lastW: c.warp}
 			}
 
 			if covChain {

@@ -17,7 +17,7 @@ import (
 // false) or a SweepRequest (sweep true) with the handlers' decoder, then
 // normalizes the request, or every cell the sweep expands to, without
 // enqueueing anything. Each input must be rejected or yield valid specs:
-// a registry workload, a mechanism, a valid GPU whose slack audit is
+// a registry workload, one mechanism (never a mech beside a snake config), a valid GPU whose slack audit is
 // computable, a valid scale and custom Snake config, a scale whose CTA fits
 // the GPU's warp slots, the timeout the request asked for, a canonical key
 // (normalizing it again changes nothing) whose JSON decodes back to an equal
@@ -42,6 +42,9 @@ func FuzzRequestNormalize(f *testing.F) {
 			}
 			mechs := len(req.Mechs)
 			if req.Snake != nil {
+				if mechs > 0 {
+					t.Fatalf("mechs %q beside a snake config accepted", req.Mechs)
+				}
 				mechs = 1
 			}
 			if want := len(req.Benches) * mechs; len(specs) != want {
@@ -59,6 +62,9 @@ func FuzzRequestNormalize(f *testing.F) {
 		sp, err := svc.normalize(req)
 		if err != nil {
 			return
+		}
+		if req.Snake != nil && req.Mech != "" {
+			t.Fatalf("mech %q beside a snake config accepted", req.Mech)
 		}
 		checkSpec(t, svc, &sp, req.TimeoutMS)
 	})

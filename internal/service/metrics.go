@@ -167,10 +167,11 @@ func (s snapshot) hitRatio() float64 {
 
 // render writes the Prometheus text exposition format. queued (jobs in the
 // priority queue), jobs (jobs retained for GET /v1/runs/{id}, terminal or
-// not) and records (per-key result records) are gauges sampled by the
-// caller; store is the tiered cache's snapshot, and clu the cluster
-// transport's (nil when the node runs standalone).
-func (m *metrics) render(w io.Writer, queued, jobs, records int, store cluster.StoreStats, clu *cluster.Snapshot) {
+// not), records (per-key result records) and traceBytes (the instruction
+// bytes of the interned traces) are gauges sampled by the caller; store is
+// the tiered cache's snapshot, and clu the cluster transport's (nil when
+// the node runs standalone).
+func (m *metrics) render(w io.Writer, queued, jobs, records int, traceBytes int64, store cluster.StoreStats, clu *cluster.Snapshot) {
 	s := m.snap()
 	fmt.Fprintf(w, "# TYPE snaked_jobs_submitted_total counter\n")
 	fmt.Fprintf(w, "snaked_jobs_submitted_total %d\n", s.Submitted)
@@ -180,6 +181,8 @@ func (m *metrics) render(w io.Writer, queued, jobs, records int, store cluster.S
 	fmt.Fprintf(w, "snaked_jobs_retained %d\n", jobs)
 	fmt.Fprintf(w, "# TYPE snaked_result_records gauge\n")
 	fmt.Fprintf(w, "snaked_result_records %d\n", records)
+	fmt.Fprintf(w, "# TYPE snaked_trace_bytes gauge\n")
+	fmt.Fprintf(w, "snaked_trace_bytes %d\n", traceBytes)
 	fmt.Fprintf(w, "# TYPE snaked_jobs_running gauge\n")
 	fmt.Fprintf(w, "snaked_jobs_running %d\n", s.Running)
 	fmt.Fprintf(w, "# TYPE snaked_jobs_completed_total counter\n")

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"snake/internal/config"
 	"snake/internal/core"
@@ -31,8 +29,10 @@ func liveHeap() uint64 {
 // client re-sweeps. A terminal job holds what its RunView shows and a
 // pointer to its key's shared record; the spec, context and stats copy it
 // ran with are garbage once it finishes. 500 cached re-sweeps of a 32-cell
-// grid, served from the memory tier and, with a one-byte memory tier and a
-// disk tier, from disk (where each hit decodes a fresh stats copy).
+// grid, on a service that simulated the grid itself and, over a disk tier
+// with a one-byte memory tier, on one restarted on a disk tier a first
+// service filled: there the first re-sweep reads every cell from disk, and
+// later ones from the records that read made.
 func TestRetainedJobBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates for itself")
@@ -46,60 +46,61 @@ func TestRetainedJobBytes(t *testing.T) {
 		Benches: workloads.Names()[:8],
 		Mechs:   []string{"baseline", "intra", "inter", "snake"},
 	}
+	cells := len(req.Benches) * len(req.Mechs)
+	// sweep runs one sweep on svc to completion and returns how many of its
+	// cells were served from source. It keeps no job.
+	sweep := func(t *testing.T, svc *Service, source string) int {
+		t.Helper()
+		_, jobs, err := svc.SubmitSweep(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, j := range jobs {
+			<-j.done
+			if v := j.view(); v.Status != StatusDone {
+				t.Fatalf("%s/%s: %s (%s)", v.Bench, v.Mech, v.Status, v.Error)
+			} else if v.Source == source {
+				n++
+			}
+		}
+		return n
+	}
 	for _, tc := range []struct {
-		name   string
-		opt    func(t *testing.T) Options
-		source string
-	}{
-		{"memory", func(*testing.T) Options { return Options{} }, "memory"},
-		{"disk", func(t *testing.T) Options { return Options{CacheDir: t.TempDir(), CacheMaxBytes: 1} }, "disk"},
-	} {
+		name string
+		disk bool
+	}{{"memory", false}, {"disk", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			gpu := config.Scaled(2, 16)
 			scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
-			opt := tc.opt(t)
-			opt.Workers, opt.GPU, opt.Scale = 2, &gpu, &scale
+			opt := Options{Workers: 2, GPU: &gpu, Scale: &scale}
+			if tc.disk {
+				opt.CacheDir, opt.CacheMaxBytes = t.TempDir(), 1
+				first := New(opt)
+				sweep(t, first, "sim")
+				shutdown(t, first)
+			}
 			svc := New(opt)
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				if err := svc.Shutdown(ctx); err != nil {
-					t.Errorf("shutdown: %v", err)
+			defer shutdown(t, svc)
+			if tc.disk {
+				if n := sweep(t, svc, "disk"); n != cells {
+					t.Fatalf("%d of %d cells served from disk after the restart, want all", n, cells)
 				}
-			}()
-			// sweep runs one sweep to completion and returns how many of its
-			// cells were served from the tier under test. It keeps no job.
-			sweep := func() int {
-				_, jobs, err := svc.SubmitSweep(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				n := 0
-				for _, j := range jobs {
-					<-j.done
-					if v := j.view(); v.Status != StatusDone {
-						t.Fatalf("%s/%s: %s (%s)", v.Bench, v.Mech, v.Status, v.Error)
-					} else if v.Source == tc.source {
-						n++
-					}
-				}
-				return n
 			}
 			for i := 0; i < warmup; i++ {
-				sweep()
+				sweep(t, svc, "memory")
 			}
 			before := liveHeap()
 			hits := 0
 			for i := 0; i < sweeps; i++ {
-				hits += sweep()
+				hits += sweep(t, svc, "memory")
 			}
 			after := liveHeap()
-			cells := sweeps * len(req.Benches) * len(req.Mechs)
-			if hits < cells*9/10 {
-				t.Fatalf("%d of %d cells served from %s, want nearly all", hits, cells, tc.source)
+			if hits != sweeps*cells {
+				t.Fatalf("%d of %d re-swept cells served from memory, want all", hits, sweeps*cells)
 			}
-			per := (float64(after) - float64(before)) / float64(cells)
-			t.Logf("%.0f B retained per terminal job (%d jobs)", per, cells)
+			per := (float64(after) - float64(before)) / float64(sweeps*cells)
+			t.Logf("%.0f B retained per terminal job (%d jobs)", per, sweeps*cells)
 			if per > maxBytes {
 				t.Errorf("%.0f B retained per terminal job, want ≤ %d", per, maxBytes)
 			}
@@ -107,16 +108,61 @@ func TestRetainedJobBytes(t *testing.T) {
 	}
 }
 
+// TestResweepReadsNoSlot: a re-sweep is served from its keys' records, so
+// even with a one-byte memory tier, which leaves every result but one on
+// disk alone, no cell reads a slot, and every cell says it came from
+// memory.
+func TestResweepReadsNoSlot(t *testing.T) {
+	gpu := config.Scaled(2, 16)
+	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
+	svc := New(Options{Workers: 2, GPU: &gpu, Scale: &scale, CacheDir: t.TempDir(), CacheMaxBytes: 1})
+	defer shutdown(t, svc)
+	req := SweepRequest{Benches: workloads.Names()[:4], Mechs: []string{"baseline", "snake"}}
+	sweep := func(source string) {
+		t.Helper()
+		_, jobs, err := svc.SubmitSweep(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			<-j.done
+			if v := j.view(); v.Status != StatusDone || v.Source != source {
+				t.Fatalf("%s/%s: %s from %q, want done from %q (%s)", v.Bench, v.Mech, v.Status, v.Source, source, v.Error)
+			}
+		}
+	}
+	sweep("sim")
+	before := svc.store.Snap()
+	if before.DiskEntries != int64(len(req.Benches)*len(req.Mechs)) || before.MemEntries != 1 {
+		t.Fatalf("after the first sweep: %+v, want every result on disk and one resident", before)
+	}
+	for i := 0; i < 3; i++ {
+		sweep("memory")
+	}
+	if after := svc.store.Snap(); after.DiskHits != before.DiskHits || after.MemHits != before.MemHits || after.Misses != before.Misses {
+		t.Errorf("re-sweeps looked in the result store: before %+v after %+v", before, after)
+	}
+}
+
 // TestRunViewAfterFinish: a terminal job answers from its compact state (its
 // own status, source and error plus its key's shared record) with every
 // field the wire promises. Each case is a one-cell sweep, so GET
 // /v1/runs/{id}, the sweep roll-up and the sweep stream must all show the
-// same view. The memory tier holds one result, so a key re-served after
-// another one ran comes from disk.
+// same view. The service starts on a disk tier a first service filled with
+// lps/baseline, so that key's first job comes from disk and later ones
+// from memory.
 func TestRunViewAfterFinish(t *testing.T) {
 	gpu := config.Scaled(2, 16)
 	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
-	svc := New(Options{Workers: 1, GPU: &gpu, Scale: &scale, CacheDir: t.TempDir(), CacheMaxBytes: 1})
+	opt := Options{Workers: 1, GPU: &gpu, Scale: &scale, CacheDir: t.TempDir()}
+	first := New(opt)
+	j, err := first.Submit(RunRequest{Bench: "lps", Mech: "baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.done
+	shutdown(t, first)
+	svc := New(opt)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	defer svc.Shutdown(t.Context())
@@ -186,10 +232,9 @@ func TestRunViewAfterFinish(t *testing.T) {
 		stream(sw.ID)
 		cells = append(cells, cell{name, sw.ID, w})
 	}
-	run("sim", SweepRequest{Benches: []string{"lps"}, Mechs: []string{"baseline"}}, done("lps", "baseline", "sim"))
-	run("memory", SweepRequest{Benches: []string{"lps"}, Mechs: []string{"baseline"}}, done("lps", "baseline", "memory"))
-	run("other key", SweepRequest{Benches: []string{"cp"}, Mechs: []string{"baseline"}}, done("cp", "baseline", "sim"))
 	run("disk", SweepRequest{Benches: []string{"lps"}, Mechs: []string{"baseline"}}, done("lps", "baseline", "disk"))
+	run("memory", SweepRequest{Benches: []string{"lps"}, Mechs: []string{"baseline"}}, done("lps", "baseline", "memory"))
+	run("sim", SweepRequest{Benches: []string{"cp"}, Mechs: []string{"baseline"}}, done("cp", "baseline", "sim"))
 	run("custom snake", SweepRequest{Benches: []string{"lps"}, Snake: &custom}, done("lps", "snake:custom", "sim"))
 
 	// The one worker runs a long cell under a short timeout (it fails), and a
@@ -300,4 +345,36 @@ func TestRetentionMetrics(t *testing.T) {
 	check(4, 4)
 	sweep()
 	check(8, 4)
+}
+
+// TestTraceBytesMetric: /metrics reports the instruction bytes of the
+// traces the service's runs interned, 16 per dynamic instruction. The
+// service runs on a store of its own here, so other tests' traces do not
+// count.
+func TestTraceBytesMetric(t *testing.T) {
+	svc := tinyService(2)
+	svc.runner.Store = workloads.NewStore() // before any job reads it
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer shutdown(t, svc)
+
+	benches := []string{"cp", "lps", "nw"}
+	_, jobs, err := svc.SubmitSweep(SweepRequest{Benches: benches, Mechs: []string{"baseline", "snake"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		<-j.done
+	}
+	var want float64
+	for _, b := range benches {
+		k, err := workloads.Build(b, svc.runner.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += float64(k.TotalInsts()) * 16
+	}
+	if got := metricValue(t, scrapeMetrics(t, ts.URL), "snaked_trace_bytes"); got != want {
+		t.Errorf("snaked_trace_bytes = %v, want %v", got, want)
+	}
 }

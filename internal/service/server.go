@@ -130,6 +130,7 @@ func New(opt Options) *Service {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	runner := harness.NewRunner()
+	runner.Store = workloads.Shared() // explicit: /metrics reports its bytes
 	if opt.GPU != nil {
 		runner.Cfg = *opt.GPU
 	}
@@ -211,6 +212,9 @@ const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 // returns its spec: the canonical, validated RunKey (harness.RunKey.Normalize)
 // with the request's priority and timeout.
 func (s *Service) normalize(req RunRequest) (spec, error) {
+	if req.Snake != nil && req.Mech != "" {
+		return spec{}, errors.New("mech and snake are exclusive: snake runs its config as mechanism snake:custom")
+	}
 	k := s.runner.Key(req.Bench, req.Mech)
 	if req.Snake != nil {
 		k.Mech, k.Snake = harness.CustomSnake, req.Snake
@@ -321,12 +325,19 @@ func (s *Service) enqueueLocked(sp spec, sweepID string) (*job, error) {
 func (s *Service) sweepSpecs(req SweepRequest) ([]spec, error) {
 	mechs := req.Mechs
 	if req.Snake != nil {
+		if len(mechs) > 0 {
+			return nil, errors.New("mechs and snake are exclusive: snake runs its config as mechanism snake:custom")
+		}
 		mechs = []string{""}
 	}
 	if len(req.Benches) == 0 || len(mechs) == 0 {
 		return nil, errors.New("sweep needs at least one benchmark and one mechanism (or a snake config)")
 	}
-	var specs []spec
+	// Sized up front: append's regrowth was a large share of a warm
+	// re-sweep's allocation. Capped at the full bench × mechanism grid, so
+	// a long list of bad names allocates no more before its rejection.
+	grid := len(workloads.Names()) * len(harness.MechanismNames())
+	specs := make([]spec, 0, min(len(req.Benches)*len(mechs), grid))
 	cell := func(r RunRequest) error {
 		r.Snake = req.Snake
 		r.GPU, r.Scale = req.GPU, req.Scale
@@ -422,7 +433,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	jobs, records := len(s.jobs), len(s.records)
 	s.mu.Unlock()
-	s.metrics.render(w, s.queue.Len(), jobs, records, s.store.Snap(), clu)
+	s.metrics.render(w, s.queue.Len(), jobs, records, s.runner.Store.Bytes(), s.store.Snap(), clu)
 }
 
 func (s *Service) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {

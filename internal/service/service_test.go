@@ -532,9 +532,11 @@ func TestOversizedRequestRejected(t *testing.T) {
 // engine never modelled it, or any override naming a field its type does not
 // have, gets a 400 that names the field; a "gpu" or
 // "scale" override under which a CTA has more warps than an SM has warp
-// slots gets a 400 instead of a job that fails; and a body with
-// anything after its JSON object gets a 400 on every POST endpoint, where
-// the decoder used to read the first object and ignore the rest.
+// slots gets a 400 instead of a job that fails; a "mech" or non-empty
+// "mechs" beside a "snake" config gets a 400 naming both, where the snake
+// config used to replace it unsaid; and a body with anything after its
+// JSON object gets a 400 on every POST endpoint, where the decoder used to
+// read the first object and ignore the rest.
 func TestRequestRejectsParallelismAndSlack(t *testing.T) {
 	svc := tinyService(1)
 	ts := httptest.NewServer(svc.Handler())
@@ -608,6 +610,20 @@ func TestRequestRejectsParallelismAndSlack(t *testing.T) {
 			}
 		}
 	}
+	for path, c := range map[string]struct{ body, fields string }{
+		"/v1/runs":   {`{"bench":"lps","mech":"baseline","snake":{"TailEntries":5}}`, "mech and snake"},
+		"/v1/sweeps": {`{"benches":["lps"],"mechs":["baseline"],"snake":{"TailEntries":5}}`, "mechs and snake"},
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.fields) {
+			t.Errorf("POST %s %s: %d %s, want 400 naming %s", path, c.body, resp.StatusCode, msg, c.fields)
+		}
+	}
 	for _, path := range []string{"/v1/runs", "/v1/sweeps", "/v1/peer/execute"} {
 		obj := `{"bench":"lps","mech":"snake"}`
 		if path == "/v1/sweeps" {
@@ -664,9 +680,14 @@ func TestOverridesDecodeOntoDefaults(t *testing.T) {
 		{`"snake":{"ChainDepth":0}`, "", "ChainDepth 0"},
 		{`"gpu":{"L2":{"Ways":7}}`, "", "L2"},
 	} {
+		// A snake config is the mechanism, so its requests name none.
+		mech, mechs := `"mech":"baseline",`, `"mechs":["baseline"],`
+		if strings.HasPrefix(c.override, `"snake"`) {
+			mech, mechs = "", ""
+		}
 		for path, body := range map[string]string{
-			"/v1/runs":   `{"bench":"lps","mech":"baseline",` + c.override + `}`,
-			"/v1/sweeps": `{"benches":["lps"],"mechs":["baseline"],` + c.override + `}`,
+			"/v1/runs":   `{"bench":"lps",` + mech + c.override + `}`,
+			"/v1/sweeps": `{"benches":["lps"],` + mechs + c.override + `}`,
 		} {
 			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 			if err != nil {

@@ -93,10 +93,10 @@ func (s *Service) worker() {
 	}
 }
 
-// runJob executes one job: tiered cache lookup first (memory → disk → owning
-// peer), then exactly-once production under the per-key flight lock — a
-// forwarded execution on the owning peer when clustered, a local simulation
-// otherwise or as the degradation path.
+// runJob executes one job: its key's record first, then a tiered cache
+// lookup (memory → disk → owning peer), then exactly-once production under
+// the per-key flight lock — a forwarded execution on the owning peer when
+// clustered, a local simulation otherwise or as the degradation path.
 func (s *Service) runJob(j *job) {
 	j.mu.Lock()
 	if j.status != StatusQueued { // canceled while queued
@@ -118,6 +118,13 @@ func (s *Service) runJob(j *job) {
 	s.metrics.jobStarted()
 	defer cancel()
 
+	// Once any job of the key has succeeded, its record holds the result,
+	// so a repeat finishes from memory without reading a cache tier.
+	if st := j.rec.st.Load(); st != nil {
+		s.metrics.cacheHit()
+		s.finish(j, st, nil, true, cluster.TierMemory.String())
+		return
+	}
 	// Forwarded-in work serves local tiers only: the sender already ran the
 	// peer tier, and this node is the key's owner.
 	var st *stats.Sim

@@ -357,7 +357,7 @@ func TestPartitionHashCoversAllPartitions(t *testing.T) {
 					if !in.IsMem() {
 						continue
 					}
-					lines = coalesce(lines[:0], in.Addr, in.Stride, cfg.WarpSize, cfg.Unified.LineSize)
+					lines = coalesce(lines[:0], in.Addr, int32(in.Stride), cfg.WarpSize, cfg.Unified.LineSize)
 					for _, l := range lines {
 						if p := e.partOf(l); !seen[p] {
 							seen[p] = true

@@ -1,6 +1,11 @@
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+
+	"snake/internal/config"
+)
 
 // Issue readiness is tracked incrementally so a cycle's issue costs time in
 // proportion to readiness changes, not to warps. The invariant, for a slice
@@ -9,27 +14,29 @@ import "math/bits"
 // ≤ c. Three writers keep it:
 //
 //   - setReadyAt, the only writer of readyAt after reset, updates the bit at
-//     once and files any future readiness in the wheel (or, beyond the wheel
-//     span, in the overflow set);
+//     once and files any future readiness in the wheel;
 //   - drainReady, run at the top of every sub-cycle, sets the bits of warps
 //     whose readiness arrives at that cycle;
 //   - refreshSched rebuilds positions and bits from readyAt whenever
 //     membership changes.
 //
-// Wheel and overflow entries are filtered against readyAt when they drain,
-// so an entry made stale by a later setReadyAt is harmless. While the
-// membership is stale, bits may be set at stale positions; refreshSched
-// rebuilds every set before the next Pick.
+// Wheel entries are filtered against readyAt when they drain, so an entry
+// made stale by a later setReadyAt is harmless. While the membership is
+// stale, bits may be set at stale positions; refreshSched rebuilds every
+// set before the next Pick.
 
-// readyWheelSpan is the timing wheel's reach in cycles (a power of two):
-// readiness at most this far ahead is filed in the bucket of its cycle.
-// Shipped workloads' compute, hit, replay, issue and barrier latencies are
-// all below it; trace latencies are arbitrary int32s, so anything further
-// goes to the overflow set.
-const readyWheelSpan = 128
+// wheelSpan is the timing wheel's reach in cycles under cfg: the power of
+// two above the furthest ahead setReadyAt can file, which is a compute
+// latency (at most math.MaxInt8, trace.Inst.Lat's bound) or an L1 hit
+// (Unified.Latency, at most config.LimitLatency). Replay, issue and barrier
+// release are a few cycles. So every future readiness has a bucket of its
+// own cycle: 128 buckets under the default config, 1,024 at the limit.
+func wheelSpan(cfg config.GPU) int {
+	return 1 << bits.Len(uint(max(math.MaxInt8, cfg.Unified.Latency)))
+}
 
-// resetReadiness empties readyAt, the positions, the ready sets, the wheel
-// and the overflow set.
+// resetReadiness empties readyAt, the positions, the ready sets and the
+// wheel.
 func (s *sm) resetReadiness() {
 	for i := range s.readyAt {
 		s.readyAt[i] = neverReady
@@ -39,8 +46,6 @@ func (s *sm) resetReadiness() {
 		set.Clear()
 	}
 	clear(s.wheel)
-	clear(s.over)
-	s.overMin = neverReady
 }
 
 // setReadyAt sets slot's readiness cycle to at during cycle now.
@@ -56,15 +61,7 @@ func (s *sm) setReadyAt(slot int, at, now int64) {
 	if at <= now || at == neverReady {
 		return
 	}
-	bit := uint64(1) << (uint(slot) & 63)
-	if at-now < readyWheelSpan {
-		s.wheel[int(at&(readyWheelSpan-1))*s.wheelW+slot>>6] |= bit
-		return
-	}
-	s.over[slot>>6] |= bit
-	if at < s.overMin {
-		s.overMin = at
-	}
+	s.wheel[int(at&s.wheelMask)*s.wheelW+slot>>6] |= uint64(1) << (uint(slot) & 63)
 }
 
 // markReady sets slot's ready bit if its readiness has arrived at cycle c.
@@ -75,10 +72,10 @@ func (s *sm) markReady(slot int, c int64) {
 }
 
 // drainReady applies the readiness arriving at cycle c: the wheel bucket of
-// c, and the overflow set once its earliest entry is due. Every cycle must
-// be drained in order, as the engine's contiguous epochs do.
+// c. Every cycle must be drained in order, as the engine's contiguous
+// epochs do.
 func (s *sm) drainReady(c int64) {
-	b := s.wheel[int(c&(readyWheelSpan-1))*s.wheelW:][:s.wheelW]
+	b := s.wheel[int(c&s.wheelMask)*s.wheelW:][:s.wheelW]
 	for wi, w := range b {
 		if w == 0 {
 			continue
@@ -86,24 +83,6 @@ func (s *sm) drainReady(c int64) {
 		b[wi] = 0
 		for ; w != 0; w &= w - 1 {
 			s.markReady(wi<<6|bits.TrailingZeros64(w), c)
-		}
-	}
-	if c < s.overMin {
-		return
-	}
-	s.overMin = neverReady
-	for wi, w := range s.over {
-		for ; w != 0; w &= w - 1 {
-			slot := wi<<6 | bits.TrailingZeros64(w)
-			switch at := s.readyAt[slot]; {
-			case at <= c:
-				s.markReady(slot, c)
-				s.over[wi] &^= w & -w
-			case at == neverReady:
-				s.over[wi] &^= w & -w
-			case at < s.overMin:
-				s.overMin = at
-			}
 		}
 	}
 }

@@ -7,33 +7,33 @@ import (
 	"testing"
 
 	"snake/internal/config"
+	"snake/internal/stats"
 	"snake/internal/trace"
 )
 
-// farLatencyKernel mixes compute latencies far beyond any short-range
-// readiness bookkeeping (1,000, 4,096 and 1<<20 cycles) with zero and
-// negative ones — trace latencies are arbitrary int32s from decoded traces —
-// plus loads, stores and barriers, over more CTAs than the SMs hold at once
-// so warp slots are freed and redispatched while long waits are pending.
+// farLatencyKernel mixes compute latencies up to 127 (the most an Inst.Lat
+// holds) with zero ones, plus loads that hit, stores and barriers, over more
+// CTAs than the SMs hold at once so warp slots are freed and redispatched
+// while long waits are pending. Warp 0 of CTA 0 opens with a run of
+// 127-cycle computes.
 func farLatencyKernel() *trace.Kernel {
 	k := &trace.Kernel{Name: "farlat"}
-	lats := []int{1000, 3, -7, 0, 130, 257, 4096, 1}
+	lats := []int{127, 0, 65, 100, 0, 126, 66, 0}
 	for c := 0; c < 6; c++ {
 		cta := trace.CTA{ID: c, BaseAddr: uint64(c) << 16}
 		for w := 0; w < 4; w++ {
+			home := cta.BaseAddr + uint64(w*4096)
 			b := trace.NewBuilder()
-			switch {
-			case c == 0 && w == 0:
-				b.Compute(0x10, 1<<20)
-			case c == 1 && w == 0:
-				// Retires in the middle of the 1<<20 wait, so the run never
-				// goes a full deadlock window without retiring.
-				b.Compute(0x10, 600_000)
+			if c == 0 && w == 0 {
+				for i := 0; i < 8; i++ {
+					b.Compute(0x10, 127)
+				}
 			}
 			for i := 0; i < 6; i++ {
-				addr := cta.BaseAddr + uint64(w*4096+i*128)
+				addr := home + uint64((i+1)*128)
 				b.Load(0x20, addr, 4)
 				b.Compute(0x28, lats[(c+w+i)%len(lats)])
+				b.Load(0x2c, home, 4) // hits once the warp's home line is filled
 				if i%3 == 2 {
 					b.Barrier(0x30)
 				}
@@ -49,25 +49,30 @@ func farLatencyKernel() *trace.Kernel {
 }
 
 // TestFarFutureReadinessGolden pins the statistics of farLatencyKernel under
-// every scheduler policy to recorded digests: readiness far beyond the
-// timing wheel's span, or already in the past when it is set, must land on
-// exactly the cycles a per-cycle scan of every warp would find.
+// every scheduler policy to recorded digests, with a 600-cycle L1 hit
+// latency so hits land far ahead, near the far end of the timing wheel's
+// span: readiness there, or already in the past when it is set, must land
+// on exactly the cycles a per-cycle scan of every warp would find. The
+// digests were recorded by an engine that filed readiness 128 or more
+// cycles ahead in a separate overflow set, so they also pin the wheel sized
+// to the config against it.
 func TestFarFutureReadinessGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the 1<<20-cycle wait simulates about a million cycles per policy")
-	}
 	want := map[config.SchedulerPolicy]string{
-		config.SchedGTO:    "2fdc0295d8b34bff",
-		config.SchedLRR:    "e9f2f3f2eb271c47",
-		config.SchedOldest: "87f8643fab6745f9",
+		config.SchedGTO:    "a45d46defe3d22c7",
+		config.SchedLRR:    "e7e5bcf3884116dc",
+		config.SchedOldest: "add9b93a2f322583",
 	}
 	k := farLatencyKernel()
 	for pol, dg := range want {
 		cfg := config.Scaled(2, 8)
 		cfg.Scheduler = pol
+		cfg.Unified.Latency = 600
 		res, err := Run(k, Options{Config: cfg})
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
+		}
+		if res.Stats.L1[stats.L1Hit] == 0 {
+			t.Fatalf("%s: no L1 hit, so no 600-cycle readiness was filed", pol)
 		}
 		b, err := json.Marshal(res.Stats)
 		if err != nil {

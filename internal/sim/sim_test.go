@@ -132,14 +132,16 @@ func TestMaxCyclesAborts(t *testing.T) {
 
 func TestBarrierSynchronizes(t *testing.T) {
 	// Two warps: one fast, one slow; both must pass the barrier together.
-	mk := func(lat int) trace.WarpProgram {
+	mk := func(lats ...int) trace.WarpProgram {
 		b := trace.NewBuilder()
-		b.Compute(0, lat)
+		for _, lat := range lats {
+			b.Compute(0, lat)
+		}
 		b.Barrier(8)
 		b.Compute(16, 1)
 		return b.Exit(24)
 	}
-	w0, w1 := mk(1), mk(200)
+	w0, w1 := mk(1), mk(100, 100)
 	w1.IDInCTA = 1
 	k := &trace.Kernel{Name: "barrier-test", CTAs: []trace.CTA{{Warps: []trace.WarpProgram{w0, w1}}}}
 	res := runTiny(t, k, nil)

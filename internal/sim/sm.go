@@ -92,15 +92,14 @@ type sm struct {
 	schedDirty bool
 	// Issue readiness, maintained incrementally (see ready.go): ready[si] is
 	// slice si's ready set in position space, posOf maps a slot to its
-	// position in its slice (-1: not a member), and wheel/over hold the
-	// slots whose readyAt lies in the future.
-	ready   []sched.Set
-	posOf   []int32
-	wheel   []uint64 // readyWheelSpan buckets of wheelW words: slot bitsets
-	wheelW  int
-	over    []uint64 // slot bitset: readiness beyond the wheel span
-	overMin int64    // earliest readyAt in over (neverReady: none)
-	lineBuf []uint64 // coalescer scratch
+	// position in its slice (-1: not a member), and wheel holds the slots
+	// whose readyAt lies in the future.
+	ready     []sched.Set
+	posOf     []int32
+	wheel     []uint64 // wheelSpan(cfg) buckets of wheelW words: slot bitsets
+	wheelW    int
+	wheelMask int64    // wheelSpan(cfg) - 1: a cycle's bucket is cycle & wheelMask
+	lineBuf   []uint64 // coalescer scratch
 
 	resident int // live (non-free) warp slots
 	// Warp-state occupancy counts, maintained incrementally at every state
@@ -147,18 +146,18 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim) *sm {
 		MergeCap:      cfg.MSHRMergeCap,
 		MissQueueSize: cfg.MissQueueSize,
 	}
-	wheelW := (cfg.MaxWarpsPerSM + 63) >> 6
+	wheelW, span := (cfg.MaxWarpsPerSM+63)>>6, wheelSpan(cfg)
 	s := &sm{
-		id:      id,
-		cfg:     cfg,
-		pf:      pf,
-		st:      st,
-		warps:   make([]warpCtx, cfg.MaxWarpsPerSM),
-		readyAt: make([]int64, cfg.MaxWarpsPerSM),
-		posOf:   make([]int32, cfg.MaxWarpsPerSM),
-		wheel:   make([]uint64, readyWheelSpan*wheelW),
-		wheelW:  wheelW,
-		over:    make([]uint64, wheelW),
+		id:        id,
+		cfg:       cfg,
+		pf:        pf,
+		st:        st,
+		warps:     make([]warpCtx, cfg.MaxWarpsPerSM),
+		readyAt:   make([]int64, cfg.MaxWarpsPerSM),
+		posOf:     make([]int32, cfg.MaxWarpsPerSM),
+		wheel:     make([]uint64, span*wheelW),
+		wheelW:    wheelW,
+		wheelMask: int64(span - 1),
 	}
 	if pf != nil {
 		s.oracle = prefetch.WantsOracle(pf)
@@ -290,7 +289,7 @@ func (s *sm) dispatchCTA(k *trace.Kernel, ctaIdx int, age *int64) {
 func loadStream(p *trace.WarpProgram, pcs, addrs []uint64) ([]uint64, []uint64) {
 	for _, in := range p.Insts {
 		if in.Op == trace.OpLoad {
-			pcs = append(pcs, in.PC)
+			pcs = append(pcs, uint64(in.PC))
 			addrs = append(addrs, in.Addr)
 		}
 	}
@@ -388,7 +387,7 @@ func (s *sm) execute(slot int, cycle int64, stores *int32, res *issueResult) {
 		// divergent access consume MSHRs, miss-queue slots and bandwidth but
 		// wake nobody — the warp's timing tracks its lead transaction, a
 		// documented simplification for divergent loads.
-		s.lineBuf = coalesce(s.lineBuf[:0], in.Addr, in.Stride, s.cfg.WarpSize, s.l1.LineSize())
+		s.lineBuf = coalesce(s.lineBuf[:0], in.Addr, int32(in.Stride), s.cfg.WarpSize, s.l1.LineSize())
 		out := s.l1.Access(slot, s.lineBuf[0], cycle)
 		switch out {
 		case stats.L1ReservationFail:
@@ -440,7 +439,7 @@ func (s *sm) notifyPrefetcher(slot int, w *warpCtx, in *trace.Inst, out stats.L1
 		CTABase:   s.kernel.CTAs[w.ctaIdx].BaseAddr,
 		WarpID:    slot,
 		WarpInCTA: w.prog.IDInCTA,
-		PC:        in.PC,
+		PC:        uint64(in.PC),
 		Addr:      in.Addr,
 		LineAddr:  s.l1.LineAddr(in.Addr),
 		Hit:       out == stats.L1Hit || out == stats.L1HitPrefetch,

@@ -45,13 +45,19 @@ func (o Op) String() string {
 	}
 }
 
-// Inst is one warp-level instruction.
+// Inst is one warp-level instruction, 16 bytes. Every dynamic instruction
+// of an interned kernel is held for the life of the process, so each field
+// is only as wide as the generators need: a PC past 4 GiB, a per-thread
+// stride past ±32 KiB or a latency past 127 cycles is a generator bug, and
+// Builder panics on one rather than truncate it. Lat is signed because the
+// binary format's gob codec decodes a signed integer only into a signed
+// field, and traces written before this layout carry Lat as an int32.
 type Inst struct {
-	PC     uint64 // program counter (PC_ld for loads)
-	Op     Op
 	Addr   uint64 // base (thread 0) byte address for loads/stores
-	Stride int32  // per-thread byte stride within the warp for loads/stores
-	Lat    int32  // execution latency in cycles for compute instructions
+	PC     uint32 // program counter (PC_ld for loads)
+	Stride int16  // per-thread byte stride within the warp for loads/stores
+	Lat    int8   // execution latency in cycles for compute instructions
+	Op     Op
 }
 
 // IsMem reports whether the instruction accesses global memory.
@@ -69,9 +75,9 @@ func (w *WarpProgram) LoadPCs() []uint64 {
 	seen := make(map[uint64]bool)
 	var pcs []uint64
 	for _, in := range w.Insts {
-		if in.Op == OpLoad && !seen[in.PC] {
-			seen[in.PC] = true
-			pcs = append(pcs, in.PC)
+		if pc := uint64(in.PC); in.Op == OpLoad && !seen[pc] {
+			seen[pc] = true
+			pcs = append(pcs, pc)
 		}
 	}
 	return pcs
@@ -106,7 +112,8 @@ type Kernel struct {
 }
 
 // Validate checks structural invariants of the kernel: non-empty, warps end
-// with OpExit, and per-CTA warp IDs are dense.
+// with OpExit, per-CTA warp IDs are dense, and no latency is negative (a
+// decoded trace can hold one; Builder never makes one).
 func (k *Kernel) Validate() error {
 	if k.Name == "" {
 		return errors.New("trace: kernel has no name")
@@ -131,6 +138,9 @@ func (k *Kernel) Validate() error {
 			for ii, in := range w.Insts[:len(w.Insts)-1] {
 				if in.Op == OpExit {
 					return fmt.Errorf("trace: kernel %q CTA %d warp %d has interior exit at %d", k.Name, ci, wi, ii)
+				}
+				if in.Lat < 0 {
+					return fmt.Errorf("trace: kernel %q CTA %d warp %d has latency %d at %d", k.Name, ci, wi, in.Lat, ii)
 				}
 			}
 		}

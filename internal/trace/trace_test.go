@@ -41,6 +41,7 @@ func TestKernelValidateRejects(t *testing.T) {
 			w := &k.CTAs[0].Warps[0]
 			w.Insts[0] = Inst{PC: 0, Op: OpExit}
 		}},
+		{"negative latency", func(k *Kernel) { k.CTAs[0].Warps[0].Insts[0].Lat = -1 }},
 	}
 	for _, tc := range cases {
 		k := validKernel()

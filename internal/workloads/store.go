@@ -3,6 +3,7 @@ package workloads
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"snake/internal/trace"
 )
@@ -20,6 +21,7 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[storeKey]*storeEntry
 	builds  atomic.Int64
+	bytes   atomic.Int64 // instruction bytes of the interned kernels
 }
 
 // storeKey identifies one interned kernel.
@@ -69,6 +71,7 @@ func (s *Store) Kernel(bench string, sc Scale) (*trace.Kernel, error) {
 	e.k, e.err = Build(bench, sc)
 	if e.err == nil {
 		s.builds.Add(1)
+		s.bytes.Add(int64(e.k.TotalInsts()) * int64(unsafe.Sizeof(trace.Inst{})))
 	} else {
 		s.mu.Lock()
 		delete(s.entries, key)
@@ -82,6 +85,10 @@ func (s *Store) Kernel(bench string, sc Scale) (*trace.Kernel, error) {
 // callers share traces instead of regenerating them (e.g. a Prefill over N
 // mechanisms of one benchmark performs one build, not N).
 func (s *Store) Builds() int64 { return s.builds.Load() }
+
+// Bytes returns the instruction bytes the interned kernels hold, the bulk
+// of their heap.
+func (s *Store) Bytes() int64 { return s.bytes.Load() }
 
 // Len returns the number of interned kernels.
 func (s *Store) Len() int {

@@ -147,3 +147,27 @@ func TestStoreProgramsExactLength(t *testing.T) {
 		check(name, k)
 	}
 }
+
+// TestStoreBytesDefaultScale pins the trace store's size at DefaultScale:
+// the 11 kernels hold 579,072 instructions of 16 bytes each, and Bytes
+// counts each interned kernel once.
+func TestStoreBytesDefaultScale(t *testing.T) {
+	s := NewStore()
+	insts := 0
+	for _, name := range Names() {
+		k, err := s.Kernel(name, DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts += k.TotalInsts()
+	}
+	if _, err := s.Kernel("lps", DefaultScale()); err != nil { // interned: adds nothing
+		t.Fatal(err)
+	}
+	if insts != 579_072 {
+		t.Errorf("%d instructions at DefaultScale, want 579072", insts)
+	}
+	if got := s.Bytes(); got != 579_072*16 {
+		t.Errorf("store holds %d instruction bytes, want %d", got, 579_072*16)
+	}
+}

@@ -110,7 +110,7 @@ func TestLUDPerPCStridesVary(t *testing.T) {
 	// deltas stay fixed.
 	k, _ := Build("lud", Tiny())
 	loads := k.CTAs[0].Warps[0].Loads()
-	perPC := map[uint64][]uint64{}
+	perPC := map[uint32][]uint64{}
 	for _, in := range loads {
 		perPC[in.PC] = append(perPC[in.PC], in.Addr)
 	}
