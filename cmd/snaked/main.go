@@ -2,8 +2,8 @@
 // simulation and sweep jobs, poll or stream their results, and scrape
 // metrics. Jobs run on a bounded worker pool behind a priority queue, and
 // completed results are memoized in a tiered content-addressed cache
-// (bounded memory LRU, then disk spillover, then cluster peers) so repeated
-// sweeps over the paper's benchmark grid return instantly.
+// (bounded memory LRU, then disk spillover) so repeated sweeps over the
+// paper's benchmark grid return instantly.
 //
 // Usage:
 //
@@ -17,9 +17,9 @@
 //	snaked -addr :8080 -self http://hostB:8080 -peers http://hostA:8080
 //
 // Each simulation key has one owner (rendezvous hashing over the member
-// set); non-owners forward misses to the owner and fetch cached results
-// from peers, so a sweep fanned across nodes simulates every cell exactly
-// once. A dead peer degrades to local compute — never an error.
+// set); non-owners forward misses to the owner, which answers from its
+// cache or simulates, so a sweep fanned across nodes simulates every cell
+// exactly once. A dead peer degrades to local compute — never an error.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown that drains in-flight jobs
 // (bounded by -draintimeout), aborting still-running simulations through

@@ -21,8 +21,6 @@ type Options struct {
 	// DownFor is how long a peer stays out of rotation after a transport
 	// error before the next request probes it again (default 10s).
 	DownFor time.Duration
-	// FetchTimeout bounds one peer cache fetch (default 5s).
-	FetchTimeout time.Duration
 	// ExecTimeout bounds one forwarded execution (default 2m). A peer that
 	// cannot answer within it is treated like a transport error: the caller
 	// degrades to local compute and the peer is latched down for DownFor, so
@@ -38,18 +36,14 @@ type Options struct {
 // Cluster is the static membership view plus the transport counters. All
 // methods are safe for concurrent use.
 type Cluster struct {
-	self         string
-	nodes        []string // self + peers, sorted (canonical member set)
-	peers        map[string]*Peer
-	downFor      time.Duration
-	fetchTimeout time.Duration
-	execTimeout  time.Duration
-	client       *http.Client
+	self        string
+	nodes       []string // self + peers, sorted (canonical member set)
+	peers       map[string]*Peer
+	downFor     time.Duration
+	execTimeout time.Duration
+	client      *http.Client
 
 	mu            sync.Mutex
-	fetchHits     int64
-	fetchMisses   int64
-	fetchErrors   int64
 	execOK        int64
 	execErrors    int64
 	execSaturated int64
@@ -64,9 +58,6 @@ func New(opt Options) *Cluster {
 	if opt.DownFor <= 0 {
 		opt.DownFor = 10 * time.Second
 	}
-	if opt.FetchTimeout <= 0 {
-		opt.FetchTimeout = 5 * time.Second
-	}
 	if opt.ExecTimeout == 0 {
 		opt.ExecTimeout = 2 * time.Minute
 	}
@@ -74,12 +65,11 @@ func New(opt Options) *Cluster {
 		opt.Client = &http.Client{}
 	}
 	c := &Cluster{
-		self:         strings.TrimRight(opt.Self, "/"),
-		peers:        make(map[string]*Peer),
-		downFor:      opt.DownFor,
-		fetchTimeout: opt.FetchTimeout,
-		execTimeout:  opt.ExecTimeout,
-		client:       opt.Client,
+		self:        strings.TrimRight(opt.Self, "/"),
+		peers:       make(map[string]*Peer),
+		downFor:     opt.DownFor,
+		execTimeout: opt.ExecTimeout,
+		client:      opt.Client,
 	}
 	seen := map[string]bool{c.self: true}
 	c.nodes = append(c.nodes, c.self)
@@ -95,9 +85,6 @@ func New(opt Options) *Cluster {
 	sort.Strings(c.nodes)
 	return c
 }
-
-// Self returns this node's advertised URL.
-func (c *Cluster) Self() string { return c.self }
 
 // Nodes returns the canonical member set (self included), sorted.
 func (c *Cluster) Nodes() []string {
@@ -115,18 +102,16 @@ func (c *Cluster) OwnerOf(key string) (node string, self bool) {
 
 // Snapshot is a consistent copy of the transport counters for metrics.
 type Snapshot struct {
-	Nodes                               int
-	FetchHits, FetchMisses, FetchErrors int64
-	ExecOK, ExecErrors, ExecSaturated   int64
-	Peers                               []PeerStatus
+	Nodes                             int
+	ExecOK, ExecErrors, ExecSaturated int64
+	Peers                             []PeerStatus
 }
 
 // Snap returns the current transport counters and per-peer health.
 func (c *Cluster) Snap() Snapshot {
 	c.mu.Lock()
 	s := Snapshot{
-		Nodes:     len(c.nodes),
-		FetchHits: c.fetchHits, FetchMisses: c.fetchMisses, FetchErrors: c.fetchErrors,
+		Nodes:  len(c.nodes),
 		ExecOK: c.execOK, ExecErrors: c.execErrors, ExecSaturated: c.execSaturated,
 	}
 	c.mu.Unlock()

@@ -26,9 +26,6 @@ func newPeer(url string, maxInflight int) *Peer {
 	return &Peer{url: url, inflight: make(chan struct{}, maxInflight)}
 }
 
-// URL returns the peer's advertised base URL.
-func (p *Peer) URL() string { return p.url }
-
 // Alive reports whether the peer is currently considered reachable.
 func (p *Peer) Alive() bool {
 	p.mu.Lock()

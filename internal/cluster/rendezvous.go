@@ -8,10 +8,10 @@
 //   - static membership with failure-aware health (Peer): a peer that errors
 //     is marked down for a probe window and the caller degrades to local
 //     compute — a dead peer is never an error;
-//   - an HTTP transport (FetchResult, Execute) with per-peer in-flight caps
-//     on forwarded work;
+//   - an HTTP transport (Execute) that forwards a job to its key's owner,
+//     with per-peer in-flight caps;
 //   - a tiered result store (Store): bounded in-memory LRU → disk spillover
-//     (offload on eviction rather than drop) → peer fetch.
+//     (offload on eviction rather than drop).
 //
 // The package depends only on internal/stats; the service layer owns the
 // wire format of forwarded jobs and passes it through as opaque JSON.

@@ -22,7 +22,6 @@ const (
 	TierNone   Tier = iota // miss everywhere
 	TierMemory             // resident LRU
 	TierDisk               // a slot of the disk tier's slot file
-	TierPeer               // fetched from the owning peer's cache
 )
 
 // String names the tier for RunView.Source and metrics labels.
@@ -32,8 +31,6 @@ func (t Tier) String() string {
 		return "memory"
 	case TierDisk:
 		return "disk"
-	case TierPeer:
-		return "peer"
 	default:
 		return "none"
 	}
@@ -51,10 +48,6 @@ type StoreOptions struct {
 	// served (the whole cache survives restarts). Empty disables it, making
 	// eviction a plain drop.
 	Dir string
-	// PeerFetch, when non-nil, is the tier-3 lookup consulted after a local
-	// miss (typically Cluster.FetchResult). A hit is admitted to the memory
-	// tier.
-	PeerFetch func(ctx context.Context, key string) (*stats.Sim, bool)
 }
 
 // entryOverhead approximates per-entry bookkeeping (map slot, list element,
@@ -90,8 +83,8 @@ var errBadSlot = errors.New("cluster: corrupt result slot")
 // byte-accounted LRU; tier 2 (disk, when enabled) holds every result via
 // write-through, so eviction only drops the memory copy and the long tail
 // of a big sweep persists cheaply while hot (bench, mech, config) shapes
-// stay resident; tier 3 asks the owning peer. Simulations are
-// deterministic, so entries never expire and first write wins.
+// stay resident. Simulations are deterministic, so entries never expire and
+// first write wins.
 //
 // Locking discipline: mu guards only the in-memory structures and the disk
 // index. Disk I/O (slot writes and reads) always runs outside the lock — a
@@ -99,9 +92,8 @@ var errBadSlot = errors.New("cluster: corrupt result slot")
 // unlocked, then confirmed or rolled back — so memory hits never serialize
 // behind another goroutine's disk traffic.
 type Store struct {
-	maxBytes  int64
-	file      *os.File // the slot file; nil when the disk tier is off. Set only by NewStore.
-	peerFetch func(ctx context.Context, key string) (*stats.Sim, bool)
+	maxBytes int64
+	file     *os.File // the slot file; nil when the disk tier is off. Set only by NewStore.
 
 	mu       sync.Mutex
 	ll       *list.List // front = most recently used
@@ -113,9 +105,9 @@ type Store struct {
 	spilling map[string]bool  // keys whose slot write is in flight (unlocked I/O)
 	closed   bool
 
-	memHits, diskHits, peerHits, misses int64
-	evictions, spills                   int64
-	diskErrors                          int64
+	memHits, diskHits, misses int64
+	evictions, spills         int64
+	diskErrors                int64
 }
 
 type entry struct {
@@ -130,12 +122,11 @@ type entry struct {
 // serves.
 func NewStore(opt StoreOptions) *Store {
 	s := &Store{
-		maxBytes:  opt.MaxBytes,
-		peerFetch: opt.PeerFetch,
-		ll:        list.New(),
-		idx:       make(map[string]*list.Element),
-		diskIdx:   make(map[string]int64),
-		spilling:  make(map[string]bool),
+		maxBytes: opt.MaxBytes,
+		ll:       list.New(),
+		idx:      make(map[string]*list.Element),
+		diskIdx:  make(map[string]int64),
+		spilling: make(map[string]bool),
 	}
 	if opt.Dir != "" {
 		if err := s.openSlots(opt.Dir); err != nil {
@@ -256,39 +247,12 @@ func validKey(key string) bool {
 	return true
 }
 
-// SetPeerFetch installs the tier-3 lookup after construction (the service
-// wires the cluster in once both exist).
-func (s *Store) SetPeerFetch(f func(ctx context.Context, key string) (*stats.Sim, bool)) {
-	s.peerFetch = f
-}
-
-// Get looks key up through all three tiers. The returned Tier reports which
-// one answered; TierNone means a miss everywhere.
-func (s *Store) Get(ctx context.Context, key string) (*stats.Sim, Tier) {
-	if st, tier := s.GetLocal(key); st != nil {
-		return st, tier
-	}
-	if s.peerFetch != nil {
-		if st, ok := s.peerFetch(ctx, key); ok {
-			s.mu.Lock()
-			s.peerHits++
-			s.mu.Unlock()
-			s.Put(key, st)
-			return st, TierPeer
-		}
-	}
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
-	return nil, TierNone
-}
-
-// GetLocal looks key up in the local tiers only (memory, then disk) — the
-// peer cache endpoint serves from this, so cross-node lookups never
-// recurse. A disk hit is promoted into the memory tier (the slot read runs
-// outside the lock); its slot is kept, making re-eviction free. After
-// Close the disk tier answers every lookup with a plain miss.
-func (s *Store) GetLocal(key string) (*stats.Sim, Tier) {
+// Get looks key up in the memory tier, then the disk tier; TierNone means
+// a miss in both. A disk hit is promoted into the memory tier (the slot
+// read runs outside the lock); its slot is kept, making re-eviction free.
+// After Close the disk tier answers every lookup with a plain miss. ctx is
+// unused: it stays only because perfbench's store probe passes one.
+func (s *Store) Get(_ context.Context, key string) (*stats.Sim, Tier) {
 	s.mu.Lock()
 	if el, ok := s.idx[key]; ok {
 		s.ll.MoveToFront(el)
@@ -298,22 +262,29 @@ func (s *Store) GetLocal(key string) (*stats.Sim, Tier) {
 		return st, TierMemory
 	}
 	slot, onDisk := s.diskIdx[key]
-	closed := s.closed
+	if !onDisk || s.closed {
+		s.misses++
+		s.mu.Unlock()
+		return nil, TierNone
+	}
 	s.mu.Unlock()
-	if !onDisk || closed {
-		return nil, TierNone
-	}
 	st, n, err := s.readSlot(key, slot)
-	if errors.Is(err, os.ErrClosed) {
-		// Close won the race with this read: the slot is fine.
-		return nil, TierNone
-	}
-	if err != nil {
-		// Corrupt or unreadable slot: drop it and treat as a miss.
-		s.dropSpill(key, slot)
-		return nil, TierNone
-	}
 	s.mu.Lock()
+	if err != nil {
+		// ErrClosed: Close won the race with this read, and the slot is
+		// fine. Any other error is a corrupt or unreadable slot: unindex it.
+		// The slot stays in the file; a restart's scan skips it if its
+		// checksum or key is bad.
+		if !errors.Is(err, os.ErrClosed) {
+			if i, ok := s.diskIdx[key]; ok && i == slot {
+				delete(s.diskIdx, key)
+			}
+			s.diskErrors++
+		}
+		s.misses++
+		s.mu.Unlock()
+		return nil, TierNone
+	}
 	s.diskHits++
 	evicted := s.admitLocked(key, st, n)
 	writes := s.claimSpillsLocked(nil, evicted)
@@ -436,17 +407,6 @@ func (s *Store) readSlot(key string, slot int64) (*stats.Sim, int64, error) {
 	return st, int64(binary.LittleEndian.Uint32(b[slotKeyLen:])), nil
 }
 
-// dropSpill unindexes a corrupt or unreadable slot. The slot stays in the
-// file; a restart's scan skips it if its checksum or key is bad.
-func (s *Store) dropSpill(key string, slot int64) {
-	s.mu.Lock()
-	if i, ok := s.diskIdx[key]; ok && i == slot {
-		delete(s.diskIdx, key)
-	}
-	s.diskErrors++
-	s.mu.Unlock()
-}
-
 // Close closes the slot file. Afterwards disk-tier lookups are plain misses
 // and new results stay in memory; the memory tier keeps serving. Close is
 // idempotent.
@@ -500,7 +460,7 @@ type StoreStats struct {
 	DiskEntries, DiskBytes int64 // DiskBytes: the slot file's length, dead slots included
 	Entries                int64 // unique keys resident in memory ∪ disk
 	MemHits, DiskHits      int64
-	PeerHits, Misses       int64
+	Misses                 int64
 	Evictions, Spills      int64
 	DiskErrors             int64
 }
@@ -512,8 +472,7 @@ func (s *Store) Snap() StoreStats {
 	st := StoreStats{
 		MemEntries: int64(s.ll.Len()), MemBytes: s.memBytes,
 		DiskEntries: int64(len(s.diskIdx)), DiskBytes: s.dBytes,
-		MemHits: s.memHits, DiskHits: s.diskHits,
-		PeerHits: s.peerHits, Misses: s.misses,
+		MemHits: s.memHits, DiskHits: s.diskHits, Misses: s.misses,
 		Evictions: s.evictions, Spills: s.spills,
 		DiskErrors: s.diskErrors,
 	}

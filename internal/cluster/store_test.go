@@ -126,16 +126,16 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 		t.Fatalf("DiskBytes = %d, slot file is %d bytes", snap.DiskBytes, info.Size())
 	}
 
-	got, tier := s.GetLocal(key(1))
+	got, tier := s.Get(context.Background(), key(1))
 	if tier != TierDisk {
-		t.Fatalf("GetLocal(evicted) tier = %v, want disk", tier)
+		t.Fatalf("Get(evicted) tier = %v, want disk", tier)
 	}
 	if !reflect.DeepEqual(got, st1) {
 		t.Errorf("disk round trip not bit-identical:\ngot  %+v\nwant %+v", got, st1)
 	}
 	// The disk hit promoted it back to memory, charged exactly what Put
 	// charged: the JSON size recorded in the slot, not the slot's size.
-	if _, tier := s.GetLocal(key(1)); tier != TierMemory {
+	if _, tier := s.Get(context.Background(), key(1)); tier != TierMemory {
 		t.Errorf("post-promotion tier = %v, want memory", tier)
 	}
 	if snap := s.Snap(); snap.MemEntries != 1 || snap.MemBytes != encodedSize(st1)+64+entryOverhead {
@@ -149,7 +149,7 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 		t.Fatalf("restarted store sees %d disk entries, want 2: %+v", snap.DiskEntries, snap)
 	}
 	for k, want := range map[string]*stats.Sim{key(1): st1, key(2): st2} {
-		st, tier := s2.GetLocal(k)
+		st, tier := s2.Get(context.Background(), k)
 		if tier != TierDisk {
 			t.Errorf("restart read tier = %v, want disk", tier)
 		}
@@ -170,7 +170,7 @@ func TestStoreWriteThroughUnbounded(t *testing.T) {
 		t.Fatalf("write-through without eviction: %+v", snap)
 	}
 	s2 := NewStore(StoreOptions{Dir: dir})
-	if st, tier := s2.GetLocal(key(5)); tier != TierDisk || !reflect.DeepEqual(st, sampleSim(5)) {
+	if st, tier := s2.Get(context.Background(), key(5)); tier != TierDisk || !reflect.DeepEqual(st, sampleSim(5)) {
 		t.Fatalf("restart lost an unevicted entry: tier=%v", tier)
 	}
 }
@@ -190,7 +190,7 @@ func TestStoreCorruptSpill(t *testing.T) {
 		return b
 	})
 	k := key(1)
-	if st, tier := s.GetLocal(k); st != nil || tier != TierNone {
+	if st, tier := s.Get(context.Background(), k); st != nil || tier != TierNone {
 		t.Fatalf("corrupt slot served: %v %v", st, tier)
 	}
 	if snap := s.Snap(); snap.DiskErrors != 1 || snap.DiskEntries != 0 {
@@ -202,7 +202,7 @@ func TestStoreCorruptSpill(t *testing.T) {
 	if snap := s2.Snap(); snap.DiskErrors != 1 || snap.DiskEntries != 0 {
 		t.Errorf("restart indexed the corrupt slot: %+v", snap)
 	}
-	if st, tier := s2.GetLocal(k); st != nil || tier != TierNone {
+	if st, tier := s2.Get(context.Background(), k); st != nil || tier != TierNone {
 		t.Fatalf("corrupt slot served after restart: %v %v", st, tier)
 	}
 }
@@ -222,14 +222,14 @@ func TestStoreTruncatedTrailingSlot(t *testing.T) {
 	if n := slotCount(t, dir); n != 1 {
 		t.Fatalf("partial slot not truncated: %d whole slots", n)
 	}
-	if st, tier := s.GetLocal(key(1)); tier != TierDisk || !reflect.DeepEqual(st, sampleSim(1)) {
+	if st, tier := s.Get(context.Background(), key(1)); tier != TierDisk || !reflect.DeepEqual(st, sampleSim(1)) {
 		t.Fatalf("slot before the torn one: tier %v", tier)
 	}
 	s.Put(key(2), sampleSim(2))
 	s.Close()
 	s2 := NewStore(StoreOptions{Dir: dir})
 	defer s2.Close()
-	if st, tier := s2.GetLocal(key(2)); tier != TierDisk || !reflect.DeepEqual(st, sampleSim(2)) {
+	if st, tier := s2.Get(context.Background(), key(2)); tier != TierDisk || !reflect.DeepEqual(st, sampleSim(2)) {
 		t.Fatalf("rewritten slot after restart: tier %v", tier)
 	}
 }
@@ -250,11 +250,11 @@ func TestStoreZeroedSlotSkipped(t *testing.T) {
 		t.Fatalf("zeroed middle slot: %+v, want 2 entries and 1 disk error", snap)
 	}
 	for _, i := range []byte{1, 3} {
-		if st, tier := s.GetLocal(key(i)); tier != TierDisk || !reflect.DeepEqual(st, sampleSim(int64(i))) {
+		if st, tier := s.Get(context.Background(), key(i)); tier != TierDisk || !reflect.DeepEqual(st, sampleSim(int64(i))) {
 			t.Errorf("slot of key %d: tier %v", i, tier)
 		}
 	}
-	if st, _ := s.GetLocal(key(2)); st != nil {
+	if st, _ := s.Get(context.Background(), key(2)); st != nil {
 		t.Error("zeroed slot served")
 	}
 }
@@ -273,7 +273,7 @@ func TestStoreHeaderMismatchResets(t *testing.T) {
 	if snap := s.Snap(); snap.DiskEntries != 0 || snap.DiskErrors != 0 || snap.DiskBytes != slotHeaderSize {
 		t.Fatalf("foreign-layout file not reset: %+v", snap)
 	}
-	if st, _ := s.GetLocal(key(1)); st != nil {
+	if st, _ := s.Get(context.Background(), key(1)); st != nil {
 		t.Fatal("slot of a foreign layout served")
 	}
 	b, err := os.ReadFile(slotPath(dir))
@@ -284,7 +284,7 @@ func TestStoreHeaderMismatchResets(t *testing.T) {
 	s.Close()
 	s2 := NewStore(StoreOptions{Dir: dir})
 	defer s2.Close()
-	if st, tier := s2.GetLocal(key(3)); tier != TierDisk || !reflect.DeepEqual(st, sampleSim(3)) {
+	if st, tier := s2.Get(context.Background(), key(3)); tier != TierDisk || !reflect.DeepEqual(st, sampleSim(3)) {
 		t.Fatalf("write after reset lost: tier %v", tier)
 	}
 }
@@ -300,7 +300,7 @@ func TestStoreIgnoresJSONSpills(t *testing.T) {
 	}
 	s := NewStore(StoreOptions{Dir: dir})
 	defer s.Close()
-	if st, _ := s.GetLocal(key(4)); st != nil {
+	if st, _ := s.Get(context.Background(), key(4)); st != nil {
 		t.Fatal("old JSON spill served")
 	}
 	if snap := s.Snap(); snap.DiskEntries != 0 || snap.DiskErrors != 0 {
@@ -326,10 +326,10 @@ func TestStoreClose(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	before := s.Snap()
-	if st, tier := s.GetLocal(key(1)); st != nil || tier != TierNone {
+	if st, tier := s.Get(context.Background(), key(1)); st != nil || tier != TierNone {
 		t.Fatalf("disk hit after Close: %v", tier)
 	}
-	if _, tier := s.GetLocal(key(2)); tier != TierMemory {
+	if _, tier := s.Get(context.Background(), key(2)); tier != TierMemory {
 		t.Fatalf("memory tier after Close: %v", tier)
 	}
 	s.Put(key(3), sampleSim(3))
@@ -345,7 +345,7 @@ func TestStoreClose(t *testing.T) {
 	// fails with os.ErrClosed, which is a plain miss too.
 	s2 := NewStore(StoreOptions{Dir: dir})
 	s2.file.Close()
-	if st, tier := s2.GetLocal(key(1)); st != nil || tier != TierNone {
+	if st, tier := s2.Get(context.Background(), key(1)); st != nil || tier != TierNone {
 		t.Fatalf("read of a closed file served: %v", tier)
 	}
 	if snap := s2.Snap(); snap.DiskErrors != 0 || snap.DiskEntries != 2 {
@@ -374,12 +374,12 @@ func TestStoreLRUOrder(t *testing.T) {
 	s := NewStore(StoreOptions{MaxBytes: 2*one + 128}) // room for ~2 entries, no disk
 	s.Put(key(1), sampleSim(1))
 	s.Put(key(2), sampleSim(2))
-	s.GetLocal(key(1)) // refresh 1 → victim should be 2
+	s.Get(context.Background(), key(1)) // refresh 1 → victim should be 2
 	s.Put(key(3), sampleSim(3))
-	if st, _ := s.GetLocal(key(2)); st != nil {
+	if st, _ := s.Get(context.Background(), key(2)); st != nil {
 		t.Error("LRU evicted the recently-used entry instead of the cold one")
 	}
-	if st, _ := s.GetLocal(key(1)); st == nil {
+	if st, _ := s.Get(context.Background(), key(1)); st == nil {
 		t.Error("recently-used entry was evicted")
 	}
 	if snap := s.Snap(); snap.Evictions == 0 || snap.Spills != 0 {
@@ -403,7 +403,7 @@ func TestStoreUnboundedCompat(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentDiskTier: concurrent Put/GetLocal churn with a tight
+// TestStoreConcurrentDiskTier: concurrent Put/Get churn with a tight
 // memory budget forces simultaneous admissions, evictions, spill writes,
 // and disk promotions; the reserve/confirm spill protocol (I/O outside the
 // lock) must keep accounting consistent and lose nothing that was written
@@ -420,7 +420,7 @@ func TestStoreConcurrentDiskTier(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				n := (g + i) % 12
 				k := key(byte(n))
-				if st, _ := s.GetLocal(k); st == nil {
+				if st, _ := s.Get(context.Background(), k); st == nil {
 					s.Put(k, sampleSim(int64(n)))
 				}
 			}
@@ -428,7 +428,7 @@ func TestStoreConcurrentDiskTier(t *testing.T) {
 	}
 	wg.Wait()
 	for n := 0; n < 12; n++ {
-		if st, tier := s.GetLocal(key(byte(n))); st == nil || tier == TierNone {
+		if st, tier := s.Get(context.Background(), key(byte(n))); st == nil || tier == TierNone {
 			t.Errorf("key %d lost after concurrent churn", n)
 		}
 	}
@@ -438,38 +438,6 @@ func TestStoreConcurrentDiskTier(t *testing.T) {
 	}
 	if snap.MemBytes < 0 || snap.DiskBytes <= 0 {
 		t.Errorf("byte accounting drifted: %+v", snap)
-	}
-}
-
-// TestStorePeerTier: after a local miss the store consults the peer-fetch
-// hook and admits the result.
-func TestStorePeerTier(t *testing.T) {
-	want := sampleSim(9)
-	calls := 0
-	s := NewStore(StoreOptions{PeerFetch: func(_ context.Context, k string) (*stats.Sim, bool) {
-		calls++
-		if k == key(9) {
-			return want, true
-		}
-		return nil, false
-	}})
-	st, tier := s.Get(context.Background(), key(9))
-	if tier != TierPeer || !reflect.DeepEqual(st, want) {
-		t.Fatalf("peer tier miss: tier=%v", tier)
-	}
-	// Admitted: second lookup is a memory hit, no second peer call.
-	if _, tier := s.Get(context.Background(), key(9)); tier != TierMemory {
-		t.Errorf("peer result not admitted: tier=%v", tier)
-	}
-	if calls != 1 {
-		t.Errorf("peer calls = %d, want 1", calls)
-	}
-	if _, tier := s.Get(context.Background(), key(8)); tier != TierNone {
-		t.Errorf("miss everywhere should be TierNone, got %v", tier)
-	}
-	snap := s.Snap()
-	if snap.PeerHits != 1 || snap.Misses != 1 {
-		t.Errorf("peer accounting: %+v", snap)
 	}
 }
 
@@ -500,7 +468,7 @@ func FuzzStoreSlots(f *testing.F) {
 		}
 		s.mu.Unlock()
 		for k, i := range idx {
-			st, tier := s.GetLocal(k)
+			st, tier := s.Get(context.Background(), k)
 			if st == nil || tier != TierDisk {
 				t.Fatalf("indexed key %q (slot %d) not served: tier %v", k, i, tier)
 			}

@@ -25,74 +25,18 @@ var (
 	ErrSaturated = errors.New("cluster: peer saturated")
 )
 
-// cachePath and executePath are the peer-to-peer endpoints the service
-// layer serves; the transport only ever talks to these.
-const (
-	cachePath   = "/v1/cache/"
-	executePath = "/v1/peer/execute"
-)
+// executePath is the peer-to-peer endpoint the service layer serves; the
+// transport only ever talks to it.
+const executePath = "/v1/peer/execute"
 
 // SourceHeader carries where the responding node produced a result
-// ("memory", "disk", or "sim") so the caller's metrics can distinguish a
-// remote cache hit from remote compute.
+// ("memory", "disk", or "sim") so the caller can tell a remote cache hit
+// from remote compute.
 const SourceHeader = "X-Snaked-Source"
 
 // KeyHeader echoes the responding node's content address for the result so
 // the caller can detect key-schema skew between nodes.
 const KeyHeader = "X-Snaked-Key"
-
-// FetchResult is the store's tier-3 lookup: ask the owning peer's local
-// cache (memory + disk tiers only, no recursion) for key. It returns
-// (nil, false) on self-ownership, a down or unreachable peer, or a remote
-// miss — never an error; a dead peer just means the caller computes
-// locally.
-func (c *Cluster) FetchResult(ctx context.Context, key string) (*stats.Sim, bool) {
-	owner, self := c.OwnerOf(key)
-	if self {
-		return nil, false
-	}
-	p := c.peers[owner]
-	if p == nil || !p.Alive() {
-		return nil, false
-	}
-	fctx, cancel := context.WithTimeout(ctx, c.fetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodGet, p.url+cachePath+key, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.count(&c.fetchErrors)
-		// A canceled caller is not evidence the peer is unhealthy.
-		if ctx.Err() == nil {
-			p.markDown(c.downFor)
-		}
-		return nil, false
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotFound:
-		c.count(&c.fetchMisses)
-		return nil, false
-	case resp.StatusCode != http.StatusOK:
-		// 5xx (or anything else unexpected) is peer failure, not a miss:
-		// latch the peer down so a consistently broken peer is not
-		// re-queried on every single lookup.
-		c.count(&c.fetchErrors)
-		if ctx.Err() == nil {
-			p.markDown(c.downFor)
-		}
-		return nil, false
-	}
-	st, err := decodeResult(resp.Body)
-	if err != nil {
-		c.count(&c.fetchErrors)
-		return nil, false
-	}
-	c.count(&c.fetchHits)
-	return st, true
-}
 
 // Execute forwards a job to the peer owning key and blocks until the peer
 // returns the full simulation stats (served from its cache or freshly
@@ -142,6 +86,16 @@ func (c *Cluster) Execute(ctx context.Context, key string, body []byte) (st *sta
 		return nil, "", ErrSaturated
 	case resp.StatusCode != http.StatusOK:
 		c.count(&c.execErrors)
+		// A gateway error or an unavailable (say, draining) owner is peer
+		// failure: latch it down so it is not re-queried on every miss. A
+		// 500 is the forwarded job's own failure, and a 400 refuses this
+		// request only.
+		switch resp.StatusCode {
+		case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			if ctx.Err() == nil {
+				p.markDown(c.downFor)
+			}
+		}
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, "", fmt.Errorf("cluster: peer %s: HTTP %d: %s", owner, resp.StatusCode, bytes.TrimSpace(msg))
 	}

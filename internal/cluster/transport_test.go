@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,65 +27,55 @@ func keyOwnedBy(t *testing.T, owner string, nodes []string) string {
 	return ""
 }
 
-// TestFetchResult5xxMarksPeerDown: a peer answering 5xx is a peer failure,
-// not a cache miss — the fetch counts as an error and the peer is latched
-// down so it is not re-queried on every subsequent lookup.
-func TestFetchResult5xxMarksPeerDown(t *testing.T) {
-	var calls int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		atomic.AddInt32(&calls, 1)
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer ts.Close()
-	c := New(Options{Self: "http://self.invalid", Peers: []string{ts.URL}, DownFor: time.Minute})
-	k := keyOwnedBy(t, ts.URL, c.Nodes())
+// TestExecuteLatchesPeerDown: an owner answering 502, 503 or 504 is a
+// broken peer, so Execute latches it down and the next call does not reach
+// it. A 500 (the forwarded job's own failure), a 400 or a 429 leaves the
+// peer in rotation.
+func TestExecuteLatchesPeerDown(t *testing.T) {
+	for _, tc := range []struct {
+		code  int
+		latch bool
+	}{
+		{http.StatusBadGateway, true},
+		{http.StatusServiceUnavailable, true},
+		{http.StatusGatewayTimeout, true},
+		{http.StatusInternalServerError, false},
+		{http.StatusBadRequest, false},
+		{http.StatusTooManyRequests, false},
+	} {
+		t.Run(strconv.Itoa(tc.code), func(t *testing.T) {
+			var calls int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				atomic.AddInt32(&calls, 1)
+				http.Error(w, "boom", tc.code)
+			}))
+			defer ts.Close()
+			c := New(Options{Self: "http://self.invalid", Peers: []string{ts.URL}, DownFor: time.Minute})
+			k := keyOwnedBy(t, ts.URL, c.Nodes())
 
-	if st, ok := c.FetchResult(context.Background(), k); ok || st != nil {
-		t.Fatal("5xx fetch reported a hit")
-	}
-	snap := c.Snap()
-	if snap.FetchErrors != 1 || snap.FetchMisses != 0 {
-		t.Errorf("5xx accounting: errors=%d misses=%d, want 1 error and no miss",
-			snap.FetchErrors, snap.FetchMisses)
-	}
-	if c.peers[ts.URL].Alive() {
-		t.Error("peer still alive after 5xx; want latched down")
-	}
-	if _, ok := c.FetchResult(context.Background(), k); ok {
-		t.Fatal("hit from a down peer")
-	}
-	if got := atomic.LoadInt32(&calls); got != 1 {
-		t.Errorf("peer queried %d times, want 1 (down latch must stop re-queries)", got)
-	}
-}
-
-// TestFetchResult404IsMiss: a clean remote miss stays a miss — counted as
-// such, peer health untouched.
-func TestFetchResult404IsMiss(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.NotFound(w, r)
-	}))
-	defer ts.Close()
-	c := New(Options{Self: "http://self.invalid", Peers: []string{ts.URL}})
-	k := keyOwnedBy(t, ts.URL, c.Nodes())
-
-	if _, ok := c.FetchResult(context.Background(), k); ok {
-		t.Fatal("404 fetch reported a hit")
-	}
-	snap := c.Snap()
-	if snap.FetchMisses != 1 || snap.FetchErrors != 0 {
-		t.Errorf("404 accounting: misses=%d errors=%d, want 1 miss and no error",
-			snap.FetchMisses, snap.FetchErrors)
-	}
-	if !c.peers[ts.URL].Alive() {
-		t.Error("peer marked down by a plain miss")
+			for i := 0; i < 2; i++ {
+				if st, _, err := c.Execute(context.Background(), k, []byte(`{}`)); err == nil || st != nil {
+					t.Fatalf("call %d: HTTP %d answered %+v, %v; want an error", i, tc.code, st, err)
+				}
+			}
+			if alive := c.peers[ts.URL].Alive(); alive == tc.latch {
+				t.Errorf("after HTTP %d the peer is alive=%v, want %v", tc.code, alive, !tc.latch)
+			}
+			want := int32(2)
+			if tc.latch {
+				want = 1
+			}
+			if got := atomic.LoadInt32(&calls); got != want {
+				t.Errorf("peer reached %d times, want %d", got, want)
+			}
+		})
 	}
 }
 
 // TestPeerJunkResultRejected: a 200 whose body is not exactly one stats
-// object of a nonzero-cycle run is a peer error on both paths: the fetch is
-// a miss counted in fetchErrors, and Execute returns an error (the service
-// computes locally) counted in execErrors. A well-formed body still serves.
+// object of a nonzero-cycle run is a peer error: Execute returns an error
+// (the service computes locally) counted in execErrors. A well-formed body
+// still serves.
 func TestPeerJunkResultRejected(t *testing.T) {
 	for name, body := range map[string]string{
 		"valid":    `{"cycles":5,"Insts":7}`,
@@ -104,10 +95,6 @@ func TestPeerJunkResultRejected(t *testing.T) {
 			k := keyOwnedBy(t, ts.URL, c.Nodes())
 			valid := name == "valid"
 
-			st, ok := c.FetchResult(context.Background(), k)
-			if ok != valid || (st != nil) != valid {
-				t.Errorf("FetchResult(%s) = %+v, %v; want a hit only for a valid body", body, st, ok)
-			}
 			st, _, err := c.Execute(context.Background(), k, []byte(`{}`))
 			if (err == nil) != valid || (st != nil) != valid {
 				t.Errorf("Execute(%s) = %+v, %v; want a result only for a valid body", body, st, err)
@@ -120,8 +107,8 @@ func TestPeerJunkResultRejected(t *testing.T) {
 			if valid {
 				wantErrs = 0
 			}
-			if snap.FetchErrors != wantErrs || snap.ExecErrors != wantErrs {
-				t.Errorf("fetch errors %d, exec errors %d, want %d each", snap.FetchErrors, snap.ExecErrors, wantErrs)
+			if snap.ExecErrors != wantErrs {
+				t.Errorf("exec errors %d, want %d", snap.ExecErrors, wantErrs)
 			}
 		})
 	}

@@ -194,8 +194,7 @@ func TestRejectedSweepLeavesNoJobs(t *testing.T) {
 }
 
 // twoNodes boots two in-process snaked services joined into one cluster
-// over real listeners, so forwarding and peer fetch exercise the actual
-// HTTP transport.
+// over real listeners, so forwarding exercises the actual HTTP transport.
 func twoNodes(t *testing.T, optA, optB Options) (a, b *Service, urlA, urlB string, stop func()) {
 	t.Helper()
 	lA, err := net.Listen("tcp", "127.0.0.1:0")
@@ -272,9 +271,9 @@ func labeledMetric(t *testing.T, body, sample string) float64 {
 }
 
 // TestTwoNodeCluster is the acceptance scenario: a cell simulated on node A
-// is served from cache by node B (tier-3 peer fetch), a cell B does not own
-// is forwarded to its owner A (exactly-once production), and a dead peer
-// degrades to local compute without failing any job.
+// is served to node B from A's record through the forward, a cell B does
+// not own is forwarded to its owner A (exactly-once production), and a dead
+// peer degrades to local compute without failing any job.
 func TestTwoNodeCluster(t *testing.T) {
 	gpu := config.Scaled(2, 16)
 	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
@@ -301,21 +300,22 @@ func TestTwoNodeCluster(t *testing.T) {
 	}
 
 	// 1. Simulate a cell on its owner A, then ask B for the same cell: B
-	// must serve it via peer fetch from A's cache, not re-simulate.
+	// must forward it and A answer from its record, not re-simulate.
 	cell := cellOwnedBy(t, urlA, nodes, gpu, scale, used)
 	onA := post(urlA, cell)
 	if onA.Source != "sim" {
 		t.Fatalf("first run source = %q, want sim", onA.Source)
 	}
+	in0 := metricValue(t, scrapeMetrics(t, urlA), "snaked_forwarded_in_total")
 	onB := post(urlB, cell)
-	if !onB.Cached || onB.Source != "peer" {
-		t.Fatalf("node B: cached=%v source=%q, want a peer-cache hit", onB.Cached, onB.Source)
+	if !onB.Cached || onB.Source != "forward:memory" {
+		t.Fatalf("node B: cached=%v source=%q, want a cached forward:memory", onB.Cached, onB.Source)
 	}
 	if onB.Key != onA.Key || *onB.Result != *onA.Result {
 		t.Fatalf("cross-node result mismatch:\nA %+v\nB %+v", onA, onB)
 	}
-	if hits := labeledMetric(t, scrapeMetrics(t, urlB), `snaked_cache_tier_hits_total{tier="peer"}`); hits < 1 {
-		t.Errorf("node B peer tier hits = %v, want ≥ 1", hits)
+	if in := metricValue(t, scrapeMetrics(t, urlA), "snaked_forwarded_in_total"); in != in0+1 {
+		t.Errorf("node A forwarded_in went %v → %v, want one more", in0, in)
 	}
 
 	// 2. Submit a cell owned by A to node B: B forwards it to A rather than
@@ -570,8 +570,8 @@ func TestSweepStreamFlushesPerBurst(t *testing.T) {
 }
 
 // TestJunkPeerResultFallsBack: an owning peer that answers 200 with a body
-// that is no result (here {}) on both the cache and the execute endpoint
-// costs a local simulation, never a zero result served and cached.
+// that is no result (here {}) on the execute endpoint costs a local
+// simulation, never a zero result served and cached.
 func TestJunkPeerResultFallsBack(t *testing.T) {
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -594,14 +594,100 @@ func TestJunkPeerResultFallsBack(t *testing.T) {
 	if v.Status != StatusDone || v.Source != "sim" || v.Result == nil || v.Result.Cycles == 0 {
 		t.Fatalf("job over a junk peer: %+v, want done from a local simulation", v)
 	}
-	if st, _ := svc.store.GetLocal(v.Key); st == nil || st.Cycles != v.Result.Cycles {
+	if st, _ := svc.store.Get(t.Context(), v.Key); st == nil || st.Cycles != v.Result.Cycles {
 		t.Errorf("cached result %+v, want the local simulation's", st)
 	}
-	clu := svc.clu.Snap()
-	if clu.FetchErrors != 1 || clu.ExecErrors != 1 || clu.FetchHits != 0 || clu.ExecOK != 0 {
-		t.Errorf("peer accounting %+v, want one fetch error and one exec error", clu)
+	if clu := svc.clu.Snap(); clu.ExecErrors != 1 || clu.ExecOK != 0 {
+		t.Errorf("peer accounting %+v, want one exec error", clu)
 	}
 	if m := svc.metrics.snap(); m.ForwardFallbacks != 1 || m.ForwardsOK != 0 {
 		t.Errorf("forwards ok=%d fallback=%d, want one fallback", m.ForwardsOK, m.ForwardFallbacks)
+	}
+}
+
+// TestPeerExecuteAnswersHeldKeys: an owner answers a forwarded key it
+// already holds — from the key's record or, with no record, from the disk
+// tier — even with every peer slot taken, and retains no job for it. A key
+// it does not hold needs a slot, so it gets 429. The store's peer endpoint
+// GET /v1/cache/{key} is gone.
+func TestPeerExecuteAnswersHeldKeys(t *testing.T) {
+	gpu := config.Scaled(2, 16)
+	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
+	dir := t.TempDir()
+	onDisk := RunRequest{Bench: "cp", Mech: "baseline"}
+	recorded := RunRequest{Bench: "lps", Mech: "snake"}
+	run := func(svc *Service, req RunRequest) RunView {
+		t.Helper()
+		j, err := svc.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.done
+		v := j.view()
+		if v.Status != StatusDone {
+			t.Fatalf("%s/%s: %s (%s)", v.Bench, v.Mech, v.Status, v.Error)
+		}
+		return v
+	}
+	first := New(Options{Workers: 1, GPU: &gpu, Scale: &scale, CacheDir: dir})
+	want := map[string]RunView{"disk": run(first, onDisk)}
+	shutdown(t, first)
+
+	svc := New(Options{Workers: 1, GPU: &gpu, Scale: &scale, CacheDir: dir})
+	defer shutdown(t, svc)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	want["memory"] = run(svc, recorded)
+	for i := 0; i < cap(svc.peerSlots); i++ {
+		svc.peerSlots <- struct{}{}
+	}
+	defer func() {
+		for i := 0; i < cap(svc.peerSlots); i++ {
+			<-svc.peerSlots
+		}
+	}()
+	retained := func() float64 {
+		return metricValue(t, scrapeMetrics(t, ts.URL), "snaked_jobs_retained")
+	}
+	jobs0, in0 := retained(), svc.metrics.snap().ForwardedIn
+
+	for source, req := range map[string]RunRequest{"disk": onDisk, "memory": recorded} {
+		resp, body := postJSON(t, ts.URL+"/v1/peer/execute", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("held %s key: %d %s, want 200", source, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get(cluster.SourceHeader); got != source {
+			t.Errorf("held %s key answered from %q", source, got)
+		}
+		if got := resp.Header.Get(cluster.KeyHeader); got != want[source].Key {
+			t.Errorf("held %s key: key header %q, want %q", source, got, want[source].Key)
+		}
+		var st stats.Sim
+		if err := json.Unmarshal(body, &st); err != nil || *summarize(&st) != *want[source].Result {
+			t.Errorf("held %s key: body %s (%v), want %+v", source, body, err, want[source].Result)
+		}
+	}
+	if jobs := retained(); jobs != jobs0 {
+		t.Errorf("forwarded hits retained jobs: %v → %v", jobs0, jobs)
+	}
+	if in := svc.metrics.snap().ForwardedIn; in != in0+2 {
+		t.Errorf("forwarded_in %d → %d, want one per request", in0, in)
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/peer/execute", RunRequest{Bench: "mum", Mech: "baseline"})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("unheld key with no peer slot: %d %s, want 429", resp.StatusCode, body)
+	}
+	if jobs := retained(); jobs != jobs0 {
+		t.Errorf("a refused forward retained a job: %v → %v", jobs0, jobs)
+	}
+
+	cresp, err := http.Get(ts.URL + "/v1/cache/" + want["memory"].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	if cresp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/cache/{key}: %d, want 404 (no such route)", cresp.StatusCode)
 	}
 }

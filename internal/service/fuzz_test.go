@@ -16,8 +16,8 @@ import (
 // FuzzRequestNormalize decodes arbitrary bytes as a RunRequest (sweep
 // false) or a SweepRequest (sweep true) with the handlers' decoder, then
 // normalizes the request, or every cell the sweep expands to, without
-// enqueueing anything. Each input must be rejected or yield valid specs:
-// a registry workload, one mechanism (never a mech beside a snake config), a valid GPU whose slack audit is
+// enqueueing anything. Each input must be rejected or yield valid specs (a
+// sweep at most the registry's bench × mechanism grid of them): a registry workload, one mechanism (never a mech beside a snake config), a valid GPU whose slack audit is
 // computable, a valid scale and custom Snake config, a scale whose CTA fits
 // the GPU's warp slots, the timeout the request asked for, a canonical key
 // (normalizing it again changes nothing) whose JSON decodes back to an equal
@@ -33,7 +33,7 @@ func FuzzRequestNormalize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, sweep bool) {
 		if sweep {
 			var req SweepRequest
-			if svc.decodeRequest(httptest.NewRequest("POST", "/v1/sweeps", bytes.NewReader(body)), &req) != nil {
+			if svc.decodeRequest(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/sweeps", bytes.NewReader(body)), &req) != nil {
 				return
 			}
 			specs, err := svc.sweepSpecs(req)
@@ -50,13 +50,16 @@ func FuzzRequestNormalize(f *testing.F) {
 			if want := len(req.Benches) * mechs; len(specs) != want {
 				t.Fatalf("sweep expanded to %d cells, want %d", len(specs), want)
 			}
+			if grid := len(workloads.Names()) * len(harness.MechanismNames()); len(specs) > grid {
+				t.Fatalf("sweep of %d cells accepted, more than the %d-cell registry grid", len(specs), grid)
+			}
 			for i := range specs {
 				checkSpec(t, svc, &specs[i], req.TimeoutMS)
 			}
 			return
 		}
 		var req RunRequest
-		if svc.decodeRequest(httptest.NewRequest("POST", "/v1/runs", bytes.NewReader(body)), &req) != nil {
+		if svc.decodeRequest(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/runs", bytes.NewReader(body)), &req) != nil {
 			return
 		}
 		sp, err := svc.normalize(req)

@@ -99,7 +99,7 @@ func TestRecordKeysMatchRunKey(t *testing.T) {
 	decode := func(body string) SweepRequest {
 		t.Helper()
 		var req SweepRequest
-		if err := def.decodeRequest(httptest.NewRequest("POST", "/v1/sweeps", strings.NewReader(body)), &req); err != nil {
+		if err := def.decodeRequest(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/sweeps", strings.NewReader(body)), &req); err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
 		return req

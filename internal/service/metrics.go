@@ -31,7 +31,7 @@ type metrics struct {
 	queueRejected    int64 // submissions refused with 429 (queue full)
 	forwardsOK       int64 // jobs executed on the owning peer
 	forwardFallbacks int64 // forward attempts degraded to local compute
-	forwardedIn      int64 // jobs received from peers via /v1/peer/execute
+	forwardedIn      int64 // well-formed requests from peers via /v1/peer/execute
 	streamSubs       int64 // gauge: open sweep-stream subscribers
 
 	wall map[string]*histogram // per-benchmark sim wall clock
@@ -210,7 +210,6 @@ func (m *metrics) render(w io.Writer, queued, jobs, records int, traceBytes int6
 	fmt.Fprintf(w, "# TYPE snaked_cache_tier_hits_total counter\n")
 	fmt.Fprintf(w, "snaked_cache_tier_hits_total{tier=\"memory\"} %d\n", store.MemHits)
 	fmt.Fprintf(w, "snaked_cache_tier_hits_total{tier=\"disk\"} %d\n", store.DiskHits)
-	fmt.Fprintf(w, "snaked_cache_tier_hits_total{tier=\"peer\"} %d\n", store.PeerHits)
 	fmt.Fprintf(w, "# TYPE snaked_cache_evictions_total counter\n")
 	fmt.Fprintf(w, "snaked_cache_evictions_total %d\n", store.Evictions)
 	fmt.Fprintf(w, "# TYPE snaked_cache_spills_total counter\n")
@@ -222,10 +221,6 @@ func (m *metrics) render(w io.Writer, queued, jobs, records int, traceBytes int6
 	if clu != nil {
 		fmt.Fprintf(w, "# TYPE snaked_cluster_nodes gauge\n")
 		fmt.Fprintf(w, "snaked_cluster_nodes %d\n", clu.Nodes)
-		fmt.Fprintf(w, "# TYPE snaked_peer_fetch_total counter\n")
-		fmt.Fprintf(w, "snaked_peer_fetch_total{result=\"hit\"} %d\n", clu.FetchHits)
-		fmt.Fprintf(w, "snaked_peer_fetch_total{result=\"miss\"} %d\n", clu.FetchMisses)
-		fmt.Fprintf(w, "snaked_peer_fetch_total{result=\"error\"} %d\n", clu.FetchErrors)
 		fmt.Fprintf(w, "# TYPE snaked_forwards_total counter\n")
 		fmt.Fprintf(w, "snaked_forwards_total{result=\"ok\"} %d\n", s.ForwardsOK)
 		fmt.Fprintf(w, "snaked_forwards_total{result=\"fallback\"} %d\n", s.ForwardFallbacks)

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"snake/internal/cluster"
+	"snake/internal/stats"
 )
 
 // errPeerBusy rejects forwarded-in work when the reserved peer capacity is
@@ -14,35 +15,31 @@ import (
 // computes locally.
 var errPeerBusy = errors.New("peer-execute capacity exhausted")
 
-// handleCacheGet is GET /v1/cache/{key}: the local tiers (memory, then
-// disk) of the content-addressed result store, full stats.Sim JSON on a
-// hit. Peers call this as tier 3 of their own store; it never recurses into
-// a further peer fetch, so lookups cannot loop.
-func (s *Service) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	st, tier := s.store.GetLocal(key)
-	if st == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no cached result for %q", key))
-		return
-	}
-	w.Header().Set(cluster.SourceHeader, tier.String())
-	w.Header().Set(cluster.KeyHeader, key)
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handlePeerExecute is POST /v1/peer/execute: run a job forwarded by a peer
-// and return the full simulation stats. Forwarded work never enters the
-// worker queue — it runs on the reserved peerSlots capacity, so it makes
-// progress even when every worker is blocked forwarding work out (two
-// nodes forwarding to each other could otherwise wedge with all workers
-// waiting on each other's queues). When the slots are exhausted the owner
-// answers 429 + Retry-After and the sender degrades to local compute. The
-// job is marked noForward: this node is the key's owner, and owners never
-// forward.
+// handlePeerExecute is POST /v1/peer/execute: return the full simulation
+// stats of a job forwarded by a peer. A key this node already holds (its
+// record, then memory, then disk) is answered at once, with no peer slot
+// and no job. A miss never enters the worker queue — it runs on the
+// reserved peerSlots capacity, so it makes progress even when every worker
+// is blocked forwarding work out (two nodes forwarding to each other could
+// otherwise wedge with all workers waiting on each other's queues). When
+// the slots are exhausted the owner answers 429 + Retry-After and the
+// sender degrades to local compute. The job is marked noForward: this node
+// is the key's owner, and owners never forward.
 func (s *Service) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := s.decodeRequest(r, &req); err != nil {
+	if err := s.decodeRequest(w, r, &req); err != nil {
+		writeDecodeErr(w, err)
+		return
+	}
+	sp, err := s.normalize(req)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	sp.noForward = true
+	s.metrics.forwardedInInc()
+	if st, key, tier := s.held(&sp); st != nil {
+		writePeerResult(w, key, tier.String(), st)
 		return
 	}
 	select {
@@ -54,12 +51,11 @@ func (s *Service) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.peerSlots }()
-	j, err := s.submitPeer(req)
+	j, err := s.submitPeer(sp)
 	if err != nil {
 		s.writeSubmitErr(w, err)
 		return
 	}
-	s.metrics.forwardedInInc()
 	// The sending peer holding the connection owns the job: its disconnect
 	// (or context cancellation) cancels the work here too.
 	select {
@@ -73,9 +69,9 @@ func (s *Service) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	switch status {
 	case StatusDone:
-		w.Header().Set(cluster.SourceHeader, sourceForPeer(source))
-		w.Header().Set(cluster.KeyHeader, j.rec.key)
-		writeJSON(w, http.StatusOK, j.rec.st.Load())
+		// An owner's job never forwards, so its source is the wire's
+		// "memory", "disk" or "sim".
+		writePeerResult(w, j.rec.key, source, j.rec.st.Load())
 	case StatusCanceled:
 		writeErr(w, http.StatusServiceUnavailable, errors.New("forwarded job canceled"))
 	default:
@@ -83,13 +79,25 @@ func (s *Service) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sourceForPeer collapses a job source to the wire vocabulary the transport
-// documents: "memory", "disk", or "sim".
-func sourceForPeer(source string) string {
-	switch source {
-	case "memory", "disk":
-		return source
-	default:
-		return "sim"
+// held returns the result of sp's key that this node already holds — its
+// record's, else the store's — with the key and the tier that answered. It
+// creates no record; a miss returns a nil result.
+func (s *Service) held(sp *spec) (*stats.Sim, string, cluster.Tier) {
+	s.mu.Lock()
+	rec := s.records[sp.recordKey()]
+	s.mu.Unlock()
+	if rec != nil && rec.st.Load() != nil {
+		return rec.st.Load(), rec.key, cluster.TierMemory
 	}
+	key := sp.key.Hash()
+	st, tier := s.store.Get(s.baseCtx, key)
+	return st, key, tier
+}
+
+// writePeerResult answers a forwarded request with its key's stats and
+// where this node found them.
+func writePeerResult(w http.ResponseWriter, key, source string, st *stats.Sim) {
+	w.Header().Set(cluster.SourceHeader, source)
+	w.Header().Set(cluster.KeyHeader, key)
+	writeJSON(w, http.StatusOK, st)
 }

@@ -54,8 +54,7 @@ type Options struct {
 	Self string
 	// Peers are the other cluster members' advertised base URLs. Sweep
 	// cells are owned by rendezvous-hashing their RunKey across
-	// {Self} ∪ Peers; misses on non-owned keys are fetched from or
-	// forwarded to the owner.
+	// {Self} ∪ Peers; misses on non-owned keys are forwarded to the owner.
 	Peers []string
 	// PeerInflight caps concurrently forwarded jobs per peer (default 4).
 	PeerInflight int
@@ -105,12 +104,12 @@ type Service struct {
 	nextSweep int64
 	draining  bool
 
-	// flight dedupes concurrent identical work: one leader per RunKey
-	// simulates (or forwards); same-key jobs wait and re-read the cache, so
-	// a key is produced at most once per node — and, with rendezvous
-	// forwarding, at most once per cluster — under normal operation.
+	// flightMu guards each record's flight, which dedupes concurrent
+	// identical work: one leader per RunKey simulates (or forwards), and
+	// same-key jobs wait and finish from the record, so a key is produced
+	// at most once per node — and, with rendezvous forwarding, at most once
+	// per cluster — under normal operation.
 	flightMu sync.Mutex
-	flight   map[string]chan struct{}
 }
 
 // sweep groups the jobs of one POST /v1/sweeps submission and fans
@@ -153,7 +152,6 @@ func New(opt Options) *Service {
 		jobs:       make(map[string]*job),
 		records:    make(map[recordKey]*record),
 		sweeps:     make(map[string]*sweep),
-		flight:     make(map[string]chan struct{}),
 	}
 	if len(opt.Peers) > 0 && opt.Self != "" {
 		s.clu = cluster.New(cluster.Options{
@@ -161,9 +159,6 @@ func New(opt Options) *Service {
 			PeerInflight: opt.PeerInflight, DownFor: opt.PeerDownFor,
 			ExecTimeout: opt.PeerExecTimeout,
 		})
-		// Tier 3 of the store: after a local miss, ask the owning peer's
-		// cache before considering any compute.
-		s.store.SetPeerFetch(s.clu.FetchResult)
 	}
 	s.wg.Add(opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
@@ -197,7 +192,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	// Every job has finished, so nothing writes the store any more; a late
-	// peer cache lookup now misses the disk tier instead of reading it.
+	// forwarded lookup now misses the disk tier instead of reading it.
 	if cerr := s.store.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("service: closing the result store: %w", cerr)
 	}
@@ -247,19 +242,14 @@ func (s *Service) Submit(req RunRequest) (*job, error) {
 	return s.enqueueLocked(sp, "")
 }
 
-// submitPeer accepts a job forwarded by a peer. Unlike client submissions
-// it never enters the worker queue: forwarded-in work runs on its own
-// goroutine against the reserved peerSlots capacity (acquired by the
-// caller), so it can make progress even when every worker is itself blocked
-// forwarding work out — the circular wait that would otherwise deadlock two
-// mutually-forwarding nodes. The job is marked noForward: this node is the
-// key's owner, and owners never forward.
-func (s *Service) submitPeer(req RunRequest) (*job, error) {
-	sp, err := s.normalize(req)
-	if err != nil {
-		return nil, err
-	}
-	sp.noForward = true
+// submitPeer accepts a job forwarded by a peer, normalized and marked
+// noForward by the caller. Unlike client submissions it never enters the
+// worker queue: forwarded-in work runs on its own goroutine against the
+// reserved peerSlots capacity (acquired by the caller), so it can make
+// progress even when every worker is itself blocked forwarding work out —
+// the circular wait that would otherwise deadlock two mutually-forwarding
+// nodes.
+func (s *Service) submitPeer(sp spec) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -321,7 +311,9 @@ func (s *Service) enqueueLocked(sp spec, sweepID string) (*job, error) {
 
 // sweepSpecs expands a sweep into its cells and normalizes each one, in
 // submission order (each bench across mechs). Nothing is enqueued; one
-// invalid cell rejects the whole sweep.
+// invalid cell rejects the whole sweep, and so does a bench or mechanism
+// named twice, so a sweep has at most the registry's bench × mechanism
+// cells.
 func (s *Service) sweepSpecs(req SweepRequest) ([]spec, error) {
 	mechs := req.Mechs
 	if req.Snake != nil {
@@ -332,6 +324,12 @@ func (s *Service) sweepSpecs(req SweepRequest) ([]spec, error) {
 	}
 	if len(req.Benches) == 0 || len(mechs) == 0 {
 		return nil, errors.New("sweep needs at least one benchmark and one mechanism (or a snake config)")
+	}
+	if err := distinct("bench", req.Benches); err != nil {
+		return nil, err
+	}
+	if err := distinct("mechanism", mechs); err != nil {
+		return nil, err
 	}
 	// Sized up front: append's regrowth was a large share of a warm
 	// re-sweep's allocation. Capped at the full bench × mechanism grid, so
@@ -357,6 +355,18 @@ func (s *Service) sweepSpecs(req SweepRequest) ([]spec, error) {
 		}
 	}
 	return specs, nil
+}
+
+// distinct rejects a sweep list that names an entry twice.
+func distinct(what string, names []string) error {
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
+		if seen[n] {
+			return fmt.Errorf("sweep names %s %q twice", what, n)
+		}
+		seen[n] = true
+	}
+	return nil
 }
 
 // SubmitSweep validates and enqueues a bench×mech grid.
@@ -414,7 +424,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGetSweep)
 	mux.HandleFunc("GET /v1/sweeps/{id}/stream", s.handleStreamSweep)
 	mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
-	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("POST /v1/peer/execute", s.handlePeerExecute)
 	return mux
 }
@@ -447,8 +456,8 @@ func (s *Service) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Service) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := s.decodeRequest(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := s.decodeRequest(w, r, &req); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	j, err := s.Submit(req)
@@ -492,8 +501,8 @@ func (s *Service) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := s.decodeRequest(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := s.decodeRequest(w, r, &req); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	sw, jobs, err := s.SubmitSweep(req)
@@ -558,13 +567,17 @@ func (s *Service) retryAfterSeconds() int {
 	return sec
 }
 
-// decodeRequest decodes a RunRequest or SweepRequest body onto the
-// service's defaults: a "gpu" or "scale" override onto a copy of the
-// service's machine or scale, and a "snake" override onto core.Defaults
-// (core.Config.UnmarshalJSON). An omitted field is the default and a present
-// one is taken literally; normalize rejects what cannot run. A field the
-// request or an override does not have is an error.
-func (s *Service) decodeRequest(r *http.Request, v any) error {
+// maxBodyBytes bounds a POST body. A run or sweep request is a few
+// kilobytes at most, and a sweep names each bench and mechanism once.
+const maxBodyBytes = 1 << 20
+
+// decodeRequest decodes a RunRequest or SweepRequest body of at most
+// maxBodyBytes onto the service's defaults: a "gpu" or "scale" override
+// onto a copy of the service's machine or scale, and a "snake" override onto
+// core.Defaults (core.Config.UnmarshalJSON). An omitted field is the default
+// and a present one is taken literally; normalize rejects what cannot run. A
+// field the request or an override does not have is an error.
+func (s *Service) decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
 	gpu, sc := s.runner.Cfg, s.runner.Scale
 	switch req := v.(type) {
 	case *RunRequest:
@@ -572,17 +585,31 @@ func (s *Service) decodeRequest(r *http.Request, v any) error {
 	case *SweepRequest:
 		req.GPU, req.Scale = &gpu, &sc
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	// One object per body: anything but whitespace after it (a second
 	// object, a stray brace) is refused, not silently dropped.
-	if _, err := dec.Token(); err != io.EOF {
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return fmt.Errorf("bad request body: %w", err)
+	default:
 		return errors.New("bad request body: trailing data after the JSON object")
 	}
-	return nil
+}
+
+// writeDecodeErr answers a body decodeRequest refused: 413 past
+// maxBodyBytes, 400 otherwise.
+func writeDecodeErr(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, err)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {

@@ -769,7 +769,7 @@ func TestCacheDirSurvivesRestart(t *testing.T) {
 	}
 	misses := 0
 	for k := range want {
-		if st, tier := first.store.GetLocal(k); tier == cluster.TierNone && st == nil {
+		if st, tier := first.store.Get(context.Background(), k); tier == cluster.TierNone && st == nil {
 			misses++
 		}
 	}
@@ -787,5 +787,91 @@ func TestCacheDirSurvivesRestart(t *testing.T) {
 		if !reflect.DeepEqual(got[k], st) {
 			t.Errorf("key %s: stats after restart differ:\ngot  %+v\nwant %+v", k[:8], got[k], st)
 		}
+	}
+}
+
+// TestSingleflightFinishesFromRecord: concurrent jobs of one key run one
+// simulation. The jobs that wait on it finish from the key's record, so
+// none of them reads a store tier.
+func TestSingleflightFinishesFromRecord(t *testing.T) {
+	const n = 4
+	gpu := config.Scaled(2, 16)
+	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
+	svc := New(Options{Workers: n, GPU: &gpu, Scale: &scale})
+	defer shutdown(t, svc)
+	// Long enough (tens of ms) that every worker picks its job up while the
+	// first one simulates.
+	req := RunRequest{Bench: "lps", Mech: "snake", Scale: &workloads.Scale{CTAs: 64, WarpsPerCTA: 8, Iters: 16}}
+	jobs := make([]*job, n)
+	for i := range jobs {
+		j, err := svc.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	sources := map[string]int{}
+	for _, j := range jobs {
+		<-j.done
+		v := j.view()
+		if v.Status != StatusDone {
+			t.Fatalf("%s: %s (%s)", v.ID, v.Status, v.Error)
+		}
+		sources[v.Source]++
+	}
+	if sources["sim"] != 1 || sources["memory"] != n-1 {
+		t.Errorf("sources %v, want one sim and %d from memory", sources, n-1)
+	}
+	if got := labeledMetric(t, renderMetrics(svc), `snaked_sim_wall_ms_count{bench="lps"}`); got != 1 {
+		t.Errorf("%v simulations, want 1", got)
+	}
+	if st := svc.store.Snap(); st.MemHits+st.DiskHits != 0 {
+		t.Errorf("waiters read the store: %+v", st)
+	}
+}
+
+// renderMetrics returns svc's /metrics text.
+func renderMetrics(svc *Service) string {
+	w := httptest.NewRecorder()
+	svc.handleMetrics(w, nil)
+	return w.Body.String()
+}
+
+// TestSweepSizeBounded: a sweep that names a bench or a mechanism twice gets
+// a 400 naming it, and a body past maxBodyBytes gets a 413 on every POST
+// endpoint. Neither admits a job.
+func TestSweepSizeBounded(t *testing.T) {
+	svc := tinyService(1)
+	defer shutdown(t, svc)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	pad := strings.Repeat("x", maxBodyBytes)
+	for _, c := range []struct {
+		name, path, body string
+		code             int
+		names            string
+	}{
+		{"duplicate bench", "/v1/sweeps", `{"benches":["cp","lps","cp"],"mechs":["baseline"]}`, http.StatusBadRequest, `bench \"cp\"`},
+		{"duplicate mech", "/v1/sweeps", `{"benches":["cp"],"mechs":["snake","baseline","snake"]}`, http.StatusBadRequest, `mechanism \"snake\"`},
+		{"oversized sweep", "/v1/sweeps", `{"benches":["` + pad + `"],"mechs":["baseline"]}`, http.StatusRequestEntityTooLarge, "too large"},
+		{"oversized run", "/v1/runs", `{"bench":"` + pad + `"}`, http.StatusRequestEntityTooLarge, "too large"},
+		{"oversized forward", "/v1/peer/execute", `{"bench":"` + pad + `"}`, http.StatusRequestEntityTooLarge, "too large"},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code || !strings.Contains(string(body), c.names) {
+			t.Errorf("%s: %d %s, want %d naming %s", c.name, resp.StatusCode, body, c.code, c.names)
+		}
+	}
+	m := renderMetrics(svc)
+	if got := metricValue(t, m, "snaked_jobs_submitted_total"); got != 0 {
+		t.Errorf("%v jobs submitted, want none", got)
+	}
+	if got := metricValue(t, m, "snaked_jobs_retained"); got != 0 {
+		t.Errorf("%v jobs retained, want none", got)
 	}
 }

@@ -12,15 +12,14 @@
 //	GET    /v1/sweeps/{id} sweep roll-up
 //	GET    /v1/sweeps/{id}/stream completed cells as JSON lines, as they land
 //	GET    /v1/benchmarks  benchmark and mechanism inventory
-//	GET    /v1/cache/{key} local cache tiers lookup (peer-to-peer tier 3)
-//	POST   /v1/peer/execute run a forwarded job, return full stats (peers only)
+//	POST   /v1/peer/execute answer or run a forwarded job, return full stats (peers only)
 //	GET    /metrics        Prometheus-style text metrics
 //	GET    /healthz        liveness
 //
 // With -peers configured, a fleet of snaked processes forms a job fabric:
-// each result key has one owner (rendezvous hash over the member set), local
-// misses consult the owner's cache and then forward the job to it, and a
-// dead peer degrades to local compute — never an error.
+// each result key has one owner (rendezvous hash over the member set), a
+// local miss is forwarded to the owner, which answers from its cache or
+// simulates, and a dead peer degrades to local compute — never an error.
 package service
 
 import (
@@ -116,9 +115,9 @@ type RunView struct {
 	Status Status `json:"status"`
 	Cached bool   `json:"cached"`
 	// Source says where the result came from: a cache tier ("memory",
-	// "disk", "peer"), a forwarded execution on the owning peer
-	// ("forward:memory", "forward:disk", "forward:sim"), or a local
-	// simulation ("sim").
+	// "disk"), a forwarded execution on the owning peer ("forward:memory",
+	// "forward:disk", "forward:sim"), or a local simulation ("sim"). Cached
+	// is true for every source that simulated nothing.
 	Source string  `json:"source,omitempty"`
 	Error  string  `json:"error,omitempty"`
 	WallMS float64 `json:"wall_ms,omitempty"`

@@ -46,14 +46,18 @@ type jobLive struct {
 }
 
 // record is the state every job of one RunKey shares, created by the key's
-// first job: the key, the bench and mech a run view shows, and the result.
-// The result is set by the key's first successful finish and never
-// replaced: simulations are deterministic, so every later success carries
-// equal stats (the store's first-write-wins rule). Failed and canceled jobs
-// never set it. Records are never removed; there is one per distinct key.
+// first job: the key, the bench and mech a run view shows, the result, and
+// the key's in-flight production. The result is set by the key's first
+// successful finish and never replaced: simulations are deterministic, so
+// every later success carries equal stats (the store's first-write-wins
+// rule). Failed and canceled jobs never set it. Records are never removed;
+// there is one per distinct key.
 type record struct {
 	key, bench, mech string
 	st               atomic.Pointer[stats.Sim]
+	// flight is non-nil while one job of the key produces its result, and
+	// closes when that job ends; guarded by Service.flightMu.
+	flight chan struct{}
 }
 
 // view snapshots the job for the wire.
@@ -93,10 +97,10 @@ func (s *Service) worker() {
 	}
 }
 
-// runJob executes one job: its key's record first, then a tiered cache
-// lookup (memory → disk → owning peer), then exactly-once production under
-// the per-key flight lock — a forwarded execution on the owning peer when
-// clustered, a local simulation otherwise or as the degradation path.
+// runJob executes one job: its key's record first, then the store (memory
+// → disk), then exactly-once production under the key's flight — a
+// forwarded execution on the owning peer when clustered, a local simulation
+// otherwise or as the degradation path.
 func (s *Service) runJob(j *job) {
 	j.mu.Lock()
 	if j.status != StatusQueued { // canceled while queued
@@ -125,27 +129,19 @@ func (s *Service) runJob(j *job) {
 		s.finish(j, st, nil, true, cluster.TierMemory.String())
 		return
 	}
-	// Forwarded-in work serves local tiers only: the sender already ran the
-	// peer tier, and this node is the key's owner.
-	var st *stats.Sim
-	var tier cluster.Tier
-	if sp.noForward {
-		st, tier = s.store.GetLocal(key)
-	} else {
-		st, tier = s.store.Get(ctx, key)
-	}
-	if st != nil {
+	if st, tier := s.store.Get(ctx, key); st != nil {
 		s.metrics.cacheHit()
 		s.finish(j, st, nil, true, tier.String())
 		return
 	}
 	s.metrics.cacheMiss()
 
-	// Per-key singleflight: exactly one leader produces the result; jobs
-	// that lose the race wait and re-read the cache. A leader that failed
-	// (error, cancel) leaves the next waiter to claim leadership and retry.
+	// Per-key singleflight: exactly one leader produces the result, and
+	// jobs that lose the race wait and finish from the record. A leader
+	// that failed (error, cancel) leaves the next waiter to claim leadership
+	// and retry.
 	for {
-		wait, leader := s.beginFlight(key)
+		wait, leader := s.beginFlight(j.rec)
 		if leader {
 			break
 		}
@@ -155,9 +151,9 @@ func (s *Service) runJob(j *job) {
 			s.finish(j, nil, ctx.Err(), false, "")
 			return
 		}
-		if st, tier := s.store.GetLocal(key); st != nil {
+		if st := j.rec.st.Load(); st != nil {
 			s.metrics.cacheHit()
-			s.finish(j, st, nil, true, tier.String())
+			s.finish(j, st, nil, true, cluster.TierMemory.String())
 			return
 		}
 	}
@@ -165,28 +161,30 @@ func (s *Service) runJob(j *job) {
 	if err == nil {
 		s.store.Put(key, st)
 	}
-	s.endFlight(key)
-	s.finish(j, st, err, false, source)
+	// A forwarded hit simulated nothing, so it is cached like a local hit.
+	cached := source == "forward:memory" || source == "forward:disk"
+	// finish sets the record's result, so the waiters woken next find it.
+	s.finish(j, st, err, cached, source)
+	s.endFlight(j.rec)
 }
 
-// beginFlight claims or joins the in-flight production of key. It returns
-// leader=true when the caller must produce the result (and later call
-// endFlight); otherwise wait closes when the current leader finishes.
-func (s *Service) beginFlight(key string) (wait <-chan struct{}, leader bool) {
+// beginFlight claims or joins the in-flight production of rec's key. It
+// returns leader=true when the caller must produce the result (and later
+// call endFlight); otherwise wait closes when the current leader finishes.
+func (s *Service) beginFlight(rec *record) (wait <-chan struct{}, leader bool) {
 	s.flightMu.Lock()
 	defer s.flightMu.Unlock()
-	if ch, ok := s.flight[key]; ok {
-		return ch, false
+	if rec.flight != nil {
+		return rec.flight, false
 	}
-	ch := make(chan struct{})
-	s.flight[key] = ch
-	return ch, true
+	rec.flight = make(chan struct{})
+	return rec.flight, true
 }
 
-func (s *Service) endFlight(key string) {
+func (s *Service) endFlight(rec *record) {
 	s.flightMu.Lock()
-	ch := s.flight[key]
-	delete(s.flight, key)
+	ch := rec.flight
+	rec.flight = nil
 	s.flightMu.Unlock()
 	close(ch)
 }
