@@ -1,37 +1,30 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"snake/internal/config"
-	"snake/internal/core"
-	"snake/internal/prefetch"
+	"snake/internal/harness"
 	"snake/internal/profiling"
-	"snake/internal/sim"
 	"snake/internal/workloads"
 )
 
 // reportPhases implements snakebench -phases: per-phase engine wall clock
-// for lps, mum and nw on the mid-scale 8-SM machine, one serial run each.
-// The drain, route and merge columns are the per-epoch bookkeeping around
-// the partition and shard ticks, and the share column is their fraction of
-// the total, with route% and merge% broken out. The epochs and cyc/epoch
-// columns show how far bounded-slack ticking stretches each epoch.
+// for lps, mum and nw under Snake on the mid-scale 8-SM machine, one run
+// each through Runner.Simulate. The drain, route and merge columns are the
+// per-epoch bookkeeping around the partition and shard ticks, and the share
+// column is their fraction of the total, with route% and merge% broken out.
+// The epochs and cyc/epoch columns show how far bounded-slack ticking
+// stretches each epoch.
 func reportPhases() error {
 	fmt.Printf("%-6s %12s %10s %12s %12s %10s %12s %8s %8s %8s %10s %10s\n",
 		"bench", "drain", "route", "partitions", "shards", "merge", "total", "share", "route%", "merge%", "epochs", "cyc/epoch")
+	r := &harness.Runner{Cfg: config.Scaled(8, 48), Scale: workloads.Scale{CTAs: 24, WarpsPerCTA: 8, Iters: 8}}
 	for _, bench := range []string{"lps", "mum", "nw"} {
-		k, err := workloads.Shared().Kernel(bench, workloads.Scale{CTAs: 24, WarpsPerCTA: 8, Iters: 8})
-		if err != nil {
-			return err
-		}
 		var prof profiling.Phases
-		_, err = sim.Run(k, sim.Options{
-			Config:        config.Scaled(8, 48),
-			NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
-			PhaseProfile:  &prof,
-		})
-		if err != nil {
+		r.PhaseProfile = &prof
+		if _, err := r.Simulate(context.Background(), r.Key(bench, "snake")); err != nil {
 			return err
 		}
 		fmt.Printf("%-6s %11dµs %9dµs %11dµs %11dµs %9dµs %11dµs %7.1f%% %7.2f%% %7.2f%% %10d %10.2f\n",

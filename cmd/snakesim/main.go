@@ -1,4 +1,5 @@
-// Command snakesim runs one benchmark under one prefetching mechanism and
+// Command snakesim runs one benchmark under one prefetching mechanism
+// through harness.Runner.Simulate, the run path every tool shares, and
 // prints the resulting statistics.
 //
 // Usage:
@@ -8,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -52,26 +54,21 @@ func main() {
 		return
 	}
 
-	factory, err := harness.Mechanism(*pf)
+	key, err := harness.RunKey{Bench: *bench, Mech: *pf, GPU: gpu, Scale: sc}.Normalize()
 	if err != nil {
 		fatal(err)
 	}
-	k, err := workloads.Shared().Kernel(*bench, sc)
+	s, err := new(harness.Runner).Simulate(context.Background(), key)
 	if err != nil {
 		fatal(err)
 	}
-	res, err := sim.Run(k, sim.Options{
-		Config:        gpu,
-		NewPrefetcher: factory,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	s, slack := &res.Stats, res.Slack
-	fmt.Printf("benchmark        %s\n", k.Name)
-	fmt.Printf("mechanism        %s\n", *pf)
+	// The engine runs every run at the auto window, so the schedule is the
+	// config's: the window is the horizon.
+	horizon, turnaround := sim.SlackSchedule(gpu)
+	fmt.Printf("benchmark        %s\n", key.Bench)
+	fmt.Printf("mechanism        %s\n", key.Mech)
 	fmt.Printf("slack            horizon=%d window=%d turnaround=%d (bound by %s)\n",
-		slack.Horizon, slack.Window, slack.Turnaround, slack.BindingTerm)
+		horizon, horizon, turnaround, gpu.SlackAudit().Limiting().Name)
 	fmt.Printf("cycles           %d\n", s.Cycles)
 	fmt.Printf("instructions     %d\n", s.Insts)
 	fmt.Printf("loads            %d\n", s.Loads)
@@ -104,10 +101,10 @@ func printSlackAudit(cfg config.GPU) {
 		}
 		fmt.Printf("  %s %-12s %6d  %s\n", mark, t.Name, t.Latency, t.Why)
 	}
+	horizon, turnaround := sim.SlackSchedule(cfg)
 	fmt.Printf("bound            %d cycles (binding term: %s)\n", a.Bound, lim.Name)
-	fmt.Printf("epoch horizon    %d cycles (miss-queue and store visibility delay)\n", a.Bound)
-	fmt.Printf("turnaround       %d cycles (modeled injection residency, CTA redispatch)\n",
-		min(a.Bound, sim.TurnaroundCap))
+	fmt.Printf("epoch horizon    %d cycles (miss-queue and store visibility delay)\n", horizon)
+	fmt.Printf("turnaround       %d cycles (modeled injection residency, CTA redispatch)\n", turnaround)
 }
 
 func fatal(err error) {

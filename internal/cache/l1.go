@@ -488,9 +488,6 @@ func (l *L1) SetMissQueueInjectionModel(turn int64, budget int) {
 // cycle, identical across epoch shapes.
 func (l *L1) SetMissQueueClock(now int64, credit int) { l.mq.SetClock(now, credit) }
 
-// SetMissQueueCredit sets phantom occupancy without moving the clock.
-func (l *L1) SetMissQueueCredit(n int) { l.mq.SetCredit(n) }
-
 // MissQueueLen returns the combined outgoing queue occupancy.
 func (l *L1) MissQueueLen() int { return l.mq.Len() + l.pfq.Len() }
 

@@ -229,9 +229,6 @@ func (q *MissQueue) SetClock(now int64, credit int) {
 	}
 }
 
-// SetCredit sets the phantom credit without moving the clock.
-func (q *MissQueue) SetCredit(n int) { q.credit = n }
-
 // Full reports whether the queue has no free slot: un-aged entries plus
 // phantom credit reach capacity.
 func (q *MissQueue) Full() bool { return q.Len()-q.aged+q.credit >= q.cap }

@@ -16,7 +16,6 @@ type Peer struct {
 
 	mu        sync.Mutex
 	downUntil time.Time
-	downs     int64 // times the peer was marked down (metrics)
 }
 
 func newPeer(url string, maxInflight int) *Peer {
@@ -37,7 +36,6 @@ func (p *Peer) Alive() bool {
 func (p *Peer) markDown(d time.Duration) {
 	p.mu.Lock()
 	p.downUntil = time.Now().Add(d)
-	p.downs++
 	p.mu.Unlock()
 }
 
@@ -56,16 +54,10 @@ func (p *Peer) release() { <-p.inflight }
 
 // PeerStatus is a metrics snapshot of one peer.
 type PeerStatus struct {
-	URL      string
-	Up       bool
-	InFlight int
-	Downs    int64
+	URL string
+	Up  bool
 }
 
 func (p *Peer) status() PeerStatus {
-	p.mu.Lock()
-	downs := p.downs
-	up := !time.Now().Before(p.downUntil)
-	p.mu.Unlock()
-	return PeerStatus{URL: p.url, Up: up, InFlight: len(p.inflight), Downs: downs}
+	return PeerStatus{URL: p.url, Up: p.Alive()}
 }

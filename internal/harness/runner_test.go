@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -204,5 +205,54 @@ func TestRunnerSharesInFlight(t *testing.T) {
 		} else if o.st != first {
 			t.Fatal("concurrent runs returned distinct result objects")
 		}
+	}
+}
+
+// TestSimulateRetainsOnlyStats pins what a kept result costs: the *stats.Sim
+// that Runner.Simulate returns is every memoized cell's, snaked record's and
+// store entry's payload, so it must keep alive only its stats block, not a
+// per-SM breakdown that grows with the machine. On config.Default()'s 80 SMs
+// a per-SM copy would add about 21 KB per result.
+func TestSimulateRetainsOnlyStats(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	const (
+		kept   = 200
+		perRun = 512 // bytes of live heap per kept result
+	)
+	key, err := RunKey{Bench: "lps", Mech: "baseline", GPU: config.Default(), Scale: workloads.Tiny()}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Engines: NewEnginePool()}
+	if _, err := r.Simulate(context.Background(), key); err != nil { // intern the kernel
+		t.Fatal(err)
+	}
+	// Two collections empty the engine pool at both reads, so only what the
+	// results hold differs between them.
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	results := make([]*stats.Sim, kept)
+	before := liveHeap()
+	for i := range results {
+		if results[i], err = r.Simulate(context.Background(), key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(results)
+	var grew uint64
+	if after > before {
+		grew = (after - before) / kept
+	}
+	t.Logf("%d kept results: live heap %d → %d B, %d B per result", kept, before, after, grew)
+	if grew > perRun {
+		t.Errorf("each kept result holds %d B of live heap, want ≤ %d B", grew, perRun)
 	}
 }

@@ -83,22 +83,6 @@ func (q *Ingress[T]) PopDue(now int64) (T, bool) {
 	return msg, true
 }
 
-// DrainTo appends every message due at or before now to buf and returns the
-// extended slice, in push order (same sequence PopDue would produce). The
-// append style lets hot-loop callers reuse a buffer across cycles without a
-// per-call closure allocation.
-func (q *Ingress[T]) DrainTo(now int64, buf []T) []T {
-	for q.len > 0 && q.buf[q.head].Cycle <= now {
-		e := &q.buf[q.head]
-		buf = append(buf, e.Msg)
-		var zero Stamped[T]
-		*e = zero
-		q.head = (q.head + 1) % len(q.buf)
-		q.len--
-	}
-	return buf
-}
-
 // DueView returns the messages due at or before now as up to two contiguous
 // windows of the ring (the prefix wraps across the array end at most once),
 // in push order: a first, then b. Nothing is removed or copied — callers that

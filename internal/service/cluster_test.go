@@ -674,12 +674,22 @@ func TestPeerExecuteAnswersHeldKeys(t *testing.T) {
 		t.Errorf("forwarded_in %d → %d, want one per request", in0, in)
 	}
 
+	rejected := func() (jobs, peer float64) {
+		m := scrapeMetrics(t, ts.URL)
+		return metricValue(t, m, "snaked_jobs_rejected_total"), metricValue(t, m, "snaked_peer_rejected_total")
+	}
+	jobsRej0, peerRej0 := rejected()
 	resp, body := postJSON(t, ts.URL+"/v1/peer/execute", RunRequest{Bench: "mum", Mech: "baseline"})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("unheld key with no peer slot: %d %s, want 429", resp.StatusCode, body)
 	}
 	if jobs := retained(); jobs != jobs0 {
 		t.Errorf("a refused forward retained a job: %v → %v", jobs0, jobs)
+	}
+	// A refusal for lack of a peer slot is not a full queue.
+	if jobsRej, peerRej := rejected(); jobsRej != jobsRej0 || peerRej != peerRej0+1 {
+		t.Errorf("after a peer-slot refusal: jobs_rejected %v → %v (want unchanged), peer_rejected %v → %v (want +1)",
+			jobsRej0, jobsRej, peerRej0, peerRej)
 	}
 
 	cresp, err := http.Get(ts.URL + "/v1/cache/" + want["memory"].Key)

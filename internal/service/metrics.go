@@ -29,6 +29,7 @@ type metrics struct {
 	cacheMisses int64
 
 	queueRejected    int64 // submissions refused with 429 (queue full)
+	peerRejected     int64 // forwarded requests refused with 429 (no peer slot)
 	forwardsOK       int64 // jobs executed on the owning peer
 	forwardFallbacks int64 // forward attempts degraded to local compute
 	forwardedIn      int64 // well-formed requests from peers via /v1/peer/execute
@@ -93,6 +94,12 @@ func (m *metrics) queueRejectedInc() {
 	m.mu.Unlock()
 }
 
+func (m *metrics) peerRejectedInc() {
+	m.mu.Lock()
+	m.peerRejected++
+	m.mu.Unlock()
+}
+
 func (m *metrics) forwardOK() {
 	m.mu.Lock()
 	m.forwardsOK++
@@ -139,7 +146,7 @@ func (m *metrics) observeWall(bench string, ms float64) {
 type snapshot struct {
 	Submitted, Running, Completed, Failed, Canceled int64
 	CacheHits, CacheMisses                          int64
-	QueueRejected                                   int64
+	QueueRejected, PeerRejected                     int64
 	ForwardsOK, ForwardFallbacks, ForwardedIn       int64
 	StreamSubs                                      int64
 }
@@ -151,8 +158,8 @@ func (m *metrics) snap() snapshot {
 		Submitted: m.submitted, Running: m.running, Completed: m.completed,
 		Failed: m.failed, Canceled: m.canceled,
 		CacheHits: m.cacheHits, CacheMisses: m.cacheMisses,
-		QueueRejected: m.queueRejected,
-		ForwardsOK:    m.forwardsOK, ForwardFallbacks: m.forwardFallbacks,
+		QueueRejected: m.queueRejected, PeerRejected: m.peerRejected,
+		ForwardsOK: m.forwardsOK, ForwardFallbacks: m.forwardFallbacks,
 		ForwardedIn: m.forwardedIn, StreamSubs: m.streamSubs,
 	}
 }
@@ -193,6 +200,9 @@ func (m *metrics) render(w io.Writer, queued, jobs, records int, traceBytes int6
 	fmt.Fprintf(w, "snaked_jobs_canceled_total %d\n", s.Canceled)
 	fmt.Fprintf(w, "# TYPE snaked_jobs_rejected_total counter\n")
 	fmt.Fprintf(w, "snaked_jobs_rejected_total %d\n", s.QueueRejected)
+	fmt.Fprintf(w, "# HELP snaked_peer_rejected_total Forwarded requests refused with 429 for lack of a peer slot.\n")
+	fmt.Fprintf(w, "# TYPE snaked_peer_rejected_total counter\n")
+	fmt.Fprintf(w, "snaked_peer_rejected_total %d\n", s.PeerRejected)
 	fmt.Fprintf(w, "# TYPE snaked_cache_hits_total counter\n")
 	fmt.Fprintf(w, "snaked_cache_hits_total %d\n", s.CacheHits)
 	fmt.Fprintf(w, "# TYPE snaked_cache_misses_total counter\n")

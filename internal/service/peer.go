@@ -45,7 +45,7 @@ func (s *Service) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.peerSlots <- struct{}{}:
 	default:
-		s.metrics.queueRejectedInc()
+		s.metrics.peerRejectedInc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeErr(w, http.StatusTooManyRequests, errPeerBusy)
 		return

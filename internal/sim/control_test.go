@@ -1,4 +1,4 @@
-package harness
+package sim_test
 
 import (
 	"reflect"
@@ -9,6 +9,7 @@ import (
 	"snake/internal/prefetch"
 	"snake/internal/sim"
 	"snake/internal/stats"
+	"snake/internal/trace"
 	"snake/internal/workloads"
 )
 
@@ -23,37 +24,36 @@ import (
 func TestMuteSnakeMatchesBaseline(t *testing.T) {
 	cfg := config.Scaled(4, 64)
 	sc := workloads.Scale{CTAs: 16, WarpsPerCTA: 8, Iters: 8}
-	mute := func(r *sim.Result) (stats.Sim, []stats.Sim) {
+	// mute runs the kernel on a fresh engine and returns its aggregate and
+	// per-SM blocks with the prefetch counters zeroed.
+	mute := func(k *trace.Kernel, opt sim.Options) (*sim.Result, stats.Sim, []stats.Sim) {
+		t.Helper()
+		en := sim.NewEngine()
+		r, err := en.Run(k, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		st := r.Stats
 		st.Pf = stats.Prefetch{}
-		per := make([]stats.Sim, len(r.PerSM))
-		for i, s := range r.PerSM {
-			s.Pf = stats.Prefetch{}
-			per[i] = s
+		per := en.PerSM()
+		for i := range per {
+			per[i].Pf = stats.Prefetch{}
 		}
-		return st, per
+		return r, st, per
 	}
 	for _, bench := range workloads.Names() {
 		k, err := workloads.Shared().Kernel(bench, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := sim.Run(k, sim.Options{Config: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSt, wantPer := mute(base)
+		_, wantSt, wantPer := mute(k, sim.Options{Config: cfg})
 		for _, decoupled := range []bool{true, false} {
 			c := core.Defaults()
 			c.ChainsOnly, c.DisableChains, c.DisableDecoupling = true, true, !decoupled
-			res, err := sim.Run(k, sim.Options{Config: cfg, NewPrefetcher: func(int) prefetch.Prefetcher { return core.New(c) }})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, gotSt, gotPer := mute(k, sim.Options{Config: cfg, NewPrefetcher: func(int) prefetch.Prefetcher { return core.New(c) }})
 			if res.Stats.Pf.Issued != 0 {
 				t.Errorf("%s decoupled=%v: mute Snake issued %d prefetches", bench, decoupled, res.Stats.Pf.Issued)
 			}
-			gotSt, gotPer := mute(res)
 			if !reflect.DeepEqual(gotSt, wantSt) {
 				t.Errorf("%s decoupled=%v: mute Snake diverges from baseline\n got:  %+v\n want: %+v", bench, decoupled, gotSt, wantSt)
 			}

@@ -41,27 +41,22 @@ type Options struct {
 	// Deprecated: ignored; the engine is serial. Kept only because
 	// perfbench/refs.go and perfbench/wide.go still set it.
 	Parallelism int
-	// SlackWindow is a test hook for the bounded-slack epoch length: how
-	// many consecutive cycles the engine ticks between epoch merges. 0
-	// (auto, what every caller outside the tests uses) and anything above
-	// the config's provable bound resolve to that bound (config.SlackBound,
-	// the full audit-derived horizon); 1 is the per-cycle reference the
-	// slack equivalence tests compare against. Result.Stats is
-	// bit-identical at every setting — message visibility is gated on the
-	// config-derived slack horizon, never on the runtime epoch length.
-	// Result.Slack reports the resolved parameters. See DESIGN.md
-	// "Bounded-slack ticking".
-	SlackWindow int
-	// LatencyAudit, when non-nil, receives the minimum cross-boundary
-	// latencies actually observed during the run — the empirical floor the
-	// slack property test checks the config-derived bound against.
-	LatencyAudit *LatencyAudit
 	// PhaseProfile, when non-nil, accumulates the engine's wall-clock time
 	// per epoch phase (drain, route, partitions, shards, merge) into the
 	// given accumulator across the run. Profiling never changes Result (see
 	// phaseClock). Not safe to share one accumulator between concurrently
 	// running engines.
 	PhaseProfile *profiling.Phases
+
+	// slackWindow caps the bounded-slack epoch length: how many consecutive
+	// cycles the engine ticks between epoch merges. 0 (auto, what every run
+	// outside the tests gets) and anything above the config's horizon
+	// resolve to the horizon; 1 is the per-cycle reference the equivalence
+	// tests compare against, and they set it through export_test.go.
+	// Result.Stats is bit-identical at every setting: message visibility is
+	// gated on the config-derived horizon, never on the epoch length. See
+	// DESIGN.md "Bounded-slack ticking".
+	slackWindow int
 }
 
 // defaultMaxCycles is the cycle limit of a run whose Options.MaxCycles is 0.
@@ -69,9 +64,7 @@ const defaultMaxCycles = 20_000_000
 
 // Result carries the outcome of a run.
 type Result struct {
-	Stats stats.Sim   // aggregated over SMs, plus global counters
-	PerSM []stats.Sim // per-SM counters
-	Slack SlackInfo   // resolved bounded-slack parameters the run used
+	Stats stats.Sim // aggregated over SMs, plus global counters
 }
 
 // engine is the live simulation state: the memory side (interconnect, L2
@@ -130,18 +123,17 @@ type engine struct {
 	// horizon is the visibility delay applied to miss-queue injection —
 	// the full config.SlackBound, a pure function of the config. turn is
 	// the turnaround delay applied to store sends and CTA redispatch:
-	// min(horizon, TurnaroundCap), also config-pure. slackMax
-	// is the runtime epoch-length cap — Options.SlackWindow resolved into
-	// [1, horizon]. Statistics depend on horizon and turn only, never on
-	// where epoch boundaries fall, which is what makes every SlackWindow
-	// setting bit-identical.
+	// min(horizon, TurnaroundCap), also config-pure (SlackSchedule).
+	// slackMax is the runtime epoch-length cap — Options.slackWindow
+	// resolved into [1, horizon]. Statistics depend on horizon and turn
+	// only, never on where epoch boundaries fall, which is what makes every
+	// window bit-identical.
 	horizon  int64
 	turn     int64
 	slackMax int64
 	// slackErr records the first slack conflict of the run (see
 	// slackConflict); run returns it once the conflicting epoch is merged.
 	slackErr   error
-	slackInfo  SlackInfo // resolved slack parameters, surfaced in Result
 	epochStart int64     // first sub-cycle of the epoch being ticked
 	utilSnap   []float64 // per-sub-cycle response-network utilization snapshots
 	// respSeq is the global arrival stamp, assigned at injection (pushReq);
@@ -149,12 +141,12 @@ type engine struct {
 	// arrival order no matter what order the merge pushes slots in.
 	respSeq    int64
 	dispatchAt []int64 // matured CTA-redispatch cycles, ascending
-	minReqLat  int64   // smallest observed request-delivery latency (audit)
-	minRespLat int64   // smallest observed response-delivery latency (audit)
+	minReqLat  int64   // smallest observed request-delivery latency
+	minRespLat int64   // smallest observed response-delivery latency
 
-	shStats *stats.Shards
-	mem     stats.Mem         // every partition's L2 and DRAM counters
-	prof    *profiling.Phases // nil unless Options.PhaseProfile is set
+	perSM []stats.Sim       // one counter block per SM, which that SM counts into
+	mem   stats.Mem         // every partition's L2 and DRAM counters
+	prof  *profiling.Phases // nil unless Options.PhaseProfile is set
 }
 
 // epochOut is the engine-owned record the shards' tick spans add to, one
@@ -210,15 +202,15 @@ func validateRun(k *trace.Kernel, opt Options) error {
 }
 
 // newEngine constructs a machine — SM shards, L2 partitions, interconnect,
-// per-SM stat arena, whose shape depends only on the config — and loads the
-// kernel onto it.
+// per-SM counter blocks, whose shape depends only on the config — and loads
+// the kernel onto it.
 func newEngine(k *trace.Kernel, opt Options) *engine {
 	cfg := opt.Config
 	e := &engine{
 		cfg:     cfg,
 		fillCap: cfg.FillsPerPartition * cfg.L2Partitions,
 		net:     newIcntNet(cfg),
-		shStats: stats.NewShards(cfg.NumSM),
+		perSM:   make([]stats.Sim, cfg.NumSM),
 	}
 	e.setOptions(opt)
 	e.parts = make([]*memPartition, cfg.L2Partitions)
@@ -231,7 +223,7 @@ func newEngine(k *trace.Kernel, opt Options) *engine {
 		if opt.NewPrefetcher != nil {
 			pf = opt.NewPrefetcher(i)
 		}
-		s := newSM(i, cfg, pf, e.shStats.Shard(i))
+		s := newSM(i, cfg, pf, &e.perSM[i])
 		s.env = &smEnv{eng: e, sm: s}
 		e.shards[i] = newShard(s)
 	}
@@ -301,8 +293,8 @@ const deadlockIdleCycles = 1_000_000
 // The serial phase runs a whole epoch ahead of the ticks; that is sound
 // because every tick output is invisible to the serial phase for at least
 // horizon cycles (min cross-boundary latency, config-derived), and every
-// epoch is at most horizon cycles long. With SlackWindow=1 the loop is
-// exactly the seed's per-cycle schedule.
+// epoch is at most horizon cycles long. With a slack window of 1 the loop
+// is exactly the seed's per-cycle schedule.
 func (e *engine) run() error {
 	e.prof = e.opt.PhaseProfile
 	var clk phaseClock
@@ -791,23 +783,17 @@ type throttleReporter interface {
 	ThrottleCycles() int64
 }
 
-// result aggregates statistics (call once, after run).
+// result aggregates statistics (call once, after run): the per-SM blocks
+// merge in SM order, and the memory side adds its one block.
 func (e *engine) result() *Result {
+	res := &Result{}
 	for i, sh := range e.shards {
 		sh.sm.l1.FinishRun()
 		if tr, ok := sh.sm.pf.(throttleReporter); ok {
-			e.shStats.Shard(i).Pf.ThrottleCycles = tr.ThrottleCycles()
+			e.perSM[i].Pf.ThrottleCycles = tr.ThrottleCycles()
 		}
+		res.Stats.Merge(&e.perSM[i])
 	}
-	// Copy the per-SM counters out of the shard accumulators: the Result must
-	// stay valid after the engine is recycled for another run, which resets
-	// the accumulators in place.
-	perSM := make([]stats.Sim, e.shStats.Len())
-	copy(perSM, e.shStats.Slice())
-	for i := range perSM {
-		perSM[i].Cycles = e.cycle
-	}
-	res := &Result{Stats: e.shStats.Total(), PerSM: perSM, Slack: e.slackInfo}
 	res.Stats.Cycles = e.cycle
 	res.Stats.IcntBytes = e.net.totalBytes()
 	res.Stats.IcntPeakBytes = e.net.peakBytes(e.cycle)
@@ -819,16 +805,6 @@ func (e *engine) result() *Result {
 	res.Stats.DRAMReads += e.mem.DRAMReads
 	res.Stats.DRAMRowHits += e.mem.DRAMRowHits
 	res.Stats.DRAMRowMisses += e.mem.DRAMRowMisses
-	if a := e.opt.LatencyAudit; a != nil {
-		a.MinReqDelivery = e.minReqLat
-		a.MinRespDelivery = e.minRespLat
-		a.MinL2Response = latencyUnobserved
-		for _, p := range e.parts {
-			if p.minRespLat < a.MinL2Response {
-				a.MinL2Response = p.minRespLat
-			}
-		}
-	}
 	return res
 }
 

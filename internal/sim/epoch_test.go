@@ -11,13 +11,32 @@ import (
 	"snake/internal/config"
 	"snake/internal/core"
 	"snake/internal/prefetch"
+	"snake/internal/stats"
+	"snake/internal/trace"
 	"snake/internal/workloads"
 )
 
 // testCfg is the 4-SM, 8-partition machine the equivalence tests share.
 func testCfg() config.GPU { return config.Scaled(4, 8) }
 
-// slackCells are the SlackWindow settings the equivalence matrices sweep:
+// outcome is what the equivalence tests compare: the aggregate block and
+// every per-SM block.
+type outcome struct {
+	Stats stats.Sim
+	PerSM []stats.Sim
+}
+
+// runOutcome runs k on en under the reuse tag and returns its outcome; on a
+// NewEngine() with the empty tag it is exactly a fresh Run.
+func runOutcome(en *Engine, k *trace.Kernel, opt Options, tag string) (outcome, error) {
+	res, err := en.RunTagged(k, opt, tag)
+	if err != nil {
+		return outcome{}, err
+	}
+	return outcome{res.Stats, en.PerSM()}, nil
+}
+
+// slackCells are the slack windows the equivalence matrices sweep:
 // the per-cycle reference, a short epoch, and the auto window (the
 // config-derived maximum).
 var slackCells = []int{1, 2, 0}
@@ -37,9 +56,9 @@ func testMechs() map[string]func(int) prefetch.Prefetcher {
 }
 
 // TestEpochEquivalenceMatrix is the epoch loop's core claim: for every
-// workload and mechanism, the Result — totals and per-SM breakdowns — at a
-// short epoch (SlackWindow 2) and at the auto window (the config-derived
-// maximum) is bit-identical to the per-cycle reference (SlackWindow 1).
+// workload and mechanism, the outcome — totals and per-SM breakdowns — at a
+// short epoch (window 2) and at the auto window (the config-derived maximum)
+// is bit-identical to the per-cycle reference (window 1).
 func TestEpochEquivalenceMatrix(t *testing.T) {
 	for _, name := range workloads.Names() {
 		k, err := workloads.Build(name, workloads.Tiny())
@@ -47,21 +66,16 @@ func TestEpochEquivalenceMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for mech, pf := range testMechs() {
-			opt := Options{Config: testCfg(), NewPrefetcher: pf, SlackWindow: 1}
-			want, err := Run(k, opt)
+			opt := Options{Config: testCfg(), NewPrefetcher: pf}
+			want, err := runOutcome(NewEngine(), k, WithSlackWindow(opt, 1), "")
 			if err != nil {
 				t.Fatalf("%s/%s per-cycle: %v", name, mech, err)
 			}
 			for _, slack := range slackCells[1:] {
-				opt.SlackWindow = slack
-				got, err := Run(k, opt)
+				got, err := runOutcome(NewEngine(), k, WithSlackWindow(opt, slack), "")
 				if err != nil {
 					t.Fatalf("%s/%s slack=%d: %v", name, mech, slack, err)
 				}
-				// Result.Slack echoes the requested window, which differs
-				// across cells by design; the oracle is the simulation
-				// output.
-				got.Slack = want.Slack
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s: slack=%d diverges from per-cycle\n got:  %+v\n want: %+v",
 						name, mech, slack, got.Stats, want.Stats)
@@ -79,12 +93,12 @@ func TestEpochRepeatDeterminism(t *testing.T) {
 		Config:        testCfg(),
 		NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
 	}
-	first, err := Run(k, opt)
+	first, err := runOutcome(NewEngine(), k, opt, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := Run(k, opt)
+		again, err := runOutcome(NewEngine(), k, opt, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,15 +160,14 @@ func TestEpochStoreTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Config: testCfg(), SlackWindow: 1}
-	want, err := Run(k, opt)
+	opt := Options{Config: testCfg()}
+	want, err := Run(k, WithSlackWindow(opt, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Stats.Stores == 0 {
 		t.Fatal("stencil workload issued no stores; pick a store-heavy kernel")
 	}
-	opt.SlackWindow = 0
 	got, err := Run(k, opt)
 	if err != nil {
 		t.Fatal(err)

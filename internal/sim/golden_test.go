@@ -1,4 +1,4 @@
-package repro_test
+package sim_test
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 	"snake/internal/config"
 	"snake/internal/harness"
 	"snake/internal/sim"
+	"snake/internal/stats"
 	"snake/internal/workloads"
 )
 
@@ -16,8 +17,9 @@ import (
 // to a fresh one, at the auto epoch window and per cycle. It runs the full
 // Table 2 benchmark suite under both the baseline and the Snake prefetcher,
 // simulates every (window × reuse) variant, and compares Result.Stats and
-// every per-SM counter block with reflect.DeepEqual — any divergence, down
-// to a single stall cycle on one SM, fails the test.
+// every per-SM counter block (Engine.PerSM, a test seam) with
+// reflect.DeepEqual — any divergence, down to a single stall cycle on one
+// SM, fails the test.
 func TestGoldenEquivalence(t *testing.T) {
 	cfg := config.Scaled(4, 8)
 	sc := workloads.Tiny()
@@ -96,24 +98,19 @@ func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg 
 	if _, err := pooled.RunTagged(dk, sim.Options{Config: cfg, NewPrefetcher: factory}, mech); err != nil {
 		t.Fatal(err)
 	}
-	run := func(slack int, reuse bool) *sim.Result {
-		opt := sim.Options{
-			Config:        cfg,
-			NewPrefetcher: factory,
-			SlackWindow:   slack,
-		}
-		var res *sim.Result
+	run := func(slack int, reuse bool) (stats.Sim, []stats.Sim) {
+		opt := sim.WithSlackWindow(sim.Options{Config: cfg, NewPrefetcher: factory}, slack)
+		en, tag := sim.NewEngine(), ""
 		if reuse {
-			res, err = pooled.RunTagged(k, opt, mech)
-		} else {
-			res, err = sim.Run(k, opt)
+			en, tag = pooled, mech
 		}
+		res, err := en.RunTagged(k, opt, tag)
 		if err != nil {
 			t.Fatalf("slack=%d reuse=%v: %v", slack, reuse, err)
 		}
-		return res
+		return res.Stats, en.PerSM()
 	}
-	ref := run(0, false)
+	refSt, refPer := run(0, false)
 	for _, v := range []struct {
 		slack int
 		reuse bool
@@ -122,17 +119,17 @@ func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg 
 		{0, true},  // recycled engine
 		{1, true},  // recycled engine, per-cycle epochs
 	} {
-		got := run(v.slack, v.reuse)
+		gotSt, gotPer := run(v.slack, v.reuse)
 		label := fmt.Sprintf("slack=%d reuse=%v", v.slack, v.reuse)
-		if !reflect.DeepEqual(got.Stats, ref.Stats) {
+		if !reflect.DeepEqual(gotSt, refSt) {
 			t.Errorf("%s: aggregate stats diverge from fresh auto-window run:\n got: %+v\n ref: %+v",
-				label, got.Stats, ref.Stats)
+				label, gotSt, refSt)
 		}
-		if !reflect.DeepEqual(got.PerSM, ref.PerSM) {
-			for i := range got.PerSM {
-				if !reflect.DeepEqual(got.PerSM[i], ref.PerSM[i]) {
+		if !reflect.DeepEqual(gotPer, refPer) {
+			for i := range gotPer {
+				if !reflect.DeepEqual(gotPer[i], refPer[i]) {
 					t.Errorf("%s: SM %d stats diverge:\n got: %+v\n ref: %+v",
-						label, i, got.PerSM[i], ref.PerSM[i])
+						label, i, gotPer[i], refPer[i])
 				}
 			}
 		}

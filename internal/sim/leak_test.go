@@ -32,7 +32,7 @@ func TestFreshRunsDoNotLeak(t *testing.T) {
 	}
 	var legs []leg
 	for _, slack := range []int{1, 0} {
-		opt := Options{Config: testCfg(), NewPrefetcher: pf, SlackWindow: slack}
+		opt := WithSlackWindow(Options{Config: testCfg(), NewPrefetcher: pf}, slack)
 		legs = append(legs, leg{"Run", func() error { _, err := Run(k, opt); return err }})
 	}
 	legs = append(legs, leg{"cancelled", func() error {

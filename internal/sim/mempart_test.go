@@ -314,7 +314,8 @@ func sharedLineKernel() *trace.Kernel {
 // L2 hits, every miss is exactly one DRAM read, and the per-SM blocks stay
 // zero for these memory-side fields.
 func TestL2StatsWiredThrough(t *testing.T) {
-	res, err := Run(sharedLineKernel(), Options{Config: config.Scaled(2, 1)})
+	en := NewEngine()
+	res, err := en.Run(sharedLineKernel(), Options{Config: config.Scaled(2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestL2StatsWiredThrough(t *testing.T) {
 	if s.DRAMReads != s.L2Misses {
 		t.Errorf("DRAMReads=%d, L2Misses=%d: exactly the misses reach DRAM", s.DRAMReads, s.L2Misses)
 	}
-	for i, per := range res.PerSM {
+	for i, per := range en.PerSM() {
 		if per.L2Hits != 0 || per.L2Misses != 0 || per.L2Merges != 0 {
 			t.Errorf("SM %d carries L2 partition counters (%d/%d/%d); memory-side stats are not per-SM",
 				i, per.L2Hits, per.L2Misses, per.L2Merges)

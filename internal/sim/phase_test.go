@@ -20,18 +20,17 @@ func TestPhaseProfileEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, slack := range []int{1, 0} {
-		opt := Options{
+		opt := WithSlackWindow(Options{
 			Config:        testCfg(),
 			NewPrefetcher: func(int) prefetch.Prefetcher { return core.NewSnake() },
-			SlackWindow:   slack,
-		}
-		want, err := Run(k, opt)
+		}, slack)
+		want, err := runOutcome(NewEngine(), k, opt, "")
 		if err != nil {
 			t.Fatalf("slack=%d unprofiled: %v", slack, err)
 		}
 		var prof profiling.Phases
 		opt.PhaseProfile = &prof
-		got, err := Run(k, opt)
+		got, err := runOutcome(NewEngine(), k, opt, "")
 		if err != nil {
 			t.Fatalf("slack=%d profiled: %v", slack, err)
 		}

@@ -87,10 +87,10 @@ func (e *engine) reinit(k *trace.Kernel, opt Options, reusePf bool) {
 	e.inflightRel = e.inflightRel[:0]
 	e.dispatchAt = e.dispatchAt[:0]
 	e.utilSnap = e.utilSnap[:0]
-	// Slack parameters depend on opt (SlackWindow may differ between runs on
+	// Slack parameters depend on opt (the window may differ between runs on
 	// the same config), and a recorded conflict must not leak across runs.
 	e.initSlack()
-	e.shStats.Reset()
+	clear(e.perSM)
 	for i, sh := range e.shards {
 		var pf prefetch.Prefetcher
 		if !reusePf && opt.NewPrefetcher != nil {

@@ -22,7 +22,7 @@ func reuseMechs() map[string]func(int) prefetch.Prefetcher {
 
 // TestPooledEquivalenceMatrix is the arena-recycling half of the equivalence
 // guarantee: an Engine reused across every workload and slack window must
-// produce Results bit-identical to a fresh
+// produce outcomes bit-identical to a fresh
 // construction for each run. One Engine per mechanism survives the whole
 // matrix, so each run reinitializes state dirtied by a different kernel (the
 // slack epoch buffers included).
@@ -35,12 +35,12 @@ func TestPooledEquivalenceMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, slack := range slackCells {
-				opt := Options{Config: testCfg(), NewPrefetcher: pf, SlackWindow: slack}
-				want, err := Run(k, opt)
+				opt := WithSlackWindow(Options{Config: testCfg(), NewPrefetcher: pf}, slack)
+				want, err := runOutcome(NewEngine(), k, opt, "")
 				if err != nil {
 					t.Fatalf("%s/%s fresh: %v", name, mech, err)
 				}
-				got, err := en.RunTagged(k, opt, mech)
+				got, err := runOutcome(en, k, opt, mech)
 				if err != nil {
 					t.Fatalf("%s/%s pooled: %v", name, mech, err)
 				}
@@ -68,11 +68,11 @@ func TestEngineReuseAcrossMechanisms(t *testing.T) {
 	mechs := reuseMechs()
 	for i, mech := range order {
 		opt := Options{Config: testCfg(), NewPrefetcher: mechs[mech]}
-		want, err := Run(k, opt)
+		want, err := runOutcome(NewEngine(), k, opt, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := en.RunTagged(k, opt, mech)
+		got, err := runOutcome(en, k, opt, mech)
 		if err != nil {
 			t.Fatal(err)
 		}

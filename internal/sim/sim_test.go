@@ -153,10 +153,14 @@ func TestBarrierSynchronizes(t *testing.T) {
 
 func TestPerSMStatsSumToTotal(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	res := runTiny(t, k, nil)
+	en := NewEngine()
+	res, err := en.Run(k, Options{Config: tinyCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var insts int64
-	for i := range res.PerSM {
-		insts += res.PerSM[i].Insts
+	for _, per := range en.PerSM() {
+		insts += per.Insts
 	}
 	if insts != res.Stats.Insts {
 		t.Errorf("per-SM instruction sum %d != total %d", insts, res.Stats.Insts)
@@ -251,7 +255,7 @@ func TestThrottleCyclesReported(t *testing.T) {
 		t.Log("no throttle cycles on lib at tiny scale (acceptable)")
 	}
 	// The field must never be negative and must not exceed total cycles x SMs.
-	max := res.Stats.Cycles * int64(len(res.PerSM))
+	max := res.Stats.Cycles * int64(tinyCfg().NumSM)
 	if res.Stats.Pf.ThrottleCycles < 0 || res.Stats.Pf.ThrottleCycles > max {
 		t.Errorf("ThrottleCycles = %d out of range [0,%d]", res.Stats.Pf.ThrottleCycles, max)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"snake/internal/config"
 	"snake/internal/trace"
 )
 
@@ -19,76 +20,33 @@ import (
 // full config bound no longer moves store or re-dispatch timing at all.
 const TurnaroundCap = 8
 
-// latencyUnobserved is the sentinel minimum for latency-audit floors that
-// never saw a message.
+// latencyUnobserved is the sentinel minimum of the engine's observed-latency
+// floors (minReqLat, minRespLat, memPartition.minRespLat) while no message
+// has crossed.
 const latencyUnobserved = int64(1)<<62 - 1
 
-// LatencyAudit receives, via Options.LatencyAudit, the smallest
-// cross-boundary latencies a run actually exhibited. The slack property test
-// checks the config-derived bound against these empirical floors: the
-// bounded-slack schedule is sound only while no message can cross between
-// the SM side and the memory side in fewer than horizon cycles. Fields are
-// latencyUnobserved when the run carried no such message.
-type LatencyAudit struct {
-	MinReqDelivery  int64 // request-network injection → arrival at L2 side
-	MinRespDelivery int64 // response-network send → fill delivery at the SM
-	MinL2Response   int64 // partition arrival → response data ready
-}
-
-// SlackInfo reports the slack parameters a run actually used, so callers see
-// the effective schedule instead of a silently clamped request.
-type SlackInfo struct {
-	// Horizon is the config-derived visibility bound (config.SlackBound):
-	// the minimum number of cycles any message needs to cross between the
-	// SM side and the memory side, and therefore the widest admissible
-	// epoch.
-	Horizon int64
-	// Window is the effective epoch-length cap: Options.SlackWindow
-	// resolved into [1, Horizon] (0 or negative selects Horizon).
-	Window int64
-	// Turnaround is the store / CTA re-dispatch replay delay,
-	// min(Horizon, TurnaroundCap).
-	Turnaround int64
-	// Requested is Options.SlackWindow as given (≤ 0 means auto).
-	Requested int
-	// Clamped reports that Requested exceeded Horizon and was clamped down.
-	Clamped bool
-	// BindingTerm names the config.SlackAudit term that set Horizon.
-	BindingTerm string
+// SlackSchedule returns the bounded-slack schedule the engine runs cfg with:
+// the horizon, which is the full audit bound (config.SlackBound, at least 1
+// even for an unvalidated config), and the turnaround, min(horizon,
+// TurnaroundCap). Both are pure functions of the config, so the schedule
+// needs no run to report.
+func SlackSchedule(cfg config.GPU) (horizon, turnaround int64) {
+	horizon = max(int64(cfg.SlackBound()), 1)
+	return horizon, min(horizon, TurnaroundCap)
 }
 
 // initSlack derives the engine's slack parameters from the (validated)
-// config and options: horizon from the config alone — the full audit bound,
-// no fixed cap — and slackMax from Options.SlackWindow clamped into
+// config and options: horizon and turnaround from the config alone
+// (SlackSchedule), and slackMax from the options' slackWindow clamped into
 // [1, horizon]. Epochs may span the whole horizon: the drained-prefetch
 // one-cycle-early stamp that used to force a horizon−1 cap is handled at its
 // source (the serial phase runs the epoch's first prefetch drain itself; see
-// engine.serialPhase). Callers constructing engines directly around
-// unvalidated configs still get a sane horizon ≥ 1.
+// engine.serialPhase).
 func (e *engine) initSlack() {
-	a := e.cfg.SlackAudit()
-	h := int64(a.Bound)
-	if h < 1 {
-		h = 1
-	}
-	e.horizon = h
-	e.turn = h
-	if e.turn > TurnaroundCap {
-		e.turn = TurnaroundCap
-	}
-	w := int64(e.opt.SlackWindow)
-	clamped := w > h
-	if w <= 0 || clamped {
-		w = h
-	}
-	e.slackMax = w
-	e.slackInfo = SlackInfo{
-		Horizon:     h,
-		Window:      w,
-		Turnaround:  e.turn,
-		Requested:   e.opt.SlackWindow,
-		Clamped:     clamped,
-		BindingTerm: a.Limiting().Name,
+	e.horizon, e.turn = SlackSchedule(e.cfg)
+	e.slackMax = int64(e.opt.slackWindow)
+	if e.slackMax <= 0 || e.slackMax > e.horizon {
+		e.slackMax = e.horizon
 	}
 	e.slackErr = nil
 	e.epochStart = 0

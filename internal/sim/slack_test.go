@@ -27,9 +27,10 @@ func slackMechs() map[string]func(int) prefetch.Prefetcher {
 // TestSlackHorizonBoundsObservedLatencies is the empirical half of the slack
 // soundness argument. The config audit (config.SlackBound) proves no message
 // can cross between the SM side and the memory side in fewer than bound
-// cycles; this test stamps every port crossing in real runs — all benchmarks
-// × six mechanisms — and checks the derived bound against the smallest
-// latency any message actually exhibited:
+// cycles; the engine stamps every port crossing in real runs — all
+// benchmarks × six mechanisms — and this test checks the derived bound
+// against the smallest latency any message actually exhibited (the engine's
+// minReqLat, minRespLat and each partition's minRespLat after the run):
 //
 //   - response delivery (L2 → SM fill) must take ≥ bound cycles,
 //   - L2 data-ready (partition arrival → response sendable) must take
@@ -60,31 +61,36 @@ func TestSlackHorizonBoundsObservedLatencies(t *testing.T) {
 				t.Fatal(err)
 			}
 			for mech, pf := range slackMechs() {
-				var a LatencyAudit
-				if _, err := Run(k, Options{Config: cfg, NewPrefetcher: pf, SlackWindow: int(window), LatencyAudit: &a}); err != nil {
+				en := NewEngine()
+				if _, err := en.Run(k, WithSlackWindow(Options{Config: cfg, NewPrefetcher: pf}, int(window))); err != nil {
 					t.Fatalf("%s/%s: %v", name, mech, err)
 				}
-				if a.MinRespDelivery != latencyUnobserved {
+				e := en.e
+				minL2 := latencyUnobserved
+				for _, p := range e.parts {
+					minL2 = min(minL2, p.minRespLat)
+				}
+				if e.minRespLat != latencyUnobserved {
 					sawResp = true
-					if a.MinRespDelivery < bound {
+					if e.minRespLat < bound {
 						t.Errorf("%s/%s w=%d: response delivered in %d cycles, below the derived bound %d",
-							name, mech, window, a.MinRespDelivery, bound)
+							name, mech, window, e.minRespLat, bound)
 					}
 				}
-				if a.MinL2Response != latencyUnobserved {
+				if minL2 != latencyUnobserved {
 					sawL2 = true
-					if a.MinL2Response < bound {
+					if minL2 < bound {
 						t.Errorf("%s/%s w=%d: L2 response ready in %d cycles, below the derived bound %d",
-							name, mech, window, a.MinL2Response, bound)
+							name, mech, window, minL2, bound)
 					}
 				}
-				if a.MinReqDelivery != latencyUnobserved {
+				if e.minReqLat != latencyUnobserved {
 					sawReq = true
-					if a.MinReqDelivery < 1 {
+					if e.minReqLat < 1 {
 						t.Errorf("%s/%s w=%d: request arrival only %d cycles ahead; horizon compensation overshot",
-							name, mech, window, a.MinReqDelivery)
+							name, mech, window, e.minReqLat)
 					}
-					if got := a.MinReqDelivery + horizon - 1; got < bound {
+					if got := e.minReqLat + horizon - 1; got < bound {
 						t.Errorf("%s/%s w=%d: request end-to-end delivery %d cycles, below the derived bound %d",
 							name, mech, window, got, bound)
 					}
@@ -115,7 +121,7 @@ func TestSlackCancellationMidEpoch(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Scale{CTAs: 8, WarpsPerCTA: 4, Iters: 32}, 4096)
 	bound := int64(testCfg().SlackBound())
 	for _, window := range []int64{2, bound, bound + 1} {
-		opt := Options{Config: testCfg(), SlackWindow: int(window)}
+		opt := WithSlackWindow(Options{Config: testCfg()}, int(window))
 		en := NewEngine()
 		// countdownCtx (loop_test.go) cancels deterministically on the second
 		// poll — a poll site inside an epoch's drain phase, where a timer
@@ -129,11 +135,11 @@ func TestSlackCancellationMidEpoch(t *testing.T) {
 		if ctx.calls <= ctx.ok {
 			t.Fatalf("w=%d: context polled %d times; cancellation never fired", window, ctx.calls)
 		}
-		got, err := en.Run(k, opt)
+		got, err := runOutcome(en, k, opt, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(k, opt)
+		want, err := runOutcome(NewEngine(), k, opt, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,10 +184,9 @@ func TestSlackConflictFailsRun(t *testing.T) {
 
 // TestInitSlackClamps pins the slack numbers' derivation: the horizon is
 // the full config audit bound (no fixed cap), the turnaround is
-// min(horizon, TurnaroundCap), and the epoch length comes from
-// Options.SlackWindow clamped into [1, horizon] with 0 (and any
-// out-of-range request) meaning auto — plus the SlackInfo surfacing of
-// exactly those resolutions.
+// min(horizon, TurnaroundCap), and the epoch length is the slack window
+// clamped into [1, horizon] with 0 (and any out-of-range request) meaning
+// auto.
 func TestInitSlackClamps(t *testing.T) {
 	cfg := config.Scaled(2, 8)
 	bound := int64(cfg.SlackBound())
@@ -189,41 +194,36 @@ func TestInitSlackClamps(t *testing.T) {
 		t.Fatalf("config bound %d not wide; the wide-horizon cases below are vacuous", bound)
 	}
 	wantTurn := int64(TurnaroundCap)
+	if h, turn := SlackSchedule(cfg); h != bound || turn != wantTurn {
+		t.Errorf("SlackSchedule = (%d, %d), want (%d, %d)", h, turn, bound, wantTurn)
+	}
 	cases := []struct {
-		window  int
-		want    int64
-		clamped bool
+		window int
+		want   int64
 	}{
-		{0, bound, false},
-		{-3, bound, false},
-		{1, 1, false},
-		{2, 2, false},
-		{int(bound / 2), bound / 2, false},
-		{int(bound), bound, false},
-		{int(bound) + 1, bound, true},
-		{1 << 20, bound, true},
+		{0, bound},
+		{-3, bound},
+		{1, 1},
+		{2, 2},
+		{int(bound / 2), bound / 2},
+		{int(bound), bound},
+		{int(bound) + 1, bound},
+		{1 << 20, bound},
 	}
 	for _, c := range cases {
-		e := &engine{cfg: cfg, opt: Options{SlackWindow: c.window}}
+		e := &engine{cfg: cfg, opt: WithSlackWindow(Options{}, c.window)}
 		e.initSlack()
 		if e.horizon != bound {
-			t.Errorf("SlackWindow=%d: horizon=%d, want the full bound %d", c.window, e.horizon, bound)
+			t.Errorf("window=%d: horizon=%d, want the full bound %d", c.window, e.horizon, bound)
 		}
 		if e.turn != wantTurn {
-			t.Errorf("SlackWindow=%d: turn=%d, want %d", c.window, e.turn, wantTurn)
+			t.Errorf("window=%d: turn=%d, want %d", c.window, e.turn, wantTurn)
 		}
 		if e.slackMax != c.want {
-			t.Errorf("SlackWindow=%d: slackMax=%d, want %d", c.window, e.slackMax, c.want)
+			t.Errorf("window=%d: slackMax=%d, want %d", c.window, e.slackMax, c.want)
 		}
 		if e.slackErr != nil {
-			t.Errorf("SlackWindow=%d: slackErr not reset", c.window)
-		}
-		info := SlackInfo{
-			Horizon: bound, Window: c.want, Turnaround: wantTurn,
-			Requested: c.window, Clamped: c.clamped, BindingTerm: cfg.SlackAudit().Limiting().Name,
-		}
-		if e.slackInfo != info {
-			t.Errorf("SlackWindow=%d: slackInfo=%+v, want %+v", c.window, e.slackInfo, info)
+			t.Errorf("window=%d: slackErr not reset", c.window)
 		}
 	}
 }
@@ -239,25 +239,22 @@ func TestSlackWindowSweepEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var refK *Result
+	opt := Options{Config: cfg, NewPrefetcher: testMechs()["snake"]}
+	refK, err := Run(k, WithSlackWindow(opt, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, window := range slackWindowSweep(bound) {
-		got, err := Run(k, Options{Config: cfg, NewPrefetcher: testMechs()["snake"], SlackWindow: int(window)})
+		en := NewEngine()
+		got, err := en.Run(k, WithSlackWindow(opt, int(window)))
 		if err != nil {
 			t.Fatalf("w=%d: %v", window, err)
-		}
-		if refK == nil {
-			if refK, err = Run(k, Options{Config: cfg, NewPrefetcher: testMechs()["snake"], SlackWindow: 1}); err != nil {
-				t.Fatal(err)
-			}
 		}
 		if !reflect.DeepEqual(got.Stats, refK.Stats) {
 			t.Errorf("w=%d: kernel stats diverge from per-cycle reference", window)
 		}
-		if got.Slack.Horizon != bound || got.Slack.Window < 1 || got.Slack.Window > bound {
-			t.Errorf("w=%d: Result.Slack = %+v, horizon/window out of range", window, got.Slack)
-		}
-		if wantClamp := window > bound; got.Slack.Clamped != wantClamp {
-			t.Errorf("w=%d: Result.Slack.Clamped = %v, want %v", window, got.Slack.Clamped, wantClamp)
+		if e := en.e; e.horizon != bound || e.slackMax < 1 || e.slackMax > bound {
+			t.Errorf("w=%d: horizon=%d window=%d, out of range", window, e.horizon, e.slackMax)
 		}
 	}
 }

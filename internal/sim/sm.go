@@ -194,8 +194,8 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim) *sm {
 // prefetcher instances (the caller guarantees the new run uses the same
 // mechanism configuration) and resets them; when false pf replaces them and
 // the L1's storage organization is re-derived from the new prefetcher. The
-// per-run statistics accumulator is reset by the engine (stats.Shards.Reset),
-// not here — s.st keeps pointing into it.
+// per-run statistics block is reset by the engine (reinit clears its perSM
+// blocks), not here — s.st keeps pointing into it.
 func (s *sm) reset(pf prefetch.Prefetcher, reusePf bool) {
 	for i := range s.warps {
 		w := &s.warps[i]

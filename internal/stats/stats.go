@@ -2,6 +2,10 @@
 // breakdowns, L1 access outcomes (hit / miss / reserved / reservation fail),
 // interconnect bandwidth utilization, and the prefetch coverage / accuracy
 // bookkeeping used for Figures 6, 16 and 17.
+//
+// The engine keeps one Sim per SM, which that SM counts into, and a Mem
+// block for the memory side; a run's Sim is the per-SM blocks merged in SM
+// order (Sim.Merge) plus the Mem counters and the interconnect totals.
 package stats
 
 import "fmt"
@@ -207,7 +211,11 @@ func (s *Sim) PrefetchPrecision() float64 {
 	return float64(s.Pf.Useful()) / float64(s.Pf.Issued)
 }
 
-// Merge adds other into s (used to aggregate per-SM stats).
+// Merge adds other into s (used to aggregate per-SM stats). It is
+// insensitive to how events were partitioned across blocks: every counter
+// is a sum and Cycles is a max, so merging any partition of an event stream
+// yields the same totals as accumulating the stream serially.
+// TestShardsMergePartitionInvariant pins this property.
 func (s *Sim) Merge(other *Sim) {
 	if other.Cycles > s.Cycles {
 		s.Cycles = other.Cycles

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,5 +121,69 @@ func TestMemStallFraction(t *testing.T) {
 	s.StallOther = 45
 	if got := s.MemStallFraction(); got != 0.55 {
 		t.Errorf("MemStallFraction = %v", got)
+	}
+}
+
+// randomSim fills every integer counter (recursively, including the L1
+// outcome array and the Prefetch block) with a random value, so the
+// partition-invariance property is checked over the whole schema and keeps
+// covering fields added later. Float fields stay zero: Merge deliberately
+// ignores EnergyJ (it is filled post-run), so random floats would only test
+// that both sides drop them.
+func randomSim(rng *rand.Rand) Sim {
+	var s Sim
+	fillRandom(reflect.ValueOf(&s).Elem(), rng)
+	return s
+}
+
+func fillRandom(v reflect.Value, rng *rand.Rand) {
+	switch v.Kind() {
+	case reflect.Int64:
+		v.SetInt(rng.Int63n(1_000_000))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillRandom(v.Field(i), rng)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillRandom(v.Index(i), rng)
+		}
+	}
+}
+
+// TestShardsMergePartitionInvariant is the property the engine's per-SM
+// counters rest on: partitioning a stream of stat events across any number
+// of per-shard blocks, in any assignment, and merging the blocks in shard
+// order equals accumulating the stream serially.
+func TestShardsMergePartitionInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		nEvents := 1 + rng.Intn(40)
+		events := make([]Sim, nEvents)
+		for i := range events {
+			events[i] = randomSim(rng)
+		}
+
+		// Serial reference: one accumulator sees every event in order.
+		var serial Sim
+		for i := range events {
+			serial.Merge(&events[i])
+		}
+
+		// Random shard partition: each event lands on a random shard, order
+		// preserved within a shard (as the engine's fixed smID assignment
+		// does), then shards merge in shard order.
+		shards := make([]Sim, 1+rng.Intn(8))
+		for i := range events {
+			shards[rng.Intn(len(shards))].Merge(&events[i])
+		}
+		var got Sim
+		for i := range shards {
+			got.Merge(&shards[i])
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Fatalf("trial %d: sharded total diverges from serial accumulation\n sharded: %+v\n serial:  %+v",
+				trial, got, serial)
+		}
 	}
 }
