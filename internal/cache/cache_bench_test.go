@@ -106,7 +106,8 @@ func BenchmarkTouchHit(b *testing.B) {
 // BenchmarkFreeQuarter times the §3.2 bulk free of a full Table 1 L1 (256
 // lines out of 1024); the refill between iterations is not timed.
 func BenchmarkFreeQuarter(b *testing.B) {
-	l := NewL1(table1L1, L1Options{Decoupled: true, MSHREntries: 32, MergeCap: 4, MissQueueSize: 16}, &stats.Sim{})
+	l := NewL1(table1L1, L1Options{MSHREntries: 32, MergeCap: 4, MissQueueSize: 16}, &stats.Sim{})
+	l.Reconfigure(true, false)
 	var tag uint64
 	refill(l.cache, &tag)
 	l.FreeQuarter()

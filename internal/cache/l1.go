@@ -5,30 +5,19 @@ import (
 	"snake/internal/stats"
 )
 
-// L1Options configures the L1 controller's prefetch-storage organization.
+// L1Options sizes the L1 controller's MSHR file and demand miss queue. The
+// prefetch-storage organization is not an option: Reconfigure sets it.
 type L1Options struct {
-	// Decoupled enables Snake's flag-based split of the unified cache into a
-	// prefetch space and an L1 data space (§3.2).
-	Decoupled bool
-	// Isolated stores prefetched data in a buffer distinct from the unified
-	// memory (the paper's Isolated-Snake, §5.7). Mutually exclusive with
-	// Decoupled.
-	Isolated bool
-	// IsolatedLines sizes the isolated buffer (default: half the unified
-	// data space — a dedicated structure the decoupled organization only
-	// approximates, hence Isolated-Snake's slightly higher hit rate, §5.7).
-	IsolatedLines int
-
 	MSHREntries   int
 	MergeCap      int
 	MissQueueSize int
-	// PrefetchQueueSize is the depth of the separate low-priority prefetch
-	// request queue (default 16). Prefetch requests never occupy demand
-	// miss-queue slots, so aggressive prefetching cannot inflate demand
-	// reservation fails directly; they still compete for MSHRs and
-	// interconnect bandwidth.
-	PrefetchQueueSize int
 }
+
+// prefetchQueueSize is the depth of the separate low-priority prefetch
+// request queue: 32. Prefetch requests never occupy demand miss-queue slots,
+// so aggressive prefetching cannot inflate demand reservation fails directly;
+// they still compete for MSHRs and interconnect bandwidth.
+const prefetchQueueSize = 32
 
 // PrefetchOutcome describes what happened to a prefetch insertion attempt.
 type PrefetchOutcome uint8
@@ -58,7 +47,13 @@ const (
 //   - pending lines left at the end of the run count as unused.
 type L1 struct {
 	cache *Cache
-	iso   *Cache // non-nil only for Isolated mode
+	// decoupled enables Snake's flag-based split of the unified cache into a
+	// prefetch space and an L1 data space (§3.2).
+	decoupled bool
+	// iso stores prefetched data in a buffer distinct from the unified
+	// memory (the paper's Isolated-Snake, §5.7); non-nil only in that
+	// organization, which excludes decoupled.
+	iso *Cache
 	// isoRetained keeps an isolated buffer alive across Reconfigure calls:
 	// the behaviour gates on iso being nil, so a controller recycled into a
 	// non-isolated organization parks the buffer here instead of freeing it.
@@ -86,33 +81,25 @@ type L1 struct {
 }
 
 // NewL1 builds an L1 controller over the given data geometry (the unified
-// space minus any shared-memory carve-out).
+// space minus any shared-memory carve-out), in the plain organization:
+// neither decoupled nor isolated until Reconfigure says otherwise.
 func NewL1(geom config.CacheGeom, opt L1Options, st *stats.Sim) *L1 {
-	if opt.PrefetchQueueSize <= 0 {
-		opt.PrefetchQueueSize = 32
-	}
-	l := &L1{
+	return &L1{
 		cache: New(geom),
 		mshr:  NewMSHR(opt.MSHREntries, opt.MergeCap),
 		mq:    NewMissQueue(opt.MissQueueSize),
-		pfq:   NewMissQueue(opt.PrefetchQueueSize),
+		pfq:   NewMissQueue(prefetchQueueSize),
 		opt:   opt,
 		st:    st,
 	}
-	if opt.Isolated {
-		l.iso = buildIso(geom, opt.IsolatedLines)
-		l.isoRetained = l.iso
-	}
-	return l
 }
 
-// buildIso sizes and builds the isolated prefetch buffer for the given data
-// geometry (default: half the unified data space).
-func buildIso(geom config.CacheGeom, isolatedLines int) *Cache {
-	lines := isolatedLines
-	if lines <= 0 {
-		lines = max(1, geom.Lines()/2)
-	}
+// buildIso builds the isolated prefetch buffer for the given data geometry:
+// half the unified data space — a dedicated structure the decoupled
+// organization only approximates, hence Isolated-Snake's slightly higher hit
+// rate (§5.7).
+func buildIso(geom config.CacheGeom) *Cache {
+	lines := max(1, geom.Lines()/2)
 	ways := 8
 	if lines < ways {
 		ways = lines
@@ -152,7 +139,7 @@ func (l *L1) Confine(until int64) {
 // dataCapped reports whether demand fills are currently held to 50% of the
 // unified space.
 func (l *L1) dataCapped(cycle int64) bool {
-	if !l.opt.Decoupled {
+	if !l.decoupled {
 		return false
 	}
 	return !l.trained || cycle < l.confineUntil
@@ -270,7 +257,7 @@ func (l *L1) mergeInflight(line uint64, warp int, cycle int64) stats.L1Outcome {
 // While the prefetcher trains or the throttle confines the L1 (§3.2), the
 // data side is additionally held to its designated half.
 func (l *L1) demandVictimFilter(cycle int64) VictimFilter {
-	if !l.opt.Decoupled {
+	if !l.decoupled {
 		return nil
 	}
 	if l.dataCapped(cycle) {
@@ -304,7 +291,7 @@ func (l *L1) PrefetchLine(addr uint64, cycle int64) PrefetchOutcome {
 	if l.iso != nil {
 		target = l.iso
 		class = ClassPrefetch
-	} else if l.opt.Decoupled {
+	} else if l.decoupled {
 		class = ClassPrefetch
 	}
 	// Decoupled insert policy (§3.2): the prefetch side expands into free
@@ -326,7 +313,7 @@ func (l *L1) PrefetchLine(addr uint64, cycle int64) PrefetchOutcome {
 			outOfSpace = true
 			ev, ok = l.iso.Reserve(line, class, cycle, nil)
 		}
-	} else if target == l.cache && l.opt.Decoupled {
+	} else if target == l.cache && l.decoupled {
 		ev, ok = l.cache.Reserve(line, class, cycle, neverEvict)
 		if !ok {
 			// No free way in the set: recycle the set's stalest prefetched
@@ -379,7 +366,7 @@ func (l *L1) MagicFill(addr uint64, cycle int64) bool {
 		}
 		target = l.iso
 		class = ClassPrefetch
-	} else if l.opt.Decoupled {
+	} else if l.decoupled {
 		class = ClassPrefetch
 	}
 	ev, ok := target.Reserve(line, class, cycle, nil)
@@ -574,17 +561,15 @@ func (l *L1) Reset() {
 	l.predicted.Clear()
 }
 
-// Reconfigure switches the controller's prefetch-storage organization (a
-// recycled engine may host a different mechanism than its previous run) and
-// clears all state. The isolated buffer is built lazily on first use and
-// retained across organizations, so flipping between mechanisms steady-state
-// allocates nothing.
+// Reconfigure sets the controller's prefetch-storage organization — the
+// only place it is set — and clears all state. The isolated buffer is built
+// lazily on first use and retained across organizations, so flipping between
+// mechanisms steady-state allocates nothing.
 func (l *L1) Reconfigure(decoupled, isolated bool) {
-	l.opt.Decoupled = decoupled
-	l.opt.Isolated = isolated
+	l.decoupled = decoupled
 	if isolated {
 		if l.isoRetained == nil {
-			l.isoRetained = buildIso(l.cache.Geom(), l.opt.IsolatedLines)
+			l.isoRetained = buildIso(l.cache.Geom())
 		}
 		l.iso = l.isoRetained
 	} else {

@@ -10,12 +10,11 @@ import (
 func newTestL1(decoupled, isolated bool) (*L1, *stats.Sim) {
 	st := &stats.Sim{}
 	l := NewL1(geom(8, 4, 128), L1Options{
-		Decoupled:     decoupled,
-		Isolated:      isolated,
 		MSHREntries:   16,
 		MergeCap:      4,
 		MissQueueSize: 4,
 	}, st)
+	l.Reconfigure(decoupled, isolated)
 	return l, st
 }
 
@@ -134,6 +133,25 @@ func TestPrefetchDuplicateDropped(t *testing.T) {
 	}
 }
 
+// TestPrefetchQueueDepth pins the prefetch request queue at 32 entries: with
+// enough MSHRs that the demand reserve does not bind, 32 prefetches to
+// distinct lines at one cycle are issued and the 33rd finds no room.
+func TestPrefetchQueueDepth(t *testing.T) {
+	st := &stats.Sim{}
+	l := NewL1(table1L1, L1Options{MSHREntries: 128, MergeCap: 4, MissQueueSize: 16}, st)
+	for i := 0; i < 32; i++ {
+		if oc := l.PrefetchLine(uint64(i)*128, 1); oc != PrefetchIssued {
+			t.Fatalf("prefetch %d = %v, want issued", i, oc)
+		}
+	}
+	if oc := l.PrefetchLine(32*128, 1); oc != PrefetchNoRoom {
+		t.Errorf("prefetch 33 = %v, want no room", oc)
+	}
+	if st.Pf.Dropped != 1 {
+		t.Errorf("Pf.Dropped = %d, want 1", st.Pf.Dropped)
+	}
+}
+
 func TestMagicFill(t *testing.T) {
 	l, st := newTestL1(true, false)
 	if !l.MagicFill(0x3000, 1) {
@@ -177,7 +195,8 @@ func TestDecoupledDemandProtectsPendingPrefetches(t *testing.T) {
 	st := &stats.Sim{}
 	// Tiny cache: 2 sets x 2 ways.
 	l := NewL1(config.CacheGeom{SizeBytes: 4 * 128, Ways: 2, LineSize: 128, Latency: 1},
-		L1Options{Decoupled: true, MSHREntries: 16, MergeCap: 4, MissQueueSize: 8}, st)
+		L1Options{MSHREntries: 16, MergeCap: 4, MissQueueSize: 8}, st)
+	l.Reconfigure(true, false)
 	l.SetTrained(true)
 	setSpan := uint64(2 * 128)
 	// Fill set 0 with one pending prefetch and one demand line.
@@ -203,7 +222,8 @@ func TestDecoupledDemandProtectsPendingPrefetches(t *testing.T) {
 func TestFreeQuarterPrefersClassByTransferRatio(t *testing.T) {
 	st := &stats.Sim{}
 	l := NewL1(config.CacheGeom{SizeBytes: 8 * 128, Ways: 4, LineSize: 128, Latency: 1},
-		L1Options{Decoupled: true, MSHREntries: 32, MergeCap: 4, MissQueueSize: 16}, st)
+		L1Options{MSHREntries: 32, MergeCap: 4, MissQueueSize: 16}, st)
+	l.Reconfigure(true, false)
 	// Create 4 prefetched lines, never consumed => transfer ratio 0.
 	for i := 0; i < 4; i++ {
 		l.PrefetchLine(uint64(i)*128, int64(i))
@@ -223,7 +243,8 @@ func TestFreeQuarterPrefersClassByTransferRatio(t *testing.T) {
 // allocations: EvictLRUOfClass's candidate, tree and result buffers are
 // scratch reused across calls.
 func TestFreeQuarterAllocs(t *testing.T) {
-	l := NewL1(table1L1, L1Options{Decoupled: true, MSHREntries: 32, MergeCap: 4, MissQueueSize: 16}, &stats.Sim{})
+	l := NewL1(table1L1, L1Options{MSHREntries: 32, MergeCap: 4, MissQueueSize: 16}, &stats.Sim{})
+	l.Reconfigure(true, false)
 	var tag uint64
 	allocs := testing.AllocsPerRun(20, func() {
 		refill(l.cache, &tag)

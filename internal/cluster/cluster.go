@@ -28,9 +28,6 @@ type Options struct {
 	// indefinitely. <0 disables the bound (the caller's context still
 	// applies).
 	ExecTimeout time.Duration
-	// Client overrides the HTTP client (default: http.Client with no global
-	// timeout; per-call contexts bound each request).
-	Client *http.Client
 }
 
 // Cluster is the static membership view plus the transport counters. All
@@ -41,7 +38,8 @@ type Cluster struct {
 	peers       map[string]*Peer
 	downFor     time.Duration
 	execTimeout time.Duration
-	client      *http.Client
+	// client has no global timeout; per-call contexts bound each request.
+	client *http.Client
 
 	mu            sync.Mutex
 	execOK        int64
@@ -61,15 +59,12 @@ func New(opt Options) *Cluster {
 	if opt.ExecTimeout == 0 {
 		opt.ExecTimeout = 2 * time.Minute
 	}
-	if opt.Client == nil {
-		opt.Client = &http.Client{}
-	}
 	c := &Cluster{
 		self:        strings.TrimRight(opt.Self, "/"),
 		peers:       make(map[string]*Peer),
 		downFor:     opt.DownFor,
 		execTimeout: opt.ExecTimeout,
-		client:      opt.Client,
+		client:      &http.Client{},
 	}
 	seen := map[string]bool{c.self: true}
 	c.nodes = append(c.nodes, c.self)

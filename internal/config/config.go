@@ -321,7 +321,7 @@ type SlackTerm struct {
 }
 
 // SlackAudit derives the engine's provable slack window from the
-// configuration: how many consecutive cycles the work units (SM shards and
+// configuration: how many consecutive cycles the work units (SMs and
 // L2 partitions) may tick between barriers while remaining bit-identical to
 // per-cycle barriers. The bound is the minimum latency on any path by which
 // one unit's output becomes another unit's input:

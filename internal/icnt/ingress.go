@@ -6,7 +6,7 @@ import (
 )
 
 // Ingress is a cycle-stamped FIFO delivery queue: the typed port through
-// which one side of the SM/memory shard boundary receives in-flight messages
+// which one side of the SM/memory boundary receives in-flight messages
 // from the other. Senders stamp each message with its delivery cycle at
 // injection time (the network's TrySend already serializes bandwidth, so
 // stamps are non-decreasing in send order); the receiver drains messages due
@@ -17,7 +17,7 @@ import (
 // simulation's results cannot depend on which goroutine drains the queue or
 // when. This is the property the engine's epoch loop relies on: all pushes
 // happen in the drain phase (fixed order), all pops happen either in the
-// drain phase or in the owning shard's tick, and the sequence of popped
+// drain phase or in the owning SM's tick, and the sequence of popped
 // messages is identical either way.
 //
 // The queue is a growable ring: steady-state traffic reuses the backing

@@ -39,7 +39,8 @@ func WantsOracle(p Prefetcher) bool {
 
 // StorageHint is implemented by prefetchers that need a particular L1
 // storage organization (Snake's decoupled unified cache, Isolated-Snake's
-// side buffer). The simulator queries it when building each SM's L1.
+// side buffer). The simulator queries it whenever it installs a new
+// prefetcher, to reconfigure that SM's L1 (cache.L1.Reconfigure).
 type StorageHint interface {
 	// Storage returns (decoupled, isolated).
 	Storage() (decoupled, isolated bool)

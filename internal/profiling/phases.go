@@ -5,7 +5,7 @@ import "fmt"
 // Phase names one section of the simulation engine's epoch loop. The
 // engine's wall clock divides into exactly these five buckets (see DESIGN.md
 // "Epoch loop"): the per-sub-cycle drain pump, the O(#partitions) route
-// lookup, the two tick loops (memory partitions, then SM shards), and the
+// lookup, the two tick loops (memory partitions, then SMs), and the
 // merge plus end-of-epoch bookkeeping. The engine runs all five on one
 // goroutine; the report names of the two tick phases keep their
 // "parallel-" prefix only because perfbench's span reports are keyed by
@@ -15,7 +15,7 @@ type Phase uint8
 // Engine phases, in cycle order.
 const (
 	// PhaseSerialDrain is the head of the epoch: network tick,
-	// response bandwidth arbitration, fill delivery into shard inboxes,
+	// response bandwidth arbitration, fill delivery into SM inboxes,
 	// request pull (with partition binning at push) and store drain.
 	PhaseSerialDrain Phase = iota
 	// PhaseSerialRoute is the route phase: each partition's zero-copy view
@@ -26,7 +26,7 @@ const (
 	// performs its binned lookups, in-flight merges and DRAM timing, and
 	// pushes its responses onto the response heap.
 	PhaseMemPartitions
-	// PhaseShards is the SM tick loop: each shard applies fills, runs its
+	// PhaseShards is the SM tick loop: each SM applies fills, runs its
 	// prefetcher and issues from its warp schedulers.
 	PhaseShards
 	// PhaseMerge is the tail: dropping the consumed request prefixes,

@@ -600,8 +600,8 @@ func TestJunkPeerResultFallsBack(t *testing.T) {
 	if clu := svc.clu.Snap(); clu.ExecErrors != 1 || clu.ExecOK != 0 {
 		t.Errorf("peer accounting %+v, want one exec error", clu)
 	}
-	if m := svc.metrics.snap(); m.ForwardFallbacks != 1 || m.ForwardsOK != 0 {
-		t.Errorf("forwards ok=%d fallback=%d, want one fallback", m.ForwardsOK, m.ForwardFallbacks)
+	if ok, fb := svc.metrics.forwardsOK.Load(), svc.metrics.forwardFallbacks.Load(); fb != 1 || ok != 0 {
+		t.Errorf("forwards ok=%d fallback=%d, want one fallback", ok, fb)
 	}
 }
 
@@ -649,7 +649,7 @@ func TestPeerExecuteAnswersHeldKeys(t *testing.T) {
 	retained := func() float64 {
 		return metricValue(t, scrapeMetrics(t, ts.URL), "snaked_jobs_retained")
 	}
-	jobs0, in0 := retained(), svc.metrics.snap().ForwardedIn
+	jobs0, in0 := retained(), svc.metrics.forwardedIn.Load()
 
 	for source, req := range map[string]RunRequest{"disk": onDisk, "memory": recorded} {
 		resp, body := postJSON(t, ts.URL+"/v1/peer/execute", req)
@@ -670,7 +670,7 @@ func TestPeerExecuteAnswersHeldKeys(t *testing.T) {
 	if jobs := retained(); jobs != jobs0 {
 		t.Errorf("forwarded hits retained jobs: %v → %v", jobs0, jobs)
 	}
-	if in := svc.metrics.snap().ForwardedIn; in != in0+2 {
+	if in := svc.metrics.forwardedIn.Load(); in != in0+2 {
 		t.Errorf("forwarded_in %d → %d, want one per request", in0, in)
 	}
 

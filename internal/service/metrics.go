@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"snake/internal/cluster"
 )
@@ -13,28 +14,28 @@ import (
 // upper bounds, in milliseconds.
 var wallBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
 
-// metrics aggregates service counters. All methods are safe for concurrent
-// use; gauges derived from other subsystems (queue depth, cache entries) are
-// sampled at render time by the server.
+// metrics aggregates service counters. The counters are atomics that call
+// sites add to directly; mu guards only the wall-clock histograms. Gauges
+// derived from other subsystems (queue depth, cache entries) are sampled at
+// render time by the server.
 type metrics struct {
-	mu sync.Mutex
+	submitted atomic.Int64
+	running   atomic.Int64 // gauge
+	completed atomic.Int64
+	failed    atomic.Int64
+	canceled  atomic.Int64
 
-	submitted int64
-	running   int64
-	completed int64
-	failed    int64
-	canceled  int64
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64
 
-	cacheHits   int64
-	cacheMisses int64
+	queueRejected    atomic.Int64 // submissions refused with 429 (queue full)
+	peerRejected     atomic.Int64 // forwarded requests refused with 429 (no peer slot)
+	forwardsOK       atomic.Int64 // jobs executed on the owning peer
+	forwardFallbacks atomic.Int64 // forward attempts degraded to local compute
+	forwardedIn      atomic.Int64 // well-formed requests from peers via /v1/peer/execute
+	streamSubs       atomic.Int64 // gauge: open sweep-stream subscribers
 
-	queueRejected    int64 // submissions refused with 429 (queue full)
-	peerRejected     int64 // forwarded requests refused with 429 (no peer slot)
-	forwardsOK       int64 // jobs executed on the owning peer
-	forwardFallbacks int64 // forward attempts degraded to local compute
-	forwardedIn      int64 // well-formed requests from peers via /v1/peer/execute
-	streamSubs       int64 // gauge: open sweep-stream subscribers
-
+	mu   sync.Mutex
 	wall map[string]*histogram // per-benchmark sim wall clock
 }
 
@@ -42,92 +43,17 @@ func newMetrics() *metrics {
 	return &metrics{wall: make(map[string]*histogram)}
 }
 
-func (m *metrics) jobSubmitted() {
-	m.mu.Lock()
-	m.submitted++
-	m.mu.Unlock()
-}
-
-func (m *metrics) jobStarted() {
-	m.mu.Lock()
-	m.running++
-	m.mu.Unlock()
-}
-
 // jobFinished transitions a started job to its terminal state.
 func (m *metrics) jobFinished(st Status) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.running--
+	m.running.Add(-1)
 	switch st {
 	case StatusDone:
-		m.completed++
+		m.completed.Add(1)
 	case StatusFailed:
-		m.failed++
+		m.failed.Add(1)
 	case StatusCanceled:
-		m.canceled++
+		m.canceled.Add(1)
 	}
-}
-
-// jobDroppedQueued counts a job canceled before it ever started.
-func (m *metrics) jobDroppedQueued() {
-	m.mu.Lock()
-	m.canceled++
-	m.mu.Unlock()
-}
-
-func (m *metrics) cacheHit() {
-	m.mu.Lock()
-	m.cacheHits++
-	m.mu.Unlock()
-}
-
-func (m *metrics) cacheMiss() {
-	m.mu.Lock()
-	m.cacheMisses++
-	m.mu.Unlock()
-}
-
-func (m *metrics) queueRejectedInc() {
-	m.mu.Lock()
-	m.queueRejected++
-	m.mu.Unlock()
-}
-
-func (m *metrics) peerRejectedInc() {
-	m.mu.Lock()
-	m.peerRejected++
-	m.mu.Unlock()
-}
-
-func (m *metrics) forwardOK() {
-	m.mu.Lock()
-	m.forwardsOK++
-	m.mu.Unlock()
-}
-
-func (m *metrics) forwardFallback() {
-	m.mu.Lock()
-	m.forwardFallbacks++
-	m.mu.Unlock()
-}
-
-func (m *metrics) forwardedInInc() {
-	m.mu.Lock()
-	m.forwardedIn++
-	m.mu.Unlock()
-}
-
-func (m *metrics) streamSubscribed() {
-	m.mu.Lock()
-	m.streamSubs++
-	m.mu.Unlock()
-}
-
-func (m *metrics) streamUnsubscribed() {
-	m.mu.Lock()
-	m.streamSubs--
-	m.mu.Unlock()
 }
 
 // observeWall records one simulation's wall clock for its benchmark.
@@ -142,34 +68,12 @@ func (m *metrics) observeWall(bench string, ms float64) {
 	h.observe(ms)
 }
 
-// snapshot is a consistent copy of the counters for rendering and tests.
-type snapshot struct {
-	Submitted, Running, Completed, Failed, Canceled int64
-	CacheHits, CacheMisses                          int64
-	QueueRejected, PeerRejected                     int64
-	ForwardsOK, ForwardFallbacks, ForwardedIn       int64
-	StreamSubs                                      int64
-}
-
-func (m *metrics) snap() snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return snapshot{
-		Submitted: m.submitted, Running: m.running, Completed: m.completed,
-		Failed: m.failed, Canceled: m.canceled,
-		CacheHits: m.cacheHits, CacheMisses: m.cacheMisses,
-		QueueRejected: m.queueRejected, PeerRejected: m.peerRejected,
-		ForwardsOK: m.forwardsOK, ForwardFallbacks: m.forwardFallbacks,
-		ForwardedIn: m.forwardedIn, StreamSubs: m.streamSubs,
-	}
-}
-
 // hitRatio returns cache hits / lookups (0 when no lookups yet).
-func (s snapshot) hitRatio() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
+func hitRatio(hits, misses int64) float64 {
+	if hits+misses == 0 {
 		return 0
 	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
+	return float64(hits) / float64(hits+misses)
 }
 
 // render writes the Prometheus text exposition format. queued (jobs in the
@@ -179,9 +83,9 @@ func (s snapshot) hitRatio() float64 {
 // the tiered cache's snapshot, and clu the cluster transport's (nil when
 // the node runs standalone).
 func (m *metrics) render(w io.Writer, queued, jobs, records int, traceBytes int64, store cluster.StoreStats, clu *cluster.Snapshot) {
-	s := m.snap()
+	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	fmt.Fprintf(w, "# TYPE snaked_jobs_submitted_total counter\n")
-	fmt.Fprintf(w, "snaked_jobs_submitted_total %d\n", s.Submitted)
+	fmt.Fprintf(w, "snaked_jobs_submitted_total %d\n", m.submitted.Load())
 	fmt.Fprintf(w, "# TYPE snaked_jobs_queued gauge\n")
 	fmt.Fprintf(w, "snaked_jobs_queued %d\n", queued)
 	fmt.Fprintf(w, "# TYPE snaked_jobs_retained gauge\n")
@@ -191,24 +95,24 @@ func (m *metrics) render(w io.Writer, queued, jobs, records int, traceBytes int6
 	fmt.Fprintf(w, "# TYPE snaked_trace_bytes gauge\n")
 	fmt.Fprintf(w, "snaked_trace_bytes %d\n", traceBytes)
 	fmt.Fprintf(w, "# TYPE snaked_jobs_running gauge\n")
-	fmt.Fprintf(w, "snaked_jobs_running %d\n", s.Running)
+	fmt.Fprintf(w, "snaked_jobs_running %d\n", m.running.Load())
 	fmt.Fprintf(w, "# TYPE snaked_jobs_completed_total counter\n")
-	fmt.Fprintf(w, "snaked_jobs_completed_total %d\n", s.Completed)
+	fmt.Fprintf(w, "snaked_jobs_completed_total %d\n", m.completed.Load())
 	fmt.Fprintf(w, "# TYPE snaked_jobs_failed_total counter\n")
-	fmt.Fprintf(w, "snaked_jobs_failed_total %d\n", s.Failed)
+	fmt.Fprintf(w, "snaked_jobs_failed_total %d\n", m.failed.Load())
 	fmt.Fprintf(w, "# TYPE snaked_jobs_canceled_total counter\n")
-	fmt.Fprintf(w, "snaked_jobs_canceled_total %d\n", s.Canceled)
+	fmt.Fprintf(w, "snaked_jobs_canceled_total %d\n", m.canceled.Load())
 	fmt.Fprintf(w, "# TYPE snaked_jobs_rejected_total counter\n")
-	fmt.Fprintf(w, "snaked_jobs_rejected_total %d\n", s.QueueRejected)
+	fmt.Fprintf(w, "snaked_jobs_rejected_total %d\n", m.queueRejected.Load())
 	fmt.Fprintf(w, "# HELP snaked_peer_rejected_total Forwarded requests refused with 429 for lack of a peer slot.\n")
 	fmt.Fprintf(w, "# TYPE snaked_peer_rejected_total counter\n")
-	fmt.Fprintf(w, "snaked_peer_rejected_total %d\n", s.PeerRejected)
+	fmt.Fprintf(w, "snaked_peer_rejected_total %d\n", m.peerRejected.Load())
 	fmt.Fprintf(w, "# TYPE snaked_cache_hits_total counter\n")
-	fmt.Fprintf(w, "snaked_cache_hits_total %d\n", s.CacheHits)
+	fmt.Fprintf(w, "snaked_cache_hits_total %d\n", hits)
 	fmt.Fprintf(w, "# TYPE snaked_cache_misses_total counter\n")
-	fmt.Fprintf(w, "snaked_cache_misses_total %d\n", s.CacheMisses)
+	fmt.Fprintf(w, "snaked_cache_misses_total %d\n", misses)
 	fmt.Fprintf(w, "# TYPE snaked_cache_hit_ratio gauge\n")
-	fmt.Fprintf(w, "snaked_cache_hit_ratio %.4f\n", s.hitRatio())
+	fmt.Fprintf(w, "snaked_cache_hit_ratio %.4f\n", hitRatio(hits, misses))
 	fmt.Fprintf(w, "# TYPE snaked_cache_entries gauge\n")
 	fmt.Fprintf(w, "snaked_cache_entries %d\n", store.Entries)
 	fmt.Fprintf(w, "# TYPE snaked_cache_tier_entries gauge\n")
@@ -227,15 +131,15 @@ func (m *metrics) render(w io.Writer, queued, jobs, records int, traceBytes int6
 	fmt.Fprintf(w, "# TYPE snaked_cache_disk_errors_total counter\n")
 	fmt.Fprintf(w, "snaked_cache_disk_errors_total %d\n", store.DiskErrors)
 	fmt.Fprintf(w, "# TYPE snaked_stream_subscribers gauge\n")
-	fmt.Fprintf(w, "snaked_stream_subscribers %d\n", s.StreamSubs)
+	fmt.Fprintf(w, "snaked_stream_subscribers %d\n", m.streamSubs.Load())
 	if clu != nil {
 		fmt.Fprintf(w, "# TYPE snaked_cluster_nodes gauge\n")
 		fmt.Fprintf(w, "snaked_cluster_nodes %d\n", clu.Nodes)
 		fmt.Fprintf(w, "# TYPE snaked_forwards_total counter\n")
-		fmt.Fprintf(w, "snaked_forwards_total{result=\"ok\"} %d\n", s.ForwardsOK)
-		fmt.Fprintf(w, "snaked_forwards_total{result=\"fallback\"} %d\n", s.ForwardFallbacks)
+		fmt.Fprintf(w, "snaked_forwards_total{result=\"ok\"} %d\n", m.forwardsOK.Load())
+		fmt.Fprintf(w, "snaked_forwards_total{result=\"fallback\"} %d\n", m.forwardFallbacks.Load())
 		fmt.Fprintf(w, "# TYPE snaked_forwarded_in_total counter\n")
-		fmt.Fprintf(w, "snaked_forwarded_in_total %d\n", s.ForwardedIn)
+		fmt.Fprintf(w, "snaked_forwarded_in_total %d\n", m.forwardedIn.Load())
 		fmt.Fprintf(w, "# TYPE snaked_peer_saturated_total counter\n")
 		fmt.Fprintf(w, "snaked_peer_saturated_total %d\n", clu.ExecSaturated)
 		fmt.Fprintf(w, "# TYPE snaked_peer_up gauge\n")

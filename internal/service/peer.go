@@ -37,7 +37,7 @@ func (s *Service) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp.noForward = true
-	s.metrics.forwardedInInc()
+	s.metrics.forwardedIn.Add(1)
 	if st, key, tier := s.held(&sp); st != nil {
 		writePeerResult(w, key, tier.String(), st)
 		return
@@ -45,7 +45,7 @@ func (s *Service) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.peerSlots <- struct{}{}:
 	default:
-		s.metrics.peerRejectedInc()
+		s.metrics.peerRejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeErr(w, http.StatusTooManyRequests, errPeerBusy)
 		return

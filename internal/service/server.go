@@ -22,8 +22,11 @@ import (
 // Options configures a Service.
 type Options struct {
 	// Workers sizes the job pool: how many jobs can be in flight at once
-	// (default: GOMAXPROCS). CPU use is governed by Budget, not Workers — a
-	// worker whose job cannot get a budget slot waits its turn.
+	// (default: GOMAXPROCS). CPU use is governed by the process-wide
+	// harness.SharedBudget, not Workers — a worker whose job cannot get a
+	// budget slot waits its turn. Sharing that budget with any
+	// harness.Runner in the same process keeps the two pools from
+	// oversubscribing the host together.
 	Workers int
 	// GPU is the default hardware configuration (default: Scaled(4, 64)).
 	GPU *config.GPU
@@ -32,11 +35,6 @@ type Options struct {
 	// Deprecated: ignored; the engine is serial. Kept only because
 	// perfbench/svc.go still sets it.
 	Parallelism int
-	// Budget is the CPU-slot budget each simulation holds one slot of
-	// (default: the process-wide harness.SharedBudget, shared with any
-	// harness.Runner in the same process so the two pools cannot
-	// oversubscribe the host together).
-	Budget *harness.Budget
 
 	// QueueMax bounds the job queue depth; submissions past it are rejected
 	// with ErrQueueFull (HTTP 429 + Retry-After). 0 means unbounded.
@@ -135,9 +133,6 @@ func New(opt Options) *Service {
 	}
 	if opt.Scale != nil {
 		runner.Scale = *opt.Scale
-	}
-	if opt.Budget != nil {
-		runner.Budget = opt.Budget
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
@@ -256,7 +251,7 @@ func (s *Service) submitPeer(sp spec) (*job, error) {
 		return nil, ErrDraining
 	}
 	j := s.newJobLocked(sp, "")
-	s.metrics.jobSubmitted()
+	s.metrics.submitted.Add(1)
 	// Registered under s.mu before Shutdown can start waiting, so the drain
 	// covers this job like any worker's.
 	s.wg.Add(1)
@@ -299,13 +294,13 @@ func (s *Service) enqueueLocked(sp spec, sweepID string) (*job, error) {
 	if err := s.queue.Push(j); err != nil {
 		delete(s.jobs, j.id)
 		if errors.Is(err, ErrQueueFull) {
-			s.metrics.queueRejectedInc()
+			s.metrics.queueRejected.Add(1)
 			return nil, err
 		}
 		// Close raced ahead of the draining flag.
 		return nil, ErrDraining
 	}
-	s.metrics.jobSubmitted()
+	s.metrics.submitted.Add(1)
 	return j, nil
 }
 

@@ -225,9 +225,9 @@ func TestServiceEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit after shutdown: %d %s, want 503", resp.StatusCode, body)
 	}
-	s := svc.metrics.snap()
-	if s.Running != 0 || s.Completed+s.Failed+s.Canceled != s.Submitted {
-		t.Errorf("post-drain metrics inconsistent: %+v", s)
+	ms := svc.metrics
+	if r, done, sub := ms.running.Load(), ms.completed.Load()+ms.failed.Load()+ms.canceled.Load(), ms.submitted.Load(); r != 0 || done != sub {
+		t.Errorf("post-drain metrics inconsistent: running=%d completed+failed+canceled=%d submitted=%d", r, done, sub)
 	}
 }
 

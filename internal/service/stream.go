@@ -79,8 +79,8 @@ func (s *Service) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 
 	subID, ch := sw.subscribe()
 	defer sw.unsubscribe(subID)
-	s.metrics.streamSubscribed()
-	defer s.metrics.streamUnsubscribed()
+	s.metrics.streamSubs.Add(1)
+	defer s.metrics.streamSubs.Add(-1)
 
 	flush := func() {
 		if canFlush {

@@ -119,22 +119,22 @@ func (s *Service) runJob(j *job) {
 	}
 	j.live.cancel = cancel
 	j.mu.Unlock()
-	s.metrics.jobStarted()
+	s.metrics.running.Add(1)
 	defer cancel()
 
 	// Once any job of the key has succeeded, its record holds the result,
 	// so a repeat finishes from memory without reading a cache tier.
 	if st := j.rec.st.Load(); st != nil {
-		s.metrics.cacheHit()
+		s.metrics.cacheHits.Add(1)
 		s.finish(j, st, nil, true, cluster.TierMemory.String())
 		return
 	}
 	if st, tier := s.store.Get(ctx, key); st != nil {
-		s.metrics.cacheHit()
+		s.metrics.cacheHits.Add(1)
 		s.finish(j, st, nil, true, tier.String())
 		return
 	}
-	s.metrics.cacheMiss()
+	s.metrics.cacheMisses.Add(1)
 
 	// Per-key singleflight: exactly one leader produces the result, and
 	// jobs that lose the race wait and finish from the record. A leader
@@ -152,7 +152,7 @@ func (s *Service) runJob(j *job) {
 			return
 		}
 		if st := j.rec.st.Load(); st != nil {
-			s.metrics.cacheHit()
+			s.metrics.cacheHits.Add(1)
 			s.finish(j, st, nil, true, cluster.TierMemory.String())
 			return
 		}
@@ -199,11 +199,11 @@ func (s *Service) produce(ctx context.Context, key string, sp *spec) (*stats.Sim
 		if err == nil {
 			st, src, err := s.clu.Execute(ctx, key, body)
 			if err == nil {
-				s.metrics.forwardOK()
+				s.metrics.forwardsOK.Add(1)
 				return st, "forward:" + src, nil
 			}
 			if !errors.Is(err, cluster.ErrSelf) && ctx.Err() == nil {
-				s.metrics.forwardFallback()
+				s.metrics.forwardFallbacks.Add(1)
 			}
 			if ctx.Err() != nil {
 				return nil, "", ctx.Err()
@@ -279,6 +279,6 @@ func (s *Service) dropQueued(j *job) bool {
 	// no longer reads it either.
 	s.queue.Remove(j)
 	j.live = nil
-	s.metrics.jobDroppedQueued()
+	s.metrics.canceled.Add(1)
 	return true
 }

@@ -4,12 +4,12 @@
 // partitioned L2 and DRAM timing. It substitutes for Accel-Sim in the Snake
 // reproduction; see DESIGN.md for the substitution argument.
 //
-// The engine is sharded on both sides of the interconnect: each SM (plus its
-// warps, L1 and prefetcher) is a shard, and each L2 partition (plus its DRAM
-// controller) is a memory partition — both talk across the boundary only
-// through typed, cycle-stamped port queues and per-cycle work bins, and one
-// goroutine ticks them in epochs whose order fixes every statistic — see
-// DESIGN.md "Epoch loop".
+// The engine splits into units on both sides of the interconnect: each SM
+// (plus its warps, L1 and prefetcher) and each L2 partition (plus its DRAM
+// controller). They talk across the boundary only through typed,
+// cycle-stamped port queues and per-cycle work bins, and one goroutine ticks
+// them in epochs whose order fixes every statistic — see DESIGN.md "Epoch
+// loop".
 package sim
 
 import (
@@ -68,21 +68,21 @@ type Result struct {
 }
 
 // engine is the live simulation state: the memory side (interconnect, L2
-// partitions, DRAM, in-flight message queues) plus one shard per SM, all
-// owned by the one goroutine that runs it.
+// partitions, DRAM, in-flight message queues) plus the SMs, all owned by the
+// one goroutine that runs it.
 type engine struct {
 	cfg config.GPU
 	opt Options
 
 	// kernel is the run's kernel and ctaNext its next undispatched CTA; the
-	// machine below survives across runs and is reset by reinit.
+	// machine below survives across runs and is set up by reinit.
 	kernel  *trace.Kernel
 	ctaNext int
 
-	cycle  int64
-	net    *icntNet
-	parts  []*memPartition
-	shards []*shard
+	cycle int64
+	net   *icntNet
+	parts []*memPartition
+	sms   []*sm
 
 	// partReqs are the SM→L2 ingress ports, one ring per L2 partition: fill
 	// requests in flight across the request network, binned to their
@@ -99,7 +99,7 @@ type engine struct {
 	// stores is the write-through store queue, one batch per issue cycle in
 	// cycle order; a store issued at cycle p becomes sendable at p + horizon.
 	stores []storeBatch
-	// out is what the shards' tick spans record for the epoch merge.
+	// out is what the SMs' tick spans record for the epoch merge.
 	out epochOut
 
 	ageCtr   int64
@@ -149,13 +149,13 @@ type engine struct {
 	prof  *profiling.Phases // nil unless Options.PhaseProfile is set
 }
 
-// epochOut is the engine-owned record the shards' tick spans add to, one
-// entry per sub-cycle of the epoch (offset from its start). The shards tick
-// one after another, so they share it without staging.
+// epochOut is the engine-owned record the SMs' tick spans add to, one entry
+// per sub-cycle of the epoch (offset from its start). The SMs tick one after
+// another, so they share it without staging.
 type epochOut struct {
 	stores      []int32   // write-through stores issued at each sub-cycle
 	cta         epochBits // sub-cycles at which some CTA completed
-	retiredLast bool      // some shard retired an instruction at the last sub-cycle
+	retiredLast bool      // some SM retired an instruction at the last sub-cycle
 }
 
 // reset sizes the record to an epoch of span sub-cycles and clears it.
@@ -201,35 +201,28 @@ func validateRun(k *trace.Kernel, opt Options) error {
 	return nil
 }
 
-// newEngine constructs a machine — SM shards, L2 partitions, interconnect,
-// per-SM counter blocks, whose shape depends only on the config — and loads
-// the kernel onto it.
-func newEngine(k *trace.Kernel, opt Options) *engine {
-	cfg := opt.Config
+// newEngine allocates the machine cfg describes — interconnect, L2
+// partitions and their ingress rings, per-SM counter blocks and the SMs —
+// with no kernel, options or prefetchers installed: reinit installs them
+// before every run, the first included.
+func newEngine(cfg config.GPU) *engine {
 	e := &engine{
-		cfg:     cfg,
-		fillCap: cfg.FillsPerPartition * cfg.L2Partitions,
-		net:     newIcntNet(cfg),
-		perSM:   make([]stats.Sim, cfg.NumSM),
+		cfg:      cfg,
+		fillCap:  cfg.FillsPerPartition * cfg.L2Partitions,
+		net:      newIcntNet(cfg),
+		parts:    make([]*memPartition, cfg.L2Partitions),
+		partReqs: make([]icnt.Ingress[reqMsg], cfg.L2Partitions),
+		perSM:    make([]stats.Sim, cfg.NumSM),
+		sms:      make([]*sm, cfg.NumSM),
 	}
-	e.setOptions(opt)
-	e.parts = make([]*memPartition, cfg.L2Partitions)
 	for i := range e.parts {
 		e.parts[i] = newMemPartition(i, cfg, &e.mem)
 	}
-	e.shards = make([]*shard, cfg.NumSM)
-	for i := range e.shards {
-		var pf prefetch.Prefetcher
-		if opt.NewPrefetcher != nil {
-			pf = opt.NewPrefetcher(i)
-		}
-		s := newSM(i, cfg, pf, &e.perSM[i])
+	for i := range e.sms {
+		s := newSM(i, cfg, &e.perSM[i])
 		s.env = &smEnv{eng: e, sm: s}
-		e.shards[i] = newShard(s)
+		e.sms[i] = s
 	}
-	e.partReqs = make([]icnt.Ingress[reqMsg], cfg.L2Partitions)
-	e.initSlack()
-	e.load(k)
 	return e
 }
 
@@ -245,8 +238,8 @@ func (e *engine) setOptions(opt Options) {
 func (e *engine) load(k *trace.Kernel) {
 	e.kernel = k
 	e.ctaNext = 0
-	for _, sh := range e.shards {
-		sh.sm.kernel = k
+	for _, s := range e.sms {
+		s.kernel = k
 	}
 }
 
@@ -272,18 +265,18 @@ const deadlockIdleCycles = 1_000_000
 //
 //	serial drain phase:  for each sub-cycle in order: net.tick → response
 //	                     sends (with L2 installs deferred into partition
-//	                     bins) → fill delivery into shard inboxes → request
+//	                     bins) → fill delivery into SM inboxes → request
 //	                     injection (pull, smID order, horizon-matured heads
 //	                     only, binned to the owning partition's ingress ring
 //	                     and stamped with the global arrival rank at push) →
 //	                     matured stores → utilization snapshot
 //	route phase:         each partition gets a zero-copy view of its ring's
 //	                     due prefix (planRoute)
-//	tick phase:          every partition, then every shard, ticks the whole
+//	tick phase:          every partition, then every SM, ticks the whole
 //	                     span — partitions perform their due L2 lookups,
 //	                     merges and DRAM timing, pushing each response onto
 //	                     the response heap with its global arrival seq;
-//	                     shards apply fills, run prefetchers, issue, and add
+//	                     SMs apply fills, run prefetchers, issue, and add
 //	                     their stores per sub-cycle into the epoch record
 //	serial merge phase:  consumed ring prefixes dropped → one store batch
 //	                     queued per sub-cycle that issued stores →
@@ -377,18 +370,18 @@ func (e *engine) run() error {
 }
 
 // fillSMs dispatches queued CTAs onto SMs with enough free slots, one CTA
-// per SM per pass over the shards in smID order (round-robin, the
+// per SM per pass over the SMs in smID order (round-robin, the
 // occupancy-balancing discipline).
 func (e *engine) fillSMs() {
 	for {
 		progress := false
-		for _, sh := range e.shards {
+		for _, s := range e.sms {
 			if e.ctaNext >= len(e.kernel.CTAs) {
 				return
 			}
 			need := len(e.kernel.CTAs[e.ctaNext].Warps)
-			if sh.sm.freeSlots() >= need {
-				sh.sm.dispatchCTA(e.kernel, e.ctaNext, &e.ageCtr)
+			if s.freeSlots() >= need {
+				s.dispatchCTA(e.kernel, e.ctaNext, &e.ageCtr)
 				e.ctaNext++
 				progress = true
 			}
@@ -436,14 +429,14 @@ func (e *engine) serialPhase(start, maxEnd int64) (int64, error) {
 			// early stamp from the span and lets epochs reach the full
 			// horizon. Drains at later sub-cycles mature at ≥ start+horizon
 			// and stay tick-side.
-			for _, sh := range e.shards {
+			for _, s := range e.sms {
 				// The drain's Full check must see this sub-cycle's occupancy:
 				// advance the residency clock to start with zero credit (every
 				// entry pulled in earlier epochs has expired by now — pulls
 				// happen at stamp+horizon ≥ stamp+turnaround).
-				sh.sm.l1.SetMissQueueClock(c, 0)
-				sh.sm.l1.DrainPrefetch(c)
-				sh.predrained = true
+				s.l1.SetMissQueueClock(c, 0)
+				s.l1.DrainPrefetch(c)
+				s.predrained = true
 			}
 		}
 		e.utilSnap = append(e.utilSnap, e.net.utilization())
@@ -464,8 +457,8 @@ func (e *engine) serialPhase(start, maxEnd int64) (int64, error) {
 // them.
 func (e *engine) predictedMsgs() int {
 	n := e.reqsLen + len(e.resps)
-	for _, sh := range e.shards {
-		n += sh.fills.Len()
+	for _, s := range e.sms {
+		n += s.fills.Len()
 	}
 	return n
 }
@@ -506,7 +499,7 @@ func (e *engine) planRoute(end int64) int {
 
 // drainResponses sends ready memory responses back over the interconnect at
 // sub-cycle c, stamping each with its delivery cycle and queueing it on the
-// destination shard's ingress port. The L2 install for each shipped line is
+// destination SM's ingress port. The L2 install for each shipped line is
 // deferred into the owning partition's completes bin, applied at the same
 // sub-cycle of its tick span (after that sub-cycle's accesses — the same
 // relative order the serial engine had, see memPartition.tickSpan). Only
@@ -525,7 +518,7 @@ func (e *engine) drainResponses(c int64) {
 		e.resps.pop()
 		p := e.parts[r.part]
 		p.completes = append(p.completes, partFill{lineAddr: r.lineAddr, cycle: c})
-		e.shards[r.sm].fills.Push(deliverAt, fillMsg{lineAddr: r.lineAddr, prefetch: r.prefetch})
+		e.sms[r.sm].fills.Push(deliverAt, fillMsg{lineAddr: r.lineAddr, prefetch: r.prefetch})
 		if d := deliverAt - c; d < e.minRespLat {
 			e.minRespLat = d
 		}
@@ -538,14 +531,14 @@ type capRelease struct {
 	n  int
 }
 
-// deliverFills moves fills due at sub-cycle c into each shard's inbox (smID
+// deliverFills moves fills due at sub-cycle c into each SM's inbox (smID
 // order) and schedules their in-flight capacity release: immediately when
 // horizon equals the turnaround, deferred by the difference otherwise (see
 // inflightRel).
 func (e *engine) deliverFills(c int64) {
 	n := 0
-	for _, sh := range e.shards {
-		n += sh.deliverDue(c)
+	for _, s := range e.sms {
+		n += s.deliverDue(c)
 	}
 	if n == 0 {
 		return
@@ -582,30 +575,30 @@ const (
 	storeBytes   = 32
 )
 
-// drainMissQueues pulls outgoing fill requests from each shard's request
+// drainMissQueues pulls outgoing fill requests from each SM's request
 // port at sub-cycle c, up to missInjectPerSM per SM per cycle, subject to
 // the in-flight cap (downstream queue capacity). Only heads that matured
 // past the slack horizon are candidates: a request staged at cycle p is
 // injectable from p + horizon, so requests staged by the current epoch's
-// ticks are never pulled by its own serial phase. The pull order — shards in
+// ticks are never pulled by its own serial phase. The pull order — SMs in
 // smID order — is the deterministic merge order of the SM→memory request
-// stream. Each pull records the entry's residency expiry in the shard's
-// schedule (shard.popReq), which the tick span replays as phantom
-// miss-queue occupancy.
+// stream. Each pull records the entry's residency expiry in the SM's
+// schedule (sm.popReq), which the tick span replays as phantom miss-queue
+// occupancy.
 func (e *engine) drainMissQueues(c int64) {
-	for _, sh := range e.shards {
+	for _, s := range e.sms {
 		for k := 0; k < missInjectPerSM; k++ {
 			if e.inflight >= e.fillCap {
 				return
 			}
-			if !sh.peekReq(c, e.horizon) {
+			if !s.peekReq(c, e.horizon) {
 				break
 			}
 			deliverAt, sent := e.net.trySendReq(requestBytes)
 			if !sent {
 				return
 			}
-			req, _ := sh.popReq()
+			req, _ := s.popReq()
 			e.inflight++
 			// The horizon is modeled as the front segment of the network
 			// traversal: the request spent horizon-1 cycles of its interconnect
@@ -659,8 +652,8 @@ func (e *engine) drainStores(c int64) {
 
 // tickWave runs the tick phase of the epoch: every memory partition ticks
 // the sub-cycles [start, end] (draining its request and complete bins onto
-// the response heap), then every shard does (applying fills and issuing,
-// into the epoch record). Partitions and shards touch disjoint state, so the
+// the response heap), then every SM does (applying fills and issuing, into
+// the epoch record). Partitions and SMs touch disjoint state, so the
 // order between the two loops changes nothing; the profiling lap between
 // them separates their wall clocks.
 func (e *engine) tickWave(start, end int64, clk *phaseClock) {
@@ -671,8 +664,8 @@ func (e *engine) tickWave(start, end int64, clk *phaseClock) {
 	}
 	clk.lap(profiling.PhaseMemPartitions)
 	e.out.reset(int(end-start) + 1)
-	for _, sh := range e.shards {
-		sh.tickSpan(start, end, &e.out)
+	for _, s := range e.sms {
+		s.tickSpan(start, end, &e.out)
 	}
 	clk.lap(profiling.PhaseShards)
 }
@@ -680,7 +673,7 @@ func (e *engine) tickWave(start, end int64, clk *phaseClock) {
 // mergeEpoch performs the serial merges closing the epoch [start, end]: the
 // consumed due prefixes are dropped from the partition ingress rings, each
 // sub-cycle's store count is queued as one batch, and CTA finishes are
-// queued for redispatch at +turnaround. Returns whether any shard retired an
+// queued for redispatch at +turnaround. Returns whether any SM retired an
 // instruction at the final sub-cycle — the only per-cycle retire bit the
 // idle bookkeeping still needs (earlier sub-cycles all carried in-flight
 // traffic, which resets the counter regardless).
@@ -706,8 +699,8 @@ func (e *engine) mergeEpoch(start, end int64) bool {
 		}
 		e.stores = append(e.stores, storeBatch{cycle: c, n: n})
 	}
-	for _, sh := range e.shards {
-		sh.mqExpiry = sh.mqExpiry[:0]
+	for _, s := range e.sms {
+		s.mqExpiry = s.mqExpiry[:0]
 	}
 
 	// CTA maturation: a CTA finishing at sub-cycle f frees its warp slots for
@@ -715,7 +708,7 @@ func (e *engine) mergeEpoch(start, end int64) bool {
 	// caps epochs at the earliest matured dispatch), so the refill is
 	// visible to a whole epoch exactly as under per-cycle barriers. Skipped
 	// once every CTA is dispatched: maturation would only cap future epochs
-	// for a guaranteed no-op fillSMs. The shards' finishes share one bitset,
+	// for a guaranteed no-op fillSMs. The SMs' finishes share one bitset,
 	// so each marked sub-cycle is exactly one due dispatch event (at most
 	// one per sub-cycle, as with per-cycle barriers).
 	if e.ctaNext < len(e.kernel.CTAs) {
@@ -754,11 +747,11 @@ func (e *engine) applyDispatches(start int64) {
 
 // inFlightMsgs counts cross-boundary messages in flight: requests crossing
 // to the L2 side, responses awaiting bandwidth, and fills not yet consumed
-// by their shard.
+// by their SM.
 func (e *engine) inFlightMsgs() int {
 	n := e.reqsLen + len(e.resps)
-	for _, sh := range e.shards {
-		n += sh.pendingFills()
+	for _, s := range e.sms {
+		n += s.pendingFills()
 	}
 	return n
 }
@@ -769,8 +762,8 @@ func (e *engine) finished() bool {
 	if e.ctaNext < len(e.kernel.CTAs) {
 		return false
 	}
-	for _, sh := range e.shards {
-		if !sh.sm.done() {
+	for _, s := range e.sms {
+		if !s.done() {
 			return false
 		}
 	}
@@ -787,9 +780,9 @@ type throttleReporter interface {
 // merge in SM order, and the memory side adds its one block.
 func (e *engine) result() *Result {
 	res := &Result{}
-	for i, sh := range e.shards {
-		sh.sm.l1.FinishRun()
-		if tr, ok := sh.sm.pf.(throttleReporter); ok {
+	for i, s := range e.sms {
+		s.l1.FinishRun()
+		if tr, ok := s.pf.(throttleReporter); ok {
 			e.perSM[i].Pf.ThrottleCycles = tr.ThrottleCycles()
 		}
 		res.Stats.Merge(&e.perSM[i])
@@ -810,17 +803,17 @@ func (e *engine) result() *Result {
 
 // smEnv adapts engine state to the prefetch.Env interface for one SM. The
 // engine-side reads are of memory-side state that only the drain and merge
-// phases mutate, so a shard's tick span sees it as of the epoch's drain.
+// phases mutate, so an SM's tick span sees it as of the epoch's drain.
 type smEnv struct {
 	eng *engine
 	sm  *sm
 }
 
 // Utilization implements prefetch.Env. During a tick span the live network
-// counters are an epoch ahead of the shard's sub-cycle, so the read comes
+// counters are an epoch ahead of the SM's sub-cycle, so the read comes
 // from the per-sub-cycle snapshots the serial phase recorded — each exactly
 // the value a per-cycle barrier schedule would have exposed at that cycle.
-// (Outside a normal epoch — white-box tests ticking shards directly — it
+// (Outside a normal epoch — white-box tests ticking SMs directly — it
 // falls back to the live value.)
 func (v *smEnv) Utilization() float64 {
 	if i := v.sm.nowCycle - v.eng.epochStart; i >= 0 && i < int64(len(v.eng.utilSnap)) {

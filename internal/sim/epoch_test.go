@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"snake/internal/config"
 	"snake/internal/core"
@@ -124,11 +125,11 @@ func (c *goroutineCtx) Err() error {
 // TestEpochCancellation cancels a run at the auto window from inside an
 // epoch's drain phase: the run must return the context error
 // naming the cycle, must stay on the caller's goroutine throughout (the
-// goroutine count at every poll equals the count before the run), and a
-// following run must succeed.
+// goroutine count at every poll equals the settled count before the run),
+// and a following run must succeed.
 func TestEpochCancellation(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Scale{CTAs: 8, WarpsPerCTA: 4, Iters: 32}, 4096)
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	ctx := &goroutineCtx{countdownCtx: countdownCtx{Context: context.Background(), ok: 1}}
 	_, err := Run(k, Options{Config: testCfg(), Context: ctx})
 	if !errors.Is(err, context.Canceled) {
@@ -149,6 +150,22 @@ func TestEpochCancellation(t *testing.T) {
 	if _, err := Run(k, Options{Config: testCfg()}); err != nil {
 		t.Fatalf("run after cancelled run: %v", err)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// 20 consecutive millisecond polls (or after 2 s), so a goroutine an earlier
+// test left exiting does not count in a baseline.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); still < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }
 
 // TestEpochStoreTraffic pins the per-cycle store counts: a workload with

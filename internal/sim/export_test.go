@@ -1,6 +1,9 @@
 package sim
 
-import "snake/internal/stats"
+import (
+	"snake/internal/stats"
+	"snake/internal/trace"
+)
 
 // WithSlackWindow returns opt with the bounded-slack epoch length capped at
 // w cycles: 1 is the per-cycle reference, and 0 (or anything above the
@@ -23,4 +26,12 @@ func (en *Engine) PerSM() []stats.Sim {
 		per[i].Cycles = en.e.cycle
 	}
 	return per
+}
+
+// freshEngine returns an engine built for opt.Config and initialized for
+// the kernel, exactly as a fresh Engine's first run prepares it.
+func freshEngine(k *trace.Kernel, opt Options) *engine {
+	e := newEngine(opt.Config)
+	e.reinit(k, opt, false)
+	return e
 }

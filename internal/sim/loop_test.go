@@ -13,11 +13,11 @@ import (
 func TestMissInjectPerSM(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	opt := Options{Config: tinyCfg()}
-	e := newEngine(k, opt)
+	e := freshEngine(k, opt)
 	e.net.tick(1)
 	// Queue one more demand miss than the per-cycle injection budget on SM 0
 	// (distinct lines, so no MSHR merging).
-	s := e.shards[0].sm
+	s := e.sms[0]
 	for i := 0; i < missInjectPerSM+1; i++ {
 		s.l1.Access(i, 0x1000_0000+uint64(i)*8192, 1)
 	}
@@ -60,7 +60,7 @@ func TestMissInjectPerSM(t *testing.T) {
 func TestDrainStoresCompactsInPlace(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	opt := Options{Config: tinyCfg()}
-	e := newEngine(k, opt)
+	e := freshEngine(k, opt)
 
 	const depth = 64
 	// Top the queue up with one-store batches, as the epoch merge appends
@@ -88,7 +88,7 @@ func TestDrainStoresCompactsInPlace(t *testing.T) {
 		t.Errorf("store queue reallocated: cap %d -> %d", capInit, cap(e.stores))
 	}
 
-	e = newEngine(k, opt)
+	e = freshEngine(k, opt)
 	const big, later = 1000, 5
 	e.stores = append(e.stores, storeBatch{cycle: 0, n: big}, storeBatch{cycle: 1, n: later})
 	sent := func() int64 { return e.net.req.TotalBytes() / storeBytes }
@@ -148,7 +148,7 @@ func TestCancellationPollBoundary(t *testing.T) {
 	// must land on the first ctxCheckInterval boundary.
 	want := fmt.Sprintf("aborted at cycle %d", int64(ctxCheckInterval))
 	ctx := &countdownCtx{Context: context.Background(), ok: 0}
-	e := newEngine(k, Options{Config: tinyCfg(), Context: ctx})
+	e := freshEngine(k, Options{Config: tinyCfg(), Context: ctx})
 	err = e.run()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

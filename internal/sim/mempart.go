@@ -19,7 +19,7 @@ type partFill struct {
 // Requests from different SMs to the same in-flight line merge at the
 // partition so DRAM sees each line once.
 //
-// A partition is ticked once per epoch, like the SM shards: requests are
+// A partition is ticked once per epoch, like the SMs: requests are
 // binned to the partition at injection time (the engine pushes them onto
 // the partition's ingress ring, stamped with their arrival cycle and global
 // arrival seq), the route phase hands each partition a zero-copy view of
@@ -60,12 +60,11 @@ func newMemPartition(id int, cfg config.GPU, ms *stats.Mem) *memPartition {
 		ms = &stats.Mem{}
 	}
 	return &memPartition{
-		id:         id,
-		l2:         cache.New(cfg.L2),
-		dramCtl:    dram.New(cfg.DRAM, cfg.DRAMBanks, cfg.DRAMRowBytes, cfg.DRAMClockxfer, ms),
-		latency:    int64(cfg.L2.Latency),
-		ms:         ms,
-		minRespLat: int64(1)<<62 - 1,
+		id:      id,
+		l2:      cache.New(cfg.L2),
+		dramCtl: dram.New(cfg.DRAM, cfg.DRAMBanks, cfg.DRAMRowBytes, cfg.DRAMClockxfer, ms),
+		latency: int64(cfg.L2.Latency),
+		ms:      ms,
 	}
 }
 

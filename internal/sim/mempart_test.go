@@ -90,17 +90,17 @@ func TestMemPartitionMergeWindowCloses(t *testing.T) {
 // TestDrainResponsesDeliveryOrdering drives the memory→SM response path
 // white-box: responses pushed out of ready order must cross the response
 // network in readyAt order, never before their data is ready, and land on
-// each destination shard's ingress port in non-decreasing stamp order — the
+// each destination SM's ingress port in non-decreasing stamp order — the
 // FIFO-equals-cycle-order property the epoch loop relies on.
 func TestDrainResponsesDeliveryOrdering(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	e := newEngine(k, Options{Config: tinyCfg()})
+	e := freshEngine(k, Options{Config: tinyCfg()})
 
 	lineSz := uint64(e.cfg.Unified.LineSize)
 	push := func(ready int64, sm int, line uint64) {
 		e.resps.push(resp{readyAt: ready, sm: sm, lineAddr: line, part: e.partOf(line)})
 	}
-	// Out-of-order pushes across two shards; per shard the readyAt values are
+	// Out-of-order pushes across two SMs; per SM the readyAt values are
 	// distinct so the expected per-port sequence is unambiguous.
 	push(50, 0, 5*lineSz)
 	push(10, 0, 1*lineSz)
@@ -133,11 +133,11 @@ func TestDrainResponsesDeliveryOrdering(t *testing.T) {
 		1: {2 * lineSz, 3 * lineSz},
 	}
 	for smID, wantLines := range want {
-		sh := e.shards[smID]
+		s := e.sms[smID]
 		last := int64(-1)
 		for i, wl := range wantLines {
-			stamp := sh.fills.NextCycle()
-			f, ok := sh.fills.PopDue(1 << 60)
+			stamp := s.fills.NextCycle()
+			f, ok := s.fills.PopDue(1 << 60)
 			if !ok {
 				t.Fatalf("sm %d: ingress holds %d fills, want %d", smID, i, len(wantLines))
 			}
@@ -149,7 +149,7 @@ func TestDrainResponsesDeliveryOrdering(t *testing.T) {
 				t.Errorf("sm %d: fill %d is line %#x, want %#x (readyAt order)", smID, i, f.lineAddr, wl)
 			}
 		}
-		if _, ok := sh.fills.PopDue(1 << 60); ok {
+		if _, ok := s.fills.PopDue(1 << 60); ok {
 			t.Errorf("sm %d: extra fill beyond the %d expected", smID, len(wantLines))
 		}
 	}
@@ -162,7 +162,7 @@ func TestDrainResponsesDeliveryOrdering(t *testing.T) {
 // several cycles rather than booking the whole burst in one.
 func TestDrainResponsesSerializesBandwidth(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	e := newEngine(k, Options{Config: tinyCfg()})
+	e := freshEngine(k, Options{Config: tinyCfg()})
 
 	lineSz := e.cfg.Unified.LineSize
 	const burst = 40
@@ -185,15 +185,15 @@ func TestDrainResponsesSerializesBandwidth(t *testing.T) {
 		t.Fatalf("%d responses still queued after 500 cycles", len(e.resps))
 	}
 
-	sh := e.shards[0]
-	if got := sh.fills.Len(); got != burst {
+	s := e.sms[0]
+	if got := s.fills.Len(); got != burst {
 		t.Fatalf("ingress holds %d fills, want %d", got, burst)
 	}
-	first := sh.fills.NextCycle()
+	first := s.fills.NextCycle()
 	last := first
 	for {
-		stamp := sh.fills.NextCycle()
-		if _, ok := sh.fills.PopDue(1 << 60); !ok {
+		stamp := s.fills.NextCycle()
+		if _, ok := s.fills.PopDue(1 << 60); !ok {
 			break
 		}
 		if stamp < last {
@@ -238,7 +238,7 @@ func TestMemPartitionCountsL2Outcomes(t *testing.T) {
 // consumed ring prefix.
 func TestRouteAndTickMergesAcrossSMs(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
-	e := newEngine(k, Options{Config: testCfg()})
+	e := freshEngine(k, Options{Config: testCfg()})
 
 	line := uint64(0x10000)
 	e.pushReq(10, reqMsg{sm: 0, lineAddr: line})

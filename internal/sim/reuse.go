@@ -29,8 +29,8 @@ type Engine struct {
 	tag string
 }
 
-// NewEngine returns an engine with no state; its first Run constructs
-// everything, exactly as the package-level Run does.
+// NewEngine returns an engine with no state; its first Run allocates the
+// machine, exactly as the package-level Run does.
 func NewEngine() *Engine { return &Engine{} }
 
 // Run simulates the kernel, recycling the engine's arenas when the config
@@ -51,11 +51,10 @@ func (en *Engine) RunTagged(k *trace.Kernel, opt Options, tag string) (*Result, 
 	if err := validateRun(k, opt); err != nil {
 		return nil, err
 	}
-	if en.e != nil && en.e.cfg == opt.Config {
-		en.e.reinit(k, opt, tag != "" && tag == en.tag)
-	} else {
-		en.e = newEngine(k, opt)
+	if en.e == nil || en.e.cfg != opt.Config {
+		en.e, en.tag = newEngine(opt.Config), ""
 	}
+	en.e.reinit(k, opt, tag != "" && tag == en.tag)
 	en.tag = tag
 	if err := en.e.run(); err != nil {
 		return nil, err
@@ -63,11 +62,12 @@ func (en *Engine) RunTagged(k *trace.Kernel, opt Options, tag string) (*Result, 
 	return en.e.result(), nil
 }
 
-// reinit rewires a previously used engine for a new kernel run, reusing
-// every allocation whose shape depends only on the config (which the caller
-// has checked is unchanged). With reusePf the shards keep their prefetcher
-// instances and reset them; otherwise new instances come from
-// opt.NewPrefetcher and each L1's storage organization is re-derived.
+// reinit prepares the engine for a kernel run — every run, a fresh
+// engine's first included — reusing every allocation whose shape depends
+// only on the config (which the caller has checked is the engine's). With
+// reusePf the SMs keep their prefetcher instances and reset them; otherwise
+// new instances come from opt.NewPrefetcher and each L1's storage
+// organization is derived from them.
 func (e *engine) reinit(k *trace.Kernel, opt Options, reusePf bool) {
 	e.setOptions(opt)
 	e.cycle = 0
@@ -91,13 +91,12 @@ func (e *engine) reinit(k *trace.Kernel, opt Options, reusePf bool) {
 	// the same config), and a recorded conflict must not leak across runs.
 	e.initSlack()
 	clear(e.perSM)
-	for i, sh := range e.shards {
+	for i, s := range e.sms {
 		var pf prefetch.Prefetcher
 		if !reusePf && opt.NewPrefetcher != nil {
 			pf = opt.NewPrefetcher(i)
 		}
-		sh.sm.reset(pf, reusePf)
-		sh.reset()
+		s.reset(pf, reusePf)
 	}
 	e.load(k)
 }

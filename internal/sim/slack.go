@@ -58,8 +58,8 @@ func (e *engine) initSlack() {
 	// order — however much later the engine pulls it (stamp + horizon).
 	// Virtual occupancy keeps backpressure — reservation fails, prefetch
 	// throttling — independent of the horizon the epoch machinery runs at.
-	for _, sh := range e.shards {
-		sh.sm.l1.SetMissQueueInjectionModel(e.turn, missInjectPerSM)
+	for _, s := range e.sms {
+		s.l1.SetMissQueueInjectionModel(e.turn, missInjectPerSM)
 	}
 }
 
@@ -78,7 +78,7 @@ func (e *engine) slackConflict(matureAt, end int64) {
 // --- adaptive epoch cutter ----------------------------------------------
 //
 // CTA retirements replay after the turnaround delay, which is shorter than
-// a wide horizon — so an epoch is admissible only while no shard can retire
+// a wide horizon — so an epoch is admissible only while no SM can retire
 // a CTA early enough for its slot-refill to land inside the epoch. actBound
 // computes a conservative lower bound on the earliest cycle any warp could
 // retire through an OpExit (relevant only while CTA re-dispatch could
@@ -109,13 +109,12 @@ func (e *engine) actBound(start int64) int64 {
 		return -1 // no consumer for freed slots: exits need no replay cap
 	}
 	best := int64(-1)
-	for _, sh := range e.shards {
-		s := sh.sm
+	for _, s := range e.sms {
 		if s.resident == 0 {
 			continue
 		}
 		fwake := start + e.horizon
-		if f := sh.nextFill(); f >= 0 && f < fwake {
+		if f := s.nextFill(); f >= 0 && f < fwake {
 			fwake = f
 		}
 		if fwake < start {

@@ -162,7 +162,7 @@ func TestSlackConflictFailsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{Config: testCfg()}
-	e := newEngine(k, opt)
+	e := freshEngine(k, opt)
 	e.horizon = 1
 	err = e.run()
 	if err == nil || !strings.Contains(err.Error(), "slack conflict") {

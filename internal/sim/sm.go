@@ -3,6 +3,7 @@ package sim
 import (
 	"snake/internal/cache"
 	"snake/internal/config"
+	"snake/internal/icnt"
 	"snake/internal/prefetch"
 	"snake/internal/sched"
 	"snake/internal/stats"
@@ -72,7 +73,18 @@ func (w *warpCtx) opDist(op trace.Op, memo *int32) int {
 }
 
 // sm models one streaming multiprocessor: warp slots, scheduler slices, the
-// L1 controller and the attached prefetcher.
+// L1 controller and the attached prefetcher, together with the typed ports
+// that are its only connection to the memory side (ports.go).
+//
+// The engine's one goroutine ticks every SM in smID order:
+//
+//   - During the tick phase of an epoch, tickSpan touches the SM's own state,
+//     the inbox the drain phase filled, and the engine's per-epoch record
+//     (epochOut) it adds its stores, CTA finishes and last-cycle retirement
+//     to. It never reads another SM or memory-side state.
+//   - In the drain and merge phases the engine owns the whole SM: it
+//     delivers ingress messages, pulls from the request port, and may
+//     dispatch CTAs.
 type sm struct {
 	id     int
 	cfg    config.GPU
@@ -117,10 +129,37 @@ type sm struct {
 	kernel   *trace.Kernel // set by the engine before the run
 	observer prefetch.OutcomeObserver
 
-	// nowCycle is the sub-cycle the owning shard's tickSpan is currently
-	// executing; smEnv reads it to index the engine's per-sub-cycle
-	// utilization snapshots (set before any prefetcher hook can run).
+	// nowCycle is the sub-cycle tickSpan is currently executing; smEnv reads
+	// it to index the engine's per-sub-cycle utilization snapshots (set
+	// before any prefetcher hook can run).
 	nowCycle int64
+
+	// fills is the memory→SM ingress port: completed responses in flight,
+	// stamped with their delivery cycle. The serial phase pushes (send order
+	// is non-decreasing in delivery cycle because the response network
+	// serializes bandwidth) and moves due messages to inbox; tickSpan
+	// consumes each at its stamped sub-cycle.
+	fills icnt.Ingress[fillMsg]
+	// inbox holds the fills due this epoch, in stamp order, for tickSpan;
+	// inboxStamp carries each entry's delivery sub-cycle.
+	inbox      []fillMsg
+	inboxStamp []int64
+
+	// mqExpiry records, per request the engine's serial phase pulled from
+	// this SM's miss queue this epoch, the sub-cycle at which the entry's
+	// modeled queue residency elapses (stamp + turnaround), in ascending
+	// order — the schedule behind the phantom-credit occupancy tickSpan
+	// presents to the L1 (see tickSpan).
+	mqExpiry []int64
+
+	// predrained records that the engine's serial phase already ran this
+	// epoch's first-sub-cycle prefetch drain (after that sub-cycle's
+	// injection pull, matching the per-cycle drain-after-pull order), so
+	// tickSpan must skip the drain at its first sub-cycle. Hoisting that
+	// one drain is what lets epochs span the full horizon: its entries are
+	// stamped one cycle early (cache.L1.DrainPrefetch) and would otherwise
+	// mature inside a full-width epoch.
+	predrained bool
 }
 
 // outcomeOf maps the cache-level prefetch outcome to the prefetcher-visible
@@ -138,19 +177,15 @@ func outcomeOf(oc cache.PrefetchOutcome) prefetch.Outcome {
 	}
 }
 
-func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim) *sm {
+// newSM allocates SM id's warp slots, scheduler slices and L1, counting into
+// st. It installs no prefetcher: reset does, before every run.
+func newSM(id int, cfg config.GPU, st *stats.Sim) *sm {
 	geom := cfg.Unified
 	geom.SizeBytes = cfg.DataCacheBytes()
-	l1opt := cache.L1Options{
-		MSHREntries:   cfg.MSHREntries,
-		MergeCap:      cfg.MSHRMergeCap,
-		MissQueueSize: cfg.MissQueueSize,
-	}
 	wheelW, span := (cfg.MaxWarpsPerSM+63)>>6, wheelSpan(cfg)
 	s := &sm{
 		id:        id,
 		cfg:       cfg,
-		pf:        pf,
 		st:        st,
 		warps:     make([]warpCtx, cfg.MaxWarpsPerSM),
 		readyAt:   make([]int64, cfg.MaxWarpsPerSM),
@@ -158,19 +193,12 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim) *sm {
 		wheel:     make([]uint64, span*wheelW),
 		wheelW:    wheelW,
 		wheelMask: int64(span - 1),
+		l1: cache.NewL1(geom, cache.L1Options{
+			MSHREntries:   cfg.MSHREntries,
+			MergeCap:      cfg.MSHRMergeCap,
+			MissQueueSize: cfg.MissQueueSize,
+		}, st),
 	}
-	if pf != nil {
-		s.oracle = prefetch.WantsOracle(pf)
-		s.magic = pf.Magic()
-		if ob, ok := pf.(prefetch.OutcomeObserver); ok {
-			s.observer = ob
-		}
-	}
-	if dec, iso := prefetcherStorage(pf); dec || iso {
-		l1opt.Decoupled = dec
-		l1opt.Isolated = iso
-	}
-	s.l1 = cache.NewL1(geom, l1opt, st)
 	nSched := cfg.SchedulersPerSM
 	s.scheds = make([]sched.Scheduler, nSched)
 	s.ready = make([]sched.Set, nSched)
@@ -183,17 +211,17 @@ func newSM(id int, cfg config.GPU, pf prefetch.Prefetcher, st *stats.Sim) *sm {
 		s.ageBuf[i] = make([]int64, 0, per)
 		s.slotBuf[i] = make([]int, 0, per)
 	}
-	s.resetReadiness()
 	return s
 }
 
-// reset restores the SM to its just-constructed state for a new run: warp
-// slots, scheduler slices, occupancy counters and the L1 are all cleared in
-// place. The kernel pointer is cleared too — the engine's load installs the
-// kernel whose CTAs the SM will host. pf handling depends on reusePf: when true the SM keeps its existing
+// reset prepares the SM for a new run, from any state a previous run (or
+// newSM) left: warp slots, scheduler slices, occupancy counters, the ports
+// and the L1 are all cleared in place. The kernel pointer is cleared too —
+// the engine's load installs the kernel whose CTAs the SM will host. pf
+// handling depends on reusePf: when true the SM keeps its existing
 // prefetcher instances (the caller guarantees the new run uses the same
 // mechanism configuration) and resets them; when false pf replaces them and
-// the L1's storage organization is re-derived from the new prefetcher. The
+// the L1's storage organization is derived from the new prefetcher. The
 // per-run statistics block is reset by the engine (reinit clears its perSM
 // blocks), not here — s.st keeps pointing into it.
 func (s *sm) reset(pf prefetch.Prefetcher, reusePf bool) {
@@ -216,6 +244,11 @@ func (s *sm) reset(pf prefetch.Prefetcher, reusePf bool) {
 	s.nBarrier = 0
 	s.kernel = nil
 	s.nowCycle = 0
+	s.fills.Reset()
+	s.inbox = s.inbox[:0]
+	s.inboxStamp = s.inboxStamp[:0]
+	s.mqExpiry = s.mqExpiry[:0]
+	s.predrained = false
 	if reusePf {
 		if s.pf != nil {
 			s.pf.Reset()
@@ -224,15 +257,11 @@ func (s *sm) reset(pf prefetch.Prefetcher, reusePf bool) {
 		return
 	}
 	s.pf = pf
-	s.oracle = false
-	s.magic = false
-	s.observer = nil
+	s.observer, _ = pf.(prefetch.OutcomeObserver)
+	s.oracle, s.magic = false, false
 	if pf != nil {
 		s.oracle = prefetch.WantsOracle(pf)
 		s.magic = pf.Magic()
-		if ob, ok := pf.(prefetch.OutcomeObserver); ok {
-			s.observer = ob
-		}
 	}
 	dec, iso := prefetcherStorage(pf)
 	s.l1.Reconfigure(dec, iso)
