@@ -57,18 +57,6 @@ func CostOf(cfg Config) Cost {
 // table (448 bytes) and a 32-byte × 10-entry Tail table (320 bytes).
 func DefaultCost() Cost { return CostOf(Defaults()) }
 
-// StorageVsEntries reproduces the Figure 21 sweep: total storage as the Tail
-// entry count varies.
-func StorageVsEntries(entries []int) []int {
-	out := make([]int, len(entries))
-	for i, n := range entries {
-		cfg := Defaults()
-		cfg.TailEntries = n
-		out[i] = CostOf(cfg).TotalBytes()
-	}
-	return out
-}
-
 // AccessEnergyPJ and StaticPowerMW are the paper's measured per-access
 // energy and static power of the synthesized tables (§5.5).
 const (

@@ -28,7 +28,12 @@ func TestDefaultCostMatchesTable3(t *testing.T) {
 }
 
 func TestCostScalesWithEntries(t *testing.T) {
-	sw := StorageVsEntries([]int{5, 10, 20, 40})
+	var sw []int
+	for _, n := range []int{5, 10, 20, 40} {
+		cfg := Defaults()
+		cfg.TailEntries = n
+		sw = append(sw, CostOf(cfg).TotalBytes())
+	}
 	for i := 1; i < len(sw); i++ {
 		if sw[i] <= sw[i-1] {
 			t.Fatalf("storage not monotonic: %v", sw)

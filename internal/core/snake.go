@@ -216,9 +216,6 @@ func New(cfg Config) *Snake {
 // Name implements prefetch.Prefetcher.
 func (s *Snake) Name() string { return s.name }
 
-// Magic implements prefetch.Prefetcher.
-func (s *Snake) Magic() bool { return false }
-
 // Trained implements prefetch.Prefetcher: true once any Tail entry reached
 // promotion. The paper reports training completing within 3–10 cycles; here
 // it is a property of the observed stream.

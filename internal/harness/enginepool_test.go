@@ -107,7 +107,7 @@ func TestEnginePoolMixedStream(t *testing.T) {
 		}
 		var first []*sim.Result // Scaled(2, 16)'s results, per mechanism
 		for ci, cfg := range cfgs {
-			for mi, mech := range []string{"baseline", "snake", "isolated-snake", "mta+decoupled"} {
+			for mi, mech := range []string{"baseline", "snake", "isolated-snake", "snake-t"} {
 				f, err := Mechanism(mech)
 				if err != nil {
 					t.Fatal(err)

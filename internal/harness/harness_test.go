@@ -144,7 +144,9 @@ func TestMeanOnEmptyTableIsNoop(t *testing.T) {
 
 // TestAllExperimentsAtTinyScale exercises every experiment end to end on a
 // reduced configuration: each must produce a non-empty table whose row
-// labels and column counts are consistent.
+// labels and column counts are consistent. Every registry mechanism must
+// then have run on some benchmark: an entry no experiment reports does not
+// belong in the registry.
 func TestAllExperimentsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
@@ -175,5 +177,17 @@ func TestAllExperimentsAtTinyScale(t *testing.T) {
 				}
 			}
 		})
+	}
+	for _, mech := range MechanismNames() {
+		ran := false
+		for _, bench := range workloads.Names() {
+			_, ran = r.cache[r.Key(bench, mech).Hash()]
+			if ran {
+				break
+			}
+		}
+		if !ran {
+			t.Errorf("mechanism %q ran in no experiment", mech)
+		}
 	}
 }

@@ -31,9 +31,6 @@ var mechanisms = map[string]Factory{
 	"snake":          func(int) prefetch.Prefetcher { return core.NewSnake() },
 	"snake+cta":      func(int) prefetch.Prefetcher { return core.NewSnakePlusCTA() },
 	"isolated-snake": func(int) prefetch.Prefetcher { return core.NewIsolatedSnake() },
-	"mta+decoupled":  func(int) prefetch.Prefetcher { return &prefetch.Decoupled{Inner: prefetch.NewMTA()} },
-	"cta+decoupled":  func(int) prefetch.Prefetcher { return &prefetch.Decoupled{Inner: prefetch.NewCTAAware()} },
-	"tree+decoupled": func(int) prefetch.Prefetcher { return &prefetch.Decoupled{Inner: prefetch.NewTree()} },
 
 	// Extension comparison points: CPU prefetchers of §6.1, adapted to GPU.
 	"domino": func(int) prefetch.Prefetcher { return prefetch.NewDomino() },

@@ -118,8 +118,8 @@ func TestBingoResets(t *testing.T) {
 
 func TestCPUPrefetchersImplementInterface(t *testing.T) {
 	for _, p := range []Prefetcher{NewDomino(), NewBingo()} {
-		if p.Magic() || !p.Trained() {
-			t.Errorf("%s: unexpected Magic/Trained", p.Name())
+		if !p.Trained() || WantsOracle(p) {
+			t.Errorf("%s: unexpected Trained/WantsOracle", p.Name())
 		}
 		p.OnCycle(1, nil)
 	}

@@ -43,9 +43,6 @@ func NewIdeal() *Ideal {
 // Name implements Prefetcher.
 func (p *Ideal) Name() string { return "ideal" }
 
-// Magic implements Prefetcher: Ideal's requests are free and instantaneous.
-func (p *Ideal) Magic() bool { return true }
-
 // OnAccess implements Prefetcher.
 func (p *Ideal) OnAccess(ev AccessEvent) []Request {
 	// Record the observed delta between this and the warp's previous load.

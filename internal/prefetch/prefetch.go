@@ -20,19 +20,16 @@ type AccessEvent struct {
 	Hit       bool
 	SeqInWarp int // dynamic load index within the warp
 
-	// Oracle fields (populated only for prefetchers that request them, e.g.
-	// Ideal): the PCs and base addresses of the warp's next loads in program
-	// order.
+	// Oracle fields (populated only for the Ideal oracle, see WantsOracle):
+	// the PCs and base addresses of the warp's next loads in program order.
 	FuturePCs   []uint64
 	FutureAddrs []uint64
 }
 
-// WantsOracle reports whether a prefetcher needs the oracle future fields;
-// the simulator only populates them when required.
+// WantsOracle reports whether a prefetcher is the Ideal oracle. The
+// simulator populates the future fields only for it, and installs its
+// requests with zero latency and no bandwidth, MSHR or queue cost.
 func WantsOracle(p Prefetcher) bool {
-	if w, ok := p.(*Decoupled); ok {
-		return WantsOracle(w.Inner)
-	}
 	_, ok := p.(*Ideal)
 	return ok
 }
@@ -45,34 +42,6 @@ type StorageHint interface {
 	// Storage returns (decoupled, isolated).
 	Storage() (decoupled, isolated bool)
 }
-
-// Decoupled wraps any prefetcher so its prefetched lines are stored in the
-// decoupled prefetch space (§5.2 evaluates decoupled versions of CTA-aware,
-// MTA and Tree).
-type Decoupled struct {
-	Inner Prefetcher
-}
-
-// Name implements Prefetcher.
-func (d *Decoupled) Name() string { return d.Inner.Name() + "+decoupled" }
-
-// OnAccess implements Prefetcher.
-func (d *Decoupled) OnAccess(ev AccessEvent) []Request { return d.Inner.OnAccess(ev) }
-
-// OnCycle implements Prefetcher.
-func (d *Decoupled) OnCycle(cycle int64, env Env) { d.Inner.OnCycle(cycle, env) }
-
-// Trained implements Prefetcher.
-func (d *Decoupled) Trained() bool { return d.Inner.Trained() }
-
-// Magic implements Prefetcher.
-func (d *Decoupled) Magic() bool { return d.Inner.Magic() }
-
-// Reset implements Prefetcher.
-func (d *Decoupled) Reset() { d.Inner.Reset() }
-
-// Storage implements StorageHint.
-func (d *Decoupled) Storage() (bool, bool) { return true, false }
 
 // Request is one prefetch candidate produced by a prefetcher.
 type Request struct {
@@ -124,9 +93,6 @@ type Prefetcher interface {
 	// Trained reports whether the prefetcher considers itself trained; the
 	// L1 keeps the data space capped at 50% until this turns true (§3.2).
 	Trained() bool
-	// Magic reports that prefetches are installed with zero latency and no
-	// bandwidth/MSHR cost (the Ideal prefetcher's "optimal characteristics").
-	Magic() bool
 	// Reset clears all state (between kernels).
 	Reset()
 }
@@ -146,18 +112,14 @@ func (Null) OnCycle(int64, Env) {}
 // Trained implements Prefetcher; the baseline never caps the L1.
 func (Null) Trained() bool { return true }
 
-// Magic implements Prefetcher.
-func (Null) Magic() bool { return false }
-
 // Reset implements Prefetcher.
 func (Null) Reset() {}
 
-// nopCycle provides default OnCycle/Trained/Magic for simple prefetchers.
+// nopCycle provides default OnCycle/Trained for simple prefetchers.
 type nopCycle struct{}
 
 func (nopCycle) OnCycle(int64, Env) {}
 func (nopCycle) Trained() bool      { return true }
-func (nopCycle) Magic() bool        { return false }
 
 // strideRequests appends the degree addresses addr+stride, addr+2*stride, …
 // to reqs.

@@ -160,39 +160,18 @@ func TestIdealUsesOracleAndKnownDeltas(t *testing.T) {
 	}
 }
 
-func TestIdealIsMagicAndWantsOracle(t *testing.T) {
-	p := NewIdeal()
-	if !p.Magic() {
-		t.Error("Ideal must be magic")
-	}
-	if !WantsOracle(p) {
+func TestIdealWantsOracle(t *testing.T) {
+	if !WantsOracle(NewIdeal()) {
 		t.Error("WantsOracle(Ideal) must be true")
-	}
-	if !WantsOracle(&Decoupled{Inner: p}) {
-		t.Error("WantsOracle must unwrap Decoupled")
 	}
 	if WantsOracle(NewMTA()) {
 		t.Error("MTA must not want the oracle")
 	}
 }
 
-func TestDecoupledWrapperDelegates(t *testing.T) {
-	d := &Decoupled{Inner: NewMTA()}
-	if d.Name() != "mta+decoupled" {
-		t.Errorf("Name = %q", d.Name())
-	}
-	dec, iso := d.Storage()
-	if !dec || iso {
-		t.Errorf("Storage = (%v,%v)", dec, iso)
-	}
-	if d.Magic() || !d.Trained() {
-		t.Error("delegation broken")
-	}
-}
-
 func TestNullPrefetcher(t *testing.T) {
 	var n Null
-	if n.OnAccess(ev(0, 8, 1)) != nil || n.Name() != "baseline" || !n.Trained() || n.Magic() {
+	if n.OnAccess(ev(0, 8, 1)) != nil || n.Name() != "baseline" || !n.Trained() {
 		t.Error("Null prefetcher misbehaves")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -405,6 +406,8 @@ func TestSweepRollup(t *testing.T) {
 }
 
 // TestSubmitValidation rejects unknown benchmarks, mechanisms, and fields.
+// A mechanism the registry dropped is unknown: runs and sweeps naming it get
+// a 400, and GET /v1/benchmarks lists only the 15 that remain.
 func TestSubmitValidation(t *testing.T) {
 	svc := tinyService(1)
 	ts := httptest.NewServer(svc.Handler())
@@ -415,16 +418,35 @@ func TestSubmitValidation(t *testing.T) {
 		_ = svc.Shutdown(ctx)
 	}()
 
+	const removed = "mta+decoupled" // deleted from the registry: no experiment ran it
 	for name, req := range map[string]RunRequest{
 		"unknown bench": {Bench: "nope", Mech: "baseline"},
 		"unknown mech":  {Bench: "lps", Mech: "nope"},
+		"removed mech":  {Bench: "lps", Mech: removed},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/runs", req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", name, resp.StatusCode, body)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
+	resp, body := postJSON(t, ts.URL+"/v1/sweeps", SweepRequest{Benches: []string{"lps"}, Mechs: []string{removed}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("removed mech in a sweep: %d %s, want 400", resp.StatusCode, body)
+	}
+	resp, err := http.Get(ts.URL + "/v1/benchmarks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inv BenchmarksView
+	err = json.NewDecoder(resp.Body).Decode(&inv)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inv.Mechanisms) != 15 || slices.Contains(inv.Mechanisms, removed) {
+		t.Errorf("GET /v1/benchmarks lists %d mechanisms %v, want the 15 of the registry", len(inv.Mechanisms), inv.Mechanisms)
+	}
+	resp, err = http.Post(ts.URL+"/v1/runs", "application/json",
 		strings.NewReader(`{"bench":"lps","mech":"baseline","bogus":1}`))
 	if err != nil {
 		t.Fatal(err)

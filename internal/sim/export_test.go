@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"snake/internal/prefetch"
 	"snake/internal/stats"
 	"snake/internal/trace"
 )
@@ -35,3 +36,15 @@ func freshEngine(k *trace.Kernel, opt Options) *engine {
 	e.reinit(k, opt, false)
 	return e
 }
+
+// NewDecoupledMTA builds MTA with its prefetched lines kept in the decoupled
+// L1's prefetch space. Every registry mechanism on that storage is a Snake
+// variant and observes the outcome of each prefetch; this pair puts a
+// prefetcher that ignores them, so never backs off when the prefetch space
+// runs out, through the equivalence tests.
+func NewDecoupledMTA(int) prefetch.Prefetcher { return decoupledMTA{prefetch.NewMTA()} }
+
+type decoupledMTA struct{ *prefetch.MTA }
+
+// Storage implements prefetch.StorageHint.
+func (decoupledMTA) Storage() (decoupled, isolated bool) { return true, false }

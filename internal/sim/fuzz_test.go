@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"snake/internal/config"
@@ -54,8 +55,8 @@ func FuzzValidatedConfigRuns(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, m := range []uint8{0, 3, 7, 11} {
-			f.Add(b, m)
+		for _, m := range []string{"baseline", "intra", "s-snake", "isolated-snake"} {
+			f.Add(b, uint8(slices.Index(mechs, m)))
 		}
 	}
 	k := workloads.StreamMicro(workloads.Tiny(), 256)

@@ -38,7 +38,7 @@ func TestGoldenEquivalence(t *testing.T) {
 // scale on two representative workloads (one stencil, one irregular), where
 // interconnect backpressure, MSHR pressure and Snake's throttle all engage,
 // and adds mechanisms with distinct per-cycle behaviour: the magic-fill
-// Ideal oracle and a Decoupled-wrapped MTA.
+// Ideal oracle and MTA on decoupled storage (sim.NewDecoupledMTA).
 func TestGoldenEquivalenceMediumScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("medium-scale equivalence runs take a few seconds")
@@ -49,7 +49,7 @@ func TestGoldenEquivalenceMediumScale(t *testing.T) {
 		{"lps", "snake"},
 		{"mum", "snake"},
 		{"lps", "ideal"},
-		{"mum", "mta+decoupled"},
+		{"mum", "decoupled-mta"},
 	}
 	for _, c := range cases {
 		c := c
@@ -69,6 +69,20 @@ func TestSkipEquivalenceGTOGreedyReset(t *testing.T) {
 	assertEngineEquivalent(t, "lps", workloads.DefaultScale(), config.Scaled(2, 16), "snake")
 }
 
+// testMechanism resolves a registry mechanism, or "decoupled-mta", the
+// test-local sim.NewDecoupledMTA.
+func testMechanism(t *testing.T, mech string) harness.Factory {
+	t.Helper()
+	if mech == "decoupled-mta" {
+		return sim.NewDecoupledMTA
+	}
+	f, err := harness.Mechanism(mech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // assertEngineEquivalent runs bench/mech under every engine strategy —
 // auto vs per-cycle epochs, freshly constructed vs a recycled engine — and
 // demands bit-identical results. The reference is the configuration every
@@ -79,10 +93,7 @@ func assertEngineEquivalent(t *testing.T, bench string, sc workloads.Scale, cfg 
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := harness.Mechanism(mech)
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := testMechanism(t, mech)
 	// The pooled engine is pre-dirtied with a different benchmark so every
 	// pooled variant below exercises true reinitialization, not first-run
 	// construction.

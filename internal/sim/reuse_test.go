@@ -16,7 +16,7 @@ import (
 func reuseMechs() map[string]func(int) prefetch.Prefetcher {
 	m := testMechs()
 	m["isolated-snake"] = func(int) prefetch.Prefetcher { return core.NewIsolatedSnake() }
-	m["mta+decoupled"] = func(int) prefetch.Prefetcher { return &prefetch.Decoupled{Inner: prefetch.NewMTA()} }
+	m["decoupled-mta"] = NewDecoupledMTA
 	return m
 }
 
@@ -64,7 +64,7 @@ func TestEngineReuseAcrossMechanisms(t *testing.T) {
 		t.Fatal(err)
 	}
 	en := NewEngine()
-	order := []string{"baseline", "snake", "isolated-snake", "mta+decoupled", "snake", "baseline", "ideal"}
+	order := []string{"baseline", "snake", "isolated-snake", "decoupled-mta", "snake", "baseline", "ideal"}
 	mechs := reuseMechs()
 	for i, mech := range order {
 		opt := Options{Config: testCfg(), NewPrefetcher: mechs[mech]}

@@ -90,8 +90,7 @@ type sm struct {
 	cfg    config.GPU
 	l1     *cache.L1
 	pf     prefetch.Prefetcher
-	oracle bool
-	magic  bool
+	oracle bool // pf is the Ideal oracle (prefetch.WantsOracle)
 	scheds []sched.Scheduler
 	warps  []warpCtx
 	st     *stats.Sim
@@ -258,11 +257,7 @@ func (s *sm) reset(pf prefetch.Prefetcher, reusePf bool) {
 	}
 	s.pf = pf
 	s.observer, _ = pf.(prefetch.OutcomeObserver)
-	s.oracle, s.magic = false, false
-	if pf != nil {
-		s.oracle = prefetch.WantsOracle(pf)
-		s.magic = pf.Magic()
-	}
+	s.oracle = prefetch.WantsOracle(pf)
 	dec, iso := prefetcherStorage(pf)
 	s.l1.Reconfigure(dec, iso)
 }
@@ -479,7 +474,7 @@ func (s *sm) notifyPrefetcher(slot int, w *warpCtx, in *trace.Inst, out stats.L1
 		ev.FutureAddrs = w.futAddrs[w.loadSeq:]
 	}
 	for _, r := range s.pf.OnAccess(ev) {
-		if s.magic {
+		if s.oracle {
 			// The Ideal oracle's predictions are free: they always count,
 			// whether or not the line was already resident.
 			s.l1.MagicFill(r.Addr, cycle)

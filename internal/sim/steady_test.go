@@ -17,7 +17,8 @@ import (
 //
 // The fresh leg runs the baseline on a new engine each time, so its count
 // covers engine construction plus the loop. The warm legs run every
-// mechanism of the registry on one pooled engine: MSHR entries, in-flight
+// mechanism of the registry, and MTA on decoupled storage, on one pooled
+// engine each: MSHR entries, in-flight
 // tables and queues grow on demand to a working size that depends on how
 // far the prefetcher runs ahead, so only a warm engine isolates the loop
 // itself. There the L1's predicted-line bitmap and every prefetcher's
@@ -53,11 +54,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 		_, err := sim.Run(k, sim.Options{Config: cfg})
 		return err
 	})
-	for _, mech := range harness.MechanismNames() {
-		pf, err := harness.Mechanism(mech)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, mech := range append(harness.MechanismNames(), "decoupled-mta") {
+		pf := testMechanism(t, mech)
 		en := sim.NewEngine()
 		check("warm "+mech, func(k *trace.Kernel) error {
 			_, err := en.RunTagged(k, sim.Options{Config: cfg, NewPrefetcher: pf}, mech)
