@@ -1,9 +1,6 @@
 package icnt
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Ingress is a cycle-stamped FIFO delivery queue: the typed port through
 // which one side of the SM/memory boundary receives in-flight messages
@@ -14,11 +11,11 @@ import (
 //
 // The drain order is deterministic by construction — strict FIFO, which
 // equals (cycle, send-seq) order because stamps never decrease — so a
-// simulation's results cannot depend on which goroutine drains the queue or
-// when. This is the property the engine's epoch loop relies on: all pushes
-// happen in the drain phase (fixed order), all pops happen either in the
-// drain phase or in the owning SM's tick, and the sequence of popped
-// messages is identical either way.
+// simulation's results cannot depend on when the queue is drained. This is
+// the property the engine's epoch loop relies on: all pushes happen in the
+// drain or merge phase (fixed order), each receiver pops only what is due at
+// its current sub-cycle — an SM in the drain phase, a partition in its own
+// tick — and the sequence of popped messages is identical either way.
 //
 // The queue is a growable ring: steady-state traffic reuses the backing
 // array, keeping the simulator's cycle loop allocation-free.
@@ -29,9 +26,9 @@ type Ingress[T any] struct {
 	last int64 // last pushed stamp, for the monotonicity check
 }
 
-// Stamped is one queued message with its delivery cycle. It is exported so
-// DueView can hand zero-copy windows of the ring to consumers (the engine's
-// route phase) without repacking entries.
+// Stamped is one message with its delivery cycle: the ring's entry type,
+// exported so a receiver can keep popped messages with their stamps (an
+// SM's inbox holds the fills it was delivered this epoch).
 type Stamped[T any] struct {
 	Cycle int64
 	Msg   T
@@ -83,50 +80,9 @@ func (q *Ingress[T]) PopDue(now int64) (T, bool) {
 	return msg, true
 }
 
-// DueView returns the messages due at or before now as up to two contiguous
-// windows of the ring (the prefix wraps across the array end at most once),
-// in push order: a first, then b. Nothing is removed or copied — callers that
-// consume the view pair it with Drop(len(a)+len(b)). Because stamps are
-// non-decreasing, the due set is always a prefix, located by binary search.
-//
-// The view stays valid until the next Push, Pop, Drain, Drop or Reset; the
-// engine's route phase takes it after all of an epoch's pushes, the
-// partition's tick reads it, and the epoch merge drops it.
-func (q *Ingress[T]) DueView(now int64) (a, b []Stamped[T]) {
-	n := sort.Search(q.len, func(i int) bool {
-		return q.buf[(q.head+i)%len(q.buf)].Cycle > now
-	})
-	if n == 0 {
-		return nil, nil
-	}
-	if end := q.head + n; end <= len(q.buf) {
-		return q.buf[q.head:end], nil
-	}
-	return q.buf[q.head:], q.buf[:q.head+n-len(q.buf)]
-}
-
-// Drop removes the oldest n messages (a consumed DueView prefix), zeroing
-// their slots so references are released. Dropping more than Len panics: it
-// would corrupt the ring accounting.
-func (q *Ingress[T]) Drop(n int) {
-	if n <= 0 {
-		return
-	}
-	if n > q.len {
-		panic(fmt.Sprintf("icnt: ingress drop %d of %d queued", n, q.len))
-	}
-	if end := q.head + n; end <= len(q.buf) {
-		clear(q.buf[q.head:end])
-	} else {
-		clear(q.buf[q.head:])
-		clear(q.buf[:end-len(q.buf)])
-	}
-	q.head = (q.head + n) % len(q.buf)
-	q.len -= n
-}
-
 // NextCycle returns the delivery cycle of the oldest queued message, or -1
-// when the queue is empty. The engine's epoch cutter (actBound) uses it.
+// when the queue is empty. The engine's epoch cutter (actBound) and its
+// CTA-redispatch cap use it.
 func (q *Ingress[T]) NextCycle() int64 {
 	if q.len == 0 {
 		return -1

@@ -70,68 +70,6 @@ func TestIngressRingReuse(t *testing.T) {
 	}
 }
 
-func TestIngressDueViewAndDrop(t *testing.T) {
-	var q Ingress[int]
-	// Rotate the head past the midpoint so the due prefix wraps: 6 of 8 slots
-	// consumed, then refill past the boundary.
-	for i := 0; i < 8; i++ {
-		q.Push(int64(i), i)
-	}
-	for i := 0; i < 6; i++ {
-		q.PopDue(5)
-	}
-	for i := 8; i < 13; i++ {
-		q.Push(int64(i), i)
-	}
-	// Queue now holds 6..12; a view at 10 must cover 6..10 across the wrap.
-	a, b := q.DueView(10)
-	if len(b) == 0 {
-		t.Fatal("due view did not wrap; the rotation setup is broken")
-	}
-	var got []int
-	for _, e := range a {
-		got = append(got, e.Msg)
-	}
-	for _, e := range b {
-		got = append(got, e.Msg)
-	}
-	for i, v := range got {
-		if v != 6+i {
-			t.Fatalf("view[%d] = %d, want %d (push order across the wrap)", i, v, 6+i)
-		}
-	}
-	if len(got) != 5 {
-		t.Fatalf("view holds %d entries, want 5 (due ≤ 10)", len(got))
-	}
-	// Drop must consume exactly the viewed prefix and leave the rest poppable.
-	q.Drop(len(got))
-	if q.Len() != 2 || q.NextCycle() != 11 {
-		t.Errorf("after drop: Len=%d NextCycle=%d, want 2 and 11", q.Len(), q.NextCycle())
-	}
-	if v, ok := q.PopDue(12); !ok || v != 11 {
-		t.Errorf("post-drop pop = %d, %v, want 11", v, ok)
-	}
-
-	if a, b := q.DueView(0); a != nil || b != nil {
-		t.Error("nothing due, but view is non-empty")
-	}
-	q.Drop(0) // no-op by contract
-	if q.Len() != 1 {
-		t.Errorf("Drop(0) changed Len to %d", q.Len())
-	}
-}
-
-func TestIngressDropTooManyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("over-drop did not panic")
-		}
-	}()
-	var q Ingress[int]
-	q.Push(1, 1)
-	q.Drop(2)
-}
-
 func TestIngressGrowPreservesOrder(t *testing.T) {
 	var q Ingress[int]
 	// Force several grows with a rotated head so the unroll path is hit.

@@ -3,13 +3,12 @@ package profiling
 import "fmt"
 
 // Phase names one section of the simulation engine's epoch loop. The
-// engine's wall clock divides into exactly these five buckets (see DESIGN.md
-// "Epoch loop"): the per-sub-cycle drain pump, the O(#partitions) route
-// lookup, the two tick loops (memory partitions, then SMs), and the
-// merge plus end-of-epoch bookkeeping. The engine runs all five on one
-// goroutine; the report names of the two tick phases keep their
-// "parallel-" prefix only because perfbench's span reports are keyed by
-// them.
+// engine's wall clock divides into four buckets (see DESIGN.md "Epoch
+// loop"): the per-sub-cycle drain pump, the two tick loops (memory
+// partitions, then SMs), and the merge plus end-of-epoch bookkeeping. The
+// engine runs all four on one goroutine; the report names of the two tick
+// phases keep their "parallel-" prefix only because perfbench's span
+// reports are keyed by them.
 type Phase uint8
 
 // Engine phases, in cycle order.
@@ -18,9 +17,9 @@ const (
 	// response bandwidth arbitration, fill delivery into SM inboxes,
 	// request pull (with partition binning at push) and store drain.
 	PhaseSerialDrain Phase = iota
-	// PhaseSerialRoute is the route phase: each partition's zero-copy view
-	// of its due requests — O(#partitions), not O(#requests), since the
-	// binning happens at injection time.
+	// PhaseSerialRoute is lapped by no engine phase and reads 0: each
+	// partition pops its own due requests in its tick. It stays because
+	// perfbench keys sim.route_share by it.
 	PhaseSerialRoute
 	// PhaseMemPartitions is the memory tick loop: each L2 sub-partition
 	// performs its binned lookups, in-flight merges and DRAM timing, and
@@ -29,9 +28,8 @@ const (
 	// PhaseShards is the SM tick loop: each SM applies fills, runs its
 	// prefetcher and issues from its warp schedulers.
 	PhaseShards
-	// PhaseMerge is the tail: dropping the consumed request prefixes,
-	// queueing the epoch's store counts, CTA refill, and termination
-	// bookkeeping.
+	// PhaseMerge is the tail: queueing the epoch's store counts, CTA
+	// refill, and termination bookkeeping.
 	PhaseMerge
 
 	// NumPhases is the number of phases (for sizing arrays).
@@ -61,9 +59,9 @@ func (p Phase) String() string {
 // safe for concurrent use; give each engine its own accumulator.
 //
 // Phase timing says how much of the engine's wall clock is per-epoch
-// bookkeeping (drain + route + merge) rather than unit ticks (partitions +
-// shards): SerialShare is that fraction, with RouteShare and MergeShare
-// splitting out the route and merge phases.
+// bookkeeping (drain + merge) rather than unit ticks (partitions + shards):
+// SerialShare is that fraction, with MergeShare splitting out the merge
+// phase.
 type Phases struct {
 	ns [NumPhases]int64
 	// barriers counts executed epochs, epochCycles the cycles they covered;
@@ -109,24 +107,14 @@ func (p *Phases) TotalNs() int64 {
 }
 
 // SerialShare returns the fraction of accumulated time spent in the serial
-// phases (drain + route + merge), 0..1; zero when nothing has been recorded.
+// phases (drain + route + merge; the engine laps no route time), 0..1; zero
+// when nothing has been recorded.
 func (p *Phases) SerialShare() float64 {
 	t := p.TotalNs()
 	if t == 0 {
 		return 0
 	}
 	return float64(p.ns[PhaseSerialDrain]+p.ns[PhaseSerialRoute]+p.ns[PhaseMerge]) / float64(t)
-}
-
-// RouteShare returns the fraction of accumulated time spent in the route
-// prefix-sum phase, 0..1: the O(#partitions) plan must stay a sliver of the
-// epoch.
-func (p *Phases) RouteShare() float64 {
-	t := p.TotalNs()
-	if t == 0 {
-		return 0
-	}
-	return float64(p.ns[PhaseSerialRoute]) / float64(t)
 }
 
 // MergeShare returns the fraction of accumulated time spent in the serial

@@ -22,9 +22,6 @@ func TestPhasesAccounting(t *testing.T) {
 	if got := p.SerialShare(); math.Abs(got-0.40) > 1e-12 {
 		t.Errorf("SerialShare = %f, want 0.40", got)
 	}
-	if got := p.RouteShare(); math.Abs(got-0.05) > 1e-12 {
-		t.Errorf("RouteShare = %f, want 0.05", got)
-	}
 	if got := p.MergeShare(); math.Abs(got-0.10) > 1e-12 {
 		t.Errorf("MergeShare = %f, want 0.10", got)
 	}

@@ -42,7 +42,7 @@ type Options struct {
 	// perfbench/refs.go and perfbench/wide.go still set it.
 	Parallelism int
 	// PhaseProfile, when non-nil, accumulates the engine's wall-clock time
-	// per epoch phase (drain, route, partitions, shards, merge) into the
+	// per epoch phase (drain, partitions, shards, merge) into the
 	// given accumulator across the run. Profiling never changes Result (see
 	// phaseClock). Not safe to share one accumulator between concurrently
 	// running engines.
@@ -84,15 +84,9 @@ type engine struct {
 	parts []*memPartition
 	sms   []*sm
 
-	// partReqs are the SM→L2 ingress ports, one ring per L2 partition: fill
-	// requests in flight across the request network, binned to their
-	// partition at injection time (pushReq) and stamped with the arrival
-	// cycle at the partition crossbar. Per-ring order is global injection
-	// order restricted to that partition, which makes an epoch's due set a
-	// per-ring prefix the route prefix-sum can count in O(#partitions).
-	// reqsLen is the total queued across all rings.
-	partReqs []icnt.Ingress[reqMsg]
-	reqsLen  int
+	// reqsLen is the number of fill requests queued across the partitions'
+	// ingress rings (memPartition.reqs).
+	reqsLen int
 	// resps holds partition responses waiting for response-network
 	// bandwidth, ordered by data-ready cycle.
 	resps respHeap
@@ -114,9 +108,9 @@ type engine struct {
 	// stamp+turnaround; stretching the release by the same difference keeps
 	// each request's occupancy window at its modeled length (injection to
 	// delivery), so the fill cap binds with per-cycle-model
-	// pressure instead of evaporating at wide horizons. Entries are in
-	// ascending release order (deliveries are processed in cycle order).
-	inflightRel []capRelease
+	// pressure instead of evaporating at wide horizons. Entries are
+	// stamped with their release cycle and carry the count released.
+	inflightRel icnt.Ingress[int]
 
 	// Bounded-slack epoch state (DESIGN.md "Bounded-slack ticking").
 	//
@@ -140,9 +134,9 @@ type engine struct {
 	// each request's response inherits it, so heap ordering equals serial
 	// arrival order no matter what order the merge pushes slots in.
 	respSeq    int64
-	dispatchAt []int64 // matured CTA-redispatch cycles, ascending
-	minReqLat  int64   // smallest observed request-delivery latency
-	minRespLat int64   // smallest observed response-delivery latency
+	dispatchAt icnt.Ingress[struct{}] // matured CTA redispatches, stamped with their cycle
+	minReqLat  int64                  // smallest observed request-delivery latency
+	minRespLat int64                  // smallest observed response-delivery latency
 
 	perSM []stats.Sim       // one counter block per SM, which that SM counts into
 	mem   stats.Mem         // every partition's L2 and DRAM counters
@@ -207,13 +201,12 @@ func validateRun(k *trace.Kernel, opt Options) error {
 // before every run, the first included.
 func newEngine(cfg config.GPU) *engine {
 	e := &engine{
-		cfg:      cfg,
-		fillCap:  cfg.FillsPerPartition * cfg.L2Partitions,
-		net:      newIcntNet(cfg),
-		parts:    make([]*memPartition, cfg.L2Partitions),
-		partReqs: make([]icnt.Ingress[reqMsg], cfg.L2Partitions),
-		perSM:    make([]stats.Sim, cfg.NumSM),
-		sms:      make([]*sm, cfg.NumSM),
+		cfg:     cfg,
+		fillCap: cfg.FillsPerPartition * cfg.L2Partitions,
+		net:     newIcntNet(cfg),
+		parts:   make([]*memPartition, cfg.L2Partitions),
+		perSM:   make([]stats.Sim, cfg.NumSM),
+		sms:     make([]*sm, cfg.NumSM),
 	}
 	for i := range e.parts {
 		e.parts[i] = newMemPartition(i, cfg, &e.mem)
@@ -270,18 +263,16 @@ const deadlockIdleCycles = 1_000_000
 //	                     only, binned to the owning partition's ingress ring
 //	                     and stamped with the global arrival rank at push) →
 //	                     matured stores → utilization snapshot
-//	route phase:         each partition gets a zero-copy view of its ring's
-//	                     due prefix (planRoute)
 //	tick phase:          every partition, then every SM, ticks the whole
-//	                     span — partitions perform their due L2 lookups,
-//	                     merges and DRAM timing, pushing each response onto
-//	                     the response heap with its global arrival seq;
-//	                     SMs apply fills, run prefetchers, issue, and add
-//	                     their stores per sub-cycle into the epoch record
-//	serial merge phase:  consumed ring prefixes dropped → one store batch
-//	                     queued per sub-cycle that issued stores →
-//	                     CTA-finish maturation → termination / idle
-//	                     bookkeeping
+//	                     span — partitions pop the requests due at each
+//	                     sub-cycle and perform their L2 lookups, merges and
+//	                     DRAM timing, pushing each response onto the
+//	                     response heap with its global arrival seq; SMs
+//	                     apply fills, run prefetchers, issue, and add their
+//	                     stores per sub-cycle into the epoch record
+//	serial merge phase:  one store batch queued per sub-cycle that issued
+//	                     stores → CTA-finish maturation → termination /
+//	                     idle bookkeeping
 //
 // The serial phase runs a whole epoch ahead of the ticks; that is sound
 // because every tick output is invisible to the serial phase for at least
@@ -316,11 +307,11 @@ func (e *engine) run() error {
 		if maxEnd > e.opt.MaxCycles {
 			maxEnd = e.opt.MaxCycles
 		}
-		if len(e.dispatchAt) > 0 && e.dispatchAt[0]-1 < maxEnd {
+		if at := e.dispatchAt.NextCycle(); at >= 0 && at-1 < maxEnd {
 			// A matured CTA redispatch must land on an epoch start so the new
 			// warps are visible to that whole epoch's ticks (and to its serial
 			// phase), exactly as with per-cycle barriers.
-			maxEnd = e.dispatchAt[0] - 1
+			maxEnd = at - 1
 		}
 		end, err := e.serialPhase(start, maxEnd)
 		if err != nil {
@@ -329,8 +320,6 @@ func (e *engine) run() error {
 		e.cycle = end
 		e.epochStart = start
 		clk.lap(profiling.PhaseSerialDrain)
-		e.planRoute(end)
-		clk.lap(profiling.PhaseSerialRoute)
 		e.tickWave(start, end, &clk)
 		if e.prof != nil {
 			e.prof.AddEpoch(end - start + 1)
@@ -342,9 +331,8 @@ func (e *engine) run() error {
 		if e.finished() {
 			break
 		}
-		msgs := e.inFlightMsgs()
 		switch {
-		case retiredLast || msgs > 0:
+		case retiredLast || e.predictedMsgs() > 0:
 			idle = 0
 		case end > start:
 			// A multi-cycle epoch ends at its first zero-traffic sub-cycle
@@ -392,7 +380,7 @@ func (e *engine) fillSMs() {
 	}
 }
 
-// serialPhase executes the serial route phase for the sub-cycles
+// serialPhase executes the serial drain phase for the sub-cycles
 // [start, maxEnd] in order and returns the epoch's actual end: maxEnd, or
 // the first sub-cycle at which no cross-boundary message remains in flight.
 // Cutting there keeps the executed-cycle set identical to per-cycle
@@ -446,15 +434,16 @@ func (e *engine) serialPhase(start, maxEnd int64) (int64, error) {
 	}
 }
 
-// predictedMsgs is the serial phase's view of inFlightMsgs at the end of a
-// sub-cycle: requests crossing the network or queued for this epoch's
-// partition ticks (both live in the partition ingress rings until the epoch
-// merge consumes them), responses awaiting bandwidth, and fills not yet
-// delivered. It equals exactly what inFlightMsgs reports after the cycle's
-// ticks and merge under per-cycle barriers: ticks consume the whole inbox
-// (so delivered-but-unconsumed fills don't count), and tick outputs (miss
-// queue entries, stores) are not messages until the serial phase injects
-// them.
+// predictedMsgs counts cross-boundary messages in flight: requests crossing
+// the network or queued for the partition ticks (both live in the partition
+// ingress rings until a tick pops them), responses awaiting bandwidth, and
+// fills not yet delivered. The serial phase reads it at the end of a
+// sub-cycle, and it equals exactly what per-cycle barriers would count after
+// that cycle's ticks and merge: ticks consume the whole inbox (so
+// delivered-but-unconsumed fills don't count), and tick outputs (miss queue
+// entries, stores) are not messages until the serial phase injects them.
+// run and finished read it after the merge, when every partition has popped
+// its due requests and every SM's inbox is empty.
 func (e *engine) predictedMsgs() int {
 	n := e.reqsLen + len(e.resps)
 	for _, s := range e.sms {
@@ -468,33 +457,13 @@ func (e *engine) predictedMsgs() int {
 // stamped with the next global arrival rank (respSeq). Injection order is
 // the deterministic smID-order pull of drainMissQueues, and arrival stamps
 // are non-decreasing in that order (network sends serialize), so each ring
-// is the global arrival order restricted to its partition — which is what
-// lets planRoute locate an epoch's due set as a per-ring prefix instead of
-// walking requests one by one.
+// is the global arrival order restricted to its partition, which that
+// partition's tick pops in arrival order.
 func (e *engine) pushReq(arriveAt int64, req reqMsg) {
 	e.respSeq++
 	req.seq = e.respSeq
-	e.partReqs[e.partOf(req.lineAddr)].Push(arriveAt, req)
+	e.parts[e.partOf(req.lineAddr)].reqs.Push(arriveAt, req)
 	e.reqsLen++
-}
-
-// planRoute is the route phase, run once per epoch after the serial drain:
-// each partition gets a zero-copy view of its ring's due prefix (every entry
-// stamped ≤ end), which is that partition's own arrival order — all that
-// fixes its L2/DRAM access sequence. The order partitions then push their
-// responses in does not matter: the response heap's pop sequence is a pure
-// function of the (readyAt, seq) key set, and every response carries the
-// global arrival seq its request was stamped with at injection (respHeap).
-// Returns the epoch's total due-request count.
-func (e *engine) planRoute(end int64) int {
-	total := 0
-	for i, p := range e.parts {
-		a, b := e.partReqs[i].DueView(end)
-		p.dueA, p.dueB = a, b
-		p.dueN = len(a) + len(b)
-		total += p.dueN
-	}
-	return total
 }
 
 // drainResponses sends ready memory responses back over the interconnect at
@@ -525,42 +494,30 @@ func (e *engine) drainResponses(c int64) {
 	}
 }
 
-// capRelease is one deferred in-flight capacity release (see inflightRel).
-type capRelease struct {
-	at int64
-	n  int
-}
-
 // deliverFills moves fills due at sub-cycle c into each SM's inbox (smID
-// order) and schedules their in-flight capacity release: immediately when
-// horizon equals the turnaround, deferred by the difference otherwise (see
-// inflightRel).
+// order) and schedules their in-flight capacity release at c + horizon −
+// turnaround (see inflightRel). When horizon equals the turnaround that is
+// c itself, and releaseInflight(c), which runs next, applies it before this
+// sub-cycle's request injection.
 func (e *engine) deliverFills(c int64) {
 	n := 0
 	for _, s := range e.sms {
 		n += s.deliverDue(c)
 	}
-	if n == 0 {
-		return
-	}
-	if d := e.horizon - e.turn; d > 0 {
-		e.inflightRel = append(e.inflightRel, capRelease{at: c + d, n: n})
-	} else {
-		e.inflight -= n
+	if n > 0 {
+		e.inflightRel.Push(c+e.horizon-e.turn, n)
 	}
 }
 
 // releaseInflight applies the deferred capacity releases due at or before
-// sub-cycle c, compacting the queue in place so its backing array is reused.
+// sub-cycle c.
 func (e *engine) releaseInflight(c int64) {
-	n := 0
-	for n < len(e.inflightRel) && e.inflightRel[n].at <= c {
-		e.inflight -= e.inflightRel[n].n
-		n++
-	}
-	if n > 0 {
-		m := copy(e.inflightRel, e.inflightRel[n:])
-		e.inflightRel = e.inflightRel[:m]
+	for {
+		n, ok := e.inflightRel.PopDue(c)
+		if !ok {
+			return
+		}
+		e.inflight -= n
 	}
 }
 
@@ -651,14 +608,16 @@ func (e *engine) drainStores(c int64) {
 }
 
 // tickWave runs the tick phase of the epoch: every memory partition ticks
-// the sub-cycles [start, end] (draining its request and complete bins onto
-// the response heap), then every SM does (applying fills and issuing, into
+// the sub-cycles [start, end] (popping its due requests and draining its
+// complete bin onto the response heap), then every SM does (applying fills and issuing, into
 // the epoch record). Partitions and SMs touch disjoint state, so the
 // order between the two loops changes nothing; the profiling lap between
 // them separates their wall clocks.
 func (e *engine) tickWave(start, end int64, clk *phaseClock) {
 	for _, p := range e.parts {
-		if at := p.tickSpan(start, end, &e.resps); at >= 0 {
+		at, popped := p.tickSpan(start, end, &e.resps)
+		e.reqsLen -= popped
+		if at >= 0 {
 			e.slackConflict(at, end)
 		}
 	}
@@ -670,22 +629,13 @@ func (e *engine) tickWave(start, end int64, clk *phaseClock) {
 	clk.lap(profiling.PhaseShards)
 }
 
-// mergeEpoch performs the serial merges closing the epoch [start, end]: the
-// consumed due prefixes are dropped from the partition ingress rings, each
+// mergeEpoch performs the serial merges closing the epoch [start, end]: each
 // sub-cycle's store count is queued as one batch, and CTA finishes are
 // queued for redispatch at +turnaround. Returns whether any SM retired an
 // instruction at the final sub-cycle — the only per-cycle retire bit the
 // idle bookkeeping still needs (earlier sub-cycles all carried in-flight
 // traffic, which resets the counter regardless).
 func (e *engine) mergeEpoch(start, end int64) bool {
-	for i, p := range e.parts {
-		if p.dueN > 0 {
-			e.partReqs[i].Drop(p.dueN)
-			e.reqsLen -= p.dueN
-			p.dueN = 0
-		}
-	}
-
 	for i, n := range e.out.stores {
 		if n == 0 {
 			continue
@@ -722,7 +672,7 @@ func (e *engine) mergeEpoch(start, end int64) bool {
 					// is armed whenever undispatched CTAs remain.
 					e.slackConflict(at, end)
 				}
-				e.dispatchAt = append(e.dispatchAt, at)
+				e.dispatchAt.Push(at, struct{}{})
 			}
 		}
 	}
@@ -734,26 +684,16 @@ func (e *engine) mergeEpoch(start, end int64) bool {
 // each epoch at the earliest pending event), so the pop never lands
 // mid-epoch.
 func (e *engine) applyDispatches(start int64) {
-	n := 0
-	for n < len(e.dispatchAt) && e.dispatchAt[n] <= start {
-		n++
+	due := false
+	for {
+		if _, ok := e.dispatchAt.PopDue(start); !ok {
+			break
+		}
+		due = true
 	}
-	if n > 0 {
-		m := copy(e.dispatchAt, e.dispatchAt[n:])
-		e.dispatchAt = e.dispatchAt[:m]
+	if due {
 		e.fillSMs()
 	}
-}
-
-// inFlightMsgs counts cross-boundary messages in flight: requests crossing
-// to the L2 side, responses awaiting bandwidth, and fills not yet consumed
-// by their SM.
-func (e *engine) inFlightMsgs() int {
-	n := e.reqsLen + len(e.resps)
-	for _, s := range e.sms {
-		n += s.pendingFills()
-	}
-	return n
 }
 
 // finished reports whether every CTA has been dispatched, all SMs have
@@ -767,7 +707,7 @@ func (e *engine) finished() bool {
 			return false
 		}
 	}
-	return e.inFlightMsgs() == 0
+	return e.predictedMsgs() == 0
 }
 
 // throttleReporter is implemented by prefetchers that track their halted

@@ -22,9 +22,9 @@ type partFill struct {
 // A partition is ticked once per epoch, like the SMs: requests are
 // binned to the partition at injection time (the engine pushes them onto
 // the partition's ingress ring, stamped with their arrival cycle and global
-// arrival seq), the route phase hands each partition a zero-copy view of
-// its due requests, and tickSpan performs the L2 lookups, in-flight merges
-// and DRAM timing, pushing each response onto the engine's response heap.
+// arrival seq), and tickSpan pops each at its arrival sub-cycle and
+// performs the L2 lookups, in-flight merges and DRAM timing, pushing each
+// response onto the engine's response heap.
 // Partitions are data-disjoint by the engine's line-address hash (partOf):
 // no line ever reaches two partitions, so the order partitions tick in
 // changes nothing.
@@ -39,14 +39,14 @@ type memPartition struct {
 	// engine's one stats.Mem, shared by every partition.
 	ms *stats.Mem
 
-	// Per-epoch work, set by the engine (sub-cycle tags non-decreasing) and
-	// consumed by tickSpan. dueA/dueB are this epoch's due requests — a
-	// zero-copy view of the partition's ingress ring (two windows because the
-	// ring wraps at most once), assigned by planRoute. dueN persists past
-	// tickSpan: mergeEpoch uses it to Drop the consumed ring prefix.
-	dueA, dueB []icnt.Stamped[reqMsg]
-	dueN       int
-	completes  []partFill // lines whose responses shipped this epoch
+	// reqs is the SM→L2 ingress port: fill requests in flight across the
+	// request network, stamped with their arrival cycle at the partition
+	// crossbar (engine.pushReq). Its order is global injection order
+	// restricted to this partition. completes holds the lines whose
+	// responses shipped this epoch. The engine fills both in its drain
+	// phase, with non-decreasing sub-cycle tags; tickSpan consumes them.
+	reqs      icnt.Ingress[reqMsg]
+	completes []partFill
 
 	// minRespLat is the smallest (readyAt - arrival) latency this partition
 	// ever returned — the slack property test's observed floor.
@@ -69,66 +69,57 @@ func newMemPartition(id int, cfg config.GPU, ms *stats.Mem) *memPartition {
 }
 
 // tickSpan performs the partition's binned work for the epoch [from, to],
-// walking each sub-cycle in order: that sub-cycle's arrivals first, then the
-// completions of responses that shipped at it. Within one sub-cycle that
+// walking each sub-cycle in order: the requests arriving at it first, then
+// the completions of responses that shipped at it. Within one sub-cycle that
 // order — all accesses, then all fills — is exactly the serial engine's
 // arriveRequests→drainResponses order, so results are bit-identical.
 // Deferring the completions from the serial response phase to here is
 // invisible: nothing between the two points reads L2 state, and a
 // sub-cycle's accesses cannot observe its completions in either schedule.
-// Both the due view and completes are tagged with non-decreasing sub-cycles,
-// so two index walks suffice.
 //
 // Each response is pushed onto resps as soon as it is computed, carrying
 // its request's global arrival seq: the heap pops by (readyAt, seq), so the
-// partition-major push order is invisible (see respHeap). Returns the first
-// response ready within the span, or -1: provably none is, since every
-// response is ready no earlier than arrival + L2.Latency ≥ arrival + horizon
-// > to, and the engine turns any such cycle into a slack conflict.
-func (m *memPartition) tickSpan(from, to int64, resps *respHeap) int64 {
-	di, ci := 0, 0
-	a, na, n := m.dueA, len(m.dueA), m.dueN
-	early := int64(-1)
+// partition-major push order is invisible (see respHeap). Returns how many
+// requests it popped, and the first response ready within the span, or -1:
+// provably none is, since every response is ready no earlier than arrival +
+// L2.Latency ≥ arrival + horizon > to, and the engine turns any such cycle
+// into a slack conflict.
+func (m *memPartition) tickSpan(from, to int64, resps *respHeap) (early int64, popped int) {
+	early = -1
+	ci := 0
 	for c := from; c <= to; c++ {
-		for di < n {
-			var e *icnt.Stamped[reqMsg]
-			if di < na {
-				e = &a[di]
-			} else {
-				e = &m.dueB[di-na]
-			}
-			if e.Cycle > c {
+		for {
+			req, ok := m.reqs.PopDue(c)
+			if !ok {
 				break
 			}
-			readyAt := m.access(e.Msg.lineAddr, c)
+			readyAt := m.access(req.lineAddr, c)
 			if readyAt <= to && early < 0 {
 				early = readyAt
 			}
-			resps.push(resp{readyAt: readyAt, seq: e.Msg.seq, sm: e.Msg.sm, lineAddr: e.Msg.lineAddr, part: m.id, prefetch: e.Msg.prefetch})
-			di++
+			resps.push(resp{readyAt: readyAt, seq: req.seq, sm: req.sm, lineAddr: req.lineAddr, part: m.id, prefetch: req.prefetch})
+			popped++
 		}
 		for ci < len(m.completes) && m.completes[ci].cycle <= c {
 			m.completeFill(m.completes[ci].lineAddr, c)
 			ci++
 		}
 	}
-	m.dueA, m.dueB = nil, nil
 	m.completes = m.completes[:0]
-	return early
+	return early, popped
 }
 
 // reset clears the partition for a new run on a recycled engine: the L2 is
 // invalidated in place, the DRAM banks are closed, the in-flight merge table
-// is emptied (keeping its arrays), and the work bins are cleared. The
-// counters belong to the engine, which zeroes them itself.
+// is emptied (keeping its arrays), and the ingress ring and work bins are
+// cleared. The counters belong to the engine, which zeroes them itself.
 func (m *memPartition) reset() {
 	m.l2.InvalidateAll()
 	m.dramCtl.Reset()
 	m.inflight.Clear()
-	m.dueA, m.dueB = nil, nil
-	m.dueN = 0
+	m.reqs.Reset()
 	m.completes = m.completes[:0]
-	m.minRespLat = int64(1)<<62 - 1
+	m.minRespLat = latencyUnobserved
 }
 
 // access services a fill request arriving at the partition at cycle and

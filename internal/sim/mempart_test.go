@@ -229,14 +229,13 @@ func TestMemPartitionCountsL2Outcomes(t *testing.T) {
 	}
 }
 
-// TestRouteAndTickMergesAcrossSMs drives the routed path white-box: two SMs
-// requesting the same line in the same cycle are binned onto one partition's
-// ingress ring at injection (pushReq, consecutive global arrival seqs),
-// planRoute hands the partition a due view of both, the partition's tick
-// computes one miss plus one merge (both responses ready at the same data
-// cycle) and pushes both onto the response heap, and mergeEpoch drops the
-// consumed ring prefix.
-func TestRouteAndTickMergesAcrossSMs(t *testing.T) {
+// TestPartitionTickMergesAcrossSMs drives the request path white-box: two
+// SMs requesting the same line in the same cycle are binned onto one
+// partition's ingress ring at injection (pushReq, consecutive global arrival
+// seqs), and the partition's tick pops both, computes one miss plus one
+// merge (both responses ready at the same data cycle), pushes both onto the
+// response heap, and leaves the ring and reqsLen empty.
+func TestPartitionTickMergesAcrossSMs(t *testing.T) {
 	k := workloads.StreamMicro(workloads.Tiny(), 256)
 	e := freshEngine(k, Options{Config: testCfg()})
 
@@ -244,19 +243,21 @@ func TestRouteAndTickMergesAcrossSMs(t *testing.T) {
 	e.pushReq(10, reqMsg{sm: 0, lineAddr: line})
 	e.pushReq(10, reqMsg{sm: 1, lineAddr: line})
 	e.cycle = 10
-	if n := e.planRoute(10); n != 2 {
-		t.Fatalf("planRoute found %d due requests, want 2", n)
+	p := e.parts[e.partOf(line)]
+	if p.reqs.Len() != 2 || e.reqsLen != 2 {
+		t.Fatalf("ring holds %d requests, reqsLen=%d, want 2/2", p.reqs.Len(), e.reqsLen)
 	}
 
-	p := e.parts[e.partOf(line)]
-	if got := len(p.dueA) + len(p.dueB); got != 2 || p.dueN != 2 {
-		t.Fatalf("due view holds %d entries, dueN=%d, want 2/2", got, p.dueN)
+	var clk phaseClock
+	e.tickWave(10, 10, &clk)
+	if e.slackErr != nil {
+		t.Fatalf("response ready inside the one-cycle span: %v", e.slackErr)
 	}
-	if p.dueA[0].Msg.seq >= p.dueA[1].Msg.seq {
-		t.Fatalf("arrival seqs %d,%d not increasing in injection order", p.dueA[0].Msg.seq, p.dueA[1].Msg.seq)
+	if e.reqsLen != 0 || p.reqs.Len() != 0 {
+		t.Errorf("after the tick: reqsLen=%d ringLen=%d, want 0/0: the tick must consume both requests", e.reqsLen, p.reqs.Len())
 	}
-	if at := p.tickSpan(10, 10, &e.resps); at >= 0 {
-		t.Fatalf("response ready at %d, inside the one-cycle span", at)
+	if len(p.completes) > 0 {
+		t.Error("partition still busy after tick: bins must drain every cycle")
 	}
 	if p.ms.L2Misses != 1 || p.ms.L2Merges != 1 {
 		t.Errorf("misses=%d merges=%d, want 1 miss and 1 merge", p.ms.L2Misses, p.ms.L2Merges)
@@ -273,13 +274,6 @@ func TestRouteAndTickMergesAcrossSMs(t *testing.T) {
 	}
 	if r0.readyAt != r1.readyAt {
 		t.Errorf("merged request ready at %d, fetch at %d: must share the in-flight data cycle", r1.readyAt, r0.readyAt)
-	}
-	e.mergeEpoch(10, 10)
-	if e.reqsLen != 0 || e.partReqs[p.id].Len() != 0 {
-		t.Errorf("after merge: reqsLen=%d ringLen=%d, want 0/0: the due prefix must be dropped", e.reqsLen, e.partReqs[p.id].Len())
-	}
-	if p.dueN > 0 || len(p.completes) > 0 {
-		t.Error("partition still busy after tick: bins must drain every cycle")
 	}
 }
 

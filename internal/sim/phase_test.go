@@ -40,9 +40,12 @@ func TestPhaseProfileEquivalence(t *testing.T) {
 		if prof.TotalNs() <= 0 {
 			t.Fatalf("slack=%d: no phase time recorded", slack)
 		}
-		if prof.Ns(profiling.PhaseSerialRoute) <= 0 || prof.Ns(profiling.PhaseShards) <= 0 {
-			t.Errorf("slack=%d: route=%dns shards=%dns; both run every executed cycle",
-				slack, prof.Ns(profiling.PhaseSerialRoute), prof.Ns(profiling.PhaseShards))
+		if prof.Ns(profiling.PhaseSerialDrain) <= 0 || prof.Ns(profiling.PhaseMemPartitions) <= 0 || prof.Ns(profiling.PhaseShards) <= 0 {
+			t.Errorf("slack=%d: drain=%dns partitions=%dns shards=%dns; all three run every executed epoch",
+				slack, prof.Ns(profiling.PhaseSerialDrain), prof.Ns(profiling.PhaseMemPartitions), prof.Ns(profiling.PhaseShards))
+		}
+		if ns := prof.Ns(profiling.PhaseSerialRoute); ns != 0 {
+			t.Errorf("slack=%d: route=%dns; no engine phase laps it", slack, ns)
 		}
 		if share := prof.SerialShare(); share <= 0 || share >= 1 {
 			t.Errorf("slack=%d: serial share %f outside (0,1)", slack, share)

@@ -19,6 +19,8 @@ package sim
 // private to it, which is what lets an SM tick a whole epoch on its own;
 // see DESIGN.md "Epoch loop".
 
+import "snake/internal/icnt"
+
 // fillMsg is a completed memory response in flight toward an SM's L1. It is
 // delivered through the SM's icnt.Ingress queue, whose stamp carries the
 // delivery cycle.
@@ -64,8 +66,7 @@ func (s *sm) deliverDue(cycle int64) int {
 		if !ok {
 			break
 		}
-		s.inbox = append(s.inbox, f)
-		s.inboxStamp = append(s.inboxStamp, cycle)
+		s.inbox = append(s.inbox, icnt.Stamped[fillMsg]{Cycle: cycle, Msg: f})
 		n++
 	}
 	return n
@@ -103,8 +104,8 @@ func (s *sm) tickSpan(from, to int64, out *epochOut) {
 		} else {
 			s.l1.DrainPrefetch(c)
 		}
-		for fi < len(s.inbox) && s.inboxStamp[fi] <= c {
-			waiters := s.l1.Fill(s.inbox[fi].lineAddr, c)
+		for fi < len(s.inbox) && s.inbox[fi].Cycle <= c {
+			waiters := s.l1.Fill(s.inbox[fi].Msg.lineAddr, c)
 			s.wake(waiters, c)
 			fi++
 		}
@@ -123,7 +124,6 @@ func (s *sm) tickSpan(from, to int64, out *epochOut) {
 	}
 	s.l1.SetMissQueueClock(to, 0)
 	s.inbox = s.inbox[:0]
-	s.inboxStamp = s.inboxStamp[:0]
 }
 
 // --- request port (serial phase only) -----------------------------------
@@ -159,6 +159,3 @@ func (s *sm) popReq() (reqMsg, bool) {
 
 // nextFill returns the earliest pending ingress delivery (-1: none).
 func (s *sm) nextFill() int64 { return s.fills.NextCycle() }
-
-// pendingFills returns in-flight plus delivered-but-unconsumed fills.
-func (s *sm) pendingFills() int { return s.fills.Len() + len(s.inbox) }

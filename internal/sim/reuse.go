@@ -75,17 +75,14 @@ func (e *engine) reinit(k *trace.Kernel, opt Options, reusePf bool) {
 	for _, p := range e.parts {
 		p.reset()
 	}
-	for i := range e.partReqs {
-		e.partReqs[i].Reset()
-	}
 	e.reqsLen = 0
 	e.resps = e.resps[:0]
 	e.stores = e.stores[:0]
 	e.mem = stats.Mem{}
 	e.ageCtr = 0
 	e.inflight = 0
-	e.inflightRel = e.inflightRel[:0]
-	e.dispatchAt = e.dispatchAt[:0]
+	e.inflightRel.Reset()
+	e.dispatchAt.Reset()
 	e.utilSnap = e.utilSnap[:0]
 	// Slack parameters depend on opt (the window may differ between runs on
 	// the same config), and a recorded conflict must not leak across runs.

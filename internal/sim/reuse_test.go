@@ -127,8 +127,8 @@ func TestEngineReuseUntaggedRebuildsPrefetchers(t *testing.T) {
 // TestRepeatedRunAllocs is the steady-state claim behind the engine pool:
 // once warm, re-running a kernel on a recycled Engine performs near-zero heap
 // allocations — the arenas (warp contexts, cache line index, MSHR files, port
-// rings, stats shards, route views, scatter scratch, epoch bitsets) are all
-// reused in place. The bound leaves headroom for the Result copy and the
+// rings, stats shards, scatter scratch, epoch bitsets) are all reused in
+// place. The bound leaves headroom for the Result copy and the
 // prefetcher's small per-run maps; a fresh engine costs thousands of
 // allocations per run (the fresh rows of BenchmarkSimulatorThroughput). It
 // is checked on the tiny shape and on a mid-scale 8-SM lps shape.

@@ -264,7 +264,7 @@ func TestSlackWindowSweepEquivalence(t *testing.T) {
 // under Snake on the mid-scale 8-SM machine (24×8×8) at the auto window —
 // the shape `snakebench -phases` reports. Epoch cuts depend only on
 // simulated state, so the counts are deterministic; a change that silently
-// shortens epochs would multiply the per-epoch drain, route and merge cost
+// shortens epochs would multiply the per-epoch drain and merge cost
 // without moving any correctness test. A density may exceed its recorded
 // value by at most 1.2× or 3 epochs/kcycle, whichever is looser.
 func TestSlackBarrierDensity(t *testing.T) {

@@ -139,10 +139,9 @@ type sm struct {
 	// serializes bandwidth) and moves due messages to inbox; tickSpan
 	// consumes each at its stamped sub-cycle.
 	fills icnt.Ingress[fillMsg]
-	// inbox holds the fills due this epoch, in stamp order, for tickSpan;
-	// inboxStamp carries each entry's delivery sub-cycle.
-	inbox      []fillMsg
-	inboxStamp []int64
+	// inbox holds the fills due this epoch, each stamped with its delivery
+	// sub-cycle, in stamp order, for tickSpan.
+	inbox []icnt.Stamped[fillMsg]
 
 	// mqExpiry records, per request the engine's serial phase pulled from
 	// this SM's miss queue this epoch, the sub-cycle at which the entry's
@@ -245,7 +244,6 @@ func (s *sm) reset(pf prefetch.Prefetcher, reusePf bool) {
 	s.nowCycle = 0
 	s.fills.Reset()
 	s.inbox = s.inbox[:0]
-	s.inboxStamp = s.inboxStamp[:0]
 	s.mqExpiry = s.mqExpiry[:0]
 	s.predrained = false
 	if reusePf {
