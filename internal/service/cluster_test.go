@@ -589,7 +589,7 @@ func TestJunkPeerResultFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-j.done
+	<-j.wait()
 	v := j.view()
 	if v.Status != StatusDone || v.Source != "sim" || v.Result == nil || v.Result.Cycles == 0 {
 		t.Fatalf("job over a junk peer: %+v, want done from a local simulation", v)
@@ -622,7 +622,7 @@ func TestPeerExecuteAnswersHeldKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-j.done
+		<-j.wait()
 		v := j.view()
 		if v.Status != StatusDone {
 			t.Fatalf("%s/%s: %s (%s)", v.Bench, v.Mech, v.Status, v.Error)

@@ -4,11 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"path"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"snake/internal/config"
 	"snake/internal/harness"
 	"snake/internal/workloads"
 )
@@ -133,4 +140,105 @@ func checkSpec(t *testing.T, svc *Service, sp *spec, timeoutMS int64) {
 	if got := again.key.Hash(); got != key {
 		t.Fatalf("wire form normalizes to %s, want %s", got, key)
 	}
+}
+
+// FuzzLookupIDs sends arbitrary IDs to GET and DELETE /v1/runs/{id} and to
+// GET /v1/sweeps/{id} and its stream, on a service holding a few finished
+// runs, one finished sweep, and the numbers of a refused sweep's cells,
+// which no admitted job took. Only the exact spelling fmt.Sprintf gives an
+// admitted job's or sweep's number ("r%06d", "s%04d") finds it, and the
+// view it answers with carries that ID; any other ID gets a 404. Nothing
+// may panic. An ID the mux must clean out of the path (empty, ".", "..",
+// or one with such a segment) is redirected before routing, so it is not
+// checked.
+func FuzzLookupIDs(f *testing.F) {
+	gpu := config.Scaled(2, 16)
+	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
+	svc := New(Options{Workers: 1, QueueMax: 2, GPU: &gpu, Scale: &scale})
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = svc.Shutdown(ctx)
+	})
+	for _, b := range []string{"cp", "lps"} {
+		j, err := svc.Submit(RunRequest{Bench: b, Mech: "baseline"})
+		if err != nil {
+			f.Fatal(err)
+		}
+		<-j.wait()
+	}
+	_, cells, err := svc.SubmitSweep(SweepRequest{Benches: []string{"cp"}, Mechs: []string{"baseline", "snake"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, j := range cells {
+		<-j.wait()
+	}
+	var refused string
+	withPinnedWorkers(f, svc, func() {
+		svc.mu.Lock()
+		refused = formatID('r', jobIDWidth, len(svc.jobs)+1)
+		svc.mu.Unlock()
+		if _, _, err := svc.SubmitSweep(SweepRequest{Benches: []string{"cp"}, Mechs: []string{"baseline", "intra", "inter"}}); !errors.Is(err, ErrQueueFull) {
+			f.Fatalf("sweep over a full queue: %v, want ErrQueueFull", err)
+		}
+	})
+	svc.mu.Lock()
+	jobs, sweeps := len(svc.jobs), len(svc.sweeps)
+	svc.mu.Unlock()
+	for _, id := range []string{
+		"r0", "r000000", "r1", "r0000001", "r-00001", "r+00001", "r9223372036854775808", "s0000", refused,
+		"r000001", "s0001", "s0001/stream", "r000001/", "r 00001", "r٠٠٠٠٠١",
+	} {
+		f.Add(id)
+	}
+	h := svc.Handler()
+	f.Fuzz(func(t *testing.T, id string) {
+		if p := "/a/" + id + "/b"; path.Clean(p) != p {
+			return
+		}
+		// number returns the admitted number that spells id, or 0.
+		number := func(format string, prefix byte, width, admitted int) int {
+			n, ok := parseID(id, prefix, width)
+			if !ok {
+				return 0
+			}
+			if fmt.Sprintf(format, n) != id {
+				t.Fatalf("%q parsed as %d, which %s spells %q", id, n, format, fmt.Sprintf(format, n))
+			}
+			if n > admitted {
+				return 0
+			}
+			return n
+		}
+		run := number("r%06d", 'r', jobIDWidth, jobs)
+		sw := number("s%04d", 's', sweepIDWidth, sweeps)
+		esc := url.PathEscape(id)
+		for _, c := range []struct {
+			method, target string
+			found          bool
+		}{
+			{http.MethodGet, "/v1/runs/" + esc, run > 0},
+			{http.MethodDelete, "/v1/runs/" + esc, run > 0},
+			{http.MethodGet, "/v1/sweeps/" + esc, sw > 0},
+			{http.MethodGet, "/v1/sweeps/" + esc + "/stream", sw > 0},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(c.method, c.target, nil))
+			want := http.StatusNotFound
+			if c.found {
+				want = http.StatusOK
+			}
+			if rec.Code != want {
+				t.Fatalf("%s %s: %d, want %d\n%s", c.method, c.target, rec.Code, want, rec.Body)
+			}
+			if !c.found || strings.HasSuffix(c.target, "/stream") {
+				continue
+			}
+			var v struct{ ID string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || v.ID != id {
+				t.Fatalf("%s %s answered ID %q (%v), want %q", c.method, c.target, v.ID, err, id)
+			}
+		}
+	})
 }

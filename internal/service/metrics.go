@@ -44,14 +44,14 @@ func newMetrics() *metrics {
 }
 
 // jobFinished transitions a started job to its terminal state.
-func (m *metrics) jobFinished(st Status) {
+func (m *metrics) jobFinished(st jobStatus) {
 	m.running.Add(-1)
 	switch st {
-	case StatusDone:
+	case jobDone:
 		m.completed.Add(1)
-	case StatusFailed:
+	case jobFailed:
 		m.failed.Add(1)
-	case StatusCanceled:
+	case jobCanceled:
 		m.canceled.Add(1)
 	}
 }
@@ -78,11 +78,12 @@ func hitRatio(hits, misses int64) float64 {
 
 // render writes the Prometheus text exposition format. queued (jobs in the
 // priority queue), jobs (jobs retained for GET /v1/runs/{id}, terminal or
-// not), records (per-key result records) and traceBytes (the instruction
-// bytes of the interned traces) are gauges sampled by the caller; store is
-// the tiered cache's snapshot, and clu the cluster transport's (nil when
-// the node runs standalone).
-func (m *metrics) render(w io.Writer, queued, jobs, records int, traceBytes int64, store cluster.StoreStats, clu *cluster.Snapshot) {
+// not), sweeps (sweeps retained for GET /v1/sweeps/{id}), records (per-key
+// result records) and traceBytes (the instruction bytes of the interned
+// traces) are gauges sampled by the caller; store is the tiered cache's
+// snapshot, and clu the cluster transport's (nil when the node runs
+// standalone).
+func (m *metrics) render(w io.Writer, queued, jobs, sweeps, records int, traceBytes int64, store cluster.StoreStats, clu *cluster.Snapshot) {
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	fmt.Fprintf(w, "# TYPE snaked_jobs_submitted_total counter\n")
 	fmt.Fprintf(w, "snaked_jobs_submitted_total %d\n", m.submitted.Load())
@@ -90,6 +91,9 @@ func (m *metrics) render(w io.Writer, queued, jobs, records int, traceBytes int6
 	fmt.Fprintf(w, "snaked_jobs_queued %d\n", queued)
 	fmt.Fprintf(w, "# TYPE snaked_jobs_retained gauge\n")
 	fmt.Fprintf(w, "snaked_jobs_retained %d\n", jobs)
+	fmt.Fprintf(w, "# HELP snaked_sweeps_retained Admitted sweeps, kept for GET /v1/sweeps/{id} for the life of the process.\n")
+	fmt.Fprintf(w, "# TYPE snaked_sweeps_retained gauge\n")
+	fmt.Fprintf(w, "snaked_sweeps_retained %d\n", sweeps)
 	fmt.Fprintf(w, "# TYPE snaked_result_records gauge\n")
 	fmt.Fprintf(w, "snaked_result_records %d\n", records)
 	fmt.Fprintf(w, "# TYPE snaked_trace_bytes gauge\n")

@@ -58,21 +58,22 @@ func (s *Service) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	// The sending peer holding the connection owns the job: its disconnect
 	// (or context cancellation) cancels the work here too.
+	done := j.wait()
 	select {
-	case <-j.done:
+	case <-done:
 	case <-r.Context().Done():
 		s.cancelJob(j)
-		<-j.done
+		<-done
 	}
 	j.mu.Lock()
 	jerr, source, status := j.err, j.source, j.status
 	j.mu.Unlock()
 	switch status {
-	case StatusDone:
+	case jobDone:
 		// An owner's job never forwards, so its source is the wire's
 		// "memory", "disk" or "sim".
-		writePeerResult(w, j.rec.key, source, j.rec.st.Load())
-	case StatusCanceled:
+		writePeerResult(w, j.rec.key, sourceNames[source], j.rec.st.Load())
+	case jobCanceled:
 		writeErr(w, http.StatusServiceUnavailable, errors.New("forwarded job canceled"))
 	default:
 		writeErr(w, http.StatusInternalServerError, fmt.Errorf("forwarded job failed: %v", jerr))

@@ -90,7 +90,9 @@ func (q *jobQueue) Len() int {
 	return len(q.heap)
 }
 
-// jobHeap orders by (priority desc, seq asc). It maintains each job's
+// jobHeap orders by (priority desc, job number asc). Queued jobs have
+// distinct numbers: a number is taken again only after a rejected
+// submission, whose jobs have all left the heap. It maintains each job's
 // heapIdx (guarded by the queue lock, -1 when not in the heap) so Remove
 // can excise a canceled job in O(log n) without scanning.
 type jobHeap []*job
@@ -101,7 +103,7 @@ func (h jobHeap) Less(i, j int) bool {
 	if a.spec.priority != b.spec.priority {
 		return a.spec.priority > b.spec.priority
 	}
-	return a.seq < b.seq
+	return h[i].n < h[j].n
 }
 func (h jobHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]

@@ -3,12 +3,15 @@ package service
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"snake/internal/config"
 	"snake/internal/core"
@@ -26,9 +29,10 @@ func liveHeap() uint64 {
 
 // TestRetainedJobBytes pins what snaked keeps per finished job. The service
 // never evicts a job, so the live heap grows by this much for every cell a
-// client re-sweeps. A terminal job holds what its RunView shows and a
-// pointer to its key's shared record; the spec, context and stats copy it
-// ran with are garbage once it finishes. 500 cached re-sweeps of a 32-cell
+// client re-sweeps. A terminal job holds what its RunView shows, in one-byte
+// codes where it can, and a pointer to its key's shared record, and it takes
+// one slot of the job table; its ID, spec, sweep, channel and context are
+// not kept once it finishes. 500 cached re-sweeps of a 32-cell
 // grid, on a service that simulated the grid itself and, over a disk tier
 // with a one-byte memory tier, on one restarted on a disk tier a first
 // service filled: there the first re-sweep reads every cell from disk, and
@@ -40,7 +44,7 @@ func TestRetainedJobBytes(t *testing.T) {
 	const (
 		warmup   = 20
 		sweeps   = 500
-		maxBytes = 448 // per terminal job
+		maxBytes = 128 // per terminal job
 	)
 	req := SweepRequest{
 		Benches: workloads.Names()[:8],
@@ -57,7 +61,7 @@ func TestRetainedJobBytes(t *testing.T) {
 		}
 		n := 0
 		for _, j := range jobs {
-			<-j.done
+			<-j.wait()
 			if v := j.view(); v.Status != StatusDone {
 				t.Fatalf("%s/%s: %s (%s)", v.Bench, v.Mech, v.Status, v.Error)
 			} else if v.Source == source {
@@ -108,6 +112,174 @@ func TestRetainedJobBytes(t *testing.T) {
 	}
 }
 
+// TestRetainedSweepBytes pins what snaked keeps per sweep beside its jobs.
+// The service never evicts a sweep either: it keeps the sweep's number, the
+// range of the job table its cells fill, and a slot of the sweep table, but
+// no ID string, cell list or stream subscriber. 300 cached re-sweeps of a
+// 32-cell grid are counted by dropping them from the sweep table, which
+// leaves their jobs where they are.
+func TestRetainedSweepBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for itself")
+	}
+	const (
+		warmup   = 20
+		sweeps   = 300
+		maxBytes = 128 // per sweep, its jobs not counted
+	)
+	svc := tinyService(2)
+	defer shutdown(t, svc)
+	req := SweepRequest{
+		Benches: workloads.Names()[:8],
+		Mechs:   []string{"baseline", "intra", "inter", "snake"},
+	}
+	sweep := func() {
+		t.Helper()
+		_, jobs, err := svc.SubmitSweep(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			<-j.wait()
+		}
+	}
+	for i := 0; i < warmup; i++ {
+		sweep()
+	}
+	svc.mu.Lock()
+	kept := len(svc.sweeps)
+	svc.mu.Unlock()
+	for i := 0; i < sweeps; i++ {
+		sweep()
+	}
+	with := liveHeap()
+	svc.mu.Lock()
+	svc.sweeps = slices.Clone(svc.sweeps[:kept])
+	svc.mu.Unlock()
+	without := liveHeap()
+	per := (float64(with) - float64(without)) / sweeps
+	t.Logf("%.0f B retained per sweep of %d cells, its jobs not counted (%d sweeps)", per, len(req.Benches)*len(req.Mechs), sweeps)
+	if per > maxBytes {
+		t.Errorf("%.0f B retained per sweep, want ≤ %d", per, maxBytes)
+	}
+}
+
+// withPinnedWorkers runs fn while every worker of svc is held on a run that
+// cannot finish, so every job fn admits stays queued until fn returns. Each
+// pinning run has a machine no other job runs, so it misses every tier and
+// waits for its key's flight, and the flight lock is held while fn runs.
+// withPinnedWorkers returns once the pinning runs have finished.
+func withPinnedWorkers(t testing.TB, svc *Service, fn func()) {
+	t.Helper()
+	var pins []*job
+	func() {
+		svc.flightMu.Lock()
+		defer svc.flightMu.Unlock()
+		for i := 0; i < svc.workers; i++ {
+			gpu := svc.runner.Cfg
+			gpu.IcntLatency = 1 + i
+			j, err := svc.Submit(RunRequest{Bench: "cp", Mech: "baseline", GPU: &gpu, Priority: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pins = append(pins, j)
+		}
+		for _, j := range pins {
+			for st := j.view().Status; st != StatusRunning; st = j.view().Status {
+				if st.Terminal() {
+					t.Fatalf("pinning run %s is %s: its key was not fresh", j.id(), st)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		fn()
+	}()
+	for _, j := range pins {
+		<-j.wait()
+	}
+}
+
+// TestRejectedSubmissionIDsReused: a rejected sweep or run takes its jobs
+// back out of the job table, so their IDs answer 404, and the next jobs
+// admitted take their numbers; a rejected sweep takes no sweep number.
+func TestRejectedSubmissionIDsReused(t *testing.T) {
+	gpu := config.Scaled(2, 16)
+	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
+	svc := New(Options{Workers: 1, QueueMax: 2, GPU: &gpu, Scale: &scale})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer shutdown(t, svc)
+	status := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	submit := func(mech string) (*job, error) {
+		return svc.Submit(RunRequest{Bench: "cp", Mech: mech})
+	}
+
+	var first int // the number of the rejected sweep's first cell
+	var queued []*job
+	withPinnedWorkers(t, svc, func() {
+		svc.mu.Lock()
+		first = len(svc.jobs) + 1
+		svc.mu.Unlock()
+		// Two cells fill the queue and the third is refused.
+		if _, _, err := svc.SubmitSweep(SweepRequest{Benches: []string{"cp"}, Mechs: []string{"baseline", "intra", "inter"}}); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("sweep over a full queue: %v, want ErrQueueFull", err)
+		}
+		for i := 0; i < 3; i++ {
+			if id := formatID('r', jobIDWidth, first+i); status("/v1/runs/"+id) != http.StatusNotFound {
+				t.Errorf("rejected sweep's cell %s answers", id)
+			}
+		}
+		// Two runs take the rejected cells' numbers and fill the queue, and a
+		// third is refused.
+		for i, mech := range []string{"baseline", "intra"} {
+			j, err := submit(mech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.n != first+i {
+				t.Errorf("run %d took number %d, want the rejected cell's %d", i, j.n, first+i)
+			}
+			queued = append(queued, j)
+		}
+		if _, err := submit("inter"); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("run over a full queue: %v, want ErrQueueFull", err)
+		}
+	})
+	for _, j := range queued {
+		<-j.wait()
+	}
+	refused := formatID('r', jobIDWidth, first+2)
+	if got := status("/v1/runs/" + refused); got != http.StatusNotFound {
+		t.Errorf("refused run's %s: %d, want 404", refused, got)
+	}
+	j, err := submit("inter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.id() != refused {
+		t.Errorf("next run is %s, want the refused run's %s", j.id(), refused)
+	}
+	<-j.wait()
+	if got := status("/v1/runs/" + refused); got != http.StatusOK {
+		t.Errorf("%s: %d once admitted, want 200", refused, got)
+	}
+	sw, _, err := svc.SubmitSweep(SweepRequest{Benches: []string{"cp"}, Mechs: []string{"baseline"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.id() != "s0001" {
+		t.Errorf("first admitted sweep is %s, want s0001: the rejected one took no number", sw.id())
+	}
+}
+
 // TestResweepReadsNoSlot: a re-sweep is served from its keys' records, so
 // even with a one-byte memory tier, which leaves every result but one on
 // disk alone, no cell reads a slot, and every cell says it came from
@@ -125,7 +297,7 @@ func TestResweepReadsNoSlot(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, j := range jobs {
-			<-j.done
+			<-j.wait()
 			if v := j.view(); v.Status != StatusDone || v.Source != source {
 				t.Fatalf("%s/%s: %s from %q, want done from %q (%s)", v.Bench, v.Mech, v.Status, v.Source, source, v.Error)
 			}
@@ -160,7 +332,7 @@ func TestRunViewAfterFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-j.done
+	<-j.wait()
 	shutdown(t, first)
 	svc := New(opt)
 	ts := httptest.NewServer(svc.Handler())
@@ -312,39 +484,63 @@ func TestRunViewAfterFinish(t *testing.T) {
 	}
 }
 
-// TestRetentionMetrics: /metrics reports the retained jobs and the per-key
-// records. A re-sweep adds jobs but no records.
+// TestRetentionMetrics: /metrics reports the retained jobs and sweeps and
+// the per-key records. A re-sweep adds jobs and a sweep but no records, and
+// a re-sweep the full queue refuses adds none of them: only the run pinning
+// the worker (one job, one record) and the queued run that leaves the
+// queue room for three of its four cells (one job) are left.
 func TestRetentionMetrics(t *testing.T) {
-	svc := tinyService(2)
+	gpu := config.Scaled(2, 16)
+	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
+	svc := New(Options{Workers: 1, QueueMax: 4, GPU: &gpu, Scale: &scale})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	defer svc.Shutdown(t.Context())
 
-	check := func(jobs, records float64) {
+	check := func(jobs, sweeps, records float64) {
 		t.Helper()
 		m := scrapeMetrics(t, ts.URL)
 		if got := metricValue(t, m, "snaked_jobs_retained"); got != jobs {
 			t.Errorf("snaked_jobs_retained = %v, want %v", got, jobs)
 		}
+		if got := metricValue(t, m, "snaked_sweeps_retained"); got != sweeps {
+			t.Errorf("snaked_sweeps_retained = %v, want %v", got, sweeps)
+		}
 		if got := metricValue(t, m, "snaked_result_records"); got != records {
 			t.Errorf("snaked_result_records = %v, want %v", got, records)
 		}
+		if !strings.Contains(m, "# HELP snaked_sweeps_retained ") {
+			t.Error("snaked_sweeps_retained has no HELP line")
+		}
 	}
+	req := SweepRequest{Benches: []string{"cp", "lps"}, Mechs: []string{"baseline", "snake"}}
 	sweep := func() {
 		t.Helper()
-		_, jobs, err := svc.SubmitSweep(SweepRequest{Benches: []string{"cp", "lps"}, Mechs: []string{"baseline", "snake"}})
+		_, jobs, err := svc.SubmitSweep(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, j := range jobs {
-			<-j.done
+			<-j.wait()
 		}
 	}
-	check(0, 0)
+	check(0, 0, 0)
 	sweep()
-	check(4, 4)
+	check(4, 1, 4)
 	sweep()
-	check(8, 4)
+	check(8, 2, 4)
+	var queued *job
+	withPinnedWorkers(t, svc, func() {
+		var err error
+		if queued, err = svc.Submit(RunRequest{Bench: "cp", Mech: "baseline"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := svc.SubmitSweep(req); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("sweep over a full queue: %v, want ErrQueueFull", err)
+		}
+	})
+	<-queued.wait()
+	check(10, 2, 5)
 }
 
 // TestTraceBytesMetric: /metrics reports the instruction bytes of the
@@ -364,7 +560,7 @@ func TestTraceBytesMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range jobs {
-		<-j.done
+		<-j.wait()
 	}
 	var want float64
 	for _, b := range benches {

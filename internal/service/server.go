@@ -94,13 +94,16 @@ type Service struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	records   map[recordKey]*record // one per distinct key
-	sweeps    map[string]*sweep
-	nextJob   int64
-	nextSweep int64
-	draining  bool
+	// jobs and sweeps are dense tables: job "r%06d" of n is jobs[n-1] and
+	// sweep "s%04d" of n is sweeps[n-1] (formatID). Only a rejected
+	// submission shrinks the job table, taking back the jobs it appended
+	// under the same hold of mu; a sweep is appended once all its cells are
+	// in.
+	mu       sync.Mutex
+	jobs     []*job
+	records  map[recordKey]*record // one per distinct key
+	sweeps   []*sweep
+	draining bool
 
 	// flightMu guards each record's flight, which dedupes concurrent
 	// identical work: one leader per RunKey simulates (or forwards), and
@@ -111,14 +114,64 @@ type Service struct {
 }
 
 // sweep groups the jobs of one POST /v1/sweeps submission and fans
-// terminal-state notifications out to stream subscribers.
+// terminal-state notifications out to stream subscribers. Its cells were
+// admitted together, so they are one range of the job table.
 type sweep struct {
-	id     string
-	jobIDs []string
+	n     int // the ID number: the sweep sits at Service.sweeps[n-1]
+	first int // its cells are Service.jobs[first : first+cells]
+	cells int
 
-	mu      sync.Mutex
-	subs    map[int]chan *job
-	nextSub int
+	mu   sync.Mutex
+	subs []chan int // one per stream; each gets the positions of cells that end
+}
+
+// The widths formatID pads job and sweep ID numbers to.
+const (
+	jobIDWidth   = 6
+	sweepIDWidth = 4
+)
+
+// id returns the job's ID, "r%06d" of its number.
+func (j *job) id() string { return formatID('r', jobIDWidth, j.n) }
+
+// id returns the sweep's ID, "s%04d" of its number.
+func (sw *sweep) id() string { return formatID('s', sweepIDWidth, sw.n) }
+
+// formatID formats n ≥ 1 as fmt.Sprintf("%c%0*d", prefix, width, n) does.
+func formatID(prefix byte, width, n int) string {
+	var b [24]byte
+	i := len(b)
+	for n > 0 || len(b)-i < width {
+		i--
+		b[i] = byte('0' + n%10)
+		n /= 10
+	}
+	i--
+	b[i] = prefix
+	return string(b[i:])
+}
+
+// parseID returns the number n ≥ 1 that formatID(prefix, width, n) spells
+// as id, and false when no number does: a wrong prefix, a non-digit, a
+// sign, too few digits, or a leading zero past the padding.
+func parseID(id string, prefix byte, width int) (int, bool) {
+	if len(id) == 0 || id[0] != prefix {
+		return 0, false
+	}
+	digits := id[1:]
+	// More than 18 digits could overflow, and no table is that long.
+	if len(digits) < width || len(digits) > 18 || len(digits) > width && digits[0] == '0' {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, n > 0
 }
 
 // New starts a service with its worker pool running.
@@ -144,9 +197,7 @@ func New(opt Options) *Service {
 		peerSlots:  make(chan struct{}, opt.Workers),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       make(map[string]*job),
 		records:    make(map[recordKey]*record),
-		sweeps:     make(map[string]*sweep),
 	}
 	if len(opt.Peers) > 0 && opt.Self != "" {
 		s.clu = cluster.New(cluster.Options{
@@ -234,7 +285,7 @@ func (s *Service) Submit(req RunRequest) (*job, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.enqueueLocked(sp, "")
+	return s.enqueueLocked(sp, nil)
 }
 
 // submitPeer accepts a job forwarded by a peer, normalized and marked
@@ -250,7 +301,7 @@ func (s *Service) submitPeer(sp spec) (*job, error) {
 	if s.draining {
 		return nil, ErrDraining
 	}
-	j := s.newJobLocked(sp, "")
+	j := s.newJobLocked(sp, nil)
 	s.metrics.submitted.Add(1)
 	// Registered under s.mu before Shutdown can start waiting, so the drain
 	// covers this job like any worker's.
@@ -262,37 +313,39 @@ func (s *Service) submitPeer(sp spec) (*job, error) {
 	return j, nil
 }
 
-// newJobLocked creates and registers a job, and its key's record if it is
-// the key's first job; the caller holds s.mu. Only a new record costs a
-// RunKey hash.
-func (s *Service) newJobLocked(sp spec, sweepID string) *job {
-	s.nextJob++
+// newJobLocked creates a job of sweep sw (nil for a run) and appends it to
+// the job table, and creates its key's record if it is the key's first job;
+// the caller holds s.mu. Only a new record costs a RunKey hash.
+func (s *Service) newJobLocked(sp spec, sw *sweep) *job {
 	rk := sp.recordKey()
 	rec := s.records[rk]
 	if rec == nil {
 		rec = &record{key: sp.key.Hash(), bench: sp.key.Bench, mech: sp.key.Mech}
 		s.records[rk] = rec
 	}
-	j := &job{
-		id:      fmt.Sprintf("r%06d", s.nextJob),
-		sweepID: sweepID,
-		rec:     rec,
-		live:    &jobLive{spec: sp, seq: s.nextJob, heapIdx: -1},
-		status:  StatusQueued,
-		done:    make(chan struct{}),
-	}
-	s.jobs[j.id] = j
+	j := &job{rec: rec, n: len(s.jobs) + 1, live: &jobLive{spec: sp, sw: sw, heapIdx: -1}}
+	s.jobs = append(s.jobs, j)
 	return j
 }
 
-// enqueueLocked creates and queues a job; the caller holds s.mu.
-func (s *Service) enqueueLocked(sp spec, sweepID string) (*job, error) {
+// truncateJobsLocked takes the jobs past the first n out of the table, so
+// the next job takes number n+1. Only a rejected submission calls it, for
+// the jobs it appended itself: no client learned their IDs. The caller
+// holds s.mu.
+func (s *Service) truncateJobsLocked(n int) {
+	clear(s.jobs[n:])
+	s.jobs = s.jobs[:n]
+}
+
+// enqueueLocked creates and queues a job of sweep sw (nil for a run); the
+// caller holds s.mu.
+func (s *Service) enqueueLocked(sp spec, sw *sweep) (*job, error) {
 	if s.draining {
 		return nil, ErrDraining
 	}
-	j := s.newJobLocked(sp, sweepID)
+	j := s.newJobLocked(sp, sw)
 	if err := s.queue.Push(j); err != nil {
-		delete(s.jobs, j.id)
+		s.truncateJobsLocked(j.n - 1)
 		if errors.Is(err, ErrQueueFull) {
 			s.metrics.queueRejected.Add(1)
 			return nil, err
@@ -364,7 +417,9 @@ func distinct(what string, names []string) error {
 	return nil
 }
 
-// SubmitSweep validates and enqueues a bench×mech grid.
+// SubmitSweep validates and enqueues a bench×mech grid. It appends the
+// sweep's cells to the job table under one hold of s.mu, so they are one
+// range of it, and the sweep to the sweep table only once every cell is in.
 func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
 	specs, err := s.sweepSpecs(req)
 	if err != nil {
@@ -372,39 +427,57 @@ func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextSweep++
-	sw := &sweep{id: fmt.Sprintf("s%04d", s.nextSweep), subs: make(map[int]chan *job)}
-	jobs := make([]*job, 0, len(specs))
+	sw := &sweep{n: len(s.sweeps) + 1, first: len(s.jobs), cells: len(specs)}
 	for _, sp := range specs {
-		j, err := s.enqueueLocked(sp, sw.id)
-		if err != nil {
+		if _, err := s.enqueueLocked(sp, sw); err != nil {
 			// All-or-nothing admission: cancel the cells already enqueued so
 			// a rejected sweep leaves no stray work behind. Each is also
 			// removed from the heap so it frees its depth slot immediately
 			// instead of inflating the queue until a worker pops and skips
 			// it, and from the job table, since no client learns its ID. A
 			// cell a worker already popped still runs to its end.
-			for _, prev := range jobs {
-				if s.dropQueued(prev) {
-					close(prev.done)
-				}
-				delete(s.jobs, prev.id)
+			for _, prev := range s.jobs[sw.first:] {
+				s.dropQueued(prev)
 			}
+			s.truncateJobsLocked(sw.first)
 			return nil, nil, err
 		}
-		sw.jobIDs = append(sw.jobIDs, j.id)
-		jobs = append(jobs, j)
 	}
-	s.sweeps[sw.id] = sw
-	return sw, jobs, nil
+	s.sweeps = append(s.sweeps, sw)
+	return sw, s.cellsLocked(sw), nil
 }
 
-// Job looks up a job by ID.
+// cellsLocked returns sw's jobs. The caller holds s.mu, but may read the
+// slice after releasing it: an admitted sweep's range is never written
+// again.
+func (s *Service) cellsLocked(sw *sweep) []*job {
+	end := sw.first + sw.cells
+	return s.jobs[sw.first:end:end]
+}
+
+// Job looks up a job by ID. Only the exact spelling of an admitted job's ID
+// finds it.
 func (s *Service) Job(id string) (*job, bool) {
+	n, ok := parseID(id, 'r', jobIDWidth)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	if !ok || n > len(s.jobs) {
+		return nil, false
+	}
+	return s.jobs[n-1], true
+}
+
+// findSweep looks up a sweep by ID and returns it with its jobs. Only the exact
+// spelling of an admitted sweep's ID finds it.
+func (s *Service) findSweep(id string) (*sweep, []*job, bool) {
+	n, ok := parseID(id, 's', sweepIDWidth)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !ok || n > len(s.sweeps) {
+		return nil, nil, false
+	}
+	sw := s.sweeps[n-1]
+	return sw, s.cellsLocked(sw), true
 }
 
 // Handler returns the HTTP API.
@@ -435,9 +508,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		clu = &snap
 	}
 	s.mu.Lock()
-	jobs, records := len(s.jobs), len(s.records)
+	jobs, sweeps, records := len(s.jobs), len(s.sweeps), len(s.records)
 	s.mu.Unlock()
-	s.metrics.render(w, s.queue.Len(), jobs, records, s.runner.Store.Bytes(), s.store.Snap(), clu)
+	s.metrics.render(w, s.queue.Len(), jobs, sweeps, records, s.runner.Store.Bytes(), s.store.Snap(), clu)
 }
 
 func (s *Service) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
@@ -466,12 +539,13 @@ func (s *Service) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// Synchronous mode: the client holding the connection is the job's
 	// owner, so a disconnect cancels the simulation.
+	done := j.wait()
 	select {
-	case <-j.done:
+	case <-done:
 		writeRun(w, http.StatusOK, j.view())
 	case <-r.Context().Done():
 		s.cancelJob(j)
-		<-j.done
+		<-done
 	}
 }
 
@@ -505,26 +579,17 @@ func (s *Service) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitErr(w, err)
 		return
 	}
-	v := SweepView{ID: sw.id, Total: len(jobs), Pending: len(jobs), Jobs: views(jobs)}
+	v := SweepView{ID: sw.id(), Total: len(jobs), Pending: len(jobs), Jobs: views(jobs)}
 	writeSweep(w, http.StatusAccepted, &v)
 }
 
 func (s *Service) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sw, ok := s.sweeps[r.PathValue("id")]
-	var jobs []*job
-	if ok {
-		jobs = make([]*job, 0, len(sw.jobIDs))
-		for _, id := range sw.jobIDs {
-			jobs = append(jobs, s.jobs[id])
-		}
-	}
-	s.mu.Unlock()
+	sw, jobs, ok := s.findSweep(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such sweep %q", r.PathValue("id")))
 		return
 	}
-	v := SweepView{ID: sw.id, Total: len(jobs), Jobs: views(jobs)}
+	v := SweepView{ID: sw.id(), Total: len(jobs), Jobs: views(jobs)}
 	for i := range v.Jobs {
 		if !v.Jobs[i].Status.Terminal() {
 			v.Pending++

@@ -269,7 +269,7 @@ func TestWaitModeClientDisconnect(t *testing.T) {
 		svc.mu.Unlock()
 		if j != nil {
 			j.mu.Lock()
-			running := j.status == StatusRunning
+			running := j.status == jobRunning
 			j.mu.Unlock()
 			if running {
 				break
@@ -285,14 +285,11 @@ func TestWaitModeClientDisconnect(t *testing.T) {
 		t.Error("request unexpectedly succeeded after client disconnect")
 	}
 	select {
-	case <-j.done:
+	case <-j.wait():
 	case <-time.After(60 * time.Second):
 		t.Fatal("job did not terminate after client disconnect")
 	}
-	j.mu.Lock()
-	st := j.status
-	j.mu.Unlock()
-	if st != StatusCanceled {
+	if st := j.view().Status; st != StatusCanceled {
 		t.Errorf("job status = %s, want canceled", st)
 	}
 
@@ -306,23 +303,24 @@ func TestWaitModeClientDisconnect(t *testing.T) {
 // TestQueueOrdering checks priority-then-FIFO pop order.
 func TestQueueOrdering(t *testing.T) {
 	q := newJobQueue(0)
-	mk := func(id string, prio int, seq int64) *job {
-		return &job{id: id, live: &jobLive{spec: spec{priority: prio}, seq: seq}, done: make(chan struct{})}
+	mk := func(n, prio int) *job {
+		return &job{n: n, live: &jobLive{spec: spec{priority: prio}}}
 	}
-	for _, j := range []*job{mk("low", -1, 1), mk("a", 0, 2), mk("b", 0, 3), mk("high", 7, 4)} {
+	// Jobs 1 (low), 2 and 3 (equal) and 4 (high).
+	for _, j := range []*job{mk(1, -1), mk(2, 0), mk(3, 0), mk(4, 7)} {
 		if err := q.Push(j); err != nil {
-			t.Fatalf("push %s: %v", j.id, err)
+			t.Fatalf("push %d: %v", j.n, err)
 		}
 	}
-	var got []string
+	var got []int
 	for i := 0; i < 4; i++ {
 		j, ok := q.Pop()
 		if !ok {
 			t.Fatal("queue closed early")
 		}
-		got = append(got, j.id)
+		got = append(got, j.n)
 	}
-	want := []string{"high", "a", "b", "low"}
+	want := []int{4, 2, 3, 1}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("pop order %v, want %v", got, want)
@@ -332,20 +330,20 @@ func TestQueueOrdering(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Error("Pop after Close on empty queue returned a job")
 	}
-	if err := q.Push(mk("x", 0, 9)); err == nil {
+	if err := q.Push(mk(9, 0)); err == nil {
 		t.Error("Push after Close succeeded")
 	}
 
 	// Bounded depth: the third push into a depth-2 queue is rejected with
 	// ErrQueueFull.
 	qb := newJobQueue(2)
-	if err := qb.Push(mk("1", 0, 1)); err != nil {
+	if err := qb.Push(mk(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := qb.Push(mk("2", 0, 2)); err != nil {
+	if err := qb.Push(mk(2, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := qb.Push(mk("3", 0, 3)); !errors.Is(err, ErrQueueFull) {
+	if err := qb.Push(mk(3, 0)); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("push past depth: err = %v, want ErrQueueFull", err)
 	}
 }
@@ -760,9 +758,9 @@ func TestCacheDirSurvivesRestart(t *testing.T) {
 		out := make(map[string]*stats.Sim, len(jobs))
 		for _, j := range jobs {
 			select {
-			case <-j.done:
+			case <-j.wait():
 			case <-time.After(60 * time.Second):
-				t.Fatalf("job %s did not finish", j.id)
+				t.Fatalf("job %s did not finish", j.id())
 			}
 			if v := j.view(); v.Status != StatusDone || v.Source != source {
 				t.Fatalf("%s/%s: status %s, source %q, want done from %q (%s)", v.Bench, v.Mech, v.Status, v.Source, source, v.Error)
@@ -834,7 +832,7 @@ func TestSingleflightFinishesFromRecord(t *testing.T) {
 	}
 	sources := map[string]int{}
 	for _, j := range jobs {
-		<-j.done
+		<-j.wait()
 		v := j.view()
 		if v.Status != StatusDone {
 			t.Fatalf("%s: %s (%s)", v.ID, v.Status, v.Error)

@@ -4,52 +4,47 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 )
 
 // subscribe registers a stream consumer on the sweep. The channel is
 // buffered generously past the worst case (one notify per job plus replay
 // slack) so notifiers never block on a slow reader.
-func (sw *sweep) subscribe() (int, chan *job) {
+func (sw *sweep) subscribe() chan int {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.nextSub++
-	id := sw.nextSub
-	ch := make(chan *job, 2*len(sw.jobIDs)+4)
-	sw.subs[id] = ch
-	return id, ch
+	ch := make(chan int, 2*sw.cells+4)
+	sw.subs = append(sw.subs, ch)
+	return ch
 }
 
-func (sw *sweep) unsubscribe(id int) {
+// unsubscribe removes a stream consumer; the last one to leave frees the
+// list.
+func (sw *sweep) unsubscribe(ch chan int) {
 	sw.mu.Lock()
-	delete(sw.subs, id)
-	sw.mu.Unlock()
+	defer sw.mu.Unlock()
+	sw.subs = slices.DeleteFunc(sw.subs, func(c chan int) bool { return c == ch })
+	if len(sw.subs) == 0 {
+		sw.subs = nil
+	}
 }
 
-// notify fans one terminal job out to every subscriber. Sends are
-// non-blocking: a subscriber whose buffer somehow filled loses the event
+// notify fans one terminal job of the sweep out to every subscriber, as its
+// position among the sweep's cells; a nil sweep (a run's) has none. Sends
+// are non-blocking: a subscriber whose buffer somehow filled loses the event
 // rather than stalling job completion; its replay-on-connect already covered
 // everything terminal before it subscribed.
 func (sw *sweep) notify(j *job) {
+	if sw == nil {
+		return
+	}
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	for _, ch := range sw.subs {
 		select {
-		case ch <- j:
+		case ch <- j.n - 1 - sw.first:
 		default:
 		}
-	}
-}
-
-// notifySweep routes a terminal job to its sweep's subscribers, if any.
-func (s *Service) notifySweep(j *job) {
-	if j.sweepID == "" {
-		return
-	}
-	s.mu.Lock()
-	sw := s.sweeps[j.sweepID]
-	s.mu.Unlock()
-	if sw != nil {
-		sw.notify(j)
 	}
 }
 
@@ -58,16 +53,7 @@ func (s *Service) notifySweep(j *job) {
 // StreamEnd summary line once every cell is terminal. Clients see results
 // immediately instead of polling the roll-up with ?wait=1 semantics.
 func (s *Service) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sw, ok := s.sweeps[r.PathValue("id")]
-	var jobs []*job
-	if ok {
-		jobs = make([]*job, 0, len(sw.jobIDs))
-		for _, id := range sw.jobIDs {
-			jobs = append(jobs, s.jobs[id])
-		}
-	}
-	s.mu.Unlock()
+	sw, jobs, ok := s.findSweep(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such sweep %q", r.PathValue("id")))
 		return
@@ -77,8 +63,8 @@ func (s *Service) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 
-	subID, ch := sw.subscribe()
-	defer sw.unsubscribe(subID)
+	ch := sw.subscribe()
+	defer sw.unsubscribe(ch)
 	s.metrics.streamSubs.Add(1)
 	defer s.metrics.streamSubs.Add(-1)
 
@@ -88,17 +74,20 @@ func (s *Service) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var line []byte
-	sent := make(map[string]bool, len(jobs))
+	sent := make([]uint64, (len(jobs)+63)/64) // a bit per cell, by position
+	nsent := 0
 	var end StreamEnd
-	emit := func(j *job) bool {
-		if sent[j.id] {
+	emit := func(i int) bool {
+		word, bit := &sent[i/64], uint64(1)<<(i%64)
+		if *word&bit != 0 {
 			return true
 		}
-		v := j.view()
+		v := jobs[i].view()
 		if !v.Status.Terminal() {
 			return true
 		}
-		sent[j.id] = true
+		*word |= bit
+		nsent++
 		switch v.Status {
 		case StatusDone:
 			end.Completed++
@@ -118,21 +107,21 @@ func (s *Service) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 
 	// Replay cells already terminal at connect time, then stream the rest
 	// in completion order. Notifications that raced the replay are deduped
-	// by job ID. The stream is flushed per burst, not per line: after the
+	// by position. The stream is flushed per burst, not per line: after the
 	// replay, and whenever no further notification is ready, so a line
 	// waits only for lines already queued behind it.
-	for _, j := range jobs {
-		if !emit(j) {
+	for i := range jobs {
+		if !emit(i) {
 			return
 		}
 	}
-	if len(sent) < len(jobs) {
+	if nsent < len(jobs) {
 		flush()
 	}
-	for len(sent) < len(jobs) {
+	for nsent < len(jobs) {
 		select {
-		case j := <-ch:
-			if !emit(j) {
+		case i := <-ch:
+			if !emit(i) {
 				return
 			}
 			if len(ch) == 0 {

@@ -14,35 +14,125 @@ import (
 
 // job is one queued/running/completed simulation. snaked keeps every job
 // for GET /v1/runs/{id}, so a terminal job holds only what its RunView shows
-// plus a pointer to its key's shared record: finish drops live.
+// plus a pointer to its key's shared record: end drops live. Its ID is not
+// stored but formatted from its number (job.id).
 type job struct {
-	id      string
-	sweepID string
-	rec     *record // shared per-key state: key, bench, mech, first result
+	rec *record // shared per-key state: key, bench, mech, first result
+	n   int     // the ID number: the job sits at Service.jobs[n-1]
 
 	mu     sync.Mutex
 	live   *jobLive // nil once terminal
-	status Status
-	cached bool
-	source string // where the result came from (RunView.Source)
 	err    error
 	wall   time.Duration // from start to finish; 0 for a job that never ran
-
-	// done closes when the job reaches a terminal state.
-	done chan struct{}
+	status jobStatus
+	source resultSource // where the result came from (RunView.Source)
 }
 
 // jobLive is what a job needs only until it is terminal: the normalized
-// spec, its queue position, and the start time and cancel func of its run.
-// The queue reads seq, heapIdx and spec.priority under its own lock while
-// the job is queued; the worker running the job reads spec without j.mu.
-// Only the goroutine that makes the job terminal clears it, under j.mu.
+// spec, its sweep, its queue position, its waiters' channel, and the start
+// time and cancel func of its run. The queue reads heapIdx and
+// spec.priority under its own lock while the job is queued; the worker
+// running the job reads spec without j.mu. Only the goroutine that makes the
+// job terminal clears it (job.end), under j.mu.
 type jobLive struct {
 	spec    spec
-	seq     int64              // FIFO order among equal priorities
+	sw      *sweep             // the sweep the job is a cell of; nil for a run
+	done    chan struct{}      // made by the first wait, closed by end
 	heapIdx int                // position in the priority heap (queue lock; -1 when out)
 	start   time.Time          // when a worker picked the job up
 	cancel  context.CancelFunc // non-nil while running
+}
+
+// jobStatus is a job's Status in one byte.
+type jobStatus uint8
+
+// The job states, in Status order.
+const (
+	jobQueued jobStatus = iota
+	jobRunning
+	jobDone
+	jobFailed
+	jobCanceled
+)
+
+var statuses = [...]Status{StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCanceled}
+
+// resultSource is a job's RunView.Source in one byte.
+type resultSource uint8
+
+// The result sources, in sourceNames order.
+const (
+	srcNone resultSource = iota // the job produced no result
+	srcMemory
+	srcDisk
+	srcSim
+	srcFwdMemory
+	srcFwdDisk
+	srcFwdSim
+)
+
+var sourceNames = [...]string{"", "memory", "disk", "sim", "forward:memory", "forward:disk", "forward:sim"}
+
+// cached reports whether a result from src simulated nothing (RunView.Cached).
+func (src resultSource) cached() bool {
+	return src == srcMemory || src == srcDisk || src == srcFwdMemory || src == srcFwdDisk
+}
+
+// tierSource is the source of a result the store held in tier t, memory or
+// disk.
+func tierSource(t cluster.Tier) resultSource {
+	if t == cluster.TierDisk {
+		return srcDisk
+	}
+	return srcMemory
+}
+
+// forwardSource is the source of a result the owning peer answered, from
+// the tier the peer names: "memory", "disk", or "sim". Any other name reads
+// as "sim", as the transport reads a missing one.
+func forwardSource(tier string) resultSource {
+	switch tier {
+	case "memory":
+		return srcFwdMemory
+	case "disk":
+		return srcFwdDisk
+	}
+	return srcFwdSim
+}
+
+// closedDone is what wait returns for a terminal job: a job that is already
+// finished has no channel of its own.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// wait returns a channel that is closed once the job is terminal. Only a
+// job still queued or running when first waited on makes a channel.
+func (j *job) wait() <-chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.live == nil {
+		return closedDone
+	}
+	if j.live.done == nil {
+		j.live.done = make(chan struct{})
+	}
+	return j.live.done
+}
+
+// end releases a job that has just reached a terminal state, with its
+// metrics counted: it wakes the job's waiters and drops its live state. It
+// returns the job's sweep, which the caller notifies once j.mu is released.
+// The caller holds j.mu.
+func (j *job) end() *sweep {
+	sw := j.live.sw
+	if j.live.done != nil {
+		close(j.live.done)
+	}
+	j.live = nil
+	return sw
 }
 
 // record is the state every job of one RunKey shares, created by the key's
@@ -65,18 +155,18 @@ func (j *job) view() RunView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := RunView{
-		ID:     j.id,
+		ID:     j.id(),
 		Bench:  j.rec.bench,
 		Mech:   j.rec.mech,
 		Key:    j.rec.key,
-		Status: j.status,
-		Cached: j.cached,
-		Source: j.source,
+		Status: statuses[j.status],
+		Cached: j.source.cached(),
+		Source: sourceNames[j.source],
 	}
 	if j.err != nil {
 		v.Error = j.err.Error()
 	}
-	if j.status == StatusDone {
+	if j.status == jobDone {
 		v.Result = summarize(j.rec.st.Load())
 	}
 	if j.wall > 0 {
@@ -103,11 +193,11 @@ func (s *Service) worker() {
 // otherwise or as the degradation path.
 func (s *Service) runJob(j *job) {
 	j.mu.Lock()
-	if j.status != StatusQueued { // canceled while queued
+	if j.status != jobQueued { // canceled while queued
 		j.mu.Unlock()
 		return
 	}
-	j.status = StatusRunning
+	j.status = jobRunning
 	j.live.start = time.Now()
 	sp, key := &j.live.spec, j.rec.key
 	var ctx context.Context
@@ -126,12 +216,12 @@ func (s *Service) runJob(j *job) {
 	// so a repeat finishes from memory without reading a cache tier.
 	if st := j.rec.st.Load(); st != nil {
 		s.metrics.cacheHits.Add(1)
-		s.finish(j, st, nil, true, cluster.TierMemory.String())
+		s.finish(j, st, nil, srcMemory)
 		return
 	}
 	if st, tier := s.store.Get(ctx, key); st != nil {
 		s.metrics.cacheHits.Add(1)
-		s.finish(j, st, nil, true, tier.String())
+		s.finish(j, st, nil, tierSource(tier))
 		return
 	}
 	s.metrics.cacheMisses.Add(1)
@@ -148,23 +238,21 @@ func (s *Service) runJob(j *job) {
 		select {
 		case <-wait:
 		case <-ctx.Done():
-			s.finish(j, nil, ctx.Err(), false, "")
+			s.finish(j, nil, ctx.Err(), srcNone)
 			return
 		}
 		if st := j.rec.st.Load(); st != nil {
 			s.metrics.cacheHits.Add(1)
-			s.finish(j, st, nil, true, cluster.TierMemory.String())
+			s.finish(j, st, nil, srcMemory)
 			return
 		}
 	}
-	st, source, err := s.produce(ctx, key, sp)
+	st, src, err := s.produce(ctx, key, sp)
 	if err == nil {
 		s.store.Put(key, st)
 	}
-	// A forwarded hit simulated nothing, so it is cached like a local hit.
-	cached := source == "forward:memory" || source == "forward:disk"
 	// finish sets the record's result, so the waiters woken next find it.
-	s.finish(j, st, err, cached, source)
+	s.finish(j, st, err, src)
 	s.endFlight(j.rec)
 }
 
@@ -193,66 +281,63 @@ func (s *Service) endFlight(rec *record) {
 // when this node is not the owner, locally otherwise. Every forwarding
 // failure — owner down, saturated, or erroring — degrades to local compute;
 // a dead peer costs duplicated work, never a failed job.
-func (s *Service) produce(ctx context.Context, key string, sp *spec) (*stats.Sim, string, error) {
+func (s *Service) produce(ctx context.Context, key string, sp *spec) (*stats.Sim, resultSource, error) {
 	if s.clu != nil && !sp.noForward {
 		body, err := json.Marshal(sp.wireRequest())
 		if err == nil {
-			st, src, err := s.clu.Execute(ctx, key, body)
+			st, tier, err := s.clu.Execute(ctx, key, body)
 			if err == nil {
 				s.metrics.forwardsOK.Add(1)
-				return st, "forward:" + src, nil
+				return st, forwardSource(tier), nil
 			}
 			if !errors.Is(err, cluster.ErrSelf) && ctx.Err() == nil {
 				s.metrics.forwardFallbacks.Add(1)
 			}
 			if ctx.Err() != nil {
-				return nil, "", ctx.Err()
+				return nil, srcNone, ctx.Err()
 			}
 		}
 	}
 	st, err := s.runner.Simulate(ctx, sp.key)
-	return st, "sim", err
+	return st, srcSim, err
 }
 
-// finish moves a running job to its terminal state, releases its live
-// state and updates metrics. A success sets the key's result unless an
-// earlier one did.
-func (s *Service) finish(j *job, st *stats.Sim, err error, cached bool, source string) {
+// finish moves a running job to its terminal state, updates metrics and
+// ends the job. A success sets the key's result unless an earlier one did.
+// The metrics are counted before the job's waiters wake.
+func (s *Service) finish(j *job, st *stats.Sim, err error, src resultSource) {
 	if err == nil {
 		j.rec.st.CompareAndSwap(nil, st)
 	}
 	j.mu.Lock()
 	j.wall = time.Since(j.live.start)
-	j.err, j.cached, j.source = err, cached, source
+	j.err, j.source = err, src
 	switch {
 	case err == nil:
-		j.status = StatusDone
+		j.status = jobDone
 	case errors.Is(err, context.Canceled):
-		j.status = StatusCanceled
+		j.status = jobCanceled
 	default:
-		j.status = StatusFailed
+		j.status = jobFailed
 	}
-	j.live = nil
-	status, wall := j.status, j.wall
+	s.metrics.jobFinished(j.status)
+	if err == nil && src == srcSim {
+		s.metrics.observeWall(j.rec.bench, float64(j.wall)/float64(time.Millisecond))
+	}
+	sw := j.end()
 	j.mu.Unlock()
-	s.metrics.jobFinished(status)
-	if err == nil && !cached && source == "sim" {
-		s.metrics.observeWall(j.rec.bench, float64(wall)/float64(time.Millisecond))
-	}
-	close(j.done)
-	s.notifySweep(j)
+	sw.notify(j)
 }
 
 // cancelJob cancels a queued or running job; terminal jobs are left alone.
 func (s *Service) cancelJob(j *job) {
-	if s.dropQueued(j) {
-		close(j.done)
-		s.notifySweep(j)
+	if sw, ok := s.dropQueued(j); ok {
+		sw.notify(j)
 		return
 	}
 	j.mu.Lock()
 	var cancel context.CancelFunc
-	if j.status == StatusRunning {
+	if j.status == jobRunning {
 		cancel = j.live.cancel
 	}
 	j.mu.Unlock()
@@ -262,23 +347,22 @@ func (s *Service) cancelJob(j *job) {
 }
 
 // dropQueued moves a still-queued job straight to canceled, takes it out of
-// the priority heap so its depth slot frees now, and releases its live
-// state. It reports false when the job had already left the queued state.
-// The caller closes done. Safe while holding s.mu: it only takes j.mu, the
-// queue lock, and the metrics lock.
-func (s *Service) dropQueued(j *job) bool {
+// the priority heap so its depth slot frees now, and ends it. It returns the
+// job's sweep, for the caller to notify, and reports false when the job had
+// already left the queued state. Safe while holding s.mu: it only takes
+// j.mu and the queue lock.
+func (s *Service) dropQueued(j *job) (*sweep, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
-		return false
+	if j.status != jobQueued {
+		return nil, false
 	}
-	j.status = StatusCanceled
+	j.status = jobCanceled
 	j.err = context.Canceled
 	// A worker that already popped the job (Remove returns false) skips
 	// non-queued jobs without touching live; once Remove returns, the heap
 	// no longer reads it either.
 	s.queue.Remove(j)
-	j.live = nil
 	s.metrics.canceled.Add(1)
-	return true
+	return j.end(), true
 }

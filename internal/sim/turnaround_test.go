@@ -20,9 +20,8 @@ import (
 // engages. The golden matrices run only configs whose horizon is far past
 // the turnaround. Four fills per partition make the in-flight cap bind, so
 // the cycle each slot frees on moves the statistics; at the default cap of
-// 1024 it moves nothing. The scale is one at which Snake's statistics differ
-// from the baseline's on every pinned benchmark. Each run is repeated per
-// cycle, which must reproduce the digest.
+// 1024 it moves nothing. Each run is repeated per cycle, which must reproduce
+// the digest.
 func TestHorizonAtTurnaroundGolden(t *testing.T) {
 	want := map[string]string{
 		"lps/baseline/1":     "4536257269d61360",
@@ -44,6 +43,46 @@ func TestHorizonAtTurnaroundGolden(t *testing.T) {
 		"histo/snake/4":      "072287900e1a4403",
 		"histo/snake/8":      "3883df552120a50c",
 	}
+	for _, lat := range []int{1, 4, 8} {
+		cfg := config.Scaled(4, 8)
+		cfg.IcntLatency = lat
+		cfg.FillsPerPartition = 4
+		if h, turn := sim.SlackSchedule(cfg); h != turn {
+			t.Fatalf("IcntLatency %d: horizon %d, turnaround %d: the config no longer pins horizon = turnaround", lat, h, turn)
+		}
+		checkFillCapDigests(t, cfg, fmt.Sprint(lat), want)
+	}
+}
+
+// TestHorizonPastTurnaroundGolden is TestHorizonAtTurnaroundGolden's sibling
+// at the default IcntLatency, where the horizon is far past the turnaround.
+// There a delivered fill frees its in-flight slot horizon − turnaround
+// cycles after its delivery, so with four fills per partition a slot freed
+// any other cycle moves these digests.
+func TestHorizonPastTurnaroundGolden(t *testing.T) {
+	want := map[string]string{
+		"lps/baseline/default":     "1c5dc2d38320c3c9",
+		"lps/snake/default":        "f1c690f8a31f1649",
+		"hotspot/baseline/default": "6df4e3befbc9e36e",
+		"hotspot/snake/default":    "6209a65a55dd5d57",
+		"histo/baseline/default":   "4275feb575c1234d",
+		"histo/snake/default":      "8cdc9aaa4fa66d19",
+	}
+	cfg := config.Scaled(4, 8)
+	cfg.FillsPerPartition = 4
+	if h, turn := sim.SlackSchedule(cfg); h <= turn {
+		t.Fatalf("horizon %d, turnaround %d: the config no longer pins horizon > turnaround", h, turn)
+	}
+	checkFillCapDigests(t, cfg, "default", want)
+}
+
+// checkFillCapDigests runs lps, hotspot and histo at 8×4×4 under the
+// baseline and Snake on cfg, with the auto window and per cycle, and checks
+// each run's statistics digest against want[bench/mech/tag]. The scale is
+// one at which Snake's statistics differ from the baseline's on every pinned
+// benchmark.
+func checkFillCapDigests(t *testing.T, cfg config.GPU, tag string, want map[string]string) {
+	t.Helper()
 	sc := workloads.Scale{CTAs: 8, WarpsPerCTA: 4, Iters: 4}
 	for _, bench := range []string{"lps", "hotspot", "histo"} {
 		k, err := workloads.Build(bench, sc)
@@ -52,27 +91,19 @@ func TestHorizonAtTurnaroundGolden(t *testing.T) {
 		}
 		for _, mech := range []string{"baseline", "snake"} {
 			factory := testMechanism(t, mech)
-			for _, lat := range []int{1, 4, 8} {
-				name := fmt.Sprintf("%s/%s/%d", bench, mech, lat)
-				cfg := config.Scaled(4, 8)
-				cfg.IcntLatency = lat
-				cfg.FillsPerPartition = 4
-				if h, turn := sim.SlackSchedule(cfg); h != turn {
-					t.Fatalf("%s: horizon %d, turnaround %d: the config no longer pins horizon = turnaround", name, h, turn)
+			name := fmt.Sprintf("%s/%s/%s", bench, mech, tag)
+			for _, slack := range []int{0, 1} {
+				res, err := sim.Run(k, sim.WithSlackWindow(sim.Options{Config: cfg, NewPrefetcher: factory}, slack))
+				if err != nil {
+					t.Fatalf("%s slack=%d: %v", name, slack, err)
 				}
-				for _, slack := range []int{0, 1} {
-					res, err := sim.Run(k, sim.WithSlackWindow(sim.Options{Config: cfg, NewPrefetcher: factory}, slack))
-					if err != nil {
-						t.Fatalf("%s slack=%d: %v", name, slack, err)
-					}
-					b, err := json.Marshal(res.Stats)
-					if err != nil {
-						t.Fatal(err)
-					}
-					h := sha256.Sum256(b)
-					if got := hex.EncodeToString(h[:8]); got != want[name] {
-						t.Errorf("%s slack=%d: stats digest %s, want %s (cycles %d, insts %d)", name, slack, got, want[name], res.Stats.Cycles, res.Stats.Insts)
-					}
+				b, err := json.Marshal(res.Stats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.Sum256(b)
+				if got := hex.EncodeToString(h[:8]); got != want[name] {
+					t.Errorf("%s slack=%d: stats digest %s, want %s (cycles %d, insts %d)", name, slack, got, want[name], res.Stats.Cycles, res.Stats.Insts)
 				}
 			}
 		}
