@@ -81,15 +81,13 @@ func dumpWarp(k *trace.Kernel, cta, warp, limit int) {
 		fatal(fmt.Errorf("cta %d / warp %d out of range", cta, warp))
 	}
 	w := &k.CTAs[cta].Warps[warp]
+	loads := w.Loads()
 	fmt.Fprintf(out, "%s CTA %d warp %d: %d instructions, %d loads\n",
-		k.Name, cta, warp, len(w.Insts), len(w.Loads()))
+		k.Name, cta, warp, w.Len(), len(loads))
 	var prev trace.Inst
 	havePrev := false
 	n := 0
-	for _, in := range w.Insts {
-		if in.Op != trace.OpLoad {
-			continue
-		}
+	for _, in := range loads {
 		if n >= limit {
 			fmt.Fprintln(out, "...")
 			break

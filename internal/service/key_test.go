@@ -136,7 +136,8 @@ func TestRecordKeysMatchRunKey(t *testing.T) {
 			}
 			def.mu.Lock()
 			for _, sp := range specs {
-				v := def.newJobLocked(sp, nil).view()
+				j, _ := def.newJobLocked(sp, nil)
+				v := j.view()
 				if w := want(def, req, v); v.Key != w {
 					t.Errorf("%s: %s/%s has key %s, want %s", body, v.Bench, v.Mech, v.Key, w)
 				}
@@ -173,7 +174,8 @@ func TestCustomSnakeSignedZeroKeys(t *testing.T) {
 		}
 		svc.mu.Lock()
 		defer svc.mu.Unlock()
-		return svc.newJobLocked(sp, nil)
+		j, _ := svc.newJobLocked(sp, nil)
+		return j
 	}
 	jd, jp, jn := jobFor(def), jobFor(pos), jobFor(neg)
 	key := func(cfg core.Config) string {

@@ -280,6 +280,69 @@ func TestRejectedSubmissionIDsReused(t *testing.T) {
 	}
 }
 
+// TestRefusedSubmissionLeavesNoRecords: a refused run or sweep on keys the
+// service has never seen takes back the records its jobs created, so
+// snaked_result_records does not move, and a later admission of the same
+// keys simulates each key once.
+func TestRefusedSubmissionLeavesNoRecords(t *testing.T) {
+	gpu := config.Scaled(2, 16)
+	scale := workloads.Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 2}
+	svc := New(Options{Workers: 1, QueueMax: 2, GPU: &gpu, Scale: &scale})
+	defer shutdown(t, svc)
+	records := func() float64 { return metricValue(t, renderMetrics(svc), "snaked_result_records") }
+	submit := func(mech string) (*job, error) {
+		return svc.Submit(RunRequest{Bench: "lps", Mech: mech})
+	}
+	sweep := SweepRequest{Benches: []string{"lps"}, Mechs: []string{"baseline", "intra", "inter"}}
+
+	var queued []*job
+	withPinnedWorkers(t, svc, func() {
+		before := records()
+		// Two cells fill the queue and the third is refused.
+		if _, _, err := svc.SubmitSweep(sweep); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("sweep over a full queue: %v, want ErrQueueFull", err)
+		}
+		if got := records(); got != before {
+			t.Errorf("snaked_result_records %v after a refused sweep, want %v", got, before)
+		}
+		for _, mech := range []string{"baseline", "intra"} {
+			j, err := submit(mech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queued = append(queued, j)
+		}
+		before = records()
+		if _, err := submit("mta"); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("run over a full queue: %v, want ErrQueueFull", err)
+		}
+		if got := records(); got != before {
+			t.Errorf("snaked_result_records %v after a refused run, want %v", got, before)
+		}
+	})
+	for _, j := range queued {
+		<-j.wait()
+	}
+	// The queue holds two jobs, so the keys come back one run at a time,
+	// twice: the second round finds every key's record.
+	mechs := append(sweep.Mechs, "mta")
+	for round := 0; round < 2; round++ {
+		for _, mech := range mechs {
+			j, err := submit(mech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.wait()
+			if v := j.view(); v.Status != StatusDone {
+				t.Fatalf("%s: %s (%s)", v.ID, v.Status, v.Error)
+			}
+		}
+	}
+	if got := labeledMetric(t, renderMetrics(svc), `snaked_sim_wall_ms_count{bench="lps"}`); got != 4 {
+		t.Errorf("%v simulations of lps's 4 keys, want 4", got)
+	}
+}
+
 // TestResweepReadsNoSlot: a re-sweep is served from its keys' records, so
 // even with a one-byte memory tier, which leaves every result but one on
 // disk alone, no cell reads a slot, and every cell says it came from
@@ -544,7 +607,7 @@ func TestRetentionMetrics(t *testing.T) {
 }
 
 // TestTraceBytesMetric: /metrics reports the instruction bytes of the
-// traces the service's runs interned, 16 per dynamic instruction. The
+// traces the service's runs interned (trace.Kernel.Bytes). The
 // service runs on a store of its own here, so other tests' traces do not
 // count.
 func TestTraceBytesMetric(t *testing.T) {
@@ -568,7 +631,7 @@ func TestTraceBytesMetric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += float64(k.TotalInsts()) * 16
+		want += float64(k.Bytes())
 	}
 	if got := metricValue(t, scrapeMetrics(t, ts.URL), "snaked_trace_bytes"); got != want {
 		t.Errorf("snaked_trace_bytes = %v, want %v", got, want)

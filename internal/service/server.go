@@ -285,7 +285,8 @@ func (s *Service) Submit(req RunRequest) (*job, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.enqueueLocked(sp, nil)
+	j, _, err := s.enqueueLocked(sp, nil)
+	return j, err
 }
 
 // submitPeer accepts a job forwarded by a peer, normalized and marked
@@ -301,7 +302,7 @@ func (s *Service) submitPeer(sp spec) (*job, error) {
 	if s.draining {
 		return nil, ErrDraining
 	}
-	j := s.newJobLocked(sp, nil)
+	j, _ := s.newJobLocked(sp, nil)
 	s.metrics.submitted.Add(1)
 	// Registered under s.mu before Shutdown can start waiting, so the drain
 	// covers this job like any worker's.
@@ -314,18 +315,20 @@ func (s *Service) submitPeer(sp spec) (*job, error) {
 }
 
 // newJobLocked creates a job of sweep sw (nil for a run) and appends it to
-// the job table, and creates its key's record if it is the key's first job;
-// the caller holds s.mu. Only a new record costs a RunKey hash.
-func (s *Service) newJobLocked(sp spec, sw *sweep) *job {
+// the job table, and creates its key's record if it is the key's first job,
+// which it reports as fresh; the caller holds s.mu. Only a new record costs
+// a RunKey hash.
+func (s *Service) newJobLocked(sp spec, sw *sweep) (j *job, fresh bool) {
 	rk := sp.recordKey()
 	rec := s.records[rk]
 	if rec == nil {
 		rec = &record{key: sp.key.Hash(), bench: sp.key.Bench, mech: sp.key.Mech}
 		s.records[rk] = rec
+		fresh = true
 	}
-	j := &job{rec: rec, n: len(s.jobs) + 1, live: &jobLive{spec: sp, sw: sw, heapIdx: -1}}
+	j = &job{rec: rec, n: len(s.jobs) + 1, live: &jobLive{spec: sp, sw: sw, heapIdx: -1}}
 	s.jobs = append(s.jobs, j)
-	return j
+	return j, fresh
 }
 
 // truncateJobsLocked takes the jobs past the first n out of the table, so
@@ -337,24 +340,28 @@ func (s *Service) truncateJobsLocked(n int) {
 	s.jobs = s.jobs[:n]
 }
 
-// enqueueLocked creates and queues a job of sweep sw (nil for a run); the
-// caller holds s.mu.
-func (s *Service) enqueueLocked(sp spec, sw *sweep) (*job, error) {
+// enqueueLocked creates and queues a job of sweep sw (nil for a run), and
+// reports whether it created its key's record; the caller holds s.mu. A
+// refused job leaves neither itself nor the record it created behind.
+func (s *Service) enqueueLocked(sp spec, sw *sweep) (*job, bool, error) {
 	if s.draining {
-		return nil, ErrDraining
+		return nil, false, ErrDraining
 	}
-	j := s.newJobLocked(sp, sw)
+	j, fresh := s.newJobLocked(sp, sw)
 	if err := s.queue.Push(j); err != nil {
 		s.truncateJobsLocked(j.n - 1)
+		if fresh {
+			delete(s.records, sp.recordKey())
+		}
 		if errors.Is(err, ErrQueueFull) {
 			s.metrics.queueRejected.Add(1)
-			return nil, err
+			return nil, false, err
 		}
 		// Close raced ahead of the draining flag.
-		return nil, ErrDraining
+		return nil, false, ErrDraining
 	}
 	s.metrics.submitted.Add(1)
-	return j, nil
+	return j, fresh, nil
 }
 
 // sweepSpecs expands a sweep into its cells and normalizes each one, in
@@ -428,20 +435,26 @@ func (s *Service) SubmitSweep(req SweepRequest) (*sweep, []*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sw := &sweep{n: len(s.sweeps) + 1, first: len(s.jobs), cells: len(specs)}
+	fresh := make([]bool, 0, len(specs)) // whether cell i created its key's record
 	for _, sp := range specs {
-		if _, err := s.enqueueLocked(sp, sw); err != nil {
+		_, created, err := s.enqueueLocked(sp, sw)
+		if err != nil {
 			// All-or-nothing admission: cancel the cells already enqueued so
 			// a rejected sweep leaves no stray work behind. Each is also
 			// removed from the heap so it frees its depth slot immediately
 			// instead of inflating the queue until a worker pops and skips
-			// it, and from the job table, since no client learns its ID. A
-			// cell a worker already popped still runs to its end.
-			for _, prev := range s.jobs[sw.first:] {
-				s.dropQueued(prev)
+			// it, from the job table, since no client learns its ID, and
+			// with the record it created, which no result will fill. A cell
+			// a worker already popped still runs to its end, into its record.
+			for i, prev := range s.jobs[sw.first:] {
+				if _, dropped := s.dropQueued(prev); dropped && fresh[i] {
+					delete(s.records, specs[i].recordKey())
+				}
 			}
 			s.truncateJobsLocked(sw.first)
 			return nil, nil, err
 		}
+		fresh = append(fresh, created)
 	}
 	s.sweeps = append(s.sweeps, sw)
 	return sw, s.cellsLocked(sw), nil

@@ -8,7 +8,7 @@ package sim
 // patterns" is one of the GPU-specific challenges §1 lists for chain
 // prefetching.
 //
-// The trace carries the per-thread stride (trace.Inst.Stride); workloads
+// The trace carries the per-thread stride (trace.Static.Stride); workloads
 // use 0 (broadcast) or 4 bytes (perfectly coalesced) for regular kernels
 // and larger strides for divergent ones.
 

@@ -348,7 +348,7 @@ func TestPartitionHashCoversAllPartitions(t *testing.T) {
 	walk:
 		for _, cta := range k.CTAs {
 			for _, w := range cta.Warps {
-				for _, in := range w.Insts {
+				for _, in := range w.Insts() {
 					if !in.IsMem() {
 						continue
 					}

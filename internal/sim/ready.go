@@ -27,7 +27,7 @@ import (
 
 // wheelSpan is the timing wheel's reach in cycles under cfg: the power of
 // two above the furthest ahead setReadyAt can file, which is a compute
-// latency (at most math.MaxInt8, trace.Inst.Lat's bound) or an L1 hit
+// latency (at most math.MaxInt8, trace.Static.Lat's bound) or an L1 hit
 // (Unified.Latency, at most config.LimitLatency). Replay, issue and barrier
 // release are a few cycles. So every future readiness has a bucket of its
 // own cycle: 128 buckets under the default config, 1,024 at the limit.

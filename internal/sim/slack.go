@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"snake/internal/config"
-	"snake/internal/trace"
 )
 
 // TurnaroundCap bounds the engine's turnaround delay: the fixed number of
@@ -157,10 +156,9 @@ func (e *engine) actBound(start int64) int64 {
 			default:
 				continue
 			}
-			if d := w.opDist(trace.OpExit, &w.nextExit); d >= 0 {
-				if c := base + int64(d); best < 0 || c < best {
-					best = c
-				}
+			// Validate puts a warp's only exit last.
+			if c := base + int64(w.prog.Len()-1-w.pc); best < 0 || c < best {
+				best = c
 			}
 		}
 		if best == start {

@@ -31,6 +31,7 @@ type warpCtx struct {
 	ctaIdx    int // index into the kernel's CTA slice
 	prog      *trace.WarpProgram
 	pc        int
+	mem       int // the next load or store's address is prog.Addr(mem)
 	busyUntil int64
 	age       int64
 	loadSeq   int // retired loads so far
@@ -39,37 +40,9 @@ type warpCtx struct {
 	// parallelism).
 	outstanding int
 
-	// nextExit memoizes the index of the warp's next OpExit at or past pc
-	// for the adaptive epoch cutter's activity lookahead (engine.actBound).
-	// -1: not scanned yet; len(Insts): none remain. The lazy rescan
-	// (opDist) only ever moves forward, so the total scan cost is one
-	// program pass per warp per run.
-	nextExit int32
-
 	// Oracle load streams (populated only when the prefetcher wants them).
 	futPCs   []uint64
 	futAddrs []uint64
-}
-
-// opDist returns the instruction distance from pc to the warp's next op of
-// the given kind, memoized through *memo (-1: the program has none left).
-// Valid only for live warps (prog set). The memo invariant — no matching op
-// in [scan origin, memo) — holds because pc only advances, so a stale memo
-// below pc can be rescanned from pc itself.
-func (w *warpCtx) opDist(op trace.Op, memo *int32) int {
-	i := int(*memo)
-	if i < w.pc {
-		insts := w.prog.Insts
-		i = w.pc
-		for i < len(insts) && insts[i].Op != op {
-			i++
-		}
-		*memo = int32(i)
-	}
-	if i >= len(w.prog.Insts) {
-		return -1
-	}
-	return i - w.pc
 }
 
 // sm models one streaming multiprocessor: warp slots, scheduler slices, the
@@ -286,11 +259,10 @@ func (s *sm) dispatchCTA(k *trace.Kernel, ctaIdx int, age *int64) {
 		pcs, addrs := w.futPCs[:0], w.futAddrs[:0] // the slot's oracle buffers, reused
 		*age++
 		*w = warpCtx{
-			state:    wsReady,
-			ctaIdx:   ctaIdx,
-			prog:     &cta.Warps[wi],
-			age:      *age,
-			nextExit: -1,
+			state:  wsReady,
+			ctaIdx: ctaIdx,
+			prog:   &cta.Warps[wi],
+			age:    *age,
 		}
 		if s.oracle {
 			w.futPCs, w.futAddrs = loadStream(w.prog, pcs, addrs)
@@ -309,11 +281,17 @@ func (s *sm) dispatchCTA(k *trace.Kernel, ctaIdx int, age *int64) {
 // loadStream appends the PC/address stream of a warp's loads to pcs and
 // addrs.
 func loadStream(p *trace.WarpProgram, pcs, addrs []uint64) ([]uint64, []uint64) {
-	for _, in := range p.Insts {
+	m := 0
+	for i := 0; i < p.Len(); i++ {
+		in := p.At(i)
+		if !in.IsMem() {
+			continue
+		}
 		if in.Op == trace.OpLoad {
 			pcs = append(pcs, uint64(in.PC))
-			addrs = append(addrs, in.Addr)
+			addrs = append(addrs, p.Addr(m))
 		}
+		m++
 	}
 	return pcs, addrs
 }
@@ -352,7 +330,7 @@ func (s *sm) issue(cycle int64, stores *int32) issueResult {
 // execute issues warp slot's next instruction.
 func (s *sm) execute(slot int, cycle int64, stores *int32, res *issueResult) {
 	w := &s.warps[slot]
-	in := &w.prog.Insts[w.pc]
+	in := w.prog.At(w.pc)
 	switch in.Op {
 	case trace.OpCompute:
 		w.busyUntil = cycle + int64(in.Lat)
@@ -366,6 +344,7 @@ func (s *sm) execute(slot int, cycle int64, stores *int32, res *issueResult) {
 		w.busyUntil = cycle + 1
 		s.setReadyAt(slot, w.busyUntil, cycle)
 		w.pc++
+		w.mem++
 		s.st.Insts++
 		s.st.Stores++
 		res.retired++
@@ -409,7 +388,8 @@ func (s *sm) execute(slot int, cycle int64, stores *int32, res *issueResult) {
 		// divergent access consume MSHRs, miss-queue slots and bandwidth but
 		// wake nobody — the warp's timing tracks its lead transaction, a
 		// documented simplification for divergent loads.
-		s.lineBuf = coalesce(s.lineBuf[:0], in.Addr, int32(in.Stride), s.cfg.WarpSize, s.l1.LineSize())
+		addr := w.prog.Addr(w.mem)
+		s.lineBuf = coalesce(s.lineBuf[:0], addr, int32(in.Stride), s.cfg.WarpSize, s.l1.LineSize())
 		out := s.l1.Access(slot, s.lineBuf[0], cycle)
 		switch out {
 		case stats.L1ReservationFail:
@@ -441,16 +421,18 @@ func (s *sm) execute(slot int, cycle int64, stores *int32, res *issueResult) {
 			s.l1.Access(cache.NoWaiterWarp, line, cycle)
 		}
 		w.pc++
+		w.mem++
 		w.loadSeq++
 		s.st.Insts++
 		s.st.Loads++
 		res.retired++
-		s.notifyPrefetcher(slot, w, in, out, cycle)
+		s.notifyPrefetcher(slot, w, in.PC, addr, out, cycle)
 	}
 }
 
-// notifyPrefetcher reports a retired load and applies returned requests.
-func (s *sm) notifyPrefetcher(slot int, w *warpCtx, in *trace.Inst, out stats.L1Outcome, cycle int64) {
+// notifyPrefetcher reports a retired load of addr at pc and applies
+// returned requests.
+func (s *sm) notifyPrefetcher(slot int, w *warpCtx, pc uint32, addr uint64, out stats.L1Outcome, cycle int64) {
 	if s.pf == nil {
 		return
 	}
@@ -461,9 +443,9 @@ func (s *sm) notifyPrefetcher(slot int, w *warpCtx, in *trace.Inst, out stats.L1
 		CTABase:   s.kernel.CTAs[w.ctaIdx].BaseAddr,
 		WarpID:    slot,
 		WarpInCTA: w.prog.IDInCTA,
-		PC:        uint64(in.PC),
-		Addr:      in.Addr,
-		LineAddr:  s.l1.LineAddr(in.Addr),
+		PC:        uint64(pc),
+		Addr:      addr,
+		LineAddr:  s.l1.LineAddr(addr),
 		Hit:       out == stats.L1Hit || out == stats.L1HitPrefetch,
 		SeqInWarp: w.loadSeq - 1,
 	}

@@ -18,6 +18,47 @@ func TestInstIs16Bytes(t *testing.T) {
 	}
 }
 
+func TestStaticIs8Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Static{}); got != 8 {
+		t.Errorf("Static is %d bytes, want 8", got)
+	}
+}
+
+// program returns the warp program of insts, built through Builder; the
+// last must be the exit.
+func program(insts ...Inst) WarpProgram {
+	b := NewBuilder()
+	for _, in := range insts[:len(insts)-1] {
+		switch in.Op {
+		case OpCompute:
+			b.Compute(uint64(in.PC), int(in.Lat))
+		case OpLoad:
+			b.Load(uint64(in.PC), in.Addr, int32(in.Stride))
+		case OpStore:
+			b.Store(uint64(in.PC), in.Addr, int32(in.Stride))
+		case OpBarrier:
+			b.Barrier(uint64(in.PC))
+		}
+	}
+	return b.Exit(uint64(insts[len(insts)-1].PC))
+}
+
+// TestBuilderPanicsPast256Statics: a program names at most 256 distinct
+// static instructions; the 257th is a generator bug.
+func TestBuilderPanicsPast256Statics(t *testing.T) {
+	b := NewBuilder()
+	for pc := 0; pc < maxStatic; pc++ {
+		b.Compute(uint64(pc*PCWidth), 1)
+	}
+	b.Compute(0, 1) // repeats fit
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on the 257th static instruction")
+		}
+	}()
+	b.Compute(maxStatic*PCWidth, 1)
+}
+
 // TestBuilderPanicsOutOfRange: a value an Inst field cannot hold is a
 // generator bug, so Builder panics instead of truncating it.
 func TestBuilderPanicsOutOfRange(t *testing.T) {
@@ -41,8 +82,8 @@ func TestBuilderPanicsOutOfRange(t *testing.T) {
 	}
 	// The bounds themselves fit.
 	p := NewBuilder().Compute(8, 127).Compute(8, 0).Load(0xffff_ffff, 0, 32767).Store(16, 0, -32768).Exit(24)
-	if in := p.Insts[2]; in.PC != 0xffff_ffff || in.Stride != 32767 || p.Insts[0].Lat != 127 || p.Insts[3].Stride != -32768 {
-		t.Errorf("bounds stored as %+v", p.Insts)
+	if in := p.Insts()[2]; in.PC != 0xffff_ffff || in.Stride != 32767 || p.Insts()[0].Lat != 127 || p.Insts()[3].Stride != -32768 {
+		t.Errorf("bounds stored as %+v", p.Insts())
 	}
 }
 
@@ -113,14 +154,17 @@ func TestReadBinaryWideLayout(t *testing.T) {
 	}
 	want := &Kernel{Name: "wide", CTAs: []CTA{{
 		BaseAddr: 0x1000, SharedMemBytes: 4096,
-		Warps: []WarpProgram{{Insts: []Inst{
-			{PC: 0x8, Op: OpCompute, Lat: 48},
-			{PC: 0xb058, Op: OpLoad, Addr: 0x7f00_1234_5678, Stride: -4},
-			{PC: 0x10, Op: OpStore, Addr: 0x2000, Stride: 4},
-			{PC: 0x18, Op: OpBarrier},
-			{PC: 0x40, Op: OpExit},
-		}}},
+		Warps: []WarpProgram{program(
+			Inst{PC: 0x8, Op: OpCompute, Lat: 48},
+			Inst{PC: 0xb058, Op: OpLoad, Addr: 0x7f00_1234_5678, Stride: -4},
+			Inst{PC: 0x10, Op: OpStore, Addr: 0x2000, Stride: 4},
+			Inst{PC: 0x18, Op: OpBarrier},
+			Inst{PC: 0x40, Op: OpExit},
+		)},
 	}}}
+	if err := want.Pack(); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("loaded %+v, want %+v", got, want)
 	}
@@ -142,7 +186,7 @@ func TestReadRejectsOutOfRange(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			if k, err := ReadBinary(wideFile(t, wide(c.in))); err == nil {
-				t.Errorf("binary: loaded %+v", k.CTAs[0].Warps[0].Insts[0])
+				t.Errorf("binary: loaded %+v", k.CTAs[0].Warps[0].Insts()[0])
 			} else if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("binary: %v, want an error naming %s", err, c.want)
 			}
@@ -151,7 +195,7 @@ func TestReadRejectsOutOfRange(t *testing.T) {
 				t.Fatal(err)
 			}
 			if k, err := ReadJSON(bytes.NewReader(js)); err == nil {
-				t.Errorf("json: loaded %+v", k.CTAs[0].Warps[0].Insts[0])
+				t.Errorf("json: loaded %+v", k.CTAs[0].Warps[0].Insts()[0])
 			} else if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("json: %v, want an error naming %s", err, c.want)
 			}

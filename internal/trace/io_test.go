@@ -38,8 +38,9 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	for ci, cta := range got.CTAs {
 		for wi, w := range cta.Warps {
-			if cap(w.Insts) != len(w.Insts) {
-				t.Errorf("decoded CTA %d warp %d has cap %d for %d instructions", ci, wi, cap(w.Insts), len(w.Insts))
+			if cap(w.code) != len(w.code) || cap(w.addrs) != len(w.addrs) {
+				t.Errorf("decoded CTA %d warp %d has caps %d and %d for %d instructions and %d addresses",
+					ci, wi, cap(w.code), cap(w.addrs), len(w.code), len(w.addrs))
 			}
 		}
 	}
@@ -56,7 +57,7 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 
 func TestReadRejectsInvalidKernel(t *testing.T) {
 	k := validKernel()
-	k.CTAs[0].Warps[0].Insts = k.CTAs[0].Warps[0].Insts[:1] // no exit
+	k.CTAs[0].Warps[0].code = k.CTAs[0].Warps[0].code[:1] // no exit
 	var buf bytes.Buffer
 	if err := k.WriteBinary(&buf); err != nil {
 		t.Fatal(err)

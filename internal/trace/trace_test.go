@@ -11,10 +11,14 @@ func validKernel() *Kernel {
 	w0 := b.Exit(32)
 	w1 := NewBuilder().Load(8, 0x1100, 4).Exit(16)
 	w1.IDInCTA = 1
-	return &Kernel{
+	k := &Kernel{
 		Name: "test",
 		CTAs: []CTA{{ID: 0, BaseAddr: 0x1000, Warps: []WarpProgram{w0, w1}}},
 	}
+	if err := k.Pack(); err != nil {
+		panic(err)
+	}
+	return k
 }
 
 func TestKernelValidateOK(t *testing.T) {
@@ -32,16 +36,27 @@ func TestKernelValidateRejects(t *testing.T) {
 		{"no CTAs", func(k *Kernel) { k.CTAs = nil }},
 		{"no warps", func(k *Kernel) { k.CTAs[0].Warps = nil }},
 		{"bad warp id", func(k *Kernel) { k.CTAs[0].Warps[1].IDInCTA = 5 }},
-		{"empty warp", func(k *Kernel) { k.CTAs[0].Warps[0].Insts = nil }},
+		{"empty warp", func(k *Kernel) { k.CTAs[0].Warps[0].code = nil }},
 		{"no exit", func(k *Kernel) {
 			w := &k.CTAs[0].Warps[0]
-			w.Insts = w.Insts[:len(w.Insts)-1]
+			w.code = w.code[:len(w.code)-1]
 		}},
 		{"interior exit", func(k *Kernel) {
 			w := &k.CTAs[0].Warps[0]
-			w.Insts[0] = Inst{PC: 0, Op: OpExit}
+			w.code[0] = w.code[len(w.code)-1]
 		}},
-		{"negative latency", func(k *Kernel) { k.CTAs[0].Warps[0].Insts[0].Lat = -1 }},
+		{"negative latency", func(k *Kernel) {
+			w := &k.CTAs[0].Warps[0]
+			w.tab.at[w.code[0]].Lat = -1
+		}},
+		{"code past the table", func(k *Kernel) {
+			w := &k.CTAs[0].Warps[0]
+			w.code[0] = uint8(w.tab.len())
+		}},
+		{"missing address", func(k *Kernel) {
+			w := &k.CTAs[0].Warps[0]
+			w.addrs = w.addrs[:len(w.addrs)-1]
+		}},
 	}
 	for _, tc := range cases {
 		k := validKernel()
@@ -95,7 +110,7 @@ func TestBuilderProducesExitTerminated(t *testing.T) {
 			b.Compute(uint64(i*PCWidth), 1)
 		}
 		w := b.Exit(uint64(int(nCompute%20) * PCWidth))
-		return w.Insts[len(w.Insts)-1].Op == OpExit && len(w.Insts) == int(nCompute%20)+1
+		return w.At(w.Len()-1).Op == OpExit && w.Len() == int(nCompute%20)+1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -3,7 +3,6 @@ package workloads
 import (
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"snake/internal/trace"
 )
@@ -21,7 +20,7 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[storeKey]*storeEntry
 	builds  atomic.Int64
-	bytes   atomic.Int64 // instruction bytes of the interned kernels
+	bytes   atomic.Int64 // instruction bytes of the interned kernels (trace.Kernel.Bytes)
 }
 
 // storeKey identifies one interned kernel.
@@ -71,7 +70,7 @@ func (s *Store) Kernel(bench string, sc Scale) (*trace.Kernel, error) {
 	e.k, e.err = Build(bench, sc)
 	if e.err == nil {
 		s.builds.Add(1)
-		s.bytes.Add(int64(e.k.TotalInsts()) * int64(unsafe.Sizeof(trace.Inst{})))
+		s.bytes.Add(e.k.Bytes())
 	} else {
 		s.mu.Lock()
 		delete(s.entries, key)
@@ -87,7 +86,8 @@ func (s *Store) Kernel(bench string, sc Scale) (*trace.Kernel, error) {
 func (s *Store) Builds() int64 { return s.builds.Load() }
 
 // Bytes returns the instruction bytes the interned kernels hold, the bulk
-// of their heap.
+// of their heap: per warp one byte per instruction and eight per load or
+// store address, plus each kernel's static-instruction table.
 func (s *Store) Bytes() int64 { return s.bytes.Load() }
 
 // Len returns the number of interned kernels.

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -124,33 +125,47 @@ func TestStoreMatchesBuild(t *testing.T) {
 }
 
 // TestStoreProgramsExactLength pins that an interned kernel holds no spare
-// instruction capacity: the store keeps every warp program for the life of
-// the process, and append-doubling would leave up to half of each program's
-// array unused.
+// instruction capacity and one static table: the store keeps every warp
+// program for the life of the process, and append-doubling would leave up to
+// half of each program's arrays unused. Bytes counts capacity, so it equals
+// the exact size only when every stream is exactly as long as its contents.
 func TestStoreProgramsExactLength(t *testing.T) {
 	s := NewStore()
-	check := func(what string, k *trace.Kernel) {
-		for ci, cta := range k.CTAs {
-			for wi, w := range cta.Warps {
-				if cap(w.Insts) != len(w.Insts) {
-					t.Fatalf("%s: CTA %d warp %d has cap %d for %d instructions",
-						what, ci, wi, cap(w.Insts), len(w.Insts))
-				}
-			}
-		}
-	}
 	for _, name := range Names() {
 		k, err := s.Kernel(name, Tiny())
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(name, k)
+		if got, want := k.Bytes(), exactBytes(k); got != want {
+			t.Errorf("%s holds %d instruction bytes, want exactly %d", name, got, want)
+		}
 	}
 }
 
+// exactBytes returns the bytes k's instructions need: one per instruction,
+// eight per load or store address and eight per distinct static
+// instruction.
+func exactBytes(k *trace.Kernel) int64 {
+	statics := make(map[trace.Static]bool)
+	var n int64
+	for _, cta := range k.CTAs {
+		for wi := range cta.Warps {
+			for _, in := range cta.Warps[wi].Insts() {
+				n++
+				if in.IsMem() {
+					n += 8
+				}
+				statics[trace.Static{PC: in.PC, Stride: in.Stride, Lat: in.Lat, Op: in.Op}] = true
+			}
+		}
+	}
+	return n + 8*int64(len(statics))
+}
+
 // TestStoreBytesDefaultScale pins the trace store's size at DefaultScale:
-// the 11 kernels hold 579,072 instructions of 16 bytes each, and Bytes
-// counts each interned kernel once.
+// the 11 kernels hold 579,072 instructions, one byte each, 447,360 load and
+// store addresses of 8 bytes, and 84 distinct static instructions of 8
+// bytes in one table per kernel; Bytes counts each interned kernel once.
 func TestStoreBytesDefaultScale(t *testing.T) {
 	s := NewStore()
 	insts := 0
@@ -167,7 +182,38 @@ func TestStoreBytesDefaultScale(t *testing.T) {
 	if insts != 579_072 {
 		t.Errorf("%d instructions at DefaultScale, want 579072", insts)
 	}
-	if got := s.Bytes(); got != 579_072*16 {
-		t.Errorf("store holds %d instruction bytes, want %d", got, 579_072*16)
+	const want = 579_072 + 447_360*8 + 84*8
+	if got := s.Bytes(); got != want {
+		t.Errorf("store holds %d instruction bytes, want %d", got, want)
+	}
+}
+
+// TestStoreBytesMatchHeap: Bytes is the store's memory, not a model of it.
+// After GC, interning the 11 DefaultScale kernels grows the live heap by
+// Bytes to within 10%; what Bytes leaves out (warp, CTA and kernel headers)
+// must stay small beside it.
+func TestStoreBytesMatchHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the live heap")
+	}
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	s := NewStore()
+	for _, name := range Names() {
+		if _, err := s.Kernel(name, DefaultScale()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grew := liveHeap() - before
+	runtime.KeepAlive(s)
+	t.Logf("heap grew %d B; Bytes %d B", grew, s.Bytes())
+	if d := float64(grew-s.Bytes()) / float64(s.Bytes()); d < -0.1 || d > 0.1 {
+		t.Errorf("interning grew the live heap by %d B, %+.1f%% off Bytes' %d B", grew, 100*d, s.Bytes())
 	}
 }

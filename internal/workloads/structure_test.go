@@ -128,7 +128,7 @@ func TestHotspotStencilOffsetsFixed(t *testing.T) {
 func TestSradHasBarrierBetweenPhases(t *testing.T) {
 	k, _ := Build("srad", Tiny())
 	found := false
-	for _, in := range k.CTAs[0].Warps[0].Insts {
+	for _, in := range k.CTAs[0].Warps[0].Insts() {
 		if in.Op == trace.OpBarrier {
 			found = true
 		}

@@ -42,7 +42,8 @@ func Tiny() Scale { return Scale{CTAs: 4, WarpsPerCTA: 2, Iters: 4} }
 // Upper limits Scale.Validate puts on a scale. A scale can arrive over the
 // network (snaked's "scale" override), and the store keeps every trace it
 // builds, whose size is proportional to CTAs × WarpsPerCTA × Iters: about
-// 1.3 KB per unit for lib, the largest generator, so 6 MB at DefaultScale.
+// 296 B per unit for lib, the largest generator (40 one-byte codes and 32
+// eight-byte addresses), so 1.4 MB at DefaultScale.
 const (
 	// LimitCTAs, LimitWarpsPerCTA and LimitIters bound each dimension, so
 	// a request is rejected by name and the product cannot overflow. A CTA
@@ -53,8 +54,8 @@ const (
 	LimitIters       = 1 << 16
 	// LimitWork bounds CTAs × WarpsPerCTA × Iters, and so the trace's size:
 	// the scale that keeps one cell simulating for seconds on a small GPU
-	// (CTAs 1024, WarpsPerCTA 8, Iters 128), where lps holds ~210 MB and
-	// lib ~1.3 GB.
+	// (CTAs 1024, WarpsPerCTA 8, Iters 128), where lps holds ~40 MB and
+	// lib ~0.31 GB.
 	LimitWork = 1 << 20
 )
 
@@ -141,8 +142,8 @@ func FullNames() map[string]string {
 	}
 }
 
-// Build constructs the named benchmark's kernel, or returns the error of a
-// scale Validate rejects.
+// Build constructs the named benchmark's kernel, packed (trace.Kernel.Pack),
+// or returns the error of a scale Validate rejects.
 func Build(name string, sc Scale) (*trace.Kernel, error) {
 	b, ok := registry[name]
 	if !ok {
@@ -156,7 +157,11 @@ func Build(name string, sc Scale) (*trace.Kernel, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	return b(sc), nil
+	k := b(sc)
+	if err := k.Pack(); err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
 // mix is splitmix64: a deterministic pseudo-random mixer used for irregular

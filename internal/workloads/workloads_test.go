@@ -62,9 +62,9 @@ func TestDeterministicGeneration(t *testing.T) {
 	}
 	for ci := range a.CTAs {
 		for wi := range a.CTAs[ci].Warps {
-			wa, wb := a.CTAs[ci].Warps[wi], b.CTAs[ci].Warps[wi]
-			for ii := range wa.Insts {
-				if wa.Insts[ii] != wb.Insts[ii] {
+			ia, ib := a.CTAs[ci].Warps[wi].Insts(), b.CTAs[ci].Warps[wi].Insts()
+			for ii := range ia {
+				if ia[ii] != ib[ii] {
 					t.Fatalf("kernel generation not deterministic at CTA %d warp %d inst %d", ci, wi, ii)
 				}
 			}
@@ -137,7 +137,7 @@ func TestStreamMicroStructure(t *testing.T) {
 func TestTiledConvBarriers(t *testing.T) {
 	k := TiledConv(Tiny(), 0.5, 64*1024)
 	found := false
-	for _, in := range k.CTAs[0].Warps[0].Insts {
+	for _, in := range k.CTAs[0].Warps[0].Insts() {
 		if in.Op == trace.OpBarrier {
 			found = true
 			break
@@ -154,7 +154,7 @@ func TestTiledConvBarriers(t *testing.T) {
 	if err := u.Validate(); err != nil {
 		t.Errorf("untiled invalid: %v", err)
 	}
-	for _, in := range u.CTAs[0].Warps[0].Insts {
+	for _, in := range u.CTAs[0].Warps[0].Insts() {
 		if in.Op == trace.OpBarrier {
 			t.Error("untiled kernel must not have barriers")
 		}
